@@ -3,7 +3,7 @@ domain alignment: graph encoders, pairwise-ranking training, cross-domain
 pair mining, and an evaluation toolkit."""
 
 from .edmodel import EDModel, ModelSpec, init_model, load_model, save_model, variant_spec
-from .encoders import EmbeddingTable, GRecConfig, grec_propagate, inter_encode, mf_encode
+from .encoders import EmbeddingTable, GRecConfig, grec_propagate
 from .evalkit import EvalCase, SplitDataset, auc, evaluate_all, recall_at_1, split
 from .mdgraph import (
     AnchorSet,
@@ -52,9 +52,7 @@ __all__ = [
     "ingest",
     "ingest_file",
     "init_model",
-    "inter_encode",
     "load_model",
-    "mf_encode",
     "mine_pairs",
     "node_similarity",
     "overlap_ratio",

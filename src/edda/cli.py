@@ -19,7 +19,7 @@ from pathlib import Path
 from . import evalkit, synthgen
 from .edmodel import ModelSpec, init_model, load_model, save_model, variant_spec
 from .encoders import GRecConfig
-from .mdgraph import IngestError, ingest_file
+from .mdgraph import IngestError, ingest_file, read_key_values
 from .trainer import TrainConfig, TrainingDiverged, train
 from .walker import WalkConfig, load_pairs, mine_pairs, write_pairs
 
@@ -42,7 +42,6 @@ class RunConfig:
 
     seed: int = 0
     eval_seed: int = 0
-    threads: int = 1
     determinism: bool = True
     variant: str = "edda"
     encoder: str = "grec"
@@ -81,7 +80,6 @@ class RunConfig:
             batch_size=self.batch_size,
             edge_dropout=self.edge_dropout,
             epochs=self.epochs,
-            k=self.k,
             seed=self.seed,
             patience=self.patience if self.patience >= 0 else None,
         )
@@ -90,19 +88,6 @@ class RunConfig:
         return WalkConfig(
             walk_length=self.walk_length, num_walks=self.num_walks, rng_seed=self.seed
         )
-
-
-def _parse_config_file(path: Path) -> dict[str, str]:
-    values: dict[str, str] = {}
-    for line_no, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if "=" not in stripped:
-            raise ValueError(f"{path} line {line_no}: expected key = value")
-        key, _, value = stripped.partition("=")
-        values[key.strip()] = value.strip()
-    return values
 
 
 def _coerce(name: str, raw: str, kind: type):
@@ -120,7 +105,7 @@ def resolve_config(config_path: str | None, overrides: dict) -> RunConfig:
     cfg = RunConfig()
     if config_path:
         types = {f.name: type(getattr(cfg, f.name)) for f in fields(RunConfig)}
-        file_values = _parse_config_file(Path(config_path))
+        file_values = read_key_values(config_path)
         unknown = set(file_values) - set(types)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
@@ -156,15 +141,6 @@ def _write_manifest(out_dir: Path, command: str, cfg: RunConfig | None, inputs: 
     for key, value in sorted((extra or {}).items()):
         lines.append(f"{key} = {value}")
     (out_dir / "manifest.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def _read_manifest(path: Path) -> dict[str, str]:
-    values = {}
-    for line in path.read_text(encoding="utf-8").splitlines():
-        if line.strip():
-            key, _, value = line.partition("=")
-            values[key.strip()] = value.strip()
-    return values
 
 
 # -- commands ------------------------------------------------------------------
@@ -284,7 +260,7 @@ def cmd_eval(args) -> int:
     run_dir = Path(args.run)
     manifest_path = run_dir / "manifest.txt"
     if manifest_path.exists():
-        recorded = _read_manifest(manifest_path)
+        recorded = read_key_values(manifest_path)
         mismatches = []
         if recorded.get("seed") != str(cfg.seed):
             mismatches.append(f"split seed {recorded.get('seed')} != {cfg.seed}")
@@ -324,7 +300,7 @@ def cmd_eval(args) -> int:
 
 def _overrides(args) -> dict:
     names = (
-        "seed", "eval_seed", "threads", "variant", "beta", "k",
+        "seed", "eval_seed", "variant", "beta", "k",
         "walk_length", "num_walks", "epochs",
     )
     return {name: getattr(args, name, None) for name in names}
@@ -338,7 +314,6 @@ def build_parser() -> _Parser:
         p.add_argument("--config", help="key = value configuration file")
         if with_seed:
             p.add_argument("--seed", type=int, help="root random seed")
-        p.add_argument("--threads", type=int, help="reserved; runs are single-threaded")
 
     p_synth = sub.add_parser("synth", help="generate a synthetic dataset")
     p_synth.add_argument("spec", help="synthetic spec file")

@@ -1,10 +1,17 @@
-"""Trainable model state and scoring.
+"""Trainable model state and the single encode path.
 
 A model owns three parameter groups: one shared embedding table covering all
 nodes of all domains, one per-domain embedding table, and one per-domain
 projection matrix used by the alignment regularizer. Representations for a
 domain concatenate the shared (inter-domain) encoding with the per-domain
 (intra-domain) encoding; scores are inner products of representations.
+
+`EDModel.propagated(dataset, masks)` is the one place where tables are
+encoded: training (per batch, with edge-dropout masks), validation and
+evaluation (on the training graphs) all go through the `Encoding` it returns.
+The encoding maps each graph's local node order to table rows with integer
+arrays, and its `transpose` carries representation-level gradients back to
+table rows, which is the whole backward pass through propagation.
 
 Ablation variants drop one side: `use_inter=False` keeps per-domain tables
 only, `use_intra=False` keeps the shared table only.
@@ -14,18 +21,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .encoders import (
     EmbeddingTable,
     GRecConfig,
+    graph_keys,
     grec_propagate,
     load_table,
     save_table,
 )
-from .mdgraph import MultiDomainDataset, NodeId, NodeKind
+from .mdgraph import MultiDomainDataset, read_key_values
 
 ENCODER_GREC = "grec"
 ENCODER_MF = "mf"
@@ -80,6 +88,7 @@ class EDModel:
         self.inter = inter
         self.intra = intra
         self.proj = proj
+        self._maps = None
 
     @property
     def num_domains(self) -> int:
@@ -113,171 +122,145 @@ class EDModel:
     # -- representations ---------------------------------------------------
 
     def propagated(
-        self,
-        dataset: MultiDomainDataset,
-        masks: dict[int, np.ndarray] | None = None,
-        universe: MultiDomainDataset | None = None,
-    ) -> "PropagatedView":
-        """Encode all nodes once against the given dataset's graphs.
+        self, dataset: MultiDomainDataset, masks: dict[int, np.ndarray] | None = None
+    ) -> "Encoding":
+        """Encode every table row on the dataset's graphs (under `masks`, if given).
 
-        Training passes the training-split dataset (and per-domain edge
-        dropout masks). Evaluation also propagates on the training graphs but
-        passes the full dataset as `universe`, which defines which nodes
-        belong to which domain; nodes of the universe without training edges
-        are encoded by their residual term alone.
+        Training passes the training split with per-domain edge-dropout
+        masks; evaluation passes the training split without masks, so nodes
+        that have no training edge keep only their residual term.
         """
-        np_dtype = np.dtype(self.spec.dtype)
-        inter_out = None
-        if self.inter is not None:
-            if self.spec.encoder == ENCODER_MF:
-                inter_out = self.inter.matrix.astype(np_dtype, copy=True)
-            else:
-                inter_out = np.zeros((len(self.inter), self.spec.d_inter), dtype=np_dtype)
-                for d, graph in enumerate(dataset.domains):
-                    mask = masks.get(d) if masks is not None else None
-                    prop = grec_propagate(graph, self.inter, self.spec.grec, mask)
-                    rows = [self.inter.node_index[n] for n in prop.nodes]
-                    inter_out[np.asarray(rows)] += prop.matrix
-        intra_out = None
-        if self.intra is not None:
-            intra_out = []
-            for d, graph in enumerate(dataset.domains):
-                if self.spec.encoder == ENCODER_MF:
-                    intra_out.append(None)  # raw rows, looked up on demand
-                    continue
-                mask = masks.get(d) if masks is not None else None
-                intra_out.append(grec_propagate(graph, self.intra[d], self.spec.grec, mask))
-        return PropagatedView(self, dataset, inter_out, intra_out, universe)
+        return Encoding(self, dataset, masks)
 
-    def represent(
-        self,
-        dataset: MultiDomainDataset,
-        node: NodeId,
-        d: int,
-        masks: dict[int, np.ndarray] | None = None,
-    ) -> np.ndarray:
-        return self.propagated(dataset, masks).represent(node, d)
-
-    def score(
-        self, dataset: MultiDomainDataset, u: NodeId, i: NodeId, d: int
-    ) -> float:
-        view = self.propagated(dataset)
-        return float(np.dot(view.represent(u, d), view.represent(i, d)))
-
-    def recommend_topn(
-        self,
-        dataset: MultiDomainDataset,
-        u: NodeId,
-        d: int,
-        n: int,
-        exclude: Iterable[NodeId] = (),
-    ) -> list[tuple[NodeId, float]]:
-        """Highest-scoring items of domain d, descending score, ties by item id."""
-        if n < 1:
-            raise ValueError("n must be at least 1")
-        view = self.propagated(dataset)
-        excluded = {node.id for node in exclude}
-        items = [
-            NodeId(NodeKind.ITEM, int(i))
-            for i in dataset.graph(d).item_ids
-            if int(i) not in excluded
-        ]
-        if not items:
-            return []
-        z_u = view.represent(u, d)
-        scores = view.item_matrix(d, items) @ z_u
-        order = sorted(range(len(items)), key=lambda k: (-scores[k], items[k].id))
-        return [(items[k], float(scores[k])) for k in order[:n]]
+    def _row_maps(self, dataset: MultiDomainDataset) -> "_RowMaps":
+        """Graph-local to table row maps, cached per (dataset, tables)."""
+        key = (dataset, self.inter, *(self.intra or ()))  # compared by identity
+        if self._maps is None or self._maps[0] != key:
+            self._maps = (key, _RowMaps(self, dataset))
+        return self._maps[1]
 
 
-class PropagatedView:
-    """Read-only view of encoded node representations for one dataset pass."""
+class _RowMaps:
+    """Per domain graph: table row of each local node, and the rows no graph covers."""
 
-    def __init__(self, model, dataset, inter_out, intra_out, universe=None):
+    def __init__(self, model: EDModel, dataset: MultiDomainDataset):
+        keys = [graph_keys(graph) for graph in dataset.domains]
+        self.inter_rows: list[np.ndarray] = []
+        self.inter_uncovered = None
+        if model.inter is not None:
+            self.inter_rows = [model.inter.rows(k) for k in keys]
+            self.inter_uncovered = _uncovered(len(model.inter), self.inter_rows)
+        self.intra_rows: list[np.ndarray] = []
+        self.intra_uncovered: list[np.ndarray] = []
+        if model.intra is not None:
+            self.intra_rows = [model.intra[d].rows(k) for d, k in enumerate(keys)]
+            self.intra_uncovered = [
+                _uncovered(len(model.intra[d]), [rows])
+                for d, rows in enumerate(self.intra_rows)
+            ]
+
+
+def _uncovered(n_rows: int, row_sets: Sequence[np.ndarray]) -> np.ndarray:
+    covered = np.zeros(n_rows, dtype=bool)
+    for rows in row_sets:
+        covered[rows] = True
+    return np.flatnonzero(~covered)
+
+
+class Encoding:
+    """Encoded table rows of one model on one dataset's graphs.
+
+    `inter` has one row per shared-table row: the sum over domains of the
+    shared table propagated on each domain's graph. `intra(d)` has one row per
+    row of `model.intra[d]`, propagated on domain d's graph and built on first
+    use. Rows without an edge in the dataset keep the alpha^L-scaled residual
+    of their raw row; the MF encoder is the identity. `inter_rows[d]` and
+    `intra_rows[d]` map domain d's local node order to table rows.
+    """
+
+    def __init__(self, model: EDModel, dataset: MultiDomainDataset, masks=None):
+        spec = model.spec
         self.model = model
         self.dataset = dataset
-        self.universe = universe if universe is not None else dataset
-        self._inter = inter_out  # (n_model_nodes, d_inter) in model.inter row order
-        self._intra = intra_out  # per domain: EmbeddingTable or None for MF
-        # residual-only factor for nodes absent from the propagation graphs
-        spec = model.spec
-        self._residual = (
-            1.0
-            if spec.encoder == ENCODER_MF
-            else spec.grec.alpha ** spec.grec.num_layers
-        )
-        self._inter_full: np.ndarray | None = None
-        self._intra_full: dict[int, np.ndarray] = {}
+        self.masks = masks
+        self._maps = model._row_maps(dataset)
+        self.inter_rows = self._maps.inter_rows
+        self.intra_rows = self._maps.intra_rows
+        self._mf = spec.encoder == ENCODER_MF
+        self._residual = spec.grec.alpha ** spec.grec.num_layers
+        self._ops: dict[int, object] = {}
+        self._intra: dict[int, np.ndarray] = {}
+        self.inter = None
+        if model.inter is not None:
+            x = model.inter.matrix
+            self.inter = self._inter_map(x, np.zeros_like(x))
 
-    def inter_matrix(self) -> np.ndarray:
-        """Encoded shared embeddings for every model node, fallbacks applied."""
-        if self._inter_full is None:
-            model = self.model
-            if model.spec.encoder == ENCODER_MF:
-                self._inter_full = self._inter
-            else:
-                out = self._residual * model.inter.matrix
-                covered = [
-                    model.inter.node_index[n]
-                    for n in self.dataset.all_nodes
-                    if n in model.inter.node_index
-                ]
-                rows = np.asarray(covered, dtype=np.int64)
-                out[rows] = self._inter[rows]
-                self._inter_full = out
-        return self._inter_full
+    def _operator(self, d: int):
+        """Domain d's normalized adjacency under its mask; None for the identity."""
+        if self._mf or self.model.spec.grec.is_identity:
+            return None
+        if d not in self._ops:
+            mask = self.masks.get(d) if self.masks is not None else None
+            self._ops[d] = self.dataset.graph(d).sym_norm_adjacency(mask)
+        return self._ops[d]
 
-    def intra_matrix(self, d: int) -> np.ndarray:
-        """Encoded per-domain embeddings in model.intra[d] row order."""
-        if d not in self._intra_full:
-            model = self.model
-            table = self._intra[d]
-            if table is None:  # MF: raw per-domain rows
-                self._intra_full[d] = model.intra[d].matrix
-            else:
-                out = self._residual * model.intra[d].matrix
-                rows = np.asarray(
-                    [model.intra[d].node_index[n] for n in table.nodes], dtype=np.int64
-                )
-                out[rows] = table.matrix
-                self._intra_full[d] = out
-        return self._intra_full[d]
+    def _map(self, blocks, uncovered, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """out += F x, where F propagates each (domain, rows) block of x on that
+        domain's graph, scales uncovered rows by alpha^L and is symmetric."""
+        if self._mf:
+            out += x
+            return out
+        grec = self.model.spec.grec
+        for d, rows in blocks:
+            out[rows] += grec_propagate(self._operator(d), x[rows], grec)
+        out[uncovered] += self._residual * x[uncovered]
+        return out
 
-    def inter_part(self, node: NodeId) -> np.ndarray:
-        return self.inter_matrix()[self.model.inter.node_index[node]]
+    def _inter_map(self, x, out):
+        return self._map(enumerate(self.inter_rows), self._maps.inter_uncovered, x, out)
 
-    def intra_part(self, node: NodeId, d: int) -> np.ndarray:
+    def _intra_map(self, d, x, out):
+        return self._map([(d, self.intra_rows[d])], self._maps.intra_uncovered[d], x, out)
+
+    def intra(self, d: int) -> np.ndarray:
+        """Encoded per-domain rows of domain d, in `model.intra[d]` row order."""
+        if d not in self._intra:
+            x = self.model.intra[d].matrix
+            self._intra[d] = self._intra_map(d, x, np.zeros_like(x))
+        return self._intra[d]
+
+    def represent(self, d: int, keys: np.ndarray) -> np.ndarray:
+        """Domain-d representations of the nodes with the given keys, inter part first.
+
+        The result has shape `keys.shape + (rep_dim,)`.
+        """
         model = self.model
-        try:
-            return self.intra_matrix(d)[model.intra[d].node_index[node]]
-        except KeyError:
-            raise KeyError(f"{node} missing from domain {d} table") from None
-
-    def represent(self, node: NodeId, d: int) -> np.ndarray:
-        """Concatenated representation of `node` for domain `d` (inter first)."""
-        model = self.model
-        if not self.universe.graph(d).contains(node):
-            raise KeyError(f"{node} does not belong to domain {d}")
         parts = []
         if model.inter is not None:
-            parts.append(self.inter_part(node))
+            parts.append(self.inter[model.inter.rows(keys)])
         if model.intra is not None:
-            parts.append(self.intra_part(node, d))
-        return np.concatenate(parts)
+            try:
+                rows = model.intra[d].rows(keys)
+            except KeyError as err:
+                raise KeyError(f"node does not belong to domain {d}: {err}") from None
+            parts.append(self.intra(d)[rows])
+        return np.concatenate(parts, axis=-1)
 
-    def represent_many(self, nodes: Sequence[NodeId], d: int) -> np.ndarray:
-        return np.stack([self.represent(node, d) for node in nodes])
-
-    def item_matrix(self, d: int, items: Sequence[NodeId]) -> np.ndarray:
-        return self.represent_many(items, d)
-
-    def score(self, u: NodeId, i: NodeId, d: int) -> float:
-        return float(np.dot(self.represent(u, d), self.represent(i, d)))
-
-    def score_many(self, users: Sequence[NodeId], items: Sequence[NodeId], d: int) -> np.ndarray:
-        zu = self.represent_many(users, d)
-        zi = self.represent_many(items, d)
-        return np.sum(zu * zi, axis=1)
+    def transpose(
+        self,
+        d_inter: np.ndarray | None,
+        d_intra: dict[int, np.ndarray],
+        out: dict[str, np.ndarray] | None = None,
+    ) -> dict[str, np.ndarray]:
+        """Add the adjoint of the encoding, applied to gradients w.r.t. `inter`
+        and `intra(d)`, into table-level gradients `out` (zeros when omitted)."""
+        if out is None:
+            out = {name: np.zeros_like(arr) for name, arr in self.model.parameters()}
+        if d_inter is not None:
+            self._inter_map(d_inter, out["inter"])
+        for d, grad in d_intra.items():
+            self._intra_map(d, grad, out[f"intra[{d}]"])
+        return out
 
 
 def init_model(spec: ModelSpec, dataset: MultiDomainDataset, seed: int) -> EDModel:
@@ -336,6 +319,7 @@ def save_model(directory: str | Path, model: EDModel) -> None:
         f"use_inter = {int(spec.use_inter)}",
         f"use_intra = {int(spec.use_intra)}",
         f"num_domains = {model.num_domains}",
+        f"dtype = {spec.dtype}",
     ]
     if model.inter is not None:
         save_table(directory / "inter.bin", model.inter)
@@ -350,12 +334,9 @@ def save_model(directory: str | Path, model: EDModel) -> None:
 
 
 def load_model(directory: str | Path) -> EDModel:
+    """Inverse of `save_model`; tables come back in the saved dtype."""
     directory = Path(directory)
-    manifest: dict[str, str] = {}
-    for line in (directory / "model.manifest").read_text(encoding="utf-8").splitlines():
-        if line.strip():
-            key, _, value = line.partition("=")
-            manifest[key.strip()] = value.strip()
+    manifest = read_key_values(directory / "model.manifest")
     use_inter = bool(int(manifest["use_inter"]))
     use_intra = bool(int(manifest["use_intra"]))
     spec = ModelSpec(
@@ -366,13 +347,19 @@ def load_model(directory: str | Path) -> EDModel:
         grec=GRecConfig(int(manifest["num_layers"]), float(manifest["alpha"])),
         use_inter=use_inter,
         use_intra=use_intra,
+        dtype=manifest.get("dtype", "float64"),
     )
-    inter = load_table(directory / manifest["inter_file"]) if use_inter else None
+
+    def table(name: str) -> EmbeddingTable:
+        loaded = load_table(directory / manifest[name])
+        return EmbeddingTable(loaded.nodes, loaded.matrix.astype(spec.dtype, copy=False))
+
+    inter = table("inter_file") if use_inter else None
     intra = None
     proj = None
     if use_intra:
         n = int(manifest["num_domains"])
-        intra = [load_table(directory / manifest[f"intra_file[{d}]"]) for d in range(n)]
+        intra = [table(f"intra_file[{d}]") for d in range(n)]
         proj = [np.load(directory / manifest[f"proj_file[{d}]"]) for d in range(n)]
     return EDModel(spec, inter, intra, proj)
 

@@ -1,13 +1,16 @@
-"""Graph propagation encoders over domain graphs.
+"""Embedding tables and the propagation operator over domain graphs.
 
 The propagation encoder runs L rounds of degree-normalized neighbor
 aggregation with a self-residual weighted by alpha:
 
     e^(l) = alpha * e^(l-1) + (1 - alpha) * sum_{neighbors} e^(l-1) / sqrt(|N_u| |N_i|)
 
-It is linear in the input embeddings and has no trainable parameters of its
-own. The inter-domain encoder applies it on every domain graph and sums the
-last-layer outputs per node. The MF encoder is the identity (raw embeddings).
+It is linear in the input embeddings, has no trainable parameters and uses a
+symmetric operator, so the same map gives the forward pass and the exact
+backward pass. `grec_propagate` is the only implementation of the layer loop;
+`EDModel.propagated` applies it per domain to the shared and per-domain
+tables. Tables are addressed by integer node keys (`node_keys`), never by
+per-node lookups.
 """
 
 from __future__ import annotations
@@ -15,14 +18,27 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
-from .mdgraph import DomainGraph, MultiDomainDataset, NodeId, NodeKind
+from .mdgraph import DomainGraph, NodeId, NodeKind
 
 TABLE_MAGIC = b"EDDA"
 TABLE_VERSION = 1
+
+
+def node_keys(nodes: Sequence[NodeId]) -> np.ndarray:
+    """One integer key per node, `id * 2 + kind`; distinct for distinct nodes."""
+    return np.fromiter((n.id * 2 + n.kind for n in nodes), dtype=np.int64, count=len(nodes))
+
+
+def graph_keys(graph: DomainGraph) -> np.ndarray:
+    """Node keys of a domain graph in its local order (users, then items)."""
+    return np.concatenate(
+        [graph.user_ids * 2 + NodeKind.USER, graph.item_ids * 2 + NodeKind.ITEM]
+    )
 
 
 class EmbeddingTable:
@@ -36,7 +52,7 @@ class EmbeddingTable:
             )
         self.nodes: tuple[NodeId, ...] = tuple(nodes)
         self.matrix = matrix
-        self.node_index: dict[NodeId, int] = {n: k for k, n in enumerate(self.nodes)}
+        self._sorted_keys: tuple[np.ndarray, np.ndarray] | None = None
 
     @classmethod
     def zeros(cls, nodes: Sequence[NodeId], dim: int, dtype=np.float64) -> "EmbeddingTable":
@@ -50,18 +66,27 @@ class EmbeddingTable:
         return len(self.nodes)
 
     def row(self, node: NodeId) -> np.ndarray:
-        try:
-            return self.matrix[self.node_index[node]]
-        except KeyError:
-            raise KeyError(f"{node} missing from embedding table") from None
+        return self.matrix[self.rows(node_keys([node]))[0]]
 
     def gather(self, nodes: Sequence[NodeId]) -> np.ndarray:
         """Rows for the given nodes, in the given order."""
-        try:
-            idx = [self.node_index[n] for n in nodes]
-        except KeyError as err:
-            raise KeyError(f"node missing from embedding table: {err}") from None
-        return self.matrix[np.asarray(idx, dtype=np.int64)]
+        return self.matrix[self.rows(node_keys(nodes))]
+
+    def rows(self, keys: np.ndarray) -> np.ndarray:
+        """Row index of every node key, same shape; KeyError if one is absent."""
+        if self._sorted_keys is None:
+            own = node_keys(self.nodes)
+            order = np.argsort(own, kind="stable")
+            # a sentinel above every key turns "past the end" into a mismatch
+            self._sorted_keys = (np.append(own[order], np.iinfo(np.int64).max), order)
+        sorted_keys, order = self._sorted_keys
+        keys = np.asarray(keys, dtype=np.int64)
+        pos = np.searchsorted(sorted_keys, keys)
+        missing = sorted_keys[pos] != keys
+        if missing.any():
+            key = int(keys[missing][0])
+            raise KeyError(f"{NodeId(NodeKind(key % 2), key // 2)} missing from embedding table")
+        return order[pos]
 
     def copy(self) -> "EmbeddingTable":
         return EmbeddingTable(self.nodes, self.matrix.copy())
@@ -80,53 +105,25 @@ class GRecConfig:
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError("alpha must lie in [0, 1]")
 
+    @property
+    def is_identity(self) -> bool:
+        """Exact fixpoints: no layers, or a residual weight of one."""
+        return self.num_layers == 0 or self.alpha == 1.0
 
-def grec_propagate(
-    graph: DomainGraph,
-    table: EmbeddingTable,
-    cfg: GRecConfig,
-    dropout_mask: np.ndarray | None = None,
-) -> EmbeddingTable:
-    """Layer-L embeddings for every node of `graph`; the input is not mutated.
 
-    `dropout_mask` is a boolean array over the graph's canonical edge order;
-    masked-out edges are removed from aggregation while normalization keeps
-    full-graph degrees. A node whose edges are all masked keeps only its
-    alpha-weighted residual.
+def grec_propagate(op: sp.spmatrix | None, x: np.ndarray, cfg: GRecConfig) -> np.ndarray:
+    """Layer-L embeddings of graph-local rows `x`; `x` is not mutated.
+
+    `op` is the graph's `sym_norm_adjacency` (already masked by edge
+    dropout), or None for the identity. The operator is symmetric, so the
+    same call maps upstream gradients back through the propagation. The
+    result keeps the dtype of `x`.
     """
-    nodes = graph.node_ids()
-    x = np.array(table.gather(nodes), dtype=table.matrix.dtype)
-    if cfg.num_layers == 0 or cfg.alpha == 1.0:
-        # exact fixpoints, bypass the operator to keep them bitwise
-        return EmbeddingTable(nodes, x)
-    s = graph.sym_norm_adjacency(dropout_mask)
+    if op is None or cfg.is_identity:
+        return x  # exact fixpoints, bypass the operator to keep them bitwise
     for _ in range(cfg.num_layers):
-        x = cfg.alpha * x + (1.0 - cfg.alpha) * (s @ x)
-    return EmbeddingTable(nodes, x)
-
-
-def inter_encode(
-    dataset: MultiDomainDataset,
-    inter_table: EmbeddingTable,
-    cfg: GRecConfig,
-    masks: Mapping[int, np.ndarray] | None = None,
-) -> EmbeddingTable:
-    """Sum of per-domain propagated embeddings over all domains containing a node.
-
-    Every domain propagates the same input table; a node appearing in several
-    domains accumulates one last-layer term per domain.
-    """
-    out = np.zeros((len(dataset.all_nodes), inter_table.dim), dtype=inter_table.matrix.dtype)
-    for d, graph in enumerate(dataset.domains):
-        mask = masks.get(d) if masks is not None else None
-        propagated = grec_propagate(graph, inter_table, cfg, mask)
-        out[dataset.global_rows[d]] += propagated.matrix
-    return EmbeddingTable(dataset.all_nodes, out)
-
-
-def mf_encode(table: EmbeddingTable) -> EmbeddingTable:
-    """Identity encoder: raw embeddings are used as-is."""
-    return table
+        x = (cfg.alpha * x + (1.0 - cfg.alpha) * (op @ x)).astype(x.dtype, copy=False)
+    return x
 
 
 def save_table(path: str | Path, table: EmbeddingTable) -> None:

@@ -19,7 +19,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .edmodel import EDModel, PropagatedView
+from .edmodel import EDModel, Encoding
+from .encoders import node_keys
 from .mdgraph import MultiDomainDataset, NodeId, NodeKind, ingest
 
 logger = logging.getLogger(__name__)
@@ -155,32 +156,13 @@ def build_all_cases(
     ]
 
 
-def _case_scores(view: PropagatedView, cases: Sequence[EvalCase]):
+def _case_scores(enc: Encoding, cases: Sequence[EvalCase]):
     """Positive scores (n,) and negative scores (n, 10) for one domain's cases."""
-    model = view.model
     d = cases[0].domain
-    parts_user = []
-    parts_pos = []
-    parts_neg = []
-    if model.inter is not None:
-        g = view.inter_matrix()
-        index = model.inter.node_index
-        parts_user.append(g[[index[c.user] for c in cases]])
-        parts_pos.append(g[[index[c.positive] for c in cases]])
-        parts_neg.append(
-            g[[[index[n] for n in c.negatives] for c in cases]]
-        )
-    if model.intra is not None:
-        q = view.intra_matrix(d)
-        index = model.intra[d].node_index
-        parts_user.append(q[[index[c.user] for c in cases]])
-        parts_pos.append(q[[index[c.positive] for c in cases]])
-        parts_neg.append(
-            q[[[index[n] for n in c.negatives] for c in cases]]
-        )
-    z_user = np.concatenate(parts_user, axis=1)
-    z_pos = np.concatenate(parts_pos, axis=1)
-    z_neg = np.concatenate(parts_neg, axis=2)
+    z_user = enc.represent(d, node_keys([c.user for c in cases]))
+    z_pos = enc.represent(d, node_keys([c.positive for c in cases]))
+    negatives = node_keys([n for c in cases for n in c.negatives])
+    z_neg = enc.represent(d, negatives.reshape(len(cases), -1))
     pos = np.sum(z_user * z_pos, axis=1)
     neg = np.einsum("nd,nkd->nk", z_user, z_neg)
     return pos, neg
@@ -241,12 +223,19 @@ def _scored_for_recall(cases, pos, neg):
     ]
 
 
-def _domain_metrics(view: PropagatedView, cases: Sequence[EvalCase]):
-    pos, neg = _case_scores(view, cases)
+def _domain_metrics(enc: Encoding, cases: Sequence[EvalCase]):
+    pos, neg = _case_scores(enc, cases)
     return (
         auc_from_scored_cases(_scored_for_auc(cases, pos, neg)),
         recall_at_1_from_scored_cases(_scored_for_recall(cases, pos, neg)),
     )
+
+
+def _metrics_for(split_data: SplitDataset, model: EDModel, d: int, which: str, eval_seed: int):
+    cases = build_cases(split_data, d, which, eval_seed)
+    if not cases:
+        raise ValueError(f"domain {d} has no evaluable {which} cases")
+    return _domain_metrics(model.propagated(split_data.train), cases)
 
 
 def auc(
@@ -257,12 +246,11 @@ def auc(
     which: str = "test",
     eval_seed: int = 0,
 ) -> float:
-    """Macro AUC for domain d, scored on train-graph propagation."""
-    cases = build_cases(split_data, d, which, eval_seed)
-    if not cases:
-        raise ValueError(f"domain {d} has no evaluable {which} cases")
-    view = model.propagated(split_data.train, universe=dataset)
-    return _domain_metrics(view, cases)[0]
+    """Macro AUC for domain d, scored on train-graph propagation.
+
+    `dataset` is the full dataset, the same as `split_data.full`.
+    """
+    return _metrics_for(split_data, model, d, which, eval_seed)[0]
 
 
 def recall_at_1(
@@ -273,11 +261,7 @@ def recall_at_1(
     which: str = "test",
     eval_seed: int = 0,
 ) -> float:
-    cases = build_cases(split_data, d, which, eval_seed)
-    if not cases:
-        raise ValueError(f"domain {d} has no evaluable {which} cases")
-    view = model.propagated(split_data.train, universe=dataset)
-    return _domain_metrics(view, cases)[1]
+    return _metrics_for(split_data, model, d, which, eval_seed)[1]
 
 
 def evaluate_all(
@@ -287,14 +271,14 @@ def evaluate_all(
     eval_seed: int = 0,
 ) -> list[tuple[int, float, float, int]]:
     """(domain, AUC, Recall@1, num_cases) per domain, one propagation pass."""
-    view = model.propagated(split_data.train, universe=split_data.full)
+    enc = model.propagated(split_data.train)
     out = []
     for d in range(split_data.full.num_domains):
         cases = build_cases(split_data, d, which, eval_seed)
         if not cases:
             out.append((d, float("nan"), float("nan"), 0))
             continue
-        domain_auc, domain_recall = _domain_metrics(view, cases)
+        domain_auc, domain_recall = _domain_metrics(enc, cases)
         out.append((d, domain_auc, domain_recall, len(cases)))
     return out
 
@@ -303,14 +287,14 @@ def evaluate_cases_mean(
     model: EDModel, split_data: SplitDataset, cases_per_domain: Sequence[Sequence[EvalCase]]
 ) -> tuple[float, float, int]:
     """Unweighted domain-mean AUC/Recall@1 over prebuilt cases."""
-    view = model.propagated(split_data.train, universe=split_data.full)
+    enc = model.propagated(split_data.train)
     aucs = []
     recalls = []
     total = 0
     for cases in cases_per_domain:
         if not cases:
             continue
-        a, r = _domain_metrics(view, cases)
+        a, r = _domain_metrics(enc, cases)
         aucs.append(a)
         recalls.append(r)
         total += len(cases)

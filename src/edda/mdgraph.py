@@ -184,15 +184,6 @@ class MultiDomainDataset:
         for graph in self.domains:
             nodes.update(graph.node_ids())
         self.all_nodes: tuple[NodeId, ...] = tuple(sorted(nodes))
-        self.node_index: dict[NodeId, int] = {n: k for k, n in enumerate(self.all_nodes)}
-        self.global_rows: list[np.ndarray] = [
-            np.array([self.node_index[n] for n in graph.node_ids()], dtype=np.int64)
-            for graph in self.domains
-        ]
-        self._membership: dict[NodeId, tuple[int, ...]] = {}
-        for d, graph in enumerate(self.domains):
-            for node in graph.node_ids():
-                self._membership[node] = self._membership.get(node, ()) + (d,)
 
     @property
     def num_domains(self) -> int:
@@ -204,9 +195,6 @@ class MultiDomainDataset:
 
     def graph(self, d: int) -> DomainGraph:
         return self.domains[d]
-
-    def domains_of(self, node: NodeId) -> tuple[int, ...]:
-        return self._membership.get(node, ())
 
     def interactions(self, d: int) -> Iterator[Interaction]:
         for u, i in self.domains[d].user_item_pairs():
@@ -270,6 +258,23 @@ def load_interactions(path: str | Path) -> list[tuple[int, int, int]]:
             if rec is not None:
                 records.append(rec)
     return records
+
+
+def read_key_values(path: str | Path, error: type[Exception] = ValueError) -> dict[str, str]:
+    """Read `key = value` lines; blank lines and `#` comments are skipped.
+
+    A line without `=` raises `error` naming the file and the line number.
+    """
+    values: dict[str, str] = {}
+    for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        if "=" not in stripped:
+            raise error(f"{path} line {line_no}: expected key = value")
+        key, _, value = stripped.partition("=")
+        values[key.strip()] = value.strip()
+    return values
 
 
 def write_interactions(path: str | Path, records: Iterable[tuple[int, int, int]]) -> None:

@@ -26,7 +26,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .mdgraph import MultiDomainDataset, ingest, write_interactions
+from .mdgraph import MultiDomainDataset, ingest, read_key_values, write_interactions
 
 
 class SynthError(ValueError):
@@ -278,15 +278,7 @@ def _parse_counts(text: str):
 
 def load_spec(path: str | Path) -> SynthSpec:
     """Read a `key = value` spec file; counts may be single ints or comma lists."""
-    raw: dict[str, str] = {}
-    for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if "=" not in stripped:
-            raise SynthError(f"{path} line {line_no}: expected key = value")
-        key, _, value = stripped.partition("=")
-        raw[key.strip()] = value.strip()
+    raw = read_key_values(path, SynthError)
     unknown = set(raw) - set(_SPEC_KEYS)
     if unknown:
         raise SynthError(f"{path}: unknown keys {sorted(unknown)}")

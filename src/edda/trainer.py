@@ -6,11 +6,14 @@ The objective is
 
 where L_rank sums -ln sigmoid(s(u,i+) - s(u,i-)) over sampled triplets of all
 domains, and L_align sums squared distances between projected per-domain
-embeddings of mined cross-domain pairs. All gradients are exact: propagation
-is linear, so backpropagation through it applies the (symmetric) propagation
-operator to the upstream gradients. Per-domain embedding tables receive
-gradients only from their own domain's triplets (and from alignment pairs
-touching them); the shared table receives gradients from every domain.
+embeddings of mined cross-domain pairs. Every batch encodes the tables once
+through `EDModel.propagated` (with that batch's edge-dropout masks); this
+module only scores triplets on the encoding, computes the alignment and
+regularization terms, and hands the representation-level gradients to
+`Encoding.transpose`, which is the exact backward pass through the linear,
+symmetric propagation. Per-domain embedding tables receive gradients only
+from their own domain's triplets (and from alignment pairs touching them);
+the shared table receives gradients from every domain.
 """
 
 from __future__ import annotations
@@ -23,7 +26,8 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 import numpy as np
 from scipy.special import expit
 
-from .edmodel import ENCODER_MF, EDModel
+from .edmodel import EDModel, Encoding
+from .encoders import node_keys
 from .mdgraph import DomainGraph, MultiDomainDataset, NodeId, NodeKind
 from .walker import SimilarPairSet
 
@@ -45,13 +49,11 @@ class TrainConfig:
     batch_size: int = 8092  # kept verbatim from the reported setup
     edge_dropout: float = 0.3
     epochs: int = 100
-    k: int = 1
     adam_beta1: float = 0.9
     adam_beta2: float = 0.999
     adam_eps: float = 1e-8
     seed: int = 0
     patience: int | None = None  # early stop on validation AUC when set
-    min_epochs: int = 0  # epochs exempt from early-stop bookkeeping
     align_subsample_factor: int = 10
 
     def __post_init__(self):
@@ -101,6 +103,46 @@ def edge_dropout(graph: DomainGraph, ratio: float, rng: np.random.Generator) -> 
     return rng.random(graph.n_edges) >= ratio
 
 
+class _NegativeSampler:
+    """Rejection sampler of un-interacted items for the users of one domain graph.
+
+    A user who interacted with every item of the domain cannot draw a
+    negative and is skipped, with one warning per user.
+    """
+
+    def __init__(self, graph: DomainGraph):
+        self.graph = graph
+        indptr, indices = graph.adj_indptr, graph.adj_indices - graph.n_users
+        self.positives = [
+            set(indices[indptr[u] : indptr[u + 1]].tolist()) for u in range(graph.n_users)
+        ]
+        self.eligible = graph.user_degree < graph.n_items
+        self.warned: set[int] = set()
+
+    def __call__(self, u_locs: np.ndarray, rng: np.random.Generator):
+        """(positions in `u_locs` that got a negative, their local item indices)."""
+        graph = self.graph
+        keep = []
+        negs = []
+        for row, u_loc in enumerate(u_locs):
+            u_loc = int(u_loc)
+            if not self.eligible[u_loc]:
+                if u_loc not in self.warned:
+                    self.warned.add(u_loc)
+                    logger.warning(
+                        "domain %d: user %d interacts with every item, skipping",
+                        graph.domain,
+                        int(graph.user_ids[u_loc]),
+                    )
+                continue
+            n_loc = int(rng.integers(graph.n_items))
+            while n_loc in self.positives[u_loc]:
+                n_loc = int(rng.integers(graph.n_items))
+            keep.append(row)
+            negs.append(n_loc)
+        return np.asarray(keep, dtype=np.int64), np.asarray(negs, dtype=np.int64)
+
+
 def sample_triplets(
     dataset: MultiDomainDataset, d: int, count: int, rng: np.random.Generator
 ) -> list[Triplet]:
@@ -112,95 +154,36 @@ def sample_triplets(
     graph = dataset.graph(d)
     if graph.n_items < 2:
         raise ValueError(f"domain {d} needs at least 2 items for negative sampling")
-    positives = [set() for _ in range(graph.n_users)]
-    for u_loc, i_loc in zip(graph.edge_user, graph.edge_item):
-        positives[u_loc].add(int(i_loc))
-    eligible = np.array([len(p) < graph.n_items for p in positives])
-    if not eligible.any():
+    sampler = _NegativeSampler(graph)
+    if not sampler.eligible.any():
         logger.warning("domain %d: every user interacted with every item", d)
         return []
-
-    warned: set[int] = set()
     out: list[Triplet] = []
     while len(out) < count:
         e = int(rng.integers(graph.n_edges))
-        u_loc = int(graph.edge_user[e])
-        if not eligible[u_loc]:
-            if u_loc not in warned:
-                warned.add(u_loc)
-                logger.warning(
-                    "domain %d: user %d interacts with every item, skipping",
+        keep, negs = sampler(graph.edge_user[e : e + 1], rng)
+        if len(keep):
+            out.append(
+                Triplet(
                     d,
-                    int(graph.user_ids[u_loc]),
+                    NodeId(NodeKind.USER, int(graph.user_ids[graph.edge_user[e]])),
+                    NodeId(NodeKind.ITEM, int(graph.item_ids[graph.edge_item[e]])),
+                    NodeId(NodeKind.ITEM, int(graph.item_ids[negs[0]])),
                 )
-            continue
-        n_loc = int(rng.integers(graph.n_items))
-        while n_loc in positives[u_loc]:
-            n_loc = int(rng.integers(graph.n_items))
-        out.append(
-            Triplet(
-                d,
-                NodeId(NodeKind.USER, int(graph.user_ids[u_loc])),
-                NodeId(NodeKind.ITEM, int(graph.item_ids[graph.edge_item[e]])),
-                NodeId(NodeKind.ITEM, int(graph.item_ids[n_loc])),
             )
-        )
     return out
 
 
-# -- forward/backward core ----------------------------------------------------
+# -- loss and exact gradients -------------------------------------------------
 
 
-class _Context:
-    """Index plumbing tying model parameter rows to a dataset's graphs."""
-
-    def __init__(self, model: EDModel, dataset: MultiDomainDataset):
-        self.model = model
-        self.dataset = dataset
-        self.inter_rows: list[np.ndarray | None] = []
-        self.intra_rows: list[np.ndarray | None] = []
-        for graph in dataset.domains:
-            nodes = graph.node_ids()
-            if model.inter is not None:
-                index = model.inter.node_index
-                self.inter_rows.append(np.array([index[n] for n in nodes], dtype=np.int64))
-            else:
-                self.inter_rows.append(None)
-            if model.intra is not None:
-                index = model.intra[graph.domain].node_index
-                self.intra_rows.append(np.array([index[n] for n in nodes], dtype=np.int64))
-            else:
-                self.intra_rows.append(None)
-
-    def operators(self, masks) -> list:
-        """Per-domain normalized adjacency, or None when propagation is identity."""
-        spec = self.model.spec
-        grec = spec.grec
-        if spec.encoder == ENCODER_MF or grec.num_layers == 0 or grec.alpha == 1.0:
-            return [None] * self.dataset.num_domains
-        out = []
-        for d, graph in enumerate(self.dataset.domains):
-            mask = masks.get(d) if masks is not None else None
-            out.append(graph.sym_norm_adjacency(mask))
-        return out
-
-
-def _apply_layers(op, x: np.ndarray, grec) -> np.ndarray:
-    """L rounds of alpha-residual aggregation; identity when op is None.
-
-    The operator is symmetric, so this doubles as the transposed backward map.
-    """
-    if op is None:
-        return x
-    for _ in range(grec.num_layers):
-        x = grec.alpha * x + (1.0 - grec.alpha) * (op @ x)
-    return x
-
-
-def _group_triplets(ctx: _Context, triplets: Sequence[Triplet]) -> dict[int, np.ndarray]:
+def _group_triplets(
+    dataset: MultiDomainDataset, triplets: Sequence[Triplet]
+) -> dict[int, np.ndarray]:
+    """Graph-local (user, positive, negative) index rows per domain."""
     grouped: dict[int, list[list[int]]] = {}
     for t in triplets:
-        graph = ctx.dataset.graph(t.domain)
+        graph = dataset.graph(t.domain)
         grouped.setdefault(t.domain, []).append(
             [
                 graph.local_index(t.user),
@@ -220,11 +203,9 @@ def _prepare_pairs(model: EDModel, pair_sets: Iterable[SimilarPairSet]):
         if model.intra is None:
             raise ValueError("alignment pairs require per-domain embedding tables")
         d, d_prime = pair_set.domain_pair
-        src_index = model.intra[d].node_index
-        dst_index = model.intra[d_prime].node_index
         try:
-            idx_u = np.array([src_index[p.source] for p in pair_set.pairs], dtype=np.int64)
-            idx_v = np.array([dst_index[p.target] for p in pair_set.pairs], dtype=np.int64)
+            idx_u = model.intra[d].rows(node_keys([p.source for p in pair_set.pairs]))
+            idx_v = model.intra[d_prime].rows(node_keys([p.target for p in pair_set.pairs]))
         except KeyError as err:
             raise KeyError(f"alignment pair node missing from domain table: {err}") from None
         prepared.append((d, d_prime, idx_u, idx_v))
@@ -232,64 +213,45 @@ def _prepare_pairs(model: EDModel, pair_sets: Iterable[SimilarPairSet]):
 
 
 def _compute(
-    ctx: _Context,
+    enc: Encoding,
     grouped: dict[int, np.ndarray],
     prepared_pairs,
     cfg: TrainConfig,
-    masks,
     align_scale: float,
     want_grads: bool,
 ):
     """Loss parts and (optionally) exact gradients for one batch."""
-    model = ctx.model
-    spec = model.spec
-    grec = spec.grec
-    ops = ctx.operators(masks)
-
-    # forward: shared table encoded on all graphs, per-domain tables on theirs
-    g_mat = None
-    if model.inter is not None:
-        if spec.encoder == ENCODER_MF:
-            g_mat = model.inter.matrix
-        else:
-            g_mat = np.zeros_like(model.inter.matrix)
-            for d in range(ctx.dataset.num_domains):
-                rows = ctx.inter_rows[d]
-                g_mat[rows] += _apply_layers(ops[d], model.inter.matrix[rows], grec)
-    q_mats: dict[int, np.ndarray] = {}
-    if model.intra is not None:
-        for d in grouped:
-            gathered = model.intra[d].matrix[ctx.intra_rows[d]]
-            q_mats[d] = _apply_layers(ops[d], gathered, grec)
+    model = enc.model
 
     # ranking loss and its gradient at the representation level
     l_bpr = 0.0
-    d_g = np.zeros_like(g_mat) if (want_grads and g_mat is not None) else None
+    d_g = np.zeros_like(enc.inter) if (want_grads and enc.inter is not None) else None
     d_q: dict[int, np.ndarray] = {}
     for d, (u_loc, p_loc, n_loc) in grouped.items():
         x = np.zeros(len(u_loc))
-        if g_mat is not None:
-            rows = ctx.inter_rows[d]
-            gu, gp, gn = g_mat[rows[u_loc]], g_mat[rows[p_loc]], g_mat[rows[n_loc]]
+        if enc.inter is not None:
+            g, rows = enc.inter, enc.inter_rows[d]
+            g_u, g_p, g_n = rows[u_loc], rows[p_loc], rows[n_loc]
+            gu, gp, gn = g[g_u], g[g_p], g[g_n]
             x += np.sum(gu * (gp - gn), axis=1)
         if model.intra is not None:
-            q = q_mats[d]
-            qu, qp, qn = q[u_loc], q[p_loc], q[n_loc]
+            q, rows = enc.intra(d), enc.intra_rows[d]
+            q_u, q_p, q_n = rows[u_loc], rows[p_loc], rows[n_loc]
+            qu, qp, qn = q[q_u], q[q_p], q[q_n]
             x += np.sum(qu * (qp - qn), axis=1)
         l_bpr += float(np.sum(np.logaddexp(0.0, -x)))
         if not want_grads:
             continue
-        g = -expit(-x)[:, None]  # dL/dx, negative
-        if g_mat is not None:
-            rows = ctx.inter_rows[d]
-            np.add.at(d_g, rows[u_loc], g * (gp - gn))
-            np.add.at(d_g, rows[p_loc], g * gu)
-            np.add.at(d_g, rows[n_loc], -g * gu)
+        dl_dx = -expit(-x)[:, None]  # negative
+        if d_g is not None:
+            np.add.at(d_g, g_u, dl_dx * (gp - gn))
+            np.add.at(d_g, g_p, dl_dx * gu)
+            np.add.at(d_g, g_n, -dl_dx * gu)
         if model.intra is not None:
-            dq = np.zeros_like(q_mats[d])
-            np.add.at(dq, u_loc, g * (qp - qn))
-            np.add.at(dq, p_loc, g * qu)
-            np.add.at(dq, n_loc, -g * qu)
+            dq = np.zeros_like(q)
+            np.add.at(dq, q_u, dl_dx * (qp - qn))
+            np.add.at(dq, q_p, dl_dx * qu)
+            np.add.at(dq, q_n, -dl_dx * qu)
             d_q[d] = dq
 
     # alignment loss on raw per-domain embeddings and projections
@@ -316,35 +278,15 @@ def _compute(
     if not want_grads:
         return total, l_bpr, l_align, reg, None
 
-    # backpropagate through the (symmetric) propagation and add regularization
-    if d_g is not None:
-        if spec.encoder == ENCODER_MF:
-            grads["inter"] += d_g
-        else:
-            for d in range(ctx.dataset.num_domains):
-                rows = ctx.inter_rows[d]
-                grads["inter"][rows] += _apply_layers(ops[d], d_g[rows], grec)
-    for d, dq in d_q.items():
-        back = _apply_layers(ops[d], dq, grec)
-        np.add.at(grads[f"intra[{d}]"], ctx.intra_rows[d], back)
+    enc.transpose(d_g, d_q, grads)
     for name, arr in model.parameters():
         grads[name] += (2.0 * cfg.reg_lambda) * arr
     return total, l_bpr, l_align, reg, grads
 
 
-# -- public loss / gradient operations ---------------------------------------
-
-
-def alignment_loss(model: EDModel, pair_sets: Iterable[SimilarPairSet]) -> float:
-    """Sum over pairs of squared projected embedding distance."""
-    total = 0.0
-    for d, d_prime, idx_u, idx_v in _prepare_pairs(model, pair_sets):
-        diff = (
-            model.intra[d].matrix[idx_u] @ model.proj[d]
-            - model.intra[d_prime].matrix[idx_v] @ model.proj[d_prime]
-        )
-        total += float(np.sum(diff * diff))
-    return total
+def _batch(model, dataset, triplets, pair_sets, masks):
+    encoding = model.propagated(dataset, masks)
+    return encoding, _group_triplets(dataset, triplets), _prepare_pairs(model, pair_sets)
 
 
 def total_loss(
@@ -357,11 +299,8 @@ def total_loss(
     align_scale: float = 1.0,
 ) -> float:
     """L_rank + beta * L_align + lambda * ||params||^2 for the given batch."""
-    ctx = _Context(model, dataset)
-    grouped = _group_triplets(ctx, triplets)
-    prepared = _prepare_pairs(model, pair_sets)
-    total, _, _, _, _ = _compute(ctx, grouped, prepared, cfg, masks, align_scale, False)
-    return total
+    enc, grouped, prepared = _batch(model, dataset, triplets, pair_sets, masks)
+    return _compute(enc, grouped, prepared, cfg, align_scale, False)[0]
 
 
 def gradients(
@@ -374,11 +313,8 @@ def gradients(
     align_scale: float = 1.0,
 ) -> dict[str, np.ndarray]:
     """Exact gradient of `total_loss` for every parameter array, by name."""
-    ctx = _Context(model, dataset)
-    grouped = _group_triplets(ctx, triplets)
-    prepared = _prepare_pairs(model, pair_sets)
-    _, _, _, _, grads = _compute(ctx, grouped, prepared, cfg, masks, align_scale, True)
-    return grads
+    enc, grouped, prepared = _batch(model, dataset, triplets, pair_sets, masks)
+    return _compute(enc, grouped, prepared, cfg, align_scale, True)[4]
 
 
 # -- optimizer ----------------------------------------------------------------
@@ -429,36 +365,6 @@ def _epoch_batches(graph: DomainGraph, batch_size: int, rng: np.random.Generator
     return [order[k : k + batch_size] for k in range(0, len(order), batch_size)]
 
 
-def _negatives_for(
-    graph: DomainGraph,
-    positives: list[set[int]],
-    eligible: np.ndarray,
-    u_locs: np.ndarray,
-    rng: np.random.Generator,
-    warned: set[int],
-    d: int,
-):
-    keep = []
-    negs = []
-    for row, u_loc in enumerate(u_locs):
-        u_loc = int(u_loc)
-        if not eligible[u_loc]:
-            if u_loc not in warned:
-                warned.add(u_loc)
-                logger.warning(
-                    "domain %d: user %d interacts with every item, skipping",
-                    d,
-                    int(graph.user_ids[u_loc]),
-                )
-            continue
-        n_loc = int(rng.integers(graph.n_items))
-        while n_loc in positives[u_loc]:
-            n_loc = int(rng.integers(graph.n_items))
-        keep.append(row)
-        negs.append(n_loc)
-    return np.asarray(keep, dtype=np.int64), np.asarray(negs, dtype=np.int64)
-
-
 def train(
     model: EDModel,
     split,
@@ -479,23 +385,13 @@ def train(
 
     rng = np.random.default_rng(cfg.seed)
     train_ds = split.train
-    ctx = _Context(model, train_ds)
     prepared_pairs = _prepare_pairs(model, pair_sets)
     n_pairs = sum(len(idx_u) for _, _, idx_u, _ in prepared_pairs)
     state = AdamState.for_model(model)
 
-    positives: list[list[set[int]]] = []
-    eligible: list[np.ndarray] = []
-    for graph in train_ds.domains:
-        per_user = [set() for _ in range(graph.n_users)]
-        for u_loc, i_loc in zip(graph.edge_user, graph.edge_item):
-            per_user[u_loc].add(int(i_loc))
-        positives.append(per_user)
-        eligible.append(np.array([len(p) < graph.n_items for p in per_user]))
-
+    samplers = [_NegativeSampler(graph) for graph in train_ds.domains]
     val_cases = evalkit.build_all_cases(split, which="validation", eval_seed=eval_seed)
     has_val = any(cases for cases in val_cases)
-    warned: list[set[int]] = [set() for _ in train_ds.domains]
     logs: list[EpochLog] = []
     best_auc = -np.inf
     best_model: EDModel | None = None
@@ -514,9 +410,7 @@ def train(
                 graph = train_ds.graph(d)
                 edge_idx = batches[round_idx]
                 u_locs = graph.edge_user[edge_idx]
-                keep, negs = _negatives_for(
-                    graph, positives[d], eligible[d], u_locs, rng, warned[d], d
-                )
+                keep, negs = samplers[d](u_locs, rng)
                 if len(keep) == 0:
                     continue
                 grouped = {
@@ -542,7 +436,8 @@ def train(
                         prepared_pairs, n_pairs, cfg.batch_size, rng
                     )
                 total, l_bpr, l_align, _, grads = _compute(
-                    ctx, grouped, batch_pairs, cfg, masks, align_scale, True
+                    model.propagated(train_ds, masks), grouped, batch_pairs, cfg,
+                    align_scale, True,
                 )
                 if not np.isfinite(total):
                     raise TrainingDiverged(
@@ -576,7 +471,7 @@ def train(
                 since_best = 0
             else:
                 since_best += 1
-                if since_best > cfg.patience:
+                if since_best >= cfg.patience:
                     break
 
     if best_model is not None:

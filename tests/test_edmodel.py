@@ -9,10 +9,10 @@ from edda.edmodel import (
     save_model,
     variant_spec,
 )
-from edda.encoders import EmbeddingTable, GRecConfig
+from edda.encoders import EmbeddingTable, GRecConfig, node_keys
 from edda.mdgraph import NodeId, NodeKind, ingest
 
-from oracles import dense_propagate, random_bipartite_records, topn_by_sort
+from oracles import dense_propagate, random_bipartite_records
 
 U = lambda i: NodeId(NodeKind.USER, i)
 I = lambda i: NodeId(NodeKind.ITEM, i)
@@ -41,6 +41,14 @@ def _hand_model(dataset, spec, inter_rows=None, intra_rows=None, proj=None):
     return EDModel(spec, inter, intra, w)
 
 
+def _represent(model, dataset, node, d):
+    return model.propagated(dataset).represent(d, node_keys([node]))[0]
+
+
+def _score(model, dataset, u, i, d):
+    return float(np.dot(_represent(model, dataset, u, d), _represent(model, dataset, i, d)))
+
+
 def test_mf_representation_is_raw_rows():
     ds = ingest([(0, 0, 0), (0, 1, 1)])
     spec = ModelSpec(d_inter=2, d_intra=2, encoder="mf")
@@ -48,7 +56,7 @@ def test_mf_representation_is_raw_rows():
     inter_rows = {n: rng.normal(size=2) for n in ds.all_nodes}
     intra_rows = [{n: rng.normal(size=2) for n in ds.graph(0).node_ids()}]
     model = _hand_model(ds, spec, inter_rows, intra_rows)
-    z = model.represent(ds, U(0), 0)
+    z = _represent(model, ds, U(0), 0)
     assert z == pytest.approx(np.concatenate([inter_rows[U(0)], intra_rows[0][U(0)]]))
 
 
@@ -62,7 +70,7 @@ def test_zero_layer_grec_equals_mf():
     m1 = _hand_model(ds, grec0, inter_rows, intra_rows)
     m2 = _hand_model(ds, mf, inter_rows, intra_rows)
     for node in ds.all_nodes:
-        assert np.array_equal(m1.represent(ds, node, 0), m2.represent(ds, node, 0))
+        assert np.array_equal(_represent(m1, ds, node, 0), _represent(m2, ds, node, 0))
 
 
 def test_representation_composes_propagated_parts():
@@ -75,7 +83,7 @@ def test_representation_composes_propagated_parts():
 
     want_inter = dense_propagate([(0, 0)], inter_rows, 0.1, 1)
     want_intra = dense_propagate([(0, 0)], intra_rows[0], 0.1, 1)
-    z = model.represent(ds, U(0), 0)
+    z = _represent(model, ds, U(0), 0)
     assert z == pytest.approx(np.concatenate([want_inter[U(0)], want_intra[U(0)]]), rel=1e-12)
 
 
@@ -86,10 +94,9 @@ def test_score_is_inner_product():
     intra_rows = [{U(0): np.array([2.0]), I(0): np.array([-1.0])}]
     model = _hand_model(ds, spec, inter_rows, intra_rows)
     # Z_u = (1, 2), Z_i = (3, -1): dot = 1
-    assert model.score(ds, U(0), I(0), 0) == pytest.approx(1.0)
+    assert _score(model, ds, U(0), I(0), 0) == pytest.approx(1.0)
 
-    view = model.propagated(ds)
-    z = view.represent(U(0), 0)
+    z = model.propagated(ds).represent(0, node_keys([U(0)]))[0]
     assert np.dot(z, z) == pytest.approx(5.0)
 
 
@@ -99,25 +106,7 @@ def test_orthogonal_representations_score_zero():
     inter_rows = {U(0): np.array([1.0]), I(0): np.array([0.0])}
     intra_rows = [{U(0): np.array([0.0]), I(0): np.array([1.0])}]
     model = _hand_model(ds, spec, inter_rows, intra_rows)
-    assert model.score(ds, U(0), I(0), 0) == 0.0
-
-
-def test_recommend_topn_matches_sort_oracle():
-    ds = ingest([(0, 0, 0), (0, 0, 1), (0, 0, 2)])
-    spec = ModelSpec(d_inter=1, d_intra=1, encoder="mf")
-    inter_rows = {U(0): np.array([1.0]), I(0): np.array([2.0]),
-                  I(1): np.array([2.0]), I(2): np.array([-1.0])}
-    intra_rows = [{n: np.array([0.0]) for n in ds.graph(0).node_ids()}]
-    model = _hand_model(ds, spec, inter_rows, intra_rows)
-
-    full = model.recommend_topn(ds, U(0), 0, n=10)
-    assert [n.id for n, _ in full] == [0, 1, 2]  # tie between i0/i1 broken by id
-
-    scored = [(node.id, model.score(ds, U(0), node, 0)) for node in [I(0), I(1), I(2)]]
-    assert [(n.id, s) for n, s in full] == topn_by_sort(scored, 10)
-
-    assert model.recommend_topn(ds, U(0), 0, n=2) == full[:2]
-    assert model.recommend_topn(ds, U(0), 0, n=5, exclude=[I(0), I(1), I(2)]) == []
+    assert _score(model, ds, U(0), I(0), 0) == 0.0
 
 
 def test_init_determinism_and_scale():
@@ -169,7 +158,7 @@ def test_scoring_equivariance_under_relabeling():
     inter2 = EmbeddingTable(
         ds2.all_nodes,
         np.array([m1.inter.row(n) for n in ds1.all_nodes])[
-            np.argsort([ds2.node_index[twin(n)] for n in ds1.all_nodes])
+            np.argsort([ds2.all_nodes.index(twin(n)) for n in ds1.all_nodes])
         ],
     )
     intra2 = []
@@ -184,8 +173,8 @@ def test_scoring_equivariance_under_relabeling():
         )
     m2 = EDModel(spec, inter2, intra2, [w.copy() for w in m1.proj])
 
-    assert m1.score(ds1, U(0), I(1), 0) == pytest.approx(
-        m2.score(ds2, U(remap_u[0]), I(remap_i[1]), 0), rel=1e-12
+    assert _score(m1, ds1, U(0), I(1), 0) == pytest.approx(
+        _score(m2, ds2, U(remap_u[0]), I(remap_i[1]), 0), rel=1e-12
     )
 
 
@@ -202,14 +191,14 @@ def test_alpha_one_grec_scores_equal_mf():
     m1 = _hand_model(ds, grec1, inter_rows, intra_rows)
     m2 = _hand_model(ds, mf, inter_rows, intra_rows)
     for d, u, i in [(0, 0, 0), (0, 1, 1), (1, 2, 2)]:
-        assert m1.score(ds, U(u), I(i), d) == pytest.approx(m2.score(ds, U(u), I(i), d))
+        assert _score(m1, ds, U(u), I(i), d) == pytest.approx(_score(m2, ds, U(u), I(i), d))
 
 
 def test_represent_rejects_node_outside_domain():
     ds = ingest([(0, 0, 0), (1, 1, 1)])
     model = init_model(ModelSpec(d_inter=2, d_intra=2), ds, seed=0)
     with pytest.raises(KeyError, match="does not belong"):
-        model.represent(ds, U(1), 0)
+        _represent(model, ds, U(1), 0)
 
 
 def test_checkpoint_roundtrip(tmp_path):
@@ -241,9 +230,21 @@ def test_cold_node_gets_residual_representation():
     train = ingest([(0, 0, 0), (0, 1, 1)])  # user 2 has no training edges
     spec = ModelSpec(d_inter=2, d_intra=2, grec=GRecConfig(num_layers=2, alpha=0.5))
     model = init_model(spec, full, seed=9)
-    view = model.propagated(train, universe=full)
-    z = view.represent(U(2), 0)
+    z = model.propagated(train).represent(0, node_keys([U(2)]))[0]
     scale = 0.5 ** 2
     assert z == pytest.approx(
         np.concatenate([scale * model.inter.row(U(2)), scale * model.intra[0].row(U(2))])
     )
+
+
+def test_checkpoint_keeps_float32(tmp_path):
+    ds = ingest([(0, 0, 0), (0, 1, 1), (1, 0, 2)])
+    spec = ModelSpec(d_inter=4, d_intra=3, dtype="float32")
+    model = init_model(spec, ds, seed=3)
+    save_model(tmp_path / "ckpt", model)
+    loaded = load_model(tmp_path / "ckpt")
+    assert loaded.spec.dtype == "float32"
+    for (na, a), (nb, b) in zip(model.parameters(), loaded.parameters()):
+        assert na == nb
+        assert b.dtype == np.float32, nb
+        assert np.array_equal(a, b)

@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
+from edda.edmodel import EDModel, ModelSpec
 from edda.encoders import (
     EmbeddingTable,
     GRecConfig,
     grec_propagate,
-    inter_encode,
     load_table,
-    mf_encode,
     save_table,
 )
 from edda.mdgraph import NodeId, NodeKind, ingest
@@ -23,18 +22,32 @@ def _table_for(dataset, rng, dim=3):
     return EmbeddingTable(nodes, rng.normal(size=(len(nodes), dim)))
 
 
+def _propagate(graph, table, cfg, mask=None):
+    """Propagated rows of every graph node, as a table over the graph's nodes."""
+    nodes = graph.node_ids()
+    x = table.gather(nodes)
+    return EmbeddingTable(nodes, grec_propagate(graph.sym_norm_adjacency(mask), x, cfg))
+
+
+def _inter_encode(dataset, table, cfg, encoder="grec"):
+    """The shared-table encoding of an inter-only model holding `table`."""
+    spec = ModelSpec(d_inter=table.dim, use_intra=False, encoder=encoder, grec=cfg)
+    encoded = EDModel(spec, table, None, None).propagated(dataset).inter
+    return EmbeddingTable(table.nodes, encoded)
+
+
 def test_alpha_one_is_identity_bitwise():
     ds = ingest([(0, 0, 0), (0, 0, 1), (0, 1, 1)])
     rng = np.random.default_rng(1)
     table = _table_for(ds, rng)
-    out = grec_propagate(ds.graph(0), table, GRecConfig(num_layers=3, alpha=1.0))
+    out = _propagate(ds.graph(0), table, GRecConfig(num_layers=3, alpha=1.0))
     assert np.array_equal(out.matrix, table.gather(out.nodes))
 
 
 def test_zero_layers_is_identity_bitwise():
     ds = ingest([(0, 0, 0), (0, 0, 1)])
     table = _table_for(ds, np.random.default_rng(2))
-    out = grec_propagate(ds.graph(0), table, GRecConfig(num_layers=0, alpha=0.1))
+    out = _propagate(ds.graph(0), table, GRecConfig(num_layers=0, alpha=0.1))
     assert np.array_equal(out.matrix, table.gather(out.nodes))
 
 
@@ -42,7 +55,7 @@ def test_two_node_graph_hand_value():
     # single edge u0-i0, both degree 1
     ds = ingest([(0, 0, 0)])
     table = EmbeddingTable([U(0), I(0)], np.array([[1.0, 0.0], [0.0, 1.0]]))
-    out = grec_propagate(ds.graph(0), table, GRecConfig(num_layers=1, alpha=0.1))
+    out = _propagate(ds.graph(0), table, GRecConfig(num_layers=1, alpha=0.1))
     assert out.row(U(0)) == pytest.approx([0.1, 0.9])
     assert out.row(I(0)) == pytest.approx([0.9, 0.1])
 
@@ -54,7 +67,7 @@ def test_matches_dense_operator_oracle(seed):
     ds = ingest(records)
     table = _table_for(ds, rng, dim=4)
     cfg = GRecConfig(num_layers=2, alpha=0.1)
-    got = grec_propagate(ds.graph(0), table, cfg)
+    got = _propagate(ds.graph(0), table, cfg)
     pairs = [(u, i) for _, u, i in records]
     want = dense_propagate(
         pairs, {n: table.row(n) for n in ds.all_nodes}, cfg.alpha, cfg.num_layers
@@ -72,8 +85,8 @@ def test_linearity():
     xb = _table_for(ds, rng)
     a, b = 0.7, -2.5
     combo = EmbeddingTable(xa.nodes, a * xa.matrix + b * xb.matrix)
-    lhs = grec_propagate(g, combo, cfg).matrix
-    rhs = a * grec_propagate(g, xa, cfg).matrix + b * grec_propagate(g, xb, cfg).matrix
+    lhs = _propagate(g, combo, cfg).matrix
+    rhs = a * _propagate(g, xa, cfg).matrix + b * _propagate(g, xb, cfg).matrix
     assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
 
@@ -84,8 +97,8 @@ def test_doubling_is_exact():
     doubled = EmbeddingTable(table.nodes, 2.0 * table.matrix)
     cfg = GRecConfig(num_layers=2, alpha=0.1)
     assert np.array_equal(
-        grec_propagate(ds.graph(0), doubled, cfg).matrix,
-        2.0 * grec_propagate(ds.graph(0), table, cfg).matrix,
+        _propagate(ds.graph(0), doubled, cfg).matrix,
+        2.0 * _propagate(ds.graph(0), table, cfg).matrix,
     )
 
 
@@ -105,8 +118,8 @@ def test_permutation_equivariance():
     table2 = EmbeddingTable(ds2.all_nodes, np.array([rows2[n] for n in ds2.all_nodes]))
 
     cfg = GRecConfig(num_layers=2, alpha=0.2)
-    out1 = grec_propagate(ds1.graph(0), table1, cfg)
-    out2 = grec_propagate(ds2.graph(0), table2, cfg)
+    out1 = _propagate(ds1.graph(0), table1, cfg)
+    out2 = _propagate(ds2.graph(0), table2, cfg)
     for node in out1.nodes:
         mapped = remap_u if node.kind == NodeKind.USER else remap_i
         twin = NodeId(node.kind, int(mapped[node.id]))
@@ -119,7 +132,7 @@ def test_masked_out_node_keeps_residual_only():
     table = _table_for(ds, np.random.default_rng(7))
     # canonical edge order is sorted (user, item): (0,0), (0,1), (1,1)
     mask = np.array([False, False, True])
-    out = grec_propagate(g, table, GRecConfig(num_layers=1, alpha=0.1), mask)
+    out = _propagate(g, table, GRecConfig(num_layers=1, alpha=0.1), mask)
     assert out.row(U(0)) == pytest.approx(0.1 * table.row(U(0)), rel=1e-15)
 
 
@@ -130,7 +143,7 @@ def test_dropout_keeps_full_graph_degrees():
         [U(0), I(0), I(1)], np.array([[1.0], [2.0], [4.0]])
     )
     mask = np.array([True, False])  # keep edge (u0, i0) only
-    out = grec_propagate(g, table, GRecConfig(num_layers=1, alpha=0.1), mask)
+    out = _propagate(g, table, GRecConfig(num_layers=1, alpha=0.1), mask)
     # u0 has full degree 2, i0 degree 1: weight 1/sqrt(2)
     assert out.row(U(0))[0] == pytest.approx(0.1 * 1.0 + 0.9 * 2.0 / np.sqrt(2))
 
@@ -140,8 +153,8 @@ def test_inter_encode_single_domain_matches_propagate():
     ds = ingest(random_bipartite_records(rng, 0, 5, 6, 14))
     table = _table_for(ds, rng)
     cfg = GRecConfig(num_layers=2, alpha=0.1)
-    combined = inter_encode(ds, table, cfg)
-    single = grec_propagate(ds.graph(0), table, cfg)
+    combined = _inter_encode(ds, table, cfg)
+    single = _propagate(ds.graph(0), table, cfg)
     for node in single.nodes:
         assert np.array_equal(combined.row(node), single.row(node))
 
@@ -152,8 +165,8 @@ def test_inter_encode_sums_identical_domains():
     ds1, ds3 = ingest(base), ingest(triple)
     table = _table_for(ds1, np.random.default_rng(9))
     cfg = GRecConfig(num_layers=2, alpha=0.1)
-    once = inter_encode(ds1, table, cfg)
-    thrice = inter_encode(ds3, EmbeddingTable(ds3.all_nodes, table.gather(ds3.all_nodes)), cfg)
+    once = _inter_encode(ds1, table, cfg)
+    thrice = _inter_encode(ds3, EmbeddingTable(ds3.all_nodes, table.gather(ds3.all_nodes)), cfg)
     for node in once.nodes:
         assert thrice.row(node) == pytest.approx(3.0 * once.row(node), rel=1e-15)
 
@@ -164,7 +177,7 @@ def test_inter_encode_two_domain_hand_sum():
     rng = np.random.default_rng(10)
     table = _table_for(ds, rng)
     cfg = GRecConfig(num_layers=1, alpha=0.1)
-    got = inter_encode(ds, table, cfg)
+    got = _inter_encode(ds, table, cfg)
 
     rows = {n: table.row(n) for n in ds.all_nodes}
     want0 = dense_propagate([(0, 0), (0, 1)], rows, 0.1, 1)
@@ -177,16 +190,16 @@ def test_inter_encode_two_domain_hand_sum():
 def test_mf_encode_is_identity():
     ds = ingest([(0, 0, 0)])
     table = _table_for(ds, np.random.default_rng(11))
-    assert mf_encode(table) is table
+    assert np.array_equal(_inter_encode(ds, table, GRecConfig(), "mf").matrix, table.matrix)
     zero = EmbeddingTable.zeros(ds.all_nodes, 4)
-    assert np.array_equal(mf_encode(zero).matrix, np.zeros((2, 4)))
+    assert np.array_equal(_inter_encode(ds, zero, GRecConfig(), "mf").matrix, np.zeros((2, 4)))
 
 
 def test_missing_node_raises():
     ds = ingest([(0, 0, 0), (0, 1, 1)])
     partial = EmbeddingTable([U(0), I(0)], np.zeros((2, 2)))
     with pytest.raises(KeyError, match="missing"):
-        grec_propagate(ds.graph(0), partial, GRecConfig())
+        _inter_encode(ds, partial, GRecConfig())
 
 
 def test_table_shape_validation():

@@ -1,0 +1,114 @@
+"""The single encode path: `EDModel.propagated` against dense oracles."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from edda.edmodel import ModelSpec, init_model
+from edda.encoders import GRecConfig
+from edda.mdgraph import ingest
+from edda.trainer import AdamState, TrainConfig, adam_step, edge_dropout, gradients, sample_triplets
+
+from oracles import dense_propagate, random_bipartite_records
+
+
+def _domain_pairs(graph):
+    return [(int(u), int(i)) for u, i in graph.user_item_pairs()]
+
+
+def _expected(table, graphs, masks, spec):
+    """Dense-oracle encoding of `table`: per-graph propagation summed per node,
+    residual alpha^L rows for nodes on no graph, raw rows for MF."""
+    if spec.encoder == "mf":
+        return table.matrix
+    alpha, layers = spec.grec.alpha, spec.grec.num_layers
+    summed = {}
+    for d, graph in graphs:
+        pairs = _domain_pairs(graph)
+        kept = None
+        if masks is not None:
+            kept = [p for p, keep in zip(pairs, masks[d]) if keep]
+        rows = {n: table.row(n) for n in graph.node_ids()}
+        for node, vec in dense_propagate(pairs, rows, alpha, layers, kept).items():
+            summed[node] = summed.get(node, 0.0) + vec
+    return np.array(
+        [summed[n] if n in summed else alpha**layers * table.row(n) for n in table.nodes]
+    )
+
+
+@st.composite
+def instances(draw):
+    """A model on a random full dataset, encoded on a random edge subset of it."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    records = []
+    for d in range(draw(st.integers(1, 3))):
+        records += random_bipartite_records(rng, d, 4, 5, draw(st.integers(1, 12)))
+    keep = rng.random(len(records)) < 0.7
+    for d in {r[0] for r in records}:
+        keep[[k for k, r in enumerate(records) if r[0] == d][0]] = True
+    full = ingest(records)
+    train = ingest([r for r, k in zip(records, keep) if k])
+    spec = ModelSpec(
+        d_inter=3,
+        d_intra=2,
+        encoder=draw(st.sampled_from(["grec", "mf"])),
+        grec=GRecConfig(draw(st.integers(0, 3)), draw(st.floats(0.0, 1.0))),
+    )
+    model = init_model(spec, full, seed=draw(st.integers(0, 100)))
+    ratio = draw(st.sampled_from([None, 0.0, 0.5]))
+    masks = None
+    if ratio is not None:
+        masks = {d: edge_dropout(g, ratio, rng) for d, g in enumerate(train.domains)}
+    return model, train, masks, rng
+
+
+@settings(max_examples=60, deadline=None)
+@given(instances())
+def test_encoding_matches_dense_oracle(instance):
+    model, train, masks, _ = instance
+    enc = model.propagated(train, masks)
+    graphs = list(enumerate(train.domains))
+    want = _expected(model.inter, graphs, masks, model.spec)
+    assert enc.inter == pytest.approx(want, rel=1e-10, abs=1e-12)
+    for d, graph in graphs:
+        want = _expected(model.intra[d], [(d, graph)], masks, model.spec)
+        assert enc.intra(d) == pytest.approx(want, rel=1e-10, abs=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(instances())
+def test_transpose_is_the_adjoint(instance):
+    # <F x, y> == <x, F^T y> over the shared and every per-domain table
+    model, train, masks, rng = instance
+    enc = model.propagated(train, masks)
+    y_inter = rng.normal(size=enc.inter.shape)
+    y_intra = {d: rng.normal(size=t.matrix.shape) for d, t in enumerate(model.intra)}
+    back = enc.transpose(y_inter, y_intra)
+    lhs = np.sum(enc.inter * y_inter) + sum(np.sum(enc.intra(d) * y) for d, y in y_intra.items())
+    rhs = np.sum(model.inter.matrix * back["inter"]) + sum(
+        np.sum(t.matrix * back[f"intra[{d}]"]) for d, t in enumerate(model.intra)
+    )
+    assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-12)
+    assert all(np.all(back[f"proj[{d}]"] == 0.0) for d in y_intra)
+
+
+def test_float32_model_stays_float32():
+    rng = np.random.default_rng(0)
+    records = random_bipartite_records(rng, 0, 5, 6, 14)
+    records += random_bipartite_records(rng, 1, 5, 6, 12, user_base=4, item_base=5)
+    ds = ingest(records)
+    model = init_model(ModelSpec(d_inter=3, d_intra=2, dtype="float32"), ds, seed=1)
+    masks = {d: edge_dropout(g, 0.3, rng) for d, g in enumerate(ds.domains)}
+    enc = model.propagated(ds, masks)
+    assert enc.inter.dtype == np.float32
+    assert all(enc.intra(d).dtype == np.float32 for d in range(ds.num_domains))
+
+    triplets = sample_triplets(ds, 0, 6, rng) + sample_triplets(ds, 1, 5, rng)
+    cfg = TrainConfig()
+    grads = gradients(model, ds, triplets, [], cfg, masks=masks)
+    assert {g.dtype for g in grads.values()} == {np.dtype(np.float32)}
+    state = AdamState.for_model(model)
+    adam_step(model, grads, state, cfg)
+    assert {arr.dtype for _, arr in model.parameters()} == {np.dtype(np.float32)}
+    assert {m.dtype for m in [*state.m.values(), *state.v.values()]} == {np.dtype(np.float32)}

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from edda.edmodel import EDModel, ModelSpec, init_model
-from edda.encoders import GRecConfig
+from edda import evalkit
+from edda.encoders import GRecConfig, node_keys
 from edda.evalkit import split
 from edda.mdgraph import NodeId, NodeKind, ingest
 from edda.trainer import (
@@ -13,7 +14,6 @@ from edda.trainer import (
     TrainingDiverged,
     Triplet,
     adam_step,
-    alignment_loss,
     bpr_loss,
     edge_dropout,
     gradients,
@@ -58,6 +58,10 @@ def _instance(seed=0, overlap=True):
     return ds, model, triplets, pairs
 
 
+def _row(table, node):
+    return int(table.rows(node_keys([node]))[0])
+
+
 def test_bpr_loss_values():
     assert bpr_loss(np.zeros(4), np.zeros(4)) == pytest.approx(4 * np.log(2))
     assert bpr_loss(np.array([1.0]), np.array([0.0])) == pytest.approx(0.31326, abs=1e-5)
@@ -75,23 +79,31 @@ def test_bpr_loss_rejects_mismatched_lengths():
         bpr_loss(np.zeros(2), np.zeros(3))
 
 
+ALIGN_ONLY = TrainConfig(beta=1.0, reg_lambda=0.0, edge_dropout=0.0)
+
+
+def alignment_loss(model, dataset, pair_sets):
+    """The alignment term alone: total_loss with beta=1, no ranking or regularization."""
+    return total_loss(model, dataset, [], pair_sets, ALIGN_ONLY)
+
+
 def test_alignment_loss_values():
     ds = ingest([(0, 0, 0), (1, 1, 1)])
     spec = ModelSpec(d_inter=2, d_intra=2)
     model = init_model(spec, ds, seed=0)
-    assert alignment_loss(model, []) == 0.0
+    assert alignment_loss(model, ds, []) == 0.0
 
     # make both projections identity and set embeddings by hand
     model.proj[0][:] = np.eye(2)
     model.proj[1][:] = np.eye(2)
-    model.intra[0].matrix[model.intra[0].node_index[U(0)]] = [1.0, 0.0]
-    model.intra[1].matrix[model.intra[1].node_index[U(1)]] = [0.0, 2.0]
+    model.intra[0].matrix[_row(model.intra[0], U(0))] = [1.0, 0.0]
+    model.intra[1].matrix[_row(model.intra[1], U(1))] = [0.0, 2.0]
     pairs = [SimilarPairSet((0, 1), (SimilarPair(U(0), U(1), 1.0),))]
     # projected difference (1, -2): squared norm 5
-    assert alignment_loss(model, pairs) == pytest.approx(5.0)
+    assert alignment_loss(model, ds, pairs) == pytest.approx(5.0)
 
-    model.intra[1].matrix[model.intra[1].node_index[U(1)]] = [1.0, 0.0]
-    assert alignment_loss(model, pairs) == pytest.approx(0.0)
+    model.intra[1].matrix[_row(model.intra[1], U(1))] = [1.0, 0.0]
+    assert alignment_loss(model, ds, pairs) == pytest.approx(0.0)
 
 
 def test_alignment_loss_missing_node():
@@ -99,18 +111,17 @@ def test_alignment_loss_missing_node():
     model = init_model(ModelSpec(d_inter=2, d_intra=2), ds, seed=0)
     pairs = [SimilarPairSet((0, 1), (SimilarPair(U(9), U(1), 1.0),))]
     with pytest.raises(KeyError, match="missing"):
-        alignment_loss(model, pairs)
+        alignment_loss(model, ds, pairs)
 
 
 def test_total_loss_decomposition():
     ds, model, triplets, pairs = _instance()
     cfg0 = TrainConfig(beta=0.0, reg_lambda=0.0, edge_dropout=0.0)
     scores = []
-    view = model.propagated(ds)
+    enc = model.propagated(ds)
     for t in triplets:
-        scores.append(
-            (view.score(t.user, t.pos_item, t.domain), view.score(t.user, t.neg_item, t.domain))
-        )
+        z_u, z_p, z_n = enc.represent(t.domain, node_keys([t.user, t.pos_item, t.neg_item]))
+        scores.append((float(np.dot(z_u, z_p)), float(np.dot(z_u, z_n))))
     pos, neg = np.array([s for s, _ in scores]), np.array([s for _, s in scores])
     assert total_loss(model, ds, triplets, [], cfg0) == pytest.approx(
         bpr_loss(pos, neg), rel=1e-12
@@ -120,7 +131,7 @@ def test_total_loss_decomposition():
     full = total_loss(model, ds, triplets, pairs, cfg)
     recomposed = (
         total_loss(model, ds, triplets, [], cfg0)
-        + cfg.beta * alignment_loss(model, pairs)
+        + cfg.beta * alignment_loss(model, ds, pairs)
         + cfg.reg_lambda * model.squared_norm()
     )
     assert full == pytest.approx(recomposed, rel=1e-12)
@@ -162,7 +173,7 @@ def test_gradient_isolation_exact():
     grads = gradients(model, ds, only0, [], cfg)
     assert np.all(grads["intra[1]"] == 0.0)
     assert np.any(grads["intra[0]"] != 0.0)
-    touched = {model.inter.node_index[t.user] for t in only0}
+    touched = {_row(model.inter, t.user) for t in only0}
     assert all(np.any(grads["inter"][row] != 0.0) for row in touched)
 
 
@@ -190,12 +201,12 @@ def test_gradient_hand_case_mf():
     x = (e[U(0)] * e[I(0)] + f[U(0)] * f[I(0)]) - (e[U(0)] * e[I(1)] + f[U(0)] * f[I(1)])
     g = -1.0 / (1.0 + np.exp(x))
     grads = gradients(model, ds, [t], [], cfg)
-    assert grads["inter"][model.inter.node_index[U(0)], 0] == pytest.approx(
+    assert grads["inter"][_row(model.inter, U(0)), 0] == pytest.approx(
         g * (e[I(0)] - e[I(1)])
     )
-    assert grads["inter"][model.inter.node_index[I(0)], 0] == pytest.approx(g * e[U(0)])
-    assert grads["inter"][model.inter.node_index[I(1)], 0] == pytest.approx(-g * e[U(0)])
-    assert grads["intra[0]"][model.intra[0].node_index[U(0)], 0] == pytest.approx(
+    assert grads["inter"][_row(model.inter, I(0)), 0] == pytest.approx(g * e[U(0)])
+    assert grads["inter"][_row(model.inter, I(1)), 0] == pytest.approx(-g * e[U(0)])
+    assert grads["intra[0]"][_row(model.intra[0], U(0)), 0] == pytest.approx(
         g * (f[I(0)] - f[I(1)])
     )
 
@@ -421,3 +432,27 @@ def test_train_config_validation():
         TrainConfig(beta=-0.1)
     with pytest.raises(ValueError):
         TrainConfig(learning_rate=0.0)
+
+
+@pytest.mark.parametrize("patience, epochs_run", [(1, 3), (2, 4)])
+def test_early_stopping_stops_after_patience_epochs_and_restores_best(
+    monkeypatch, patience, epochs_run
+):
+    # validation AUC peaks at epoch 2; later epochs do not improve on it
+    scripted = iter([0.5, 0.7, 0.6, 0.65, 0.6, 0.6])
+    monkeypatch.setattr(
+        evalkit, "evaluate_cases_mean", lambda model, split_data, cases: (next(scripted), 0.0, 1)
+    )
+    sp = split(ingest(random_bipartite_records(np.random.default_rng(0), 0, 8, 30, 60)), seed=0)
+    assert any(evalkit.build_all_cases(sp, which="validation"))
+    snapshots = []
+    model = init_model(ModelSpec(d_inter=4, d_intra=4), sp.full, seed=1)
+    cfg = TrainConfig(epochs=6, patience=patience, learning_rate=0.01, edge_dropout=0.0)
+    trained, logs = train(
+        model, sp, [], cfg,
+        callbacks=[lambda log, m: snapshots.append({n: a.copy() for n, a in m.parameters()})],
+    )
+    assert [log.epoch for log in logs] == list(range(1, epochs_run + 1))
+    assert not np.array_equal(snapshots[1]["inter"], snapshots[-1]["inter"])
+    for name, arr in trained.parameters():
+        assert np.array_equal(arr, snapshots[1][name]), name
