@@ -143,6 +143,26 @@ def _write_manifest(out_dir: Path, command: str, cfg: RunConfig | None, inputs: 
     (out_dir / "manifest.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _provenance_mismatches(recorded: dict[str, str], cfg: RunConfig, data: Path, source: str) -> list[str]:
+    """How an upstream manifest's split seed and data hash differ from this run's."""
+    mismatches = []
+    if recorded.get("seed") != str(cfg.seed):
+        mismatches.append(f"split seed {recorded.get('seed')} != {cfg.seed}")
+    if recorded.get("sha256.data") != _sha256(data):
+        mismatches.append(f"data file hash differs from the {source} manifest")
+    return mismatches
+
+
+def _refused(action: str, mismatches: list[str], force: bool) -> bool:
+    if mismatches and not force:
+        print(
+            f"refusing to {action} (pass --force to override): " + "; ".join(mismatches),
+            file=sys.stderr,
+        )
+        return True
+    return False
+
+
 # -- commands ------------------------------------------------------------------
 
 
@@ -203,6 +223,33 @@ def _load_pair_sets(paths: list[str]):
     return pair_sets, resolved
 
 
+def _pair_mismatches(pair_paths: list[Path], cfg: RunConfig, data: Path) -> list[str]:
+    """Check the align manifest next to each pair file against this run.
+
+    Pairs mined on another split have seen this run's held-out edges. Pair
+    files without a manifest cannot be checked; that is warned about once.
+    """
+    mismatches = []
+    unchecked = []
+    for directory in dict.fromkeys(p.parent for p in pair_paths):
+        manifest = directory / "manifest.txt"
+        if manifest.exists():
+            recorded = read_key_values(manifest)
+            mismatches.extend(
+                f"{directory}: {m}" for m in _provenance_mismatches(recorded, cfg, data, "align")
+            )
+        else:
+            unchecked.append(str(directory))
+    if unchecked:
+        print(
+            "warning: no align manifest next to the pair files in "
+            + ", ".join(unchecked)
+            + "; their split seed and data hash are unchecked",
+            file=sys.stderr,
+        )
+    return mismatches
+
+
 def cmd_train(args) -> int:
     cfg = resolve_config(args.config, _overrides(args))
     dataset = ingest_file(args.data)
@@ -211,9 +258,12 @@ def cmd_train(args) -> int:
     pair_paths: list[Path] = []
     if args.pairs:
         pair_sets, pair_paths = _load_pair_sets(args.pairs)
-    if cfg.variant not in ALIGNED_VARIANTS and pair_sets:
-        print(f"variant {cfg.variant}: alignment pairs ignored", file=sys.stderr)
+    if cfg.variant not in ALIGNED_VARIANTS:
+        if pair_sets:
+            print(f"variant {cfg.variant}: alignment pairs ignored", file=sys.stderr)
         pair_sets = []
+    elif _refused("train", _pair_mismatches(pair_paths, cfg, Path(args.data)), args.force):
+        return 2
 
     model = init_model(cfg.model_spec(), dataset, seed=cfg.seed)
     out = Path(args.out)
@@ -261,18 +311,10 @@ def cmd_eval(args) -> int:
     manifest_path = run_dir / "manifest.txt"
     if manifest_path.exists():
         recorded = read_key_values(manifest_path)
-        mismatches = []
-        if recorded.get("seed") != str(cfg.seed):
-            mismatches.append(f"split seed {recorded.get('seed')} != {cfg.seed}")
+        mismatches = _provenance_mismatches(recorded, cfg, Path(args.data), "training")
         if recorded.get("eval_seed") != str(cfg.eval_seed):
             mismatches.append(f"eval seed {recorded.get('eval_seed')} != {cfg.eval_seed}")
-        if recorded.get("sha256.data") != _sha256(Path(args.data)):
-            mismatches.append("data file hash differs from the training manifest")
-        if mismatches and not args.force:
-            print(
-                "refusing to evaluate (pass --force to override): " + "; ".join(mismatches),
-                file=sys.stderr,
-            )
+        if _refused("evaluate", mismatches, args.force):
             return 2
 
     dataset = ingest_file(args.data)
@@ -339,6 +381,7 @@ def build_parser() -> _Parser:
     p_train.add_argument("--beta", type=float)
     p_train.add_argument("--epochs", type=int)
     p_train.add_argument("--eval-seed", dest="eval_seed", type=int)
+    p_train.add_argument("--force", action="store_true")
     p_train.set_defaults(func=cmd_train)
 
     p_eval = sub.add_parser("eval", help="evaluate a trained run")

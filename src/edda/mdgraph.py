@@ -97,11 +97,6 @@ class DomainGraph:
             NodeId(NodeKind.ITEM, int(i)) for i in self.item_ids
         ]
 
-    def contains(self, node: NodeId) -> bool:
-        ids = self.user_ids if node.kind == NodeKind.USER else self.item_ids
-        pos = np.searchsorted(ids, node.id)
-        return pos < len(ids) and ids[pos] == node.id
-
     def local_index(self, node: NodeId) -> int:
         """Local node index; users occupy [0, n_users), items follow."""
         ids = self.user_ids if node.kind == NodeKind.USER else self.item_ids
@@ -109,10 +104,6 @@ class DomainGraph:
         if pos >= len(ids) or ids[pos] != node.id:
             raise KeyError(f"{node} not in domain {self.domain}")
         return pos if node.kind == NodeKind.USER else self.n_users + pos
-
-    def degree(self, node: NodeId) -> int:
-        idx = self.local_index(node)
-        return int(self.adj_indptr[idx + 1] - self.adj_indptr[idx])
 
     def user_item_pairs(self) -> np.ndarray:
         """(n_edges, 2) array of raw (user_id, item_id) pairs, canonical order."""
@@ -165,9 +156,6 @@ class AnchorSet:
 
     def __len__(self) -> int:
         return len(self.nodes)
-
-    def index(self) -> dict[NodeId, int]:
-        return {node: pos for pos, node in enumerate(self.nodes)}
 
 
 class MultiDomainDataset:

@@ -192,3 +192,83 @@ def test_config_file_unknown_key_exit_code(workspace, capsys):
     config.write_text("no_such_key = 1\n")
     data = workspace / "data" / "interactions.tsv"
     assert main(["align", str(data), "--out", str(workspace / "p"), "--config", str(config)]) == 2
+
+
+def test_train_refuses_pairs_mined_on_another_split(workspace, capsys):
+    data = workspace / "data" / "interactions.tsv"
+    config = workspace / "run.cfg"
+    pairs = workspace / "pairs_s1"
+    assert main(["align", str(data), "--out", str(pairs), "--config", str(config), "--seed", "1"]) == 0
+    train = ["train", str(data), "--pairs", str(pairs), "--config", str(config)]
+    capsys.readouterr()
+    assert main([*train, "--out", str(workspace / "run_s2"), "--seed", "2"]) == 2
+    err = capsys.readouterr().err
+    assert "refusing to train (pass --force to override)" in err
+    assert "split seed 1 != 2" in err
+    assert not (workspace / "run_s2").exists()
+    assert main([*train, "--out", str(workspace / "run_s2"), "--seed", "2", "--force"]) == 0
+
+    # a different data file under the same seed is refused too
+    other = workspace / "other.tsv"
+    write_interactions(other, [r for r in ingest_file(data).records() if r[1] != 0])
+    capsys.readouterr()
+    assert main([
+        "train", str(other), "--pairs", str(pairs), "--config", str(config),
+        "--seed", "1", "--out", str(workspace / "run_other"),
+    ]) == 2
+    assert "data file hash differs from the align manifest" in capsys.readouterr().err
+
+
+def test_unaligned_variant_ignores_pairs_without_checking_them(workspace, capsys):
+    data = workspace / "data" / "interactions.tsv"
+    config = workspace / "run.cfg"
+    pairs = workspace / "pairs_s1"
+    bare = workspace / "bare"  # pair file with no manifest next to it
+    assert main(["align", str(data), "--out", str(pairs), "--config", str(config), "--seed", "1"]) == 0
+    bare.mkdir()
+    (bare / "pairs_0_1.tsv").write_bytes((pairs / "pairs_0_1.tsv").read_bytes())
+    for name in ("pairs_s1", "bare"):
+        capsys.readouterr()
+        assert main([
+            "train", str(data), "--pairs", str(workspace / name), "--config", str(config),
+            "--seed", "2", "--variant", "wo-da", "--out", str(workspace / f"run_{name}"),
+        ]) == 0
+        err = capsys.readouterr().err
+        assert "variant wo-da: alignment pairs ignored" in err
+        assert "refusing" not in err and "warning" not in err
+
+
+def test_train_with_checked_pairs_writes_the_same_bytes(workspace, capsys):
+    data = workspace / "data" / "interactions.tsv"
+    config = workspace / "run.cfg"
+    pairs = workspace / "pairs"
+    assert main(["align", str(data), "--out", str(pairs), "--config", str(config)]) == 0
+    bare = workspace / "bare"  # the same pair file with no manifest next to it
+    bare.mkdir()
+    (bare / "pairs_0_1.tsv").write_bytes((pairs / "pairs_0_1.tsv").read_bytes())
+
+    runs = {}
+    for name, argv in [
+        ("checked", ["--pairs", str(pairs)]),
+        ("forced", ["--pairs", str(pairs / "pairs_0_1.tsv"), "--force"]),
+        ("bare", ["--pairs", str(bare)]),
+    ]:
+        capsys.readouterr()
+        out = workspace / f"run_{name}"
+        assert main(["train", str(data), "--out", str(out), "--config", str(config), *argv]) == 0
+        runs[name] = (_dir_bytes(out), capsys.readouterr().err)
+    assert runs["checked"][0] == runs["forced"][0] == runs["bare"][0]
+    assert runs["checked"][1] == runs["forced"][1] == ""
+    assert runs["bare"][1].count("warning: no align manifest") == 1
+
+
+def test_train_rejects_malformed_pair_file(workspace, capsys):
+    data = workspace / "data" / "interactions.tsv"
+    bad = workspace / "bad.tsv"
+    bad.write_text("0\t1\tusr\t3\t4\t0.5\n")
+    code = main([
+        "train", str(data), "--pairs", str(bad), "--out", str(workspace / "run"),
+        "--config", str(workspace / "run.cfg"),
+    ])
+    assert code == 2
+    assert f"{bad} line 1: kind must be user or item" in capsys.readouterr().err
