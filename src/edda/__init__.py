@@ -4,7 +4,7 @@ pair mining, and an evaluation toolkit."""
 
 from .edmodel import EDModel, ModelSpec, init_model, load_model, save_model, variant_spec
 from .encoders import EmbeddingTable, GRecConfig, grec_propagate
-from .evalkit import EvalCase, SplitDataset, auc, evaluate_all, recall_at_1, split
+from .evalkit import CaseSet, SplitDataset, auc, evaluate_all, recall_at_1, split
 from .mdgraph import (
     AnchorSet,
     DomainGraph,
@@ -25,10 +25,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnchorSet",
+    "CaseSet",
     "DomainGraph",
     "EDModel",
     "EmbeddingTable",
-    "EvalCase",
     "GRecConfig",
     "Interaction",
     "ModelSpec",

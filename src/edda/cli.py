@@ -316,6 +316,12 @@ def cmd_eval(args) -> int:
             mismatches.append(f"eval seed {recorded.get('eval_seed')} != {cfg.eval_seed}")
         if _refused("evaluate", mismatches, args.force):
             return 2
+    else:
+        print(
+            f"warning: no training manifest in {run_dir}; its split seed, data hash"
+            " and eval seed are unchecked",
+            file=sys.stderr,
+        )
 
     dataset = ingest_file(args.data)
     split_data = evalkit.split(dataset, seed=cfg.seed)

@@ -141,9 +141,11 @@ class EDModel:
 
 
 class _RowMaps:
-    """Per domain graph: table row of each local node, and the rows no graph covers."""
+    """Per domain graph: table row of each local node, the rows no graph
+    covers, and the unmasked normalized adjacency (`ops`, built on first use)."""
 
     def __init__(self, model: EDModel, dataset: MultiDomainDataset):
+        self.ops: dict[int, object] = {}
         keys = [graph_keys(graph) for graph in dataset.domains]
         self.inter_rows: list[np.ndarray] = []
         self.inter_uncovered = None
@@ -175,7 +177,8 @@ class Encoding:
     row of `model.intra[d]`, propagated on domain d's graph and built on first
     use. Rows without an edge in the dataset keep the alpha^L-scaled residual
     of their raw row; the MF encoder is the identity. `inter_rows[d]` and
-    `intra_rows[d]` map domain d's local node order to table rows.
+    `intra_rows[d]` map domain d's local node order to table rows. `dtype` is
+    the parameters' common dtype.
     """
 
     def __init__(self, model: EDModel, dataset: MultiDomainDataset, masks=None):
@@ -188,21 +191,25 @@ class Encoding:
         self.intra_rows = self._maps.intra_rows
         self._mf = spec.encoder == ENCODER_MF
         self._residual = spec.grec.alpha ** spec.grec.num_layers
-        self._ops: dict[int, object] = {}
+        self._ops: dict[int, object] = {}  # masked operators of this encoding
         self._intra: dict[int, np.ndarray] = {}
+        self.dtype = np.result_type(*(arr for _, arr in model.parameters()))
         self.inter = None
         if model.inter is not None:
             x = model.inter.matrix
             self.inter = self._inter_map(x, np.zeros_like(x))
 
     def _operator(self, d: int):
-        """Domain d's normalized adjacency under its mask; None for the identity."""
+        """Domain d's normalized adjacency under its mask; None for the identity.
+
+        Unmasked operators are shared by every encoding on the same row maps."""
         if self._mf or self.model.spec.grec.is_identity:
             return None
-        if d not in self._ops:
-            mask = self.masks.get(d) if self.masks is not None else None
-            self._ops[d] = self.dataset.graph(d).sym_norm_adjacency(mask)
-        return self._ops[d]
+        mask = self.masks.get(d) if self.masks is not None else None
+        ops = self._ops if mask is not None else self._maps.ops
+        if d not in ops:
+            ops[d] = self.dataset.graph(d).sym_norm_adjacency(mask)
+        return ops[d]
 
     def _map(self, blocks, uncovered, x: np.ndarray, out: np.ndarray) -> np.ndarray:
         """out += F x, where F propagates each (domain, rows) block of x on that

@@ -8,43 +8,67 @@ across models and runs. AUC averages the pairwise ordering probability over
 users; Recall@1 is the fraction of cases whose positive ranks strictly first
 among its 11 candidates (score ties break toward the smaller item id, so a
 tied lower-id negative counts as a miss).
+
+Splits and cases are integer arrays. A domain's cases form one `CaseSet`
+(users, positives and row-sorted negatives, as raw ids), and
+`build_all_cases` builds each split's case sets once per (which, eval_seed):
+per-epoch validation and the validation report of a training run share one
+build. Scoring reads the case sets through the model's `Encoding` with
+integer node keys, `SCORE_CHUNK` cases at a time, and computes AUC per user
+block and Recall@1 in one comparison.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .edmodel import EDModel, Encoding
-from .encoders import node_keys
-from .mdgraph import MultiDomainDataset, NodeId, NodeKind, ingest
+from .mdgraph import DomainGraph, MultiDomainDataset, NodeKind
+from .mdgraph import ingest  # noqa: F401  (perfbench/tests expect evalkit.ingest to be traced)
 
 logger = logging.getLogger(__name__)
 
 NUM_EVAL_NEGATIVES = 10
+SCORE_CHUNK = 1024  # cases per scoring block
 
 
 @dataclass
 class SplitDataset:
-    """Train/validation/test partition of a dataset's interactions."""
+    """Train/validation/test partition of a dataset's interactions.
+
+    The held-out arrays are read-only; `build_all_cases` memoises case sets
+    per held-out array object in `cases`.
+    """
 
     full: MultiDomainDataset
     train: MultiDomainDataset
     validation: list[np.ndarray]  # per domain, (n, 2) raw (user_id, item_id)
     test: list[np.ndarray]
     seed: int
+    cases: dict[tuple[str, int], tuple[list[np.ndarray], list[CaseSet]]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
 
 @dataclass(frozen=True)
-class EvalCase:
+class CaseSet:
+    """One domain's evaluation cases, one row per held-out (user, positive).
+
+    Ids are raw user and item ids; `negatives` is (n, 10), each row sorted.
+    """
+
     domain: int
-    user: NodeId
-    positive: NodeId
-    negatives: tuple[NodeId, ...]
+    users: np.ndarray
+    positives: np.ndarray
+    negatives: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.users)
 
 
 def _quota(n: int, ratios: tuple[int, int, int]) -> tuple[int, int, int]:
@@ -63,36 +87,45 @@ def _quota(n: int, ratios: tuple[int, int, int]) -> tuple[int, int, int]:
     return tuple(counts)
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
 def split(
     dataset: MultiDomainDataset, ratios: tuple[int, int, int] = (7, 1, 2), seed: int = 0
 ) -> SplitDataset:
-    """Per-user-per-domain stratified random split, deterministic under seed."""
+    """Per-user-per-domain stratified random split, deterministic under seed.
+
+    Each user's items (in id order) are shuffled by one `rng.permutation`
+    call, users in id order and domains in order; the first `_quota` shares
+    of the shuffled row go to train, validation and test.
+    """
     if any(r < 0 for r in ratios) or ratios[0] <= 0:
         raise ValueError("ratios must be positive with a non-zero train share")
     rng = np.random.default_rng(seed)
-    train_records: list[tuple[int, int, int]] = []
+    train_graphs: list[DomainGraph] = []
     val_parts: list[np.ndarray] = []
     test_parts: list[np.ndarray] = []
     for d, graph in enumerate(dataset.domains):
-        val_rows = []
-        test_rows = []
-        for u_loc in range(graph.n_users):
-            lo, hi = graph.adj_indptr[u_loc], graph.adj_indptr[u_loc + 1]
-            items = graph.item_ids[graph.adj_indices[lo:hi] - graph.n_users]
-            items = items[rng.permutation(len(items))]
-            n_train, n_val, _ = _quota(len(items), ratios)
-            user_id = int(graph.user_ids[u_loc])
-            for item in items[:n_train]:
-                train_records.append((d, user_id, int(item)))
-            for item in items[n_train : n_train + n_val]:
-                val_rows.append((user_id, int(item)))
-            for item in items[n_train + n_val :]:
-                test_rows.append((user_id, int(item)))
-        val_parts.append(np.array(sorted(val_rows), dtype=np.int64).reshape(-1, 2))
-        test_parts.append(np.array(sorted(test_rows), dtype=np.int64).reshape(-1, 2))
+        # user CSR rows list items in id order, so row positions are the
+        # canonical (user, item)-sorted edge indices
+        degree = graph.user_degree
+        start = np.repeat(graph.adj_indptr[: graph.n_users], degree)
+        quotas = np.array([_quota(n, ratios) for n in range(degree.max() + 1)])
+        cuts = np.repeat(np.cumsum(quotas[degree], axis=1)[:, :2], degree, axis=0)
+        # the item at rank r of its user's shuffled row goes to part 0, 1 or 2
+        rank = np.arange(graph.n_edges) - start
+        shuffled = np.concatenate([rng.permutation(n) for n in degree.tolist()]) + start
+        label = np.empty(graph.n_edges, dtype=np.int64)
+        label[shuffled] = np.sum(rank[:, None] >= cuts, axis=1)
+        pairs = graph.user_item_pairs()
+        train_graphs.append(DomainGraph(d, pairs[label == 0]))
+        val_parts.append(_read_only(pairs[label == 1]))
+        test_parts.append(_read_only(pairs[label == 2]))
     return SplitDataset(
         full=dataset,
-        train=ingest(train_records),
+        train=MultiDomainDataset(train_graphs),
         validation=val_parts,
         test=test_parts,
         seed=seed,
@@ -104,26 +137,28 @@ def split(
 
 def build_cases(
     split_data: SplitDataset, d: int, which: str = "test", eval_seed: int = 0
-) -> list[EvalCase]:
+) -> CaseSet:
     """One case per held-out (user, positive); negatives frozen by eval_seed.
 
     Negatives are sampled without replacement from the domain's items that the
-    user never interacted with in any split; users with fewer than 10 eligible
-    items are excluded with a warning.
+    user never interacted with in any split; cases of users with fewer than
+    10 eligible items are skipped, each with a warning.
     """
     graph = split_data.full.graph(d)
     held_out = split_data.validation[d] if which == "validation" else split_data.test[d]
-    positives = graph.user_positive_sets()
-    item_ids = graph.item_ids
-    cases: list[EvalCase] = []
+    held_out = np.asarray(held_out, dtype=np.int64).reshape(-1, 2)
+    if not np.isin(held_out[:, 0], graph.user_ids).all():
+        raise ValueError(f"domain {d}: held-out rows name users outside the domain")
+    u_locs = np.searchsorted(graph.user_ids, held_out[:, 0])
+    indptr, indices = graph.adj_indptr, graph.adj_indices - graph.n_users
+    keep = np.zeros(len(held_out), dtype=bool)
+    negatives = np.zeros((len(held_out), NUM_EVAL_NEGATIVES), dtype=np.int64)
     eligible_cache: dict[int, np.ndarray] = {}
-    for user_id, item_id in held_out:
-        user_id, item_id = int(user_id), int(item_id)
-        eligible = eligible_cache.get(user_id)
+    for k, (u_loc, (user_id, item_id)) in enumerate(zip(u_locs.tolist(), held_out.tolist())):
+        eligible = eligible_cache.get(u_loc)
         if eligible is None:
-            interacted = positives.get(user_id, set())
-            eligible = np.array([i for i in item_ids if int(i) not in interacted])
-            eligible_cache[user_id] = eligible
+            eligible = np.delete(graph.item_ids, indices[indptr[u_loc] : indptr[u_loc + 1]])
+            eligible_cache[u_loc] = eligible
         if len(eligible) < NUM_EVAL_NEGATIVES:
             logger.warning(
                 "domain %d: user %d has only %d eligible negatives, case skipped",
@@ -135,105 +170,91 @@ def build_cases(
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=(eval_seed, d, user_id, item_id))
         )
-        sampled = rng.choice(eligible, size=NUM_EVAL_NEGATIVES, replace=False)
-        cases.append(
-            EvalCase(
-                d,
-                NodeId(NodeKind.USER, user_id),
-                NodeId(NodeKind.ITEM, item_id),
-                tuple(NodeId(NodeKind.ITEM, int(i)) for i in sorted(sampled)),
-            )
-        )
-    return cases
+        negatives[k] = rng.choice(eligible, size=NUM_EVAL_NEGATIVES, replace=False)
+        keep[k] = True
+    negatives = np.sort(negatives[keep], axis=1)
+    return CaseSet(d, held_out[keep, 0], held_out[keep, 1], negatives)
 
 
 def build_all_cases(
     split_data: SplitDataset, which: str = "test", eval_seed: int = 0
-) -> list[list[EvalCase]]:
-    return [
-        build_cases(split_data, d, which, eval_seed)
-        for d in range(split_data.full.num_domains)
-    ]
+) -> list[CaseSet]:
+    """Every domain's case set, built once per (held-out arrays, eval_seed)."""
+    held_out = split_data.validation if which == "validation" else split_data.test
+    key = (which, eval_seed)
+    cached = split_data.cases.get(key)
+    if cached is None or any(a is not b for a, b in zip(cached[0], held_out)):
+        cases = [
+            build_cases(split_data, d, which, eval_seed)
+            for d in range(split_data.full.num_domains)
+        ]
+        cached = split_data.cases[key] = (list(held_out), cases)
+    return cached[1]
 
 
-def _case_scores(enc: Encoding, cases: Sequence[EvalCase]):
-    """Positive scores (n,) and negative scores (n, 10) for one domain's cases."""
-    d = cases[0].domain
-    z_user = enc.represent(d, node_keys([c.user for c in cases]))
-    z_pos = enc.represent(d, node_keys([c.positive for c in cases]))
-    negatives = node_keys([n for c in cases for n in c.negatives])
-    z_neg = enc.represent(d, negatives.reshape(len(cases), -1))
-    pos = np.sum(z_user * z_pos, axis=1)
-    neg = np.einsum("nd,nkd->nk", z_user, z_neg)
-    return pos, neg
+def _case_scores(enc: Encoding, cases: CaseSet):
+    """Positive scores (n,) and negative scores (n, 10) for one domain's cases.
+
+    Cases are scored SCORE_CHUNK at a time, which bounds the (chunk, 10,
+    rep_dim) block of negative representations; each score depends on its
+    own case only, so chunking leaves every bit unchanged.
+    """
+    d = cases.domain
+    pos, neg = [], []
+    for lo in range(0, len(cases), SCORE_CHUNK):
+        rows = slice(lo, lo + SCORE_CHUNK)
+        z_user = enc.represent(d, cases.users[rows] * 2 + NodeKind.USER)
+        z_pos = enc.represent(d, cases.positives[rows] * 2 + NodeKind.ITEM)
+        z_neg = enc.represent(d, cases.negatives[rows] * 2 + NodeKind.ITEM)
+        pos.append(np.sum(z_user * z_pos, axis=1))
+        neg.append(np.einsum("nd,nkd->nk", z_user, z_neg))
+    return np.concatenate(pos), np.concatenate(neg)
 
 
-def auc_from_scored_cases(scored: Sequence[tuple[int, float, np.ndarray]]) -> float:
+def auc_from_scores(users: np.ndarray, pos: np.ndarray, neg: np.ndarray) -> float:
     """Macro AUC: per user, pairwise P(pos > neg) with ties worth one half.
 
-    `scored` holds (user_id, positive_score, negative_scores) per case; the
-    negatives of a user's cases are pooled for that user's pairwise count.
+    Row k is one case: user `users[k]`, positive score `pos[k]` and negative
+    scores `neg[k]`. The negatives of a user's cases are pooled for that
+    user's pairwise count; users are averaged in id order.
     """
-    by_user: dict[int, tuple[list[float], list[float]]] = {}
-    for user_id, pos, negs in scored:
-        entry = by_user.setdefault(user_id, ([], []))
-        entry[0].append(pos)
-        entry[1].extend(negs)
+    order = np.argsort(users, kind="stable")
+    users, pos, neg = users[order], pos[order], neg[order]
+    bounds = np.flatnonzero(np.diff(users)) + 1
     per_user = []
-    for user_id in sorted(by_user):
-        pos_scores, neg_scores = by_user[user_id]
-        p = np.asarray(pos_scores)[:, None]
-        n = np.asarray(neg_scores)[None, :]
+    for lo, hi in zip([0, *bounds.tolist()], [*bounds.tolist(), len(users)]):
+        p = pos[lo:hi, None]
+        n = neg[lo:hi].reshape(1, -1)
         wins = np.sum(p > n) + 0.5 * np.sum(p == n)
         per_user.append(wins / (p.size * n.size))
     return float(np.mean(per_user))
 
 
-def recall_at_1_from_scored_cases(
-    scored: Sequence[tuple[float, int, np.ndarray, np.ndarray]],
+def recall_at_1_from_scores(
+    pos: np.ndarray, neg: np.ndarray, pos_ids: np.ndarray, neg_ids: np.ndarray
 ) -> float:
     """Fraction of cases whose positive strictly tops its 11 candidates.
 
-    `scored` holds (positive_score, positive_id, negative_scores, negative_ids)
-    per case. Ties break by ascending item id, so a tie with a lower-id
-    negative is a miss.
+    Row k is one case: positive score `pos[k]` and id `pos_ids[k]`, negative
+    scores `neg[k]` and ids `neg_ids[k]`. Ties break by ascending item id,
+    so a tie with a lower-id negative is a miss.
     """
-    hits = 0
-    for pos_score, pos_id, neg_scores, neg_ids in scored:
-        beats = (pos_score > neg_scores) | (
-            (pos_score == neg_scores) & (pos_id < neg_ids)
-        )
-        hits += bool(np.all(beats))
-    return hits / len(scored)
+    pos, pos_ids = pos[:, None], pos_ids[:, None]
+    beats = (pos > neg) | ((pos == neg) & (pos_ids < neg_ids))
+    return int(np.count_nonzero(beats.all(axis=1))) / len(beats)
 
 
-def _scored_for_auc(cases, pos, neg):
-    return [(c.user.id, float(pos[k]), neg[k]) for k, c in enumerate(cases)]
-
-
-def _scored_for_recall(cases, pos, neg):
-    return [
-        (
-            float(pos[k]),
-            c.positive.id,
-            neg[k],
-            np.array([n.id for n in c.negatives]),
-        )
-        for k, c in enumerate(cases)
-    ]
-
-
-def _domain_metrics(enc: Encoding, cases: Sequence[EvalCase]):
+def _domain_metrics(enc: Encoding, cases: CaseSet):
     pos, neg = _case_scores(enc, cases)
     return (
-        auc_from_scored_cases(_scored_for_auc(cases, pos, neg)),
-        recall_at_1_from_scored_cases(_scored_for_recall(cases, pos, neg)),
+        auc_from_scores(cases.users, pos, neg),
+        recall_at_1_from_scores(pos, neg, cases.positives, cases.negatives),
     )
 
 
 def _metrics_for(split_data: SplitDataset, model: EDModel, d: int, which: str, eval_seed: int):
-    cases = build_cases(split_data, d, which, eval_seed)
-    if not cases:
+    cases = build_all_cases(split_data, which, eval_seed)[d]
+    if not len(cases):
         raise ValueError(f"domain {d} has no evaluable {which} cases")
     return _domain_metrics(model.propagated(split_data.train), cases)
 
@@ -273,9 +294,8 @@ def evaluate_all(
     """(domain, AUC, Recall@1, num_cases) per domain, one propagation pass."""
     enc = model.propagated(split_data.train)
     out = []
-    for d in range(split_data.full.num_domains):
-        cases = build_cases(split_data, d, which, eval_seed)
-        if not cases:
+    for d, cases in enumerate(build_all_cases(split_data, which, eval_seed)):
+        if not len(cases):
             out.append((d, float("nan"), float("nan"), 0))
             continue
         domain_auc, domain_recall = _domain_metrics(enc, cases)
@@ -284,7 +304,7 @@ def evaluate_all(
 
 
 def evaluate_cases_mean(
-    model: EDModel, split_data: SplitDataset, cases_per_domain: Sequence[Sequence[EvalCase]]
+    model: EDModel, split_data: SplitDataset, cases_per_domain: Sequence[CaseSet]
 ) -> tuple[float, float, int]:
     """Unweighted domain-mean AUC/Recall@1 over prebuilt cases."""
     enc = model.propagated(split_data.train)
@@ -292,7 +312,7 @@ def evaluate_cases_mean(
     recalls = []
     total = 0
     for cases in cases_per_domain:
-        if not cases:
+        if not len(cases):
             continue
         a, r = _domain_metrics(enc, cases)
         aucs.append(a)

@@ -50,11 +50,12 @@ class DomainGraph:
     Only nodes with at least one interaction are part of the graph.
     """
 
-    def __init__(self, domain: int, edges: Sequence[tuple[int, int]]):
-        if not edges:
+    def __init__(self, domain: int, edges: Sequence[tuple[int, int]] | np.ndarray):
+        """`edges` holds raw (user_id, item_id) pairs: tuples or an (n, 2) array."""
+        if len(edges) == 0:
             raise IngestError(f"domain {domain} has no interactions")
         self.domain = domain
-        edge_arr = np.asarray(sorted(set(edges)), dtype=np.int64)
+        edge_arr = np.unique(np.asarray(edges, dtype=np.int64).reshape(-1, 2), axis=0)
         self.user_ids = np.unique(edge_arr[:, 0])
         self.item_ids = np.unique(edge_arr[:, 1])
         # local edge endpoints, canonical order: sorted by (user, item)
@@ -110,13 +111,6 @@ class DomainGraph:
         return np.column_stack(
             [self.user_ids[self.edge_user], self.item_ids[self.edge_item]]
         )
-
-    def user_positive_sets(self) -> dict[int, set[int]]:
-        """Raw item ids interacted by each raw user id."""
-        out: dict[int, set[int]] = {}
-        for u, i in self.user_item_pairs():
-            out.setdefault(int(u), set()).add(int(i))
-        return out
 
     def sym_norm_adjacency(self, mask: np.ndarray | None = None) -> sp.csr_matrix:
         """Symmetric degree-normalized adjacency D^{-1/2} A D^{-1/2}.

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.special import expit
 
 from .edmodel import EDModel, Encoding
@@ -212,6 +213,43 @@ def _prepare_pairs(model: EDModel, pair_sets: Iterable[SimilarPairSet]):
     return prepared
 
 
+def _bpr_part(enc: Encoding, grouped: dict[int, np.ndarray], want_grads: bool):
+    """Ranking loss and, when wanted, its gradients w.r.t. `enc.inter` and
+    each `enc.intra(d)` (None and {} otherwise).
+
+    Each table's rows are gathered once per domain as a [user; positive;
+    negative] block; the blocks are freed when this returns.
+    """
+    l_bpr = 0.0
+    d_g_rows: list[np.ndarray] = []
+    d_g_values: list[np.ndarray] = []
+    d_q: dict[int, np.ndarray] = {}
+    for d, triplet_locs in grouped.items():
+        x = np.zeros(triplet_locs.shape[1], dtype=enc.dtype)
+        if enc.inter is not None:
+            g_rows = enc.inter_rows[d][triplet_locs.reshape(-1)]
+            g_block = enc.inter[g_rows]
+            gu, gp, gn = np.split(g_block, 3)
+            x += np.sum(gu * (gp - gn), axis=1)
+        if enc.model.intra is not None:
+            q = enc.intra(d)
+            q_rows = enc.intra_rows[d][triplet_locs.reshape(-1)]
+            q_block = q[q_rows]
+            qu, qp, qn = np.split(q_block, 3)
+            x += np.sum(qu * (qp - qn), axis=1)
+        l_bpr += float(np.sum(np.logaddexp(0.0, -x)))
+        if not want_grads:
+            continue
+        dl_dx = -expit(-x)[:, None]  # negative
+        if enc.inter is not None:
+            d_g_rows.append(g_rows)
+            d_g_values.append(_bpr_row_gradients(dl_dx, g_block))
+        if enc.model.intra is not None:
+            d_q[d] = _scatter_add(len(q), [q_rows], [_bpr_row_gradients(dl_dx, q_block)])
+    d_g = _scatter_add(len(enc.inter), d_g_rows, d_g_values) if d_g_rows else None
+    return l_bpr, d_g, d_q
+
+
 def _compute(
     enc: Encoding,
     grouped: dict[int, np.ndarray],
@@ -222,37 +260,7 @@ def _compute(
 ):
     """Loss parts and (optionally) exact gradients for one batch."""
     model = enc.model
-
-    # ranking loss and its gradient at the representation level
-    l_bpr = 0.0
-    d_g = np.zeros_like(enc.inter) if (want_grads and enc.inter is not None) else None
-    d_q: dict[int, np.ndarray] = {}
-    for d, (u_loc, p_loc, n_loc) in grouped.items():
-        x = np.zeros(len(u_loc))
-        if enc.inter is not None:
-            g, rows = enc.inter, enc.inter_rows[d]
-            g_u, g_p, g_n = rows[u_loc], rows[p_loc], rows[n_loc]
-            gu, gp, gn = g[g_u], g[g_p], g[g_n]
-            x += np.sum(gu * (gp - gn), axis=1)
-        if model.intra is not None:
-            q, rows = enc.intra(d), enc.intra_rows[d]
-            q_u, q_p, q_n = rows[u_loc], rows[p_loc], rows[n_loc]
-            qu, qp, qn = q[q_u], q[q_p], q[q_n]
-            x += np.sum(qu * (qp - qn), axis=1)
-        l_bpr += float(np.sum(np.logaddexp(0.0, -x)))
-        if not want_grads:
-            continue
-        dl_dx = -expit(-x)[:, None]  # negative
-        if d_g is not None:
-            np.add.at(d_g, g_u, dl_dx * (gp - gn))
-            np.add.at(d_g, g_p, dl_dx * gu)
-            np.add.at(d_g, g_n, -dl_dx * gu)
-        if model.intra is not None:
-            dq = np.zeros_like(q)
-            np.add.at(dq, q_u, dl_dx * (qp - qn))
-            np.add.at(dq, q_p, dl_dx * qu)
-            np.add.at(dq, q_n, -dl_dx * qu)
-            d_q[d] = dq
+    l_bpr, d_g, d_q = _bpr_part(enc, grouped, want_grads)
 
     # alignment loss on raw per-domain embeddings and projections
     l_align = 0.0
@@ -260,6 +268,8 @@ def _compute(
     if want_grads:
         for name, arr in model.parameters():
             grads[name] = np.zeros_like(arr)
+    align_rows: dict[int, list[np.ndarray]] = {}
+    align_values: dict[int, list[np.ndarray]] = {}
     for d, d_prime, idx_u, idx_v in prepared_pairs:
         e_u = model.intra[d].matrix[idx_u]
         e_v = model.intra[d_prime].matrix[idx_v]
@@ -268,10 +278,14 @@ def _compute(
         l_align += float(np.sum(diff * diff))
         if want_grads:
             coeff = 2.0 * cfg.beta * align_scale
-            np.add.at(grads[f"intra[{d}]"], idx_u, coeff * diff @ w_d.T)
-            np.add.at(grads[f"intra[{d_prime}]"], idx_v, -coeff * diff @ w_p.T)
+            align_rows.setdefault(d, []).append(idx_u)
+            align_values.setdefault(d, []).append(coeff * diff @ w_d.T)
+            align_rows.setdefault(d_prime, []).append(idx_v)
+            align_values.setdefault(d_prime, []).append(-coeff * diff @ w_p.T)
             grads[f"proj[{d}]"] += coeff * e_u.T @ diff
             grads[f"proj[{d_prime}]"] += -coeff * e_v.T @ diff
+    for d, rows in align_rows.items():
+        grads[f"intra[{d}]"] = _scatter_add(len(model.intra[d]), rows, align_values[d])
 
     reg = model.squared_norm()
     total = l_bpr + cfg.beta * align_scale * l_align + cfg.reg_lambda * reg
@@ -282,6 +296,39 @@ def _compute(
     for name, arr in model.parameters():
         grads[name] += (2.0 * cfg.reg_lambda) * arr
     return total, l_bpr, l_align, reg, grads
+
+
+def _bpr_row_gradients(dl_dx: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """Overwrite a gathered [e_u; e_p; e_n] block with the BPR loss gradient
+    w.r.t. each of its rows: dl_dx * (e_p - e_n), dl_dx * e_u, -dl_dx * e_u.
+
+    In place, so a batch holds no second copy of its gathered rows.
+    """
+    e_u, e_p, e_n = np.split(block, 3)
+    diff = e_p - e_n
+    np.multiply(-dl_dx, e_u, out=e_n)
+    np.multiply(dl_dx, e_u, out=e_p)
+    np.multiply(dl_dx, diff, out=e_u)
+    return block
+
+
+def _scatter_add(n_rows: int, rows: list[np.ndarray], values: list[np.ndarray]) -> np.ndarray:
+    """(n_rows, dim) sums of the `values` rows at their `rows` indices.
+
+    One CSR product: each output row adds its contributions in list order,
+    then in array order, which makes the result bit-equal to `np.add.at`
+    calls into zeros in that order.
+    """
+    if len(rows) > 1:
+        rows, values = np.concatenate(rows), np.concatenate(values)
+    else:
+        rows, values = rows[0], values[0]
+    order = np.argsort(rows, kind="stable")
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n_rows))])
+    scatter = sp.csr_matrix(
+        (np.ones(len(rows), dtype=values.dtype), order, indptr), shape=(n_rows, len(rows))
+    )
+    return scatter @ values
 
 
 def _batch(model, dataset, triplets, pair_sets, masks):

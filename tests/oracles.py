@@ -185,3 +185,89 @@ def random_bipartite_records(rng, domain, n_users, n_items, n_edges, user_base=0
             seen.add((u, i))
             records.append((domain, u, i))
     return records
+
+
+def split_records(dataset, ratios=(7, 1, 2), seed=0):
+    """Per-record split: (train records, validation rows, test rows) per domain.
+
+    Each user's items (id order) are shuffled by one `rng.permutation` call
+    and cut by a largest-remainder quota that always leaves train one item.
+    """
+
+    def quota(n):
+        total = sum(ratios)
+        raw = [n * r / total for r in ratios]
+        counts = [int(np.floor(x)) for x in raw]
+        order = sorted(range(3), key=lambda k: (-(raw[k] - counts[k]), k))
+        for k in order[: n - sum(counts)]:
+            counts[k] += 1
+        if n >= 1 and counts[0] == 0:
+            donor = int(np.argmax(counts[1:])) + 1
+            counts[donor] -= 1
+            counts[0] += 1
+        return counts
+
+    rng = np.random.default_rng(seed)
+    train, validation, test = [], [], []
+    for d, graph in enumerate(dataset.domains):
+        val_rows, test_rows = [], []
+        for u_loc in range(graph.n_users):
+            lo, hi = graph.adj_indptr[u_loc], graph.adj_indptr[u_loc + 1]
+            items = graph.item_ids[graph.adj_indices[lo:hi] - graph.n_users]
+            items = items[rng.permutation(len(items))]
+            n_train, n_val, _ = quota(len(items))
+            user = int(graph.user_ids[u_loc])
+            train.extend((d, user, int(i)) for i in items[:n_train])
+            val_rows.extend((user, int(i)) for i in items[n_train : n_train + n_val])
+            test_rows.extend((user, int(i)) for i in items[n_train + n_val :])
+        validation.append(sorted(val_rows))
+        test.append(sorted(test_rows))
+    return train, validation, test
+
+
+def eval_cases(graph, held_out, d, eval_seed, num_negatives=10):
+    """Per-case (user, positive, sorted negatives) with negatives frozen by
+    eval_seed; cases of users with fewer than `num_negatives` eligible items
+    are left out."""
+    positives = {}
+    for u, i in graph.user_item_pairs():
+        positives.setdefault(int(u), set()).add(int(i))
+    cases = []
+    for user, item in held_out:
+        user, item = int(user), int(item)
+        eligible = np.array(
+            [i for i in graph.item_ids if int(i) not in positives.get(user, set())]
+        )
+        if len(eligible) < num_negatives:
+            continue
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=(eval_seed, d, user, item)))
+        sampled = rng.choice(eligible, size=num_negatives, replace=False)
+        cases.append((user, item, tuple(sorted(int(i) for i in sampled))))
+    return cases
+
+
+def auc_from_scored_cases(scored):
+    """Macro AUC over (user_id, positive_score, negative_scores) cases, users in id order."""
+    by_user = {}
+    for user_id, pos, negs in scored:
+        entry = by_user.setdefault(user_id, ([], []))
+        entry[0].append(pos)
+        entry[1].extend(negs)
+    per_user = []
+    for user_id in sorted(by_user):
+        pos_scores, neg_scores = by_user[user_id]
+        p = np.asarray(pos_scores)[:, None]
+        n = np.asarray(neg_scores)[None, :]
+        wins = np.sum(p > n) + 0.5 * np.sum(p == n)
+        per_user.append(wins / (p.size * n.size))
+    return float(np.mean(per_user))
+
+
+def recall_at_1_from_scored_cases(scored):
+    """Share of (positive_score, positive_id, negative_scores, negative_ids)
+    cases whose positive tops its candidates, ties going to the smaller id."""
+    hits = 0
+    for pos_score, pos_id, neg_scores, neg_ids in scored:
+        beats = (pos_score > neg_scores) | ((pos_score == neg_scores) & (pos_id < neg_ids))
+        hits += bool(np.all(beats))
+    return hits / len(scored)

@@ -167,6 +167,24 @@ def test_eval_refuses_on_seed_mismatch(workspace, capsys):
     ]) == 0
 
 
+def test_eval_without_training_manifest_warns_once(workspace, capsys):
+    data = workspace / "data" / "interactions.tsv"
+    config = workspace / "run.cfg"
+    run = workspace / "run_nomanifest"
+    assert main(["train", str(data), "--out", str(run), "--config", str(config)]) == 0
+    (run / "manifest.txt").unlink()
+    capsys.readouterr()
+    code = main([
+        "eval", str(data), str(run), "--out", str(workspace / "eval_nm"),
+        "--config", str(config), "--seed", "99",
+    ])
+    assert code == 0
+    err = capsys.readouterr().err
+    assert err.count("warning: no training manifest") == 1
+    assert "split seed, data hash and eval seed are unchecked" in err
+    assert "refusing" not in err
+
+
 def test_align_single_domain_writes_no_pairs(tmp_path, capsys):
     data = tmp_path / "one.tsv"
     write_interactions(data, [(0, u, i) for u in range(4) for i in range(4)])

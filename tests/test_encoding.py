@@ -5,10 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edda.edmodel import ModelSpec, init_model
-from edda.encoders import GRecConfig
-from edda.mdgraph import ingest
+from dataclasses import replace
+
+from edda.edmodel import EDModel, ModelSpec, init_model
+from edda.encoders import EmbeddingTable, GRecConfig
+from edda.mdgraph import DomainGraph, ingest
 from edda.trainer import AdamState, TrainConfig, adam_step, edge_dropout, gradients, sample_triplets
+from edda.walker import WalkConfig, mine_pairs
 
 from oracles import dense_propagate, random_bipartite_records
 
@@ -112,3 +115,64 @@ def test_float32_model_stays_float32():
     adam_step(model, grads, state, cfg)
     assert {arr.dtype for _, arr in model.parameters()} == {np.dtype(np.float32)}
     assert {m.dtype for m in [*state.m.values(), *state.v.values()]} == {np.dtype(np.float32)}
+
+
+def _as_float32(model):
+    def table(t):
+        return EmbeddingTable(t.nodes, t.matrix.astype(np.float32))
+
+    return EDModel(
+        replace(model.spec, dtype="float32"),
+        table(model.inter) if model.inter is not None else None,
+        [table(t) for t in model.intra] if model.intra is not None else None,
+        [w.astype(np.float32) for w in model.proj] if model.proj is not None else None,
+    )
+
+
+@pytest.mark.parametrize("encoder", ["grec", "mf"])
+def test_float32_gradients_match_float64(encoder):
+    rng = np.random.default_rng(4)
+    records = random_bipartite_records(rng, 0, 8, 9, 40)
+    records += random_bipartite_records(rng, 1, 8, 9, 35, user_base=5, item_base=6)
+    ds = ingest(records)
+    model = init_model(ModelSpec(d_inter=4, d_intra=3, encoder=encoder), ds, seed=2)
+    masks = {d: edge_dropout(g, 0.3, rng) for d, g in enumerate(ds.domains)}
+    triplets = sample_triplets(ds, 0, 30, rng) + sample_triplets(ds, 1, 25, rng)
+    walks = WalkConfig(3, 30, 1)
+    pairs = [mine_pairs(ds, 0, 1, 2, walks), mine_pairs(ds, 1, 0, 2, walks)]
+    assert all(p.pairs for p in pairs)
+    cfg = TrainConfig(beta=0.5, reg_lambda=1e-3)
+    want = gradients(model, ds, triplets, pairs, cfg, masks=masks)
+    got = gradients(_as_float32(model), ds, triplets, pairs, cfg, masks=masks)
+    assert got.keys() == want.keys()
+    for name, g in got.items():
+        assert g.dtype == np.float32, name
+        scale = np.abs(want[name]).max()
+        np.testing.assert_allclose(g, want[name], rtol=0, atol=1e-6 * scale, err_msg=name)
+
+
+def test_unmasked_operators_are_built_once_per_row_maps(monkeypatch):
+    rng = np.random.default_rng(3)
+    records = random_bipartite_records(rng, 0, 5, 6, 14) + random_bipartite_records(rng, 1, 4, 5, 9)
+    ds = ingest(records)
+    model = init_model(ModelSpec(d_inter=3, d_intra=2), ds, seed=1)
+    built = []
+    original = DomainGraph.sym_norm_adjacency
+    def counted(graph, mask=None):
+        built.append(mask is None)
+        return original(graph, mask)
+
+    monkeypatch.setattr(DomainGraph, "sym_norm_adjacency", counted)
+    first = model.propagated(ds)
+    for d in range(ds.num_domains):
+        first.intra(d)
+    assert built == [True] * ds.num_domains
+    second = model.propagated(ds)
+    for d in range(ds.num_domains):
+        second.intra(d)
+    assert np.array_equal(first.inter, second.inter)
+    assert built == [True] * ds.num_domains
+    masks = {d: edge_dropout(g, 0.3, rng) for d, g in enumerate(ds.domains)}
+    model.propagated(ds, masks)
+    model.propagated(ds, masks)
+    assert built == [True] * ds.num_domains + [False] * (2 * ds.num_domains)

@@ -2,24 +2,34 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from edda import evalkit
 from edda.edmodel import EDModel, ModelSpec, init_model
 from edda.encoders import EmbeddingTable
 from edda.evalkit import (
     auc,
-    auc_from_scored_cases,
+    auc_from_scores,
     build_cases,
     domain_size,
     evaluate_all,
     format_report,
     out_of_domain_interaction,
     recall_at_1,
-    recall_at_1_from_scored_cases,
+    recall_at_1_from_scores,
     split,
 )
 from edda.mdgraph import NodeId, NodeKind, ingest
 
-from oracles import pairwise_auc, random_bipartite_records
+from oracles import (
+    auc_from_scored_cases,
+    eval_cases,
+    pairwise_auc,
+    random_bipartite_records,
+    recall_at_1_from_scored_cases,
+    split_records,
+)
 
 U = lambda i: NodeId(NodeKind.USER, i)
 I = lambda i: NodeId(NodeKind.ITEM, i)
@@ -108,29 +118,26 @@ def test_auc_all_ties_is_half():
 
 
 def test_tied_top_score_with_lower_id_negative_is_a_miss():
-    tied = np.zeros(10)
-    ids_above = np.arange(1, 11)
+    tied = np.zeros((1, 10))
+    ids_above = np.arange(1, 11)[None]
     # positive id 0 wins every tie; positive id 5 loses to negative id 2
-    assert recall_at_1_from_scored_cases([(0.0, 0, tied, ids_above)]) == 1.0
-    ids_mixed = np.array([2, 7, 8, 9, 10, 11, 12, 13, 14, 15])
-    assert recall_at_1_from_scored_cases([(0.0, 5, tied, ids_mixed)]) == 0.0
+    assert recall_at_1_from_scores(np.zeros(1), tied, np.array([0]), ids_above) == 1.0
+    ids_mixed = np.array([[2, 7, 8, 9, 10, 11, 12, 13, 14, 15]])
+    assert recall_at_1_from_scores(np.zeros(1), tied, np.array([5]), ids_mixed) == 0.0
 
     # model level: all-zero scores tie everywhere; in this fixture the
     # positive always carries the smallest id, so every tie is a hit
     ds, sp = _eval_fixture()
     zero = init_model(ModelSpec(d_inter=2, d_intra=2, init_scale=0.0), ds, seed=0)
     cases = build_cases(sp, 0, "test")
-    assert all(case.positive.id < min(n.id for n in case.negatives) for case in cases)
+    assert len(cases) and np.all(cases.positives < cases.negatives.min(axis=1))
     assert recall_at_1(zero, ds, sp, 0) == 1.0
 
 
 def test_auc_matches_pairwise_oracle_with_one_inversion():
-    scored = [
-        (0, 3.0, np.array([0.5])),
-        (0, 2.0, np.array([2.5])),  # the inversion
-        (0, 4.0, np.array([1.0])),
-    ]
-    got = auc_from_scored_cases(scored)
+    pos = np.array([3.0, 2.0, 4.0])
+    neg = np.array([[0.5], [2.5], [1.0]])  # the second case is the inversion
+    got = auc_from_scores(np.zeros(3, dtype=np.int64), pos, neg)
     want = pairwise_auc([3.0, 2.0, 4.0], [0.5, 2.5, 1.0])
     assert got == want == pytest.approx(8 / 9)
 
@@ -159,6 +166,10 @@ def test_metrics_match_bruteforce_oracles_exactly(seed):
     expected_auc = np.mean(
         [pairwise_auc(p, n) for _, (p, n) in sorted(by_user.items())]
     )
+    users = np.array([u for u, _, _ in scored_auc])
+    pos_scores = np.array([p for _, p, _ in scored_auc])
+    neg_scores = np.stack([n for _, _, n in scored_auc])
+    assert auc_from_scores(users, pos_scores, neg_scores) == expected_auc
     assert auc_from_scored_cases(scored_auc) == expected_auc
 
     hits = 0
@@ -167,46 +178,48 @@ def test_metrics_match_bruteforce_oracles_exactly(seed):
             [(pos, pos_id)] + list(zip(negs, neg_ids)), key=lambda t: (-t[0], t[1])
         )[0]
         hits += top[1] == pos_id
+    pos_ids = np.array([i for _, i, _, _ in scored_recall])
+    neg_ids = np.stack([ids for _, _, _, ids in scored_recall])
+    got = recall_at_1_from_scores(pos_scores, neg_scores, pos_ids, neg_ids)
+    assert got == hits / n_cases
     assert recall_at_1_from_scored_cases(scored_recall) == hits / n_cases
 
 
 def test_random_scores_recall_near_one_eleventh():
     rng = np.random.default_rng(9)
     n = 20_000
-    scored = [
-        (float(rng.random()), 0, rng.random(10), np.arange(1, 11)) for _ in range(n)
-    ]
-    assert recall_at_1_from_scored_cases(scored) == pytest.approx(1 / 11, abs=0.01)
+    neg_ids = np.tile(np.arange(1, 11), (n, 1))
+    got = recall_at_1_from_scores(rng.random(n), rng.random((n, 10)), np.zeros(n), neg_ids)
+    assert got == pytest.approx(1 / 11, abs=0.01)
 
 
 def test_metrics_invariant_under_monotone_transform():
     rng = np.random.default_rng(10)
-    scored = [
-        (int(rng.integers(4)), float(rng.normal()), rng.normal(size=10))
-        for _ in range(40)
-    ]
+    users = rng.integers(4, size=40)
+    pos, neg = rng.normal(size=40), rng.normal(size=(40, 10))
     def transform(x):
         return np.exp(2.0 * np.asarray(x)) + 1.0
-    transformed = [(u, float(transform(p)), transform(n)) for u, p, n in scored]
-    assert auc_from_scored_cases(scored) == pytest.approx(
-        auc_from_scored_cases(transformed)
+    assert auc_from_scores(users, pos, neg) == pytest.approx(
+        auc_from_scores(users, transform(pos), transform(neg))
     )
 
 
 def test_eval_cases_invariants_and_freezing():
     ds, sp = _eval_fixture()
     cases = build_cases(sp, 0, "test", eval_seed=5)
-    positives = ds.graph(0).user_positive_sets()
-    for case in cases:
-        assert len(case.negatives) == 10
-        assert len(set(case.negatives)) == 10
-        assert case.positive not in case.negatives
-        for neg in case.negatives:
-            assert neg.id not in positives[case.user.id]
+    positives = {}
+    for u, i in ds.graph(0).user_item_pairs():
+        positives.setdefault(u, set()).add(i)
+    assert len(cases) and cases.negatives.shape == (len(cases), 10)
+    for user, positive, negatives in zip(cases.users, cases.positives, cases.negatives):
+        assert len(set(negatives)) == 10
+        assert positive not in negatives
+        for neg in negatives:
+            assert neg not in positives[user]
     again = build_cases(sp, 0, "test", eval_seed=5)
-    assert cases == again
+    assert np.array_equal(cases.negatives, again.negatives)
     different = build_cases(sp, 0, "test", eval_seed=6)
-    assert cases != different
+    assert not np.array_equal(cases.negatives, different.negatives)
 
 
 def test_eval_cases_skip_user_without_negatives(caplog):
@@ -217,7 +230,7 @@ def test_eval_cases_skip_user_without_negatives(caplog):
     sp.test[0] = np.array([[0, 1]])
     with caplog.at_level(logging.WARNING):
         cases = build_cases(sp, 0, "test")
-    assert cases == []
+    assert len(cases) == 0
     assert any("eligible negatives" in rec.message for rec in caplog.records)
 
 
@@ -256,3 +269,130 @@ def test_evaluate_all_row_count():
     assert len(rows) == ds.num_domains
     text = format_report(rows)
     assert len(text.strip().split("\n")) == ds.num_domains + 2
+
+
+# -- properties over random datasets ---------------------------------------------
+
+
+@st.composite
+def split_cases(draw):
+    """A random 1-3 domain dataset with a split seed; small item counts leave
+    some users fewer than 10 eligible negatives."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    records = []
+    for d in range(draw(st.integers(1, 3))):
+        n_users, n_items = draw(st.integers(1, 8)), draw(st.integers(1, 25))
+        n_edges = draw(st.integers(1, min(n_users * n_items, 80)))
+        base = draw(st.sampled_from([0, 5, 100 * (d + 1)]))
+        records += random_bipartite_records(rng, d, n_users, n_items, n_edges, base, base)
+    return ingest(records), draw(st.integers(0, 2**16))
+
+
+def _graph_arrays(graph):
+    return [
+        graph.user_ids, graph.item_ids, graph.edge_user, graph.edge_item,
+        graph.user_degree, graph.item_degree, graph.adj_indptr, graph.adj_indices,
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(split_cases())
+def test_split_equals_reference_split(case):
+    ds, seed = case
+    sp = split(ds, seed=seed)
+    train, validation, test = split_records(ds, seed=seed)
+    assert sp.train.records() == sorted(train)
+    reference = ingest(train)
+    for d in range(ds.num_domains):
+        got, want = _graph_arrays(sp.train.graph(d)), _graph_arrays(reference.graph(d))
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        assert sp.validation[d].tolist() == [list(row) for row in validation[d]]
+        assert sp.test[d].tolist() == [list(row) for row in test[d]]
+        assert not sp.validation[d].flags.writeable and not sp.test[d].flags.writeable
+
+
+@settings(max_examples=60, deadline=None)
+@given(split_cases(), st.sampled_from([(7, 1, 2), (1, 1, 1), (2, 3, 5)]))
+def test_split_quotas_hold_per_user(case, ratios):
+    ds, seed = case
+    sp = split(ds, ratios=ratios, seed=seed)
+    for d, graph in enumerate(ds.domains):
+        parts = [sp.train.graph(d).user_item_pairs(), sp.validation[d], sp.test[d]]
+        for user, n in zip(graph.user_ids, graph.user_degree):
+            counts = [int(np.sum(part[:, 0] == user)) for part in parts]
+            assert sum(counts) == n
+            assert counts[0] >= 1
+            for count, r in zip(counts, ratios):
+                assert abs(count - n * r / sum(ratios)) < 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(split_cases(), st.sampled_from(["validation", "test"]), st.integers(0, 99))
+def test_case_sets_equal_reference_cases(case, which, eval_seed):
+    ds, seed = case
+    sp = split(ds, seed=seed)
+    for d, cases in enumerate(evalkit.build_all_cases(sp, which, eval_seed)):
+        held_out = sp.validation[d] if which == "validation" else sp.test[d]
+        want = eval_cases(ds.graph(d), held_out, d, eval_seed)
+        negatives = map(tuple, cases.negatives.tolist())
+        got = list(zip(cases.users.tolist(), cases.positives.tolist(), negatives))
+        assert got == want
+        assert cases.domain == d and len(cases) == len(want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.sampled_from([np.float64, np.float32]))
+def test_array_metrics_equal_list_oracles(seed, n_cases, dtype):
+    rng = np.random.default_rng(seed)
+    users = rng.integers(0, 6, size=n_cases)
+    # integer scores force ties with positive probability
+    pos = rng.integers(0, 6, size=n_cases).astype(dtype)
+    neg = rng.integers(0, 6, size=(n_cases, 10)).astype(dtype)
+    pos_ids = rng.integers(0, 30, size=n_cases)
+    neg_ids = np.sort(
+        [rng.choice(np.setdiff1d(np.arange(30), [p]), 10, replace=False) for p in pos_ids], axis=1
+    )
+    scored_auc = [(int(u), float(p), n) for u, p, n in zip(users, pos, neg)]
+    scored_recall = [(float(p), int(i), n, ids) for p, i, n, ids in zip(pos, pos_ids, neg, neg_ids)]
+    assert auc_from_scores(users, pos, neg) == auc_from_scored_cases(scored_auc)
+    assert recall_at_1_from_scores(pos, neg, pos_ids, neg_ids) == recall_at_1_from_scored_cases(
+        scored_recall
+    )
+
+
+def test_build_all_cases_builds_once_per_held_out_arrays(monkeypatch):
+    ds, sp = _eval_fixture()
+    calls = []
+    original = evalkit.build_cases
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(evalkit, "build_cases", counted)
+    first = evalkit.build_all_cases(sp, "test", 3)
+    model = init_model(ModelSpec(d_inter=2, d_intra=2), ds, seed=1)
+    evaluate_all(model, sp, "test", eval_seed=3)
+    assert evalkit.build_all_cases(sp, "test", 3) is first
+    assert len(calls) == ds.num_domains
+    evalkit.build_all_cases(sp, "test", 4)  # another eval seed
+    evalkit.build_all_cases(sp, "validation", 3)
+    assert len(calls) == 3 * ds.num_domains
+    sp.test[0] = sp.test[0][:1]  # new held-out arrays are built again
+    assert len(evalkit.build_all_cases(sp, "test", 3)[0]) == 1
+    assert len(calls) == 4 * ds.num_domains
+
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+def test_chunked_scoring_is_bit_equal_to_one_block(monkeypatch, dtype):
+    rng = np.random.default_rng(6)
+    ds = ingest(random_bipartite_records(rng, 0, 40, 30, 500))
+    sp = split(ds, seed=2)
+    model = init_model(ModelSpec(d_inter=8, d_intra=8, dtype=dtype), ds, seed=3)
+    enc = model.propagated(sp.train)
+    cases = build_cases(sp, 0, "test")
+    monkeypatch.setattr(evalkit, "SCORE_CHUNK", len(cases))
+    whole = evalkit._case_scores(enc, cases)
+    for chunk in (1, 7, len(cases) - 1):
+        monkeypatch.setattr(evalkit, "SCORE_CHUNK", chunk)
+        got = evalkit._case_scores(enc, cases)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in whole]

@@ -13,6 +13,8 @@ from edda.trainer import (
     TrainConfig,
     TrainingDiverged,
     Triplet,
+    _bpr_row_gradients,
+    _scatter_add,
     adam_step,
     bpr_loss,
     edge_dropout,
@@ -456,3 +458,28 @@ def test_early_stopping_stops_after_patience_epochs_and_restores_best(
     assert not np.array_equal(snapshots[1]["inter"], snapshots[-1]["inter"])
     for name, arr in trained.parameters():
         assert np.array_equal(arr, snapshots[1][name]), name
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_scatter_add_is_bit_equal_to_sequential_add_at(dtype):
+    rng = np.random.default_rng(11)
+    n_rows, dim = 40, 5
+    rows = [rng.integers(0, n_rows, size=m) for m in (300, 0, 120, 300)]
+    values = [rng.normal(size=(len(r), dim)).astype(dtype) for r in rows]
+    want = np.zeros((n_rows, dim), dtype=dtype)
+    for r, v in zip(rows, values):
+        np.add.at(want, r, v)
+    got = _scatter_add(n_rows, rows, values)
+    assert got.dtype == dtype
+    assert got.tobytes() == want.tobytes()
+
+
+def test_bpr_row_gradients_are_the_explicit_products_bit_for_bit():
+    rng = np.random.default_rng(12)
+    e_u, e_p, e_n = rng.normal(size=(3, 50, 6))
+    dl_dx = -rng.random((50, 1))
+    block = np.concatenate([e_u, e_p, e_n])
+    got = _bpr_row_gradients(dl_dx, block)
+    want = np.concatenate([dl_dx * (e_p - e_n), dl_dx * e_u, -dl_dx * e_u])
+    assert got is block
+    assert got.tobytes() == want.tobytes()
