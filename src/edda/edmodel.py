@@ -33,7 +33,7 @@ from .encoders import (
     load_table,
     save_table,
 )
-from .mdgraph import MultiDomainDataset, read_key_values
+from .mdgraph import MultiDomainDataset, atomic_write, read_key_values
 
 ENCODER_GREC = "grec"
 ENCODER_MF = "mf"
@@ -312,7 +312,10 @@ def init_model(spec: ModelSpec, dataset: MultiDomainDataset, seed: int) -> EDMod
 
 
 def save_model(directory: str | Path, model: EDModel) -> None:
-    """Checkpoint: one binary table per parameter group plus a text manifest."""
+    """Checkpoint: one binary table per parameter group plus a text manifest.
+
+    Every file is written atomically, the manifest last.
+    """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     spec = model.spec
@@ -334,10 +337,12 @@ def save_model(directory: str | Path, model: EDModel) -> None:
     if model.intra is not None:
         for d, table in enumerate(model.intra):
             save_table(directory / f"intra_{d}.bin", table)
-            np.save(directory / f"proj_{d}.npy", model.proj[d])
+            with atomic_write(directory / f"proj_{d}.npy", "wb") as handle:
+                np.save(handle, model.proj[d])
             lines.append(f"intra_file[{d}] = intra_{d}.bin")
             lines.append(f"proj_file[{d}] = proj_{d}.npy")
-    (directory / "model.manifest").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with atomic_write(directory / "model.manifest") as handle:
+        handle.write("\n".join(lines) + "\n")
 
 
 def load_model(directory: str | Path) -> EDModel:

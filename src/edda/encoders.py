@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .mdgraph import DomainGraph, NodeId, NodeKind
+from .mdgraph import DomainGraph, NodeId, NodeKind, atomic_write
 
 TABLE_MAGIC = b"EDDA"
 TABLE_VERSION = 1
@@ -130,7 +130,7 @@ def save_table(path: str | Path, table: EmbeddingTable) -> None:
     """Write the flat binary table format (little-endian).
 
     Header: magic `EDDA`, version u32, dim u32, count u64. Records follow as
-    (kind u8, id u64, dim x f64).
+    (kind u8, id u64, dim x f64). The file is written atomically.
     """
     record = np.dtype(
         [("kind", "u1"), ("id", "<u8"), ("vec", "<f8", (table.dim,))]
@@ -139,7 +139,7 @@ def save_table(path: str | Path, table: EmbeddingTable) -> None:
     data["kind"] = [n.kind for n in table.nodes]
     data["id"] = [n.id for n in table.nodes]
     data["vec"] = table.matrix
-    with open(path, "wb") as handle:
+    with atomic_write(path, "wb") as handle:
         handle.write(TABLE_MAGIC)
         handle.write(struct.pack("<IIQ", TABLE_VERSION, table.dim, len(table)))
         handle.write(data.tobytes())

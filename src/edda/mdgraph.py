@@ -8,9 +8,11 @@ entity, which is what defines overlap between domains.
 from __future__ import annotations
 
 import enum
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import IO, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -259,11 +261,41 @@ def read_key_values(path: str | Path, error: type[Exception] = ValueError) -> di
     return values
 
 
-def write_interactions(path: str | Path, records: Iterable[tuple[int, int, int]]) -> None:
-    """Write records as tab-separated lines in sorted order (deterministic bytes)."""
-    with open(path, "w", encoding="utf-8") as handle:
-        for d, u, i in sorted(records):
-            handle.write(f"{d}\t{u}\t{i}\n")
+@contextmanager
+def atomic_write(path: str | Path, mode: str = "w") -> Iterator[IO]:
+    """Open a temporary file beside `path`; a clean exit fsyncs it and renames
+    it over `path`, so an interrupted write never leaves a partial file.
+
+    If the block raises, the temporary file is removed and an earlier file at
+    `path` is left as it was. Text modes write UTF-8.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as handle:
+            yield handle
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_interactions(
+    path: str | Path, records: Iterable[tuple[int, int, int]] | np.ndarray
+) -> None:
+    """Write records as tab-separated lines in sorted order (deterministic bytes).
+
+    `records` holds (domain, user, item) triples: tuples or an (n, 3) integer
+    array. The file is written atomically.
+    """
+    if not isinstance(records, np.ndarray):
+        records = list(records)
+    rows = np.asarray(records, dtype=np.int64).reshape(-1, 3)
+    rows = rows[np.lexsort(rows.T[::-1])]
+    with atomic_write(path) as handle:
+        handle.write("".join(f"{d}\t{u}\t{i}\n" for d, u, i in rows.tolist()))
 
 
 def ingest_file(path: str | Path) -> MultiDomainDataset:

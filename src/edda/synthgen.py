@@ -12,6 +12,15 @@ Every user and item of a domain is guaranteed at least one interaction: the
 highest-propensity pair of each uncovered row/column is force-included before
 the remaining budget is filled.
 
+The bisection runs at most 200 steps but stops at its fixed point, the first
+step whose branch would leave `(lo, hi)` unchanged. `mid` is then `lo` or
+`hi`, so every later step would compute the same sigmoid sum on the same
+state and take the same branch: the intercept is bit-equal to the full 200
+steps, after about 57 sums at the usual domain sizes. The budget fill takes
+the unchosen cells of largest margin (propensity minus a uniform draw); an
+exact tie at the cut goes to the lowest row-major cell index, so the set is
+the first cells of a stable sort by descending margin.
+
 `anchor_specific_boost` scales the per-domain latents of overlapping
 entities: entities present in several domains are both more active and more
 idiosyncratic per domain, which is what makes a single shared embedding pay a
@@ -20,13 +29,21 @@ price for serving all domains at once.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .mdgraph import MultiDomainDataset, ingest, read_key_values, write_interactions
+from .mdgraph import (
+    DomainGraph,
+    MultiDomainDataset,
+    atomic_write,
+    read_key_values,
+    write_interactions,
+)
+from .mdgraph import ingest  # noqa: F401  (perfbench/tests expect synthgen.ingest to be traced)
 
 
 class SynthError(ValueError):
@@ -63,8 +80,17 @@ class SynthSpec:
             raise SynthError("shared_weight must lie in [0, 1]")
         if self.shared_dim < 1 or self.specific_dim < 1:
             raise SynthError("latent dimensions must be positive")
-        if self.anchor_specific_boost <= 0.0:
-            raise SynthError("anchor_specific_boost must be positive")
+        if not math.isfinite(self.affinity_gain):
+            raise SynthError("affinity_gain must be finite")
+        if not 0.0 < self.anchor_specific_boost < math.inf:
+            raise SynthError("anchor_specific_boost must be positive and finite")
+        for name, counts in (
+            ("users_per_domain", self.users()),
+            ("items_per_domain", self.items()),
+            ("interactions_per_domain", self.interactions()),
+        ):
+            if min(counts) < 1:
+                raise SynthError(f"{name} must be at least 1 in every domain")
         for f in self._overlaps().values():
             if not 0.0 <= f <= 1.0:
                 raise SynthError("overlap fractions must lie in [0, 1]")
@@ -103,6 +129,23 @@ class GroundTruth:
     specific_user: list[tuple[np.ndarray, np.ndarray]]  # per domain (ids, matrix)
     specific_item: list[tuple[np.ndarray, np.ndarray]]
     intercepts: np.ndarray
+
+    def arrays(self) -> dict[str, np.ndarray]:
+        """Every latent array by its name in latents.npz."""
+        arrays = {
+            "shared_user_ids": self.shared_user_ids,
+            "shared_user": self.shared_user,
+            "shared_item_ids": self.shared_item_ids,
+            "shared_item": self.shared_item,
+            "intercepts": self.intercepts,
+        }
+        for d, (ids, mat) in enumerate(self.specific_user):
+            arrays[f"specific_user_ids_{d}"] = ids
+            arrays[f"specific_user_{d}"] = mat
+        for d, (ids, mat) in enumerate(self.specific_item):
+            arrays[f"specific_item_ids_{d}"] = ids
+            arrays[f"specific_item_{d}"] = mat
+        return arrays
 
 
 def _shared_block_sizes(spec: SynthSpec) -> dict[tuple[int, int], tuple[int, int]]:
@@ -161,20 +204,52 @@ def _allocate_ids(spec: SynthSpec):
     )
 
 
-def _calibrate_intercept(z: np.ndarray, target: float) -> float:
-    """Bisection on b so that sum(sigmoid(z + b)) equals the target count."""
+def _calibrate_intercept(z: np.ndarray, target: float, out: np.ndarray) -> float:
+    """Bisection on b so that sum(sigmoid(z + b)) equals the target count.
+
+    Stops at the fixed point: the first step whose branch would leave
+    `(lo, hi)` unchanged. Every later step of the 200 would repeat it.
+    `out` is scratch space shaped like `z`.
+    """
     lo, hi = -60.0, 60.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if _sigmoid_sum(z, mid) < target:
+        if float(np.sum(_sigmoid(z, mid, out))) < target:
+            if lo == mid:
+                break
             lo = mid
         else:
+            if hi == mid:
+                break
             hi = mid
     return 0.5 * (lo + hi)
 
 
-def _sigmoid_sum(z: np.ndarray, b: float) -> float:
-    return float(np.sum(1.0 / (1.0 + np.exp(-(z + b)))))
+def _sigmoid(z: np.ndarray, b: float, out: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-(z + b))) written into `out`, one ufunc at a time."""
+    np.add(z, b, out=out)
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    np.add(1.0, out, out=out)
+    return np.divide(1.0, out, out=out)
+
+
+def _fill_budget(margin: np.ndarray, chosen: np.ndarray, k: int) -> None:
+    """Mark the k unchosen cells of largest margin in `chosen`, in place.
+
+    Exact ties at the cut go to the lowest flat index, so the cells are the
+    first k of a stable argsort of -margin with chosen cells last. `margin`
+    is overwritten; both arrays must be C-contiguous.
+    """
+    if k == 0:
+        return
+    key = np.negative(margin, out=margin).ravel()
+    flat = chosen.ravel()
+    key[flat] = np.inf
+    kth = np.partition(key, k - 1)[k - 1]
+    below = np.flatnonzero(key < kth)
+    flat[below] = True
+    flat[np.flatnonzero(key == kth)[: k - len(below)]] = True
 
 
 def generate(spec: SynthSpec) -> tuple[MultiDomainDataset, GroundTruth]:
@@ -192,7 +267,7 @@ def generate(spec: SynthSpec) -> tuple[MultiDomainDataset, GroundTruth]:
         user_multiplicity[domain_users[d]] += 1
         item_multiplicity[domain_items[d]] += 1
 
-    records: list[tuple[int, int, int]] = []
+    graphs = []
     specific_user = []
     specific_item = []
     intercepts = np.zeros(spec.num_domains)
@@ -219,10 +294,11 @@ def generate(spec: SynthSpec) -> tuple[MultiDomainDataset, GroundTruth]:
         z = spec.affinity_gain * (
             spec.shared_weight * shared_aff + (1.0 - spec.shared_weight) * spec_aff
         )
-        b = _calibrate_intercept(z, budget)
+        margin = np.empty_like(z)
+        b = _calibrate_intercept(z, budget, margin)
         intercepts[d] = b
-        propensity = 1.0 / (1.0 + np.exp(-(z + b)))
-        margin = propensity - rng.random((n_u, n_i))
+        _sigmoid(z, b, margin)
+        margin -= rng.random((n_u, n_i))
 
         chosen = np.zeros((n_u, n_i), dtype=bool)
         chosen[np.arange(n_u), np.argmax(z, axis=1)] = True  # cover every user
@@ -231,15 +307,10 @@ def generate(spec: SynthSpec) -> tuple[MultiDomainDataset, GroundTruth]:
         forced = int(chosen.sum())
         if forced > budget:
             raise SynthError(f"domain {d}: budget below the coverage minimum {forced}")
-        rest = margin.copy()
-        rest[chosen] = -np.inf
-        flat_order = np.argsort(-rest, axis=None, kind="stable")
-        extra = flat_order[: budget - forced]
-        chosen[np.unravel_index(extra, chosen.shape)] = True
+        _fill_budget(margin, chosen, budget - forced)
 
-        rows, cols = np.nonzero(chosen)
-        for r, c in zip(rows, cols):
-            records.append((d, int(u_ids[r]), int(i_ids[c])))
+        rows, cols = np.nonzero(chosen)  # row-major, so (user, item) order
+        graphs.append(DomainGraph(d, np.column_stack([u_ids[rows], i_ids[cols]])))
 
     truth = GroundTruth(
         shared_user_ids=np.arange(n_users),
@@ -250,7 +321,7 @@ def generate(spec: SynthSpec) -> tuple[MultiDomainDataset, GroundTruth]:
         specific_item=specific_item,
         intercepts=intercepts,
     )
-    return ingest(records), truth
+    return MultiDomainDataset(graphs), truth
 
 
 # -- spec files and output bundles -------------------------------------------
@@ -290,7 +361,7 @@ def load_spec(path: str | Path) -> SynthSpec:
             kwargs[key] = _SPEC_KEYS[key](value)
     try:
         return SynthSpec(**kwargs)
-    except TypeError as err:
+    except (TypeError, SynthError) as err:
         raise SynthError(f"{path}: {err}") from None
 
 
@@ -319,22 +390,20 @@ def spec_manifest(spec: SynthSpec) -> str:
 def write_dataset(
     directory: str | Path, spec: SynthSpec, dataset: MultiDomainDataset, truth: GroundTruth
 ) -> None:
-    """interactions.tsv plus a spec manifest and the ground-truth latents."""
+    """interactions.tsv plus a spec manifest and the ground-truth latents.
+
+    Each file is written atomically.
+    """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    write_interactions(directory / "interactions.tsv", dataset.records())
-    (directory / "synth.manifest").write_text(spec_manifest(spec), encoding="utf-8")
-    arrays = {
-        "shared_user_ids": truth.shared_user_ids,
-        "shared_user": truth.shared_user,
-        "shared_item_ids": truth.shared_item_ids,
-        "shared_item": truth.shared_item,
-        "intercepts": truth.intercepts,
-    }
-    for d, (ids, mat) in enumerate(truth.specific_user):
-        arrays[f"specific_user_ids_{d}"] = ids
-        arrays[f"specific_user_{d}"] = mat
-    for d, (ids, mat) in enumerate(truth.specific_item):
-        arrays[f"specific_item_ids_{d}"] = ids
-        arrays[f"specific_item_{d}"] = mat
-    np.savez(directory / "latents.npz", **arrays)
+    records = np.concatenate(
+        [
+            np.column_stack([np.full(graph.n_edges, d), graph.user_item_pairs()])
+            for d, graph in enumerate(dataset.domains)
+        ]
+    )
+    write_interactions(directory / "interactions.tsv", records)
+    with atomic_write(directory / "synth.manifest") as handle:
+        handle.write(spec_manifest(spec))
+    with atomic_write(directory / "latents.npz", "wb") as handle:
+        np.savez(handle, **truth.arrays())

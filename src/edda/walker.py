@@ -16,7 +16,6 @@ domain and both directions of a pair read through their own anchor map.
 
 from __future__ import annotations
 
-import os
 import weakref
 from dataclasses import dataclass
 from pathlib import Path
@@ -24,7 +23,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .mdgraph import AnchorSet, DomainGraph, MultiDomainDataset, NodeId, NodeKind, anchors
+from .mdgraph import (
+    AnchorSet,
+    DomainGraph,
+    MultiDomainDataset,
+    NodeId,
+    NodeKind,
+    anchors,
+    atomic_write,
+)
 
 
 @dataclass(frozen=True)
@@ -238,23 +245,14 @@ def write_pairs(path: str | Path, pair_sets: Sequence[SimilarPairSet]) -> None:
     The file is written under a temporary name in the same directory and
     renamed into place, so an interrupted write never leaves a partial file.
     """
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "w", encoding="utf-8") as handle:
-            for pair_set in pair_sets:
-                d, d_prime = pair_set.domain_pair
-                for p in pair_set.pairs:
-                    kind = "user" if p.source.kind == NodeKind.USER else "item"
-                    handle.write(
-                        f"{d}\t{d_prime}\t{kind}\t{p.source.id}\t{p.target.id}\t{p.similarity:.12g}\n"
-                    )
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    with atomic_write(path) as handle:
+        for pair_set in pair_sets:
+            d, d_prime = pair_set.domain_pair
+            for p in pair_set.pairs:
+                kind = "user" if p.source.kind == NodeKind.USER else "item"
+                handle.write(
+                    f"{d}\t{d_prime}\t{kind}\t{p.source.id}\t{p.target.id}\t{p.similarity:.12g}\n"
+                )
 
 
 _PAIR_KINDS = {"user": NodeKind.USER, "item": NodeKind.ITEM}

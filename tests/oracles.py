@@ -7,6 +7,7 @@ these implementations must not share code paths with the library.
 import numpy as np
 
 from edda.mdgraph import NodeId, NodeKind
+from edda.synthgen import SynthError, _allocate_ids
 
 
 def bipartite_order(pairs):
@@ -271,3 +272,101 @@ def recall_at_1_from_scored_cases(scored):
         beats = (pos_score > neg_scores) | ((pos_score == neg_scores) & (pos_id < neg_ids))
         hits += bool(np.all(beats))
     return hits / len(scored)
+
+
+def calibrate_intercept_200(z, target):
+    """The intercept bisection as `synthgen` first ran it: always 200 steps.
+
+    Returns `(b, fixed_step)`, where `fixed_step` counts the sigmoid sums up to
+    and including the first step whose branch left `(lo, hi)` unchanged (None
+    if no step did).
+    """
+    lo, hi = -60.0, 60.0
+    fixed_step = None
+    for step in range(200):
+        mid = 0.5 * (lo + hi)
+        if float(np.sum(1.0 / (1.0 + np.exp(-(z + mid))))) < target:
+            new = (mid, hi)
+        else:
+            new = (lo, mid)
+        if fixed_step is None and new == (lo, hi):
+            fixed_step = step + 1
+        lo, hi = new
+    return 0.5 * (lo + hi), fixed_step
+
+
+def fill_by_stable_argsort(margin, chosen, k):
+    """`chosen` plus the first k cells of a stable argsort of -margin, with
+    already chosen cells sorted last: the budget fill as `synthgen` first ran it."""
+    rest = margin.copy()
+    rest[chosen] = -np.inf
+    order = np.argsort(-rest, axis=None, kind="stable")
+    out = chosen.copy()
+    out[np.unravel_index(order[:k], out.shape)] = True
+    return out
+
+
+def generate_reference(spec):
+    """`synthgen.generate` as first written, with the two references above.
+
+    Returns `(records, intercepts, latents, forced)`: sorted (domain, user,
+    item) tuples, the intercept per domain, the `write_dataset` latent arrays
+    by name, and the number of coverage-forced cells per domain. Id
+    allocation is the library's `_allocate_ids`, which this does not test.
+    """
+    rng = np.random.default_rng(spec.seed)
+    domain_users, domain_items, n_users, n_items = _allocate_ids(spec)
+    shared_user = rng.normal(size=(n_users, spec.shared_dim))
+    shared_item = rng.normal(size=(n_items, spec.shared_dim))
+    user_mult = np.zeros(n_users, dtype=np.int64)
+    item_mult = np.zeros(n_items, dtype=np.int64)
+    for d in range(spec.num_domains):
+        user_mult[domain_users[d]] += 1
+        item_mult[domain_items[d]] += 1
+    latents = {
+        "shared_user_ids": np.arange(n_users),
+        "shared_user": shared_user,
+        "shared_item_ids": np.arange(n_items),
+        "shared_item": shared_item,
+    }
+    records, intercepts, forced_counts = [], [], []
+    for d, budget in enumerate(spec.interactions()):
+        u_ids, i_ids = domain_users[d], domain_items[d]
+        n_u, n_i = len(u_ids), len(i_ids)
+        if budget > n_u * n_i:
+            raise SynthError(f"domain {d}: budget exceeds the number of pairs")
+        if budget < max(n_u, n_i):
+            raise SynthError(
+                f"domain {d}: budget {budget} cannot cover {n_u} users and {n_i} items"
+            )
+        p_spec = rng.normal(size=(n_u, spec.specific_dim))
+        q_spec = rng.normal(size=(n_i, spec.specific_dim))
+        if spec.anchor_specific_boost != 1.0:
+            p_spec[user_mult[u_ids] > 1] *= spec.anchor_specific_boost
+            q_spec[item_mult[i_ids] > 1] *= spec.anchor_specific_boost
+        latents[f"specific_user_ids_{d}"], latents[f"specific_user_{d}"] = u_ids, p_spec
+        latents[f"specific_item_ids_{d}"], latents[f"specific_item_{d}"] = i_ids, q_spec
+
+        shared_aff = shared_user[u_ids] @ shared_item[i_ids].T / np.sqrt(spec.shared_dim)
+        spec_aff = p_spec @ q_spec.T / np.sqrt(spec.specific_dim)
+        z = spec.affinity_gain * (
+            spec.shared_weight * shared_aff + (1.0 - spec.shared_weight) * spec_aff
+        )
+        b, _ = calibrate_intercept_200(z, budget)
+        intercepts.append(b)
+        margin = 1.0 / (1.0 + np.exp(-(z + b))) - rng.random((n_u, n_i))
+
+        chosen = np.zeros((n_u, n_i), dtype=bool)
+        chosen[np.arange(n_u), np.argmax(z, axis=1)] = True
+        uncovered = np.nonzero(~chosen.any(axis=0))[0]
+        chosen[np.argmax(z[:, uncovered], axis=0), uncovered] = True
+        forced = int(chosen.sum())
+        forced_counts.append(forced)
+        if forced > budget:
+            raise SynthError(f"domain {d}: budget below the coverage minimum {forced}")
+        chosen = fill_by_stable_argsort(margin, chosen, budget - forced)
+        records.extend(
+            (d, int(u_ids[r]), int(i_ids[c])) for r, c in zip(*np.nonzero(chosen))
+        )
+    latents["intercepts"] = np.array(intercepts)
+    return sorted(records), latents["intercepts"], latents, forced_counts

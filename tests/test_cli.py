@@ -75,6 +75,21 @@ def test_synth_infeasible_spec_exits_2(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "line, replacement, message",
+    [
+        ("seed = 3", "seed = 3\naffinity_gain = nan", "affinity_gain must be finite"),
+        ("users_per_domain = 12,10", "users_per_domain = 0", "users_per_domain must be at least 1"),
+    ],
+)
+def test_synth_degenerate_spec_exits_2_and_writes_nothing(tmp_path, capsys, line, replacement, message):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(SPEC_TEXT.replace(line, replacement))
+    assert main(["synth", str(bad), "--out", str(tmp_path / "out")]) == 2
+    assert f"error: {bad}: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_align_train_eval_pipeline(workspace, capsys):
     data = workspace / "data" / "interactions.tsv"
     config = workspace / "run.cfg"

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -211,6 +213,28 @@ def test_checkpoint_roundtrip(tmp_path):
         assert na == nb
         assert np.array_equal(a, b)
 
+
+
+def test_save_model_failing_on_the_manifest_keeps_the_earlier_one(tmp_path, monkeypatch, fail_writes):
+    ds = ingest([(0, 0, 0), (0, 1, 1), (1, 0, 2)])
+    spec = ModelSpec(d_inter=4, d_intra=3, grec=GRecConfig(2, 0.1))
+    ckpt = tmp_path / "ckpt"
+    save_model(ckpt, init_model(spec, ds, seed=3))
+    earlier = (ckpt / "model.manifest").read_bytes()
+    files = sorted(p.name for p in ckpt.iterdir())
+
+    fail_writes(1, name="model.manifest")
+    with pytest.raises(OSError, match="no space"):
+        save_model(ckpt, init_model(replace(spec, d_inter=5), ds, seed=3))
+    assert (ckpt / "model.manifest").read_bytes() == earlier
+    assert sorted(p.name for p in ckpt.iterdir()) == files
+
+    monkeypatch.undo()
+    model = init_model(replace(spec, d_inter=5), ds, seed=3)
+    save_model(ckpt, model)
+    assert sorted(p.name for p in ckpt.iterdir()) == files
+    for (na, a), (nb, b) in zip(model.parameters(), load_model(ckpt).parameters()):
+        assert na == nb and np.array_equal(a, b)
 
 def test_variant_specs():
     base = ModelSpec(d_inter=8, d_intra=8)

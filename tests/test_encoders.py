@@ -235,3 +235,21 @@ def test_table_load_rejects_bad_magic(tmp_path):
     path.write_bytes(b"NOPE" + b"\x00" * 16)
     with pytest.raises(ValueError, match="not an embedding table"):
         load_table(path)
+
+
+def test_save_table_failing_midway_keeps_the_earlier_file(tmp_path, monkeypatch, fail_writes):
+    table = EmbeddingTable([U(0), I(1)], np.arange(6.0).reshape(2, 3))
+    path = tmp_path / "table.bin"
+    save_table(path, table)
+    earlier = path.read_bytes()
+
+    fail_writes(3)  # magic and header are written, the records are not
+    with pytest.raises(OSError, match="no space"):
+        save_table(path, EmbeddingTable([U(0), I(1)], np.ones((2, 3))))
+    assert path.read_bytes() == earlier
+    assert [p.name for p in tmp_path.iterdir()] == ["table.bin"]
+
+    monkeypatch.undo()
+    save_table(path, EmbeddingTable([U(0), I(1)], np.ones((2, 3))))
+    assert [p.name for p in tmp_path.iterdir()] == ["table.bin"]
+    assert np.array_equal(load_table(path).matrix, np.ones((2, 3)))

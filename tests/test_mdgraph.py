@@ -140,3 +140,27 @@ def test_file_malformed_line_number(tmp_path):
 def test_anchor_set_requires_ordered_pair():
     with pytest.raises(ValueError):
         AnchorSet(domain_pair=(1, 0), nodes=())
+
+
+def test_write_interactions_sorts_tuples_and_arrays_alike(tmp_path):
+    records = [(1, 0, 2), (0, 5, 1), (0, 2, 9), (0, 2, 3), (1, 0, 2)]
+    write_interactions(tmp_path / "a.tsv", records)
+    write_interactions(tmp_path / "b.tsv", np.array(records))
+    text = (tmp_path / "a.tsv").read_text()
+    assert text == "0\t2\t3\n0\t2\t9\n0\t5\t1\n1\t0\t2\n1\t0\t2\n"
+    assert (tmp_path / "b.tsv").read_text() == text
+
+
+def test_write_interactions_failing_midway_keeps_the_earlier_file(tmp_path, monkeypatch, fail_writes):
+    path = tmp_path / "interactions.tsv"
+    path.write_text("earlier contents\n", encoding="utf-8")
+    fail_writes(1)
+    with pytest.raises(OSError, match="no space"):
+        write_interactions(path, [(0, 1, 2), (0, 3, 4)])
+    assert path.read_text(encoding="utf-8") == "earlier contents\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["interactions.tsv"]
+
+    monkeypatch.undo()
+    write_interactions(path, [(0, 1, 2), (0, 3, 4)])
+    assert [p.name for p in tmp_path.iterdir()] == ["interactions.tsv"]
+    assert load_interactions(path) == [(0, 1, 2), (0, 3, 4)]

@@ -354,35 +354,14 @@ def test_load_pairs_rejects_malformed_lines(tmp_path, bad, message):
         load_pairs(path)
 
 
-def test_write_pairs_failing_midway_keeps_the_earlier_file(tmp_path, monkeypatch):
+def test_write_pairs_failing_midway_keeps_the_earlier_file(tmp_path, monkeypatch, fail_writes):
     ds = ingest([(0, 0, 0), (0, 1, 0), (0, 1, 1), (1, 0, 1), (1, 1, 1), (1, 1, 0)])
     sets = mine_all_pairs(ds, k=2, cfg=WalkConfig(walk_length=2, num_walks=50, rng_seed=1))
     assert sum(len(s.pairs) for s in sets) >= 3
     path = tmp_path / "pairs_0_1.tsv"
     path.write_text("earlier contents\n", encoding="utf-8")
 
-    real_open = open
-
-    class FailingHandle:
-        def __init__(self, handle):
-            self.handle, self.writes = handle, 0
-
-        def write(self, text):
-            self.writes += 1
-            if self.writes == 3:
-                raise OSError("no space left on device")
-            return self.handle.write(text)
-
-        def __getattr__(self, name):
-            return getattr(self.handle, name)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return self.handle.__exit__(*exc)
-
-    monkeypatch.setattr(walker, "open", lambda *a, **kw: FailingHandle(real_open(*a, **kw)), raising=False)
+    fail_writes(3)
     with pytest.raises(OSError, match="no space"):
         write_pairs(path, sets)
     assert path.read_text(encoding="utf-8") == "earlier contents\n"
