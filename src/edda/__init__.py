@@ -4,11 +4,10 @@ pair mining, and an evaluation toolkit."""
 
 from .edmodel import EDModel, ModelSpec, init_model, load_model, save_model, variant_spec
 from .encoders import EmbeddingTable, GRecConfig, grec_propagate
-from .evalkit import CaseSet, SplitDataset, auc, evaluate_all, recall_at_1, split
+from .evalkit import CaseSet, SplitDataset, evaluate_all, split
 from .mdgraph import (
     AnchorSet,
     DomainGraph,
-    Interaction,
     MultiDomainDataset,
     NodeId,
     NodeKind,
@@ -18,8 +17,8 @@ from .mdgraph import (
     overlap_ratio,
 )
 from .synthgen import SynthSpec, generate
-from .trainer import TrainConfig, Triplet, bpr_loss, gradients, total_loss, train
-from .walker import SimilarPairSet, StopCountVector, WalkConfig, mine_pairs, node_similarity, run_walks
+from .trainer import TrainConfig, bpr_loss, gradients, total_loss, train
+from .walker import SimilarPairSet, WalkConfig, mine_pairs, run_walks
 
 __version__ = "0.1.0"
 
@@ -30,20 +29,16 @@ __all__ = [
     "EDModel",
     "EmbeddingTable",
     "GRecConfig",
-    "Interaction",
     "ModelSpec",
     "MultiDomainDataset",
     "NodeId",
     "NodeKind",
     "SimilarPairSet",
     "SplitDataset",
-    "StopCountVector",
     "SynthSpec",
     "TrainConfig",
-    "Triplet",
     "WalkConfig",
     "anchors",
-    "auc",
     "bpr_loss",
     "evaluate_all",
     "generate",
@@ -54,9 +49,7 @@ __all__ = [
     "init_model",
     "load_model",
     "mine_pairs",
-    "node_similarity",
     "overlap_ratio",
-    "recall_at_1",
     "run_walks",
     "save_model",
     "split",

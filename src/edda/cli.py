@@ -19,7 +19,7 @@ from pathlib import Path
 from . import evalkit, synthgen
 from .edmodel import ModelSpec, init_model, load_model, save_model, variant_spec
 from .encoders import GRecConfig
-from .mdgraph import IngestError, ingest_file, read_key_values
+from .mdgraph import IngestError, atomic_write, ingest_file, read_key_values
 from .trainer import TrainConfig, TrainingDiverged, train
 from .walker import WalkConfig, load_pairs, mine_pairs, write_pairs
 
@@ -140,7 +140,8 @@ def _write_manifest(out_dir: Path, command: str, cfg: RunConfig | None, inputs: 
         lines.append(f"sha256.{name} = {_sha256(Path(path))}")
     for key, value in sorted((extra or {}).items()):
         lines.append(f"{key} = {value}")
-    (out_dir / "manifest.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with atomic_write(out_dir / "manifest.txt") as handle:
+        handle.write("\n".join(lines) + "\n")
 
 
 def _provenance_mismatches(recorded: dict[str, str], cfg: RunConfig, data: Path, source: str) -> list[str]:
@@ -293,7 +294,8 @@ def cmd_train(args) -> int:
             f"{log.epoch}\t{log.bpr:.6f}\t{log.align:.6f}\t{log.total:.6f}"
             f"\t{log.val_auc:.6f}\t{log.val_recall:.6f}\t{wall:.3f}"
         )
-    (out / "train.log").write_text("\n".join(log_lines) + ("\n" if log_lines else ""), encoding="utf-8")
+    with atomic_write(out / "train.log") as handle:
+        handle.write("\n".join(log_lines) + ("\n" if log_lines else ""))
     val_rows = evalkit.evaluate_all(model, split_data, which="validation", eval_seed=cfg.eval_seed)
     evalkit.write_report(out / "val_report.tsv", val_rows)
 
@@ -337,8 +339,10 @@ def cmd_eval(args) -> int:
         stats_lines.append(f"{d}\t{ds_frac:.6f}\t{oi:.6f}")
     out = Path(args.out) if args.out else run_dir
     out.mkdir(parents=True, exist_ok=True)
-    (out / "eval_report.tsv").write_text(report, encoding="utf-8")
-    (out / "domain_stats.tsv").write_text("\n".join(stats_lines) + "\n", encoding="utf-8")
+    with atomic_write(out / "eval_report.tsv") as handle:
+        handle.write(report)
+    with atomic_write(out / "domain_stats.tsv") as handle:
+        handle.write("\n".join(stats_lines) + "\n")
     _write_manifest(out, "eval", cfg, {"data": Path(args.data)}, {"checkpoint": str(run_dir.name)})
     return 0
 

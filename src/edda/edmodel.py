@@ -105,9 +105,6 @@ class EDModel:
             for d, w in enumerate(self.proj):
                 yield f"proj[{d}]", w
 
-    def num_parameters(self) -> int:
-        return sum(arr.size for _, arr in self.parameters())
-
     def squared_norm(self) -> float:
         return float(sum(np.sum(arr * arr) for _, arr in self.parameters()))
 

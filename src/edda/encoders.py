@@ -68,10 +68,6 @@ class EmbeddingTable:
     def row(self, node: NodeId) -> np.ndarray:
         return self.matrix[self.rows(node_keys([node]))[0]]
 
-    def gather(self, nodes: Sequence[NodeId]) -> np.ndarray:
-        """Rows for the given nodes, in the given order."""
-        return self.matrix[self.rows(node_keys(nodes))]
-
     def rows(self, keys: np.ndarray) -> np.ndarray:
         """Row index of every node key, same shape; KeyError if one is absent."""
         if self._sorted_keys is None:

@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .edmodel import EDModel, Encoding
-from .mdgraph import DomainGraph, MultiDomainDataset, NodeKind
+from .mdgraph import DomainGraph, MultiDomainDataset, NodeKind, atomic_write
 from .mdgraph import ingest  # noqa: F401  (perfbench/tests expect evalkit.ingest to be traced)
 
 logger = logging.getLogger(__name__)
@@ -252,39 +252,6 @@ def _domain_metrics(enc: Encoding, cases: CaseSet):
     )
 
 
-def _metrics_for(split_data: SplitDataset, model: EDModel, d: int, which: str, eval_seed: int):
-    cases = build_all_cases(split_data, which, eval_seed)[d]
-    if not len(cases):
-        raise ValueError(f"domain {d} has no evaluable {which} cases")
-    return _domain_metrics(model.propagated(split_data.train), cases)
-
-
-def auc(
-    model: EDModel,
-    dataset: MultiDomainDataset,
-    split_data: SplitDataset,
-    d: int,
-    which: str = "test",
-    eval_seed: int = 0,
-) -> float:
-    """Macro AUC for domain d, scored on train-graph propagation.
-
-    `dataset` is the full dataset, the same as `split_data.full`.
-    """
-    return _metrics_for(split_data, model, d, which, eval_seed)[0]
-
-
-def recall_at_1(
-    model: EDModel,
-    dataset: MultiDomainDataset,
-    split_data: SplitDataset,
-    d: int,
-    which: str = "test",
-    eval_seed: int = 0,
-) -> float:
-    return _metrics_for(split_data, model, d, which, eval_seed)[1]
-
-
 def evaluate_all(
     model: EDModel,
     split_data: SplitDataset,
@@ -364,4 +331,5 @@ def format_report(rows: Sequence[tuple[int, float, float, int]]) -> str:
 
 
 def write_report(path: str | Path, rows: Sequence[tuple[int, float, float, int]]) -> None:
-    Path(path).write_text(format_report(rows), encoding="utf-8")
+    with atomic_write(path) as handle:
+        handle.write(format_report(rows))

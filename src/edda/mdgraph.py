@@ -28,12 +28,6 @@ class NodeId(NamedTuple):
     id: int
 
 
-class Interaction(NamedTuple):
-    domain: int
-    user: NodeId
-    item: NodeId
-
-
 class IngestError(ValueError):
     """Raised for malformed or inconsistent interaction records."""
 
@@ -180,68 +174,92 @@ class MultiDomainDataset:
     def graph(self, d: int) -> DomainGraph:
         return self.domains[d]
 
-    def interactions(self, d: int) -> Iterator[Interaction]:
-        for u, i in self.domains[d].user_item_pairs():
-            yield Interaction(d, NodeId(NodeKind.USER, int(u)), NodeId(NodeKind.ITEM, int(i)))
-
-    def records(self) -> list[tuple[int, int, int]]:
-        """All (domain, user_id, item_id) records in canonical order."""
-        out = []
-        for d, graph in enumerate(self.domains):
-            for u, i in graph.user_item_pairs():
-                out.append((d, int(u), int(i)))
-        return out
+    def records(self) -> np.ndarray:
+        """(n, 3) int64 array of every (domain, user_id, item_id) record,
+        sorted by domain, then user, then item."""
+        return np.concatenate(
+            [
+                np.column_stack([np.full(graph.n_edges, d), graph.user_item_pairs()])
+                for d, graph in enumerate(self.domains)
+            ]
+        )
 
 
-def ingest(records: Iterable[tuple[int, int, int]]) -> MultiDomainDataset:
-    """Build a dataset from (domain, user_id, item_id) records.
+def ingest(records: Iterable[tuple[int, int, int]] | np.ndarray) -> MultiDomainDataset:
+    """Build a dataset from (domain, user_id, item_id) records: an (n, 3)
+    integer array or an iterable of triples.
 
     Duplicate records within a domain are deduplicated. Domain ids must be
-    dense from 0 and every domain must have at least one interaction.
+    dense from 0 and every domain must have at least one interaction. A
+    malformed or negative record raises IngestError naming its 1-based
+    position.
     """
-    per_domain: dict[int, set[tuple[int, int]]] = {}
-    for line_no, rec in enumerate(records, start=1):
-        try:
-            d, u, i = (int(x) for x in rec)
-        except (TypeError, ValueError):
-            raise IngestError(f"malformed record {rec!r}", line=line_no) from None
-        if d < 0 or u < 0 or i < 0:
-            raise IngestError(f"negative id in record {rec!r}", line=line_no)
-        per_domain.setdefault(d, set()).add((u, i))
-    if not per_domain:
+    if not isinstance(records, np.ndarray):
+        records = list(records)
+    if len(records) == 0:
         raise IngestError("no interaction records")
-    n_domains = max(per_domain) + 1
-    for d in range(n_domains):
-        if d not in per_domain:
-            raise IngestError(f"domain {d} has no interactions")
+    try:
+        rows = np.asarray(records, dtype=np.int64)
+    except (TypeError, ValueError, OverflowError):
+        rows = None
+    if rows is None or rows.shape != (len(records), 3) or (rows < 0).any():
+        # error path only: name the first malformed or negative record
+        for k, rec in enumerate(records, start=1):
+            try:
+                d, u, i = (int(x) for x in rec)
+            except (TypeError, ValueError):
+                raise IngestError(f"malformed record {rec!r}", line=k) from None
+            if d < 0 or u < 0 or i < 0:
+                raise IngestError(f"negative id in record {(d, u, i)!r}", line=k)
+        raise IngestError("records must be (domain, user_id, item_id) integer triples")
+    domains, counts = np.unique(rows[:, 0], return_counts=True)
+    missing = np.flatnonzero(domains != np.arange(len(domains)))
+    if len(missing):
+        raise IngestError(f"domain {missing[0]} has no interactions")
+    by_domain = rows[np.argsort(rows[:, 0], kind="stable"), 1:]
     return MultiDomainDataset(
-        [DomainGraph(d, sorted(per_domain[d])) for d in range(n_domains)]
+        [
+            DomainGraph(d, edges)
+            for d, edges in enumerate(np.split(by_domain, np.cumsum(counts)[:-1]))
+        ]
     )
 
 
-def parse_interaction_line(line: str, line_no: int) -> tuple[int, int, int] | None:
-    """Parse one `domain<TAB>user<TAB>item` line; None for comments/blank lines."""
-    stripped = line.strip()
-    if not stripped or stripped.startswith("#"):
-        return None
-    fields = line.rstrip("\n").split("\t")
-    if len(fields) < 3:
-        raise IngestError(f"expected at least 3 tab-separated fields, got {len(fields)}", line=line_no)
-    try:
-        return int(fields[0]), int(fields[1]), int(fields[2])
-    except ValueError:
-        raise IngestError(f"non-integer field in {fields[:3]!r}", line=line_no) from None
+def load_interactions(path: str | Path) -> np.ndarray:
+    """Read interaction records from a text file into an (n, 3) int64 array.
 
+    The grammar, line by line:
 
-def load_interactions(path: str | Path) -> list[tuple[int, int, int]]:
-    """Read interaction records from a tab-separated text file."""
-    records = []
+    - a line that is empty, holds only whitespace, or whose first
+      non-whitespace character is `#` is skipped;
+    - any other line is `domain<TAB>user<TAB>item`, optionally followed by
+      more tab-separated fields, which are ignored;
+    - each of the first three fields is a base-10 integer as Python's `int`
+      reads it (surrounding whitespace allowed) and must not be negative.
+
+    The first line that breaks a rule raises IngestError naming its 1-based
+    line number in the file. Rows keep file order.
+    """
+    flat: list[int] = []
     with open(path, "r", encoding="utf-8") as handle:
         for line_no, line in enumerate(handle, start=1):
-            rec = parse_interaction_line(line, line_no)
-            if rec is not None:
-                records.append(rec)
-    return records
+            fields = line.split("\t", 3)
+            try:
+                d, u, i = int(fields[0]), int(fields[1]), int(fields[2])
+            except (IndexError, ValueError):
+                stripped = line.strip()
+                if not stripped or stripped.startswith("#"):
+                    continue
+                fields = line.rstrip("\n").split("\t")
+                if len(fields) < 3:
+                    message = f"expected at least 3 tab-separated fields, got {len(fields)}"
+                else:
+                    message = f"non-integer field in {fields[:3]!r}"
+                raise IngestError(message, line=line_no) from None
+            if d < 0 or u < 0 or i < 0:
+                raise IngestError(f"negative id in record {(d, u, i)!r}", line=line_no)
+            flat += (d, u, i)
+    return np.array(flat, dtype=np.int64).reshape(-1, 3)
 
 
 def read_key_values(path: str | Path, error: type[Exception] = ValueError) -> dict[str, str]:
@@ -283,15 +301,13 @@ def atomic_write(path: str | Path, mode: str = "w") -> Iterator[IO]:
 
 
 def write_interactions(
-    path: str | Path, records: Iterable[tuple[int, int, int]] | np.ndarray
+    path: str | Path, records: Sequence[tuple[int, int, int]] | np.ndarray
 ) -> None:
     """Write records as tab-separated lines in sorted order (deterministic bytes).
 
-    `records` holds (domain, user, item) triples: tuples or an (n, 3) integer
-    array. The file is written atomically.
+    `records` holds (domain, user, item) triples: a sequence of tuples or an
+    (n, 3) integer array. The file is written atomically.
     """
-    if not isinstance(records, np.ndarray):
-        records = list(records)
     rows = np.asarray(records, dtype=np.int64).reshape(-1, 3)
     rows = rows[np.lexsort(rows.T[::-1])]
     with atomic_write(path) as handle:

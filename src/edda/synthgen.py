@@ -396,13 +396,7 @@ def write_dataset(
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    records = np.concatenate(
-        [
-            np.column_stack([np.full(graph.n_edges, d), graph.user_item_pairs()])
-            for d, graph in enumerate(dataset.domains)
-        ]
-    )
-    write_interactions(directory / "interactions.tsv", records)
+    write_interactions(directory / "interactions.tsv", dataset.records())
     with atomic_write(directory / "synth.manifest") as handle:
         handle.write(spec_manifest(spec))
     with atomic_write(directory / "latents.npz", "wb") as handle:

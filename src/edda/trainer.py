@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, NamedTuple, Sequence
+from dataclasses import dataclass
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -29,17 +29,17 @@ from scipy.special import expit
 
 from .edmodel import EDModel, Encoding
 from .encoders import node_keys
-from .mdgraph import DomainGraph, MultiDomainDataset, NodeId, NodeKind
+from .mdgraph import DomainGraph, MultiDomainDataset
 from .walker import SimilarPairSet
 
 logger = logging.getLogger(__name__)
 
 
-class Triplet(NamedTuple):
-    domain: int
-    user: NodeId
-    pos_item: NodeId
-    neg_item: NodeId
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+# alignment pairs are subsampled to one batch size once they outnumber it this many times
+ALIGN_SUBSAMPLE_FACTOR = 10
 
 
 @dataclass(frozen=True)
@@ -50,12 +50,8 @@ class TrainConfig:
     batch_size: int = 8092  # kept verbatim from the reported setup
     edge_dropout: float = 0.3
     epochs: int = 100
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     seed: int = 0
     patience: int | None = None  # early stop on validation AUC when set
-    align_subsample_factor: int = 10
 
     def __post_init__(self):
         if self.beta < 0 or self.reg_lambda < 0:
@@ -120,13 +116,13 @@ class _NegativeSampler:
         self.eligible = graph.user_degree < graph.n_items
         self.warned: set[int] = set()
 
-    def __call__(self, u_locs: np.ndarray, rng: np.random.Generator):
-        """(positions in `u_locs` that got a negative, their local item indices)."""
+    def triplets(self, edges: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """Graph-local (user, positive, negative) index rows, shape (3, n):
+        one per edge in `edges`, in that order, whose user can draw a negative."""
         graph = self.graph
-        keep = []
+        kept = []
         negs = []
-        for row, u_loc in enumerate(u_locs):
-            u_loc = int(u_loc)
+        for e, u_loc in zip(edges.tolist(), graph.edge_user[edges].tolist()):
             if not self.eligible[u_loc]:
                 if u_loc not in self.warned:
                     self.warned.add(u_loc)
@@ -139,60 +135,19 @@ class _NegativeSampler:
             n_loc = int(rng.integers(graph.n_items))
             while n_loc in self.positives[u_loc]:
                 n_loc = int(rng.integers(graph.n_items))
-            keep.append(row)
+            kept.append(e)
             negs.append(n_loc)
-        return np.asarray(keep, dtype=np.int64), np.asarray(negs, dtype=np.int64)
-
-
-def sample_triplets(
-    dataset: MultiDomainDataset, d: int, count: int, rng: np.random.Generator
-) -> list[Triplet]:
-    """Uniform observed (u, i+) pairs with rejection-sampled negatives.
-
-    A user who interacted with every item of the domain cannot produce a
-    triplet and is skipped with a warning.
-    """
-    graph = dataset.graph(d)
-    if graph.n_items < 2:
-        raise ValueError(f"domain {d} needs at least 2 items for negative sampling")
-    sampler = _NegativeSampler(graph)
-    if not sampler.eligible.any():
-        logger.warning("domain %d: every user interacted with every item", d)
-        return []
-    out: list[Triplet] = []
-    while len(out) < count:
-        e = int(rng.integers(graph.n_edges))
-        keep, negs = sampler(graph.edge_user[e : e + 1], rng)
-        if len(keep):
-            out.append(
-                Triplet(
-                    d,
-                    NodeId(NodeKind.USER, int(graph.user_ids[graph.edge_user[e]])),
-                    NodeId(NodeKind.ITEM, int(graph.item_ids[graph.edge_item[e]])),
-                    NodeId(NodeKind.ITEM, int(graph.item_ids[negs[0]])),
-                )
-            )
-    return out
+        kept = np.asarray(kept, dtype=np.int64)
+        return np.stack(
+            [
+                graph.edge_user[kept],
+                graph.edge_item[kept] + graph.n_users,
+                np.asarray(negs, dtype=np.int64) + graph.n_users,
+            ]
+        )
 
 
 # -- loss and exact gradients -------------------------------------------------
-
-
-def _group_triplets(
-    dataset: MultiDomainDataset, triplets: Sequence[Triplet]
-) -> dict[int, np.ndarray]:
-    """Graph-local (user, positive, negative) index rows per domain."""
-    grouped: dict[int, list[list[int]]] = {}
-    for t in triplets:
-        graph = dataset.graph(t.domain)
-        grouped.setdefault(t.domain, []).append(
-            [
-                graph.local_index(t.user),
-                graph.local_index(t.pos_item),
-                graph.local_index(t.neg_item),
-            ]
-        )
-    return {d: np.asarray(rows, dtype=np.int64).T for d, rows in grouped.items()}
 
 
 def _prepare_pairs(model: EDModel, pair_sets: Iterable[SimilarPairSet]):
@@ -331,37 +286,36 @@ def _scatter_add(n_rows: int, rows: list[np.ndarray], values: list[np.ndarray]) 
     return scatter @ values
 
 
-def _batch(model, dataset, triplets, pair_sets, masks):
-    encoding = model.propagated(dataset, masks)
-    return encoding, _group_triplets(dataset, triplets), _prepare_pairs(model, pair_sets)
-
-
 def total_loss(
     model: EDModel,
     dataset: MultiDomainDataset,
-    triplets: Sequence[Triplet],
+    triplets: dict[int, np.ndarray],
     pair_sets: Sequence[SimilarPairSet],
     cfg: TrainConfig,
     masks: dict[int, np.ndarray] | None = None,
     align_scale: float = 1.0,
 ) -> float:
-    """L_rank + beta * L_align + lambda * ||params||^2 for the given batch."""
-    enc, grouped, prepared = _batch(model, dataset, triplets, pair_sets, masks)
-    return _compute(enc, grouped, prepared, cfg, align_scale, False)[0]
+    """L_rank + beta * L_align + lambda * ||params||^2 for the given batch.
+
+    `triplets` maps a domain to its (3, n) graph-local (user, positive,
+    negative) index rows, as `_NegativeSampler.triplets` builds them.
+    """
+    enc = model.propagated(dataset, masks)
+    return _compute(enc, triplets, _prepare_pairs(model, pair_sets), cfg, align_scale, False)[0]
 
 
 def gradients(
     model: EDModel,
     dataset: MultiDomainDataset,
-    triplets: Sequence[Triplet],
+    triplets: dict[int, np.ndarray],
     pair_sets: Sequence[SimilarPairSet],
     cfg: TrainConfig,
     masks: dict[int, np.ndarray] | None = None,
     align_scale: float = 1.0,
 ) -> dict[str, np.ndarray]:
     """Exact gradient of `total_loss` for every parameter array, by name."""
-    enc, grouped, prepared = _batch(model, dataset, triplets, pair_sets, masks)
-    return _compute(enc, grouped, prepared, cfg, align_scale, True)[4]
+    enc = model.propagated(dataset, masks)
+    return _compute(enc, triplets, _prepare_pairs(model, pair_sets), cfg, align_scale, True)[4]
 
 
 # -- optimizer ----------------------------------------------------------------
@@ -386,7 +340,7 @@ def adam_step(
 ) -> tuple[EDModel, AdamState]:
     """Standard bias-corrected Adam update, applied in place."""
     state.t += 1
-    b1, b2 = cfg.adam_beta1, cfg.adam_beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     correct1 = 1.0 - b1 ** state.t
     correct2 = 1.0 - b2 ** state.t
     for name, param in model.parameters():
@@ -399,7 +353,7 @@ def adam_step(
         m += (1.0 - b1) * g
         v *= b2
         v += (1.0 - b2) * (g * g)
-        param -= cfg.learning_rate * (m / correct1) / (np.sqrt(v / correct2) + cfg.adam_eps)
+        param -= cfg.learning_rate * (m / correct1) / (np.sqrt(v / correct2) + ADAM_EPS)
     return model, state
 
 
@@ -454,21 +408,9 @@ def train(
             for d, batches in enumerate(schedules):
                 if round_idx >= len(batches):
                     continue
-                graph = train_ds.graph(d)
-                edge_idx = batches[round_idx]
-                u_locs = graph.edge_user[edge_idx]
-                keep, negs = samplers[d](u_locs, rng)
-                if len(keep) == 0:
+                triplets = samplers[d].triplets(batches[round_idx], rng)
+                if triplets.shape[1] == 0:
                     continue
-                grouped = {
-                    d: np.stack(
-                        [
-                            u_locs[keep],
-                            graph.edge_item[edge_idx][keep] + graph.n_users,
-                            negs + graph.n_users,
-                        ]
-                    )
-                }
                 if cfg.edge_dropout > 0.0:
                     masks = {
                         dd: edge_dropout(g, cfg.edge_dropout, rng)
@@ -478,12 +420,12 @@ def train(
                     masks = None
                 batch_pairs = prepared_pairs
                 align_scale = 1.0
-                if n_pairs > cfg.align_subsample_factor * cfg.batch_size:
+                if n_pairs > ALIGN_SUBSAMPLE_FACTOR * cfg.batch_size:
                     batch_pairs, align_scale = _subsample_pairs(
                         prepared_pairs, n_pairs, cfg.batch_size, rng
                     )
                 total, l_bpr, l_align, _, grads = _compute(
-                    model.propagated(train_ds, masks), grouped, batch_pairs, cfg,
+                    model.propagated(train_ds, masks), {d: triplets}, batch_pairs, cfg,
                     align_scale, True,
                 )
                 if not np.isfinite(total):

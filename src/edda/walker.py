@@ -48,15 +48,6 @@ class WalkConfig:
 
 
 @dataclass(frozen=True)
-class StopCountVector:
-    """How many walks from `source` terminated on each anchor of the pair."""
-
-    source: NodeId
-    domain_pair: tuple[int, int]
-    counts: np.ndarray
-
-
-@dataclass(frozen=True)
 class SimilarPair:
     source: NodeId  # node in the first domain of the pair
     target: NodeId  # node in the second domain of the pair
@@ -143,8 +134,9 @@ def _normalized_rows(counts: np.ndarray) -> np.ndarray:
 
 def run_walks(
     graph: DomainGraph, source: NodeId, anchor_set: AnchorSet, cfg: WalkConfig
-) -> StopCountVector:
-    """Stop counts over the pair's anchors for fixed-length walks from `source`.
+) -> np.ndarray:
+    """How many fixed-length walks from `source` stop on each anchor of the
+    pair, indexed like `anchor_set.nodes`.
 
     Each walk takes exactly `walk_length` uniform steps; only the final node
     counts, and only if it is an anchor.
@@ -152,20 +144,7 @@ def run_walks(
     rng = _source_rng(cfg, source)
     stops = _simulate_stops(graph, graph.local_index(source), cfg, rng)
     positions = _anchor_positions(graph, anchor_set)
-    counts = _stop_counts(stops[None, :], positions, len(anchor_set))[0]
-    return StopCountVector(source, anchor_set.domain_pair, counts)
-
-
-def node_similarity(c_u: StopCountVector, c_v: StopCountVector) -> float:
-    """Cosine of two stop-count vectors; 0 whenever either vector is all zero."""
-    if c_u.domain_pair != c_v.domain_pair or len(c_u.counts) != len(c_v.counts):
-        raise ValueError("stop-count vectors are indexed by different anchor sets")
-    nu = np.linalg.norm(c_u.counts)
-    nv = np.linalg.norm(c_v.counts)
-    if nu == 0.0 or nv == 0.0:
-        return 0.0
-    value = float(np.dot(c_u.counts, c_v.counts) / (nu * nv))
-    return min(max(value, 0.0), 1.0)
+    return _stop_counts(stops[None, :], positions, len(anchor_set))[0]
 
 
 def mine_pairs(
@@ -176,10 +155,10 @@ def mine_pairs(
     Candidates are restricted to the source node's kind: on a bipartite graph
     a walk of even length terminates on the source's own side, so cross-kind
     stop profiles cannot match. Pairs with zero similarity are omitted; equal
-    similarities break toward the smaller node id, but the cosines of
-    proportional stop-count vectors can differ in the last bit, so such exact
-    ties are decided by rounding (ROADMAP item 2). Exact brute force over all
-    candidates.
+    similarities break toward the smaller node id. Proportional stop-count
+    vectors tie in exact arithmetic, but each is normalised before the
+    product, so their floating-point cosines can differ in the last bit and
+    such ties are decided by rounding. Exact brute force over all candidates.
 
     The stop tables are memoised by graph identity, so each call re-walks the
     first source of each kind through `run_walks` and requires its table row
@@ -209,7 +188,7 @@ def mine_pairs(
         src_counts = _stop_counts(src_stops[src_rows], src_pos, len(anchor_set))
         sources = src_nodes[src_rows]
         if len(sources) and not np.array_equal(
-            run_walks(src_graph, sources[0], anchor_set, cfg).counts, src_counts[0]
+            run_walks(src_graph, sources[0], anchor_set, cfg), src_counts[0]
         ):
             raise RuntimeError(
                 f"stale stop table for domain {d}: its graph changed after the walks"
@@ -225,18 +204,6 @@ def mine_pairs(
                 if s > 0.0:
                     out.append(SimilarPair(src, targets[col], s))
     return SimilarPairSet((d, d_prime), tuple(out))
-
-
-def mine_all_pairs(
-    dataset: MultiDomainDataset, k: int, cfg: WalkConfig
-) -> list[SimilarPairSet]:
-    """Pair sets for every ordered domain pair of the dataset."""
-    out = []
-    for d in range(dataset.num_domains):
-        for d_prime in range(dataset.num_domains):
-            if d != d_prime:
-                out.append(mine_pairs(dataset, d, d_prime, k, cfg))
-    return out
 
 
 def write_pairs(path: str | Path, pair_sets: Sequence[SimilarPairSet]) -> None:

@@ -5,6 +5,7 @@ these implementations must not share code paths with the library.
 """
 
 import numpy as np
+from hypothesis import strategies as st
 
 from edda.mdgraph import NodeId, NodeKind
 from edda.synthgen import SynthError, _allocate_ids
@@ -93,7 +94,11 @@ def cosine(a, b):
 
 
 def oracle_total_loss(model, dataset, triplets, pair_sets, cfg, masks=None):
-    """Dense, loop-based recomputation of the training objective."""
+    """Dense, loop-based recomputation of the training objective.
+
+    `triplets` maps a domain to (3, n) graph-local (user, positive, negative)
+    index rows, local order being users by id, then items by id.
+    """
     spec = model.spec
     num_layers = spec.grec.num_layers
     alpha = spec.grec.alpha
@@ -142,9 +147,11 @@ def oracle_total_loss(model, dataset, triplets, pair_sets, cfg, masks=None):
         return float(np.dot(np.concatenate(parts_u), np.concatenate(parts_i)))
 
     l_bpr = 0.0
-    for t in triplets:
-        x = score(t.user, t.pos_item, t.domain) - score(t.user, t.neg_item, t.domain)
-        l_bpr += float(np.log1p(np.exp(-x)))
+    for d, rows in triplets.items():
+        nodes, _ = bipartite_order(domain_pairs(d))
+        for u, p, n in zip(*rows.tolist()):
+            x = score(nodes[u], nodes[p], d) - score(nodes[u], nodes[n], d)
+            l_bpr += float(np.log1p(np.exp(-x)))
 
     l_align = 0.0
     for pair_set in pair_sets:
@@ -370,3 +377,52 @@ def generate_reference(spec):
         )
     latents["intercepts"] = np.array(intercepts)
     return sorted(records), latents["intercepts"], latents, forced_counts
+
+
+# -- interaction files with the loader's expected reading of each line ---------
+
+_INT = st.integers(0, 10**6)
+
+
+@st.composite
+def _file_line(draw):
+    """One line of an interaction file and what the loader must make of it:
+    ("row", (d, u, i)), ("skip", None) or ("bad", None)."""
+    d, u, i = draw(_INT), draw(_INT), draw(_INT)
+    kind = draw(st.sampled_from(
+        ["row", "extra", "comment", "indented", "blank", "spaces", "short", "word", "negative"]
+    ))
+    if kind == "row":
+        return f"{d}\t{u}\t{i}", ("row", (d, u, i))
+    if kind == "extra":
+        extra = draw(st.sampled_from(["", "x", "7\t8", "# not a comment"]))
+        return f"{d}\t{u}\t{i}\t{extra}", ("row", (d, u, i))
+    if kind in ("comment", "indented"):
+        indent = "" if kind == "comment" else draw(st.sampled_from([" ", "\t", "  \t "]))
+        return indent + "#" + draw(st.sampled_from(["", " 0", "0\t1\t2"])), ("skip", None)
+    if kind == "blank":
+        return "", ("skip", None)
+    if kind == "spaces":
+        return draw(st.sampled_from([" ", "\t", " \t\t "])), ("skip", None)
+    if kind == "short":
+        return draw(st.sampled_from([f"{d}", f"{d}\t{u}", f"{d} {u} {i}"])), ("bad", None)
+    if kind == "word":
+        fields = [str(d), str(u), str(i)]
+        fields[draw(st.integers(0, 2))] = draw(st.sampled_from(["x", "1.5", "0x1", f"{i} # x", ""]))
+        return "\t".join(fields), ("bad", None)
+    fields = [d, u, i]
+    fields[draw(st.integers(0, 2))] = -draw(st.integers(1, 10**6))
+    return "\t".join(map(str, fields)), ("bad", None)
+
+
+@st.composite
+def interaction_files(draw, bad=False):
+    """`(text, labels)`: a random interaction file and the label of each of its
+    lines, in order; with `bad=True` at least one line is bad."""
+    lines = draw(st.lists(_file_line(), max_size=30))
+    if bad:
+        lines.insert(draw(st.integers(0, len(lines))), draw(
+            _file_line().filter(lambda line: line[1][0] == "bad")
+        ))
+    text = "\n".join(line for line, _ in lines) + draw(st.sampled_from(["", "\n"]))
+    return text, [label for _, label in lines]

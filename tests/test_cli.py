@@ -1,12 +1,17 @@
+import contextlib
 import filecmp
+import io
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from edda.cli import main
 from edda.edmodel import init_model, load_model
 from edda.mdgraph import ingest_file, write_interactions
+
+from oracles import interaction_files
 
 
 SPEC_TEXT = """\
@@ -220,6 +225,27 @@ def test_malformed_data_exit_code(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_negative_id_is_reported_on_its_file_line(tmp_path, capsys):
+    bad = tmp_path / "f.tsv"
+    bad.write_text("# header\n0\t0\t0\n\n0\t-1\t2\n")
+    assert main(["align", str(bad), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == "error: line 4: negative id in record (0, -1, 2)\n"
+
+
+@settings(max_examples=25, deadline=None)
+@given(interaction_files(bad=True))
+def test_align_on_a_malformed_file_exits_2_naming_the_line(tmp_path_factory, case):
+    text, labels = case
+    work = tmp_path_factory.mktemp("align")
+    (work / "inter.tsv").write_text(text, encoding="utf-8")
+    with contextlib.redirect_stderr(io.StringIO()) as stderr:
+        assert main(["align", str(work / "inter.tsv"), "--out", str(work / "out")]) == 2
+    first_bad = [kind for kind, _ in labels].index("bad") + 1
+    err = stderr.getvalue()
+    assert err.startswith(f"error: line {first_bad}: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_config_file_unknown_key_exit_code(workspace, capsys):
     config = workspace / "weird.cfg"
     config.write_text("no_such_key = 1\n")
@@ -243,7 +269,8 @@ def test_train_refuses_pairs_mined_on_another_split(workspace, capsys):
 
     # a different data file under the same seed is refused too
     other = workspace / "other.tsv"
-    write_interactions(other, [r for r in ingest_file(data).records() if r[1] != 0])
+    records = ingest_file(data).records()
+    write_interactions(other, records[records[:, 1] != 0])
     capsys.readouterr()
     assert main([
         "train", str(other), "--pairs", str(pairs), "--config", str(config),
@@ -305,3 +332,40 @@ def test_train_rejects_malformed_pair_file(workspace, capsys):
     ])
     assert code == 2
     assert f"{bad} line 1: kind must be user or item" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, name",
+    [
+        ("train", "manifest.txt"),
+        ("train", "train.log"),
+        ("train", "val_report.tsv"),
+        ("eval", "eval_report.tsv"),
+        ("eval", "domain_stats.tsv"),
+    ],
+)
+def test_interrupted_output_write_keeps_the_earlier_file(
+    workspace, monkeypatch, fail_writes, command, name
+):
+    data = workspace / "data" / "interactions.tsv"
+    config = workspace / "run.cfg"
+    run, out = workspace / "run", workspace / "eval"
+    argv = {
+        "train": ["train", str(data), "--out", str(run), "--config", str(config)],
+        "eval": ["eval", str(data), str(run), "--out", str(out), "--config", str(config)],
+    }
+    assert main(argv["train"]) == 0
+    assert main(argv["eval"]) == 0
+    target = (run if command == "train" else out) / name
+    written = target.read_bytes()
+    target.write_text("earlier contents\n", encoding="utf-8")
+
+    fail_writes(1, name)
+    with pytest.raises(OSError, match="no space"):
+        main(argv[command])
+    assert target.read_text(encoding="utf-8") == "earlier contents\n"
+    assert not list(target.parent.glob(".*.tmp"))
+
+    monkeypatch.undo()
+    assert main(argv[command]) == 0
+    assert target.read_bytes() == written

@@ -7,6 +7,7 @@ from edda.encoders import (
     GRecConfig,
     grec_propagate,
     load_table,
+    node_keys,
     save_table,
 )
 from edda.mdgraph import NodeId, NodeKind, ingest
@@ -25,7 +26,7 @@ def _table_for(dataset, rng, dim=3):
 def _propagate(graph, table, cfg, mask=None):
     """Propagated rows of every graph node, as a table over the graph's nodes."""
     nodes = graph.node_ids()
-    x = table.gather(nodes)
+    x = table.matrix[table.rows(node_keys(nodes))]
     return EmbeddingTable(nodes, grec_propagate(graph.sym_norm_adjacency(mask), x, cfg))
 
 
@@ -41,14 +42,14 @@ def test_alpha_one_is_identity_bitwise():
     rng = np.random.default_rng(1)
     table = _table_for(ds, rng)
     out = _propagate(ds.graph(0), table, GRecConfig(num_layers=3, alpha=1.0))
-    assert np.array_equal(out.matrix, table.gather(out.nodes))
+    assert np.array_equal(out.matrix, table.matrix[table.rows(node_keys(out.nodes))])
 
 
 def test_zero_layers_is_identity_bitwise():
     ds = ingest([(0, 0, 0), (0, 0, 1)])
     table = _table_for(ds, np.random.default_rng(2))
     out = _propagate(ds.graph(0), table, GRecConfig(num_layers=0, alpha=0.1))
-    assert np.array_equal(out.matrix, table.gather(out.nodes))
+    assert np.array_equal(out.matrix, table.matrix[table.rows(node_keys(out.nodes))])
 
 
 def test_two_node_graph_hand_value():
@@ -166,7 +167,8 @@ def test_inter_encode_sums_identical_domains():
     table = _table_for(ds1, np.random.default_rng(9))
     cfg = GRecConfig(num_layers=2, alpha=0.1)
     once = _inter_encode(ds1, table, cfg)
-    thrice = _inter_encode(ds3, EmbeddingTable(ds3.all_nodes, table.gather(ds3.all_nodes)), cfg)
+    rows = table.matrix[table.rows(node_keys(ds3.all_nodes))]
+    thrice = _inter_encode(ds3, EmbeddingTable(ds3.all_nodes, rows), cfg)
     for node in once.nodes:
         assert thrice.row(node) == pytest.approx(3.0 * once.row(node), rel=1e-15)
 

@@ -10,10 +10,25 @@ from dataclasses import replace
 from edda.edmodel import EDModel, ModelSpec, init_model
 from edda.encoders import EmbeddingTable, GRecConfig
 from edda.mdgraph import DomainGraph, ingest
-from edda.trainer import AdamState, TrainConfig, adam_step, edge_dropout, gradients, sample_triplets
+from edda.trainer import (
+    AdamState,
+    TrainConfig,
+    _NegativeSampler,
+    adam_step,
+    edge_dropout,
+    gradients,
+)
 from edda.walker import WalkConfig, mine_pairs
 
 from oracles import dense_propagate, random_bipartite_records
+
+
+def _triplets(ds, counts, rng):
+    """(3, n) local triplet rows per domain for `counts[d]` uniform training edges."""
+    return {
+        d: _NegativeSampler(ds.graph(d)).triplets(rng.integers(ds.graph(d).n_edges, size=n), rng)
+        for d, n in counts.items()
+    }
 
 
 def _domain_pairs(graph):
@@ -107,7 +122,7 @@ def test_float32_model_stays_float32():
     assert enc.inter.dtype == np.float32
     assert all(enc.intra(d).dtype == np.float32 for d in range(ds.num_domains))
 
-    triplets = sample_triplets(ds, 0, 6, rng) + sample_triplets(ds, 1, 5, rng)
+    triplets = _triplets(ds, {0: 6, 1: 5}, rng)
     cfg = TrainConfig()
     grads = gradients(model, ds, triplets, [], cfg, masks=masks)
     assert {g.dtype for g in grads.values()} == {np.dtype(np.float32)}
@@ -137,7 +152,7 @@ def test_float32_gradients_match_float64(encoder):
     ds = ingest(records)
     model = init_model(ModelSpec(d_inter=4, d_intra=3, encoder=encoder), ds, seed=2)
     masks = {d: edge_dropout(g, 0.3, rng) for d, g in enumerate(ds.domains)}
-    triplets = sample_triplets(ds, 0, 30, rng) + sample_triplets(ds, 1, 25, rng)
+    triplets = _triplets(ds, {0: 30, 1: 25}, rng)
     walks = WalkConfig(3, 30, 1)
     pairs = [mine_pairs(ds, 0, 1, 2, walks), mine_pairs(ds, 1, 0, 2, walks)]
     assert all(p.pairs for p in pairs)

@@ -9,14 +9,12 @@ from edda import evalkit
 from edda.edmodel import EDModel, ModelSpec, init_model
 from edda.encoders import EmbeddingTable
 from edda.evalkit import (
-    auc,
     auc_from_scores,
     build_cases,
     domain_size,
     evaluate_all,
     format_report,
     out_of_domain_interaction,
-    recall_at_1,
     recall_at_1_from_scores,
     split,
 )
@@ -45,7 +43,7 @@ def test_split_ten_interactions_is_7_1_2():
 
 def test_split_single_interaction_goes_to_train():
     sp = split(ingest([(0, 0, 0), (0, 1, 1), (0, 1, 2)]), seed=0)
-    assert (0, 0, 0) in sp.train.records()
+    assert [0, 0, 0] in sp.train.records().tolist()
 
 
 def test_split_partitions_each_domain():
@@ -55,7 +53,7 @@ def test_split_partitions_each_domain():
     ds = ingest(records)
     sp = split(ds, seed=1)
     for d, graph in enumerate(ds.domains):
-        train_pairs = {(u, i) for dd, u, i in sp.train.records() if dd == d}
+        train_pairs = {(u, i) for dd, u, i in sp.train.records().tolist() if dd == d}
         val_pairs = {tuple(row) for row in sp.validation[d]}
         test_pairs = {tuple(row) for row in sp.test[d]}
         full_pairs = {(int(u), int(i)) for u, i in graph.user_item_pairs()}
@@ -71,10 +69,10 @@ def test_split_determinism():
     records = [(0, u, i) for u in range(5) for i in range(6)]
     ds = ingest(records)
     a, b = split(ds, seed=3), split(ds, seed=3)
-    assert a.train.records() == b.train.records()
+    assert np.array_equal(a.train.records(), b.train.records())
     assert all(np.array_equal(x, y) for x, y in zip(a.validation, b.validation))
     c = split(ds, seed=4)
-    assert a.train.records() != c.train.records()
+    assert not np.array_equal(a.train.records(), c.train.records())
 
 
 def _eval_fixture():
@@ -103,18 +101,16 @@ def test_auc_and_recall_extremes():
     test_items = {int(i) for _, i in sp.test[0]}
 
     best = _mf_model_with_item_scores(ds, lambda i: 1.0 if i in test_items else -1.0)
-    assert auc(best, ds, sp, 0) == 1.0
-    assert recall_at_1(best, ds, sp, 0) == 1.0
+    assert evaluate_all(best, sp)[0][1:3] == (1.0, 1.0)
 
     worst = _mf_model_with_item_scores(ds, lambda i: -1.0 if i in test_items else 1.0)
-    assert auc(worst, ds, sp, 0) == 0.0
-    assert recall_at_1(worst, ds, sp, 0) == 0.0
+    assert evaluate_all(worst, sp)[0][1:3] == (0.0, 0.0)
 
 
 def test_auc_all_ties_is_half():
     ds, sp = _eval_fixture()
     zero = init_model(ModelSpec(d_inter=2, d_intra=2, init_scale=0.0), ds, seed=0)
-    assert auc(zero, ds, sp, 0) == 0.5
+    assert evaluate_all(zero, sp)[0][1] == 0.5
 
 
 def test_tied_top_score_with_lower_id_negative_is_a_miss():
@@ -131,7 +127,7 @@ def test_tied_top_score_with_lower_id_negative_is_a_miss():
     zero = init_model(ModelSpec(d_inter=2, d_intra=2, init_scale=0.0), ds, seed=0)
     cases = build_cases(sp, 0, "test")
     assert len(cases) and np.all(cases.positives < cases.negatives.min(axis=1))
-    assert recall_at_1(zero, ds, sp, 0) == 1.0
+    assert evaluate_all(zero, sp)[0][2] == 1.0
 
 
 def test_auc_matches_pairwise_oracle_with_one_inversion():
@@ -301,7 +297,7 @@ def test_split_equals_reference_split(case):
     ds, seed = case
     sp = split(ds, seed=seed)
     train, validation, test = split_records(ds, seed=seed)
-    assert sp.train.records() == sorted(train)
+    assert sp.train.records().tolist() == [list(rec) for rec in sorted(train)]
     reference = ingest(train)
     for d in range(ds.num_domains):
         got, want = _graph_arrays(sp.train.graph(d)), _graph_arrays(reference.graph(d))

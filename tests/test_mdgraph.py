@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from edda.mdgraph import (
     AnchorSet,
@@ -13,6 +14,8 @@ from edda.mdgraph import (
     overlap_ratio,
     write_interactions,
 )
+
+from oracles import interaction_files
 
 U = lambda i: NodeId(NodeKind.USER, i)
 I = lambda i: NodeId(NodeKind.ITEM, i)
@@ -114,8 +117,17 @@ def test_malformed_record_carries_line_number():
 
 
 def test_negative_id_rejected():
-    with pytest.raises(IngestError):
+    with pytest.raises(IngestError, match=r"line 1: negative id in record \(0, -1, 0\)"):
         ingest([(0, -1, 0)])
+    with pytest.raises(IngestError, match="line 3: negative id"):
+        ingest(np.array([(0, 0, 0), (0, 1, 1), (0, 2, -2)]))
+
+
+def test_negative_id_in_file_names_its_physical_line(tmp_path):
+    path = tmp_path / "inter.tsv"
+    path.write_text("# header\n0\t0\t0\n\n0\t-1\t2\n0\tx\t2\n")
+    with pytest.raises(IngestError, match=r"^line 4: negative id in record \(0, -1, 2\)$"):
+        load_interactions(path)
 
 
 def test_file_roundtrip_with_comments(tmp_path):
@@ -127,7 +139,9 @@ def test_file_roundtrip_with_comments(tmp_path):
 
     out = tmp_path / "copy.tsv"
     write_interactions(out, ds.records())
-    assert load_interactions(out) == ds.records()
+    loaded = load_interactions(out)
+    assert loaded.dtype == np.int64
+    assert loaded.tolist() == ds.records().tolist() == [[0, 0, 0], [0, 1, 2], [1, 1, 2]]
 
 
 def test_file_malformed_line_number(tmp_path):
@@ -163,4 +177,22 @@ def test_write_interactions_failing_midway_keeps_the_earlier_file(tmp_path, monk
     monkeypatch.undo()
     write_interactions(path, [(0, 1, 2), (0, 3, 4)])
     assert [p.name for p in tmp_path.iterdir()] == ["interactions.tsv"]
-    assert load_interactions(path) == [(0, 1, 2), (0, 3, 4)]
+    assert load_interactions(path).tolist() == [[0, 1, 2], [0, 3, 4]]
+
+
+# -- the loader against the grammar it documents -------------------------------
+
+@settings(max_examples=150, deadline=None)
+@given(interaction_files())
+def test_load_interactions_keeps_valid_rows_or_names_the_first_bad_line(tmp_path_factory, case):
+    text, labels = case
+    path = tmp_path_factory.mktemp("loader") / "inter.tsv"
+    path.write_text(text, encoding="utf-8")
+    bad = [k for k, (kind, _) in enumerate(labels, start=1) if kind == "bad"]
+    if bad:
+        with pytest.raises(IngestError, match=f"^line {bad[0]}: "):
+            load_interactions(path)
+        return
+    got = load_interactions(path)
+    assert got.dtype == np.int64 and got.shape == (len(got), 3)
+    assert got.tolist() == [list(rec) for kind, rec in labels if kind == "row"]

@@ -12,14 +12,13 @@ from edda.trainer import (
     AdamState,
     TrainConfig,
     TrainingDiverged,
-    Triplet,
+    _NegativeSampler,
     _bpr_row_gradients,
     _scatter_add,
     adam_step,
     bpr_loss,
     edge_dropout,
     gradients,
-    sample_triplets,
     total_loss,
     train,
 )
@@ -35,6 +34,15 @@ U = lambda i: NodeId(NodeKind.USER, i)
 I = lambda i: NodeId(NodeKind.ITEM, i)
 
 
+def sample_triplets(ds, counts, rng):
+    """Per domain d, triplets for `counts[d]` training edges drawn uniformly
+    with replacement, as the (3, n) local index rows `total_loss` takes."""
+    return {
+        d: _NegativeSampler(ds.graph(d)).triplets(rng.integers(ds.graph(d).n_edges, size=n), rng)
+        for d, n in counts.items()
+    }
+
+
 def _instance(seed=0, overlap=True):
     """Small 2-domain dataset with a shared user and item, model, triplets, pairs."""
     rng = np.random.default_rng(seed)
@@ -46,7 +54,7 @@ def _instance(seed=0, overlap=True):
     spec = ModelSpec(d_inter=3, d_intra=2, grec=GRecConfig(num_layers=2, alpha=0.1))
     model = init_model(spec, ds, seed=seed + 1)
     trip_rng = np.random.default_rng(seed + 2)
-    triplets = sample_triplets(ds, 0, 6, trip_rng) + sample_triplets(ds, 1, 5, trip_rng)
+    triplets = sample_triplets(ds, {0: 6, 1: 5}, trip_rng)
     pairs = [
         SimilarPairSet(
             (0, 1),
@@ -86,7 +94,7 @@ ALIGN_ONLY = TrainConfig(beta=1.0, reg_lambda=0.0, edge_dropout=0.0)
 
 def alignment_loss(model, dataset, pair_sets):
     """The alignment term alone: total_loss with beta=1, no ranking or regularization."""
-    return total_loss(model, dataset, [], pair_sets, ALIGN_ONLY)
+    return total_loss(model, dataset, {}, pair_sets, ALIGN_ONLY)
 
 
 def test_alignment_loss_values():
@@ -121,9 +129,11 @@ def test_total_loss_decomposition():
     cfg0 = TrainConfig(beta=0.0, reg_lambda=0.0, edge_dropout=0.0)
     scores = []
     enc = model.propagated(ds)
-    for t in triplets:
-        z_u, z_p, z_n = enc.represent(t.domain, node_keys([t.user, t.pos_item, t.neg_item]))
-        scores.append((float(np.dot(z_u, z_p)), float(np.dot(z_u, z_n))))
+    for d, rows in triplets.items():
+        nodes = ds.graph(d).node_ids()
+        for u, p, n in rows.T:
+            z_u, z_p, z_n = enc.represent(d, node_keys([nodes[u], nodes[p], nodes[n]]))
+            scores.append((float(np.dot(z_u, z_p)), float(np.dot(z_u, z_n))))
     pos, neg = np.array([s for s, _ in scores]), np.array([s for _, s in scores])
     assert total_loss(model, ds, triplets, [], cfg0) == pytest.approx(
         bpr_loss(pos, neg), rel=1e-12
@@ -145,7 +155,7 @@ def test_total_loss_zero_model_regularizer():
     model = init_model(spec, ds, seed=0)
     cfg = TrainConfig(beta=0.0, reg_lambda=0.5, edge_dropout=0.0)
     assert total_loss(model, ds, triplets, [], cfg) == pytest.approx(
-        len(triplets) * np.log(2)
+        sum(rows.shape[1] for rows in triplets.values()) * np.log(2)
     )
 
 
@@ -170,12 +180,13 @@ def test_total_loss_matches_dense_oracle_under_masks():
 def test_gradient_isolation_exact():
     ds, model, _, _ = _instance()
     rng = np.random.default_rng(7)
-    only0 = sample_triplets(ds, 0, 8, rng)
+    only0 = sample_triplets(ds, {0: 8}, rng)
     cfg = TrainConfig(beta=0.0, reg_lambda=0.0, edge_dropout=0.0)
     grads = gradients(model, ds, only0, [], cfg)
     assert np.all(grads["intra[1]"] == 0.0)
     assert np.any(grads["intra[0]"] != 0.0)
-    touched = {_row(model.inter, t.user) for t in only0}
+    nodes = ds.graph(0).node_ids()
+    touched = {_row(model.inter, nodes[u]) for u in only0[0][0]}
     assert all(np.any(grads["inter"][row] != 0.0) for row in touched)
 
 
@@ -185,7 +196,7 @@ def test_gradient_zero_model_is_zero():
     spec = ModelSpec(d_inter=3, d_intra=2, init_scale=0.0)
     model = init_model(spec, ds, seed=0)
     cfg = TrainConfig(beta=0.0, reg_lambda=0.0, edge_dropout=0.0)
-    triplet = sample_triplets(ds, 0, 1, np.random.default_rng(0))
+    triplet = sample_triplets(ds, {0: 1}, np.random.default_rng(0))
     grads = gradients(model, ds, triplet, [], cfg)
     for name, g in grads.items():
         assert np.all(g == 0.0), name
@@ -199,10 +210,10 @@ def test_gradient_hand_case_mf():
     e = {n: float(model.inter.row(n)[0]) for n in ds.all_nodes}
     f = {n: float(model.intra[0].row(n)[0]) for n in ds.graph(0).node_ids()}
     cfg = TrainConfig(beta=0.0, reg_lambda=0.0, edge_dropout=0.0)
-    t = Triplet(0, U(0), I(0), I(1))
+    t = {0: np.array([[ds.graph(0).local_index(n)] for n in (U(0), I(0), I(1))])}
     x = (e[U(0)] * e[I(0)] + f[U(0)] * f[I(0)]) - (e[U(0)] * e[I(1)] + f[U(0)] * f[I(1)])
     g = -1.0 / (1.0 + np.exp(x))
-    grads = gradients(model, ds, [t], [], cfg)
+    grads = gradients(model, ds, t, [], cfg)
     assert grads["inter"][_row(model.inter, U(0)), 0] == pytest.approx(
         g * (e[I(0)] - e[I(1)])
     )
@@ -265,21 +276,26 @@ def test_gradients_match_finite_differences_variants():
 
 def test_sample_triplets_forced_and_empty():
     ds = ingest([(0, 0, 0), (0, 1, 1)])  # user 0 can only draw negative item 1
+    graph = ds.graph(0)
+    sampler = _NegativeSampler(graph)
     rng = np.random.default_rng(0)
-    out = sample_triplets(ds, 0, 5, rng)
-    for t in out:
-        assert t.pos_item != t.neg_item
-        if t.user == U(0):
-            assert (t.pos_item, t.neg_item) == (I(0), I(1))
-    assert sample_triplets(ds, 0, 0, rng) == []
+    edges = np.tile(np.arange(graph.n_edges), 3)
+    out = sampler.triplets(edges, rng)
+    assert out.shape == (3, len(edges))
+    assert np.array_equal(out[:2], [graph.edge_user[edges], graph.edge_item[edges] + graph.n_users])
+    assert np.all(out[1] != out[2])
+    u0, i0, i1 = (graph.local_index(n) for n in (U(0), I(0), I(1)))
+    assert np.all(out[1:, out[0] == u0] == [[i0], [i1]])
+    assert sampler.triplets(np.array([], dtype=np.int64), rng).shape == (3, 0)
 
 
 def test_sample_triplets_negative_uniformity():
     # user 0 interacted with item 0 among items {0,1,2}: negatives split 50/50
     ds = ingest([(0, 0, 0), (0, 1, 0), (0, 1, 1), (0, 1, 2)])
+    graph = ds.graph(0)
     rng = np.random.default_rng(1)
-    out = sample_triplets(ds, 0, 100_000, rng)
-    negs = [t.neg_item.id for t in out if t.user == U(0)]
+    out = sample_triplets(ds, {0: 100_000}, rng)[0]
+    negs = graph.item_ids[out[2, out[0] == graph.local_index(U(0))] - graph.n_users]
     freq = np.bincount(negs, minlength=3) / len(negs)
     assert freq[0] == 0.0
     assert freq[1] == pytest.approx(0.5, abs=0.02)
@@ -290,9 +306,11 @@ def test_sample_triplets_skips_saturated_user(caplog):
     ds = ingest([(0, 0, 0), (0, 0, 1), (0, 1, 0)])  # user 0 saw every item
     rng = np.random.default_rng(2)
     with caplog.at_level(logging.WARNING):
-        out = sample_triplets(ds, 0, 20, rng)
-    assert all(t.user == U(1) for t in out)
-    assert any("every item" in rec.message for rec in caplog.records)
+        out = sample_triplets(ds, {0: 20}, rng)[0]
+    assert 0 < out.shape[1] < 20
+    assert np.all(out[0] == ds.graph(0).local_index(U(1)))
+    warnings = [rec.message for rec in caplog.records if "every item" in rec.message]
+    assert warnings == ["domain 0: user 0 interacts with every item, skipping"]
 
 
 def test_adam_zero_gradient_keeps_parameters():

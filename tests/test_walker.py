@@ -9,12 +9,9 @@ from edda import walker
 from edda.mdgraph import AnchorSet, NodeId, NodeKind, anchors, ingest
 from edda.walker import (
     SimilarPairSet,
-    StopCountVector,
     WalkConfig,
     load_pairs,
-    mine_all_pairs,
     mine_pairs,
-    node_similarity,
     run_walks,
     write_pairs,
 )
@@ -30,16 +27,15 @@ def test_unreachable_anchor_gives_zero_vector():
     ds = ingest([(0, 0, 0), (0, 5, 9), (1, 5, 20)])
     a = anchors(ds, 0, 1)
     assert a.nodes == (U(5),)
-    sc = run_walks(ds.graph(0), U(0), a, WalkConfig(walk_length=4, num_walks=200, rng_seed=1))
-    assert np.all(sc.counts == 0)
+    counts = run_walks(ds.graph(0), U(0), a, WalkConfig(walk_length=4, num_walks=200, rng_seed=1))
+    assert np.all(counts == 0)
 
 
 def test_single_edge_parity_forces_source_stop():
     ds = ingest([(0, 0, 0), (1, 0, 1)])
     a = anchors(ds, 0, 1)  # just user 0
     cfg = WalkConfig(walk_length=4, num_walks=321, rng_seed=2)
-    sc = run_walks(ds.graph(0), U(0), a, cfg)
-    assert sc.counts.tolist() == [321]
+    assert run_walks(ds.graph(0), U(0), a, cfg).tolist() == [321]
 
 
 def test_stop_frequencies_match_transition_matrix_power():
@@ -49,10 +45,10 @@ def test_stop_frequencies_match_transition_matrix_power():
     ds = ingest(records)
     a = anchors(ds, 0, 1)
     cfg = WalkConfig(walk_length=4, num_walks=100_000, rng_seed=3)
-    sc = run_walks(ds.graph(0), U(0), a, cfg)
+    counts = run_walks(ds.graph(0), U(0), a, cfg)
 
     exact = walk_stop_distribution(pairs, U(0), steps=4)
-    empirical = sc.counts / cfg.num_walks
+    empirical = counts / cfg.num_walks
     tv = 0.5 * sum(
         abs(empirical[pos] - exact[node]) for pos, node in enumerate(a.nodes)
     )
@@ -65,58 +61,46 @@ def test_walks_are_deterministic_per_source_seed():
     cfg = WalkConfig(walk_length=4, num_walks=100, rng_seed=9)
     s1 = run_walks(ds.graph(0), U(1), a, cfg)
     s2 = run_walks(ds.graph(0), U(1), a, cfg)
-    assert np.array_equal(s1.counts, s2.counts)
+    assert np.array_equal(s1, s2)
     s3 = run_walks(ds.graph(0), U(1), a, WalkConfig(4, 100, rng_seed=10))
-    assert not np.array_equal(s1.counts, s3.counts)
+    assert not np.array_equal(s1, s3)
 
 
-def _sc(counts, source=U(0), pair=(0, 1)):
-    return StopCountVector(source, pair, np.asarray(counts, dtype=np.int64))
+# the cosine of stop-count vectors, as the mining oracles below compute it
 
 
 def test_similarity_identical_vectors():
-    assert node_similarity(_sc([3, 1, 0]), _sc([3, 1, 0], U(5))) == pytest.approx(1.0)
+    assert cosine(np.array([3, 1, 0]), np.array([3, 1, 0])) == pytest.approx(1.0)
 
 
 def test_similarity_zero_vector_rule():
-    assert node_similarity(_sc([0, 0, 0]), _sc([1, 2, 3])) == 0.0
-    assert node_similarity(_sc([1, 2, 3]), _sc([0, 0, 0])) == 0.0
-    assert node_similarity(_sc([0, 0, 0]), _sc([0, 0, 0])) == 0.0
+    assert cosine(np.array([0, 0, 0]), np.array([1, 2, 3])) == 0.0
+    assert cosine(np.array([1, 2, 3]), np.array([0, 0, 0])) == 0.0
+    assert cosine(np.array([0, 0, 0]), np.array([0, 0, 0])) == 0.0
 
 
 def test_similarity_hand_cosine():
-    got = node_similarity(_sc([3, 1, 0]), _sc([1, 1, 1]))
+    got = cosine(np.array([3, 1, 0]), np.array([1, 1, 1]))
     assert got == pytest.approx(4 / (np.sqrt(10) * np.sqrt(3)))
-    assert got == pytest.approx(cosine(np.array([3, 1, 0]), np.array([1, 1, 1])))
     assert got == pytest.approx(0.73030, abs=1e-5)
 
 
 def test_similarity_symmetry_and_range():
     rng = np.random.default_rng(4)
     for _ in range(200):
-        a = _sc(rng.integers(0, 20, size=5))
-        b = _sc(rng.integers(0, 20, size=5))
-        s = node_similarity(a, b)
+        a = rng.integers(0, 20, size=5)
+        b = rng.integers(0, 20, size=5)
+        s = cosine(a, b)
         assert 0.0 <= s <= 1.0
-        assert s == node_similarity(b, a)
+        assert s == cosine(b, a)
 
 
 def test_similarity_scale_invariance():
     rng = np.random.default_rng(5)
     for m in (2, 5, 10):
-        a = _sc(rng.integers(0, 30, size=6))
-        b = _sc(rng.integers(1, 30, size=6))
-        scaled = _sc(b.counts * m)
-        assert node_similarity(a, scaled) == pytest.approx(
-            node_similarity(a, b), abs=1e-12
-        )
-
-
-def test_similarity_rejects_mismatched_anchor_index():
-    with pytest.raises(ValueError, match="anchor"):
-        node_similarity(_sc([1, 2]), _sc([1, 2, 3]))
-    with pytest.raises(ValueError, match="anchor"):
-        node_similarity(_sc([1, 2]), StopCountVector(U(1), (0, 2), np.array([1, 2])))
+        a = rng.integers(0, 30, size=6)
+        b = rng.integers(1, 30, size=6)
+        assert cosine(a, b * m) == pytest.approx(cosine(a, b), abs=1e-12)
 
 
 def test_mine_pairs_no_anchors_is_empty():
@@ -156,7 +140,7 @@ def test_mine_pairs_matches_exhaustive_oracle():
         sims = []
         for cand in cands:
             c_dst = run_walks(ds.graph(1), cand, a, cfg)
-            sims.append((cand, cosine(c_src.counts, c_dst.counts)))
+            sims.append((cand, cosine(c_src, c_dst)))
         sims.sort(key=lambda t: (-t[1], t[0].id))
         for cand, s in sims[:k]:
             if s > 0:
@@ -181,8 +165,7 @@ def test_mine_pairs_validation():
 def test_pair_file_roundtrip(tmp_path):
     ds = ingest([(0, 0, 0), (0, 1, 0), (1, 1, 1), (1, 3, 1)])
     cfg = WalkConfig(walk_length=4, num_walks=200, rng_seed=12)
-    sets = mine_all_pairs(ds, k=1, cfg=cfg)
-    assert [s.domain_pair for s in sets] == [(0, 1), (1, 0)]
+    sets = [mine_pairs(ds, 0, 1, 1, cfg), mine_pairs(ds, 1, 0, 1, cfg)]
     path = tmp_path / "pairs.tsv"
     write_pairs(path, sets)
     loaded = load_pairs(path)
@@ -229,10 +212,10 @@ def _oracle_pairs(ds, d, d_prime, k, cfg):
     top-k (target, cosine), ties broken toward the smaller id."""
     a = anchors(ds, d, d_prime)
     src_graph, dst_graph = ds.graph(d), ds.graph(d_prime)
-    dst_counts = {n: run_walks(dst_graph, n, a, cfg).counts for n in dst_graph.node_ids()}
+    dst_counts = {n: run_walks(dst_graph, n, a, cfg) for n in dst_graph.node_ids()}
     out = {}
     for src in src_graph.node_ids():
-        c_src = run_walks(src_graph, src, a, cfg).counts
+        c_src = run_walks(src_graph, src, a, cfg)
         exact = {}
         for cand, c_dst in dst_counts.items():
             dot = sum(int(x) * int(y) for x, y in zip(c_src, c_dst))
@@ -303,7 +286,7 @@ def test_stop_table_rows_give_run_walks_counts(case):
             local = [graph.local_index(node) for node in a.nodes]
             for row, node in enumerate(graph.node_ids()):
                 want = [int(np.sum(table[row] == ix)) for ix in local]
-                assert run_walks(graph, node, a, cfg).counts.tolist() == want
+                assert run_walks(graph, node, a, cfg).tolist() == want
 
 
 def test_mine_pairs_refuses_a_stop_table_of_a_changed_graph():
@@ -321,9 +304,9 @@ def test_run_walks_ignores_anchors_outside_the_graph():
     ds = ingest([(0, 0, 0), (0, 2, 0), (1, 0, 5), (1, 1, 5)])
     cfg = WalkConfig(walk_length=2, num_walks=50, rng_seed=4)
     a = AnchorSet((0, 1), (U(0), U(1), U(7), I(5)))
-    counts = run_walks(ds.graph(0), U(0), a, cfg).counts
+    counts = run_walks(ds.graph(0), U(0), a, cfg)
     assert counts[1:].tolist() == [0, 0, 0] and 0 < counts[0] < 50
-    counts = run_walks(ds.graph(1), U(0), a, cfg).counts
+    counts = run_walks(ds.graph(1), U(0), a, cfg)
     assert counts[2:].tolist() == [0, 0] and counts[0] + counts[1] == 50
 
 
@@ -356,7 +339,8 @@ def test_load_pairs_rejects_malformed_lines(tmp_path, bad, message):
 
 def test_write_pairs_failing_midway_keeps_the_earlier_file(tmp_path, monkeypatch, fail_writes):
     ds = ingest([(0, 0, 0), (0, 1, 0), (0, 1, 1), (1, 0, 1), (1, 1, 1), (1, 1, 0)])
-    sets = mine_all_pairs(ds, k=2, cfg=WalkConfig(walk_length=2, num_walks=50, rng_seed=1))
+    cfg = WalkConfig(walk_length=2, num_walks=50, rng_seed=1)
+    sets = [mine_pairs(ds, 0, 1, 2, cfg), mine_pairs(ds, 1, 0, 2, cfg)]
     assert sum(len(s.pairs) for s in sets) >= 3
     path = tmp_path / "pairs_0_1.tsv"
     path.write_text("earlier contents\n", encoding="utf-8")
