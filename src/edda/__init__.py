@@ -14,10 +14,9 @@ from .mdgraph import (
     anchors,
     ingest,
     ingest_file,
-    overlap_ratio,
 )
 from .synthgen import SynthSpec, generate
-from .trainer import TrainConfig, bpr_loss, gradients, total_loss, train
+from .trainer import TrainConfig, gradients, total_loss, train
 from .walker import SimilarPairSet, WalkConfig, mine_pairs, run_walks
 
 __version__ = "0.1.0"
@@ -39,7 +38,6 @@ __all__ = [
     "TrainConfig",
     "WalkConfig",
     "anchors",
-    "bpr_loss",
     "evaluate_all",
     "generate",
     "gradients",
@@ -49,7 +47,6 @@ __all__ = [
     "init_model",
     "load_model",
     "mine_pairs",
-    "overlap_ratio",
     "run_walks",
     "save_model",
     "split",

@@ -21,18 +21,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
-from .encoders import (
-    EmbeddingTable,
-    GRecConfig,
-    graph_keys,
-    grec_propagate,
-    load_table,
-    save_table,
-)
+from .encoders import EmbeddingTable, GRecConfig, grec_propagate, load_table, save_table
 from .mdgraph import MultiDomainDataset, atomic_write, read_key_values
 
 ENCODER_GREC = "grec"
@@ -143,27 +136,20 @@ class _RowMaps:
 
     def __init__(self, model: EDModel, dataset: MultiDomainDataset):
         self.ops: dict[int, object] = {}
-        keys = [graph_keys(graph) for graph in dataset.domains]
+        graphs = dataset.domains
         self.inter_rows: list[np.ndarray] = []
         self.inter_uncovered = None
         if model.inter is not None:
-            self.inter_rows = [model.inter.rows(k) for k in keys]
-            self.inter_uncovered = _uncovered(len(model.inter), self.inter_rows)
+            self.inter_rows = [model.inter.rows(graph.keys) for graph in graphs]
+            self.inter_uncovered = np.flatnonzero(~np.isin(model.inter.keys, dataset.keys))
         self.intra_rows: list[np.ndarray] = []
         self.intra_uncovered: list[np.ndarray] = []
         if model.intra is not None:
-            self.intra_rows = [model.intra[d].rows(k) for d, k in enumerate(keys)]
+            self.intra_rows = [model.intra[d].rows(graph.keys) for d, graph in enumerate(graphs)]
             self.intra_uncovered = [
-                _uncovered(len(model.intra[d]), [rows])
-                for d, rows in enumerate(self.intra_rows)
+                np.flatnonzero(~np.isin(model.intra[d].keys, graph.keys))
+                for d, graph in enumerate(graphs)
             ]
-
-
-def _uncovered(n_rows: int, row_sets: Sequence[np.ndarray]) -> np.ndarray:
-    covered = np.zeros(n_rows, dtype=bool)
-    for rows in row_sets:
-        covered[rows] = True
-    return np.flatnonzero(~covered)
 
 
 class Encoding:
@@ -283,21 +269,20 @@ def init_model(spec: ModelSpec, dataset: MultiDomainDataset, seed: int) -> EDMod
     if spec.use_inter:
         s = scale(spec.d_inter)
         inter = EmbeddingTable(
-            dataset.all_nodes,
-            rng.uniform(-s, s, size=(len(dataset.all_nodes), spec.d_inter)).astype(dtype),
+            dataset.keys,
+            rng.uniform(-s, s, size=(len(dataset.keys), spec.d_inter)).astype(dtype),
         )
     intra = None
     proj = None
     if spec.use_intra:
         s = scale(spec.d_intra)
-        intra = []
-        for graph in dataset.domains:
-            nodes = graph.node_ids()
-            intra.append(
-                EmbeddingTable(
-                    nodes, rng.uniform(-s, s, size=(len(nodes), spec.d_intra)).astype(dtype)
-                )
+        intra = [
+            EmbeddingTable(
+                graph.keys,
+                rng.uniform(-s, s, size=(graph.n_nodes, spec.d_intra)).astype(dtype),
             )
+            for graph in dataset.domains
+        ]
         proj = [
             rng.uniform(-s, s, size=(spec.d_intra, spec.align_dim)).astype(dtype)
             for _ in dataset.domains
@@ -361,7 +346,7 @@ def load_model(directory: str | Path) -> EDModel:
 
     def table(name: str) -> EmbeddingTable:
         loaded = load_table(directory / manifest[name])
-        return EmbeddingTable(loaded.nodes, loaded.matrix.astype(spec.dtype, copy=False))
+        return EmbeddingTable(loaded.keys, loaded.matrix.astype(spec.dtype, copy=False))
 
     inter = table("inter_file") if use_inter else None
     intra = None

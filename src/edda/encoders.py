@@ -9,8 +9,9 @@ It is linear in the input embeddings, has no trainable parameters and uses a
 symmetric operator, so the same map gives the forward pass and the exact
 backward pass. `grec_propagate` is the only implementation of the layer loop;
 `EDModel.propagated` applies it per domain to the shared and per-domain
-tables. Tables are addressed by integer node keys (`node_keys`), never by
-per-node lookups.
+tables. A table's rows are in ascending node-key order (`mdgraph.node_keys`),
+which for one graph is its local node order; rows are found by key with one
+`searchsorted`, never by per-node lookups.
 """
 
 from __future__ import annotations
@@ -18,74 +19,50 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
-from .mdgraph import DomainGraph, NodeId, NodeKind, atomic_write
+from .mdgraph import MAX_ID, NodeId, NodeKind, atomic_write, node_keys, split_keys
 
 TABLE_MAGIC = b"EDDA"
 TABLE_VERSION = 1
 
 
-def node_keys(nodes: Sequence[NodeId]) -> np.ndarray:
-    """One integer key per node, `id * 2 + kind`; distinct for distinct nodes."""
-    return np.fromiter((n.id * 2 + n.kind for n in nodes), dtype=np.int64, count=len(nodes))
-
-
-def graph_keys(graph: DomainGraph) -> np.ndarray:
-    """Node keys of a domain graph in its local order (users, then items)."""
-    return np.concatenate(
-        [graph.user_ids * 2 + NodeKind.USER, graph.item_ids * 2 + NodeKind.ITEM]
-    )
-
-
 class EmbeddingTable:
-    """Dense embedding rows keyed by NodeId, all of one dimension."""
+    """Dense embedding rows of one dimension; row r belongs to the node key
+    `keys[r]`, and `keys` must be strictly ascending."""
 
-    def __init__(self, nodes: Sequence[NodeId], matrix: np.ndarray):
+    def __init__(self, keys: np.ndarray, matrix: np.ndarray):
+        keys = np.asarray(keys, dtype=np.int64)
         matrix = np.asarray(matrix)
-        if matrix.ndim != 2 or matrix.shape[0] != len(nodes):
-            raise ValueError(
-                f"matrix shape {matrix.shape} does not match {len(nodes)} nodes"
-            )
-        self.nodes: tuple[NodeId, ...] = tuple(nodes)
+        if matrix.ndim != 2 or keys.shape != matrix.shape[:1]:
+            raise ValueError(f"matrix shape {matrix.shape} does not match {len(keys)} keys")
+        if np.any(keys[1:] <= keys[:-1]):
+            raise ValueError("table keys must be strictly ascending")
+        self.keys = keys
         self.matrix = matrix
-        self._sorted_keys: tuple[np.ndarray, np.ndarray] | None = None
-
-    @classmethod
-    def zeros(cls, nodes: Sequence[NodeId], dim: int, dtype=np.float64) -> "EmbeddingTable":
-        return cls(nodes, np.zeros((len(nodes), dim), dtype=dtype))
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[1]
 
     def __len__(self) -> int:
-        return len(self.nodes)
-
-    def row(self, node: NodeId) -> np.ndarray:
-        return self.matrix[self.rows(node_keys([node]))[0]]
+        return len(self.keys)
 
     def rows(self, keys: np.ndarray) -> np.ndarray:
         """Row index of every node key, same shape; KeyError if one is absent."""
-        if self._sorted_keys is None:
-            own = node_keys(self.nodes)
-            order = np.argsort(own, kind="stable")
-            # a sentinel above every key turns "past the end" into a mismatch
-            self._sorted_keys = (np.append(own[order], np.iinfo(np.int64).max), order)
-        sorted_keys, order = self._sorted_keys
         keys = np.asarray(keys, dtype=np.int64)
-        pos = np.searchsorted(sorted_keys, keys)
-        missing = sorted_keys[pos] != keys
-        if missing.any():
-            key = int(keys[missing][0])
-            raise KeyError(f"{NodeId(NodeKind(key % 2), key // 2)} missing from embedding table")
-        return order[pos]
+        pos = np.searchsorted(self.keys, keys)
+        found = pos < len(self.keys)
+        found[found] = self.keys[pos[found]] == keys[found]
+        if not found.all():
+            kind, node_id = split_keys(keys[~found][0])
+            raise KeyError(f"{NodeId(NodeKind(kind), int(node_id))} missing from embedding table")
+        return pos
 
     def copy(self) -> "EmbeddingTable":
-        return EmbeddingTable(self.nodes, self.matrix.copy())
+        return EmbeddingTable(self.keys, self.matrix.copy())
 
 
 @dataclass(frozen=True)
@@ -132,8 +109,7 @@ def save_table(path: str | Path, table: EmbeddingTable) -> None:
         [("kind", "u1"), ("id", "<u8"), ("vec", "<f8", (table.dim,))]
     )
     data = np.empty(len(table), dtype=record)
-    data["kind"] = [n.kind for n in table.nodes]
-    data["id"] = [n.id for n in table.nodes]
+    data["kind"], data["id"] = split_keys(table.keys)
     data["vec"] = table.matrix
     with atomic_write(path, "wb") as handle:
         handle.write(TABLE_MAGIC)
@@ -142,6 +118,8 @@ def save_table(path: str | Path, table: EmbeddingTable) -> None:
 
 
 def load_table(path: str | Path) -> EmbeddingTable:
+    """Inverse of `save_table`. A file that is not a table, or whose records no
+    ascending node keys can hold, raises ValueError naming `path`."""
     with open(path, "rb") as handle:
         raw = handle.read()
     if raw[:4] != TABLE_MAGIC:
@@ -151,5 +129,10 @@ def load_table(path: str | Path) -> EmbeddingTable:
         raise ValueError(f"{path}: unsupported table version {version}")
     record = np.dtype([("kind", "u1"), ("id", "<u8"), ("vec", "<f8", (dim,))])
     data = np.frombuffer(raw[20:], dtype=record, count=count)
-    nodes = [NodeId(NodeKind(int(k)), int(i)) for k, i in zip(data["kind"], data["id"])]
-    return EmbeddingTable(nodes, np.array(data["vec"], dtype=np.float64))
+    if np.any(data["kind"] > NodeKind.ITEM) or np.any(data["id"] > MAX_ID):
+        raise ValueError(f"{path}: record with kind above 1 or id above {MAX_ID}")
+    keys = node_keys(data["kind"], data["id"])
+    try:
+        return EmbeddingTable(keys, np.array(data["vec"], dtype=np.float64))
+    except ValueError as err:  # records out of key order
+        raise ValueError(f"{path}: {err}") from None

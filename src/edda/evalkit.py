@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .edmodel import EDModel, Encoding
-from .mdgraph import DomainGraph, MultiDomainDataset, NodeKind, atomic_write
+from .mdgraph import DomainGraph, MultiDomainDataset, NodeKind, atomic_write, node_keys
 from .mdgraph import ingest  # noqa: F401  (perfbench/tests expect evalkit.ingest to be traced)
 
 logger = logging.getLogger(__name__)
@@ -203,9 +203,9 @@ def _case_scores(enc: Encoding, cases: CaseSet):
     pos, neg = [], []
     for lo in range(0, len(cases), SCORE_CHUNK):
         rows = slice(lo, lo + SCORE_CHUNK)
-        z_user = enc.represent(d, cases.users[rows] * 2 + NodeKind.USER)
-        z_pos = enc.represent(d, cases.positives[rows] * 2 + NodeKind.ITEM)
-        z_neg = enc.represent(d, cases.negatives[rows] * 2 + NodeKind.ITEM)
+        z_user = enc.represent(d, node_keys(NodeKind.USER, cases.users[rows]))
+        z_pos = enc.represent(d, node_keys(NodeKind.ITEM, cases.positives[rows]))
+        z_neg = enc.represent(d, node_keys(NodeKind.ITEM, cases.negatives[rows]))
         pos.append(np.sum(z_user * z_pos, axis=1))
         neg.append(np.einsum("nd,nkd->nk", z_user, z_neg))
     return np.concatenate(pos), np.concatenate(neg)
@@ -302,14 +302,11 @@ def domain_size(dataset: MultiDomainDataset, d: int) -> float:
 def out_of_domain_interaction(dataset: MultiDomainDataset, d: int) -> float:
     """Interactions its users make elsewhere, normalized by the domain's size."""
     graph = dataset.graph(d)
-    users = set(int(u) for u in graph.user_ids)
-    outside = 0
-    for d_other, other in enumerate(dataset.domains):
-        if d_other == d:
-            continue
-        for u_loc, user_id in enumerate(other.user_ids):
-            if int(user_id) in users:
-                outside += int(other.user_degree[u_loc])
+    outside = sum(
+        int(other.user_degree[np.isin(other.user_ids, graph.user_ids)].sum())
+        for d_other, other in enumerate(dataset.domains)
+        if d_other != d
+    )
     return outside / graph.n_edges
 
 

@@ -1,8 +1,13 @@
 """Multi-domain interaction data: per-domain bipartite graphs and cross-domain anchors.
 
-Users and items are identified by integer ids that are globally unique within
-their kind; the same (kind, id) appearing in two domains denotes the same
-entity, which is what defines overlap between domains.
+Users and items are identified by integer ids in [0, MAX_ID] that are globally
+unique within their kind; the same (kind, id) appearing in two domains denotes
+the same entity, which is what defines overlap between domains.
+
+Inside `edda` a node is one int64 key, `(kind << 62) | id` with MAX_ID =
+2^62 - 1 (`node_keys`, `split_keys`). Users (kind 0) sort before items
+(kind 1) and ids ascend within each kind, so ascending key order is a graph's
+local node order, and graph, dataset and anchor key arrays are sorted.
 """
 
 from __future__ import annotations
@@ -18,6 +23,9 @@ import numpy as np
 import scipy.sparse as sp
 
 
+MAX_ID = 2**62 - 1
+
+
 class NodeKind(enum.IntEnum):
     USER = 0
     ITEM = 1
@@ -26,6 +34,16 @@ class NodeKind(enum.IntEnum):
 class NodeId(NamedTuple):
     kind: NodeKind
     id: int
+
+
+def node_keys(kind, ids) -> np.ndarray:
+    """Int64 keys `(kind << 62) | id`; `kind` and `ids` broadcast, ids <= MAX_ID."""
+    return (np.asarray(kind, dtype=np.int64) << 62) | np.asarray(ids, dtype=np.int64)
+
+
+def split_keys(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse of `node_keys`: the (kinds, ids) of int64 `keys`."""
+    return keys >> 62, keys & MAX_ID
 
 
 class IngestError(ValueError):
@@ -42,7 +60,8 @@ class DomainGraph:
     """Immutable bipartite graph of one domain.
 
     Nodes are indexed locally: users first (sorted by id), then items
-    (sorted by id), so local order coincides with (kind, id) order.
+    (sorted by id), so local order is ascending key order: `keys` is strictly
+    ascending and `np.searchsorted(graph.keys, k)` is node k's local index.
     Only nodes with at least one interaction are part of the graph.
     """
 
@@ -51,26 +70,25 @@ class DomainGraph:
         if len(edges) == 0:
             raise IngestError(f"domain {domain} has no interactions")
         self.domain = domain
-        edge_arr = np.unique(np.asarray(edges, dtype=np.int64).reshape(-1, 2), axis=0)
-        self.user_ids = np.unique(edge_arr[:, 0])
-        self.item_ids = np.unique(edge_arr[:, 1])
-        # local edge endpoints, canonical order: sorted by (user, item)
-        self.edge_user = np.searchsorted(self.user_ids, edge_arr[:, 0])
-        self.edge_item = np.searchsorted(self.item_ids, edge_arr[:, 1])
-
+        edge_arr = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        self.user_ids, users = np.unique(edge_arr[:, 0], return_inverse=True)
+        self.item_ids, items = np.unique(edge_arr[:, 1], return_inverse=True)
         n_u, n_i = len(self.user_ids), len(self.item_ids)
+        # local edge endpoints, deduplicated, canonical order: sorted by (user, item)
+        self.edge_user, self.edge_item = np.divmod(np.unique(users * n_i + items), n_i)
+        self.keys = np.concatenate(
+            [node_keys(NodeKind.USER, self.user_ids), node_keys(NodeKind.ITEM, self.item_ids)]
+        )
+
         self.user_degree = np.bincount(self.edge_user, minlength=n_u)
         self.item_degree = np.bincount(self.edge_item, minlength=n_i)
 
-        # combined node-level CSR over [users | items], used by walks
-        order_u = np.lexsort((self.edge_item, self.edge_user))
+        # node-level CSR over [users | items] for walks; edges are in user-row order
         order_i = np.lexsort((self.edge_user, self.edge_item))
         self.adj_indptr = np.concatenate(
             [[0], np.cumsum(np.concatenate([self.user_degree, self.item_degree]))]
         )
-        self.adj_indices = np.concatenate(
-            [self.edge_item[order_u] + n_u, self.edge_user[order_i]]
-        )
+        self.adj_indices = np.concatenate([self.edge_item + n_u, self.edge_user[order_i]])
 
     @property
     def n_users(self) -> int:
@@ -87,20 +105,6 @@ class DomainGraph:
     @property
     def n_edges(self) -> int:
         return len(self.edge_user)
-
-    def node_ids(self) -> list[NodeId]:
-        """All nodes in local order (users sorted by id, then items)."""
-        return [NodeId(NodeKind.USER, int(u)) for u in self.user_ids] + [
-            NodeId(NodeKind.ITEM, int(i)) for i in self.item_ids
-        ]
-
-    def local_index(self, node: NodeId) -> int:
-        """Local node index; users occupy [0, n_users), items follow."""
-        ids = self.user_ids if node.kind == NodeKind.USER else self.item_ids
-        pos = int(np.searchsorted(ids, node.id))
-        if pos >= len(ids) or ids[pos] != node.id:
-            raise KeyError(f"{node} not in domain {self.domain}")
-        return pos if node.kind == NodeKind.USER else self.n_users + pos
 
     def user_item_pairs(self) -> np.ndarray:
         """(n_edges, 2) array of raw (user_id, item_id) pairs, canonical order."""
@@ -132,12 +136,12 @@ class DomainGraph:
         return a.tocsr()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AnchorSet:
-    """Nodes present in both domains of a pair, in (kind, id) order."""
+    """Keys of the nodes present in both domains of a pair, ascending."""
 
     domain_pair: tuple[int, int]
-    nodes: tuple[NodeId, ...]
+    keys: np.ndarray
 
     def __post_init__(self):
         d, d_prime = self.domain_pair
@@ -145,7 +149,7 @@ class AnchorSet:
             raise ValueError("domain_pair must be ordered (first < second)")
 
     def __len__(self) -> int:
-        return len(self.nodes)
+        return len(self.keys)
 
 
 class MultiDomainDataset:
@@ -158,18 +162,11 @@ class MultiDomainDataset:
             if graph.domain != want:
                 raise IngestError(f"domain ids must be dense from 0, got {graph.domain}")
         self.domains = list(domains)
-        nodes: set[NodeId] = set()
-        for graph in self.domains:
-            nodes.update(graph.node_ids())
-        self.all_nodes: tuple[NodeId, ...] = tuple(sorted(nodes))
+        self.keys = np.unique(np.concatenate([graph.keys for graph in self.domains]))
 
     @property
     def num_domains(self) -> int:
         return len(self.domains)
-
-    @property
-    def n_nodes(self) -> int:
-        return len(self.all_nodes)
 
     def graph(self, d: int) -> DomainGraph:
         return self.domains[d]
@@ -191,8 +188,8 @@ def ingest(records: Iterable[tuple[int, int, int]] | np.ndarray) -> MultiDomainD
 
     Duplicate records within a domain are deduplicated. Domain ids must be
     dense from 0 and every domain must have at least one interaction. A
-    malformed or negative record raises IngestError naming its 1-based
-    position.
+    malformed record, or one with an id below 0 or above MAX_ID, raises
+    IngestError naming its 1-based position.
     """
     if not isinstance(records, np.ndarray):
         records = list(records)
@@ -202,15 +199,17 @@ def ingest(records: Iterable[tuple[int, int, int]] | np.ndarray) -> MultiDomainD
         rows = np.asarray(records, dtype=np.int64)
     except (TypeError, ValueError, OverflowError):
         rows = None
-    if rows is None or rows.shape != (len(records), 3) or (rows < 0).any():
-        # error path only: name the first malformed or negative record
+    malformed = rows is None or rows.shape != (len(records), 3)
+    if malformed or (rows < 0).any() or (rows > MAX_ID).any():
+        # error path only: name the first malformed or out-of-range record
         for k, rec in enumerate(records, start=1):
             try:
                 d, u, i = (int(x) for x in rec)
             except (TypeError, ValueError):
                 raise IngestError(f"malformed record {rec!r}", line=k) from None
-            if d < 0 or u < 0 or i < 0:
-                raise IngestError(f"negative id in record {(d, u, i)!r}", line=k)
+            if min(d, u, i) < 0 or max(d, u, i) > MAX_ID:
+                problem = "negative id" if min(d, u, i) < 0 else f"id above {MAX_ID}"
+                raise IngestError(f"{problem} in record {(d, u, i)!r}", line=k)
         raise IngestError("records must be (domain, user_id, item_id) integer triples")
     domains, counts = np.unique(rows[:, 0], return_counts=True)
     missing = np.flatnonzero(domains != np.arange(len(domains)))
@@ -235,7 +234,8 @@ def load_interactions(path: str | Path) -> np.ndarray:
     - any other line is `domain<TAB>user<TAB>item`, optionally followed by
       more tab-separated fields, which are ignored;
     - each of the first three fields is a base-10 integer as Python's `int`
-      reads it (surrounding whitespace allowed) and must not be negative.
+      reads it (surrounding whitespace allowed), at least 0 and at most
+      MAX_ID = 2^62 - 1.
 
     The first line that breaks a rule raises IngestError naming its 1-based
     line number in the file. Rows keep file order.
@@ -256,8 +256,9 @@ def load_interactions(path: str | Path) -> np.ndarray:
                 else:
                     message = f"non-integer field in {fields[:3]!r}"
                 raise IngestError(message, line=line_no) from None
-            if d < 0 or u < 0 or i < 0:
-                raise IngestError(f"negative id in record {(d, u, i)!r}", line=line_no)
+            if not (0 <= d <= MAX_ID and 0 <= u <= MAX_ID and 0 <= i <= MAX_ID):
+                problem = "negative id" if min(d, u, i) < 0 else f"id above {MAX_ID}"
+                raise IngestError(f"{problem} in record {(d, u, i)!r}", line=line_no)
             flat += (d, u, i)
     return np.array(flat, dtype=np.int64).reshape(-1, 3)
 
@@ -323,33 +324,6 @@ def anchors(dataset: MultiDomainDataset, d: int, d_prime: int) -> AnchorSet:
     if d == d_prime:
         raise ValueError("anchor set requires two distinct domains")
     lo, hi = min(d, d_prime), max(d, d_prime)
-    ga, gb = dataset.graph(lo), dataset.graph(hi)
-    common_users = np.intersect1d(ga.user_ids, gb.user_ids)
-    common_items = np.intersect1d(ga.item_ids, gb.item_ids)
-    nodes = tuple(
-        [NodeId(NodeKind.USER, int(u)) for u in common_users]
-        + [NodeId(NodeKind.ITEM, int(i)) for i in common_items]
-    )
-    return AnchorSet(domain_pair=(lo, hi), nodes=nodes)
+    keys = np.intersect1d(dataset.graph(lo).keys, dataset.graph(hi).keys, assume_unique=True)
+    return AnchorSet(domain_pair=(lo, hi), keys=keys)
 
-
-def overlap_ratio(
-    dataset: MultiDomainDataset, d: int, d_prime: int, kind: NodeKind | None = None
-) -> float:
-    """Jaccard-style overlap between two domains.
-
-    Pooled by default: (|U∩| + |I∩|) / (|U∪| + |I∪|). Pass `kind` to get the
-    per-kind ratio instead. A ratio over an empty union is defined as 0.
-    """
-    if d == d_prime:
-        raise ValueError("overlap ratio requires two distinct domains")
-    ga, gb = dataset.graph(d), dataset.graph(d_prime)
-    inter = 0
-    union = 0
-    if kind in (None, NodeKind.USER):
-        inter += len(np.intersect1d(ga.user_ids, gb.user_ids))
-        union += len(np.union1d(ga.user_ids, gb.user_ids))
-    if kind in (None, NodeKind.ITEM):
-        inter += len(np.intersect1d(ga.item_ids, gb.item_ids))
-        union += len(np.union1d(ga.item_ids, gb.item_ids))
-    return inter / union if union else 0.0

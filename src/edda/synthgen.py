@@ -37,6 +37,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .mdgraph import (
+    MAX_ID,
     DomainGraph,
     MultiDomainDataset,
     atomic_write,
@@ -44,6 +45,9 @@ from .mdgraph import (
     write_interactions,
 )
 from .mdgraph import ingest  # noqa: F401  (perfbench/tests expect synthgen.ingest to be traced)
+
+
+MAX_DOMAINS = 256  # so a spec names at most 32,640 domain pairs
 
 
 class SynthError(ValueError):
@@ -74,8 +78,8 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.num_domains < 1:
-            raise SynthError("num_domains must be at least 1")
+        if not 1 <= self.num_domains <= MAX_DOMAINS:
+            raise SynthError(f"num_domains must lie in [1, {MAX_DOMAINS}]")
         if not 0.0 <= self.shared_weight <= 1.0:
             raise SynthError("shared_weight must lie in [0, 1]")
         if self.shared_dim < 1 or self.specific_dim < 1:
@@ -91,6 +95,8 @@ class SynthSpec:
         ):
             if min(counts) < 1:
                 raise SynthError(f"{name} must be at least 1 in every domain")
+            if max(counts) > MAX_ID:
+                raise SynthError(f"{name} must be at most {MAX_ID} in every domain")
         for f in self._overlaps().values():
             if not 0.0 <= f <= 1.0:
                 raise SynthError("overlap fractions must lie in [0, 1]")
@@ -348,17 +354,21 @@ def _parse_counts(text: str):
 
 
 def load_spec(path: str | Path) -> SynthSpec:
-    """Read a `key = value` spec file; counts may be single ints or comma lists."""
+    """Read a `key = value` spec file; counts may be single ints or comma lists.
+    A value that does not parse or lies out of range raises SynthError naming the file."""
     raw = read_key_values(path, SynthError)
     unknown = set(raw) - set(_SPEC_KEYS)
     if unknown:
         raise SynthError(f"{path}: unknown keys {sorted(unknown)}")
     kwargs = {}
     for key, value in raw.items():
-        if key.endswith("_per_domain"):
-            kwargs[key] = _parse_counts(value)
-        else:
-            kwargs[key] = _SPEC_KEYS[key](value)
+        try:
+            if key.endswith("_per_domain"):
+                kwargs[key] = _parse_counts(value)
+            else:
+                kwargs[key] = _SPEC_KEYS[key](value)
+        except ValueError as err:
+            raise SynthError(f"{path}: {key}: {err}") from None
     try:
         return SynthSpec(**kwargs)
     except (TypeError, SynthError) as err:

@@ -28,8 +28,7 @@ import scipy.sparse as sp
 from scipy.special import expit
 
 from .edmodel import EDModel, Encoding
-from .encoders import node_keys
-from .mdgraph import DomainGraph, MultiDomainDataset
+from .mdgraph import DomainGraph, MultiDomainDataset, node_keys
 from .walker import SimilarPairSet
 
 logger = logging.getLogger(__name__)
@@ -82,15 +81,6 @@ class EpochLog:
 
 
 # -- elementary pieces -------------------------------------------------------
-
-
-def bpr_loss(scores_pos: np.ndarray, scores_neg: np.ndarray) -> float:
-    """Sum of -ln sigmoid(s+ - s-), via the stable softplus form."""
-    scores_pos = np.asarray(scores_pos, dtype=np.float64)
-    scores_neg = np.asarray(scores_neg, dtype=np.float64)
-    if scores_pos.shape != scores_neg.shape:
-        raise ValueError("score vectors must have equal length")
-    return float(np.sum(np.logaddexp(0.0, -(scores_pos - scores_neg))))
 
 
 def edge_dropout(graph: DomainGraph, ratio: float, rng: np.random.Generator) -> np.ndarray:
@@ -159,9 +149,12 @@ def _prepare_pairs(model: EDModel, pair_sets: Iterable[SimilarPairSet]):
         if model.intra is None:
             raise ValueError("alignment pairs require per-domain embedding tables")
         d, d_prime = pair_set.domain_pair
+        if min(d, d_prime) < 0 or max(d, d_prime) >= model.num_domains:
+            raise ValueError(f"pair domains {(d, d_prime)} outside [0, {model.num_domains})")
+        ends = np.array([(p.source, p.target) for p in pair_set.pairs], dtype=np.int64)
         try:
-            idx_u = model.intra[d].rows(node_keys([p.source for p in pair_set.pairs]))
-            idx_v = model.intra[d_prime].rows(node_keys([p.target for p in pair_set.pairs]))
+            idx_u = model.intra[d].rows(node_keys(ends[:, 0, 0], ends[:, 0, 1]))
+            idx_v = model.intra[d_prime].rows(node_keys(ends[:, 1, 0], ends[:, 1, 1]))
         except KeyError as err:
             raise KeyError(f"alignment pair node missing from domain table: {err}") from None
         prepared.append((d, d_prime, idx_u, idx_v))

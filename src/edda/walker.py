@@ -24,6 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .mdgraph import (
+    MAX_ID,
     AnchorSet,
     DomainGraph,
     MultiDomainDataset,
@@ -31,6 +32,8 @@ from .mdgraph import (
     NodeKind,
     anchors,
     atomic_write,
+    node_keys,
+    split_keys,
 )
 
 
@@ -62,10 +65,10 @@ class SimilarPairSet:
     pairs: tuple[SimilarPair, ...]
 
 
-def _source_rng(cfg: WalkConfig, node: NodeId) -> np.random.Generator:
+def _source_rng(cfg: WalkConfig, kind: int, node_id: int) -> np.random.Generator:
     # independent stream per source node, derived from the root seed
     return np.random.default_rng(
-        np.random.SeedSequence(entropy=(cfg.rng_seed, int(node.kind), int(node.id)))
+        np.random.SeedSequence(entropy=(cfg.rng_seed, int(kind), int(node_id)))
     )
 
 
@@ -93,8 +96,9 @@ def _stop_table(graph: DomainGraph, cfg: WalkConfig) -> np.ndarray:
     table = tables.get(cfg)
     if table is None:
         table = np.empty((graph.n_nodes, cfg.num_walks), dtype=np.int64)
-        for row, node in enumerate(graph.node_ids()):
-            table[row] = _simulate_stops(graph, row, cfg, _source_rng(cfg, node))
+        kinds, ids = split_keys(graph.keys)
+        for row, (kind, node_id) in enumerate(zip(kinds.tolist(), ids.tolist())):
+            table[row] = _simulate_stops(graph, row, cfg, _source_rng(cfg, kind, node_id))
         table.flags.writeable = False
         tables[cfg] = table
     return table
@@ -103,17 +107,8 @@ def _stop_table(graph: DomainGraph, cfg: WalkConfig) -> np.ndarray:
 def _anchor_positions(graph: DomainGraph, anchor_set: AnchorSet) -> np.ndarray:
     """Position in `anchor_set` of each local node of `graph`; -1 for non-anchors."""
     positions = np.full(graph.n_nodes, -1, dtype=np.int64)
-    kinds = np.array([node.kind for node in anchor_set.nodes], dtype=np.int64)
-    ids = np.array([node.id for node in anchor_set.nodes], dtype=np.int64)
-    for kind, graph_ids, offset in (
-        (NodeKind.USER, graph.user_ids, 0),
-        (NodeKind.ITEM, graph.item_ids, graph.n_users),
-    ):
-        pos = np.flatnonzero(kinds == kind)
-        local = np.searchsorted(graph_ids, ids[pos])
-        found = local < len(graph_ids)
-        found[found] = graph_ids[local[found]] == ids[pos[found]]
-        positions[local[found] + offset] = pos[found]
+    in_graph = np.isin(anchor_set.keys, graph.keys)
+    positions[np.searchsorted(graph.keys, anchor_set.keys[in_graph])] = np.flatnonzero(in_graph)
     return positions
 
 
@@ -136,13 +131,16 @@ def run_walks(
     graph: DomainGraph, source: NodeId, anchor_set: AnchorSet, cfg: WalkConfig
 ) -> np.ndarray:
     """How many fixed-length walks from `source` stop on each anchor of the
-    pair, indexed like `anchor_set.nodes`.
+    pair, indexed like `anchor_set.keys`.
 
     Each walk takes exactly `walk_length` uniform steps; only the final node
     counts, and only if it is an anchor.
     """
-    rng = _source_rng(cfg, source)
-    stops = _simulate_stops(graph, graph.local_index(source), cfg, rng)
+    key = node_keys(source.kind, source.id)
+    start = int(np.searchsorted(graph.keys, key))
+    if start == graph.n_nodes or graph.keys[start] != key:
+        raise KeyError(f"{source} not in domain {graph.domain}")
+    stops = _simulate_stops(graph, start, cfg, _source_rng(cfg, source.kind, source.id))
     positions = _anchor_positions(graph, anchor_set)
     return _stop_counts(stops[None, :], positions, len(anchor_set))[0]
 
@@ -177,18 +175,19 @@ def mine_pairs(
     src_stops, dst_stops = _stop_table(src_graph, cfg), _stop_table(dst_graph, cfg)
     src_pos = _anchor_positions(src_graph, anchor_set)
     dst_pos = _anchor_positions(dst_graph, anchor_set)
-    src_nodes, dst_nodes = src_graph.node_ids(), dst_graph.node_ids()
     n_src_users, n_dst_users = src_graph.n_users, dst_graph.n_users
     out: list[SimilarPair] = []
     # local order puts users before items, so each kind is one block of rows
-    for src_rows, dst_rows, dst_ids in (
-        (slice(0, n_src_users), slice(0, n_dst_users), dst_graph.user_ids),
-        (slice(n_src_users, None), slice(n_dst_users, None), dst_graph.item_ids),
+    for kind, src_rows, dst_rows, src_ids, dst_ids in (
+        (NodeKind.USER, slice(0, n_src_users), slice(0, n_dst_users),
+         src_graph.user_ids, dst_graph.user_ids),
+        (NodeKind.ITEM, slice(n_src_users, None), slice(n_dst_users, None),
+         src_graph.item_ids, dst_graph.item_ids),
     ):
         src_counts = _stop_counts(src_stops[src_rows], src_pos, len(anchor_set))
-        sources = src_nodes[src_rows]
-        if len(sources) and not np.array_equal(
-            run_walks(src_graph, sources[0], anchor_set, cfg), src_counts[0]
+        if len(src_ids) and not np.array_equal(
+            run_walks(src_graph, NodeId(kind, int(src_ids[0])), anchor_set, cfg),
+            src_counts[0],
         ):
             raise RuntimeError(
                 f"stale stop table for domain {d}: its graph changed after the walks"
@@ -196,13 +195,13 @@ def mine_pairs(
         src_mat = _normalized_rows(src_counts)
         dst_mat = _normalized_rows(_stop_counts(dst_stops[dst_rows], dst_pos, len(anchor_set)))
         sims = np.clip(src_mat @ dst_mat.T, 0.0, 1.0)
-        targets = dst_nodes[dst_rows]
-        for row, src in enumerate(sources):
+        for row, src_id in enumerate(src_ids.tolist()):
             order = np.lexsort((dst_ids, -sims[row]))
             for col in order[:k]:
                 s = float(sims[row, col])
                 if s > 0.0:
-                    out.append(SimilarPair(src, targets[col], s))
+                    target = NodeId(kind, int(dst_ids[col]))
+                    out.append(SimilarPair(NodeId(kind, src_id), target, s))
     return SimilarPairSet((d, d_prime), tuple(out))
 
 
@@ -237,6 +236,8 @@ def _parse_pair_line(fields: list[str]) -> tuple[tuple[int, int], SimilarPair]:
         d, d_prime, source, target = int(d), int(d_prime), int(source), int(target)
     except ValueError:
         raise ValueError(f"non-integer domain or node id in {fields[:5]!r}") from None
+    if min(d, d_prime, source, target) < 0 or max(source, target) > MAX_ID:
+        raise ValueError(f"domain or node id outside [0, {MAX_ID}] in {fields[:5]!r}")
     try:
         sim = float(similarity)
     except ValueError:

@@ -11,6 +11,54 @@ from edda.mdgraph import NodeId, NodeKind
 from edda.synthgen import SynthError, _allocate_ids
 
 
+def keys(*nodes):
+    """int64 node keys of `nodes`, spelled out as `(kind << 62) | id`."""
+    return np.array([(int(n.kind) << 62) | n.id for n in nodes], dtype=np.int64)
+
+
+def nodes_of(node_keys):
+    """The NodeIds of an array of node keys, in its order."""
+    return [NodeId(NodeKind(k >> 62), k & (2**62 - 1)) for k in np.asarray(node_keys).tolist()]
+
+
+def row(table, node):
+    """The embedding row of one node, found by scanning the table's keys."""
+    (hit,) = np.flatnonzero(table.keys == keys(node)[0])
+    return table.matrix[hit]
+
+
+def domain_graph_by_unique_rows(edges):
+    """`DomainGraph`'s edge and adjacency arrays as first built: the edges
+    deduplicated by one `np.unique(axis=0)` over (user, item) rows."""
+    edge_arr = np.unique(np.asarray(edges, dtype=np.int64).reshape(-1, 2), axis=0)
+    user_ids, item_ids = np.unique(edge_arr[:, 0]), np.unique(edge_arr[:, 1])
+    edge_user = np.searchsorted(user_ids, edge_arr[:, 0])
+    edge_item = np.searchsorted(item_ids, edge_arr[:, 1])
+    user_degree = np.bincount(edge_user, minlength=len(user_ids))
+    item_degree = np.bincount(edge_item, minlength=len(item_ids))
+    order_u = np.lexsort((edge_item, edge_user))
+    order_i = np.lexsort((edge_user, edge_item))
+    return {
+        "user_ids": user_ids,
+        "item_ids": item_ids,
+        "edge_user": edge_user,
+        "edge_item": edge_item,
+        "user_degree": user_degree,
+        "item_degree": item_degree,
+        "adj_indptr": np.concatenate([[0], np.cumsum(np.concatenate([user_degree, item_degree]))]),
+        "adj_indices": np.concatenate(
+            [edge_item[order_u] + len(user_ids), edge_user[order_i]]
+        ),
+    }
+
+
+def edge_lists():
+    """Non-empty lists of (user_id, item_id) edges with repeats, drawn from a
+    few small ids plus the largest valid ids."""
+    ids = st.one_of(st.integers(0, 6), st.sampled_from([2**62 - 2, 2**62 - 1]))
+    return st.lists(st.tuples(ids, ids), min_size=1, max_size=40)
+
+
 def bipartite_order(pairs):
     """Node order used by the dense oracles: users sorted by id, then items."""
     users = sorted({u for u, _ in pairs})
@@ -116,7 +164,7 @@ def oracle_total_loss(model, dataset, triplets, pair_sets, cfg, masks=None):
     reps_intra = []
     if model.intra is not None:
         for d, graph in enumerate(dataset.domains):
-            rows = {n: model.intra[d].row(n) for n in graph.node_ids()}
+            rows = {n: row(model.intra[d], n) for n in nodes_of(graph.keys)}
             if spec.encoder == "mf":
                 reps_intra.append(rows)
             else:
@@ -127,10 +175,10 @@ def oracle_total_loss(model, dataset, triplets, pair_sets, cfg, masks=None):
     reps_inter = {}
     if model.inter is not None:
         if spec.encoder == "mf":
-            reps_inter = {n: model.inter.row(n) for n in dataset.all_nodes}
+            reps_inter = {n: row(model.inter, n) for n in nodes_of(dataset.keys)}
         else:
             for d, graph in enumerate(dataset.domains):
-                rows = {n: model.inter.row(n) for n in graph.node_ids()}
+                rows = {n: row(model.inter, n) for n in nodes_of(graph.keys)}
                 out = dense_propagate(domain_pairs(d), rows, alpha, num_layers, kept(d))
                 for n, vec in out.items():
                     reps_inter[n] = reps_inter.get(n, 0.0) + vec
@@ -158,8 +206,8 @@ def oracle_total_loss(model, dataset, triplets, pair_sets, cfg, masks=None):
         d, d_prime = pair_set.domain_pair
         for p in pair_set.pairs:
             diff = (
-                model.intra[d].row(p.source) @ model.proj[d]
-                - model.intra[d_prime].row(p.target) @ model.proj[d_prime]
+                row(model.intra[d], p.source) @ model.proj[d]
+                - row(model.intra[d_prime], p.target) @ model.proj[d_prime]
             )
             l_align += float(np.dot(diff, diff))
 
@@ -381,7 +429,7 @@ def generate_reference(spec):
 
 # -- interaction files with the loader's expected reading of each line ---------
 
-_INT = st.integers(0, 10**6)
+_INT = st.one_of(st.integers(0, 10**6), st.just(2**62 - 1))
 
 
 @st.composite
@@ -390,7 +438,8 @@ def _file_line(draw):
     ("row", (d, u, i)), ("skip", None) or ("bad", None)."""
     d, u, i = draw(_INT), draw(_INT), draw(_INT)
     kind = draw(st.sampled_from(
-        ["row", "extra", "comment", "indented", "blank", "spaces", "short", "word", "negative"]
+        ["row", "extra", "comment", "indented", "blank", "spaces", "short", "word", "negative",
+         "huge"]
     ))
     if kind == "row":
         return f"{d}\t{u}\t{i}", ("row", (d, u, i))
@@ -411,7 +460,10 @@ def _file_line(draw):
         fields[draw(st.integers(0, 2))] = draw(st.sampled_from(["x", "1.5", "0x1", f"{i} # x", ""]))
         return "\t".join(fields), ("bad", None)
     fields = [d, u, i]
-    fields[draw(st.integers(0, 2))] = -draw(st.integers(1, 10**6))
+    if kind == "huge":  # above the largest id a node key holds
+        fields[draw(st.integers(0, 2))] = draw(st.sampled_from([2**62, 2**63, 10**20]))
+    else:
+        fields[draw(st.integers(0, 2))] = -draw(st.integers(1, 10**6))
     return "\t".join(map(str, fields)), ("bad", None)
 
 
@@ -426,3 +478,81 @@ def interaction_files(draw, bad=False):
         ))
     text = "\n".join(line for line, _ in lines) + draw(st.sampled_from(["", "\n"]))
     return text, [label for _, label in lines]
+
+
+# -- texts for the `key = value` and pair-file readers -------------------------
+
+_NUMBER_TEXT = st.one_of(
+    st.integers(-3, 300).map(str),
+    st.sampled_from([str(2**62), str(2**63), "99999999999999999999", "-0", " 7 "]),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+)
+_VALUE_TEXT = st.one_of(
+    _NUMBER_TEXT,
+    st.lists(_NUMBER_TEXT, min_size=1, max_size=4).map(",".join),
+    st.sampled_from(["", ",", "1,,2", "x", "1.5e3", "0x10", "true"]),
+    st.text(max_size=8),
+)
+
+
+@st.composite
+def key_value_texts(draw, keys):
+    """Files of `key = value` lines over `keys` plus an unknown key, with
+    numbers of every range, lists, garbage, comments and lines without `=`."""
+    line = st.one_of(
+        st.builds(
+            "{} = {}".format, st.sampled_from([*keys, "bogus"]), _VALUE_TEXT
+        ),
+        st.sampled_from(["", "# comment", "  ", "no equals sign", "=", "= 1"]),
+        st.text(max_size=12),
+    )
+    return "\n".join(draw(st.lists(line, max_size=14)))
+
+
+@st.composite
+def spec_texts(draw):
+    """Synth spec files: the four required keys, each with a valid value or
+    one from `_VALUE_TEXT`, a few optional keys, maybe a junk line, in any
+    order."""
+    required = {
+        "num_domains": "2",
+        "users_per_domain": "4",
+        "items_per_domain": "4",
+        "interactions_per_domain": "8",
+    }
+    lines = [f"{k} = {draw(st.one_of(st.just(v), _VALUE_TEXT))}" for k, v in required.items()]
+    optional = st.sampled_from(
+        ["overlap_fraction", "shared_dim", "specific_dim", "shared_weight", "affinity_gain",
+         "anchor_specific_boost", "seed"]
+    )
+    lines += draw(st.lists(st.builds("{} = {}".format, optional, _VALUE_TEXT), max_size=3))
+    lines += draw(st.lists(st.sampled_from(["# comment", "", "bogus = 1", "no equals"]), max_size=1))
+    return "\n".join(draw(st.permutations(lines)))
+
+
+_ID_TEXT = st.one_of(
+    st.integers(-1, 9).map(str),
+    st.sampled_from([str(2**62 - 1), str(2**62), str(2**63), "99999999999999999999"]),
+    _NUMBER_TEXT,
+)
+
+
+@st.composite
+def pair_texts(draw):
+    """Pair-export files: lines of 6 tab-separated fields, each mostly valid
+    but with ids and domains of every range, odd kinds and similarities, plus
+    lines of other widths, comments and blank lines."""
+    six = st.tuples(
+        _ID_TEXT,
+        _ID_TEXT,
+        st.sampled_from(["user", "item", "Item", ""]),
+        _ID_TEXT,
+        _ID_TEXT,
+        st.one_of(st.floats(0.0, 1.0, exclude_min=True).map(repr), _NUMBER_TEXT),
+    )
+    line = st.one_of(
+        six.map("\t".join),
+        st.lists(_ID_TEXT, max_size=8).map("\t".join),
+        st.sampled_from(["", "# comment"]),
+    )
+    return "\n".join(draw(st.lists(line, max_size=6)))

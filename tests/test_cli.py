@@ -85,6 +85,18 @@ def test_synth_infeasible_spec_exits_2(tmp_path, capsys):
     [
         ("seed = 3", "seed = 3\naffinity_gain = nan", "affinity_gain must be finite"),
         ("users_per_domain = 12,10", "users_per_domain = 0", "users_per_domain must be at least 1"),
+        (
+            "num_domains = 2",
+            "num_domains = 99999999999999999999",
+            "num_domains must lie in [1, 256]",
+        ),
+        (
+            "items_per_domain = 16,12",
+            f"items_per_domain = {2**62}",
+            "items_per_domain must be at most 4611686018427387903",
+        ),
+        ("seed = 3", "seed = 3.5", "seed: invalid literal for int()"),
+        ("users_per_domain = 12,10", "users_per_domain = 12,x", "users_per_domain: invalid literal"),
     ],
 )
 def test_synth_degenerate_spec_exits_2_and_writes_nothing(tmp_path, capsys, line, replacement, message):
@@ -230,6 +242,86 @@ def test_negative_id_is_reported_on_its_file_line(tmp_path, capsys):
     bad.write_text("# header\n0\t0\t0\n\n0\t-1\t2\n")
     assert main(["align", str(bad), "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err == "error: line 4: negative id in record (0, -1, 2)\n"
+
+
+@pytest.mark.parametrize("big", [2**62, 2**63 - 1, 10**20])
+def test_interaction_id_no_node_key_holds_exits_2_naming_the_line(workspace, capsys, big):
+    data = workspace / "big.tsv"
+    data.write_text(f"0\t0\t0\n0\t1\t1\n1\t0\t{big}\n1\t1\t1\n")
+    for command in ("align", "train"):
+        capsys.readouterr()
+        assert main([command, str(data), "--out", str(workspace / command)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: line 3: id above 4611686018427387903 in record (1, 0, {big})\n"
+        )
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        (f"0\t1\tuser\t{2**62}\t0\t0.5", "domain or node id outside [0, 4611686018427387903]"),
+        (f"0\t1\titem\t0\t{10**20}\t0.5", "domain or node id outside [0, 4611686018427387903]"),
+    ],
+)
+def test_pair_id_no_node_key_holds_exits_2_naming_the_line(workspace, capsys, line, message):
+    data = workspace / "data" / "interactions.tsv"
+    bad = workspace / "bad.tsv"
+    bad.write_text(f"# mined by hand\n{line}\n")
+    code = main([
+        "train", str(data), "--pairs", str(bad), "--out", str(workspace / "run"),
+        "--config", str(workspace / "run.cfg"),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {bad} line 2: {message} in {line.split(chr(9))[:5]!r}\n"
+
+
+def test_pair_file_naming_a_domain_the_data_lacks_exits_2(workspace, capsys):
+    data = workspace / "data" / "interactions.tsv"
+    bad = workspace / "pairs_0_5.tsv"
+    bad.write_text("0\t5\tuser\t0\t0\t0.5\n")
+    code = main([
+        "train", str(data), "--pairs", str(bad), "--out", str(workspace / "run"),
+        "--config", str(workspace / "run.cfg"), "--force",
+    ])
+    assert code == 2
+    assert "error: pair domains (0, 5) outside [0, 2)" in (
+        capsys.readouterr().err
+    )
+
+
+@pytest.mark.parametrize("field, value", [("id", 2**62), ("id", 2**64 - 1), ("kind", 2)])
+def test_table_record_no_node_key_holds_exits_2_naming_the_file(workspace, capsys, field, value):
+    data = workspace / "data" / "interactions.tsv"
+    config = workspace / "run.cfg"
+    run = workspace / "run"
+    assert main(["train", str(data), "--out", str(run), "--config", str(config)]) == 0
+    table = run / "checkpoint" / "inter.bin"
+    raw = bytearray(table.read_bytes())
+    offset, size = (21, 8) if field == "id" else (20, 1)  # first record: kind u8, id u64
+    raw[offset : offset + size] = value.to_bytes(size, "little")
+    table.write_bytes(bytes(raw))
+    capsys.readouterr()
+    assert main(["eval", str(data), str(run), "--config", str(config)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {table}: record with kind above 1 or id above 4611686018427387903\n"
+    )
+
+
+def test_checkpoint_every_writes_epoch_checkpoints(workspace):
+    data = workspace / "data" / "interactions.tsv"
+    config = workspace / "every.cfg"
+    config.write_text(CONFIG_TEXT.replace("epochs = 3", "epochs = 4") + "checkpoint_every = 2\n")
+    assert "patience = -1" in CONFIG_TEXT  # no early stop, so the last epoch is final
+    run = workspace / "run"
+    assert main(["train", str(data), "--out", str(run), "--config", str(config)]) == 0
+    assert sorted(p.name for p in run.glob("checkpoint*")) == [
+        "checkpoint", "checkpoint_epoch_2", "checkpoint_epoch_4",
+    ]
+    final = _dir_bytes(run / "checkpoint")
+    assert _dir_bytes(run / "checkpoint_epoch_4") == final
+    assert _dir_bytes(run / "checkpoint_epoch_2") != final
+    assert sorted(_dir_bytes(run / "checkpoint_epoch_2")) == sorted(final)
 
 
 @settings(max_examples=25, deadline=None)

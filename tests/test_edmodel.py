@@ -11,10 +11,10 @@ from edda.edmodel import (
     save_model,
     variant_spec,
 )
-from edda.encoders import EmbeddingTable, GRecConfig, node_keys
+from edda.encoders import EmbeddingTable, GRecConfig
 from edda.mdgraph import NodeId, NodeKind, ingest
 
-from oracles import dense_propagate, random_bipartite_records
+from oracles import dense_propagate, keys, nodes_of, random_bipartite_records, row
 
 U = lambda i: NodeId(NodeKind.USER, i)
 I = lambda i: NodeId(NodeKind.ITEM, i)
@@ -25,16 +25,14 @@ def _hand_model(dataset, spec, inter_rows=None, intra_rows=None, proj=None):
     inter = None
     if spec.use_inter:
         inter = EmbeddingTable(
-            dataset.all_nodes,
-            np.array([inter_rows[n] for n in dataset.all_nodes], dtype=np.float64),
+            dataset.keys,
+            np.array([inter_rows[n] for n in nodes_of(dataset.keys)], dtype=np.float64),
         )
     intra = None
     w = None
     if spec.use_intra:
         intra = [
-            EmbeddingTable(
-                g.node_ids(), np.array([intra_rows[d][n] for n in g.node_ids()])
-            )
+            EmbeddingTable(g.keys, np.array([intra_rows[d][n] for n in nodes_of(g.keys)]))
             for d, g in enumerate(dataset.domains)
         ]
         w = proj if proj is not None else [
@@ -44,7 +42,7 @@ def _hand_model(dataset, spec, inter_rows=None, intra_rows=None, proj=None):
 
 
 def _represent(model, dataset, node, d):
-    return model.propagated(dataset).represent(d, node_keys([node]))[0]
+    return model.propagated(dataset).represent(d, keys(node))[0]
 
 
 def _score(model, dataset, u, i, d):
@@ -55,8 +53,8 @@ def test_mf_representation_is_raw_rows():
     ds = ingest([(0, 0, 0), (0, 1, 1)])
     spec = ModelSpec(d_inter=2, d_intra=2, encoder="mf")
     rng = np.random.default_rng(0)
-    inter_rows = {n: rng.normal(size=2) for n in ds.all_nodes}
-    intra_rows = [{n: rng.normal(size=2) for n in ds.graph(0).node_ids()}]
+    inter_rows = {n: rng.normal(size=2) for n in nodes_of(ds.keys)}
+    intra_rows = [{n: rng.normal(size=2) for n in nodes_of(ds.graph(0).keys)}]
     model = _hand_model(ds, spec, inter_rows, intra_rows)
     z = _represent(model, ds, U(0), 0)
     assert z == pytest.approx(np.concatenate([inter_rows[U(0)], intra_rows[0][U(0)]]))
@@ -65,21 +63,21 @@ def test_mf_representation_is_raw_rows():
 def test_zero_layer_grec_equals_mf():
     ds = ingest([(0, 0, 0), (0, 1, 1)])
     rng = np.random.default_rng(1)
-    inter_rows = {n: rng.normal(size=2) for n in ds.all_nodes}
-    intra_rows = [{n: rng.normal(size=2) for n in ds.graph(0).node_ids()}]
+    inter_rows = {n: rng.normal(size=2) for n in nodes_of(ds.keys)}
+    intra_rows = [{n: rng.normal(size=2) for n in nodes_of(ds.graph(0).keys)}]
     grec0 = ModelSpec(d_inter=2, d_intra=2, encoder="grec", grec=GRecConfig(num_layers=0))
     mf = ModelSpec(d_inter=2, d_intra=2, encoder="mf")
     m1 = _hand_model(ds, grec0, inter_rows, intra_rows)
     m2 = _hand_model(ds, mf, inter_rows, intra_rows)
-    for node in ds.all_nodes:
+    for node in nodes_of(ds.keys):
         assert np.array_equal(_represent(m1, ds, node, 0), _represent(m2, ds, node, 0))
 
 
 def test_representation_composes_propagated_parts():
     ds = ingest([(0, 0, 0)])
     rng = np.random.default_rng(2)
-    inter_rows = {n: rng.normal(size=2) for n in ds.all_nodes}
-    intra_rows = [{n: rng.normal(size=3) for n in ds.graph(0).node_ids()}]
+    inter_rows = {n: rng.normal(size=2) for n in nodes_of(ds.keys)}
+    intra_rows = [{n: rng.normal(size=3) for n in nodes_of(ds.graph(0).keys)}]
     spec = ModelSpec(d_inter=2, d_intra=3, grec=GRecConfig(num_layers=1, alpha=0.1))
     model = _hand_model(ds, spec, inter_rows, intra_rows)
 
@@ -98,7 +96,7 @@ def test_score_is_inner_product():
     # Z_u = (1, 2), Z_i = (3, -1): dot = 1
     assert _score(model, ds, U(0), I(0), 0) == pytest.approx(1.0)
 
-    z = model.propagated(ds).represent(0, node_keys([U(0)]))[0]
+    z = model.propagated(ds).represent(0, keys(U(0)))[0]
     assert np.dot(z, z) == pytest.approx(5.0)
 
 
@@ -134,7 +132,7 @@ def test_parameter_partition_counts():
     ds = ingest([(0, 0, 0), (0, 1, 1), (1, 0, 2)])
     spec = ModelSpec(d_inter=4, d_intra=3)
     model = init_model(spec, ds, seed=0)
-    n_all = len(ds.all_nodes)
+    n_all = len(ds.keys)
     expect = n_all * 4
     for g in ds.domains:
         expect += g.n_nodes * 3 + 3 * 3
@@ -157,20 +155,21 @@ def test_scoring_equivariance_under_relabeling():
         mapped = remap_u if node.kind == NodeKind.USER else remap_i
         return NodeId(node.kind, mapped[node.id])
 
+    nodes1, nodes2 = nodes_of(ds1.keys), nodes_of(ds2.keys)
     inter2 = EmbeddingTable(
-        ds2.all_nodes,
-        np.array([m1.inter.row(n) for n in ds1.all_nodes])[
-            np.argsort([ds2.all_nodes.index(twin(n)) for n in ds1.all_nodes])
+        ds2.keys,
+        np.array([row(m1.inter, n) for n in nodes1])[
+            np.argsort([nodes2.index(twin(n)) for n in nodes1])
         ],
     )
     intra2 = []
     for d, g in enumerate(ds1.domains):
-        nodes1 = g.node_ids()
-        perm = np.argsort([ds2.graph(d).local_index(twin(n)) for n in nodes1])
+        nodes1 = nodes_of(g.keys)
+        perm = np.argsort([nodes_of(ds2.graph(d).keys).index(twin(n)) for n in nodes1])
         intra2.append(
             EmbeddingTable(
-                ds2.graph(d).node_ids(),
-                np.array([m1.intra[d].row(n) for n in nodes1])[perm],
+                ds2.graph(d).keys,
+                np.array([row(m1.intra[d], n) for n in nodes1])[perm],
             )
         )
     m2 = EDModel(spec, inter2, intra2, [w.copy() for w in m1.proj])
@@ -184,9 +183,9 @@ def test_alpha_one_grec_scores_equal_mf():
     # no cross-domain overlap, so the inter sum has exactly one term per node
     ds = ingest([(0, 0, 0), (0, 1, 1), (1, 2, 2), (1, 3, 3)])
     rng = np.random.default_rng(6)
-    inter_rows = {n: rng.normal(size=2) for n in ds.all_nodes}
+    inter_rows = {n: rng.normal(size=2) for n in nodes_of(ds.keys)}
     intra_rows = [
-        {n: rng.normal(size=2) for n in g.node_ids()} for g in ds.domains
+        {n: rng.normal(size=2) for n in nodes_of(g.keys)} for g in ds.domains
     ]
     grec1 = ModelSpec(d_inter=2, d_intra=2, grec=GRecConfig(num_layers=2, alpha=1.0))
     mf = ModelSpec(d_inter=2, d_intra=2, encoder="mf")
@@ -254,10 +253,10 @@ def test_cold_node_gets_residual_representation():
     train = ingest([(0, 0, 0), (0, 1, 1)])  # user 2 has no training edges
     spec = ModelSpec(d_inter=2, d_intra=2, grec=GRecConfig(num_layers=2, alpha=0.5))
     model = init_model(spec, full, seed=9)
-    z = model.propagated(train).represent(0, node_keys([U(2)]))[0]
+    z = model.propagated(train).represent(0, keys(U(2)))[0]
     scale = 0.5 ** 2
     assert z == pytest.approx(
-        np.concatenate([scale * model.inter.row(U(2)), scale * model.intra[0].row(U(2))])
+        np.concatenate([scale * row(model.inter, U(2)), scale * row(model.intra[0], U(2))])
     )
 
 

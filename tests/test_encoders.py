@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -7,34 +9,31 @@ from edda.encoders import (
     GRecConfig,
     grec_propagate,
     load_table,
-    node_keys,
     save_table,
 )
-from edda.mdgraph import NodeId, NodeKind, ingest
+from edda.mdgraph import MAX_ID, NodeId, NodeKind, ingest
 
-from oracles import dense_propagate, random_bipartite_records
+from oracles import dense_propagate, keys, nodes_of, random_bipartite_records, row
 
 U = lambda i: NodeId(NodeKind.USER, i)
 I = lambda i: NodeId(NodeKind.ITEM, i)
 
 
 def _table_for(dataset, rng, dim=3):
-    nodes = dataset.all_nodes
-    return EmbeddingTable(nodes, rng.normal(size=(len(nodes), dim)))
+    return EmbeddingTable(dataset.keys, rng.normal(size=(len(dataset.keys), dim)))
 
 
 def _propagate(graph, table, cfg, mask=None):
     """Propagated rows of every graph node, as a table over the graph's nodes."""
-    nodes = graph.node_ids()
-    x = table.matrix[table.rows(node_keys(nodes))]
-    return EmbeddingTable(nodes, grec_propagate(graph.sym_norm_adjacency(mask), x, cfg))
+    x = table.matrix[table.rows(graph.keys)]
+    return EmbeddingTable(graph.keys, grec_propagate(graph.sym_norm_adjacency(mask), x, cfg))
 
 
 def _inter_encode(dataset, table, cfg, encoder="grec"):
     """The shared-table encoding of an inter-only model holding `table`."""
     spec = ModelSpec(d_inter=table.dim, use_intra=False, encoder=encoder, grec=cfg)
     encoded = EDModel(spec, table, None, None).propagated(dataset).inter
-    return EmbeddingTable(table.nodes, encoded)
+    return EmbeddingTable(table.keys, encoded)
 
 
 def test_alpha_one_is_identity_bitwise():
@@ -42,23 +41,23 @@ def test_alpha_one_is_identity_bitwise():
     rng = np.random.default_rng(1)
     table = _table_for(ds, rng)
     out = _propagate(ds.graph(0), table, GRecConfig(num_layers=3, alpha=1.0))
-    assert np.array_equal(out.matrix, table.matrix[table.rows(node_keys(out.nodes))])
+    assert np.array_equal(out.matrix, table.matrix[table.rows(out.keys)])
 
 
 def test_zero_layers_is_identity_bitwise():
     ds = ingest([(0, 0, 0), (0, 0, 1)])
     table = _table_for(ds, np.random.default_rng(2))
     out = _propagate(ds.graph(0), table, GRecConfig(num_layers=0, alpha=0.1))
-    assert np.array_equal(out.matrix, table.matrix[table.rows(node_keys(out.nodes))])
+    assert np.array_equal(out.matrix, table.matrix[table.rows(out.keys)])
 
 
 def test_two_node_graph_hand_value():
     # single edge u0-i0, both degree 1
     ds = ingest([(0, 0, 0)])
-    table = EmbeddingTable([U(0), I(0)], np.array([[1.0, 0.0], [0.0, 1.0]]))
+    table = EmbeddingTable(keys(U(0), I(0)), np.array([[1.0, 0.0], [0.0, 1.0]]))
     out = _propagate(ds.graph(0), table, GRecConfig(num_layers=1, alpha=0.1))
-    assert out.row(U(0)) == pytest.approx([0.1, 0.9])
-    assert out.row(I(0)) == pytest.approx([0.9, 0.1])
+    assert row(out, U(0)) == pytest.approx([0.1, 0.9])
+    assert row(out, I(0)) == pytest.approx([0.9, 0.1])
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -71,10 +70,10 @@ def test_matches_dense_operator_oracle(seed):
     got = _propagate(ds.graph(0), table, cfg)
     pairs = [(u, i) for _, u, i in records]
     want = dense_propagate(
-        pairs, {n: table.row(n) for n in ds.all_nodes}, cfg.alpha, cfg.num_layers
+        pairs, {n: row(table, n) for n in nodes_of(ds.keys)}, cfg.alpha, cfg.num_layers
     )
-    for node in got.nodes:
-        assert got.row(node) == pytest.approx(want[node], rel=1e-12, abs=1e-12)
+    for node in nodes_of(got.keys):
+        assert row(got, node) == pytest.approx(want[node], rel=1e-12, abs=1e-12)
 
 
 def test_linearity():
@@ -85,7 +84,7 @@ def test_linearity():
     xa = _table_for(ds, rng)
     xb = _table_for(ds, rng)
     a, b = 0.7, -2.5
-    combo = EmbeddingTable(xa.nodes, a * xa.matrix + b * xb.matrix)
+    combo = EmbeddingTable(xa.keys, a * xa.matrix + b * xb.matrix)
     lhs = _propagate(g, combo, cfg).matrix
     rhs = a * _propagate(g, xa, cfg).matrix + b * _propagate(g, xb, cfg).matrix
     assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
@@ -95,7 +94,7 @@ def test_doubling_is_exact():
     rng = np.random.default_rng(4)
     ds = ingest(random_bipartite_records(rng, 0, 5, 5, 12))
     table = _table_for(ds, rng)
-    doubled = EmbeddingTable(table.nodes, 2.0 * table.matrix)
+    doubled = EmbeddingTable(table.keys, 2.0 * table.matrix)
     cfg = GRecConfig(num_layers=2, alpha=0.1)
     assert np.array_equal(
         _propagate(ds.graph(0), doubled, cfg).matrix,
@@ -113,18 +112,18 @@ def test_permutation_equivariance():
     ds1, ds2 = ingest(records), ingest(relabeled)
     table1 = _table_for(ds1, np.random.default_rng(6))
     rows2 = {}
-    for node in ds1.all_nodes:
+    for node in nodes_of(ds1.keys):
         mapped = remap_u if node.kind == NodeKind.USER else remap_i
-        rows2[NodeId(node.kind, int(mapped[node.id]))] = table1.row(node)
-    table2 = EmbeddingTable(ds2.all_nodes, np.array([rows2[n] for n in ds2.all_nodes]))
+        rows2[NodeId(node.kind, int(mapped[node.id]))] = row(table1, node)
+    table2 = EmbeddingTable(ds2.keys, np.array([rows2[n] for n in nodes_of(ds2.keys)]))
 
     cfg = GRecConfig(num_layers=2, alpha=0.2)
     out1 = _propagate(ds1.graph(0), table1, cfg)
     out2 = _propagate(ds2.graph(0), table2, cfg)
-    for node in out1.nodes:
+    for node in nodes_of(out1.keys):
         mapped = remap_u if node.kind == NodeKind.USER else remap_i
         twin = NodeId(node.kind, int(mapped[node.id]))
-        assert out1.row(node) == pytest.approx(out2.row(twin), rel=1e-12, abs=1e-12)
+        assert row(out1, node) == pytest.approx(row(out2, twin), rel=1e-12, abs=1e-12)
 
 
 def test_masked_out_node_keeps_residual_only():
@@ -134,19 +133,17 @@ def test_masked_out_node_keeps_residual_only():
     # canonical edge order is sorted (user, item): (0,0), (0,1), (1,1)
     mask = np.array([False, False, True])
     out = _propagate(g, table, GRecConfig(num_layers=1, alpha=0.1), mask)
-    assert out.row(U(0)) == pytest.approx(0.1 * table.row(U(0)), rel=1e-15)
+    assert row(out, U(0)) == pytest.approx(0.1 * row(table, U(0)), rel=1e-15)
 
 
 def test_dropout_keeps_full_graph_degrees():
     ds = ingest([(0, 0, 0), (0, 0, 1)])
     g = ds.graph(0)
-    table = EmbeddingTable(
-        [U(0), I(0), I(1)], np.array([[1.0], [2.0], [4.0]])
-    )
+    table = EmbeddingTable(keys(U(0), I(0), I(1)), np.array([[1.0], [2.0], [4.0]]))
     mask = np.array([True, False])  # keep edge (u0, i0) only
     out = _propagate(g, table, GRecConfig(num_layers=1, alpha=0.1), mask)
     # u0 has full degree 2, i0 degree 1: weight 1/sqrt(2)
-    assert out.row(U(0))[0] == pytest.approx(0.1 * 1.0 + 0.9 * 2.0 / np.sqrt(2))
+    assert row(out, U(0))[0] == pytest.approx(0.1 * 1.0 + 0.9 * 2.0 / np.sqrt(2))
 
 
 def test_inter_encode_single_domain_matches_propagate():
@@ -156,8 +153,8 @@ def test_inter_encode_single_domain_matches_propagate():
     cfg = GRecConfig(num_layers=2, alpha=0.1)
     combined = _inter_encode(ds, table, cfg)
     single = _propagate(ds.graph(0), table, cfg)
-    for node in single.nodes:
-        assert np.array_equal(combined.row(node), single.row(node))
+    for node in nodes_of(single.keys):
+        assert np.array_equal(row(combined, node), row(single, node))
 
 
 def test_inter_encode_sums_identical_domains():
@@ -167,10 +164,10 @@ def test_inter_encode_sums_identical_domains():
     table = _table_for(ds1, np.random.default_rng(9))
     cfg = GRecConfig(num_layers=2, alpha=0.1)
     once = _inter_encode(ds1, table, cfg)
-    rows = table.matrix[table.rows(node_keys(ds3.all_nodes))]
-    thrice = _inter_encode(ds3, EmbeddingTable(ds3.all_nodes, rows), cfg)
-    for node in once.nodes:
-        assert thrice.row(node) == pytest.approx(3.0 * once.row(node), rel=1e-15)
+    rows = table.matrix[table.rows(ds3.keys)]
+    thrice = _inter_encode(ds3, EmbeddingTable(ds3.keys, rows), cfg)
+    for node in nodes_of(once.keys):
+        assert row(thrice, node) == pytest.approx(3.0 * row(once, node), rel=1e-15)
 
 
 def test_inter_encode_two_domain_hand_sum():
@@ -181,32 +178,49 @@ def test_inter_encode_two_domain_hand_sum():
     cfg = GRecConfig(num_layers=1, alpha=0.1)
     got = _inter_encode(ds, table, cfg)
 
-    rows = {n: table.row(n) for n in ds.all_nodes}
+    rows = {n: row(table, n) for n in nodes_of(ds.keys)}
     want0 = dense_propagate([(0, 0), (0, 1)], rows, 0.1, 1)
     want1 = dense_propagate([(0, 5)], rows, 0.1, 1)
-    assert got.row(U(0)) == pytest.approx(want0[U(0)] + want1[U(0)], rel=1e-12)
-    assert got.row(I(0)) == pytest.approx(want0[I(0)], rel=1e-12)
-    assert got.row(I(5)) == pytest.approx(want1[I(5)], rel=1e-12)
+    assert row(got, U(0)) == pytest.approx(want0[U(0)] + want1[U(0)], rel=1e-12)
+    assert row(got, I(0)) == pytest.approx(want0[I(0)], rel=1e-12)
+    assert row(got, I(5)) == pytest.approx(want1[I(5)], rel=1e-12)
 
 
 def test_mf_encode_is_identity():
     ds = ingest([(0, 0, 0)])
     table = _table_for(ds, np.random.default_rng(11))
     assert np.array_equal(_inter_encode(ds, table, GRecConfig(), "mf").matrix, table.matrix)
-    zero = EmbeddingTable.zeros(ds.all_nodes, 4)
+    zero = EmbeddingTable(ds.keys, np.zeros((len(ds.keys), 4)))
     assert np.array_equal(_inter_encode(ds, zero, GRecConfig(), "mf").matrix, np.zeros((2, 4)))
 
 
 def test_missing_node_raises():
     ds = ingest([(0, 0, 0), (0, 1, 1)])
-    partial = EmbeddingTable([U(0), I(0)], np.zeros((2, 2)))
+    partial = EmbeddingTable(keys(U(0), I(0)), np.zeros((2, 2)))
     with pytest.raises(KeyError, match="missing"):
         _inter_encode(ds, partial, GRecConfig())
 
 
 def test_table_shape_validation():
     with pytest.raises(ValueError, match="shape"):
-        EmbeddingTable([U(0)], np.zeros((2, 3)))
+        EmbeddingTable(keys(U(0)), np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize("nodes", [[I(0), U(0)], [U(2), U(1)], [U(0), I(1), I(1)]])
+def test_table_rejects_keys_that_are_not_ascending(nodes):
+    with pytest.raises(ValueError, match="strictly ascending"):
+        EmbeddingTable(keys(*nodes), np.zeros((len(nodes), 2)))
+
+
+def test_table_rows_find_every_key_and_name_a_missing_one():
+    table = EmbeddingTable(keys(U(0), U(MAX_ID), I(3), I(MAX_ID)), np.zeros((4, 1)))
+    assert table.rows(keys(I(MAX_ID), U(0), I(3))).tolist() == [3, 0, 2]
+    assert table.rows(keys(U(MAX_ID), I(3)).reshape(2, 1)).tolist() == [[1], [2]]
+    for absent in (U(1), I(0), I(4)):
+        with pytest.raises(KeyError, match=re.escape(f"{absent} missing")):
+            table.rows(keys(U(0), absent))
+    with pytest.raises(KeyError, match="missing"):
+        EmbeddingTable(keys(), np.zeros((0, 1))).rows(keys(U(0)))
 
 
 def test_grec_config_validation():
@@ -218,18 +232,41 @@ def test_grec_config_validation():
 
 def test_table_serialization_roundtrip(tmp_path):
     rng = np.random.default_rng(12)
-    nodes = [U(0), U(3), I(1), I(2 ** 40)]
-    table = EmbeddingTable(nodes, rng.normal(size=(4, 5)))
+    nodes = [U(0), U(3), U(MAX_ID), I(1), I(2 ** 40), I(MAX_ID)]
+    table = EmbeddingTable(keys(*nodes), rng.normal(size=(6, 5)))
     path = tmp_path / "table.bin"
     save_table(path, table)
 
     raw = path.read_bytes()
     assert raw[:4] == b"EDDA"
-    assert len(raw) == 20 + 4 * (1 + 8 + 5 * 8)
+    assert len(raw) == 20 + 6 * (1 + 8 + 5 * 8)
 
     loaded = load_table(path)
-    assert loaded.nodes == tuple(nodes)
+    assert nodes_of(loaded.keys) == nodes
     assert np.array_equal(loaded.matrix, table.matrix)
+
+
+@pytest.mark.parametrize(
+    "record, field, value, message",
+    [
+        (0, "kind", 2, "kind above 1"),
+        (1, "kind", 255, "kind above 1"),
+        (0, "id", 2**62, "id above"),
+        (1, "id", 2**64 - 1, "id above"),
+        (1, "id", 0, "strictly ascending"),  # U(0) twice
+    ],
+)
+def test_table_load_rejects_records_no_key_holds(tmp_path, record, field, value, message):
+    path = tmp_path / "table.bin"
+    save_table(path, EmbeddingTable(keys(U(0), U(5)), np.zeros((2, 1))))
+    raw = path.read_bytes()
+    data = np.frombuffer(
+        raw[20:], dtype=[("kind", "u1"), ("id", "<u8"), ("vec", "<f8", (1,))]
+    ).copy()
+    data[field][record] = value
+    path.write_bytes(raw[:20] + data.tobytes())
+    with pytest.raises(ValueError, match=f"table.bin: .*{message}"):
+        load_table(path)
 
 
 def test_table_load_rejects_bad_magic(tmp_path):
@@ -240,18 +277,18 @@ def test_table_load_rejects_bad_magic(tmp_path):
 
 
 def test_save_table_failing_midway_keeps_the_earlier_file(tmp_path, monkeypatch, fail_writes):
-    table = EmbeddingTable([U(0), I(1)], np.arange(6.0).reshape(2, 3))
+    table = EmbeddingTable(keys(U(0), I(1)), np.arange(6.0).reshape(2, 3))
     path = tmp_path / "table.bin"
     save_table(path, table)
     earlier = path.read_bytes()
 
     fail_writes(3)  # magic and header are written, the records are not
     with pytest.raises(OSError, match="no space"):
-        save_table(path, EmbeddingTable([U(0), I(1)], np.ones((2, 3))))
+        save_table(path, EmbeddingTable(keys(U(0), I(1)), np.ones((2, 3))))
     assert path.read_bytes() == earlier
     assert [p.name for p in tmp_path.iterdir()] == ["table.bin"]
 
     monkeypatch.undo()
-    save_table(path, EmbeddingTable([U(0), I(1)], np.ones((2, 3))))
+    save_table(path, EmbeddingTable(keys(U(0), I(1)), np.ones((2, 3))))
     assert [p.name for p in tmp_path.iterdir()] == ["table.bin"]
     assert np.array_equal(load_table(path).matrix, np.ones((2, 3)))

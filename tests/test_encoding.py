@@ -20,7 +20,7 @@ from edda.trainer import (
 )
 from edda.walker import WalkConfig, mine_pairs
 
-from oracles import dense_propagate, random_bipartite_records
+from oracles import dense_propagate, nodes_of, random_bipartite_records, row
 
 
 def _triplets(ds, counts, rng):
@@ -47,11 +47,14 @@ def _expected(table, graphs, masks, spec):
         kept = None
         if masks is not None:
             kept = [p for p, keep in zip(pairs, masks[d]) if keep]
-        rows = {n: table.row(n) for n in graph.node_ids()}
+        rows = {n: row(table, n) for n in nodes_of(graph.keys)}
         for node, vec in dense_propagate(pairs, rows, alpha, layers, kept).items():
             summed[node] = summed.get(node, 0.0) + vec
     return np.array(
-        [summed[n] if n in summed else alpha**layers * table.row(n) for n in table.nodes]
+        [
+            summed[n] if n in summed else alpha**layers * row(table, n)
+            for n in nodes_of(table.keys)
+        ]
     )
 
 
@@ -134,7 +137,7 @@ def test_float32_model_stays_float32():
 
 def _as_float32(model):
     def table(t):
-        return EmbeddingTable(t.nodes, t.matrix.astype(np.float32))
+        return EmbeddingTable(t.keys, t.matrix.astype(np.float32))
 
     return EDModel(
         replace(model.spec, dtype="float32"),

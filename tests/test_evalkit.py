@@ -23,6 +23,7 @@ from edda.mdgraph import NodeId, NodeKind, ingest
 from oracles import (
     auc_from_scored_cases,
     eval_cases,
+    nodes_of,
     pairwise_auc,
     random_bipartite_records,
     recall_at_1_from_scored_cases,
@@ -90,9 +91,9 @@ def _mf_model_with_item_scores(ds, item_value):
     spec = ModelSpec(d_inter=1, d_intra=1, encoder="mf", init_scale=0.0)
     model = init_model(spec, ds, seed=0)
     rows = np.array(
-        [[item_value(n.id)] if n.kind == NodeKind.ITEM else [1.0] for n in ds.all_nodes]
+        [[item_value(n.id)] if n.kind == NodeKind.ITEM else [1.0] for n in nodes_of(ds.keys)]
     )
-    model.inter = EmbeddingTable(ds.all_nodes, rows)
+    model.inter = EmbeddingTable(ds.keys, rows)
     return model
 
 
@@ -248,6 +249,19 @@ def test_out_of_domain_interaction():
     lonely = ingest([(0, 0, 0), (1, 1, 1)])
     assert out_of_domain_interaction(lonely, 0) == 0.0
     assert out_of_domain_interaction(ingest([(0, 0, 0)]), 0) == 0.0
+
+    # three domains over overlapping user ranges, against a per-record count
+    rng = np.random.default_rng(3)
+    records = [
+        rec
+        for d in range(3)
+        for rec in random_bipartite_records(rng, d, 8, 6, 20, user_base=3 * d)
+    ]
+    ds = ingest(records)
+    for d in range(3):
+        users = {u for dd, u, _ in records if dd == d}
+        outside = sum(1 for dd, u, _ in records if dd != d and u in users)
+        assert out_of_domain_interaction(ds, d) == outside / ds.graph(d).n_edges
 
 
 def test_report_format():

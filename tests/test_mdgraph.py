@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings
 
 from edda.mdgraph import (
+    MAX_ID,
     AnchorSet,
+    DomainGraph,
     IngestError,
     NodeId,
     NodeKind,
@@ -11,11 +13,19 @@ from edda.mdgraph import (
     ingest,
     ingest_file,
     load_interactions,
-    overlap_ratio,
+    node_keys,
+    read_key_values,
+    split_keys,
     write_interactions,
 )
 
-from oracles import interaction_files
+from oracles import (
+    domain_graph_by_unique_rows,
+    edge_lists,
+    interaction_files,
+    key_value_texts,
+    keys,
+)
 
 U = lambda i: NodeId(NodeKind.USER, i)
 I = lambda i: NodeId(NodeKind.ITEM, i)
@@ -36,7 +46,7 @@ def test_dedup_is_idempotent():
 def test_shared_id_defines_overlap():
     ds = ingest([(0, 0, 0), (1, 0, 1)])
     a = anchors(ds, 0, 1)
-    assert a.nodes == (U(0),)
+    assert np.array_equal(a.keys, keys(U(0)))
 
 
 def test_anchors_disjoint_and_identical():
@@ -45,7 +55,7 @@ def test_anchors_disjoint_and_identical():
 
     same = [(0, 0, 0), (0, 1, 1), (1, 0, 0), (1, 1, 1)]
     ds2 = ingest(same)
-    assert set(anchors(ds2, 0, 1).nodes) == set(ds2.graph(0).node_ids())
+    assert np.array_equal(anchors(ds2, 0, 1).keys, ds2.graph(0).keys)
 
 
 def test_anchors_match_set_intersection_oracle():
@@ -55,27 +65,53 @@ def test_anchors_match_set_intersection_oracle():
     users = set(map(int, ds.graph(0).user_ids)) & set(map(int, ds.graph(1).user_ids))
     items = set(map(int, ds.graph(0).item_ids)) & set(map(int, ds.graph(1).item_ids))
     expected = sorted([U(u) for u in users] + [I(i) for i in items])
-    assert list(got.nodes) == expected == [U(0), I(3)]
+    assert np.array_equal(got.keys, keys(*expected))
+    assert expected == [U(0), I(3)]
 
 
 def test_anchors_symmetric():
     ds = ingest([(0, 0, 3), (0, 1, 4), (1, 0, 3), (1, 2, 5)])
-    assert anchors(ds, 0, 1) == anchors(ds, 1, 0)
+    a, b = anchors(ds, 0, 1), anchors(ds, 1, 0)
+    assert a.domain_pair == b.domain_pair == (0, 1)
+    assert np.array_equal(a.keys, b.keys)
 
 
-def test_overlap_ratio_extremes():
-    same = [(0, 0, 0), (1, 0, 0)]
-    assert overlap_ratio(ingest(same), 0, 1) == 1.0
-    disjoint = [(0, 0, 0), (1, 1, 1)]
-    assert overlap_ratio(ingest(disjoint), 0, 1) == 0.0
+def test_node_keys_round_trip_at_the_id_bounds():
+    for kind in NodeKind:
+        for node_id in (0, 1, MAX_ID - 1, MAX_ID):
+            key = node_keys(kind, node_id)
+            assert key.dtype == np.int64 and key == keys(NodeId(kind, node_id))[0]
+            assert [int(x) for x in split_keys(key)] == [kind, node_id]
+    # users sort before items, ids ascend within a kind
+    ordered = keys(NodeId(0, 0), NodeId(0, MAX_ID), NodeId(1, 0), NodeId(1, MAX_ID))
+    assert np.all(np.diff(ordered) > 0)
 
 
-def test_overlap_ratio_hand_value():
-    # U^0={a,b}=  {0,1}, U^1={b,c}={1,2}; I^0={x}={0}, I^1={y}={1}
-    ds = ingest([(0, 0, 0), (0, 1, 0), (1, 1, 1), (1, 2, 1)])
-    assert overlap_ratio(ds, 0, 1) == pytest.approx((1 + 0) / (3 + 2))
-    assert overlap_ratio(ds, 0, 1, kind=NodeKind.USER) == pytest.approx(1 / 3)
-    assert overlap_ratio(ds, 0, 1, kind=NodeKind.ITEM) == 0.0
+@settings(max_examples=100, deadline=None)
+@given(edge_lists())
+def test_graph_keys_are_sorted_and_give_local_indices(edges):
+    g = DomainGraph(0, edges)
+    assert g.keys.dtype == np.int64 and len(g.keys) == g.n_nodes
+    assert np.all(np.diff(g.keys) > 0)
+    nodes = [U(int(u)) for u in g.user_ids] + [I(int(i)) for i in g.item_ids]
+    assert np.array_equal(np.searchsorted(g.keys, keys(*nodes)), np.arange(g.n_nodes))
+
+
+@settings(max_examples=100, deadline=None)
+@given(edge_lists())
+def test_domain_graph_arrays_match_the_row_unique_build(edges):
+    g = DomainGraph(0, np.array(edges, dtype=np.int64))
+    want = domain_graph_by_unique_rows(edges)
+    for name, arr in want.items():
+        got = getattr(g, name)
+        assert got.dtype == arr.dtype and np.array_equal(got, arr), name
+
+
+def test_dataset_keys_are_the_sorted_union_of_graph_keys():
+    ds = ingest([(0, 5, 3), (0, 1, 4), (1, 0, 3), (1, 5, 9)])
+    assert np.array_equal(
+        ds.keys, keys(U(0), U(1), U(5), I(3), I(4), I(9))
+    )
 
 
 def test_degree_sums_equal_edge_count():
@@ -101,7 +137,7 @@ def test_sym_norm_adjacency_values():
     # u0-i0, u0-i1, u1-i1: check one entry against 1/sqrt(|N_u||N_i|)
     g = ingest([(0, 0, 0), (0, 0, 1), (0, 1, 1)]).graph(0)
     a = g.sym_norm_adjacency().toarray()
-    u0, i1 = g.local_index(U(0)), g.local_index(I(1))
+    u0, i1 = np.searchsorted(g.keys, keys(U(0), I(1)))
     assert a[u0, i1] == pytest.approx(1 / np.sqrt(2 * 2))
     assert np.allclose(a, a.T)
 
@@ -123,10 +159,22 @@ def test_negative_id_rejected():
         ingest(np.array([(0, 0, 0), (0, 1, 1), (0, 2, -2)]))
 
 
+@pytest.mark.parametrize("big", [2**62, 2**63 - 1, 2**63, 10**20])
+def test_id_above_max_id_rejected(big):
+    with pytest.raises(IngestError, match=rf"line 2: id above {MAX_ID} in record \(0, {big}, 1\)"):
+        ingest([(0, 0, 0), (0, big, 1)])
+    with pytest.raises(IngestError, match="line 2: id above"):
+        ingest([(0, 0, 0), (0, 1, big)])
+    assert ingest([(0, MAX_ID, MAX_ID)]).graph(0).user_ids.tolist() == [MAX_ID]
+
+
 def test_negative_id_in_file_names_its_physical_line(tmp_path):
     path = tmp_path / "inter.tsv"
     path.write_text("# header\n0\t0\t0\n\n0\t-1\t2\n0\tx\t2\n")
     with pytest.raises(IngestError, match=r"^line 4: negative id in record \(0, -1, 2\)$"):
+        load_interactions(path)
+    path.write_text(f"0\t{MAX_ID}\t0\n\n0\t0\t{10**20}\n")
+    with pytest.raises(IngestError, match=rf"^line 3: id above {MAX_ID} in record \(0, 0, {10**20}\)$"):
         load_interactions(path)
 
 
@@ -153,7 +201,7 @@ def test_file_malformed_line_number(tmp_path):
 
 def test_anchor_set_requires_ordered_pair():
     with pytest.raises(ValueError):
-        AnchorSet(domain_pair=(1, 0), nodes=())
+        AnchorSet(domain_pair=(1, 0), keys=np.array([], dtype=np.int64))
 
 
 def test_write_interactions_sorts_tuples_and_arrays_alike(tmp_path):
@@ -196,3 +244,17 @@ def test_load_interactions_keeps_valid_rows_or_names_the_first_bad_line(tmp_path
     got = load_interactions(path)
     assert got.dtype == np.int64 and got.shape == (len(got), 3)
     assert got.tolist() == [list(rec) for kind, rec in labels if kind == "row"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(key_value_texts(["a", "b c", "seed"]))
+def test_read_key_values_returns_stripped_pairs_or_raises_value_error(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("kv") / "values.cfg"
+    path.write_text(text, encoding="utf-8")
+    try:
+        values = read_key_values(path)
+    except ValueError as err:
+        assert str(err).startswith(f"{path} line ")
+        return
+    for key, value in values.items():
+        assert key == key.strip() and value == value.strip() and "=" not in key

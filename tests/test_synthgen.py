@@ -8,7 +8,7 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from edda import synthgen
-from edda.mdgraph import anchors, overlap_ratio
+from edda.mdgraph import anchors, split_keys
 from edda.synthgen import (
     SynthError,
     SynthSpec,
@@ -18,7 +18,12 @@ from edda.synthgen import (
     write_dataset,
 )
 
-from oracles import calibrate_intercept_200, fill_by_stable_argsort, generate_reference
+from oracles import (
+    calibrate_intercept_200,
+    fill_by_stable_argsort,
+    generate_reference,
+    spec_texts,
+)
 
 
 def _spec(**overrides):
@@ -53,10 +58,16 @@ def test_every_entity_is_covered():
         assert graph.item_degree.min() >= 1
 
 
+def _pooled_overlap(ds, d, d_prime):
+    """(|U∩| + |I∩|) / (|U∪| + |I∪|) of two domains."""
+    a, b = ds.graph(d).keys, ds.graph(d_prime).keys
+    return len(np.intersect1d(a, b)) / len(np.union1d(a, b))
+
+
 def test_realized_overlap_matches_request_within_rounding():
     for f in (0.05, 0.1, 0.3):
         ds, _ = generate(_spec(overlap_fraction=f, interactions_per_domain=200))
-        realized = overlap_ratio(ds, 0, 1)
+        realized = _pooled_overlap(ds, 0, 1)
         total = 2 * (20 + 30)
         assert abs(realized - f) <= 2.0 / (total * (1 - f))
 
@@ -72,7 +83,7 @@ def test_three_domains_pairwise_overlap():
     ds, _ = generate(spec)
     for d, d_prime in [(0, 1), (0, 2), (1, 2)]:
         assert len(anchors(ds, d, d_prime)) > 0
-        assert abs(overlap_ratio(ds, d, d_prime) - 0.08) < 0.03
+        assert abs(_pooled_overlap(ds, d, d_prime) - 0.08) < 0.03
 
 
 def test_determinism_bytewise(tmp_path):
@@ -93,7 +104,8 @@ def test_different_seeds_differ():
 def test_shared_latents_are_reused_across_domains():
     spec = _spec(overlap_fraction=0.2)
     ds, truth = generate(spec)
-    shared_users = [n.id for n in anchors(ds, 0, 1).nodes if n.kind == 0]
+    kinds, ids = split_keys(anchors(ds, 0, 1).keys)
+    shared_users = ids[kinds == 0].tolist()
     assert shared_users
     # one global shared table indexed by id: rows for shared users exist once
     assert truth.shared_user.shape[0] == len(truth.shared_user_ids)
@@ -131,6 +143,20 @@ def test_spec_file_rejects_unknown_keys(tmp_path):
     path.write_text("num_domains = 2\nbogus = 1\n")
     with pytest.raises(SynthError, match="unknown keys"):
         load_spec(path)
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec_texts())
+def test_load_spec_returns_a_spec_or_raises_synth_error(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("spec") / "spec.cfg"
+    path.write_text(text, encoding="utf-8")
+    try:
+        spec = load_spec(path)
+    except SynthError as err:
+        assert str(err).startswith(f"{path}")
+        return
+    assert 1 <= spec.num_domains <= synthgen.MAX_DOMAINS
+    assert all(1 <= n <= 2**62 - 1 for n in spec.users() + spec.items() + spec.interactions())
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,7 @@ import pytest
 
 from edda.edmodel import EDModel, ModelSpec, init_model
 from edda import evalkit
-from edda.encoders import GRecConfig, node_keys
+from edda.encoders import GRecConfig
 from edda.evalkit import split
 from edda.mdgraph import NodeId, NodeKind, ingest
 from edda.trainer import (
@@ -16,7 +16,6 @@ from edda.trainer import (
     _bpr_row_gradients,
     _scatter_add,
     adam_step,
-    bpr_loss,
     edge_dropout,
     gradients,
     total_loss,
@@ -26,8 +25,11 @@ from edda.walker import SimilarPair, SimilarPairSet
 
 from oracles import (
     finite_difference_gradient,
+    keys,
+    nodes_of,
     oracle_total_loss,
     random_bipartite_records,
+    row,
 )
 
 U = lambda i: NodeId(NodeKind.USER, i)
@@ -69,24 +71,37 @@ def _instance(seed=0, overlap=True):
 
 
 def _row(table, node):
-    return int(table.rows(node_keys([node]))[0])
+    return int(table.rows(keys(node))[0])
 
 
-def test_bpr_loss_values():
-    assert bpr_loss(np.zeros(4), np.zeros(4)) == pytest.approx(4 * np.log(2))
-    assert bpr_loss(np.array([1.0]), np.array([0.0])) == pytest.approx(0.31326, abs=1e-5)
-    big = bpr_loss(np.array([50.0]), np.array([0.0]))
-    bigger = bpr_loss(np.array([100.0]), np.array([0.0]))
+def _local(graph, *nodes):
+    """Graph-local indices of `nodes`."""
+    return np.searchsorted(graph.keys, keys(*nodes))
+
+
+def _planted_bpr(s_pos, s_neg, n=1):
+    """total_loss with beta = reg_lambda = 0 of an MF model whose scores are
+    planted: n copies of the triplet (user 0, item 0, item 1), with user row 1
+    and item rows s_pos and s_neg, so each copy has s+ - s- = s_pos - s_neg."""
+    ds = ingest([(0, 0, 0), (0, 1, 1)])
+    spec = ModelSpec(d_inter=1, use_intra=False, encoder="mf", init_scale=0.0)
+    model = init_model(spec, ds, seed=0)
+    for node, value in ((U(0), 1.0), (I(0), s_pos), (I(1), s_neg)):
+        model.inter.matrix[_row(model.inter, node)] = value
+    triplets = {0: np.tile(_local(ds.graph(0), U(0), I(0), I(1))[:, None], n)}
+    return total_loss(model, ds, triplets, [], TrainConfig(beta=0.0, reg_lambda=0.0))
+
+
+def test_total_loss_bpr_hand_values():
+    assert _planted_bpr(0.0, 0.0, n=4) == pytest.approx(4 * np.log(2))
+    assert _planted_bpr(1.0, 0.0) == pytest.approx(0.31326, abs=1e-5)
+    big = _planted_bpr(50.0, 0.0)
+    bigger = _planted_bpr(100.0, 0.0)
     assert bigger < big < 1e-20
 
 
-def test_bpr_loss_is_stable_for_large_gaps():
-    assert np.isfinite(bpr_loss(np.array([-1000.0]), np.array([1000.0])))
-
-
-def test_bpr_loss_rejects_mismatched_lengths():
-    with pytest.raises(ValueError):
-        bpr_loss(np.zeros(2), np.zeros(3))
+def test_total_loss_is_stable_for_large_gaps():
+    assert np.isfinite(_planted_bpr(-1000.0, 1000.0))
 
 
 ALIGN_ONLY = TrainConfig(beta=1.0, reg_lambda=0.0, edge_dropout=0.0)
@@ -130,13 +145,12 @@ def test_total_loss_decomposition():
     scores = []
     enc = model.propagated(ds)
     for d, rows in triplets.items():
-        nodes = ds.graph(d).node_ids()
         for u, p, n in rows.T:
-            z_u, z_p, z_n = enc.represent(d, node_keys([nodes[u], nodes[p], nodes[n]]))
+            z_u, z_p, z_n = enc.represent(d, ds.graph(d).keys[[u, p, n]])
             scores.append((float(np.dot(z_u, z_p)), float(np.dot(z_u, z_n))))
     pos, neg = np.array([s for s, _ in scores]), np.array([s for _, s in scores])
     assert total_loss(model, ds, triplets, [], cfg0) == pytest.approx(
-        bpr_loss(pos, neg), rel=1e-12
+        float(np.sum(np.log1p(np.exp(-(pos - neg))))), rel=1e-12
     )
 
     cfg = TrainConfig(beta=0.03, reg_lambda=1e-4, edge_dropout=0.0)
@@ -185,9 +199,8 @@ def test_gradient_isolation_exact():
     grads = gradients(model, ds, only0, [], cfg)
     assert np.all(grads["intra[1]"] == 0.0)
     assert np.any(grads["intra[0]"] != 0.0)
-    nodes = ds.graph(0).node_ids()
-    touched = {_row(model.inter, nodes[u]) for u in only0[0][0]}
-    assert all(np.any(grads["inter"][row] != 0.0) for row in touched)
+    touched = model.inter.rows(ds.graph(0).keys[only0[0][0]])
+    assert all(np.any(grads["inter"][r] != 0.0) for r in touched)
 
 
 def test_gradient_zero_model_is_zero():
@@ -207,10 +220,10 @@ def test_gradient_hand_case_mf():
     ds = ingest([(0, 0, 0), (0, 1, 1)])
     spec = ModelSpec(d_inter=1, d_intra=1, encoder="mf")
     model = init_model(spec, ds, seed=0)
-    e = {n: float(model.inter.row(n)[0]) for n in ds.all_nodes}
-    f = {n: float(model.intra[0].row(n)[0]) for n in ds.graph(0).node_ids()}
+    e = {n: float(row(model.inter, n)[0]) for n in nodes_of(ds.keys)}
+    f = {n: float(row(model.intra[0], n)[0]) for n in nodes_of(ds.graph(0).keys)}
     cfg = TrainConfig(beta=0.0, reg_lambda=0.0, edge_dropout=0.0)
-    t = {0: np.array([[ds.graph(0).local_index(n)] for n in (U(0), I(0), I(1))])}
+    t = {0: _local(ds.graph(0), U(0), I(0), I(1))[:, None]}
     x = (e[U(0)] * e[I(0)] + f[U(0)] * f[I(0)]) - (e[U(0)] * e[I(1)] + f[U(0)] * f[I(1)])
     g = -1.0 / (1.0 + np.exp(x))
     grads = gradients(model, ds, t, [], cfg)
@@ -284,7 +297,7 @@ def test_sample_triplets_forced_and_empty():
     assert out.shape == (3, len(edges))
     assert np.array_equal(out[:2], [graph.edge_user[edges], graph.edge_item[edges] + graph.n_users])
     assert np.all(out[1] != out[2])
-    u0, i0, i1 = (graph.local_index(n) for n in (U(0), I(0), I(1)))
+    u0, i0, i1 = _local(graph, U(0), I(0), I(1))
     assert np.all(out[1:, out[0] == u0] == [[i0], [i1]])
     assert sampler.triplets(np.array([], dtype=np.int64), rng).shape == (3, 0)
 
@@ -295,7 +308,7 @@ def test_sample_triplets_negative_uniformity():
     graph = ds.graph(0)
     rng = np.random.default_rng(1)
     out = sample_triplets(ds, {0: 100_000}, rng)[0]
-    negs = graph.item_ids[out[2, out[0] == graph.local_index(U(0))] - graph.n_users]
+    negs = graph.item_ids[out[2, out[0] == _local(graph, U(0))[0]] - graph.n_users]
     freq = np.bincount(negs, minlength=3) / len(negs)
     assert freq[0] == 0.0
     assert freq[1] == pytest.approx(0.5, abs=0.02)
@@ -308,7 +321,7 @@ def test_sample_triplets_skips_saturated_user(caplog):
     with caplog.at_level(logging.WARNING):
         out = sample_triplets(ds, {0: 20}, rng)[0]
     assert 0 < out.shape[1] < 20
-    assert np.all(out[0] == ds.graph(0).local_index(U(1)))
+    assert np.all(out[0] == _local(ds.graph(0), U(1))[0])
     warnings = [rec.message for rec in caplog.records if "every item" in rec.message]
     assert warnings == ["domain 0: user 0 interacts with every item, skipping"]
 
@@ -409,7 +422,7 @@ def test_train_large_beta_pulls_pair_together():
     def pair_distance(m):
         return float(
             np.linalg.norm(
-                m.intra[0].row(U(4)) @ m.proj[0] - m.intra[1].row(U(5)) @ m.proj[1]
+                row(m.intra[0], U(4)) @ m.proj[0] - row(m.intra[1], U(5)) @ m.proj[1]
             )
         )
 

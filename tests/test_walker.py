@@ -16,7 +16,14 @@ from edda.walker import (
     write_pairs,
 )
 
-from oracles import cosine, random_bipartite_records, walk_stop_distribution
+from oracles import (
+    cosine,
+    keys,
+    nodes_of,
+    pair_texts,
+    random_bipartite_records,
+    walk_stop_distribution,
+)
 
 U = lambda i: NodeId(NodeKind.USER, i)
 I = lambda i: NodeId(NodeKind.ITEM, i)
@@ -26,7 +33,7 @@ def test_unreachable_anchor_gives_zero_vector():
     # u0's component never reaches the anchor u5
     ds = ingest([(0, 0, 0), (0, 5, 9), (1, 5, 20)])
     a = anchors(ds, 0, 1)
-    assert a.nodes == (U(5),)
+    assert np.array_equal(a.keys, keys(U(5)))
     counts = run_walks(ds.graph(0), U(0), a, WalkConfig(walk_length=4, num_walks=200, rng_seed=1))
     assert np.all(counts == 0)
 
@@ -50,9 +57,17 @@ def test_stop_frequencies_match_transition_matrix_power():
     exact = walk_stop_distribution(pairs, U(0), steps=4)
     empirical = counts / cfg.num_walks
     tv = 0.5 * sum(
-        abs(empirical[pos] - exact[node]) for pos, node in enumerate(a.nodes)
+        abs(empirical[pos] - exact[node]) for pos, node in enumerate(nodes_of(a.keys))
     )
     assert tv < 0.02
+
+
+def test_run_walks_rejects_a_source_outside_the_graph():
+    ds = ingest([(0, 0, 0), (0, 2, 0), (1, 0, 5)])
+    a = anchors(ds, 0, 1)
+    for absent in (U(1), U(3), I(5), I(2**62 - 1)):
+        with pytest.raises(KeyError, match="not in domain 0"):
+            run_walks(ds.graph(0), absent, a, WalkConfig(walk_length=2, num_walks=5))
 
 
 def test_walks_are_deterministic_per_source_seed():
@@ -134,8 +149,8 @@ def test_mine_pairs_matches_exhaustive_oracle():
 
     a = anchors(ds, 0, 1)
     expected = []
-    for src in ds.graph(0).node_ids():
-        cands = [n for n in ds.graph(1).node_ids() if n.kind == src.kind]
+    for src in nodes_of(ds.graph(0).keys):
+        cands = [n for n in nodes_of(ds.graph(1).keys) if n.kind == src.kind]
         c_src = run_walks(ds.graph(0), src, a, cfg)
         sims = []
         for cand in cands:
@@ -212,9 +227,9 @@ def _oracle_pairs(ds, d, d_prime, k, cfg):
     top-k (target, cosine), ties broken toward the smaller id."""
     a = anchors(ds, d, d_prime)
     src_graph, dst_graph = ds.graph(d), ds.graph(d_prime)
-    dst_counts = {n: run_walks(dst_graph, n, a, cfg) for n in dst_graph.node_ids()}
+    dst_counts = {n: run_walks(dst_graph, n, a, cfg) for n in nodes_of(dst_graph.keys)}
     out = {}
-    for src in src_graph.node_ids():
+    for src in nodes_of(src_graph.keys):
         c_src = run_walks(src_graph, src, a, cfg)
         exact = {}
         for cand, c_dst in dst_counts.items():
@@ -283,8 +298,9 @@ def test_stop_table_rows_give_run_walks_counts(case):
             if d_prime == d:
                 continue
             a = anchors(ds, d, d_prime)
-            local = [graph.local_index(node) for node in a.nodes]
-            for row, node in enumerate(graph.node_ids()):
+            nodes = nodes_of(graph.keys)
+            local = [nodes.index(node) for node in nodes_of(a.keys)]
+            for row, node in enumerate(nodes):
                 want = [int(np.sum(table[row] == ix)) for ix in local]
                 assert run_walks(graph, node, a, cfg).tolist() == want
 
@@ -303,7 +319,7 @@ def test_run_walks_ignores_anchors_outside_the_graph():
     # domain 0 lacks U(1) (between its user ids 0 and 2), U(7) (past them) and I(5)
     ds = ingest([(0, 0, 0), (0, 2, 0), (1, 0, 5), (1, 1, 5)])
     cfg = WalkConfig(walk_length=2, num_walks=50, rng_seed=4)
-    a = AnchorSet((0, 1), (U(0), U(1), U(7), I(5)))
+    a = AnchorSet((0, 1), keys(U(0), U(1), U(7), I(5)))
     counts = run_walks(ds.graph(0), U(0), a, cfg)
     assert counts[1:].tolist() == [0, 0, 0] and 0 < counts[0] < 50
     counts = run_walks(ds.graph(1), U(0), a, cfg)
@@ -328,6 +344,10 @@ PAIR_LINE = "0\t1\tuser\t3\t4\t0.5"
         ("0\t1\tuser\t3\t4\t1.5", "outside"),
         ("0\t1\tuser\t3\t4\t-0.2", "outside"),
         ("0\t1\tuser\t3\t4\tnan", "outside"),
+        (f"0\t1\tuser\t{2**62}\t4\t0.5", "outside \\[0, 4611686018427387903\\]"),
+        (f"0\t1\titem\t3\t{10**20}\t0.5", "outside \\[0"),
+        ("0\t1\tuser\t-3\t4\t0.5", "outside \\[0"),
+        ("-1\t1\tuser\t3\t4\t0.5", "outside \\[0"),
     ],
 )
 def test_load_pairs_rejects_malformed_lines(tmp_path, bad, message):
@@ -335,6 +355,24 @@ def test_load_pairs_rejects_malformed_lines(tmp_path, bad, message):
     path.write_text(f"# comment\n{PAIR_LINE}\n{bad}\n", encoding="utf-8")
     with pytest.raises(ValueError, match=f"pairs.tsv line 3: .*{message}"):
         load_pairs(path)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pair_texts())
+def test_load_pairs_returns_valid_pairs_or_raises_value_error(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("pairs") / "pairs.tsv"
+    path.write_text(text, encoding="utf-8")
+    try:
+        pair_sets = load_pairs(path)
+    except ValueError as err:
+        assert str(err).startswith(f"{path} line ")
+        return
+    for pair_set in pair_sets:
+        assert min(pair_set.domain_pair) >= 0
+        for p in pair_set.pairs:
+            assert p.source.kind == p.target.kind
+            assert 0 <= min(p.source.id, p.target.id) <= max(p.source.id, p.target.id) <= 2**62 - 1
+            assert 0.0 < p.similarity <= 1.0
 
 
 def test_write_pairs_failing_midway_keeps_the_earlier_file(tmp_path, monkeypatch, fail_writes):
