@@ -44,7 +44,6 @@ class RunConfig:
     eval_seed: int = 0
     determinism: bool = True
     variant: str = "edda"
-    encoder: str = "grec"
     d_inter: int = 64
     d_intra: int = 64
     d_align: int = 0  # 0: same as d_intra
@@ -67,7 +66,6 @@ class RunConfig:
             d_inter=self.d_inter,
             d_intra=self.d_intra,
             d_align=self.d_align if self.d_align > 0 else None,
-            encoder=self.encoder,
             grec=GRecConfig(num_layers=self.num_layers, alpha=self.alpha),
         )
         return variant_spec(base, self.variant)
@@ -171,10 +169,10 @@ def cmd_synth(args) -> int:
     spec = synthgen.load_spec(args.spec)
     if args.seed is not None:
         spec = replace(spec, seed=args.seed)
-    dataset, truth = synthgen.generate(spec)
+    dataset, latents = synthgen.generate(spec)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    synthgen.write_dataset(out, spec, dataset, truth)
+    synthgen.write_dataset(out, spec, dataset, latents)
     _write_manifest(out, "synth", None, {"spec": Path(args.spec)}, {"seed": spec.seed})
     print(f"wrote {dataset.num_domains} domains to {out / 'interactions.tsv'}")
     return 0

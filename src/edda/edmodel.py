@@ -41,7 +41,6 @@ class ModelSpec:
     grec: GRecConfig = field(default_factory=GRecConfig)
     use_inter: bool = True
     use_intra: bool = True
-    init_scale: float | None = None  # None: 1/sqrt(dim) per table
     dtype: str = "float64"  # "float32" allowed for production runs
 
     def __post_init__(self):
@@ -55,12 +54,6 @@ class ModelSpec:
     @property
     def align_dim(self) -> int:
         return self.d_align if self.d_align is not None else self.d_intra
-
-    @property
-    def rep_dim(self) -> int:
-        return (self.d_inter if self.use_inter else 0) + (
-            self.d_intra if self.use_intra else 0
-        )
 
 
 class EDModel:
@@ -131,11 +124,9 @@ class EDModel:
 
 
 class _RowMaps:
-    """Per domain graph: table row of each local node, the rows no graph
-    covers, and the unmasked normalized adjacency (`ops`, built on first use)."""
+    """Per domain graph: table row of each local node, and the rows no graph covers."""
 
     def __init__(self, model: EDModel, dataset: MultiDomainDataset):
-        self.ops: dict[int, object] = {}
         graphs = dataset.domains
         self.inter_rows: list[np.ndarray] = []
         self.inter_uncovered = None
@@ -174,7 +165,7 @@ class Encoding:
         self.intra_rows = self._maps.intra_rows
         self._mf = spec.encoder == ENCODER_MF
         self._residual = spec.grec.alpha ** spec.grec.num_layers
-        self._ops: dict[int, object] = {}  # masked operators of this encoding
+        self._ops: dict[int, object] = {}
         self._intra: dict[int, np.ndarray] = {}
         self.dtype = np.result_type(*(arr for _, arr in model.parameters()))
         self.inter = None
@@ -183,16 +174,13 @@ class Encoding:
             self.inter = self._inter_map(x, np.zeros_like(x))
 
     def _operator(self, d: int):
-        """Domain d's normalized adjacency under its mask; None for the identity.
-
-        Unmasked operators are shared by every encoding on the same row maps."""
+        """Domain d's normalized adjacency under its mask; None for the identity."""
         if self._mf or self.model.spec.grec.is_identity:
             return None
-        mask = self.masks.get(d) if self.masks is not None else None
-        ops = self._ops if mask is not None else self._maps.ops
-        if d not in ops:
-            ops[d] = self.dataset.graph(d).sym_norm_adjacency(mask)
-        return ops[d]
+        if d not in self._ops:
+            mask = self.masks.get(d) if self.masks is not None else None
+            self._ops[d] = self.dataset.graph(d).sym_norm_adjacency(mask)
+        return self._ops[d]
 
     def _map(self, blocks, uncovered, x: np.ndarray, out: np.ndarray) -> np.ndarray:
         """out += F x, where F propagates each (domain, rows) block of x on that
@@ -222,7 +210,8 @@ class Encoding:
     def represent(self, d: int, keys: np.ndarray) -> np.ndarray:
         """Domain-d representations of the nodes with the given keys, inter part first.
 
-        The result has shape `keys.shape + (rep_dim,)`.
+        The result has shape `keys.shape + (width,)`, where width sums the
+        dimensions of the enabled parts.
         """
         model = self.model
         parts = []
@@ -261,13 +250,9 @@ def init_model(spec: ModelSpec, dataset: MultiDomainDataset, seed: int) -> EDMod
     """
     rng = np.random.default_rng(seed)
     dtype = np.dtype(spec.dtype)
-
-    def scale(dim: int) -> float:
-        return spec.init_scale if spec.init_scale is not None else 1.0 / np.sqrt(dim)
-
     inter = None
     if spec.use_inter:
-        s = scale(spec.d_inter)
+        s = 1.0 / np.sqrt(spec.d_inter)
         inter = EmbeddingTable(
             dataset.keys,
             rng.uniform(-s, s, size=(len(dataset.keys), spec.d_inter)).astype(dtype),
@@ -275,7 +260,7 @@ def init_model(spec: ModelSpec, dataset: MultiDomainDataset, seed: int) -> EDMod
     intra = None
     proj = None
     if spec.use_intra:
-        s = scale(spec.d_intra)
+        s = 1.0 / np.sqrt(spec.d_intra)
         intra = [
             EmbeddingTable(
                 graph.keys,

@@ -196,7 +196,7 @@ def _case_scores(enc: Encoding, cases: CaseSet):
     """Positive scores (n,) and negative scores (n, 10) for one domain's cases.
 
     Cases are scored SCORE_CHUNK at a time, which bounds the (chunk, 10,
-    rep_dim) block of negative representations; each score depends on its
+    width) block of negative representations; each score depends on its
     own case only, so chunking leaves every bit unchanged.
     """
     d = cases.domain
@@ -244,12 +244,28 @@ def recall_at_1_from_scores(
     return int(np.count_nonzero(beats.all(axis=1))) / len(beats)
 
 
-def _domain_metrics(enc: Encoding, cases: CaseSet):
-    pos, neg = _case_scores(enc, cases)
-    return (
-        auc_from_scores(cases.users, pos, neg),
-        recall_at_1_from_scores(pos, neg, cases.positives, cases.negatives),
-    )
+def _rows(enc: Encoding, case_sets: Sequence[CaseSet]) -> list[tuple[int, float, float, int]]:
+    """(domain, AUC, Recall@1, num_cases) per case set; NaN metrics for an empty one."""
+    rows = []
+    for cases in case_sets:
+        if not len(cases):
+            rows.append((cases.domain, float("nan"), float("nan"), 0))
+            continue
+        pos, neg = _case_scores(enc, cases)
+        auc = auc_from_scores(cases.users, pos, neg)
+        recall = recall_at_1_from_scores(pos, neg, cases.positives, cases.negatives)
+        rows.append((cases.domain, auc, recall, len(cases)))
+    return rows
+
+
+def _mean(rows: Sequence[tuple[int, float, float, int]]) -> tuple[float, float, int]:
+    """Unweighted mean AUC and Recall@1 over the rows with cases, and their
+    total case count; (NaN, NaN, 0) when no row has a case."""
+    valid = [(auc, recall, n) for _, auc, recall, n in rows if n > 0]
+    if not valid:
+        return float("nan"), float("nan"), 0
+    aucs, recalls, counts = zip(*valid)
+    return float(np.mean(aucs)), float(np.mean(recalls)), sum(counts)
 
 
 def evaluate_all(
@@ -259,35 +275,14 @@ def evaluate_all(
     eval_seed: int = 0,
 ) -> list[tuple[int, float, float, int]]:
     """(domain, AUC, Recall@1, num_cases) per domain, one propagation pass."""
-    enc = model.propagated(split_data.train)
-    out = []
-    for d, cases in enumerate(build_all_cases(split_data, which, eval_seed)):
-        if not len(cases):
-            out.append((d, float("nan"), float("nan"), 0))
-            continue
-        domain_auc, domain_recall = _domain_metrics(enc, cases)
-        out.append((d, domain_auc, domain_recall, len(cases)))
-    return out
+    return _rows(model.propagated(split_data.train), build_all_cases(split_data, which, eval_seed))
 
 
 def evaluate_cases_mean(
     model: EDModel, split_data: SplitDataset, cases_per_domain: Sequence[CaseSet]
 ) -> tuple[float, float, int]:
     """Unweighted domain-mean AUC/Recall@1 over prebuilt cases."""
-    enc = model.propagated(split_data.train)
-    aucs = []
-    recalls = []
-    total = 0
-    for cases in cases_per_domain:
-        if not len(cases):
-            continue
-        a, r = _domain_metrics(enc, cases)
-        aucs.append(a)
-        recalls.append(r)
-        total += len(cases)
-    if not aucs:
-        return float("nan"), float("nan"), 0
-    return float(np.mean(aucs)), float(np.mean(recalls)), total
+    return _mean(_rows(model.propagated(split_data.train), cases_per_domain))
 
 
 # -- domain analysis ----------------------------------------------------------
@@ -318,11 +313,8 @@ def format_report(rows: Sequence[tuple[int, float, float, int]]) -> str:
     lines = ["domain\tAUC\tRecall@1\tnum_cases"]
     for d, a, r, n in rows:
         lines.append(f"{d}\t{a:.6f}\t{r:.6f}\t{n}")
-    valid = [(a, r, n) for _, a, r, n in rows if n > 0]
-    if valid:
-        mean_auc = float(np.mean([a for a, _, _ in valid]))
-        mean_recall = float(np.mean([r for _, r, _ in valid]))
-        total = sum(n for _, _, n in valid)
+    mean_auc, mean_recall, total = _mean(rows)
+    if total:
         lines.append(f"AVG\t{mean_auc:.6f}\t{mean_recall:.6f}\t{total}")
     return "\n".join(lines) + "\n"
 

@@ -83,12 +83,20 @@ class DomainGraph:
         self.user_degree = np.bincount(self.edge_user, minlength=n_u)
         self.item_degree = np.bincount(self.edge_item, minlength=n_i)
 
-        # node-level CSR over [users | items] for walks; edges are in user-row order
+        # node-level CSR over [users | items], the one adjacency structure of
+        # walks, splits and propagation; edges are in user-row order
         order_i = np.lexsort((self.edge_user, self.edge_item))
         self.adj_indptr = np.concatenate(
             [[0], np.cumsum(np.concatenate([self.user_degree, self.item_degree]))]
         )
         self.adj_indices = np.concatenate([self.edge_item + n_u, self.edge_user[order_i]])
+        # canonical edge of each CSR entry, and the entry's weight 1/sqrt(d_u d_i)
+        self._entry_edge = np.concatenate([np.arange(self.n_edges), order_i])
+        weight = 1.0 / np.sqrt(
+            self.user_degree[self.edge_user].astype(np.float64) * self.item_degree[self.edge_item]
+        )
+        self._entry_weight = weight[self._entry_edge]
+        self._entry_weight.flags.writeable = False  # the data of every unmasked operator
 
     @property
     def n_users(self) -> int:
@@ -117,23 +125,18 @@ class DomainGraph:
 
         Degrees are always the full-graph degrees; `mask` (boolean, one entry
         per edge in canonical order) only removes edges from A, so the
-        per-edge normalization is unchanged under edge dropout.
+        per-edge normalization is unchanged under edge dropout. The matrix
+        is the graph's own CSR with its entry weights, the masked entries left
+        out.
         """
-        e_u, e_i = self.edge_user, self.edge_item
-        if mask is not None:
-            if mask.shape != (self.n_edges,):
-                raise ValueError("edge mask must have one entry per edge")
-            e_u, e_i = e_u[mask], e_i[mask]
-        w = 1.0 / np.sqrt(
-            self.user_degree[e_u].astype(np.float64) * self.item_degree[e_i]
-        )
-        rows = np.concatenate([e_u, e_i + self.n_users])
-        cols = np.concatenate([e_i + self.n_users, e_u])
-        a = sp.coo_matrix(
-            (np.concatenate([w, w]), (rows, cols)),
-            shape=(self.n_nodes, self.n_nodes),
-        )
-        return a.tocsr()
+        shape = (self.n_nodes, self.n_nodes)
+        if mask is None:
+            return sp.csr_matrix((self._entry_weight, self.adj_indices, self.adj_indptr), shape)
+        if mask.shape != (self.n_edges,):
+            raise ValueError("edge mask must have one entry per edge")
+        keep = mask[self._entry_edge]
+        indptr = np.concatenate([[0], np.cumsum(keep)])[self.adj_indptr]
+        return sp.csr_matrix((self._entry_weight[keep], self.adj_indices[keep], indptr), shape)
 
 
 @dataclass(frozen=True, eq=False)

@@ -21,6 +21,15 @@ the unchosen cells of largest margin (propensity minus a uniform draw); an
 exact tie at the cut goes to the lowest row-major cell index, so the set is
 the first cells of a stable sort by descending margin.
 
+Feasibility is checked when a `SynthSpec` is built: every check that needs
+only the counts (a pair's overlap against the smaller domain, the shared
+blocks against each domain, the budget against n_u * n_i and against
+max(n_u, n_i)) runs in `__post_init__`, before any id or latent exists.
+`generate` checks only the coverage minimum, which depends on the latents.
+It returns the dataset and the latents as one dict keyed by their
+`latents.npz` names (shared, then `intercepts`, then every `specific_user*`,
+then every `specific_item*`), which `write_dataset` saves as it is.
+
 `anchor_specific_boost` scales the per-domain latents of overlapping
 entities: entities present in several domains are both more active and more
 idiosyncratic per domain, which is what makes a single shared embedding pay a
@@ -30,9 +39,9 @@ price for serving all domains at once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -65,11 +74,13 @@ def _per_domain(value, num_domains: int, name: str) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class SynthSpec:
+    """Generator settings; building one runs every check that needs only the counts."""
+
     num_domains: int
     users_per_domain: tuple[int, ...] | int
     items_per_domain: tuple[int, ...] | int
     interactions_per_domain: tuple[int, ...] | int
-    overlap_fraction: float | Mapping[tuple[int, int], float] = 0.0
+    overlap_fraction: float = 0.0
     shared_dim: int = 8
     specific_dim: int = 4
     shared_weight: float = 0.5
@@ -88,18 +99,39 @@ class SynthSpec:
             raise SynthError("affinity_gain must be finite")
         if not 0.0 < self.anchor_specific_boost < math.inf:
             raise SynthError("anchor_specific_boost must be positive and finite")
+        users, items, budgets = self.users(), self.items(), self.interactions()
         for name, counts in (
-            ("users_per_domain", self.users()),
-            ("items_per_domain", self.items()),
-            ("interactions_per_domain", self.interactions()),
+            ("users_per_domain", users),
+            ("items_per_domain", items),
+            ("interactions_per_domain", budgets),
         ):
             if min(counts) < 1:
                 raise SynthError(f"{name} must be at least 1 in every domain")
             if max(counts) > MAX_ID:
                 raise SynthError(f"{name} must be at most {MAX_ID} in every domain")
-        for f in self._overlaps().values():
-            if not 0.0 <= f <= 1.0:
-                raise SynthError("overlap fractions must lie in [0, 1]")
+        if not 0.0 <= self.overlap_fraction <= 1.0:
+            raise SynthError("overlap fractions must lie in [0, 1]")
+        shared_users, shared_items = _shared_blocks(self)
+        in_users, in_items = [0] * self.num_domains, [0] * self.num_domains
+        for (d, d_prime), s_users in shared_users.items():
+            s_items = shared_items[(d, d_prime)]
+            if s_users > min(users[d], users[d_prime]) or s_items > min(items[d], items[d_prime]):
+                raise SynthError(
+                    f"pair ({d},{d_prime}): requested overlap exceeds the smaller domain"
+                )
+            for dd in (d, d_prime):
+                in_users[dd] += s_users
+                in_items[dd] += s_items
+        for d in range(self.num_domains):
+            if in_users[d] > users[d] or in_items[d] > items[d]:
+                raise SynthError(f"domain {d}: shared blocks exceed its user/item budget")
+        for d, (n_u, n_i, budget) in enumerate(zip(users, items, budgets)):
+            if budget > n_u * n_i:
+                raise SynthError(f"domain {d}: budget exceeds the number of pairs")
+            if budget < max(n_u, n_i):
+                raise SynthError(
+                    f"domain {d}: budget {budget} cannot cover {n_u} users and {n_i} items"
+                )
 
     def users(self) -> tuple[int, ...]:
         return _per_domain(self.users_per_domain, self.num_domains, "users_per_domain")
@@ -112,102 +144,45 @@ class SynthSpec:
             self.interactions_per_domain, self.num_domains, "interactions_per_domain"
         )
 
-    def _overlaps(self) -> dict[tuple[int, int], float]:
-        pairs = [
-            (d, d_prime)
-            for d in range(self.num_domains)
-            for d_prime in range(d + 1, self.num_domains)
-        ]
-        if isinstance(self.overlap_fraction, Mapping):
-            table = {tuple(sorted(k)): float(v) for k, v in self.overlap_fraction.items()}
-            return {p: table.get(p, 0.0) for p in pairs}
-        return {p: float(self.overlap_fraction) for p in pairs}
 
-
-@dataclass
-class GroundTruth:
-    """Latents behind the generated interactions, for diagnostics and tests."""
-
-    shared_user_ids: np.ndarray
-    shared_user: np.ndarray
-    shared_item_ids: np.ndarray
-    shared_item: np.ndarray
-    specific_user: list[tuple[np.ndarray, np.ndarray]]  # per domain (ids, matrix)
-    specific_item: list[tuple[np.ndarray, np.ndarray]]
-    intercepts: np.ndarray
-
-    def arrays(self) -> dict[str, np.ndarray]:
-        """Every latent array by its name in latents.npz."""
-        arrays = {
-            "shared_user_ids": self.shared_user_ids,
-            "shared_user": self.shared_user,
-            "shared_item_ids": self.shared_item_ids,
-            "shared_item": self.shared_item,
-            "intercepts": self.intercepts,
-        }
-        for d, (ids, mat) in enumerate(self.specific_user):
-            arrays[f"specific_user_ids_{d}"] = ids
-            arrays[f"specific_user_{d}"] = mat
-        for d, (ids, mat) in enumerate(self.specific_item):
-            arrays[f"specific_item_ids_{d}"] = ids
-            arrays[f"specific_item_{d}"] = mat
-        return arrays
-
-
-def _shared_block_sizes(spec: SynthSpec) -> dict[tuple[int, int], tuple[int, int]]:
-    """(shared users, shared items) per pair hitting the requested overlap."""
+def _shared_blocks(spec: SynthSpec) -> tuple[dict, dict]:
+    """Shared users and shared items per domain pair, in pair order, sized to
+    hit the requested overlap."""
     users, items = spec.users(), spec.items()
-    out = {}
-    for (d, d_prime), f in spec._overlaps().items():
-        if f == 0.0:
-            out[(d, d_prime)] = (0, 0)
-            continue
-        total = users[d] + users[d_prime] + items[d] + items[d_prime]
-        s_total = int(round(f * total / (1.0 + f)))
-        user_share = (users[d] + users[d_prime]) / total
-        s_users = int(round(s_total * user_share))
-        s_items = s_total - s_users
-        out[(d, d_prime)] = (s_users, s_items)
-    return out
-
-
-def _allocate_ids(spec: SynthSpec):
-    """Global user/item ids per domain; overlap realized by shared id blocks."""
-    users, items = spec.users(), spec.items()
-    blocks = _shared_block_sizes(spec)
-    domain_users: list[list[int]] = [[] for _ in range(spec.num_domains)]
-    domain_items: list[list[int]] = [[] for _ in range(spec.num_domains)]
-    next_user = 0
-    next_item = 0
-    for (d, d_prime), (s_users, s_items) in sorted(blocks.items()):
-        if s_users > min(users[d], users[d_prime]) or s_items > min(items[d], items[d_prime]):
-            raise SynthError(
-                f"pair ({d},{d_prime}): requested overlap exceeds the smaller domain"
-            )
-        shared_u = list(range(next_user, next_user + s_users))
-        next_user += s_users
-        shared_i = list(range(next_item, next_item + s_items))
-        next_item += s_items
-        for dd in (d, d_prime):
-            domain_users[dd].extend(shared_u)
-            domain_items[dd].extend(shared_i)
+    f = spec.overlap_fraction
+    shared_users, shared_items = {}, {}
     for d in range(spec.num_domains):
-        if len(domain_users[d]) > users[d] or len(domain_items[d]) > items[d]:
-            raise SynthError(
-                f"domain {d}: shared blocks exceed its user/item budget"
-            )
-        missing_u = users[d] - len(domain_users[d])
-        domain_users[d].extend(range(next_user, next_user + missing_u))
-        next_user += missing_u
-        missing_i = items[d] - len(domain_items[d])
-        domain_items[d].extend(range(next_item, next_item + missing_i))
-        next_item += missing_i
-    return (
-        [np.array(sorted(u), dtype=np.int64) for u in domain_users],
-        [np.array(sorted(i), dtype=np.int64) for i in domain_items],
-        next_user,
-        next_item,
-    )
+        for d_prime in range(d + 1, spec.num_domains):
+            s_users = s_items = 0
+            if f != 0.0:
+                total = users[d] + users[d_prime] + items[d] + items[d_prime]
+                s_total = int(round(f * total / (1.0 + f)))
+                s_users = int(round(s_total * ((users[d] + users[d_prime]) / total)))
+                s_items = s_total - s_users
+            shared_users[(d, d_prime)] = s_users
+            shared_items[(d, d_prime)] = s_items
+    return shared_users, shared_items
+
+
+def _allocate_ids(counts: Sequence[int], shared: dict) -> tuple[list[np.ndarray], int]:
+    """Global ids of one kind per domain, and how many there are.
+
+    Each pair's shared block takes the next consecutive ids, in pair order,
+    then each domain's private ids follow in domain order. Every block is a
+    range above the earlier ones, so each domain's ids come out ascending.
+    """
+    blocks: list[list[np.ndarray]] = [[] for _ in counts]
+    next_id = 0
+    for (d, d_prime), size in shared.items():
+        block = np.arange(next_id, next_id + size, dtype=np.int64)
+        blocks[d].append(block)
+        blocks[d_prime].append(block)
+        next_id += size
+    for d, count in enumerate(counts):
+        private = count - sum(len(block) for block in blocks[d])
+        blocks[d].append(np.arange(next_id, next_id + private, dtype=np.int64))
+        next_id += private
+    return [np.concatenate(domain_blocks) for domain_blocks in blocks], next_id
 
 
 def _calibrate_intercept(z: np.ndarray, target: float, out: np.ndarray) -> float:
@@ -258,42 +233,38 @@ def _fill_budget(margin: np.ndarray, chosen: np.ndarray, k: int) -> None:
     flat[np.flatnonzero(key == kth)[: k - len(below)]] = True
 
 
-def generate(spec: SynthSpec) -> tuple[MultiDomainDataset, GroundTruth]:
-    """Dataset plus the ground-truth latents; byte-deterministic under seed."""
+def generate(spec: SynthSpec) -> tuple[MultiDomainDataset, dict[str, np.ndarray]]:
+    """The dataset and its latents by `latents.npz` name; byte-deterministic
+    under seed. Only the coverage minimum is checked here."""
     rng = np.random.default_rng(spec.seed)
-    domain_users, domain_items, n_users, n_items = _allocate_ids(spec)
-    interactions = spec.interactions()
+    shared_users, shared_items = _shared_blocks(spec)
+    domain_users, n_users = _allocate_ids(spec.users(), shared_users)
+    domain_items, n_items = _allocate_ids(spec.items(), shared_items)
+    user_multiplicity = np.bincount(np.concatenate(domain_users), minlength=n_users)
+    item_multiplicity = np.bincount(np.concatenate(domain_items), minlength=n_items)
 
     shared_user = rng.normal(size=(n_users, spec.shared_dim))
     shared_item = rng.normal(size=(n_items, spec.shared_dim))
-
-    user_multiplicity = np.zeros(n_users, dtype=np.int64)
-    item_multiplicity = np.zeros(n_items, dtype=np.int64)
-    for d in range(spec.num_domains):
-        user_multiplicity[domain_users[d]] += 1
-        item_multiplicity[domain_items[d]] += 1
-
-    graphs = []
-    specific_user = []
-    specific_item = []
     intercepts = np.zeros(spec.num_domains)
-    for d in range(spec.num_domains):
+    latents = {
+        "shared_user_ids": np.arange(n_users),
+        "shared_user": shared_user,
+        "shared_item_ids": np.arange(n_items),
+        "shared_item": shared_item,
+        "intercepts": intercepts,
+    }
+    item_latents = {}  # npz member order: every user block before any item block
+    graphs = []
+    for d, budget in enumerate(spec.interactions()):
         u_ids, i_ids = domain_users[d], domain_items[d]
         n_u, n_i = len(u_ids), len(i_ids)
-        budget = interactions[d]
-        if budget > n_u * n_i:
-            raise SynthError(f"domain {d}: budget exceeds the number of pairs")
-        if budget < max(n_u, n_i):
-            raise SynthError(
-                f"domain {d}: budget {budget} cannot cover {n_u} users and {n_i} items"
-            )
         p_spec = rng.normal(size=(n_u, spec.specific_dim))
         q_spec = rng.normal(size=(n_i, spec.specific_dim))
         if spec.anchor_specific_boost != 1.0:
             p_spec[user_multiplicity[u_ids] > 1] *= spec.anchor_specific_boost
             q_spec[item_multiplicity[i_ids] > 1] *= spec.anchor_specific_boost
-        specific_user.append((u_ids, p_spec))
-        specific_item.append((i_ids, q_spec))
+        latents[f"specific_user_ids_{d}"], latents[f"specific_user_{d}"] = u_ids, p_spec
+        item_latents[f"specific_item_ids_{d}"], item_latents[f"specific_item_{d}"] = i_ids, q_spec
 
         shared_aff = shared_user[u_ids] @ shared_item[i_ids].T / np.sqrt(spec.shared_dim)
         spec_aff = p_spec @ q_spec.T / np.sqrt(spec.specific_dim)
@@ -317,34 +288,10 @@ def generate(spec: SynthSpec) -> tuple[MultiDomainDataset, GroundTruth]:
 
         rows, cols = np.nonzero(chosen)  # row-major, so (user, item) order
         graphs.append(DomainGraph(d, np.column_stack([u_ids[rows], i_ids[cols]])))
-
-    truth = GroundTruth(
-        shared_user_ids=np.arange(n_users),
-        shared_user=shared_user,
-        shared_item_ids=np.arange(n_items),
-        shared_item=shared_item,
-        specific_user=specific_user,
-        specific_item=specific_item,
-        intercepts=intercepts,
-    )
-    return MultiDomainDataset(graphs), truth
+    return MultiDomainDataset(graphs), {**latents, **item_latents}
 
 
 # -- spec files and output bundles -------------------------------------------
-
-_SPEC_KEYS = {
-    "num_domains": int,
-    "users_per_domain": str,
-    "items_per_domain": str,
-    "interactions_per_domain": str,
-    "overlap_fraction": float,
-    "shared_dim": int,
-    "specific_dim": int,
-    "shared_weight": float,
-    "affinity_gain": float,
-    "anchor_specific_boost": float,
-    "seed": int,
-}
 
 
 def _parse_counts(text: str):
@@ -357,7 +304,8 @@ def load_spec(path: str | Path) -> SynthSpec:
     """Read a `key = value` spec file; counts may be single ints or comma lists.
     A value that does not parse or lies out of range raises SynthError naming the file."""
     raw = read_key_values(path, SynthError)
-    unknown = set(raw) - set(_SPEC_KEYS)
+    types = {f.name: f.type for f in fields(SynthSpec)}
+    unknown = set(raw) - set(types)
     if unknown:
         raise SynthError(f"{path}: unknown keys {sorted(unknown)}")
     kwargs = {}
@@ -366,7 +314,7 @@ def load_spec(path: str | Path) -> SynthSpec:
             if key.endswith("_per_domain"):
                 kwargs[key] = _parse_counts(value)
             else:
-                kwargs[key] = _SPEC_KEYS[key](value)
+                kwargs[key] = int(value) if types[key] == "int" else float(value)
         except ValueError as err:
             raise SynthError(f"{path}: {key}: {err}") from None
     try:
@@ -376,31 +324,23 @@ def load_spec(path: str | Path) -> SynthSpec:
 
 
 def spec_manifest(spec: SynthSpec) -> str:
-    def fmt(value):
+    """One `key = value` line per spec field, in field order; counts as comma lists."""
+    lines = []
+    for f in fields(SynthSpec):
+        value = getattr(spec, f.name)
         if isinstance(value, tuple):
-            return ",".join(str(v) for v in value)
-        return str(value)
-
-    lines = [
-        f"num_domains = {spec.num_domains}",
-        f"users_per_domain = {fmt(spec.users_per_domain)}",
-        f"items_per_domain = {fmt(spec.items_per_domain)}",
-        f"interactions_per_domain = {fmt(spec.interactions_per_domain)}",
-        f"overlap_fraction = {fmt(spec.overlap_fraction)}",
-        f"shared_dim = {spec.shared_dim}",
-        f"specific_dim = {spec.specific_dim}",
-        f"shared_weight = {spec.shared_weight}",
-        f"affinity_gain = {spec.affinity_gain}",
-        f"anchor_specific_boost = {spec.anchor_specific_boost}",
-        f"seed = {spec.seed}",
-    ]
-    return "\n".join(lines) + "\n"
+            value = ",".join(str(v) for v in value)
+        lines.append(f"{f.name} = {value}\n")
+    return "".join(lines)
 
 
 def write_dataset(
-    directory: str | Path, spec: SynthSpec, dataset: MultiDomainDataset, truth: GroundTruth
+    directory: str | Path,
+    spec: SynthSpec,
+    dataset: MultiDomainDataset,
+    latents: dict[str, np.ndarray],
 ) -> None:
-    """interactions.tsv plus a spec manifest and the ground-truth latents.
+    """interactions.tsv plus a spec manifest and `latents` as latents.npz.
 
     Each file is written atomically.
     """
@@ -410,4 +350,4 @@ def write_dataset(
     with atomic_write(directory / "synth.manifest") as handle:
         handle.write(spec_manifest(spec))
     with atomic_write(directory / "latents.npz", "wb") as handle:
-        np.savez(handle, **truth.arrays())
+        np.savez(handle, **latents)

@@ -5,10 +5,11 @@ these implementations must not share code paths with the library.
 """
 
 import numpy as np
+import scipy.sparse as sp
 from hypothesis import strategies as st
 
 from edda.mdgraph import NodeId, NodeKind
-from edda.synthgen import SynthError, _allocate_ids
+from edda.synthgen import SynthError
 
 
 def keys(*nodes):
@@ -50,6 +51,26 @@ def domain_graph_by_unique_rows(edges):
             [edge_item[order_u] + len(user_ids), edge_user[order_i]]
         ),
     }
+
+
+def sym_norm_adjacency_by_coo(graph, mask=None):
+    """`DomainGraph.sym_norm_adjacency` as first built: a COO matrix of both
+    directions of every kept edge, converted to CSR."""
+    e_u, e_i = graph.edge_user, graph.edge_item
+    if mask is not None:
+        e_u, e_i = e_u[mask], e_i[mask]
+    w = 1.0 / np.sqrt(graph.user_degree[e_u].astype(np.float64) * graph.item_degree[e_i])
+    rows = np.concatenate([e_u, e_i + graph.n_users])
+    cols = np.concatenate([e_i + graph.n_users, e_u])
+    a = sp.coo_matrix((np.concatenate([w, w]), (rows, cols)), shape=(graph.n_nodes,) * 2)
+    return a.tocsr()
+
+
+def zeroed(model):
+    """`model` with every parameter set to zero, in place."""
+    for _, arr in model.parameters():
+        arr[...] = 0.0
+    return model
 
 
 def edge_lists():
@@ -361,21 +382,79 @@ def fill_by_stable_argsort(margin, chosen, k):
     return out
 
 
-def generate_reference(spec):
-    """`synthgen.generate` as first written, with the two references above.
+def allocate_ids_by_lists(users, items, overlap_fraction):
+    """Per-domain user and item ids as `synthgen` first allocated them, with
+    Python lists: each domain pair's shared block (sized to hit the overlap)
+    in pair order, then each domain's private ids, every list sorted.
 
-    Returns `(records, intercepts, latents, forced)`: sorted (domain, user,
-    item) tuples, the intercept per domain, the `write_dataset` latent arrays
-    by name, and the number of coverage-forced cells per domain. Id
-    allocation is the library's `_allocate_ids`, which this does not test.
+    Returns `(domain_users, domain_items, n_users, n_items)`; raises the
+    allocation's SynthErrors, pairs first, then domains.
     """
-    rng = np.random.default_rng(spec.seed)
-    domain_users, domain_items, n_users, n_items = _allocate_ids(spec)
-    shared_user = rng.normal(size=(n_users, spec.shared_dim))
-    shared_item = rng.normal(size=(n_items, spec.shared_dim))
+    n = len(users)
+    blocks = {}
+    for d in range(n):
+        for d_prime in range(d + 1, n):
+            if overlap_fraction == 0.0:
+                blocks[(d, d_prime)] = (0, 0)
+                continue
+            total = users[d] + users[d_prime] + items[d] + items[d_prime]
+            s_total = int(round(overlap_fraction * total / (1.0 + overlap_fraction)))
+            s_users = int(round(s_total * ((users[d] + users[d_prime]) / total)))
+            blocks[(d, d_prime)] = (s_users, s_total - s_users)
+    domain_users = [[] for _ in range(n)]
+    domain_items = [[] for _ in range(n)]
+    next_user = next_item = 0
+    for (d, d_prime), (s_users, s_items) in sorted(blocks.items()):
+        if s_users > min(users[d], users[d_prime]) or s_items > min(items[d], items[d_prime]):
+            raise SynthError(
+                f"pair ({d},{d_prime}): requested overlap exceeds the smaller domain"
+            )
+        shared_u = list(range(next_user, next_user + s_users))
+        next_user += s_users
+        shared_i = list(range(next_item, next_item + s_items))
+        next_item += s_items
+        for dd in (d, d_prime):
+            domain_users[dd].extend(shared_u)
+            domain_items[dd].extend(shared_i)
+    for d in range(n):
+        if len(domain_users[d]) > users[d] or len(domain_items[d]) > items[d]:
+            raise SynthError(f"domain {d}: shared blocks exceed its user/item budget")
+        missing_u = users[d] - len(domain_users[d])
+        domain_users[d].extend(range(next_user, next_user + missing_u))
+        next_user += missing_u
+        missing_i = items[d] - len(domain_items[d])
+        domain_items[d].extend(range(next_item, next_item + missing_i))
+        next_item += missing_i
+    return (
+        [np.array(sorted(u), dtype=np.int64) for u in domain_users],
+        [np.array(sorted(i), dtype=np.int64) for i in domain_items],
+        next_user,
+        next_item,
+    )
+
+
+def generate_reference(spec):
+    """`synthgen.generate` as first written, with the references above.
+
+    `spec` holds `SynthSpec`'s keyword arguments, with every count a tuple,
+    so that a spec `SynthSpec` refuses to build can still be run. Returns
+    `(records, intercepts, latents, forced)`: sorted (domain, user, item)
+    tuples, the intercept per domain, the `write_dataset` latent arrays by
+    name, and the number of coverage-forced cells per domain. Raises the
+    SynthError the first generator raised, in its order of checks.
+    """
+    rng = np.random.default_rng(spec["seed"])
+    domain_users, domain_items, n_users, n_items = allocate_ids_by_lists(
+        spec["users_per_domain"], spec["items_per_domain"], spec["overlap_fraction"]
+    )
+    shared_dim, specific_dim = spec["shared_dim"], spec["specific_dim"]
+    weight, gain = spec["shared_weight"], spec["affinity_gain"]
+    boost = spec["anchor_specific_boost"]
+    shared_user = rng.normal(size=(n_users, shared_dim))
+    shared_item = rng.normal(size=(n_items, shared_dim))
     user_mult = np.zeros(n_users, dtype=np.int64)
     item_mult = np.zeros(n_items, dtype=np.int64)
-    for d in range(spec.num_domains):
+    for d in range(len(domain_users)):
         user_mult[domain_users[d]] += 1
         item_mult[domain_items[d]] += 1
     latents = {
@@ -385,7 +464,7 @@ def generate_reference(spec):
         "shared_item": shared_item,
     }
     records, intercepts, forced_counts = [], [], []
-    for d, budget in enumerate(spec.interactions()):
+    for d, budget in enumerate(spec["interactions_per_domain"]):
         u_ids, i_ids = domain_users[d], domain_items[d]
         n_u, n_i = len(u_ids), len(i_ids)
         if budget > n_u * n_i:
@@ -394,19 +473,17 @@ def generate_reference(spec):
             raise SynthError(
                 f"domain {d}: budget {budget} cannot cover {n_u} users and {n_i} items"
             )
-        p_spec = rng.normal(size=(n_u, spec.specific_dim))
-        q_spec = rng.normal(size=(n_i, spec.specific_dim))
-        if spec.anchor_specific_boost != 1.0:
-            p_spec[user_mult[u_ids] > 1] *= spec.anchor_specific_boost
-            q_spec[item_mult[i_ids] > 1] *= spec.anchor_specific_boost
+        p_spec = rng.normal(size=(n_u, specific_dim))
+        q_spec = rng.normal(size=(n_i, specific_dim))
+        if boost != 1.0:
+            p_spec[user_mult[u_ids] > 1] *= boost
+            q_spec[item_mult[i_ids] > 1] *= boost
         latents[f"specific_user_ids_{d}"], latents[f"specific_user_{d}"] = u_ids, p_spec
         latents[f"specific_item_ids_{d}"], latents[f"specific_item_{d}"] = i_ids, q_spec
 
-        shared_aff = shared_user[u_ids] @ shared_item[i_ids].T / np.sqrt(spec.shared_dim)
-        spec_aff = p_spec @ q_spec.T / np.sqrt(spec.specific_dim)
-        z = spec.affinity_gain * (
-            spec.shared_weight * shared_aff + (1.0 - spec.shared_weight) * spec_aff
-        )
+        shared_aff = shared_user[u_ids] @ shared_item[i_ids].T / np.sqrt(shared_dim)
+        spec_aff = p_spec @ q_spec.T / np.sqrt(specific_dim)
+        z = gain * (weight * shared_aff + (1.0 - weight) * spec_aff)
         b, _ = calibrate_intercept_200(z, budget)
         intercepts.append(b)
         margin = 1.0 / (1.0 + np.exp(-(z + b))) - rng.random((n_u, n_i))

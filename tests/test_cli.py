@@ -199,6 +199,35 @@ def test_eval_refuses_on_seed_mismatch(workspace, capsys):
     ]) == 0
 
 
+def test_eval_refuses_an_eval_seed_mismatch_unless_forced(workspace, capsys):
+    data = workspace / "data" / "interactions.tsv"
+    config = workspace / "run.cfg"
+    run = workspace / "run_es"
+    assert main(["train", str(data), "--out", str(run), "--config", str(config)]) == 0
+    capsys.readouterr()
+    evaluate = ["eval", str(data), str(run), "--config", str(config), "--eval-seed", "5"]
+    assert main([*evaluate, "--out", str(workspace / "eval_es")]) == 2
+    assert "refusing to evaluate (pass --force to override): eval seed 0 != 5" in (
+        capsys.readouterr().err
+    )
+    assert not (workspace / "eval_es").exists()
+    assert main([*evaluate, "--out", str(workspace / "eval_es"), "--force"]) == 0
+    assert (workspace / "eval_es" / "eval_report.tsv").exists()
+
+
+def test_train_divergence_exits_2_without_a_checkpoint(workspace, capsys):
+    config = workspace / "diverge.cfg"
+    config.write_text(CONFIG_TEXT.replace("learning_rate = 0.01", "learning_rate = 1e300"))
+    run = workspace / "run_div"
+    code = main([
+        "train", str(workspace / "data" / "interactions.tsv"), "--out", str(run),
+        "--config", str(config),
+    ])
+    assert code == 2
+    assert "training diverged: non-finite loss" in capsys.readouterr().err
+    assert not (run / "checkpoint").exists() and not (run / "manifest.txt").exists()
+
+
 def test_eval_without_training_manifest_warns_once(workspace, capsys):
     data = workspace / "data" / "interactions.tsv"
     config = workspace / "run.cfg"

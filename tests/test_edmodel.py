@@ -124,9 +124,6 @@ def test_init_determinism_and_scale():
     bound = 1.0 / np.sqrt(spec.d_inter)
     assert np.all(np.abs(m1.inter.matrix) <= bound)
 
-    zero = init_model(ModelSpec(d_inter=4, d_intra=3, init_scale=0.0), ds, seed=7)
-    assert all(np.all(arr == 0.0) for _, arr in zero.parameters())
-
 
 def test_parameter_partition_counts():
     ds = ingest([(0, 0, 0), (0, 1, 1), (1, 0, 2)])

@@ -20,7 +20,14 @@ from edda.trainer import (
 )
 from edda.walker import WalkConfig, mine_pairs
 
-from oracles import dense_propagate, nodes_of, random_bipartite_records, row
+from oracles import (
+    dense_propagate,
+    edge_lists,
+    nodes_of,
+    random_bipartite_records,
+    row,
+    sym_norm_adjacency_by_coo,
+)
 
 
 def _triplets(ds, counts, rng):
@@ -169,28 +176,27 @@ def test_float32_gradients_match_float64(encoder):
         np.testing.assert_allclose(g, want[name], rtol=0, atol=1e-6 * scale, err_msg=name)
 
 
-def test_unmasked_operators_are_built_once_per_row_maps(monkeypatch):
+@settings(max_examples=150, deadline=None)
+@given(edge_lists(), st.data())
+def test_sym_norm_adjacency_equals_the_coo_build(edges, data):
+    graph = DomainGraph(0, edges)
+    n = graph.n_edges
+    kept = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
+    x = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).normal(size=(graph.n_nodes, 3))
+    for mask in (None, kept):
+        got, want = graph.sym_norm_adjacency(mask), sym_norm_adjacency_by_coo(graph, mask)
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        assert (got @ x).tobytes() == (want @ x).tobytes()
+
+
+def test_two_encodings_of_one_model_are_equal():
     rng = np.random.default_rng(3)
     records = random_bipartite_records(rng, 0, 5, 6, 14) + random_bipartite_records(rng, 1, 4, 5, 9)
     ds = ingest(records)
     model = init_model(ModelSpec(d_inter=3, d_intra=2), ds, seed=1)
-    built = []
-    original = DomainGraph.sym_norm_adjacency
-    def counted(graph, mask=None):
-        built.append(mask is None)
-        return original(graph, mask)
-
-    monkeypatch.setattr(DomainGraph, "sym_norm_adjacency", counted)
-    first = model.propagated(ds)
-    for d in range(ds.num_domains):
-        first.intra(d)
-    assert built == [True] * ds.num_domains
-    second = model.propagated(ds)
-    for d in range(ds.num_domains):
-        second.intra(d)
+    first, second = model.propagated(ds), model.propagated(ds)
     assert np.array_equal(first.inter, second.inter)
-    assert built == [True] * ds.num_domains
-    masks = {d: edge_dropout(g, 0.3, rng) for d, g in enumerate(ds.domains)}
-    model.propagated(ds, masks)
-    model.propagated(ds, masks)
-    assert built == [True] * ds.num_domains + [False] * (2 * ds.num_domains)
+    for d in range(ds.num_domains):
+        assert np.array_equal(first.intra(d), second.intra(d))

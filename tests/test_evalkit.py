@@ -28,6 +28,7 @@ from oracles import (
     random_bipartite_records,
     recall_at_1_from_scored_cases,
     split_records,
+    zeroed,
 )
 
 U = lambda i: NodeId(NodeKind.USER, i)
@@ -88,8 +89,8 @@ def _eval_fixture():
 
 def _mf_model_with_item_scores(ds, item_value):
     """MF model with user rows = 1, intra zeroed, item rows set per id."""
-    spec = ModelSpec(d_inter=1, d_intra=1, encoder="mf", init_scale=0.0)
-    model = init_model(spec, ds, seed=0)
+    spec = ModelSpec(d_inter=1, d_intra=1, encoder="mf")
+    model = zeroed(init_model(spec, ds, seed=0))
     rows = np.array(
         [[item_value(n.id)] if n.kind == NodeKind.ITEM else [1.0] for n in nodes_of(ds.keys)]
     )
@@ -110,7 +111,7 @@ def test_auc_and_recall_extremes():
 
 def test_auc_all_ties_is_half():
     ds, sp = _eval_fixture()
-    zero = init_model(ModelSpec(d_inter=2, d_intra=2, init_scale=0.0), ds, seed=0)
+    zero = zeroed(init_model(ModelSpec(d_inter=2, d_intra=2), ds, seed=0))
     assert evaluate_all(zero, sp)[0][1] == 0.5
 
 
@@ -125,7 +126,7 @@ def test_tied_top_score_with_lower_id_negative_is_a_miss():
     # model level: all-zero scores tie everywhere; in this fixture the
     # positive always carries the smallest id, so every tie is a hit
     ds, sp = _eval_fixture()
-    zero = init_model(ModelSpec(d_inter=2, d_intra=2, init_scale=0.0), ds, seed=0)
+    zero = zeroed(init_model(ModelSpec(d_inter=2, d_intra=2), ds, seed=0))
     cases = build_cases(sp, 0, "test")
     assert len(cases) and np.all(cases.positives < cases.negatives.min(axis=1))
     assert evaluate_all(zero, sp)[0][2] == 1.0

@@ -1,6 +1,5 @@
 import hashlib
 import re
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,6 +18,7 @@ from edda.synthgen import (
 )
 
 from oracles import (
+    allocate_ids_by_lists,
     calibrate_intercept_200,
     fill_by_stable_argsort,
     generate_reference,
@@ -89,8 +89,7 @@ def test_three_domains_pairwise_overlap():
 def test_determinism_bytewise(tmp_path):
     spec = _spec()
     for name in ("a", "b"):
-        ds, truth = generate(spec)
-        write_dataset(tmp_path / name, spec, ds, truth)
+        write_dataset(tmp_path / name, spec, *generate(spec))
     for fname in ("interactions.tsv", "synth.manifest", "latents.npz"):
         assert (tmp_path / "a" / fname).read_bytes() == (tmp_path / "b" / fname).read_bytes()
 
@@ -103,12 +102,14 @@ def test_different_seeds_differ():
 
 def test_shared_latents_are_reused_across_domains():
     spec = _spec(overlap_fraction=0.2)
-    ds, truth = generate(spec)
+    ds, latents = generate(spec)
     kinds, ids = split_keys(anchors(ds, 0, 1).keys)
-    shared_users = ids[kinds == 0].tolist()
-    assert shared_users
+    shared_users = ids[kinds == 0]
+    assert len(shared_users)
     # one global shared table indexed by id: rows for shared users exist once
-    assert truth.shared_user.shape[0] == len(truth.shared_user_ids)
+    assert latents["shared_user"].shape[0] == len(latents["shared_user_ids"])
+    for d in (0, 1):
+        assert np.isin(shared_users, latents[f"specific_user_ids_{d}"]).all()
 
 
 def test_extreme_shared_weights_generate(tmp_path):
@@ -181,8 +182,10 @@ def test_spec_rejects_non_finite_values_and_empty_domains(overrides, message):
 
 @st.composite
 def small_specs(draw):
-    """Random 1-3 domain specs and a budget mode: "random", "full" (every
-    cell) or "forced" (exactly the coverage cells, so the fill adds none)."""
+    """Keyword arguments of random 1-3 domain specs, every count a tuple, and
+    a budget mode: "random", "full" (every cell) or "forced" (exactly the
+    coverage cells, so the fill adds none). Some specs are infeasible, so
+    they are drawn as arguments: `SynthSpec` refuses to build those."""
     n = draw(st.integers(1, 3))
     users = tuple(draw(st.integers(1, 7)) for _ in range(n))
     items = tuple(draw(st.integers(1, 7)) for _ in range(n))
@@ -191,7 +194,7 @@ def small_specs(draw):
     for n_u, n_i in zip(users, items):
         lo, hi = max(n_u, n_i), n_u * n_i
         budgets.append(hi if mode != "random" else draw(st.integers(lo, hi)))
-    spec = SynthSpec(
+    kwargs = dict(
         num_domains=n,
         users_per_domain=users,
         items_per_domain=items,
@@ -204,36 +207,125 @@ def small_specs(draw):
         anchor_specific_boost=draw(st.sampled_from([1.0, 0.5, 2.5])),
         seed=draw(st.integers(0, 2**32 - 1)),
     )
-    return spec, mode
+    return kwargs, mode
+
+
+def _latent_names(num_domains):
+    """latents.npz member names in their file order."""
+    names = ["shared_user_ids", "shared_user", "shared_item_ids", "shared_item", "intercepts"]
+    for kind in ("user", "item"):
+        for d in range(num_domains):
+            names += [f"specific_{kind}_ids_{d}", f"specific_{kind}_{d}"]
+    return names
 
 
 @settings(max_examples=120, deadline=None)
 @given(small_specs())
 def test_generate_equals_the_exhaustive_reference(case):
-    spec, mode = case
+    kwargs, mode = case
     if mode == "forced":  # the forced cells do not depend on the budgets
         try:
-            *_, forced = generate_reference(spec)
-            spec = replace(spec, interactions_per_domain=tuple(forced))
+            *_, forced = generate_reference(kwargs)
+            kwargs = {**kwargs, "interactions_per_domain": tuple(forced)}
         except SynthError:
             pass
     try:
-        records, intercepts, latents, forced = generate_reference(spec)
+        records, intercepts, latents, forced = generate_reference(kwargs)
     except SynthError as err:
         event("infeasible")
         with pytest.raises(SynthError, match=re.escape(str(err))):
-            generate(spec)
+            generate(SynthSpec(**kwargs))
         return
     event(f"feasible, {mode}")
     if mode == "forced":
-        assert tuple(forced) == spec.interactions()
-    ds, truth = generate(spec)
+        assert tuple(forced) == kwargs["interactions_per_domain"]
+    ds, got = generate(SynthSpec(**kwargs))
     assert ds.records().tolist() == [list(rec) for rec in records]
-    assert [b.hex() for b in truth.intercepts] == [b.hex() for b in intercepts]
-    got = truth.arrays()
+    assert [b.hex() for b in got["intercepts"]] == [b.hex() for b in intercepts]
+    assert list(got) == _latent_names(kwargs["num_domains"])
     assert got.keys() == latents.keys()
     for name, want in latents.items():
         assert got[name].dtype == want.dtype and np.array_equal(got[name], want), name
+
+
+@st.composite
+def id_specs(draw):
+    """Keyword arguments of specs with 1-5 domains of up to 40 users and items
+    and any overlap in [0, 1]; every budget lies in [max(n_u, n_i), n_u * n_i],
+    so only the overlap can make a spec infeasible."""
+    n = draw(st.integers(1, 5))
+    users = tuple(draw(st.integers(1, 40)) for _ in range(n))
+    items = tuple(draw(st.integers(1, 40)) for _ in range(n))
+    budgets = tuple(max(n_u, n_i) for n_u, n_i in zip(users, items))
+    overlap = draw(st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 0.5, 1.0])))
+    return dict(
+        num_domains=n,
+        users_per_domain=users,
+        items_per_domain=items,
+        interactions_per_domain=budgets,
+        overlap_fraction=overlap,
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(id_specs())
+def test_allocate_ids_equals_the_list_allocator(kwargs):
+    args = kwargs["users_per_domain"], kwargs["items_per_domain"], kwargs["overlap_fraction"]
+    try:
+        want_users, want_items, n_users, n_items = allocate_ids_by_lists(*args)
+    except SynthError as err:
+        event("infeasible")
+        with pytest.raises(SynthError, match=re.escape(str(err))):
+            SynthSpec(**kwargs)
+        return
+    event("feasible")
+    spec = SynthSpec(**kwargs)
+    shared_users, shared_items = synthgen._shared_blocks(spec)
+    for counts, shared, want, n in (
+        (spec.users(), shared_users, want_users, n_users),
+        (spec.items(), shared_items, want_items, n_items),
+    ):
+        got, n_got = synthgen._allocate_ids(counts, shared)
+        assert n_got == n
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
+def test_infeasible_counts_fail_when_the_spec_is_built(monkeypatch):
+    def no_allocation(*args):
+        raise AssertionError("ids allocated for an infeasible spec")
+
+    monkeypatch.setattr(synthgen, "_allocate_ids", no_allocation)
+    with pytest.raises(SynthError, match="budget 10 cannot cover 2000000 users and 10 items"):
+        SynthSpec(
+            num_domains=2,
+            users_per_domain=2_000_000,
+            items_per_domain=10,
+            interactions_per_domain=10,
+        )
+
+
+def test_a_spec_with_several_faults_reports_a_budget_before_the_coverage_minimum():
+    # domain 0's coverage needs 6 cells at seed 0 and domain 1's budget cannot
+    # cover its 5 users: the first generator met domain 0's fault first
+    kwargs = dict(
+        num_domains=2,
+        users_per_domain=(4, 5),
+        items_per_domain=(4, 2),
+        interactions_per_domain=(4, 4),
+        overlap_fraction=0.0,
+        shared_dim=8,
+        specific_dim=4,
+        shared_weight=0.5,
+        affinity_gain=4.0,
+        anchor_specific_boost=1.0,
+        seed=0,
+    )
+    with pytest.raises(SynthError, match="domain 0: budget below the coverage minimum 6"):
+        generate_reference(kwargs)
+    with pytest.raises(SynthError, match="domain 1: budget 4 cannot cover 5 users and 2 items"):
+        SynthSpec(**kwargs)
 
 
 def _count_sigmoids(monkeypatch):

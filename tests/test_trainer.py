@@ -2,7 +2,10 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from edda import trainer
 from edda.edmodel import EDModel, ModelSpec, init_model
 from edda import evalkit
 from edda.encoders import GRecConfig
@@ -15,6 +18,7 @@ from edda.trainer import (
     _NegativeSampler,
     _bpr_row_gradients,
     _scatter_add,
+    _subsample_pairs,
     adam_step,
     edge_dropout,
     gradients,
@@ -30,6 +34,7 @@ from oracles import (
     oracle_total_loss,
     random_bipartite_records,
     row,
+    zeroed,
 )
 
 U = lambda i: NodeId(NodeKind.USER, i)
@@ -84,8 +89,8 @@ def _planted_bpr(s_pos, s_neg, n=1):
     planted: n copies of the triplet (user 0, item 0, item 1), with user row 1
     and item rows s_pos and s_neg, so each copy has s+ - s- = s_pos - s_neg."""
     ds = ingest([(0, 0, 0), (0, 1, 1)])
-    spec = ModelSpec(d_inter=1, use_intra=False, encoder="mf", init_scale=0.0)
-    model = init_model(spec, ds, seed=0)
+    spec = ModelSpec(d_inter=1, use_intra=False, encoder="mf")
+    model = zeroed(init_model(spec, ds, seed=0))
     for node, value in ((U(0), 1.0), (I(0), s_pos), (I(1), s_neg)):
         model.inter.matrix[_row(model.inter, node)] = value
     triplets = {0: np.tile(_local(ds.graph(0), U(0), I(0), I(1))[:, None], n)}
@@ -165,8 +170,8 @@ def test_total_loss_decomposition():
 
 def test_total_loss_zero_model_regularizer():
     ds, _, triplets, _ = _instance()
-    spec = ModelSpec(d_inter=3, d_intra=2, init_scale=0.0)
-    model = init_model(spec, ds, seed=0)
+    spec = ModelSpec(d_inter=3, d_intra=2)
+    model = zeroed(init_model(spec, ds, seed=0))
     cfg = TrainConfig(beta=0.0, reg_lambda=0.5, edge_dropout=0.0)
     assert total_loss(model, ds, triplets, [], cfg) == pytest.approx(
         sum(rows.shape[1] for rows in triplets.values()) * np.log(2)
@@ -206,8 +211,8 @@ def test_gradient_isolation_exact():
 def test_gradient_zero_model_is_zero():
     # all scores and representations vanish, so the chain rule yields zeros
     ds, _, _, _ = _instance()
-    spec = ModelSpec(d_inter=3, d_intra=2, init_scale=0.0)
-    model = init_model(spec, ds, seed=0)
+    spec = ModelSpec(d_inter=3, d_intra=2)
+    model = zeroed(init_model(spec, ds, seed=0))
     cfg = TrainConfig(beta=0.0, reg_lambda=0.0, edge_dropout=0.0)
     triplet = sample_triplets(ds, {0: 1}, np.random.default_rng(0))
     grads = gradients(model, ds, triplet, [], cfg)
@@ -456,6 +461,58 @@ def test_train_aborts_on_divergence():
     model.inter.matrix[:] = 1e200  # scores overflow to inf
     with pytest.raises(TrainingDiverged):
         train(model, sp, [], TrainConfig(epochs=1, edge_dropout=0.0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(1, 30), min_size=1, max_size=4), st.data())
+def test_subsample_pairs_draws_the_sample_size_in_pair_order(sizes, data):
+    n_pairs = sum(sizes)
+    sample_size = data.draw(st.integers(1, n_pairs))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    # group g holds pairs (u, u + 1000) with ascending u, unique over groups
+    starts = np.cumsum([0, *sizes])
+    prepared = [
+        (g, g + 1, np.arange(lo, hi), np.arange(lo, hi) + 1000)
+        for g, (lo, hi) in enumerate(zip(starts[:-1], starts[1:]))
+    ]
+    out, scale = _subsample_pairs(prepared, n_pairs, sample_size, np.random.default_rng(seed))
+    assert scale == n_pairs / sample_size
+    assert sum(len(idx_u) for _, _, idx_u, _ in out) == sample_size
+    groups = [g for g, _, _, _ in out]
+    assert groups == sorted(set(groups))
+    for g, g_next, idx_u, idx_v in out:
+        lo, hi = starts[g], starts[g + 1]
+        assert g_next == g + 1 and len(idx_u)
+        assert np.all((lo <= idx_u) & (idx_u < hi)) and np.all(np.diff(idx_u) > 0)
+        assert np.array_equal(idx_v, idx_u + 1000)
+    again, _ = _subsample_pairs(prepared, n_pairs, sample_size, np.random.default_rng(seed))
+    assert all(np.array_equal(a[2], b[2]) for a, b in zip(out, again))
+
+
+def test_train_subsamples_pairs_past_the_threshold_and_reruns_identically(monkeypatch):
+    sp = _toy_split()
+    # 6 x 4 user pairs and 8 x 4 item pairs: 56 pairs, over 10 batches of 2
+    pairs = [SimilarPair(U(a), U(b), 1.0) for a in range(6) for b in range(4, 8)]
+    pairs += [SimilarPair(I(a), I(b), 1.0) for a in range(8) for b in range(6, 10)]
+    pair_set = SimilarPairSet((0, 1), tuple(pairs))
+    cfg = TrainConfig(beta=1.0, batch_size=2, epochs=2, seed=9, learning_rate=0.01)
+    samples = []
+
+    def recorded(prepared, n_pairs, sample_size, rng):
+        out, scale = _subsample_pairs(prepared, n_pairs, sample_size, rng)
+        samples.append((sum(len(idx_u) for _, _, idx_u, _ in out), scale))
+        return out, scale
+
+    monkeypatch.setattr(trainer, "_subsample_pairs", recorded)
+    results = []
+    for _ in range(2):
+        model = init_model(ModelSpec(d_inter=4, d_intra=4), sp.full, seed=10)
+        trained, logs = train(model, sp, [pair_set], cfg)
+        results.append(({n: a.copy() for n, a in trained.parameters()}, logs))
+    assert samples and set(samples) == {(2, 56 / 2)}
+    assert [(l.bpr, l.align) for l in results[0][1]] == [(l.bpr, l.align) for l in results[1][1]]
+    for name, arr in results[0][0].items():
+        assert np.array_equal(arr, results[1][0][name]), name
 
 
 def test_train_config_validation():
