@@ -6,7 +6,6 @@ from .edmodel import EDModel, ModelSpec, init_model, load_model, save_model, var
 from .encoders import EmbeddingTable, GRecConfig, grec_propagate
 from .evalkit import CaseSet, SplitDataset, evaluate_all, split
 from .mdgraph import (
-    AnchorSet,
     DomainGraph,
     MultiDomainDataset,
     NodeId,
@@ -16,13 +15,12 @@ from .mdgraph import (
     ingest_file,
 )
 from .synthgen import SynthSpec, generate
-from .trainer import TrainConfig, gradients, total_loss, train
+from .trainer import TrainConfig, loss_and_gradients, train
 from .walker import SimilarPairSet, WalkConfig, mine_pairs, run_walks
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnchorSet",
     "CaseSet",
     "DomainGraph",
     "EDModel",
@@ -40,17 +38,16 @@ __all__ = [
     "anchors",
     "evaluate_all",
     "generate",
-    "gradients",
     "grec_propagate",
     "ingest",
     "ingest_file",
     "init_model",
     "load_model",
+    "loss_and_gradients",
     "mine_pairs",
     "run_walks",
     "save_model",
     "split",
-    "total_loss",
     "train",
     "variant_spec",
 ]

@@ -1,9 +1,10 @@
 """Command-line front end: synth | align | train | eval.
 
 Every command writes a manifest into its output directory recording the
-resolved configuration, seeds, and SHA-256 hashes of its inputs. With
-determinism enabled (the default) reruns with identical inputs and
-configuration produce byte-identical artifacts.
+resolved configuration, seeds, and SHA-256 hashes of its inputs: `eval`
+writes `eval_manifest.txt`, so a run directory keeps the `manifest.txt` its
+training wrote. Reruns with identical inputs and configuration produce
+byte-identical artifacts.
 
 Exit codes: 0 success, 1 usage error, 2 data/config error.
 """
@@ -42,7 +43,6 @@ class RunConfig:
 
     seed: int = 0
     eval_seed: int = 0
-    determinism: bool = True
     variant: str = "edda"
     d_inter: int = 64
     d_intra: int = 64
@@ -88,17 +88,6 @@ class RunConfig:
         )
 
 
-def _coerce(name: str, raw: str, kind: type):
-    if kind is bool:
-        lowered = raw.lower()
-        if lowered in ("1", "true", "yes", "on"):
-            return True
-        if lowered in ("0", "false", "no", "off"):
-            return False
-        raise ValueError(f"config key {name}: expected a boolean, got {raw!r}")
-    return kind(raw)
-
-
 def resolve_config(config_path: str | None, overrides: dict) -> RunConfig:
     cfg = RunConfig()
     if config_path:
@@ -107,10 +96,7 @@ def resolve_config(config_path: str | None, overrides: dict) -> RunConfig:
         unknown = set(file_values) - set(types)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        cfg = replace(
-            cfg,
-            **{k: _coerce(k, v, types[k]) for k, v in file_values.items()},
-        )
+        cfg = replace(cfg, **{k: types[k](v) for k, v in file_values.items()})
     cleaned = {k: v for k, v in overrides.items() if v is not None}
     if cleaned:
         cfg = replace(cfg, **cleaned)
@@ -129,7 +115,7 @@ def _config_lines(cfg: RunConfig) -> list[str]:
     return [f"{f.name} = {getattr(cfg, f.name)}" for f in fields(RunConfig)]
 
 
-def _write_manifest(out_dir: Path, command: str, cfg: RunConfig | None, inputs: dict[str, Path], extra: dict | None = None) -> None:
+def _write_manifest(manifest: Path, command: str, cfg: RunConfig | None, inputs: dict[str, Path], extra: dict | None = None) -> None:
     lines = [f"command = {command}"]
     if cfg is not None:
         lines.extend(_config_lines(cfg))
@@ -138,7 +124,7 @@ def _write_manifest(out_dir: Path, command: str, cfg: RunConfig | None, inputs: 
         lines.append(f"sha256.{name} = {_sha256(Path(path))}")
     for key, value in sorted((extra or {}).items()):
         lines.append(f"{key} = {value}")
-    with atomic_write(out_dir / "manifest.txt") as handle:
+    with atomic_write(manifest) as handle:
         handle.write("\n".join(lines) + "\n")
 
 
@@ -173,7 +159,7 @@ def cmd_synth(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     synthgen.write_dataset(out, spec, dataset, latents)
-    _write_manifest(out, "synth", None, {"spec": Path(args.spec)}, {"seed": spec.seed})
+    _write_manifest(out / "manifest.txt", "synth", None, {"spec": Path(args.spec)}, {"seed": spec.seed})
     print(f"wrote {dataset.num_domains} domains to {out / 'interactions.tsv'}")
     return 0
 
@@ -198,7 +184,7 @@ def cmd_align(args) -> int:
             write_pairs(path, pair_sets)
             written.append(path)
     _write_manifest(
-        out,
+        out / "manifest.txt",
         "align",
         cfg,
         {"data": Path(args.data)},
@@ -286,11 +272,10 @@ def cmd_train(args) -> int:
 
     save_model(out / "checkpoint", model)
     log_lines = []
-    for log in logs:
-        wall = 0.0 if cfg.determinism else log.wall_ms
+    for log in logs:  # the last column is a wall time, zeroed so reruns match
         log_lines.append(
             f"{log.epoch}\t{log.bpr:.6f}\t{log.align:.6f}\t{log.total:.6f}"
-            f"\t{log.val_auc:.6f}\t{log.val_recall:.6f}\t{wall:.3f}"
+            f"\t{log.val_auc:.6f}\t{log.val_recall:.6f}\t0.000"
         )
     with atomic_write(out / "train.log") as handle:
         handle.write("\n".join(log_lines) + ("\n" if log_lines else ""))
@@ -300,7 +285,7 @@ def cmd_train(args) -> int:
     inputs = {"data": Path(args.data)}
     for idx, p in enumerate(pair_paths):
         inputs[f"pairs{idx}"] = p
-    _write_manifest(out, "train", cfg, inputs, {"epochs_run": len(logs)})
+    _write_manifest(out / "manifest.txt", "train", cfg, inputs, {"epochs_run": len(logs)})
     print(f"trained {cfg.variant} for {len(logs)} epochs; checkpoint in {out / 'checkpoint'}")
     return 0
 
@@ -341,7 +326,10 @@ def cmd_eval(args) -> int:
         handle.write(report)
     with atomic_write(out / "domain_stats.tsv") as handle:
         handle.write("\n".join(stats_lines) + "\n")
-    _write_manifest(out, "eval", cfg, {"data": Path(args.data)}, {"checkpoint": str(run_dir.name)})
+    _write_manifest(
+        out / "eval_manifest.txt", "eval", cfg, {"data": Path(args.data)},
+        {"checkpoint": str(run_dir.name)},
+    )
     return 0
 
 
@@ -360,10 +348,9 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="edda", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_seed=True):
+    def common(p):
         p.add_argument("--config", help="key = value configuration file")
-        if with_seed:
-            p.add_argument("--seed", type=int, help="root random seed")
+        p.add_argument("--seed", type=int, help="root random seed")
 
     p_synth = sub.add_parser("synth", help="generate a synthetic dataset")
     p_synth.add_argument("spec", help="synthetic spec file")

@@ -229,17 +229,14 @@ class Encoding:
         self,
         d_inter: np.ndarray | None,
         d_intra: dict[int, np.ndarray],
-        out: dict[str, np.ndarray] | None = None,
-    ) -> dict[str, np.ndarray]:
+        out: dict[str, np.ndarray],
+    ) -> None:
         """Add the adjoint of the encoding, applied to gradients w.r.t. `inter`
-        and `intra(d)`, into table-level gradients `out` (zeros when omitted)."""
-        if out is None:
-            out = {name: np.zeros_like(arr) for name, arr in self.model.parameters()}
+        and `intra(d)`, into the table-level gradients `out`, by parameter name."""
         if d_inter is not None:
             self._inter_map(d_inter, out["inter"])
         for d, grad in d_intra.items():
             self._intra_map(d, grad, out[f"intra[{d}]"])
-        return out
 
 
 def init_model(spec: ModelSpec, dataset: MultiDomainDataset, seed: int) -> EDModel:

@@ -135,6 +135,13 @@ def split(
 # -- evaluation cases ---------------------------------------------------------
 
 
+def _held_out(split_data: SplitDataset, which: str) -> list[np.ndarray]:
+    """Every domain's held-out rows of the `which` split: "validation" or "test"."""
+    if which not in ("validation", "test"):
+        raise ValueError(f"which must be 'validation' or 'test', got {which!r}")
+    return split_data.validation if which == "validation" else split_data.test
+
+
 def build_cases(
     split_data: SplitDataset, d: int, which: str = "test", eval_seed: int = 0
 ) -> CaseSet:
@@ -145,8 +152,7 @@ def build_cases(
     10 eligible items are skipped, each with a warning.
     """
     graph = split_data.full.graph(d)
-    held_out = split_data.validation[d] if which == "validation" else split_data.test[d]
-    held_out = np.asarray(held_out, dtype=np.int64).reshape(-1, 2)
+    held_out = np.asarray(_held_out(split_data, which)[d], dtype=np.int64).reshape(-1, 2)
     if not np.isin(held_out[:, 0], graph.user_ids).all():
         raise ValueError(f"domain {d}: held-out rows name users outside the domain")
     u_locs = np.searchsorted(graph.user_ids, held_out[:, 0])
@@ -180,7 +186,7 @@ def build_all_cases(
     split_data: SplitDataset, which: str = "test", eval_seed: int = 0
 ) -> list[CaseSet]:
     """Every domain's case set, built once per (held-out arrays, eval_seed)."""
-    held_out = split_data.validation if which == "validation" else split_data.test
+    held_out = _held_out(split_data, which)
     key = (which, eval_seed)
     cached = split_data.cases.get(key)
     if cached is None or any(a is not b for a, b in zip(cached[0], held_out)):

@@ -15,7 +15,6 @@ from __future__ import annotations
 import enum
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterable, Iterator, NamedTuple, Sequence
 
@@ -137,22 +136,6 @@ class DomainGraph:
         keep = mask[self._entry_edge]
         indptr = np.concatenate([[0], np.cumsum(keep)])[self.adj_indptr]
         return sp.csr_matrix((self._entry_weight[keep], self.adj_indices[keep], indptr), shape)
-
-
-@dataclass(frozen=True, eq=False)
-class AnchorSet:
-    """Keys of the nodes present in both domains of a pair, ascending."""
-
-    domain_pair: tuple[int, int]
-    keys: np.ndarray
-
-    def __post_init__(self):
-        d, d_prime = self.domain_pair
-        if d >= d_prime:
-            raise ValueError("domain_pair must be ordered (first < second)")
-
-    def __len__(self) -> int:
-        return len(self.keys)
 
 
 class MultiDomainDataset:
@@ -322,11 +305,10 @@ def ingest_file(path: str | Path) -> MultiDomainDataset:
     return ingest(load_interactions(path))
 
 
-def anchors(dataset: MultiDomainDataset, d: int, d_prime: int) -> AnchorSet:
-    """Overlapping nodes of two domains: (U^d ∩ U^d') ∪ (I^d ∩ I^d')."""
+def anchors(dataset: MultiDomainDataset, d: int, d_prime: int) -> np.ndarray:
+    """Ascending keys of the overlapping nodes of two domains:
+    (U^d ∩ U^d') ∪ (I^d ∩ I^d'), the same in either order."""
     if d == d_prime:
         raise ValueError("anchor set requires two distinct domains")
-    lo, hi = min(d, d_prime), max(d, d_prime)
-    keys = np.intersect1d(dataset.graph(lo).keys, dataset.graph(hi).keys, assume_unique=True)
-    return AnchorSet(domain_pair=(lo, hi), keys=keys)
+    return np.intersect1d(dataset.graph(d).keys, dataset.graph(d_prime).keys, assume_unique=True)
 

@@ -7,19 +7,18 @@ The objective is
 where L_rank sums -ln sigmoid(s(u,i+) - s(u,i-)) over sampled triplets of all
 domains, and L_align sums squared distances between projected per-domain
 embeddings of mined cross-domain pairs. Every batch encodes the tables once
-through `EDModel.propagated` (with that batch's edge-dropout masks); this
-module only scores triplets on the encoding, computes the alignment and
-regularization terms, and hands the representation-level gradients to
-`Encoding.transpose`, which is the exact backward pass through the linear,
-symmetric propagation. Per-domain embedding tables receive gradients only
-from their own domain's triplets (and from alignment pairs touching them);
-the shared table receives gradients from every domain.
+through `EDModel.propagated` (with that batch's edge-dropout masks);
+`loss_and_gradients` then scores triplets on the encoding, computes the
+alignment and regularization terms, and hands the representation-level
+gradients to `Encoding.transpose`, the exact backward pass through the
+linear, symmetric propagation. Per-domain embedding tables receive gradients
+only from their own domain's triplets (and from alignment pairs touching
+them); the shared table receives gradients from every domain.
 """
 
 from __future__ import annotations
 
 import logging
-import time
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -27,6 +26,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.special import expit
 
+from . import evalkit
 from .edmodel import EDModel, Encoding
 from .mdgraph import DomainGraph, MultiDomainDataset, node_keys
 from .walker import SimilarPairSet
@@ -62,11 +62,7 @@ class TrainConfig:
 
 
 class TrainingDiverged(RuntimeError):
-    """Non-finite loss; carries the diagnostic state at the failing step."""
-
-    def __init__(self, message: str, state: dict):
-        super().__init__(f"{message}: {state}")
-        self.state = state
+    """Non-finite loss at a training step."""
 
 
 @dataclass
@@ -77,7 +73,6 @@ class EpochLog:
     total: float
     val_auc: float
     val_recall: float
-    wall_ms: float
 
 
 # -- elementary pieces -------------------------------------------------------
@@ -161,9 +156,9 @@ def _prepare_pairs(model: EDModel, pair_sets: Iterable[SimilarPairSet]):
     return prepared
 
 
-def _bpr_part(enc: Encoding, grouped: dict[int, np.ndarray], want_grads: bool):
-    """Ranking loss and, when wanted, its gradients w.r.t. `enc.inter` and
-    each `enc.intra(d)` (None and {} otherwise).
+def _bpr_part(enc: Encoding, grouped: dict[int, np.ndarray]):
+    """Ranking loss and its gradients w.r.t. `enc.inter` (None without a
+    shared table) and each `enc.intra(d)`.
 
     Each table's rows are gathered once per domain as a [user; positive;
     negative] block; the blocks are freed when this returns.
@@ -186,8 +181,6 @@ def _bpr_part(enc: Encoding, grouped: dict[int, np.ndarray], want_grads: bool):
             qu, qp, qn = np.split(q_block, 3)
             x += np.sum(qu * (qp - qn), axis=1)
         l_bpr += float(np.sum(np.logaddexp(0.0, -x)))
-        if not want_grads:
-            continue
         dl_dx = -expit(-x)[:, None]  # negative
         if enc.inter is not None:
             d_g_rows.append(g_rows)
@@ -198,52 +191,40 @@ def _bpr_part(enc: Encoding, grouped: dict[int, np.ndarray], want_grads: bool):
     return l_bpr, d_g, d_q
 
 
-def _compute(
+def _objective(
     enc: Encoding,
     grouped: dict[int, np.ndarray],
     prepared_pairs,
     cfg: TrainConfig,
     align_scale: float,
-    want_grads: bool,
 ):
-    """Loss parts and (optionally) exact gradients for one batch."""
+    """(total, L_rank, L_align, exact gradients by parameter name) for one batch."""
     model = enc.model
-    l_bpr, d_g, d_q = _bpr_part(enc, grouped, want_grads)
+    l_bpr, d_g, d_q = _bpr_part(enc, grouped)
 
     # alignment loss on raw per-domain embeddings and projections
     l_align = 0.0
-    grads: dict[str, np.ndarray] = {}
-    if want_grads:
-        for name, arr in model.parameters():
-            grads[name] = np.zeros_like(arr)
+    grads = {name: np.zeros_like(arr) for name, arr in model.parameters()}
+    coeff = 2.0 * cfg.beta * align_scale
     align_rows: dict[int, list[np.ndarray]] = {}
     align_values: dict[int, list[np.ndarray]] = {}
     for d, d_prime, idx_u, idx_v in prepared_pairs:
         e_u = model.intra[d].matrix[idx_u]
         e_v = model.intra[d_prime].matrix[idx_v]
-        w_d, w_p = model.proj[d], model.proj[d_prime]
-        diff = e_u @ w_d - e_v @ w_p
+        diff = e_u @ model.proj[d] - e_v @ model.proj[d_prime]
         l_align += float(np.sum(diff * diff))
-        if want_grads:
-            coeff = 2.0 * cfg.beta * align_scale
-            align_rows.setdefault(d, []).append(idx_u)
-            align_values.setdefault(d, []).append(coeff * diff @ w_d.T)
-            align_rows.setdefault(d_prime, []).append(idx_v)
-            align_values.setdefault(d_prime, []).append(-coeff * diff @ w_p.T)
-            grads[f"proj[{d}]"] += coeff * e_u.T @ diff
-            grads[f"proj[{d_prime}]"] += -coeff * e_v.T @ diff
+        for end, idx, e, c in ((d, idx_u, e_u, coeff), (d_prime, idx_v, e_v, -coeff)):
+            align_rows.setdefault(end, []).append(idx)
+            align_values.setdefault(end, []).append(c * diff @ model.proj[end].T)
+            grads[f"proj[{end}]"] += c * e.T @ diff
     for d, rows in align_rows.items():
         grads[f"intra[{d}]"] = _scatter_add(len(model.intra[d]), rows, align_values[d])
 
-    reg = model.squared_norm()
-    total = l_bpr + cfg.beta * align_scale * l_align + cfg.reg_lambda * reg
-    if not want_grads:
-        return total, l_bpr, l_align, reg, None
-
+    total = l_bpr + cfg.beta * align_scale * l_align + cfg.reg_lambda * model.squared_norm()
     enc.transpose(d_g, d_q, grads)
     for name, arr in model.parameters():
         grads[name] += (2.0 * cfg.reg_lambda) * arr
-    return total, l_bpr, l_align, reg, grads
+    return total, l_bpr, l_align, grads
 
 
 def _bpr_row_gradients(dl_dx: np.ndarray, block: np.ndarray) -> np.ndarray:
@@ -279,7 +260,7 @@ def _scatter_add(n_rows: int, rows: list[np.ndarray], values: list[np.ndarray]) 
     return scatter @ values
 
 
-def total_loss(
+def loss_and_gradients(
     model: EDModel,
     dataset: MultiDomainDataset,
     triplets: dict[int, np.ndarray],
@@ -287,28 +268,16 @@ def total_loss(
     cfg: TrainConfig,
     masks: dict[int, np.ndarray] | None = None,
     align_scale: float = 1.0,
-) -> float:
-    """L_rank + beta * L_align + lambda * ||params||^2 for the given batch.
+) -> tuple[float, dict[str, np.ndarray]]:
+    """L_rank + beta * L_align + lambda * ||params||^2 for the given batch, and
+    its exact gradient for every parameter array, by name.
 
     `triplets` maps a domain to its (3, n) graph-local (user, positive,
     negative) index rows, as `_NegativeSampler.triplets` builds them.
     """
     enc = model.propagated(dataset, masks)
-    return _compute(enc, triplets, _prepare_pairs(model, pair_sets), cfg, align_scale, False)[0]
-
-
-def gradients(
-    model: EDModel,
-    dataset: MultiDomainDataset,
-    triplets: dict[int, np.ndarray],
-    pair_sets: Sequence[SimilarPairSet],
-    cfg: TrainConfig,
-    masks: dict[int, np.ndarray] | None = None,
-    align_scale: float = 1.0,
-) -> dict[str, np.ndarray]:
-    """Exact gradient of `total_loss` for every parameter array, by name."""
-    enc = model.propagated(dataset, masks)
-    return _compute(enc, triplets, _prepare_pairs(model, pair_sets), cfg, align_scale, True)[4]
+    total, *_, grads = _objective(enc, triplets, _prepare_pairs(model, pair_sets), cfg, align_scale)
+    return total, grads
 
 
 # -- optimizer ----------------------------------------------------------------
@@ -330,7 +299,7 @@ class AdamState:
 
 def adam_step(
     model: EDModel, grads: dict[str, np.ndarray], state: AdamState, cfg: TrainConfig
-) -> tuple[EDModel, AdamState]:
+) -> None:
     """Standard bias-corrected Adam update, applied in place."""
     state.t += 1
     b1, b2 = ADAM_BETA1, ADAM_BETA2
@@ -347,16 +316,20 @@ def adam_step(
         v *= b2
         v += (1.0 - b2) * (g * g)
         param -= cfg.learning_rate * (m / correct1) / (np.sqrt(v / correct2) + ADAM_EPS)
-    return model, state
 
 
 # -- training loop ------------------------------------------------------------
 
 
-def _epoch_batches(graph: DomainGraph, batch_size: int, rng: np.random.Generator):
-    """Each observed interaction appears as a positive exactly once per epoch."""
-    order = rng.permutation(graph.n_edges)
-    return [order[k : k + batch_size] for k in range(0, len(order), batch_size)]
+def _epoch_batches(domains: Sequence[DomainGraph], batch_size: int, rng: np.random.Generator):
+    """One epoch's (domain, edge indices) batches: each observed interaction
+    appears as a positive exactly once, in per-domain batches interleaved
+    round-robin. Every domain's permutation is drawn before the first batch."""
+    orders = [rng.permutation(graph.n_edges) for graph in domains]
+    for start in range(0, max(len(order) for order in orders), batch_size):
+        for d, order in enumerate(orders):
+            if start < len(order):
+                yield d, order[start : start + batch_size]
 
 
 def train(
@@ -375,8 +348,6 @@ def train(
     after that many epochs without a validation-AUC improvement and restores
     the best parameters seen.
     """
-    from . import evalkit  # local import; evalkit has no trainer dependency
-
     rng = np.random.default_rng(cfg.seed)
     train_ds = split.train
     prepared_pairs = _prepare_pairs(model, pair_sets)
@@ -389,72 +360,51 @@ def train(
     logs: list[EpochLog] = []
     best_auc = -np.inf
     best_model: EDModel | None = None
-    since_best = 0
+    best_epoch = 0
 
     for epoch in range(1, cfg.epochs + 1):
-        t_start = time.perf_counter()
-        schedules = [
-            _epoch_batches(graph, cfg.batch_size, rng) for graph in train_ds.domains
-        ]
         epoch_bpr = epoch_align = epoch_total = 0.0
-        for round_idx in range(max(len(s) for s in schedules)):
-            for d, batches in enumerate(schedules):
-                if round_idx >= len(batches):
-                    continue
-                triplets = samplers[d].triplets(batches[round_idx], rng)
-                if triplets.shape[1] == 0:
-                    continue
-                if cfg.edge_dropout > 0.0:
-                    masks = {
-                        dd: edge_dropout(g, cfg.edge_dropout, rng)
-                        for dd, g in enumerate(train_ds.domains)
-                    }
-                else:
-                    masks = None
-                batch_pairs = prepared_pairs
-                align_scale = 1.0
-                if n_pairs > ALIGN_SUBSAMPLE_FACTOR * cfg.batch_size:
-                    batch_pairs, align_scale = _subsample_pairs(
-                        prepared_pairs, n_pairs, cfg.batch_size, rng
-                    )
-                total, l_bpr, l_align, _, grads = _compute(
-                    model.propagated(train_ds, masks), {d: triplets}, batch_pairs, cfg,
-                    align_scale, True,
+        for d, batch in _epoch_batches(train_ds.domains, cfg.batch_size, rng):
+            triplets = samplers[d].triplets(batch, rng)
+            if triplets.shape[1] == 0:
+                continue
+            masks = None
+            if cfg.edge_dropout > 0.0:
+                masks = {
+                    dd: edge_dropout(g, cfg.edge_dropout, rng)
+                    for dd, g in enumerate(train_ds.domains)
+                }
+            batch_pairs, align_scale = prepared_pairs, 1.0
+            if n_pairs > ALIGN_SUBSAMPLE_FACTOR * cfg.batch_size:
+                batch_pairs, align_scale = _subsample_pairs(
+                    prepared_pairs, n_pairs, cfg.batch_size, rng
                 )
-                if not np.isfinite(total):
-                    raise TrainingDiverged(
-                        "non-finite loss",
-                        {
-                            "epoch": epoch,
-                            "domain": d,
-                            "batch": round_idx,
-                            "bpr": l_bpr,
-                            "align": l_align,
-                            "total": total,
-                        },
-                    )
-                adam_step(model, grads, state, cfg)
-                epoch_bpr += l_bpr
-                epoch_align += l_align
-                epoch_total += total
+            total, l_bpr, l_align, grads = _objective(
+                model.propagated(train_ds, masks), {d: triplets}, batch_pairs, cfg, align_scale
+            )
+            if not np.isfinite(total):
+                raise TrainingDiverged(
+                    f"non-finite loss in epoch {epoch}, domain {d}:"
+                    f" bpr {l_bpr}, align {l_align}, total {total}"
+                )
+            adam_step(model, grads, state, cfg)
+            epoch_bpr += l_bpr
+            epoch_align += l_align
+            epoch_total += total
 
         val_auc = val_recall = float("nan")
         if has_val:
             val_auc, val_recall, _ = evalkit.evaluate_cases_mean(model, split, val_cases)
-        wall_ms = (time.perf_counter() - t_start) * 1000.0
-        log = EpochLog(epoch, epoch_bpr, epoch_align, epoch_total, val_auc, val_recall, wall_ms)
+        log = EpochLog(epoch, epoch_bpr, epoch_align, epoch_total, val_auc, val_recall)
         logs.append(log)
         for cb in callbacks:
             cb(log, model)
         if cfg.patience is not None and has_val:
             if val_auc > best_auc:
-                best_auc = val_auc
+                best_auc, best_epoch = val_auc, epoch
                 best_model = model.copy()
-                since_best = 0
-            else:
-                since_best += 1
-                if since_best >= cfg.patience:
-                    break
+            elif epoch - best_epoch >= cfg.patience:
+                break
 
     if best_model is not None:
         for (_, dst), (_, src) in zip(model.parameters(), best_model.parameters()):

@@ -25,7 +25,6 @@ import numpy as np
 
 from .mdgraph import (
     MAX_ID,
-    AnchorSet,
     DomainGraph,
     MultiDomainDataset,
     NodeId,
@@ -104,11 +103,11 @@ def _stop_table(graph: DomainGraph, cfg: WalkConfig) -> np.ndarray:
     return table
 
 
-def _anchor_positions(graph: DomainGraph, anchor_set: AnchorSet) -> np.ndarray:
-    """Position in `anchor_set` of each local node of `graph`; -1 for non-anchors."""
+def _anchor_positions(graph: DomainGraph, anchor_keys: np.ndarray) -> np.ndarray:
+    """Position in `anchor_keys` of each local node of `graph`; -1 for non-anchors."""
     positions = np.full(graph.n_nodes, -1, dtype=np.int64)
-    in_graph = np.isin(anchor_set.keys, graph.keys)
-    positions[np.searchsorted(graph.keys, anchor_set.keys[in_graph])] = np.flatnonzero(in_graph)
+    in_graph = np.isin(anchor_keys, graph.keys)
+    positions[np.searchsorted(graph.keys, anchor_keys[in_graph])] = np.flatnonzero(in_graph)
     return positions
 
 
@@ -128,10 +127,10 @@ def _normalized_rows(counts: np.ndarray) -> np.ndarray:
 
 
 def run_walks(
-    graph: DomainGraph, source: NodeId, anchor_set: AnchorSet, cfg: WalkConfig
+    graph: DomainGraph, source: NodeId, anchor_keys: np.ndarray, cfg: WalkConfig
 ) -> np.ndarray:
     """How many fixed-length walks from `source` stop on each anchor of the
-    pair, indexed like `anchor_set.keys`.
+    pair, indexed like the ascending `anchor_keys`.
 
     Each walk takes exactly `walk_length` uniform steps; only the final node
     counts, and only if it is an anchor.
@@ -141,8 +140,8 @@ def run_walks(
     if start == graph.n_nodes or graph.keys[start] != key:
         raise KeyError(f"{source} not in domain {graph.domain}")
     stops = _simulate_stops(graph, start, cfg, _source_rng(cfg, source.kind, source.id))
-    positions = _anchor_positions(graph, anchor_set)
-    return _stop_counts(stops[None, :], positions, len(anchor_set))[0]
+    positions = _anchor_positions(graph, anchor_keys)
+    return _stop_counts(stops[None, :], positions, len(anchor_keys))[0]
 
 
 def mine_pairs(
@@ -167,14 +166,14 @@ def mine_pairs(
         raise ValueError("pair mining requires two distinct domains")
     if k < 1:
         raise ValueError("k must be at least 1")
-    anchor_set = anchors(dataset, d, d_prime)
-    if len(anchor_set) == 0:
+    anchor_keys = anchors(dataset, d, d_prime)
+    if len(anchor_keys) == 0:
         return SimilarPairSet((d, d_prime), ())
 
     src_graph, dst_graph = dataset.graph(d), dataset.graph(d_prime)
     src_stops, dst_stops = _stop_table(src_graph, cfg), _stop_table(dst_graph, cfg)
-    src_pos = _anchor_positions(src_graph, anchor_set)
-    dst_pos = _anchor_positions(dst_graph, anchor_set)
+    src_pos = _anchor_positions(src_graph, anchor_keys)
+    dst_pos = _anchor_positions(dst_graph, anchor_keys)
     n_src_users, n_dst_users = src_graph.n_users, dst_graph.n_users
     out: list[SimilarPair] = []
     # local order puts users before items, so each kind is one block of rows
@@ -184,16 +183,16 @@ def mine_pairs(
         (NodeKind.ITEM, slice(n_src_users, None), slice(n_dst_users, None),
          src_graph.item_ids, dst_graph.item_ids),
     ):
-        src_counts = _stop_counts(src_stops[src_rows], src_pos, len(anchor_set))
+        src_counts = _stop_counts(src_stops[src_rows], src_pos, len(anchor_keys))
         if len(src_ids) and not np.array_equal(
-            run_walks(src_graph, NodeId(kind, int(src_ids[0])), anchor_set, cfg),
+            run_walks(src_graph, NodeId(kind, int(src_ids[0])), anchor_keys, cfg),
             src_counts[0],
         ):
             raise RuntimeError(
                 f"stale stop table for domain {d}: its graph changed after the walks"
             )
         src_mat = _normalized_rows(src_counts)
-        dst_mat = _normalized_rows(_stop_counts(dst_stops[dst_rows], dst_pos, len(anchor_set)))
+        dst_mat = _normalized_rows(_stop_counts(dst_stops[dst_rows], dst_pos, len(anchor_keys)))
         sims = np.clip(src_mat @ dst_mat.T, 0.0, 1.0)
         for row, src_id in enumerate(src_ids.tolist()):
             order = np.lexsort((dst_ids, -sims[row]))

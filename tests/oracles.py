@@ -4,10 +4,14 @@ Everything here is written with dense matrices and explicit loops, on purpose:
 these implementations must not share code paths with the library.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import scipy.sparse as sp
 from hypothesis import strategies as st
 
+from edda.edmodel import EDModel
+from edda.encoders import EmbeddingTable
 from edda.mdgraph import NodeId, NodeKind
 from edda.synthgen import SynthError
 
@@ -71,6 +75,35 @@ def zeroed(model):
     for _, arr in model.parameters():
         arr[...] = 0.0
     return model
+
+
+def as_float32(model):
+    """A float32 copy of `model`."""
+    def table(t):
+        return EmbeddingTable(t.keys, t.matrix.astype(np.float32))
+
+    return EDModel(
+        replace(model.spec, dtype="float32"),
+        table(model.inter) if model.inter is not None else None,
+        [table(t) for t in model.intra] if model.intra is not None else None,
+        [w.astype(np.float32) for w in model.proj] if model.proj is not None else None,
+    )
+
+
+def epoch_batches_by_lists(domains, batch_size, rng):
+    """One epoch's (domain, edge indices) batches by list slicing: every
+    domain's permutation cut into a list of batches, then the lists
+    interleaved round-robin."""
+    schedules = []
+    for graph in domains:
+        order = rng.permutation(graph.n_edges)
+        schedules.append([order[k : k + batch_size] for k in range(0, len(order), batch_size)])
+    out = []
+    for round_idx in range(max(len(batches) for batches in schedules)):
+        for d, batches in enumerate(schedules):
+            if round_idx < len(batches):
+                out.append((d, batches[round_idx]))
+    return out
 
 
 def edge_lists():

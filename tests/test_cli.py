@@ -123,7 +123,7 @@ def test_align_train_eval_pipeline(workspace, capsys):
     log_lines = (run_dir / "train.log").read_text().strip().split("\n")
     assert len(log_lines) == 3
     assert all(len(line.split("\t")) == 7 for line in log_lines)
-    # determinism mode zeroes the wall-clock column
+    # the wall-clock column is written as zero, so reruns are byte-identical
     assert all(line.split("\t")[-1] == "0.000" for line in log_lines)
 
     capsys.readouterr()
@@ -197,6 +197,15 @@ def test_eval_refuses_on_seed_mismatch(workspace, capsys):
         "eval", str(data), str(workspace / "runm"), "--config", str(config),
         "--seed", "99", "--force",
     ]) == 0
+    # the forced eval wrote its own manifest and kept the training one
+    assert (workspace / "runm" / "eval_manifest.txt").read_text().startswith("command = eval\n")
+    assert (workspace / "runm" / "manifest.txt").read_text().startswith("command = train\n")
+    capsys.readouterr()
+    assert main([
+        "eval", str(data), str(workspace / "runm"), "--config", str(config),
+        "--seed", "99",
+    ]) == 2
+    assert "refusing" in capsys.readouterr().err
 
 
 def test_eval_refuses_an_eval_seed_mismatch_unless_forced(workspace, capsys):
@@ -369,9 +378,11 @@ def test_align_on_a_malformed_file_exits_2_naming_the_line(tmp_path_factory, cas
 
 def test_config_file_unknown_key_exit_code(workspace, capsys):
     config = workspace / "weird.cfg"
-    config.write_text("no_such_key = 1\n")
     data = workspace / "data" / "interactions.tsv"
-    assert main(["align", str(data), "--out", str(workspace / "p"), "--config", str(config)]) == 2
+    for text in ("no_such_key = 1\n", "determinism = true\n"):
+        config.write_text(text)
+        assert main(["align", str(data), "--out", str(workspace / "p"), "--config", str(config)]) == 2
+        assert "unknown config keys" in capsys.readouterr().err
 
 
 def test_train_refuses_pairs_mined_on_another_split(workspace, capsys):

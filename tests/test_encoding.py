@@ -5,10 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dataclasses import replace
-
-from edda.edmodel import EDModel, ModelSpec, init_model
-from edda.encoders import EmbeddingTable, GRecConfig
+from edda.edmodel import ModelSpec, init_model
+from edda.encoders import GRecConfig
 from edda.mdgraph import DomainGraph, ingest
 from edda.trainer import (
     AdamState,
@@ -16,11 +14,12 @@ from edda.trainer import (
     _NegativeSampler,
     adam_step,
     edge_dropout,
-    gradients,
+    loss_and_gradients,
 )
 from edda.walker import WalkConfig, mine_pairs
 
 from oracles import (
+    as_float32,
     dense_propagate,
     edge_lists,
     nodes_of,
@@ -112,7 +111,8 @@ def test_transpose_is_the_adjoint(instance):
     enc = model.propagated(train, masks)
     y_inter = rng.normal(size=enc.inter.shape)
     y_intra = {d: rng.normal(size=t.matrix.shape) for d, t in enumerate(model.intra)}
-    back = enc.transpose(y_inter, y_intra)
+    back = {name: np.zeros_like(arr) for name, arr in model.parameters()}
+    enc.transpose(y_inter, y_intra, back)
     lhs = np.sum(enc.inter * y_inter) + sum(np.sum(enc.intra(d) * y) for d, y in y_intra.items())
     rhs = np.sum(model.inter.matrix * back["inter"]) + sum(
         np.sum(t.matrix * back[f"intra[{d}]"]) for d, t in enumerate(model.intra)
@@ -134,24 +134,12 @@ def test_float32_model_stays_float32():
 
     triplets = _triplets(ds, {0: 6, 1: 5}, rng)
     cfg = TrainConfig()
-    grads = gradients(model, ds, triplets, [], cfg, masks=masks)
+    grads = loss_and_gradients(model, ds, triplets, [], cfg, masks=masks)[1]
     assert {g.dtype for g in grads.values()} == {np.dtype(np.float32)}
     state = AdamState.for_model(model)
     adam_step(model, grads, state, cfg)
     assert {arr.dtype for _, arr in model.parameters()} == {np.dtype(np.float32)}
     assert {m.dtype for m in [*state.m.values(), *state.v.values()]} == {np.dtype(np.float32)}
-
-
-def _as_float32(model):
-    def table(t):
-        return EmbeddingTable(t.keys, t.matrix.astype(np.float32))
-
-    return EDModel(
-        replace(model.spec, dtype="float32"),
-        table(model.inter) if model.inter is not None else None,
-        [table(t) for t in model.intra] if model.intra is not None else None,
-        [w.astype(np.float32) for w in model.proj] if model.proj is not None else None,
-    )
 
 
 @pytest.mark.parametrize("encoder", ["grec", "mf"])
@@ -167,8 +155,8 @@ def test_float32_gradients_match_float64(encoder):
     pairs = [mine_pairs(ds, 0, 1, 2, walks), mine_pairs(ds, 1, 0, 2, walks)]
     assert all(p.pairs for p in pairs)
     cfg = TrainConfig(beta=0.5, reg_lambda=1e-3)
-    want = gradients(model, ds, triplets, pairs, cfg, masks=masks)
-    got = gradients(_as_float32(model), ds, triplets, pairs, cfg, masks=masks)
+    want = loss_and_gradients(model, ds, triplets, pairs, cfg, masks=masks)[1]
+    got = loss_and_gradients(as_float32(model), ds, triplets, pairs, cfg, masks=masks)[1]
     assert got.keys() == want.keys()
     for name, g in got.items():
         assert g.dtype == np.float32, name

@@ -282,6 +282,18 @@ def test_evaluate_all_row_count():
     assert len(text.strip().split("\n")) == ds.num_domains + 2
 
 
+def test_an_unknown_split_name_raises_instead_of_evaluating_the_test_split():
+    ds, sp = _eval_fixture()
+    model = init_model(ModelSpec(d_inter=2, d_intra=2), ds, seed=1)
+    for evaluate in (
+        lambda: build_cases(sp, 0, which="valid"),
+        lambda: evalkit.build_all_cases(sp, which="valid"),
+        lambda: evaluate_all(model, sp, which="valid"),
+    ):
+        with pytest.raises(ValueError, match="'valid'"):
+            evaluate()
+
+
 # -- properties over random datasets ---------------------------------------------
 
 

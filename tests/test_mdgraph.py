@@ -4,7 +4,6 @@ from hypothesis import given, settings
 
 from edda.mdgraph import (
     MAX_ID,
-    AnchorSet,
     DomainGraph,
     IngestError,
     NodeId,
@@ -46,7 +45,7 @@ def test_dedup_is_idempotent():
 def test_shared_id_defines_overlap():
     ds = ingest([(0, 0, 0), (1, 0, 1)])
     a = anchors(ds, 0, 1)
-    assert np.array_equal(a.keys, keys(U(0)))
+    assert np.array_equal(a, keys(U(0)))
 
 
 def test_anchors_disjoint_and_identical():
@@ -55,7 +54,7 @@ def test_anchors_disjoint_and_identical():
 
     same = [(0, 0, 0), (0, 1, 1), (1, 0, 0), (1, 1, 1)]
     ds2 = ingest(same)
-    assert np.array_equal(anchors(ds2, 0, 1).keys, ds2.graph(0).keys)
+    assert np.array_equal(anchors(ds2, 0, 1), ds2.graph(0).keys)
 
 
 def test_anchors_match_set_intersection_oracle():
@@ -65,15 +64,13 @@ def test_anchors_match_set_intersection_oracle():
     users = set(map(int, ds.graph(0).user_ids)) & set(map(int, ds.graph(1).user_ids))
     items = set(map(int, ds.graph(0).item_ids)) & set(map(int, ds.graph(1).item_ids))
     expected = sorted([U(u) for u in users] + [I(i) for i in items])
-    assert np.array_equal(got.keys, keys(*expected))
+    assert np.array_equal(got, keys(*expected))
     assert expected == [U(0), I(3)]
 
 
 def test_anchors_symmetric():
     ds = ingest([(0, 0, 3), (0, 1, 4), (1, 0, 3), (1, 2, 5)])
-    a, b = anchors(ds, 0, 1), anchors(ds, 1, 0)
-    assert a.domain_pair == b.domain_pair == (0, 1)
-    assert np.array_equal(a.keys, b.keys)
+    assert np.array_equal(anchors(ds, 0, 1), anchors(ds, 1, 0))
 
 
 def test_node_keys_round_trip_at_the_id_bounds():
@@ -197,11 +194,6 @@ def test_file_malformed_line_number(tmp_path):
     path.write_text("0\t0\t0\nnot\tan\tinteger row\n")
     with pytest.raises(IngestError, match="line 2"):
         ingest_file(path)
-
-
-def test_anchor_set_requires_ordered_pair():
-    with pytest.raises(ValueError):
-        AnchorSet(domain_pair=(1, 0), keys=np.array([], dtype=np.int64))
 
 
 def test_write_interactions_sorts_tuples_and_arrays_alike(tmp_path):

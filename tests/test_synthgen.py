@@ -103,7 +103,7 @@ def test_different_seeds_differ():
 def test_shared_latents_are_reused_across_domains():
     spec = _spec(overlap_fraction=0.2)
     ds, latents = generate(spec)
-    kinds, ids = split_keys(anchors(ds, 0, 1).keys)
+    kinds, ids = split_keys(anchors(ds, 0, 1))
     shared_users = ids[kinds == 0]
     assert len(shared_users)
     # one global shared table indexed by id: rows for shared users exist once

@@ -1,4 +1,5 @@
 import logging
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,17 +18,19 @@ from edda.trainer import (
     TrainingDiverged,
     _NegativeSampler,
     _bpr_row_gradients,
+    _epoch_batches,
     _scatter_add,
     _subsample_pairs,
     adam_step,
     edge_dropout,
-    gradients,
-    total_loss,
+    loss_and_gradients,
     train,
 )
 from edda.walker import SimilarPair, SimilarPairSet
 
 from oracles import (
+    as_float32,
+    epoch_batches_by_lists,
     finite_difference_gradient,
     keys,
     nodes_of,
@@ -43,7 +46,7 @@ I = lambda i: NodeId(NodeKind.ITEM, i)
 
 def sample_triplets(ds, counts, rng):
     """Per domain d, triplets for `counts[d]` training edges drawn uniformly
-    with replacement, as the (3, n) local index rows `total_loss` takes."""
+    with replacement, as the (3, n) local index rows `loss_and_gradients` takes."""
     return {
         d: _NegativeSampler(ds.graph(d)).triplets(rng.integers(ds.graph(d).n_edges, size=n), rng)
         for d, n in counts.items()
@@ -85,7 +88,7 @@ def _local(graph, *nodes):
 
 
 def _planted_bpr(s_pos, s_neg, n=1):
-    """total_loss with beta = reg_lambda = 0 of an MF model whose scores are
+    """The loss with beta = reg_lambda = 0 of an MF model whose scores are
     planted: n copies of the triplet (user 0, item 0, item 1), with user row 1
     and item rows s_pos and s_neg, so each copy has s+ - s- = s_pos - s_neg."""
     ds = ingest([(0, 0, 0), (0, 1, 1)])
@@ -94,7 +97,7 @@ def _planted_bpr(s_pos, s_neg, n=1):
     for node, value in ((U(0), 1.0), (I(0), s_pos), (I(1), s_neg)):
         model.inter.matrix[_row(model.inter, node)] = value
     triplets = {0: np.tile(_local(ds.graph(0), U(0), I(0), I(1))[:, None], n)}
-    return total_loss(model, ds, triplets, [], TrainConfig(beta=0.0, reg_lambda=0.0))
+    return loss_and_gradients(model, ds, triplets, [], TrainConfig(beta=0.0, reg_lambda=0.0))[0]
 
 
 def test_total_loss_bpr_hand_values():
@@ -113,8 +116,8 @@ ALIGN_ONLY = TrainConfig(beta=1.0, reg_lambda=0.0, edge_dropout=0.0)
 
 
 def alignment_loss(model, dataset, pair_sets):
-    """The alignment term alone: total_loss with beta=1, no ranking or regularization."""
-    return total_loss(model, dataset, {}, pair_sets, ALIGN_ONLY)
+    """The alignment term alone: the loss with beta=1, no ranking or regularization."""
+    return loss_and_gradients(model, dataset, {}, pair_sets, ALIGN_ONLY)[0]
 
 
 def test_alignment_loss_values():
@@ -154,14 +157,14 @@ def test_total_loss_decomposition():
             z_u, z_p, z_n = enc.represent(d, ds.graph(d).keys[[u, p, n]])
             scores.append((float(np.dot(z_u, z_p)), float(np.dot(z_u, z_n))))
     pos, neg = np.array([s for s, _ in scores]), np.array([s for _, s in scores])
-    assert total_loss(model, ds, triplets, [], cfg0) == pytest.approx(
+    assert loss_and_gradients(model, ds, triplets, [], cfg0)[0] == pytest.approx(
         float(np.sum(np.log1p(np.exp(-(pos - neg))))), rel=1e-12
     )
 
     cfg = TrainConfig(beta=0.03, reg_lambda=1e-4, edge_dropout=0.0)
-    full = total_loss(model, ds, triplets, pairs, cfg)
+    full = loss_and_gradients(model, ds, triplets, pairs, cfg)[0]
     recomposed = (
-        total_loss(model, ds, triplets, [], cfg0)
+        loss_and_gradients(model, ds, triplets, [], cfg0)[0]
         + cfg.beta * alignment_loss(model, ds, pairs)
         + cfg.reg_lambda * model.squared_norm()
     )
@@ -173,7 +176,7 @@ def test_total_loss_zero_model_regularizer():
     spec = ModelSpec(d_inter=3, d_intra=2)
     model = zeroed(init_model(spec, ds, seed=0))
     cfg = TrainConfig(beta=0.0, reg_lambda=0.5, edge_dropout=0.0)
-    assert total_loss(model, ds, triplets, [], cfg) == pytest.approx(
+    assert loss_and_gradients(model, ds, triplets, [], cfg)[0] == pytest.approx(
         sum(rows.shape[1] for rows in triplets.values()) * np.log(2)
     )
 
@@ -181,7 +184,7 @@ def test_total_loss_zero_model_regularizer():
 def test_total_loss_matches_dense_oracle():
     ds, model, triplets, pairs = _instance(seed=3)
     cfg = TrainConfig(beta=0.03, reg_lambda=1e-4, edge_dropout=0.0)
-    got = total_loss(model, ds, triplets, pairs, cfg)
+    got = loss_and_gradients(model, ds, triplets, pairs, cfg)[0]
     want = oracle_total_loss(model, ds, triplets, pairs, cfg)
     assert got == pytest.approx(want, rel=1e-10)
 
@@ -191,7 +194,7 @@ def test_total_loss_matches_dense_oracle_under_masks():
     rng = np.random.default_rng(5)
     masks = {d: edge_dropout(g, 0.4, rng) for d, g in enumerate(ds.domains)}
     cfg = TrainConfig(beta=0.03, reg_lambda=1e-4)
-    got = total_loss(model, ds, triplets, pairs, cfg, masks=masks)
+    got = loss_and_gradients(model, ds, triplets, pairs, cfg, masks=masks)[0]
     want = oracle_total_loss(model, ds, triplets, pairs, cfg, masks=masks)
     assert got == pytest.approx(want, rel=1e-10)
 
@@ -201,7 +204,7 @@ def test_gradient_isolation_exact():
     rng = np.random.default_rng(7)
     only0 = sample_triplets(ds, {0: 8}, rng)
     cfg = TrainConfig(beta=0.0, reg_lambda=0.0, edge_dropout=0.0)
-    grads = gradients(model, ds, only0, [], cfg)
+    grads = loss_and_gradients(model, ds, only0, [], cfg)[1]
     assert np.all(grads["intra[1]"] == 0.0)
     assert np.any(grads["intra[0]"] != 0.0)
     touched = model.inter.rows(ds.graph(0).keys[only0[0][0]])
@@ -215,7 +218,7 @@ def test_gradient_zero_model_is_zero():
     model = zeroed(init_model(spec, ds, seed=0))
     cfg = TrainConfig(beta=0.0, reg_lambda=0.0, edge_dropout=0.0)
     triplet = sample_triplets(ds, {0: 1}, np.random.default_rng(0))
-    grads = gradients(model, ds, triplet, [], cfg)
+    grads = loss_and_gradients(model, ds, triplet, [], cfg)[1]
     for name, g in grads.items():
         assert np.all(g == 0.0), name
 
@@ -231,7 +234,7 @@ def test_gradient_hand_case_mf():
     t = {0: _local(ds.graph(0), U(0), I(0), I(1))[:, None]}
     x = (e[U(0)] * e[I(0)] + f[U(0)] * f[I(0)]) - (e[U(0)] * e[I(1)] + f[U(0)] * f[I(1)])
     g = -1.0 / (1.0 + np.exp(x))
-    grads = gradients(model, ds, t, [], cfg)
+    grads = loss_and_gradients(model, ds, t, [], cfg)[1]
     assert grads["inter"][_row(model.inter, U(0)), 0] == pytest.approx(
         g * (e[I(0)] - e[I(1)])
     )
@@ -250,7 +253,7 @@ def test_gradients_match_finite_differences(masked):
     if masked:
         rng = np.random.default_rng(13)
         masks = {d: edge_dropout(g, 0.3, rng) for d, g in enumerate(ds.domains)}
-    grads = gradients(model, ds, triplets, pairs, cfg, masks=masks)
+    grads = loss_and_gradients(model, ds, triplets, pairs, cfg, masks=masks)[1]
 
     rng = np.random.default_rng(17)
     params = dict(model.parameters())
@@ -258,13 +261,39 @@ def test_gradients_match_finite_differences(masked):
     for name, arr in params.items():
         for flat_index in rng.choice(arr.size, size=min(8, arr.size), replace=False):
             fd = finite_difference_gradient(
-                lambda: total_loss(model, ds, triplets, pairs, cfg, masks=masks),
+                lambda: loss_and_gradients(model, ds, triplets, pairs, cfg, masks=masks)[0],
                 arr,
                 int(flat_index),
             )
             analytic = grads[name].reshape(-1)[int(flat_index)]
             denom = max(abs(fd), abs(analytic), 1e-10)
             assert abs(fd - analytic) / denom < 1e-4, (name, flat_index)
+            checked += 1
+    assert checked >= 30
+
+
+def test_float32_gradients_match_finite_differences():
+    ds, model, triplets, pairs = _instance(seed=11)
+    model = as_float32(model)
+    cfg = TrainConfig(beta=0.03, reg_lambda=1e-4)
+    grads = loss_and_gradients(model, ds, triplets, pairs, cfg)[1]
+    assert {g.dtype for g in grads.values()} == {np.dtype(np.float32)}
+    # float32 rounding of the loss swamps small gradient entries: floor the denominator
+    floor = 1e-3 * max(float(np.abs(g).max()) for g in grads.values())
+
+    rng = np.random.default_rng(17)
+    checked = 0
+    for name, arr in model.parameters():
+        for flat_index in rng.choice(arr.size, size=min(8, arr.size), replace=False):
+            fd = finite_difference_gradient(
+                lambda: loss_and_gradients(model, ds, triplets, pairs, cfg)[0],
+                arr,
+                int(flat_index),
+                h=1e-2,
+            )
+            analytic = float(grads[name].reshape(-1)[int(flat_index)])
+            denom = max(abs(fd), abs(analytic), floor)
+            assert abs(fd - analytic) / denom < 1e-2, (name, flat_index)
             checked += 1
     assert checked >= 30
 
@@ -278,12 +307,12 @@ def test_gradients_match_finite_differences_variants():
         ModelSpec(d_inter=3, d_intra=3, encoder="mf"),
     ):
         model = init_model(variant_spec, ds, seed=23)
-        grads = gradients(model, ds, triplets, [], cfg)
+        grads = loss_and_gradients(model, ds, triplets, [], cfg)[1]
         rng = np.random.default_rng(29)
         for name, arr in model.parameters():
             for flat_index in rng.choice(arr.size, size=min(5, arr.size), replace=False):
                 fd = finite_difference_gradient(
-                    lambda: total_loss(model, ds, triplets, [], cfg),
+                    lambda: loss_and_gradients(model, ds, triplets, [], cfg)[0],
                     arr,
                     int(flat_index),
                 )
@@ -366,7 +395,7 @@ def test_adam_determinism():
         m = model.copy()
         state = AdamState.for_model(m)
         for _ in range(3):
-            grads = gradients(m, ds, triplets, pairs, cfg)
+            grads = loss_and_gradients(m, ds, triplets, pairs, cfg)[1]
             adam_step(m, grads, state, cfg)
         runs.append({name: arr.copy() for name, arr in m.parameters()})
     for name in runs[0]:
@@ -459,8 +488,29 @@ def test_train_aborts_on_divergence():
     sp = _toy_split()
     model = init_model(ModelSpec(d_inter=4, d_intra=4), sp.full, seed=8)
     model.inter.matrix[:] = 1e200  # scores overflow to inf
-    with pytest.raises(TrainingDiverged):
+    with pytest.raises(TrainingDiverged, match=r"in epoch 1, domain 0: bpr \S+, align \S+, total"):
         train(model, sp, [], TrainConfig(epochs=1, edge_dropout=0.0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.integers(0, 40), min_size=1, max_size=4),
+    st.integers(1, 16),
+    st.integers(0, 2**32 - 1),
+)
+def test_epoch_batches_equal_the_list_slicing_round_robin(n_edges, batch_size, seed):
+    domains = [SimpleNamespace(n_edges=n) for n in n_edges]
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    want = epoch_batches_by_lists(domains, batch_size, ref_rng)
+    batches = _epoch_batches(domains, batch_size, rng)
+    first = next(batches, None)
+    # every permutation is drawn before the first batch is handed out
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    got = [first, *batches] if first is not None else []
+    assert [d for d, _ in got] == [d for d, _ in want]
+    assert all(a.tobytes() == b.tobytes() for (_, a), (_, b) in zip(got, want))
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert rng.random() == ref_rng.random()
 
 
 @settings(max_examples=100, deadline=None)

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from edda import walker
-from edda.mdgraph import AnchorSet, NodeId, NodeKind, anchors, ingest
+from edda.mdgraph import NodeId, NodeKind, anchors, ingest
 from edda.walker import (
     SimilarPairSet,
     WalkConfig,
@@ -33,7 +33,7 @@ def test_unreachable_anchor_gives_zero_vector():
     # u0's component never reaches the anchor u5
     ds = ingest([(0, 0, 0), (0, 5, 9), (1, 5, 20)])
     a = anchors(ds, 0, 1)
-    assert np.array_equal(a.keys, keys(U(5)))
+    assert np.array_equal(a, keys(U(5)))
     counts = run_walks(ds.graph(0), U(0), a, WalkConfig(walk_length=4, num_walks=200, rng_seed=1))
     assert np.all(counts == 0)
 
@@ -57,7 +57,7 @@ def test_stop_frequencies_match_transition_matrix_power():
     exact = walk_stop_distribution(pairs, U(0), steps=4)
     empirical = counts / cfg.num_walks
     tv = 0.5 * sum(
-        abs(empirical[pos] - exact[node]) for pos, node in enumerate(nodes_of(a.keys))
+        abs(empirical[pos] - exact[node]) for pos, node in enumerate(nodes_of(a))
     )
     assert tv < 0.02
 
@@ -299,7 +299,7 @@ def test_stop_table_rows_give_run_walks_counts(case):
                 continue
             a = anchors(ds, d, d_prime)
             nodes = nodes_of(graph.keys)
-            local = [nodes.index(node) for node in nodes_of(a.keys)]
+            local = [nodes.index(node) for node in nodes_of(a)]
             for row, node in enumerate(nodes):
                 want = [int(np.sum(table[row] == ix)) for ix in local]
                 assert run_walks(graph, node, a, cfg).tolist() == want
@@ -319,7 +319,7 @@ def test_run_walks_ignores_anchors_outside_the_graph():
     # domain 0 lacks U(1) (between its user ids 0 and 2), U(7) (past them) and I(5)
     ds = ingest([(0, 0, 0), (0, 2, 0), (1, 0, 5), (1, 1, 5)])
     cfg = WalkConfig(walk_length=2, num_walks=50, rng_seed=4)
-    a = AnchorSet((0, 1), keys(U(0), U(1), U(7), I(5)))
+    a = keys(U(0), U(1), U(7), I(5))
     counts = run_walks(ds.graph(0), U(0), a, cfg)
     assert counts[1:].tolist() == [0, 0, 0] and 0 < counts[0] < 50
     counts = run_walks(ds.graph(1), U(0), a, cfg)
