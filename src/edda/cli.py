@@ -97,18 +97,14 @@ def resolve_config(config_path: str | None, overrides: dict) -> RunConfig:
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         cfg = replace(cfg, **{k: types[k](v) for k, v in file_values.items()})
-    cleaned = {k: v for k, v in overrides.items() if v is not None}
-    if cleaned:
-        cfg = replace(cfg, **cleaned)
+    cfg = replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
     if cfg.variant not in VARIANTS:
         raise ValueError(f"unknown variant {cfg.variant!r}; choose from {VARIANTS}")
     return cfg
 
 
 def _sha256(path: Path) -> str:
-    digest = hashlib.sha256()
-    digest.update(path.read_bytes())
-    return digest.hexdigest()
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def _config_lines(cfg: RunConfig) -> list[str]:

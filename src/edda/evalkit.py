@@ -14,8 +14,8 @@ Splits and cases are integer arrays. A domain's cases form one `CaseSet`
 `build_all_cases` builds each split's case sets once per (which, eval_seed):
 per-epoch validation and the validation report of a training run share one
 build. Scoring reads the case sets through the model's `Encoding` with
-integer node keys, `SCORE_CHUNK` cases at a time, and computes AUC per user
-block and Recall@1 in one comparison.
+integer node keys, `SCORE_CHUNK` cases at a time, and computes AUC by one
+search of per-user sorted score keys and Recall@1 in one comparison.
 """
 
 from __future__ import annotations
@@ -224,16 +224,21 @@ def auc_from_scores(users: np.ndarray, pos: np.ndarray, neg: np.ndarray) -> floa
     scores `neg[k]`. The negatives of a user's cases are pooled for that
     user's pairwise count; users are averaged in id order.
     """
-    order = np.argsort(users, kind="stable")
-    users, pos, neg = users[order], pos[order], neg[order]
-    bounds = np.flatnonzero(np.diff(users)) + 1
-    per_user = []
-    for lo, hi in zip([0, *bounds.tolist()], [*bounds.tolist(), len(users)]):
-        p = pos[lo:hi, None]
-        n = neg[lo:hi].reshape(1, -1)
-        wins = np.sum(p > n) + 0.5 * np.sum(p == n)
-        per_user.append(wins / (p.size * n.size))
-    return float(np.mean(per_user))
+    n_cases, width = neg.shape
+    _, case_user = np.unique(users, return_inverse=True)  # users in id order
+    # key = user offset + 1 + dense score rank, so a user's equal scores share a
+    # key; NaN takes offset + 0 and is no negative: it ties and beats nothing
+    scores = np.concatenate([pos, neg.ravel()])
+    span = len(scores) + 1
+    keys = np.concatenate([case_user, np.repeat(case_user, width)]) * span
+    keys += np.where(np.isnan(scores), 0, np.unique(scores, return_inverse=True)[1] + 1)
+    pos_keys = np.sort(keys[:n_cases])  # sorted queries search faster
+    neg_keys = np.sort(keys[n_cases:][~np.isnan(scores[n_cases:])])
+    below, upto = np.searchsorted(neg_keys, pos_keys), np.searchsorted(neg_keys, pos_keys, "right")
+    pos_user = pos_keys // span
+    wins = 0.5 * (below + upto) - np.searchsorted(neg_keys, pos_user * span)  # below + ties / 2
+    n_pos = np.bincount(case_user)
+    return float(np.mean(np.bincount(pos_user, weights=wins) / (n_pos * (n_pos * width))))
 
 
 def recall_at_1_from_scores(

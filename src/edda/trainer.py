@@ -103,33 +103,28 @@ class _NegativeSampler:
 
     def triplets(self, edges: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """Graph-local (user, positive, negative) index rows, shape (3, n):
-        one per edge in `edges`, in that order, whose user can draw a negative."""
+        one per edge in `edges`, in that order, whose user can draw a negative.
+        Candidates come in blocks of one per row still open, each taken by the
+        first open row, so they equal one scalar `rng.integers` call per draw."""
         graph = self.graph
-        kept = []
-        negs = []
-        for e, u_loc in zip(edges.tolist(), graph.edge_user[edges].tolist()):
-            if not self.eligible[u_loc]:
-                if u_loc not in self.warned:
-                    self.warned.add(u_loc)
-                    logger.warning(
-                        "domain %d: user %d interacts with every item, skipping",
-                        graph.domain,
-                        int(graph.user_ids[u_loc]),
-                    )
-                continue
-            n_loc = int(rng.integers(graph.n_items))
-            while n_loc in self.positives[u_loc]:
-                n_loc = int(rng.integers(graph.n_items))
-            kept.append(e)
-            negs.append(n_loc)
-        kept = np.asarray(kept, dtype=np.int64)
-        return np.stack(
-            [
-                graph.edge_user[kept],
-                graph.edge_item[kept] + graph.n_users,
-                np.asarray(negs, dtype=np.int64) + graph.n_users,
-            ]
-        )
+        users = graph.edge_user[edges]
+        eligible = self.eligible[users]
+        for u_loc in dict.fromkeys(users[~eligible].tolist()):
+            if u_loc not in self.warned:
+                self.warned.add(u_loc)
+                logger.warning(
+                    "domain %d: user %d interacts with every item, skipping",
+                    graph.domain,
+                    int(graph.user_ids[u_loc]),
+                )
+        edges, users = edges[eligible], users[eligible]
+        negs, open_users = [], users.tolist()
+        while len(negs) < len(open_users):
+            for n_loc in rng.integers(graph.n_items, size=len(open_users) - len(negs)).tolist():
+                if n_loc not in self.positives[open_users[len(negs)]]:
+                    negs.append(n_loc)
+        n_u = graph.n_users
+        return np.stack([users, graph.edge_item[edges] + n_u, np.array(negs, dtype=np.int64) + n_u])
 
 
 # -- loss and exact gradients -------------------------------------------------
@@ -144,6 +139,8 @@ def _prepare_pairs(model: EDModel, pair_sets: Iterable[SimilarPairSet]):
         if model.intra is None:
             raise ValueError("alignment pairs require per-domain embedding tables")
         d, d_prime = pair_set.domain_pair
+        if d == d_prime:
+            raise ValueError(f"pair domains must differ, got {d} twice")
         if min(d, d_prime) < 0 or max(d, d_prime) >= model.num_domains:
             raise ValueError(f"pair domains {(d, d_prime)} outside [0, {model.num_domains})")
         ends = np.array([(p.source, p.target) for p in pair_set.pairs], dtype=np.int64)

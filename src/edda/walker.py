@@ -237,6 +237,8 @@ def _parse_pair_line(fields: list[str]) -> tuple[tuple[int, int], SimilarPair]:
         raise ValueError(f"non-integer domain or node id in {fields[:5]!r}") from None
     if min(d, d_prime, source, target) < 0 or max(source, target) > MAX_ID:
         raise ValueError(f"domain or node id outside [0, {MAX_ID}] in {fields[:5]!r}")
+    if d == d_prime:
+        raise ValueError(f"pair domains must differ, got {d} twice")
     try:
         sim = float(similarity)
     except ValueError:

@@ -106,6 +106,35 @@ def epoch_batches_by_lists(domains, batch_size, rng):
     return out
 
 
+def negative_triplets_by_scalar_draws(graph, edges, rng, warned):
+    """`_NegativeSampler.triplets` as first written: one `rng.integers` call
+    per draw, rejecting a user's positives, row by row.
+
+    Rows of users who saw every item draw nothing; each such user not yet in
+    `warned` is added to it and gets one warning. Returns the (3, n) local
+    (user, positive, negative) rows and the new warnings, in row order.
+    """
+    positives = {}
+    for u, i in zip(graph.edge_user.tolist(), graph.edge_item.tolist()):
+        positives.setdefault(u, set()).add(i)
+    rows, warnings = [], []
+    for e in np.asarray(edges).tolist():
+        u, i = int(graph.edge_user[e]), int(graph.edge_item[e])
+        if len(positives[u]) == graph.n_items:
+            if u not in warned:
+                warned.add(u)
+                warnings.append(
+                    f"domain {graph.domain}: user {graph.user_ids[u]} interacts with every item,"
+                    " skipping"
+                )
+            continue
+        n = int(rng.integers(graph.n_items))
+        while n in positives[u]:
+            n = int(rng.integers(graph.n_items))
+        rows.append((u, i + graph.n_users, n + graph.n_users))
+    return np.array(rows, dtype=np.int64).reshape(-1, 3).T, warnings
+
+
 def edge_lists():
     """Non-empty lists of (user_id, item_id) edges with repeats, drawn from a
     few small ids plus the largest valid ids."""
@@ -368,6 +397,21 @@ def auc_from_scored_cases(scored):
         pos_scores, neg_scores = by_user[user_id]
         p = np.asarray(pos_scores)[:, None]
         n = np.asarray(neg_scores)[None, :]
+        wins = np.sum(p > n) + 0.5 * np.sum(p == n)
+        per_user.append(wins / (p.size * n.size))
+    return float(np.mean(per_user))
+
+
+def auc_by_user_blocks(users, pos, neg):
+    """`evalkit.auc_from_scores` as first written: cases sorted by user, then
+    one pairwise count per user block, users averaged in id order."""
+    order = np.argsort(users, kind="stable")
+    users, pos, neg = users[order], pos[order], neg[order]
+    bounds = np.flatnonzero(np.diff(users)) + 1
+    per_user = []
+    for lo, hi in zip([0, *bounds.tolist()], [*bounds.tolist(), len(users)]):
+        p = pos[lo:hi, None]
+        n = neg[lo:hi].reshape(1, -1)
         wins = np.sum(p > n) + 0.5 * np.sum(p == n)
         per_user.append(wins / (p.size * n.size))
     return float(np.mean(per_user))

@@ -1,5 +1,6 @@
 import contextlib
 import filecmp
+import hashlib
 import io
 from pathlib import Path
 
@@ -146,6 +147,38 @@ def test_train_rerun_is_byte_identical(workspace):
             "train", str(data), "--out", str(workspace / name), "--config", str(config),
         ]) == 0
     assert _dir_bytes(workspace / "run_a") == _dir_bytes(workspace / "run_b")
+
+
+# sha256 of what `edda train` writes for the workspace's dataset, its mined
+# pairs and CONFIG_TEXT (edge dropout 0.3, three epochs of batch 64). Any
+# change to the negative, dropout or pair-subsample random streams, or to the
+# arithmetic of a step, changes them: such a change must say why.
+TRAIN_SHA256 = {
+    "train.log": "9c3024c0d65a5ae1c12597b6e0f5ea81fe089cfeae89d756114b034c6e3ed79e",
+    "checkpoint/inter.bin": "5a600a384ca2c3edd0b2407341abdd7d10c64d467313247b3793b27bb5fe1c85",
+    "checkpoint/intra_0.bin": "2d39d794128182da943135bbb5b5d661939b711ec47ac07bf50f1fe0eec0963a",
+    "checkpoint/intra_1.bin": "0cd5d70057b6e1b5830f5dcafa0e311ded5a935d6519467a87659ed4422dd531",
+    "checkpoint/model.manifest": "b7ba1b83803592e7c7e49f06a28cfc1e38a32494b7df4fc77c6e700ee698dd9f",
+    "checkpoint/proj_0.npy": "fb4437e48268df46dd088d6a84d497df6ea2fc9d4bec77c5482cf7f3281957b5",
+    "checkpoint/proj_1.npy": "5cc4749656984cb5af1b840f37def6b27b3d1e8add672a3d62a364974ab612d4",
+}
+
+
+def test_training_bytes_are_pinned(workspace):
+    data = workspace / "data" / "interactions.tsv"
+    config = workspace / "run.cfg"
+    assert "edge_dropout" not in CONFIG_TEXT  # the 0.3 default applies
+    assert main(["align", str(data), "--out", str(workspace / "pairs"), "--config", str(config)]) == 0
+    assert main([
+        "train", str(data), "--pairs", str(workspace / "pairs"),
+        "--out", str(workspace / "run"), "--config", str(config),
+    ]) == 0
+    got = {
+        name: hashlib.sha256((workspace / "run" / name).read_bytes()).hexdigest()
+        for name in TRAIN_SHA256
+    }
+    assert got == TRAIN_SHA256
+    assert "edge_dropout = 0.3\n" in (workspace / "run" / "manifest.txt").read_text()
 
 
 def test_train_epochs_zero_keeps_initialization(workspace):
@@ -326,6 +359,19 @@ def test_pair_file_naming_a_domain_the_data_lacks_exits_2(workspace, capsys):
     assert "error: pair domains (0, 5) outside [0, 2)" in (
         capsys.readouterr().err
     )
+
+
+def test_pair_file_pairing_a_domain_with_itself_exits_2(workspace, capsys):
+    data = workspace / "data" / "interactions.tsv"
+    bad = workspace / "pairs_0_0.tsv"
+    bad.write_text("0\t0\tuser\t1\t2\t0.5\n")
+    code = main([
+        "train", str(data), "--pairs", str(bad), "--out", str(workspace / "run"),
+        "--config", str(workspace / "run.cfg"), "--force",
+    ])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {bad} line 1: pair domains must differ, got 0 twice\n"
+    assert not (workspace / "run").exists()
 
 
 @pytest.mark.parametrize("field, value", [("id", 2**62), ("id", 2**64 - 1), ("kind", 2)])

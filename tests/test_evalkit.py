@@ -21,6 +21,7 @@ from edda.evalkit import (
 from edda.mdgraph import NodeId, NodeKind, ingest
 
 from oracles import (
+    auc_by_user_blocks,
     auc_from_scored_cases,
     eval_cases,
     nodes_of,
@@ -181,6 +182,30 @@ def test_metrics_match_bruteforce_oracles_exactly(seed):
     got = recall_at_1_from_scores(pos_scores, neg_scores, pos_ids, neg_ids)
     assert got == hits / n_cases
     assert recall_at_1_from_scored_cases(scored_recall) == hits / n_cases
+
+
+_FEW_SCORES = [0.0, -0.0, 1.0, 1.5, -2.0, 1e30, np.inf, -np.inf, np.nan]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 30),
+    st.integers(1, 12),
+    st.sampled_from([np.float64, np.float32]),
+    st.booleans(),
+)
+def test_auc_equals_the_per_user_loop_bit_for_bit(seed, n_cases, width, dtype, few_values):
+    rng = np.random.default_rng(seed)
+    users = rng.choice([0, 3, 7, 2**62 - 1, 11, 5], size=n_cases)  # unsorted, repeated
+    if few_values:  # exact ties, signed zeros, infinities and NaN
+        values = np.array(_FEW_SCORES, dtype=dtype)
+        pos = rng.choice(values, size=n_cases)
+        neg = rng.choice(values, size=(n_cases, width))
+    else:
+        pos = rng.normal(size=n_cases).astype(dtype)
+        neg = rng.normal(size=(n_cases, width)).astype(dtype)
+    assert auc_from_scores(users, pos, neg) == auc_by_user_blocks(users, pos, neg)
 
 
 def test_random_scores_recall_near_one_eleventh():

@@ -33,6 +33,7 @@ from oracles import (
     epoch_batches_by_lists,
     finite_difference_gradient,
     keys,
+    negative_triplets_by_scalar_draws,
     nodes_of,
     oracle_total_loss,
     random_bipartite_records,
@@ -145,6 +146,16 @@ def test_alignment_loss_missing_node():
     pairs = [SimilarPairSet((0, 1), (SimilarPair(U(9), U(1), 1.0),))]
     with pytest.raises(KeyError, match="missing"):
         alignment_loss(model, ds, pairs)
+
+
+def test_alignment_pairs_within_one_domain_are_refused():
+    ds = ingest([(0, 0, 0), (0, 1, 1), (1, 1, 1)])
+    model = init_model(ModelSpec(d_inter=2, d_intra=2), ds, seed=0)
+    pairs = [SimilarPairSet((0, 0), (SimilarPair(U(0), U(1), 1.0),))]
+    with pytest.raises(ValueError, match=r"pair domains must differ, got 0 twice"):
+        alignment_loss(model, ds, pairs)
+    with pytest.raises(ValueError, match="pair domains must differ"):
+        train(model, split(ds, seed=0), pairs, TrainConfig(epochs=1))
 
 
 def test_total_loss_decomposition():
@@ -358,6 +369,47 @@ def test_sample_triplets_skips_saturated_user(caplog):
     assert np.all(out[0] == _local(ds.graph(0), U(1))[0])
     warnings = [rec.message for rec in caplog.records if "every item" in rec.message]
     assert warnings == ["domain 0: user 0 interacts with every item, skipping"]
+
+
+@st.composite
+def _sampler_cases(draw):
+    """A one-domain graph whose users 0 and 5 saw every item and whose user 1
+    has one eligible item, plus batches of edge indices (empty ones and
+    repeats included) and a seed."""
+    n_items = draw(st.integers(2, 7))
+    one_left = draw(st.integers(0, n_items - 1))
+    records = [(0, u, i) for u in (0, 5) for i in range(n_items)]
+    records += [(0, 1, i) for i in range(n_items) if i != one_left]
+    cells = st.tuples(st.integers(2, 4), st.integers(0, n_items - 1))
+    records += [(0, u, i) for u, i in draw(st.lists(cells, min_size=1, max_size=20))]
+    graph = ingest(records).graph(0)
+    edge = st.integers(0, graph.n_edges - 1)
+    batches = draw(st.lists(st.lists(edge, max_size=30), min_size=1, max_size=4))
+    return graph, batches, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_sampler_cases())
+def test_sampler_replays_the_scalar_rejection_stream(case):
+    graph, batches, seed = case
+    sampler, rng = _NegativeSampler(graph), np.random.default_rng(seed)
+    warned, oracle_rng = set(), np.random.default_rng(seed)
+    records = []
+    handler = logging.Handler(logging.WARNING)
+    handler.emit = records.append
+    logging.getLogger("edda.trainer").addHandler(handler)
+    try:
+        for batch in batches:
+            edges = np.array(batch, dtype=np.int64)
+            records.clear()
+            got = sampler.triplets(edges, rng)
+            want, warnings = negative_triplets_by_scalar_draws(graph, edges, oracle_rng, warned)
+            assert got.dtype == np.int64 and got.shape == want.shape
+            assert np.array_equal(got, want)
+            assert rng.bit_generator.state == oracle_rng.bit_generator.state
+            assert [rec.getMessage() for rec in records] == warnings
+    finally:
+        logging.getLogger("edda.trainer").removeHandler(handler)
 
 
 def test_adam_zero_gradient_keeps_parameters():

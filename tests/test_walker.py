@@ -348,6 +348,7 @@ PAIR_LINE = "0\t1\tuser\t3\t4\t0.5"
         (f"0\t1\titem\t3\t{10**20}\t0.5", "outside \\[0"),
         ("0\t1\tuser\t-3\t4\t0.5", "outside \\[0"),
         ("-1\t1\tuser\t3\t4\t0.5", "outside \\[0"),
+        ("1\t1\tuser\t3\t4\t0.5", "pair domains must differ"),
     ],
 )
 def test_load_pairs_rejects_malformed_lines(tmp_path, bad, message):
@@ -369,6 +370,7 @@ def test_load_pairs_returns_valid_pairs_or_raises_value_error(tmp_path_factory, 
         return
     for pair_set in pair_sets:
         assert min(pair_set.domain_pair) >= 0
+        assert pair_set.domain_pair[0] != pair_set.domain_pair[1]
         for p in pair_set.pairs:
             assert p.source.kind == p.target.kind
             assert 0 <= min(p.source.id, p.target.id) <= max(p.source.id, p.target.id) <= 2**62 - 1
