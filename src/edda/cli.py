@@ -17,10 +17,12 @@ import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
+import numpy as np
+
 from . import evalkit, synthgen
-from .edmodel import ModelSpec, init_model, load_model, save_model, variant_spec
+from .edmodel import EDModel, ModelSpec, init_model, load_model, save_model, variant_spec
 from .encoders import GRecConfig
-from .mdgraph import IngestError, atomic_write, ingest_file, read_key_values
+from .mdgraph import IngestError, MultiDomainDataset, atomic_write, ingest_file, read_key_values
 from .trainer import TrainConfig, TrainingDiverged, train
 from .walker import WalkConfig, load_pairs, mine_pairs, write_pairs
 
@@ -132,6 +134,27 @@ def _provenance_mismatches(recorded: dict[str, str], cfg: RunConfig, data: Path,
     if recorded.get("sha256.data") != _sha256(data):
         mismatches.append(f"data file hash differs from the {source} manifest")
     return mismatches
+
+
+def _checkpoint_mismatch(model: EDModel, dataset: MultiDomainDataset) -> str | None:
+    """Where a checkpoint's table keys differ from the dataset's nodes, or None.
+
+    Training builds each per-domain table on its domain's nodes and the
+    shared table on all nodes, so a checkpoint of other data differs here.
+    """
+    tables = []
+    if model.intra is not None:
+        n_saved, n_wanted = len(model.intra), dataset.num_domains
+        if n_saved != n_wanted:
+            return f"{n_saved} domains in the checkpoint, {n_wanted} in the data"
+        for d, (table, graph) in enumerate(zip(model.intra, dataset.domains)):
+            tables.append((f"domain {d}", table.keys, graph.keys))
+    if model.inter is not None:
+        tables.append(("shared table", model.inter.keys, dataset.keys))
+    for name, saved, wanted in tables:
+        if not np.array_equal(saved, wanted):
+            return f"{name} has {len(saved)} nodes in the checkpoint and {len(wanted)} in the data"
+    return None
 
 
 def _refused(action: str, mismatches: list[str], force: bool) -> bool:
@@ -307,6 +330,10 @@ def cmd_eval(args) -> int:
     dataset = ingest_file(args.data)
     split_data = evalkit.split(dataset, seed=cfg.seed)
     model = load_model(run_dir / "checkpoint")
+    mismatch = _checkpoint_mismatch(model, dataset)
+    if mismatch:
+        print(f"error: checkpoint does not match the data: {mismatch}", file=sys.stderr)
+        return 2
     rows = evalkit.evaluate_all(model, split_data, which="test", eval_seed=cfg.eval_seed)
     report = evalkit.format_report(rows)
     sys.stdout.write(report)

@@ -4,10 +4,19 @@ Interactions are split 7:1:2 per user per domain, so every user keeps at
 least one training interaction where possible. Each evaluation case pits one
 held-out positive against 10 sampled un-interacted items of the same domain;
 the negatives are derived from an evaluation seed only, so they are frozen
-across models and runs. AUC averages the pairwise ordering probability over
-users; Recall@1 is the fraction of cases whose positive ranks strictly first
-among its 11 candidates (score ties break toward the smaller item id, so a
-tied lower-id negative counts as a miss).
+across models and runs. They are the items that numpy's
+`default_rng(SeedSequence((eval_seed, d, user, item))).choice(eligible, 10,
+replace=False)` picks for the case, but no generator is built per case:
+`build_cases` replays numpy's SeedSequence hashing, PCG64 stream and Floyd
+sampling over Lemire bounded draws for all of a domain's cases at once, in
+uint32/uint64 array arithmetic. tests/test_evalkit.py pins the replay to
+numpy: `test_case_sets_equal_reference_cases` against the per-case
+`tests/oracles.eval_cases`, and the `test_choice_replay_*` tests.
+
+AUC averages the pairwise ordering probability over users; Recall@1 is the
+fraction of cases whose positive ranks strictly first among its 11
+candidates (score ties break toward the smaller item id, so a tied lower-id
+negative counts as a miss).
 
 Splits and cases are integer arrays. A domain's cases form one `CaseSet`
 (users, positives and row-sorted negatives, as raw ids), and
@@ -147,39 +156,193 @@ def build_cases(
 ) -> CaseSet:
     """One case per held-out (user, positive); negatives frozen by eval_seed.
 
-    Negatives are sampled without replacement from the domain's items that the
+    Negatives are drawn without replacement from the domain's items that the
     user never interacted with in any split; cases of users with fewer than
-    10 eligible items are skipped, each with a warning.
+    10 eligible items are skipped, each with a warning, in held-out order.
+    Each case's negatives are exactly the items that
+    `default_rng(SeedSequence(entropy=(eval_seed, d, user_id, item_id)))
+    .choice(eligible, 10, replace=False)` picks from the user's id-sorted
+    eligible items: `_choice_ranks` replays that draw for every case at once,
+    and each row is sorted. `tests/oracles.eval_cases` is the per-case
+    reference the tests pin it to.
     """
     graph = split_data.full.graph(d)
     held_out = np.asarray(_held_out(split_data, which)[d], dtype=np.int64).reshape(-1, 2)
     if not np.isin(held_out[:, 0], graph.user_ids).all():
         raise ValueError(f"domain {d}: held-out rows name users outside the domain")
     u_locs = np.searchsorted(graph.user_ids, held_out[:, 0])
-    indptr, indices = graph.adj_indptr, graph.adj_indices - graph.n_users
-    keep = np.zeros(len(held_out), dtype=bool)
-    negatives = np.zeros((len(held_out), NUM_EVAL_NEGATIVES), dtype=np.int64)
-    eligible_cache: dict[int, np.ndarray] = {}
-    for k, (u_loc, (user_id, item_id)) in enumerate(zip(u_locs.tolist(), held_out.tolist())):
-        eligible = eligible_cache.get(u_loc)
-        if eligible is None:
-            eligible = np.delete(graph.item_ids, indices[indptr[u_loc] : indptr[u_loc + 1]])
-            eligible_cache[u_loc] = eligible
-        if len(eligible) < NUM_EVAL_NEGATIVES:
-            logger.warning(
-                "domain %d: user %d has only %d eligible negatives, case skipped",
-                d,
-                user_id,
-                len(eligible),
-            )
-            continue
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=(eval_seed, d, user_id, item_id))
+    pops = graph.n_items - graph.user_degree[u_locs]
+    keep = pops >= NUM_EVAL_NEGATIVES
+    for k in np.flatnonzero(~keep).tolist():
+        logger.warning(
+            "domain %d: user %d has only %d eligible negatives, case skipped",
+            d,
+            int(held_out[k, 0]),
+            int(pops[k]),
         )
-        negatives[k] = rng.choice(eligible, size=NUM_EVAL_NEGATIVES, replace=False)
-        keep[k] = True
-    negatives = np.sort(negatives[keep], axis=1)
-    return CaseSet(d, held_out[keep, 0], held_out[keep, 1], negatives)
+    users, positives, u_locs = held_out[keep, 0], held_out[keep, 1], u_locs[keep]
+    ranks = _choice_ranks([eval_seed, d, users, positives], pops[keep])
+    # user u's r-th eligible item follows its positives p_0 < p_1 < ... with
+    # p_i - i <= r; the keys u * span + p_i - i ascend along the users' CSR
+    # rows, so one search counts those positives for every case
+    n_users, span = graph.n_users, graph.n_items + 1
+    indptr = graph.adj_indptr[: n_users + 1]
+    edge_user = np.repeat(np.arange(n_users), graph.user_degree)
+    rank_in_row = np.arange(indptr[-1]) - indptr[edge_user]
+    keys = edge_user * span + graph.adj_indices[: indptr[-1]] - n_users - rank_in_row
+    below = np.searchsorted(keys, u_locs[:, None] * span + ranks, side="right")
+    items = graph.item_ids[ranks + below - indptr[u_locs, None]]
+    return CaseSet(d, users, positives, np.sort(items, axis=1))
+
+
+# -- frozen negatives: numpy's draw, replayed on arrays -------------------------
+# SeedSequence's hash constants and PCG64's 128-bit multiplier, as numpy has them.
+
+_M32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT_HI, _PCG_MULT_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
+_U32, _U64 = np.uint32, np.uint64
+
+
+def _entropy_words(values: Sequence, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every row's `SeedSequence` entropy words and their count.
+
+    `values` are non-negative ints (the same for every row) or arrays of n
+    non-negative int64s. Like numpy, each value gives its 32-bit words low
+    first (0 gives one word), and a row concatenates its values' words. Rows
+    are zero-padded to the longest row and to at least the pool's 4 words.
+    """
+    columns, present = [], []
+    for value in values:
+        if isinstance(value, (int, np.integer)):
+            value = int(value)
+            if value < 0:
+                raise ValueError(f"entropy values must be non-negative, got {value}")
+            while True:
+                columns.append(np.full(n, value & _M32, dtype=_U32))
+                present.append(np.ones(n, dtype=bool))
+                value >>= 32
+                if not value:
+                    break
+        else:
+            value = np.asarray(value, dtype=np.int64)
+            columns += [(value & _M32).astype(_U32), (value >> 32).astype(_U32)]
+            present += [np.ones(n, dtype=bool), value > _M32]
+    present = np.stack(present, axis=1)
+    lengths = present.sum(axis=1)
+    words = np.zeros((n, max(4, present.shape[1])), dtype=_U32)
+    rows, cols = np.nonzero(present)
+    slot = np.cumsum(present, axis=1) - 1  # a word's column in its row
+    words[rows, slot[rows, cols]] = np.stack(columns, axis=1)[rows, cols]
+    return words, lengths
+
+
+def _seed_state(words: np.ndarray, lengths: np.ndarray) -> list[np.ndarray]:
+    """`SeedSequence(entropy).generate_state(4, np.uint64)` per row, as four
+    uint64 arrays: the pool mixing, then the output hashing, in uint32."""
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ _U32(hash_const)
+        hash_const = hash_const * _MULT_A & _M32
+        value = value * _U32(hash_const)
+        return value ^ (value >> _U32(16))
+
+    def mix(x, y):
+        result = _U32(_MIX_MULT_L) * x - _U32(_MIX_MULT_R) * y
+        return result ^ (result >> _U32(16))
+
+    pool = [hashmix(words[:, i]) for i in range(4)]
+    for i_src in range(4):
+        for i_dst in range(4):
+            if i_src != i_dst:
+                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
+    for i_src in range(4, words.shape[1]):  # words beyond the pool, where a row has them
+        more = i_src < lengths
+        for i_dst in range(4):
+            pool[i_dst] = np.where(more, mix(pool[i_dst], hashmix(words[:, i_src])), pool[i_dst])
+    hash_const = _INIT_B
+    state = []
+    for i in range(8):
+        value = pool[i % 4] ^ _U32(hash_const)
+        hash_const = hash_const * _MULT_B & _M32
+        value = value * _U32(hash_const)
+        state.append((value ^ (value >> _U32(16))).astype(_U64))
+    return [state[2 * k] | (state[2 * k + 1] << _U64(32)) for k in range(4)]
+
+
+def _mulhi64(a: np.ndarray, c: int) -> np.ndarray:
+    """High 64 bits of the 128-bit products a * c, from 32-bit limbs."""
+    a0, a1 = a & _U64(_M32), a >> _U64(32)
+    c0, c1 = _U64(c & _M32), _U64(c >> 32)
+    p00, p01, p10 = a0 * c0, a0 * c1, a1 * c0
+    mid = (p00 >> _U64(32)) + (p01 & _U64(_M32)) + (p10 & _U64(_M32))
+    return a1 * c1 + (p01 >> _U64(32)) + (p10 >> _U64(32)) + (mid >> _U64(32))
+
+
+def _pcg64_step(hi, lo, inc_hi, inc_lo):
+    """One step of the 128-bit LCG, state * multiplier + inc, on (hi, lo) words."""
+    new_hi = _mulhi64(lo, _PCG_MULT_LO) + lo * _U64(_PCG_MULT_HI) + hi * _U64(_PCG_MULT_LO)
+    new_lo = lo * _U64(_PCG_MULT_LO) + inc_lo
+    return new_hi + inc_hi + (new_lo < inc_lo).astype(_U64), new_lo
+
+
+def _choice_ranks(entropy: Sequence, pops: np.ndarray) -> np.ndarray:
+    """(n, 10) int64: row k holds the 10 indices, unshuffled, that
+    `default_rng(SeedSequence(entropy=row k's values)).choice(pops[k], 10,
+    replace=False)` returns, for every 10 <= pops[k] <= 2**32.
+
+    `entropy` is as for `_entropy_words`. Each row's PCG64 stream (128-bit
+    LCG, XSL-RR output) is seeded as `pcg64_set_seed` seeds it and read 32
+    bits at a time, the low half of each 64-bit output first. `choice` takes
+    Floyd's algorithm for 10 draws: step j takes a Lemire bounded draw on
+    [0, j] (none when j == 0), a rejected draw is drawn again, and a value
+    already taken is replaced by j. The final shuffle is left out.
+    """
+    pops = np.asarray(pops, dtype=np.int64)
+    if len(pops) and (pops.min() < NUM_EVAL_NEGATIVES or pops.max() > 2**32):
+        raise ValueError(f"populations must lie in [{NUM_EVAL_NEGATIVES}, 2**32]")
+    n = len(pops)
+    s_hi, s_lo, inc_hi, inc_lo = _seed_state(*_entropy_words(entropy, n))
+    # pcg64_set_seed: inc = 2 * initseq + 1, step, add the initial state, step
+    inc_hi = (inc_hi << _U64(1)) | (inc_lo >> _U64(63))
+    inc_lo = (inc_lo << _U64(1)) | _U64(1)
+    lo = inc_lo + s_lo
+    hi, lo = _pcg64_step(inc_hi + s_hi + (lo < s_lo).astype(_U64), lo, inc_hi, inc_lo)
+    spare = np.zeros(n, dtype=_U64)
+    has_spare = np.zeros(n, dtype=bool)
+
+    def next_uint32(rows):
+        buffered = has_spare[rows]
+        out = np.where(buffered, spare[rows], _U64(0))
+        fresh = rows[~buffered]
+        hi[fresh], lo[fresh] = _pcg64_step(hi[fresh], lo[fresh], inc_hi[fresh], inc_lo[fresh])
+        xored, rot = hi[fresh] ^ lo[fresh], hi[fresh] >> _U64(58)
+        word = (xored >> rot) | (xored << ((_U64(64) - rot) & _U64(63)))  # XSL-RR
+        out[~buffered] = word & _U64(_M32)
+        spare[fresh] = word >> _U64(32)
+        has_spare[rows] = ~buffered
+        return out
+
+    ranks = np.empty((n, NUM_EVAL_NEGATIVES), dtype=np.int64)
+    for t in range(NUM_EVAL_NEGATIVES):
+        j = pops - NUM_EVAL_NEGATIVES + t
+        bound = j.astype(_U64) + _U64(1)
+        threshold = (_U64(2**32) - bound) % bound  # Lemire: 2**32 mod bound
+        draw = np.zeros(n, dtype=_U64)
+        rows = np.flatnonzero(j > 0)
+        while len(rows):
+            scaled = next_uint32(rows) * bound[rows]
+            accepted = (scaled & _U64(_M32)) >= threshold[rows]
+            draw[rows[accepted]] = scaled[accepted] >> _U64(32)
+            rows = rows[~accepted]
+        draw = draw.astype(np.int64)
+        taken = (ranks[:, :t] == draw[:, None]).any(axis=1)
+        ranks[:, t] = np.where(taken, j, draw)
+    return ranks
 
 
 def build_all_cases(

@@ -194,14 +194,18 @@ def _objective(
     prepared_pairs,
     cfg: TrainConfig,
     align_scale: float,
+    grads: dict[str, np.ndarray],
 ):
-    """(total, L_rank, L_align, exact gradients by parameter name) for one batch."""
+    """(total, L_rank, L_align) for one batch; its exact gradients by
+    parameter name are written into `grads`, one array shaped like each
+    parameter, which is zeroed first."""
     model = enc.model
     l_bpr, d_g, d_q = _bpr_part(enc, grouped)
 
     # alignment loss on raw per-domain embeddings and projections
     l_align = 0.0
-    grads = {name: np.zeros_like(arr) for name, arr in model.parameters()}
+    for buffer in grads.values():
+        buffer.fill(0)
     coeff = 2.0 * cfg.beta * align_scale
     align_rows: dict[int, list[np.ndarray]] = {}
     align_values: dict[int, list[np.ndarray]] = {}
@@ -215,13 +219,13 @@ def _objective(
             align_values.setdefault(end, []).append(c * diff @ model.proj[end].T)
             grads[f"proj[{end}]"] += c * e.T @ diff
     for d, rows in align_rows.items():
-        grads[f"intra[{d}]"] = _scatter_add(len(model.intra[d]), rows, align_values[d])
+        np.copyto(grads[f"intra[{d}]"], _scatter_add(len(model.intra[d]), rows, align_values[d]))
 
     total = l_bpr + cfg.beta * align_scale * l_align + cfg.reg_lambda * model.squared_norm()
     enc.transpose(d_g, d_q, grads)
     for name, arr in model.parameters():
         grads[name] += (2.0 * cfg.reg_lambda) * arr
-    return total, l_bpr, l_align, grads
+    return total, l_bpr, l_align
 
 
 def _bpr_row_gradients(dl_dx: np.ndarray, block: np.ndarray) -> np.ndarray:
@@ -273,7 +277,8 @@ def loss_and_gradients(
     negative) index rows, as `_NegativeSampler.triplets` builds them.
     """
     enc = model.propagated(dataset, masks)
-    total, *_, grads = _objective(enc, triplets, _prepare_pairs(model, pair_sets), cfg, align_scale)
+    grads = {name: np.empty_like(arr) for name, arr in model.parameters()}
+    total, *_ = _objective(enc, triplets, _prepare_pairs(model, pair_sets), cfg, align_scale, grads)
     return total, grads
 
 
@@ -350,6 +355,7 @@ def train(
     prepared_pairs = _prepare_pairs(model, pair_sets)
     n_pairs = sum(len(idx_u) for _, _, idx_u, _ in prepared_pairs)
     state = AdamState.for_model(model)
+    grads = {name: np.empty_like(arr) for name, arr in model.parameters()}  # reused per batch
 
     samplers = [_NegativeSampler(graph) for graph in train_ds.domains]
     val_cases = evalkit.build_all_cases(split, which="validation", eval_seed=eval_seed)
@@ -376,8 +382,9 @@ def train(
                 batch_pairs, align_scale = _subsample_pairs(
                     prepared_pairs, n_pairs, cfg.batch_size, rng
                 )
-            total, l_bpr, l_align, grads = _objective(
-                model.propagated(train_ds, masks), {d: triplets}, batch_pairs, cfg, align_scale
+            total, l_bpr, l_align = _objective(
+                model.propagated(train_ds, masks), {d: triplets}, batch_pairs, cfg, align_scale,
+                grads,
             )
             if not np.isfinite(total):
                 raise TrainingDiverged(

@@ -288,6 +288,58 @@ def test_eval_without_training_manifest_warns_once(workspace, capsys):
     assert "refusing" not in err
 
 
+FEWER_ITEMS = [("items_per_domain = 16,12", "items_per_domain = 16,11")]
+MORE_USERS = [("users_per_domain = 12,10", "users_per_domain = 14,10")]
+ONE_DOMAIN = [
+    ("num_domains = 2", "num_domains = 1"), ("users_per_domain = 12,10", "users_per_domain = 12"),
+    ("items_per_domain = 16,12", "items_per_domain = 16"), ("110,80", "110"),
+    ("overlap_fraction = 0.1", "overlap_fraction = 0.0"),
+]
+
+
+@pytest.mark.parametrize(
+    "variant, edits, message",
+    [
+        ("edda", FEWER_ITEMS, "domain 1 has {domain1} nodes in the checkpoint and {other1} in"),
+        ("intra", MORE_USERS, "domain 0 has {domain0} nodes in the checkpoint and {other0} in"),
+        ("inter", MORE_USERS, "shared table has {nodes} nodes in the checkpoint and {other} in"),
+        ("edda", ONE_DOMAIN, "2 domains in the checkpoint, 1 in"),
+    ],
+    ids=["edda-fewer-items", "intra-more-users", "inter-more-users", "edda-one-domain"],
+)
+def test_eval_refuses_a_checkpoint_trained_on_other_data(
+    workspace, capsys, variant, edits, message
+):
+    data = workspace / "data" / "interactions.tsv"
+    config = workspace / "run.cfg"
+    run = workspace / f"run_{variant}"
+    assert main([
+        "train", str(data), "--out", str(run), "--config", str(config), "--variant", variant,
+    ]) == 0
+    other = SPEC_TEXT
+    for line, replacement in edits:
+        other = other.replace(line, replacement)
+    (workspace / "other.cfg").write_text(other)
+    assert main(["synth", str(workspace / "other.cfg"), "--out", str(workspace / "other")]) == 0
+    other_data = workspace / "other" / "interactions.tsv"
+    trained, others = ingest_file(data), ingest_file(other_data)
+    message = message.format(
+        domain0=trained.graph(0).n_nodes, domain1=trained.graph(1).n_nodes, nodes=len(trained.keys),
+        other0=others.graph(0).n_nodes, other1=others.graph(others.num_domains - 1).n_nodes,
+        other=len(others.keys),
+    )
+    capsys.readouterr()
+    code = main([
+        "eval", str(other_data), str(run), "--out", str(workspace / "eval_other"),
+        "--config", str(config), "--force",
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"error: checkpoint does not match the data: {message} the data\n" in err
+    assert "missing from embedding table" not in err
+    assert not (workspace / "eval_other" / "eval_report.tsv").exists()
+
+
 def test_align_single_domain_writes_no_pairs(tmp_path, capsys):
     data = tmp_path / "one.tsv"
     write_interactions(data, [(0, u, i) for u in range(4) for i in range(4)])

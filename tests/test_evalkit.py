@@ -257,6 +257,60 @@ def test_eval_cases_skip_user_without_negatives(caplog):
     assert any("eligible negatives" in rec.message for rec in caplog.records)
 
 
+def test_skipped_cases_warn_once_per_case_in_held_out_order(caplog):
+    # 11 items: user 0 has 9 eligible, user 1 exactly 10, user 2 has 8
+    records = [(0, 0, 0), (0, 0, 1), (0, 1, 2), (0, 2, 0), (0, 2, 1), (0, 2, 2)]
+    records += [(0, 3, i) for i in range(3, 11)]
+    ds = ingest(records)
+    sp = split(ds, seed=0)
+    sp.test[0] = np.array([[0, 0], [1, 2], [2, 1], [0, 1], [2, 0]])
+    with caplog.at_level(logging.WARNING, logger="edda.evalkit"):
+        cases = build_cases(sp, 0, "test", eval_seed=4)
+    assert [rec.getMessage() for rec in caplog.records] == [
+        f"domain 0: user {user} has only {n} eligible negatives, case skipped"
+        for user, n in [(0, 9), (2, 8), (0, 9), (2, 8)]
+    ]
+    assert [rec.args[0] for rec in caplog.records] == [0] * 4
+    negatives = map(tuple, cases.negatives.tolist())
+    got = list(zip(cases.users.tolist(), cases.positives.tolist(), negatives))
+    assert got == eval_cases(ds.graph(0), sp.test[0], 0, 4)
+    assert [case[:2] for case in got] == [(1, 2)]
+
+
+def _numpy_choice(entropy, pop):
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=entropy))
+    return rng.choice(pop, size=10, replace=False)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(0, 2**70),
+    st.integers(0, 5),
+    st.lists(
+        st.tuples(
+            st.integers(0, 2**62 - 1), st.integers(0, 2**62 - 1), st.integers(2**31, 2**32 - 1)
+        ),
+        min_size=1,
+        max_size=30,
+    ),
+)
+def test_choice_replay_equals_numpy_where_lemire_rejects_half_the_draws(seed, d, rows):
+    users, items, pops = (np.array(col, dtype=np.int64) for col in zip(*rows))
+    got = evalkit._choice_ranks([seed, d, users, items], pops)
+    want = [_numpy_choice((seed, d, u, i), pop) for u, i, pop in rows]
+    assert np.array_equal(np.sort(got, axis=1), np.sort(want, axis=1))
+
+
+@pytest.mark.parametrize("pop", [10, 11, 12, 1000, 2**32 - 1, 2**32])
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 5])
+def test_choice_replay_equals_numpy_at_the_population_edges(pop, seed):
+    users = np.array([0, 1, 2**32 - 1, 2**32, 2**62 - 1])
+    items = np.array([0, 2**40, 7, 2**32, 3])
+    got = evalkit._choice_ranks([seed, 1, users, items], np.full(len(users), pop))
+    want = [_numpy_choice((seed, 1, int(u), int(i)), pop) for u, i in zip(users, items)]
+    assert np.array_equal(np.sort(got, axis=1), np.sort(want, axis=1))
+
+
 def test_domain_size():
     ds = ingest([(0, 0, 0)] * 1 + [(0, 0, i) for i in range(3)] + [(1, 0, i) for i in range(7)])
     assert domain_size(ds, 0) == pytest.approx(0.3)
@@ -325,14 +379,21 @@ def test_an_unknown_split_name_raises_instead_of_evaluating_the_test_split():
 @st.composite
 def split_cases(draw):
     """A random 1-3 domain dataset with a split seed; small item counts leave
-    some users fewer than 10 eligible negatives."""
+    some users fewer than 10 eligible negatives. Ids may take two 32-bit
+    words (or straddle 2**32), and a domain may get one more user with
+    exactly 10 eligible items, whose first Floyd step draws nothing."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     records = []
     for d in range(draw(st.integers(1, 3))):
         n_users, n_items = draw(st.integers(1, 8)), draw(st.integers(1, 25))
         n_edges = draw(st.integers(1, min(n_users * n_items, 80)))
-        base = draw(st.sampled_from([0, 5, 100 * (d + 1)]))
-        records += random_bipartite_records(rng, d, n_users, n_items, n_edges, base, base)
+        base = draw(st.sampled_from([0, 5, 100 * (d + 1), 2**32 - 3, 2**62 - 40]))
+        domain = random_bipartite_records(rng, d, n_users, n_items, n_edges, base, base)
+        items = sorted({i for _, _, i in domain})
+        if len(items) >= 12 and draw(st.booleans()):
+            taken = rng.choice(items, size=len(items) - 10, replace=False)
+            domain += [(d, base + n_users, int(i)) for i in taken]
+        records += domain
     return ingest(records), draw(st.integers(0, 2**16))
 
 
@@ -375,7 +436,11 @@ def test_split_quotas_hold_per_user(case, ratios):
 
 
 @settings(max_examples=60, deadline=None)
-@given(split_cases(), st.sampled_from(["validation", "test"]), st.integers(0, 99))
+@given(
+    split_cases(),
+    st.sampled_from(["validation", "test"]),
+    st.one_of(st.integers(0, 99), st.integers(2**32 - 1, 2**70)),
+)
 def test_case_sets_equal_reference_cases(case, which, eval_seed):
     ds, seed = case
     sp = split(ds, seed=seed)
