@@ -24,7 +24,7 @@ from .edmodel import EDModel, ModelSpec, init_model, load_model, save_model, var
 from .encoders import GRecConfig
 from .mdgraph import IngestError, MultiDomainDataset, atomic_write, ingest_file, read_key_values
 from .trainer import TrainConfig, TrainingDiverged, train
-from .walker import WalkConfig, load_pairs, mine_pairs, write_pairs
+from .walker import WalkConfig, load_pairs, mine_pairs, run_walks, write_pairs
 
 VARIANTS = ("edda", "wo-da", "inter", "intra", "ed-mf")
 ALIGNED_VARIANTS = ("edda", "ed-mf")  # the rest drop the alignment term
@@ -48,7 +48,6 @@ class RunConfig:
     variant: str = "edda"
     d_inter: int = 64
     d_intra: int = 64
-    d_align: int = 0  # 0: same as d_intra
     num_layers: int = 2
     alpha: float = 0.1
     beta: float = 0.03
@@ -67,7 +66,6 @@ class RunConfig:
         base = ModelSpec(
             d_inter=self.d_inter,
             d_intra=self.d_intra,
-            d_align=self.d_align if self.d_align > 0 else None,
             grec=GRecConfig(num_layers=self.num_layers, alpha=self.alpha),
         )
         return variant_spec(base, self.variant)
@@ -193,11 +191,12 @@ def cmd_align(args) -> int:
     written = []
     if dataset.num_domains < 2:
         print("single-domain dataset: no domain pairs to align", file=sys.stderr)
+    stops = [run_walks(graph, cfg.walk_config()) for graph in split_data.train.domains]
     for d in range(dataset.num_domains):
         for d_prime in range(d + 1, dataset.num_domains):
             pair_sets = [
-                mine_pairs(split_data.train, d, d_prime, cfg.k, cfg.walk_config()),
-                mine_pairs(split_data.train, d_prime, d, cfg.k, cfg.walk_config()),
+                mine_pairs(split_data.train, d, d_prime, cfg.k, stops),
+                mine_pairs(split_data.train, d_prime, d, cfg.k, stops),
             ]
             path = out / f"pairs_{d}_{d_prime}.tsv"
             write_pairs(path, pair_sets)

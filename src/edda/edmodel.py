@@ -19,6 +19,8 @@ only, `use_intra=False` keeps the shared table only.
 
 from __future__ import annotations
 
+import os
+import shutil
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterator
@@ -36,7 +38,6 @@ ENCODER_MF = "mf"
 class ModelSpec:
     d_inter: int = 64
     d_intra: int = 64
-    d_align: int | None = None  # defaults to d_intra
     encoder: str = ENCODER_GREC
     grec: GRecConfig = field(default_factory=GRecConfig)
     use_inter: bool = True
@@ -50,10 +51,6 @@ class ModelSpec:
             raise ValueError("embedding dimensions must be positive")
         if not (self.use_inter or self.use_intra):
             raise ValueError("at least one of inter/intra parts must be enabled")
-
-    @property
-    def align_dim(self) -> int:
-        return self.d_align if self.d_align is not None else self.d_intra
 
 
 class EDModel:
@@ -266,7 +263,7 @@ def init_model(spec: ModelSpec, dataset: MultiDomainDataset, seed: int) -> EDMod
             for graph in dataset.domains
         ]
         proj = [
-            rng.uniform(-s, s, size=(spec.d_intra, spec.align_dim)).astype(dtype)
+            rng.uniform(-s, s, size=(spec.d_intra, spec.d_intra)).astype(dtype)
             for _ in dataset.domains
         ]
     return EDModel(spec, inter, intra, proj)
@@ -278,16 +275,36 @@ def init_model(spec: ModelSpec, dataset: MultiDomainDataset, seed: int) -> EDMod
 def save_model(directory: str | Path, model: EDModel) -> None:
     """Checkpoint: one binary table per parameter group plus a text manifest.
 
-    Every file is written atomically, the manifest last.
+    The files are written into a fresh sibling directory, which then takes
+    the place of `directory`. A save that fails removes what it wrote and
+    leaves an earlier checkpoint at `directory` as it was.
     """
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
+    staging = directory.with_name(f".{directory.name}.{os.getpid()}.tmp")
+    retired = directory.with_name(f".{directory.name}.{os.getpid()}.old")
+    for leftover in (staging, retired):
+        shutil.rmtree(leftover, ignore_errors=True)
+    staging.mkdir(parents=True)
+    try:
+        _write_checkpoint(staging, model)
+        if directory.exists():
+            os.replace(directory, retired)
+        os.replace(staging, directory)
+    except BaseException:
+        shutil.rmtree(staging, ignore_errors=True)
+        if retired.exists() and not directory.exists():
+            os.replace(retired, directory)
+        raise
+    shutil.rmtree(retired, ignore_errors=True)
+
+
+def _write_checkpoint(directory: Path, model: EDModel) -> None:
     spec = model.spec
     lines = [
         f"encoder = {spec.encoder}",
         f"d_inter = {spec.d_inter}",
         f"d_intra = {spec.d_intra}",
-        f"d_align = {spec.align_dim}",
+        f"d_align = {spec.d_intra}",  # proj[d] is square; kept so manifests keep their bytes
         f"num_layers = {spec.grec.num_layers}",
         f"alpha = {spec.grec.alpha!r}",
         f"use_inter = {int(spec.use_inter)}",
@@ -318,7 +335,6 @@ def load_model(directory: str | Path) -> EDModel:
     spec = ModelSpec(
         d_inter=int(manifest["d_inter"]),
         d_intra=int(manifest["d_intra"]),
-        d_align=int(manifest["d_align"]),
         encoder=manifest["encoder"],
         grec=GRecConfig(int(manifest["num_layers"]), float(manifest["alpha"])),
         use_inter=use_inter,

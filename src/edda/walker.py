@@ -9,14 +9,13 @@ the other domain become alignment pairs.
 
 Walk streams are seeded per source node from `(rng_seed, kind, id)`, so
 results do not depend on scheduling or iteration order. A node's walk
-endpoints therefore depend only on its graph and that stream: each domain
-graph is walked once per `WalkConfig` into a stop table, which every partner
-domain and both directions of a pair read through their own anchor map.
+endpoints therefore depend only on its graph and that stream: `run_walks`
+walks each domain graph once into a stop table, which every partner domain
+and both directions of a pair read through their own anchor map.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -31,7 +30,6 @@ from .mdgraph import (
     NodeKind,
     anchors,
     atomic_write,
-    node_keys,
     split_keys,
 )
 
@@ -64,42 +62,25 @@ class SimilarPairSet:
     pairs: tuple[SimilarPair, ...]
 
 
-def _source_rng(cfg: WalkConfig, kind: int, node_id: int) -> np.random.Generator:
-    # independent stream per source node, derived from the root seed
-    return np.random.default_rng(
-        np.random.SeedSequence(entropy=(cfg.rng_seed, int(kind), int(node_id)))
-    )
+def run_walks(graph: DomainGraph, cfg: WalkConfig) -> np.ndarray:
+    """Read-only `(n_nodes, num_walks)` walk endpoints; row r holds the local
+    indices of the final nodes of the walks from local node r.
 
-
-def _simulate_stops(graph: DomainGraph, start: int, cfg: WalkConfig, rng) -> np.ndarray:
-    """Local indices of the final nodes of `num_walks` walks from `start`."""
-    current = np.full(cfg.num_walks, start, dtype=np.int64)
+    Each walk takes exactly `walk_length` uniform steps. The walks of a node
+    draw from its own stream, seeded by `(rng_seed, kind, id)`.
+    """
+    table = np.empty((graph.n_nodes, cfg.num_walks), dtype=np.int64)
     indptr, indices = graph.adj_indptr, graph.adj_indices
-    for _ in range(cfg.walk_length):
-        start_ix = indptr[current]
-        degree = indptr[current + 1] - start_ix
-        step = (rng.random(cfg.num_walks) * degree).astype(np.int64)
-        current = indices[start_ix + step]
-    return current
-
-
-# graph -> WalkConfig -> stop table; keyed by identity, so entries die with the graph
-_STOP_TABLES: weakref.WeakKeyDictionary[DomainGraph, dict[WalkConfig, np.ndarray]] = (
-    weakref.WeakKeyDictionary()
-)
-
-
-def _stop_table(graph: DomainGraph, cfg: WalkConfig) -> np.ndarray:
-    """Read-only `(n_nodes, num_walks)` walk endpoints; row r starts at local node r."""
-    tables = _STOP_TABLES.setdefault(graph, {})
-    table = tables.get(cfg)
-    if table is None:
-        table = np.empty((graph.n_nodes, cfg.num_walks), dtype=np.int64)
-        kinds, ids = split_keys(graph.keys)
-        for row, (kind, node_id) in enumerate(zip(kinds.tolist(), ids.tolist())):
-            table[row] = _simulate_stops(graph, row, cfg, _source_rng(cfg, kind, node_id))
-        table.flags.writeable = False
-        tables[cfg] = table
+    kinds, ids = split_keys(graph.keys)
+    for row, (kind, node_id) in enumerate(zip(kinds.tolist(), ids.tolist())):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=(cfg.rng_seed, kind, node_id)))
+        current = np.full(cfg.num_walks, row, dtype=np.int64)
+        for _ in range(cfg.walk_length):
+            start = indptr[current]
+            step = (rng.random(cfg.num_walks) * (indptr[current + 1] - start)).astype(np.int64)
+            current = indices[start + step]
+        table[row] = current
+    table.flags.writeable = False
     return table
 
 
@@ -126,28 +107,11 @@ def _normalized_rows(counts: np.ndarray) -> np.ndarray:
     return counts / norms[:, None]
 
 
-def run_walks(
-    graph: DomainGraph, source: NodeId, anchor_keys: np.ndarray, cfg: WalkConfig
-) -> np.ndarray:
-    """How many fixed-length walks from `source` stop on each anchor of the
-    pair, indexed like the ascending `anchor_keys`.
-
-    Each walk takes exactly `walk_length` uniform steps; only the final node
-    counts, and only if it is an anchor.
-    """
-    key = node_keys(source.kind, source.id)
-    start = int(np.searchsorted(graph.keys, key))
-    if start == graph.n_nodes or graph.keys[start] != key:
-        raise KeyError(f"{source} not in domain {graph.domain}")
-    stops = _simulate_stops(graph, start, cfg, _source_rng(cfg, source.kind, source.id))
-    positions = _anchor_positions(graph, anchor_keys)
-    return _stop_counts(stops[None, :], positions, len(anchor_keys))[0]
-
-
 def mine_pairs(
-    dataset: MultiDomainDataset, d: int, d_prime: int, k: int, cfg: WalkConfig
+    dataset: MultiDomainDataset, d: int, d_prime: int, k: int, stops: Sequence[np.ndarray]
 ) -> SimilarPairSet:
-    """Top-k similar nodes in `d_prime` for every node of `d`.
+    """Top-k similar nodes in `d_prime` for every node of `d`, from the
+    `run_walks` tables of the dataset's graphs (`stops[d]` walks graph d).
 
     Candidates are restricted to the source node's kind: on a bipartite graph
     a walk of even length terminates on the source's own side, so cross-kind
@@ -156,22 +120,21 @@ def mine_pairs(
     vectors tie in exact arithmetic, but each is normalised before the
     product, so their floating-point cosines can differ in the last bit and
     such ties are decided by rounding. Exact brute force over all candidates.
-
-    The stop tables are memoised by graph identity, so each call re-walks the
-    first source of each kind through `run_walks` and requires its table row
-    to give the same counts; a graph changed in place after its table was
-    built raises RuntimeError instead of mining stale walks.
+    A table whose shape does not match its graph raises ValueError.
     """
     if d == d_prime:
         raise ValueError("pair mining requires two distinct domains")
     if k < 1:
         raise ValueError("k must be at least 1")
+    src_graph, dst_graph = dataset.graph(d), dataset.graph(d_prime)
+    src_stops, dst_stops = stops[d], stops[d_prime]
+    for graph, table in ((src_graph, src_stops), (dst_graph, dst_stops)):
+        if table.shape[:-1] != (graph.n_nodes,):
+            raise ValueError(f"stop table of shape {table.shape} for {graph.n_nodes} nodes")
     anchor_keys = anchors(dataset, d, d_prime)
     if len(anchor_keys) == 0:
         return SimilarPairSet((d, d_prime), ())
 
-    src_graph, dst_graph = dataset.graph(d), dataset.graph(d_prime)
-    src_stops, dst_stops = _stop_table(src_graph, cfg), _stop_table(dst_graph, cfg)
     src_pos = _anchor_positions(src_graph, anchor_keys)
     dst_pos = _anchor_positions(dst_graph, anchor_keys)
     n_src_users, n_dst_users = src_graph.n_users, dst_graph.n_users
@@ -183,15 +146,7 @@ def mine_pairs(
         (NodeKind.ITEM, slice(n_src_users, None), slice(n_dst_users, None),
          src_graph.item_ids, dst_graph.item_ids),
     ):
-        src_counts = _stop_counts(src_stops[src_rows], src_pos, len(anchor_keys))
-        if len(src_ids) and not np.array_equal(
-            run_walks(src_graph, NodeId(kind, int(src_ids[0])), anchor_keys, cfg),
-            src_counts[0],
-        ):
-            raise RuntimeError(
-                f"stale stop table for domain {d}: its graph changed after the walks"
-            )
-        src_mat = _normalized_rows(src_counts)
+        src_mat = _normalized_rows(_stop_counts(src_stops[src_rows], src_pos, len(anchor_keys)))
         dst_mat = _normalized_rows(_stop_counts(dst_stops[dst_rows], dst_pos, len(anchor_keys)))
         sims = np.clip(src_mat @ dst_mat.T, 0.0, 1.0)
         for row, src_id in enumerate(src_ids.tolist()):

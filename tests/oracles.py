@@ -200,6 +200,37 @@ def walk_stop_distribution(pairs, source, steps):
     return {n_: dist[k] for k, n_ in enumerate(nodes)}
 
 
+def walk_endpoints(pairs, source, cfg):
+    """Final nodes of `cfg.num_walks` uniform walks of `cfg.walk_length` steps
+    from `source` over the (user, item) `pairs`, one walk at a time.
+
+    The source's stream is `default_rng(SeedSequence((rng_seed, kind, id)))`
+    and each step takes one `random(num_walks)` draw: walk w moves from node
+    n to the `floor(r_w * degree(n))`-th neighbour of n, neighbours in
+    ascending id order.
+    """
+    neighbours = {}
+    for u, i in sorted({(int(u), int(i)) for u, i in pairs}):
+        user, item = NodeId(NodeKind.USER, u), NodeId(NodeKind.ITEM, i)
+        neighbours.setdefault(user, []).append(item)
+        neighbours.setdefault(item, []).append(user)
+    for nodes in neighbours.values():
+        nodes.sort(key=lambda n: n.id)
+    seed = np.random.SeedSequence((cfg.rng_seed, int(source.kind), source.id))
+    rng = np.random.default_rng(seed)
+    walks = [source] * cfg.num_walks
+    for _ in range(cfg.walk_length):
+        draws = rng.random(cfg.num_walks)
+        walks = [neighbours[n][int(r * len(neighbours[n]))] for n, r in zip(walks, draws)]
+    return walks
+
+
+def walk_stop_counts(pairs, source, anchor_nodes, cfg):
+    """How many of `walk_endpoints` stop on each of `anchor_nodes`."""
+    endpoints = walk_endpoints(pairs, source, cfg)
+    return np.array([endpoints.count(a) for a in anchor_nodes], dtype=np.int64)
+
+
 def pairwise_auc(pos_scores, neg_scores):
     """O(n^2) pairwise AUC with ties counting one half."""
     total = 0.0

@@ -181,6 +181,37 @@ def test_training_bytes_are_pinned(workspace):
     assert "edge_dropout = 0.3\n" in (workspace / "run" / "manifest.txt").read_text()
 
 
+# sha256 of every pair file `edda align` writes for SPEC_TEXT grown to three
+# domains and CONFIG_TEXT with k = 2. Each domain's walks serve both of its
+# partner domains, in both directions. Any change to the walk streams, the
+# stop counts, the similarity arithmetic or the tie order changes them.
+ALIGN_SHA256 = {
+    "pairs_0_1.tsv": "f7940a434b11e7bf9590302ae19cf24587160eec3703a2414d5c8c7a14b5a670",
+    "pairs_0_2.tsv": "a65d358eed47fa17e22b9a606ab04bef4baff679160d6b5d7e8876ef8bfa3185",
+    "pairs_1_2.tsv": "5261e71dcb9aca86de7c47e2b9511aa5701402e7dc56c45aad28a3066d6b4e2b",
+}
+
+
+def test_pair_bytes_are_pinned(tmp_path):
+    spec = tmp_path / "spec3.cfg"
+    spec.write_text(
+        SPEC_TEXT.replace("num_domains = 2", "num_domains = 3")
+        .replace("users_per_domain = 12,10", "users_per_domain = 12,10,11")
+        .replace("items_per_domain = 16,12", "items_per_domain = 16,12,14")
+        .replace("interactions_per_domain = 110,80", "interactions_per_domain = 110,80,90")
+    )
+    config = tmp_path / "run.cfg"
+    config.write_text(CONFIG_TEXT + "k = 2\n")
+    assert main(["synth", str(spec), "--out", str(tmp_path / "data")]) == 0
+    data = tmp_path / "data" / "interactions.tsv"
+    assert main(["align", str(data), "--out", str(tmp_path / "pairs"), "--config", str(config)]) == 0
+    got = {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted((tmp_path / "pairs").glob("pairs_*.tsv"))
+    }
+    assert got == ALIGN_SHA256
+
+
 def test_train_epochs_zero_keeps_initialization(workspace):
     data = workspace / "data" / "interactions.tsv"
     config = workspace / "run.cfg"
@@ -477,7 +508,7 @@ def test_align_on_a_malformed_file_exits_2_naming_the_line(tmp_path_factory, cas
 def test_config_file_unknown_key_exit_code(workspace, capsys):
     config = workspace / "weird.cfg"
     data = workspace / "data" / "interactions.tsv"
-    for text in ("no_such_key = 1\n", "determinism = true\n"):
+    for text in ("no_such_key = 1\n", "determinism = true\n", "d_align = 8\n"):
         config.write_text(text)
         assert main(["align", str(data), "--out", str(workspace / "p"), "--config", str(config)]) == 2
         assert "unknown config keys" in capsys.readouterr().err

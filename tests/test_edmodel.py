@@ -36,7 +36,7 @@ def _hand_model(dataset, spec, inter_rows=None, intra_rows=None, proj=None):
             for d, g in enumerate(dataset.domains)
         ]
         w = proj if proj is not None else [
-            np.zeros((spec.d_intra, spec.align_dim)) for _ in dataset.domains
+            np.zeros((spec.d_intra, spec.d_intra)) for _ in dataset.domains
         ]
     return EDModel(spec, inter, intra, w)
 
@@ -215,7 +215,8 @@ def test_save_model_failing_on_the_manifest_keeps_the_earlier_one(tmp_path, monk
     ds = ingest([(0, 0, 0), (0, 1, 1), (1, 0, 2)])
     spec = ModelSpec(d_inter=4, d_intra=3, grec=GRecConfig(2, 0.1))
     ckpt = tmp_path / "ckpt"
-    save_model(ckpt, init_model(spec, ds, seed=3))
+    earlier_model = init_model(spec, ds, seed=3)
+    save_model(ckpt, earlier_model)
     earlier = (ckpt / "model.manifest").read_bytes()
     files = sorted(p.name for p in ckpt.iterdir())
 
@@ -224,6 +225,10 @@ def test_save_model_failing_on_the_manifest_keeps_the_earlier_one(tmp_path, monk
         save_model(ckpt, init_model(replace(spec, d_inter=5), ds, seed=3))
     assert (ckpt / "model.manifest").read_bytes() == earlier
     assert sorted(p.name for p in ckpt.iterdir()) == files
+    assert [p.name for p in tmp_path.iterdir()] == ["ckpt"]
+    # the tables written before the failing manifest did not replace the earlier ones
+    for (na, a), (nb, b) in zip(earlier_model.parameters(), load_model(ckpt).parameters()):
+        assert na == nb and np.array_equal(a, b)
 
     monkeypatch.undo()
     model = init_model(replace(spec, d_inter=5), ds, seed=3)

@@ -16,7 +16,7 @@ from edda.trainer import (
     edge_dropout,
     loss_and_gradients,
 )
-from edda.walker import WalkConfig, mine_pairs
+from edda.walker import WalkConfig, mine_pairs, run_walks
 
 from oracles import (
     as_float32,
@@ -152,7 +152,8 @@ def test_float32_gradients_match_float64(encoder):
     masks = {d: edge_dropout(g, 0.3, rng) for d, g in enumerate(ds.domains)}
     triplets = _triplets(ds, {0: 30, 1: 25}, rng)
     walks = WalkConfig(3, 30, 1)
-    pairs = [mine_pairs(ds, 0, 1, 2, walks), mine_pairs(ds, 1, 0, 2, walks)]
+    stops = [run_walks(graph, walks) for graph in ds.domains]
+    pairs = [mine_pairs(ds, 0, 1, 2, stops), mine_pairs(ds, 1, 0, 2, stops)]
     assert all(p.pairs for p in pairs)
     cfg = TrainConfig(beta=0.5, reg_lambda=1e-3)
     want = loss_and_gradients(model, ds, triplets, pairs, cfg, masks=masks)[1]

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from edda import walker
 from edda.mdgraph import NodeId, NodeKind, anchors, ingest
 from edda.walker import (
     SimilarPairSet,
@@ -22,11 +21,23 @@ from oracles import (
     nodes_of,
     pair_texts,
     random_bipartite_records,
+    walk_endpoints,
+    walk_stop_counts,
     walk_stop_distribution,
 )
 
 U = lambda i: NodeId(NodeKind.USER, i)
-I = lambda i: NodeId(NodeKind.ITEM, i)
+
+
+def _tables(ds, cfg):
+    """The `run_walks` table of every graph of `ds`, indexed by domain."""
+    return [run_walks(graph, cfg) for graph in ds.domains]
+
+
+def _endpoints(graph, node, cfg):
+    """The nodes where the `run_walks` walks from `node` stop."""
+    row = int(np.searchsorted(graph.keys, keys(node)[0]))
+    return nodes_of(graph.keys[run_walks(graph, cfg)[row]])
 
 
 def test_unreachable_anchor_gives_zero_vector():
@@ -34,50 +45,35 @@ def test_unreachable_anchor_gives_zero_vector():
     ds = ingest([(0, 0, 0), (0, 5, 9), (1, 5, 20)])
     a = anchors(ds, 0, 1)
     assert np.array_equal(a, keys(U(5)))
-    counts = run_walks(ds.graph(0), U(0), a, WalkConfig(walk_length=4, num_walks=200, rng_seed=1))
-    assert np.all(counts == 0)
+    cfg = WalkConfig(walk_length=4, num_walks=200, rng_seed=1)
+    assert U(5) not in _endpoints(ds.graph(0), U(0), cfg)
 
 
 def test_single_edge_parity_forces_source_stop():
     ds = ingest([(0, 0, 0), (1, 0, 1)])
-    a = anchors(ds, 0, 1)  # just user 0
     cfg = WalkConfig(walk_length=4, num_walks=321, rng_seed=2)
-    assert run_walks(ds.graph(0), U(0), a, cfg).tolist() == [321]
+    assert _endpoints(ds.graph(0), U(0), cfg) == [U(0)] * 321
 
 
 def test_stop_frequencies_match_transition_matrix_power():
-    # path graph u0-i0-u1-i1, duplicated as domain 1 so every node is an anchor
+    # path graph u0-i0-u1-i1
     pairs = [(0, 0), (1, 0), (1, 1)]
-    records = [(0, u, i) for u, i in pairs] + [(1, u, i) for u, i in pairs]
-    ds = ingest(records)
-    a = anchors(ds, 0, 1)
+    ds = ingest([(0, u, i) for u, i in pairs])
     cfg = WalkConfig(walk_length=4, num_walks=100_000, rng_seed=3)
-    counts = run_walks(ds.graph(0), U(0), a, cfg)
+    stops = _endpoints(ds.graph(0), U(0), cfg)
 
     exact = walk_stop_distribution(pairs, U(0), steps=4)
-    empirical = counts / cfg.num_walks
-    tv = 0.5 * sum(
-        abs(empirical[pos] - exact[node]) for pos, node in enumerate(nodes_of(a))
-    )
+    tv = 0.5 * sum(abs(stops.count(node) / cfg.num_walks - p) for node, p in exact.items())
     assert tv < 0.02
-
-
-def test_run_walks_rejects_a_source_outside_the_graph():
-    ds = ingest([(0, 0, 0), (0, 2, 0), (1, 0, 5)])
-    a = anchors(ds, 0, 1)
-    for absent in (U(1), U(3), I(5), I(2**62 - 1)):
-        with pytest.raises(KeyError, match="not in domain 0"):
-            run_walks(ds.graph(0), absent, a, WalkConfig(walk_length=2, num_walks=5))
 
 
 def test_walks_are_deterministic_per_source_seed():
     ds = ingest([(0, 0, 0), (0, 1, 0), (0, 1, 1), (1, 0, 5), (1, 1, 5)])
-    a = anchors(ds, 0, 1)
     cfg = WalkConfig(walk_length=4, num_walks=100, rng_seed=9)
-    s1 = run_walks(ds.graph(0), U(1), a, cfg)
-    s2 = run_walks(ds.graph(0), U(1), a, cfg)
-    assert np.array_equal(s1, s2)
-    s3 = run_walks(ds.graph(0), U(1), a, WalkConfig(4, 100, rng_seed=10))
+    s1 = run_walks(ds.graph(0), cfg)
+    s2 = run_walks(ds.graph(0), cfg)
+    assert np.array_equal(s1, s2) and s1 is not s2
+    s3 = run_walks(ds.graph(0), WalkConfig(4, 100, rng_seed=10))
     assert not np.array_equal(s1, s3)
 
 
@@ -120,14 +116,14 @@ def test_similarity_scale_invariance():
 
 def test_mine_pairs_no_anchors_is_empty():
     ds = ingest([(0, 0, 0), (1, 1, 1)])
-    got = mine_pairs(ds, 0, 1, k=1, cfg=WalkConfig(rng_seed=0))
+    got = mine_pairs(ds, 0, 1, 1, _tables(ds, WalkConfig(rng_seed=0)))
     assert got == SimilarPairSet((0, 1), ())
 
 
 def test_mine_pairs_identical_profile_is_top_one():
     # u0 (domain 0) and u5 (domain 1) both sit one edge from the shared hub u9
     ds = ingest([(0, 9, 0), (0, 0, 0), (1, 9, 1), (1, 5, 1)])
-    got = mine_pairs(ds, 0, 1, k=1, cfg=WalkConfig(walk_length=4, num_walks=200, rng_seed=6))
+    got = mine_pairs(ds, 0, 1, 1, _tables(ds, WalkConfig(walk_length=4, num_walks=200, rng_seed=6)))
     by_source = {p.source: p for p in got.pairs}
     assert by_source[U(0)].target == U(5)  # tie with u9 broken by ascending id
     assert by_source[U(0)].similarity == pytest.approx(1.0)
@@ -145,16 +141,17 @@ def test_mine_pairs_matches_exhaustive_oracle():
     ds = ingest(records)
     cfg = WalkConfig(walk_length=4, num_walks=300, rng_seed=8)
     k = 2
-    got = mine_pairs(ds, 0, 1, k, cfg)
+    got = mine_pairs(ds, 0, 1, k, _tables(ds, cfg))
 
-    a = anchors(ds, 0, 1)
+    a = nodes_of(anchors(ds, 0, 1))
+    pairs = [ds.graph(d).user_item_pairs().tolist() for d in (0, 1)]
     expected = []
     for src in nodes_of(ds.graph(0).keys):
         cands = [n for n in nodes_of(ds.graph(1).keys) if n.kind == src.kind]
-        c_src = run_walks(ds.graph(0), src, a, cfg)
+        c_src = walk_stop_counts(pairs[0], src, a, cfg)
         sims = []
         for cand in cands:
-            c_dst = run_walks(ds.graph(1), cand, a, cfg)
+            c_dst = walk_stop_counts(pairs[1], cand, a, cfg)
             sims.append((cand, cosine(c_src, c_dst)))
         sims.sort(key=lambda t: (-t[1], t[0].id))
         for cand, s in sims[:k]:
@@ -166,21 +163,35 @@ def test_mine_pairs_matches_exhaustive_oracle():
 def test_mine_pairs_determinism():
     ds = ingest([(0, 0, 0), (0, 1, 0), (1, 1, 1), (1, 2, 1), (1, 0, 1), (0, 2, 0)])
     cfg = WalkConfig(walk_length=2, num_walks=150, rng_seed=11)
-    assert mine_pairs(ds, 0, 1, 1, cfg) == mine_pairs(ds, 0, 1, 1, cfg)
+    assert mine_pairs(ds, 0, 1, 1, _tables(ds, cfg)) == mine_pairs(ds, 0, 1, 1, _tables(ds, cfg))
 
 
 def test_mine_pairs_validation():
     ds = ingest([(0, 0, 0), (1, 0, 1)])
+    stops = _tables(ds, WalkConfig())
     with pytest.raises(ValueError):
-        mine_pairs(ds, 0, 0, 1, WalkConfig())
+        mine_pairs(ds, 0, 0, 1, stops)
     with pytest.raises(ValueError):
-        mine_pairs(ds, 0, 1, 0, WalkConfig())
+        mine_pairs(ds, 0, 1, 0, stops)
+
+
+def test_mine_pairs_refuses_a_stop_table_not_shaped_like_its_graph():
+    # domain 0 has 3 nodes and domain 1 has 4, so their tables cannot swap
+    ds = ingest([(0, 0, 0), (0, 1, 0), (1, 0, 5), (1, 1, 5), (1, 1, 6)])
+    cfg = WalkConfig(walk_length=2, num_walks=10, rng_seed=3)
+    stops = _tables(ds, cfg)
+    assert mine_pairs(ds, 0, 1, 1, stops).pairs
+    for bad in ([stops[1], stops[1]], [stops[0], stops[0]], [stops[0][:-1], stops[1]],
+                [stops[0][:, 0], stops[1]]):
+        with pytest.raises(ValueError, match="stop table of shape"):
+            mine_pairs(ds, 0, 1, 1, bad)
 
 
 def test_pair_file_roundtrip(tmp_path):
     ds = ingest([(0, 0, 0), (0, 1, 0), (1, 1, 1), (1, 3, 1)])
     cfg = WalkConfig(walk_length=4, num_walks=200, rng_seed=12)
-    sets = [mine_pairs(ds, 0, 1, 1, cfg), mine_pairs(ds, 1, 0, 1, cfg)]
+    stops = _tables(ds, cfg)
+    sets = [mine_pairs(ds, 0, 1, 1, stops), mine_pairs(ds, 1, 0, 1, stops)]
     path = tmp_path / "pairs.tsv"
     write_pairs(path, sets)
     loaded = load_pairs(path)
@@ -192,7 +203,7 @@ def test_pair_file_roundtrip(tmp_path):
     assert flat(loaded) == flat([s for s in sets if s.pairs])
 
 
-# -- the stop table, the anchor map and the pair file, against oracles --------
+# -- the walk table, the anchor map and the pair file, against oracles --------
 
 
 @st.composite
@@ -223,14 +234,15 @@ ANCHOR_EDGE_CASES = (
 
 def _oracle_pairs(ds, d, d_prime, k, cfg):
     """Per source: the exact squared cosine of each same-kind candidate with
-    a positive one, by brute force over `run_walks` counts, and the oracle's
-    top-k (target, cosine), ties broken toward the smaller id."""
-    a = anchors(ds, d, d_prime)
+    a positive one, by brute force over the oracle's per-source walk counts,
+    and the oracle's top-k (target, cosine), ties broken toward the smaller id."""
+    a = nodes_of(anchors(ds, d, d_prime))
     src_graph, dst_graph = ds.graph(d), ds.graph(d_prime)
-    dst_counts = {n: run_walks(dst_graph, n, a, cfg) for n in nodes_of(dst_graph.keys)}
+    src_pairs, dst_pairs = src_graph.user_item_pairs().tolist(), dst_graph.user_item_pairs().tolist()
+    dst_counts = {n: walk_stop_counts(dst_pairs, n, a, cfg) for n in nodes_of(dst_graph.keys)}
     out = {}
     for src in nodes_of(src_graph.keys):
-        c_src = run_walks(src_graph, src, a, cfg)
+        c_src = walk_stop_counts(src_pairs, src, a, cfg)
         exact = {}
         for cand, c_dst in dst_counts.items():
             dot = sum(int(x) * int(y) for x, y in zip(c_src, c_dst))
@@ -248,8 +260,9 @@ def _oracle_pairs(ds, d, d_prime, k, cfg):
 def test_mine_pairs_matches_per_source_oracle(case):
     records, cfg, k = case
     ds = ingest(records)
+    stops = _tables(ds, cfg)
     for d, d_prime in [(a, b) for a in range(ds.num_domains) for b in range(ds.num_domains) if a != b]:
-        got = mine_pairs(ds, d, d_prime, k, cfg)
+        got = mine_pairs(ds, d, d_prime, k, stops)
         assert got.domain_pair == (d, d_prime)
         mined = {}
         for p in got.pairs:
@@ -269,61 +282,37 @@ def test_mine_pairs_matches_per_source_oracle(case):
 @given(mining_cases())
 @example(ANCHOR_EDGE_CASES)
 def test_mining_order_does_not_matter(case):
-    # every ordered pair mined cold on its own dataset, then all pairs on one
-    # dataset in reverse order, so (d', d) warms the memo before (d, d')
+    # every ordered pair mined on its own dataset and its own tables, then all
+    # pairs from one dataset and one list of tables in reverse order, so each
+    # table serves (d', d) before (d, d') and every partner domain
     records, cfg, k = case
     n = ingest(records).num_domains
     ordered = [(a, b) for a in range(n) for b in range(n) if a != b]
-    cold = {p: mine_pairs(ingest(records), *p, k, cfg) for p in ordered}
-    warm_ds = ingest(records)
-    warm = {p: mine_pairs(warm_ds, *p, k, cfg) for p in reversed(ordered)}
-    assert warm == cold
+    alone = {}
+    for p in ordered:
+        ds = ingest(records)
+        alone[p] = mine_pairs(ds, *p, k, _tables(ds, cfg))
+    shared_ds = ingest(records)
+    stops = _tables(shared_ds, cfg)
+    shared = {p: mine_pairs(shared_ds, *p, k, stops) for p in reversed(ordered)}
+    assert shared == alone
 
 
 @settings(max_examples=40, deadline=None)
 @given(mining_cases())
 @example(ANCHOR_EDGE_CASES)
-def test_stop_table_rows_give_run_walks_counts(case):
+def test_run_walks_rows_are_the_oracle_endpoints(case):
     records, cfg, _ = case
     ds = ingest(records)
-    for d in range(ds.num_domains):
-        graph = ds.graph(d)
-        table = walker._stop_table(graph, cfg)
+    for graph in ds.domains:
+        table = run_walks(graph, cfg)
         assert table.shape == (graph.n_nodes, cfg.num_walks)
         assert not table.flags.writeable
         with pytest.raises(ValueError):
             table[0, 0] = 0
-        assert walker._stop_table(graph, cfg) is table
-        for d_prime in range(ds.num_domains):
-            if d_prime == d:
-                continue
-            a = anchors(ds, d, d_prime)
-            nodes = nodes_of(graph.keys)
-            local = [nodes.index(node) for node in nodes_of(a)]
-            for row, node in enumerate(nodes):
-                want = [int(np.sum(table[row] == ix)) for ix in local]
-                assert run_walks(graph, node, a, cfg).tolist() == want
-
-
-def test_mine_pairs_refuses_a_stop_table_of_a_changed_graph():
-    ds = ingest([(0, 0, 0), (0, 1, 0), (0, 1, 1), (1, 0, 5), (1, 1, 5)])
-    cfg = WalkConfig(walk_length=2, num_walks=100, rng_seed=5)
-    before = mine_pairs(ds, 0, 1, 1, cfg)
-    assert before.pairs
-    ds.graph(0).adj_indices[:] = 1  # every step now lands on user 1
-    with pytest.raises(RuntimeError, match="stale stop table for domain 0"):
-        mine_pairs(ds, 0, 1, 1, cfg)
-
-
-def test_run_walks_ignores_anchors_outside_the_graph():
-    # domain 0 lacks U(1) (between its user ids 0 and 2), U(7) (past them) and I(5)
-    ds = ingest([(0, 0, 0), (0, 2, 0), (1, 0, 5), (1, 1, 5)])
-    cfg = WalkConfig(walk_length=2, num_walks=50, rng_seed=4)
-    a = keys(U(0), U(1), U(7), I(5))
-    counts = run_walks(ds.graph(0), U(0), a, cfg)
-    assert counts[1:].tolist() == [0, 0, 0] and 0 < counts[0] < 50
-    counts = run_walks(ds.graph(1), U(0), a, cfg)
-    assert counts[2:].tolist() == [0, 0] and counts[0] + counts[1] == 50
+        pairs = graph.user_item_pairs().tolist()
+        for row, node in enumerate(nodes_of(graph.keys)):
+            assert nodes_of(graph.keys[table[row]]) == walk_endpoints(pairs, node, cfg)
 
 
 PAIR_LINE = "0\t1\tuser\t3\t4\t0.5"
@@ -380,7 +369,8 @@ def test_load_pairs_returns_valid_pairs_or_raises_value_error(tmp_path_factory, 
 def test_write_pairs_failing_midway_keeps_the_earlier_file(tmp_path, monkeypatch, fail_writes):
     ds = ingest([(0, 0, 0), (0, 1, 0), (0, 1, 1), (1, 0, 1), (1, 1, 1), (1, 1, 0)])
     cfg = WalkConfig(walk_length=2, num_walks=50, rng_seed=1)
-    sets = [mine_pairs(ds, 0, 1, 2, cfg), mine_pairs(ds, 1, 0, 2, cfg)]
+    stops = _tables(ds, cfg)
+    sets = [mine_pairs(ds, 0, 1, 2, stops), mine_pairs(ds, 1, 0, 2, stops)]
     assert sum(len(s.pairs) for s in sets) >= 3
     path = tmp_path / "pairs_0_1.tsv"
     path.write_text("earlier contents\n", encoding="utf-8")
