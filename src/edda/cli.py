@@ -100,6 +100,9 @@ def resolve_config(config_path: str | None, overrides: dict) -> RunConfig:
     cfg = replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
     if cfg.variant not in VARIANTS:
         raise ValueError(f"unknown variant {cfg.variant!r}; choose from {VARIANTS}")
+    for key in ("seed", "eval_seed"):
+        if getattr(cfg, key) < 0:
+            raise ValueError(f"{key} must be non-negative, got {getattr(cfg, key)}")
     return cfg
 
 
@@ -194,9 +197,10 @@ def cmd_align(args) -> int:
     stops = [run_walks(graph, cfg.walk_config()) for graph in split_data.train.domains]
     for d in range(dataset.num_domains):
         for d_prime in range(d + 1, dataset.num_domains):
+            profiles: dict = {}  # both directions read each graph's anchor counts
             pair_sets = [
-                mine_pairs(split_data.train, d, d_prime, cfg.k, stops),
-                mine_pairs(split_data.train, d_prime, d, cfg.k, stops),
+                mine_pairs(split_data.train, d, d_prime, cfg.k, stops, profiles),
+                mine_pairs(split_data.train, d_prime, d, cfg.k, stops, profiles),
             ]
             path = out / f"pairs_{d}_{d_prime}.tsv"
             write_pairs(path, pair_sets)

@@ -26,7 +26,8 @@ import scipy.sparse as sp
 from .mdgraph import MAX_ID, NodeId, NodeKind, atomic_write, node_keys, split_keys
 
 TABLE_MAGIC = b"EDDA"
-TABLE_VERSION = 1
+# format version -> stored float type; float64 tables keep version 1's bytes
+TABLE_FLOATS = {1: np.dtype("<f8"), 2: np.dtype("<f4")}
 
 
 class EmbeddingTable:
@@ -103,36 +104,41 @@ def save_table(path: str | Path, table: EmbeddingTable) -> None:
     """Write the flat binary table format (little-endian).
 
     Header: magic `EDDA`, version u32, dim u32, count u64. Records follow as
-    (kind u8, id u64, dim x f64). The file is written atomically.
+    (kind u8, id u64, dim x float): a float32 table is stored as f32 under
+    version 2, any other as f64 under version 1. The file is written
+    atomically.
     """
+    version = 2 if table.matrix.dtype == np.float32 else 1
     record = np.dtype(
-        [("kind", "u1"), ("id", "<u8"), ("vec", "<f8", (table.dim,))]
+        [("kind", "u1"), ("id", "<u8"), ("vec", TABLE_FLOATS[version], (table.dim,))]
     )
     data = np.empty(len(table), dtype=record)
     data["kind"], data["id"] = split_keys(table.keys)
     data["vec"] = table.matrix
     with atomic_write(path, "wb") as handle:
         handle.write(TABLE_MAGIC)
-        handle.write(struct.pack("<IIQ", TABLE_VERSION, table.dim, len(table)))
+        handle.write(struct.pack("<IIQ", version, table.dim, len(table)))
         handle.write(data.tobytes())
 
 
 def load_table(path: str | Path) -> EmbeddingTable:
-    """Inverse of `save_table`. A file that is not a table, or whose records no
-    ascending node keys can hold, raises ValueError naming `path`."""
+    """Inverse of `save_table`; the matrix comes back in the stored float type.
+    A file that is not a table, or whose records no ascending node keys can
+    hold, raises ValueError naming `path`."""
     with open(path, "rb") as handle:
         raw = handle.read()
     if raw[:4] != TABLE_MAGIC:
         raise ValueError(f"{path}: not an embedding table file")
     version, dim, count = struct.unpack("<IIQ", raw[4:20])
-    if version != TABLE_VERSION:
+    if version not in TABLE_FLOATS:
         raise ValueError(f"{path}: unsupported table version {version}")
-    record = np.dtype([("kind", "u1"), ("id", "<u8"), ("vec", "<f8", (dim,))])
+    float_type = TABLE_FLOATS[version]
+    record = np.dtype([("kind", "u1"), ("id", "<u8"), ("vec", float_type, (dim,))])
     data = np.frombuffer(raw[20:], dtype=record, count=count)
     if np.any(data["kind"] > NodeKind.ITEM) or np.any(data["id"] > MAX_ID):
         raise ValueError(f"{path}: record with kind above 1 or id above {MAX_ID}")
     keys = node_keys(data["kind"], data["id"])
     try:
-        return EmbeddingTable(keys, np.array(data["vec"], dtype=np.float64))
+        return EmbeddingTable(keys, np.array(data["vec"], dtype=float_type.type))
     except ValueError as err:  # records out of key order
         raise ValueError(f"{path}: {err}") from None

@@ -39,6 +39,7 @@ import numpy as np
 from .edmodel import EDModel, Encoding
 from .mdgraph import DomainGraph, MultiDomainDataset, NodeKind, atomic_write, node_keys
 from .mdgraph import ingest  # noqa: F401  (perfbench/tests expect evalkit.ingest to be traced)
+from .seeding import pcg64_states, pcg64_step
 
 logger = logging.getLogger(__name__)
 
@@ -196,98 +197,8 @@ def build_cases(
 
 
 # -- frozen negatives: numpy's draw, replayed on arrays -------------------------
-# SeedSequence's hash constants and PCG64's 128-bit multiplier, as numpy has them.
 
-_M32 = 0xFFFFFFFF
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT_HI, _PCG_MULT_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
-_U32, _U64 = np.uint32, np.uint64
-
-
-def _entropy_words(values: Sequence, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every row's `SeedSequence` entropy words and their count.
-
-    `values` are non-negative ints (the same for every row) or arrays of n
-    non-negative int64s. Like numpy, each value gives its 32-bit words low
-    first (0 gives one word), and a row concatenates its values' words. Rows
-    are zero-padded to the longest row and to at least the pool's 4 words.
-    """
-    columns, present = [], []
-    for value in values:
-        if isinstance(value, (int, np.integer)):
-            value = int(value)
-            if value < 0:
-                raise ValueError(f"entropy values must be non-negative, got {value}")
-            while True:
-                columns.append(np.full(n, value & _M32, dtype=_U32))
-                present.append(np.ones(n, dtype=bool))
-                value >>= 32
-                if not value:
-                    break
-        else:
-            value = np.asarray(value, dtype=np.int64)
-            columns += [(value & _M32).astype(_U32), (value >> 32).astype(_U32)]
-            present += [np.ones(n, dtype=bool), value > _M32]
-    present = np.stack(present, axis=1)
-    lengths = present.sum(axis=1)
-    words = np.zeros((n, max(4, present.shape[1])), dtype=_U32)
-    rows, cols = np.nonzero(present)
-    slot = np.cumsum(present, axis=1) - 1  # a word's column in its row
-    words[rows, slot[rows, cols]] = np.stack(columns, axis=1)[rows, cols]
-    return words, lengths
-
-
-def _seed_state(words: np.ndarray, lengths: np.ndarray) -> list[np.ndarray]:
-    """`SeedSequence(entropy).generate_state(4, np.uint64)` per row, as four
-    uint64 arrays: the pool mixing, then the output hashing, in uint32."""
-    hash_const = _INIT_A
-
-    def hashmix(value):
-        nonlocal hash_const
-        value = value ^ _U32(hash_const)
-        hash_const = hash_const * _MULT_A & _M32
-        value = value * _U32(hash_const)
-        return value ^ (value >> _U32(16))
-
-    def mix(x, y):
-        result = _U32(_MIX_MULT_L) * x - _U32(_MIX_MULT_R) * y
-        return result ^ (result >> _U32(16))
-
-    pool = [hashmix(words[:, i]) for i in range(4)]
-    for i_src in range(4):
-        for i_dst in range(4):
-            if i_src != i_dst:
-                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
-    for i_src in range(4, words.shape[1]):  # words beyond the pool, where a row has them
-        more = i_src < lengths
-        for i_dst in range(4):
-            pool[i_dst] = np.where(more, mix(pool[i_dst], hashmix(words[:, i_src])), pool[i_dst])
-    hash_const = _INIT_B
-    state = []
-    for i in range(8):
-        value = pool[i % 4] ^ _U32(hash_const)
-        hash_const = hash_const * _MULT_B & _M32
-        value = value * _U32(hash_const)
-        state.append((value ^ (value >> _U32(16))).astype(_U64))
-    return [state[2 * k] | (state[2 * k + 1] << _U64(32)) for k in range(4)]
-
-
-def _mulhi64(a: np.ndarray, c: int) -> np.ndarray:
-    """High 64 bits of the 128-bit products a * c, from 32-bit limbs."""
-    a0, a1 = a & _U64(_M32), a >> _U64(32)
-    c0, c1 = _U64(c & _M32), _U64(c >> 32)
-    p00, p01, p10 = a0 * c0, a0 * c1, a1 * c0
-    mid = (p00 >> _U64(32)) + (p01 & _U64(_M32)) + (p10 & _U64(_M32))
-    return a1 * c1 + (p01 >> _U64(32)) + (p10 >> _U64(32)) + (mid >> _U64(32))
-
-
-def _pcg64_step(hi, lo, inc_hi, inc_lo):
-    """One step of the 128-bit LCG, state * multiplier + inc, on (hi, lo) words."""
-    new_hi = _mulhi64(lo, _PCG_MULT_LO) + lo * _U64(_PCG_MULT_HI) + hi * _U64(_PCG_MULT_LO)
-    new_lo = lo * _U64(_PCG_MULT_LO) + inc_lo
-    return new_hi + inc_hi + (new_lo < inc_lo).astype(_U64), new_lo
+_U64, _M32 = np.uint64, 0xFFFFFFFF
 
 
 def _choice_ranks(entropy: Sequence, pops: np.ndarray) -> np.ndarray:
@@ -295,9 +206,8 @@ def _choice_ranks(entropy: Sequence, pops: np.ndarray) -> np.ndarray:
     `default_rng(SeedSequence(entropy=row k's values)).choice(pops[k], 10,
     replace=False)` returns, for every 10 <= pops[k] <= 2**32.
 
-    `entropy` is as for `_entropy_words`. Each row's PCG64 stream (128-bit
-    LCG, XSL-RR output) is seeded as `pcg64_set_seed` seeds it and read 32
-    bits at a time, the low half of each 64-bit output first. `choice` takes
+    `entropy` is as for `seeding.pcg64_states`, which seeds each row's PCG64
+    stream (128-bit LCG, XSL-RR output); the stream is read 32 bits at a time, the low half of each 64-bit output first. `choice` takes
     Floyd's algorithm for 10 draws: step j takes a Lemire bounded draw on
     [0, j] (none when j == 0), a rejected draw is drawn again, and a value
     already taken is replaced by j. The final shuffle is left out.
@@ -306,12 +216,7 @@ def _choice_ranks(entropy: Sequence, pops: np.ndarray) -> np.ndarray:
     if len(pops) and (pops.min() < NUM_EVAL_NEGATIVES or pops.max() > 2**32):
         raise ValueError(f"populations must lie in [{NUM_EVAL_NEGATIVES}, 2**32]")
     n = len(pops)
-    s_hi, s_lo, inc_hi, inc_lo = _seed_state(*_entropy_words(entropy, n))
-    # pcg64_set_seed: inc = 2 * initseq + 1, step, add the initial state, step
-    inc_hi = (inc_hi << _U64(1)) | (inc_lo >> _U64(63))
-    inc_lo = (inc_lo << _U64(1)) | _U64(1)
-    lo = inc_lo + s_lo
-    hi, lo = _pcg64_step(inc_hi + s_hi + (lo < s_lo).astype(_U64), lo, inc_hi, inc_lo)
+    hi, lo, inc_hi, inc_lo = pcg64_states(entropy, n)
     spare = np.zeros(n, dtype=_U64)
     has_spare = np.zeros(n, dtype=bool)
 
@@ -319,7 +224,7 @@ def _choice_ranks(entropy: Sequence, pops: np.ndarray) -> np.ndarray:
         buffered = has_spare[rows]
         out = np.where(buffered, spare[rows], _U64(0))
         fresh = rows[~buffered]
-        hi[fresh], lo[fresh] = _pcg64_step(hi[fresh], lo[fresh], inc_hi[fresh], inc_lo[fresh])
+        hi[fresh], lo[fresh] = pcg64_step(hi[fresh], lo[fresh], inc_hi[fresh], inc_lo[fresh])
         xored, rot = hi[fresh] ^ lo[fresh], hi[fresh] >> _U64(58)
         word = (xored >> rot) | (xored << ((_U64(64) - rot) & _U64(63)))  # XSL-RR
         out[~buffered] = word & _U64(_M32)

@@ -224,8 +224,42 @@ def load_interactions(path: str | Path) -> np.ndarray:
       MAX_ID = 2^62 - 1.
 
     The first line that breaks a rule raises IngestError naming its 1-based
-    line number in the file. Rows keep file order.
+    line number in the file. Rows keep file order. A canonical file, as
+    `write_interactions` writes it, is parsed in one numpy pass
+    (`_canonical_rows`); any other goes through the line loop.
     """
+    with open(path, "rb") as handle:
+        rows = _canonical_rows(handle.read())
+    return rows if rows is not None else _rows_by_lines(path)
+
+
+def _canonical_rows(raw: bytes) -> np.ndarray | None:
+    """The (n, 3) int64 rows of a canonical file: only digits, tabs and
+    newlines, exactly three fields a line and 1 to 18 digits a field (so
+    every id is below MAX_ID); None for any other file."""
+    if raw and not raw.endswith(b"\n"):
+        raw += b"\n"
+    text = np.frombuffer(raw, dtype=np.uint8)
+    seps = np.flatnonzero(text < ord("0"))
+    lengths = np.diff(seps, prepend=-1) - 1  # digits before each separator
+    if not (
+        (text <= ord("9")).all()
+        and len(seps) % 3 == 0
+        and (text[seps].reshape(-1, 3) == (ord("\t"), ord("\t"), ord("\n"))).all()
+        and lengths.min(initial=1) >= 1
+        and lengths.max(initial=0) <= 18
+    ):
+        return None
+    digits = text.astype(np.int64) - ord("0")
+    values = np.zeros(len(seps), dtype=np.int64)
+    for j in range(1, lengths.max(initial=0) + 1):  # the j-th digit from each field's end
+        # a field shorter than j masks its index, which may wrap to the file's end
+        values += np.where(lengths >= j, digits[seps - j], 0) * 10 ** (j - 1)
+    return values.reshape(-1, 3)
+
+
+def _rows_by_lines(path: str | Path) -> np.ndarray:
+    """`load_interactions` one line at a time, for any file."""
     flat: list[int] = []
     with open(path, "r", encoding="utf-8") as handle:
         for line_no, line in enumerate(handle, start=1):

@@ -134,7 +134,7 @@ def _prepare_pairs(model: EDModel, pair_sets: Iterable[SimilarPairSet]):
     """Model-table row indices for every alignment pair, per ordered domain pair."""
     prepared = []
     for pair_set in pair_sets:
-        if not pair_set.pairs:
+        if not len(pair_set):
             continue
         if model.intra is None:
             raise ValueError("alignment pairs require per-domain embedding tables")
@@ -143,10 +143,9 @@ def _prepare_pairs(model: EDModel, pair_sets: Iterable[SimilarPairSet]):
             raise ValueError(f"pair domains must differ, got {d} twice")
         if min(d, d_prime) < 0 or max(d, d_prime) >= model.num_domains:
             raise ValueError(f"pair domains {(d, d_prime)} outside [0, {model.num_domains})")
-        ends = np.array([(p.source, p.target) for p in pair_set.pairs], dtype=np.int64)
         try:
-            idx_u = model.intra[d].rows(node_keys(ends[:, 0, 0], ends[:, 0, 1]))
-            idx_v = model.intra[d_prime].rows(node_keys(ends[:, 1, 0], ends[:, 1, 1]))
+            idx_u = model.intra[d].rows(node_keys(pair_set.kinds, pair_set.sources))
+            idx_v = model.intra[d_prime].rows(node_keys(pair_set.kinds, pair_set.targets))
         except KeyError as err:
             raise KeyError(f"alignment pair node missing from domain table: {err}") from None
         prepared.append((d, d_prime, idx_u, idx_v))

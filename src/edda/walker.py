@@ -12,10 +12,22 @@ results do not depend on scheduling or iteration order. A node's walk
 endpoints therefore depend only on its graph and that stream: `run_walks`
 walks each domain graph once into a stop table, which every partner domain
 and both directions of a pair read through their own anchor map.
+
+A node's stream is numpy's `default_rng(SeedSequence((rng_seed, kind,
+id)))`, but no generator is seeded per node: `seeding.pcg64_states` replays
+the seeding for every node of a graph at once, and `run_walks` loads each
+state into one shared `PCG64` and fills the node's `(walk_length,
+num_walks)` draws. The steps then run on arrays, `WALK_BLOCK` nodes at a
+time. Mining is array code too: stop counts are one `bincount`, each
+graph's anchor profile serves both directions of a pair, and top-k is a
+row-wise `argmax` (k = 1) or a partition plus one lexsort of the
+candidates. A `SimilarPairSet` holds its pairs as arrays; `write_pairs`
+formats them in one pass and `load_pairs` reads a canonical file with numpy.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -32,6 +44,9 @@ from .mdgraph import (
     atomic_write,
     split_keys,
 )
+from .seeding import pcg64_states
+
+WALK_BLOCK = 64  # nodes whose walks step together; bounds the draw buffer
 
 
 @dataclass(frozen=True)
@@ -54,12 +69,42 @@ class SimilarPair:
     similarity: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimilarPairSet:
-    """Top-k similar target nodes per source node, for one ordered domain pair."""
+    """Top-k similar target nodes per source node, for one ordered domain pair.
+
+    Pair j joins node `(kinds[j], sources[j])` of the source domain to node
+    `(kinds[j], targets[j])` of the target domain at `similarities[j]`; ids
+    are raw ids, and both nodes are of one kind.
+    """
 
     domain_pair: tuple[int, int]  # (source domain, target domain)
-    pairs: tuple[SimilarPair, ...]
+    kinds: np.ndarray  # int64 NodeKind values
+    sources: np.ndarray  # int64 ids
+    targets: np.ndarray  # int64 ids
+    similarities: np.ndarray  # float64, in (0, 1]
+
+    @property
+    def pairs(self) -> tuple[SimilarPair, ...]:
+        """The pairs as records, in array order."""
+        return tuple(
+            SimilarPair(NodeId(NodeKind(kind), source), NodeId(NodeKind(kind), target), sim)
+            for kind, source, target, sim in zip(
+                self.kinds.tolist(), self.sources.tolist(), self.targets.tolist(),
+                self.similarities.tolist(),
+            )
+        )
+
+    def __len__(self) -> int:
+        return len(self.sources)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SimilarPairSet):
+            return NotImplemented
+        return self.domain_pair == other.domain_pair and all(
+            np.array_equal(getattr(self, name), getattr(other, name))
+            for name in ("kinds", "sources", "targets", "similarities")
+        )
 
 
 def run_walks(graph: DomainGraph, cfg: WalkConfig) -> np.ndarray:
@@ -67,19 +112,31 @@ def run_walks(graph: DomainGraph, cfg: WalkConfig) -> np.ndarray:
     indices of the final nodes of the walks from local node r.
 
     Each walk takes exactly `walk_length` uniform steps. The walks of a node
-    draw from its own stream, seeded by `(rng_seed, kind, id)`.
+    draw from its own stream, seeded by `(rng_seed, kind, id)`: step t of
+    walk w scales draw `t * num_walks + w` of the stream by the current
+    node's degree.
     """
-    table = np.empty((graph.n_nodes, cfg.num_walks), dtype=np.int64)
+    n, n_walks, n_steps = graph.n_nodes, cfg.num_walks, cfg.walk_length
+    table = np.empty((n, n_walks), dtype=np.int64)
     indptr, indices = graph.adj_indptr, graph.adj_indices
+    degree = np.diff(indptr).astype(np.float64)  # exact; a float factor multiplies faster
     kinds, ids = split_keys(graph.keys)
-    for row, (kind, node_id) in enumerate(zip(kinds.tolist(), ids.tolist())):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=(cfg.rng_seed, kind, node_id)))
-        current = np.full(cfg.num_walks, row, dtype=np.int64)
-        for _ in range(cfg.walk_length):
-            start = indptr[current]
-            step = (rng.random(cfg.num_walks) * (indptr[current + 1] - start)).astype(np.int64)
-            current = indices[start + step]
-        table[row] = current
+    hi, lo, inc_hi, inc_lo = (a.tolist() for a in pcg64_states([cfg.rng_seed, kinds, ids], n))
+    bitgen = np.random.PCG64(0)
+    gen = np.random.Generator(bitgen)
+    state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0}
+    draws = np.empty((min(n, WALK_BLOCK), n_steps, n_walks))
+    for first in range(0, n, WALK_BLOCK):
+        rows = range(first, min(first + WALK_BLOCK, n))
+        for slot, row in enumerate(rows):
+            state["state"] = {"state": hi[row] << 64 | lo[row], "inc": inc_hi[row] << 64 | inc_lo[row]}
+            bitgen.state = state
+            gen.random(out=draws[slot])
+        current = np.arange(rows.start, rows.stop)[:, None]  # broadcasts over the walks
+        for t in range(n_steps):
+            step = (draws[: len(rows), t] * degree[current]).astype(np.int64)
+            current = indices[indptr[current] + step]
+        table[rows.start : rows.stop] = current
     table.flags.writeable = False
     return table
 
@@ -94,21 +151,50 @@ def _anchor_positions(graph: DomainGraph, anchor_keys: np.ndarray) -> np.ndarray
 
 def _stop_counts(stops: np.ndarray, positions: np.ndarray, n_anchors: int) -> np.ndarray:
     """`(len(stops), n_anchors)` counts of each row's walk endpoints per anchor."""
-    hit = positions[stops]
-    row, col = np.nonzero(hit >= 0)
-    flat = np.bincount(row * n_anchors + hit[row, col], minlength=len(stops) * n_anchors)
-    return flat.reshape(len(stops), n_anchors)
+    # non-anchors count in one extra column, which is dropped
+    width = n_anchors + 1
+    column = np.where(positions < 0, n_anchors, positions)
+    flat = column[stops]
+    flat += (np.arange(len(stops)) * width)[:, None]
+    counts = np.bincount(flat.ravel(), minlength=len(stops) * width)
+    return counts.reshape(len(stops), width)[:, :n_anchors]
 
 
 def _normalized_rows(counts: np.ndarray) -> np.ndarray:
     # the sums of squares are exact integers, so each norm equals np.linalg.norm's
-    norms = np.sqrt((counts.astype(np.float64) ** 2).sum(axis=1))
+    norms = np.sqrt(np.einsum("ij,ij->i", counts, counts).astype(np.float64))
     norms[norms == 0.0] = 1.0  # all-zero rows stay zero
     return counts / norms[:, None]
 
 
+def _top_k(sims: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(row, column, similarity) of each row's k best positive entries under
+    the order (-similarity, column), rows ascending, best first in a row."""
+    n_rows, n_cols = sims.shape
+    if k == 1:  # argmax takes the first maximum: the smallest column
+        rows, cols = np.arange(n_rows), np.argmax(sims, axis=1)
+    else:
+        candidate = sims > 0.0
+        if k < n_cols:  # only entries at or above the row's k-th largest can rank
+            kth = np.partition(sims, n_cols - k, axis=1)[:, n_cols - k]
+            candidate &= sims >= kth[:, None]
+        rows, cols = np.nonzero(candidate)
+        order = np.lexsort((cols, -sims[rows, cols], rows))
+        rows, cols = rows[order], cols[order]
+        rank = np.arange(len(rows)) - np.searchsorted(rows, rows)  # place within the row
+        rows, cols = rows[rank < k], cols[rank < k]
+    best = sims[rows, cols]
+    keep = best > 0.0
+    return rows[keep], cols[keep], best[keep]
+
+
 def mine_pairs(
-    dataset: MultiDomainDataset, d: int, d_prime: int, k: int, stops: Sequence[np.ndarray]
+    dataset: MultiDomainDataset,
+    d: int,
+    d_prime: int,
+    k: int,
+    stops: Sequence[np.ndarray],
+    profiles: dict | None = None,
 ) -> SimilarPairSet:
     """Top-k similar nodes in `d_prime` for every node of `d`, from the
     `run_walks` tables of the dataset's graphs (`stops[d]` walks graph d).
@@ -121,6 +207,11 @@ def mine_pairs(
     product, so their floating-point cosines can differ in the last bit and
     such ties are decided by rounding. Exact brute force over all candidates.
     A table whose shape does not match its graph raises ValueError.
+
+    `profiles`, a dict the two directions of a pair share, keeps each
+    graph's normalised anchor counts by domain, so the second direction
+    reads them instead of counting again; an entry is reused only for the
+    same table object and the same anchors.
     """
     if d == d_prime:
         raise ValueError("pair mining requires two distinct domains")
@@ -132,13 +223,22 @@ def mine_pairs(
         if table.shape[:-1] != (graph.n_nodes,):
             raise ValueError(f"stop table of shape {table.shape} for {graph.n_nodes} nodes")
     anchor_keys = anchors(dataset, d, d_prime)
+    empty = np.empty(0, dtype=np.int64)
     if len(anchor_keys) == 0:
-        return SimilarPairSet((d, d_prime), ())
+        return SimilarPairSet((d, d_prime), empty, empty, empty, np.empty(0))
 
-    src_pos = _anchor_positions(src_graph, anchor_keys)
-    dst_pos = _anchor_positions(dst_graph, anchor_keys)
+    profiles = {} if profiles is None else profiles
+    mats = []
+    for domain, graph, table in ((d, src_graph, src_stops), (d_prime, dst_graph, dst_stops)):
+        entry = profiles.get(domain)
+        if entry is None or entry[0] is not table or not np.array_equal(entry[1], anchor_keys):
+            counts = _stop_counts(table, _anchor_positions(graph, anchor_keys), len(anchor_keys))
+            entry = profiles[domain] = (table, anchor_keys, _normalized_rows(counts))
+            del counts  # a graph's counts are as large as its profile
+        mats.append(entry[2])
+    src_mat, dst_mat = mats
     n_src_users, n_dst_users = src_graph.n_users, dst_graph.n_users
-    out: list[SimilarPair] = []
+    parts = []
     # local order puts users before items, so each kind is one block of rows
     for kind, src_rows, dst_rows, src_ids, dst_ids in (
         (NodeKind.USER, slice(0, n_src_users), slice(0, n_dst_users),
@@ -146,17 +246,16 @@ def mine_pairs(
         (NodeKind.ITEM, slice(n_src_users, None), slice(n_dst_users, None),
          src_graph.item_ids, dst_graph.item_ids),
     ):
-        src_mat = _normalized_rows(_stop_counts(src_stops[src_rows], src_pos, len(anchor_keys)))
-        dst_mat = _normalized_rows(_stop_counts(dst_stops[dst_rows], dst_pos, len(anchor_keys)))
-        sims = np.clip(src_mat @ dst_mat.T, 0.0, 1.0)
-        for row, src_id in enumerate(src_ids.tolist()):
-            order = np.lexsort((dst_ids, -sims[row]))
-            for col in order[:k]:
-                s = float(sims[row, col])
-                if s > 0.0:
-                    target = NodeId(kind, int(dst_ids[col]))
-                    out.append(SimilarPair(NodeId(kind, src_id), target, s))
-    return SimilarPairSet((d, d_prime), tuple(out))
+        # each direction takes its own product: the transpose of the other's
+        # need not be bit-equal
+        sims = src_mat[src_rows] @ dst_mat[dst_rows].T
+        np.clip(sims, 0.0, 1.0, out=sims)
+        rows, cols, best = _top_k(sims, k)
+        parts.append((np.full(len(rows), kind, dtype=np.int64), src_ids[rows], dst_ids[cols], best))
+    return SimilarPairSet((d, d_prime), *(np.concatenate(column) for column in zip(*parts)))
+
+
+_KIND_NAMES = ("user", "item")
 
 
 def write_pairs(path: str | Path, pair_sets: Sequence[SimilarPairSet]) -> None:
@@ -168,18 +267,27 @@ def write_pairs(path: str | Path, pair_sets: Sequence[SimilarPairSet]) -> None:
     with atomic_write(path) as handle:
         for pair_set in pair_sets:
             d, d_prime = pair_set.domain_pair
-            for p in pair_set.pairs:
-                kind = "user" if p.source.kind == NodeKind.USER else "item"
-                handle.write(
-                    f"{d}\t{d_prime}\t{kind}\t{p.source.id}\t{p.target.id}\t{p.similarity:.12g}\n"
-                )
+            lines = map(
+                f"{d}\t{d_prime}\t{{}}\t{{}}\t{{}}\t{{:.12g}}\n".format,
+                map(_KIND_NAMES.__getitem__, pair_set.kinds.tolist()),
+                pair_set.sources.tolist(),
+                pair_set.targets.tolist(),
+                pair_set.similarities.tolist(),
+            )
+            for line in lines:
+                handle.write(line)
 
 
 _PAIR_KINDS = {"user": NodeKind.USER, "item": NodeKind.ITEM}
+# what `write_pairs` writes: a file of only such lines is read in one numpy pass
+_CANONICAL_PAIRS = re.compile(
+    r"(?:[0-9]+\t[0-9]+\t(?:user|item)\t[0-9]+\t[0-9]+\t(?:1|0\.[0-9]+|[1-9](?:\.[0-9]+)?e-[0-9]+)\n)*"
+)
 
 
-def _parse_pair_line(fields: list[str]) -> tuple[tuple[int, int], SimilarPair]:
-    """One export line's (d, d') and pair; raises ValueError saying what is wrong."""
+def _parse_pair_line(fields: list[str]) -> tuple[int, int, int, int, int, float]:
+    """One export line's (d, d', kind, source, target, similarity); raises
+    ValueError saying what is wrong."""
     if len(fields) != 6:
         raise ValueError(f"expected 6 tab-separated fields, got {len(fields)}")
     d, d_prime, kind_name, source, target, similarity = fields
@@ -190,7 +298,7 @@ def _parse_pair_line(fields: list[str]) -> tuple[tuple[int, int], SimilarPair]:
         d, d_prime, source, target = int(d), int(d_prime), int(source), int(target)
     except ValueError:
         raise ValueError(f"non-integer domain or node id in {fields[:5]!r}") from None
-    if min(d, d_prime, source, target) < 0 or max(source, target) > MAX_ID:
+    if min(d, d_prime, source, target) < 0 or max(d, d_prime, source, target) > MAX_ID:
         raise ValueError(f"domain or node id outside [0, {MAX_ID}] in {fields[:5]!r}")
     if d == d_prime:
         raise ValueError(f"pair domains must differ, got {d} twice")
@@ -200,24 +308,61 @@ def _parse_pair_line(fields: list[str]) -> tuple[tuple[int, int], SimilarPair]:
         raise ValueError(f"similarity {similarity!r} is not a number") from None
     if not 0.0 < sim <= 1.0:
         raise ValueError(f"similarity {sim} outside (0, 1]")
-    return (d, d_prime), SimilarPair(NodeId(kind, source), NodeId(kind, target), sim)
+    return d, d_prime, int(kind), source, target, sim
+
+
+def _parse_canonical(text: str) -> tuple[np.ndarray, np.ndarray] | None:
+    """`(ints, sims)` of a file of canonical lines: an (n, 5) int64 array of
+    (d, d', kind, source, target) and the n similarities; None for any other
+    file, or one with a value the line loop refuses."""
+    if not _CANONICAL_PAIRS.fullmatch(text):
+        return None
+    fields = text.replace("\n", "\t").split("\t")[:-1]
+    columns = [fields[j::6] for j in range(6)]  # lists of str: numpy's str-array casts are slower
+    try:
+        d, d_prime, source, target = (np.array(columns[j], dtype=np.int64) for j in (0, 1, 3, 4))
+    except OverflowError:  # an id above int64
+        return None
+    kinds = np.array([name == "item" for name in columns[2]], dtype=np.int64)
+    ints = np.column_stack([d, d_prime, kinds, source, target])
+    sims = np.array(columns[5], dtype=np.float64)
+    valid = (ints[:, 0] != ints[:, 1]) & (ints <= MAX_ID).all(axis=1) & (sims > 0.0) & (sims <= 1.0)
+    return (ints, sims) if valid.all() else None
+
+
+def _parse_lines(path: str | Path, text: str) -> tuple[np.ndarray, np.ndarray]:
+    """`_parse_canonical`'s arrays for any text, one line at a time: blank
+    and `#` lines are skipped, and the first bad line raises ValueError
+    naming `path` and its line number."""
+    rows = []
+    for line_no, line in enumerate(text.split("\n"), start=1):
+        if not line.strip() or line.startswith("#"):
+            continue
+        try:
+            rows.append(_parse_pair_line(line.split("\t")))
+        except ValueError as err:
+            raise ValueError(f"{path} line {line_no}: {err}") from None
+    ints = np.array([row[:5] for row in rows], dtype=np.int64).reshape(-1, 5)
+    return ints, np.array([row[5] for row in rows], dtype=np.float64)
 
 
 def load_pairs(path: str | Path) -> list[SimilarPairSet]:
-    """Read a pair export back into one SimilarPairSet per ordered domain pair.
+    """Read a pair export back into one SimilarPairSet per ordered domain pair,
+    in (d, d') order; each keeps its pairs in file order.
 
     A malformed line raises ValueError naming the file and the line number.
+    A file of only the lines `write_pairs` writes is parsed in one numpy
+    pass; any other goes through the line loop, which names the first bad line.
     """
-    grouped: dict[tuple[int, int], list[SimilarPair]] = {}
     with open(path, "r", encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            if not line.strip() or line.startswith("#"):
-                continue
-            try:
-                domain_pair, pair = _parse_pair_line(line.rstrip("\n").split("\t"))
-            except ValueError as err:
-                raise ValueError(f"{path} line {line_no}: {err}") from None
-            grouped.setdefault(domain_pair, []).append(pair)
+        text = handle.read()
+    parsed = _parse_canonical(text)
+    ints, sims = parsed if parsed is not None else _parse_lines(path, text)
+    order = np.lexsort((ints[:, 1], ints[:, 0]))  # stable: file order within a domain pair
+    ints, sims = ints[order], sims[order]
+    pairs, starts = np.unique(ints[:, :2], axis=0, return_index=True)
+    bounds = [*starts.tolist(), len(ints)]
     return [
-        SimilarPairSet(pair, tuple(pairs)) for pair, pairs in sorted(grouped.items())
+        SimilarPairSet((d, d_prime), *ints[lo:hi, 2:].T.copy(), sims[lo:hi])
+        for (d, d_prime), lo, hi in zip(pairs.tolist(), bounds[:-1], bounds[1:])
     ]

@@ -14,6 +14,7 @@ from edda.edmodel import EDModel
 from edda.encoders import EmbeddingTable
 from edda.mdgraph import NodeId, NodeKind
 from edda.synthgen import SynthError
+from edda.walker import SimilarPairSet
 
 
 def keys(*nodes):
@@ -229,6 +230,54 @@ def walk_stop_counts(pairs, source, anchor_nodes, cfg):
     """How many of `walk_endpoints` stop on each of `anchor_nodes`."""
     endpoints = walk_endpoints(pairs, source, cfg)
     return np.array([endpoints.count(a) for a in anchor_nodes], dtype=np.int64)
+
+
+def pair_set_of(domain_pair, pairs):
+    """The SimilarPairSet of `SimilarPair` records, in their order."""
+    ints = np.array(
+        [(p.source.kind, p.source.id, p.target.id) for p in pairs], dtype=np.int64
+    ).reshape(-1, 3)
+    sims = np.array([p.similarity for p in pairs], dtype=np.float64)
+    return SimilarPairSet(domain_pair, *ints.T, sims)
+
+
+def top_k_by_rows(sims, k):
+    """Each row's k best positive entries by one lexsort per row, under the
+    order (-similarity, column): (row, column, similarity) triples."""
+    out = []
+    cols = np.arange(sims.shape[1])
+    for r in range(sims.shape[0]):
+        for c in np.lexsort((cols, -sims[r]))[:k].tolist():
+            if sims[r, c] > 0.0:
+                out.append((r, c, float(sims[r, c])))
+    return out
+
+
+def mined_pairs_by_sources(dataset, d, d_prime, k, stops):
+    """`mine_pairs` one source row at a time: per kind, per-row stop counts
+    of the anchors, normalised rows, one product and `top_k_by_rows`; as
+    (kind, source id, target id, similarity) tuples."""
+    anchor_keys = np.intersect1d(dataset.graph(d).keys, dataset.graph(d_prime).keys)
+    out = []
+    for kind in (NodeKind.USER, NodeKind.ITEM):
+        mats, ids = [], []
+        for dom in (d, d_prime):
+            graph = dataset.graph(dom)
+            rows = np.flatnonzero(graph.keys >> 62 == kind)
+            index = {int(key): a for a, key in enumerate(anchor_keys.tolist())}
+            counts = np.zeros((len(rows), len(anchor_keys)), dtype=np.int64)
+            for r, row in enumerate(rows.tolist()):
+                for end in stops[dom][row].tolist():
+                    a = index.get(int(graph.keys[end]))
+                    if a is not None:
+                        counts[r, a] += 1
+            norms = np.sqrt((counts.astype(np.float64) ** 2).sum(axis=1))
+            norms[norms == 0.0] = 1.0
+            mats.append(counts / norms[:, None])
+            ids.append((graph.keys[rows] & (2**62 - 1)).tolist())
+        sims = np.clip(mats[0] @ mats[1].T, 0.0, 1.0)
+        out += [(int(kind), ids[0][r], ids[1][c], s) for r, c, s in top_k_by_rows(sims, k)]
+    return out
 
 
 def pairwise_auc(pos_scores, neg_scores):

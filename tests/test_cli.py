@@ -514,6 +514,22 @@ def test_config_file_unknown_key_exit_code(workspace, capsys):
         assert "unknown config keys" in capsys.readouterr().err
 
 
+def test_negative_seed_exits_2_naming_the_key(workspace, capsys):
+    data = workspace / "data" / "interactions.tsv"
+    assert main(["align", str(data), "--out", str(workspace / "p"), "--seed", "-3"]) == 2
+    assert capsys.readouterr().err == "error: seed must be non-negative, got -3\n"
+    assert not (workspace / "p").exists()
+
+
+def test_negative_eval_seed_exits_2_naming_the_key(workspace, capsys):
+    data = workspace / "data" / "interactions.tsv"
+    config = workspace / "neg.cfg"
+    config.write_text(CONFIG_TEXT + "eval_seed = -1\n")
+    assert main(["train", str(data), "--out", str(workspace / "r"), "--config", str(config)]) == 2
+    assert capsys.readouterr().err == "error: eval_seed must be non-negative, got -1\n"
+    assert not (workspace / "r").exists()
+
+
 def test_train_refuses_pairs_mined_on_another_split(workspace, capsys):
     data = workspace / "data" / "interactions.tsv"
     config = workspace / "run.cfg"

@@ -14,7 +14,7 @@ from edda.edmodel import (
 from edda.encoders import EmbeddingTable, GRecConfig
 from edda.mdgraph import NodeId, NodeKind, ingest
 
-from oracles import dense_propagate, keys, nodes_of, random_bipartite_records, row
+from oracles import as_float32, dense_propagate, keys, nodes_of, random_bipartite_records, row
 
 U = lambda i: NodeId(NodeKind.USER, i)
 I = lambda i: NodeId(NodeKind.ITEM, i)
@@ -272,4 +272,19 @@ def test_checkpoint_keeps_float32(tmp_path):
     for (na, a), (nb, b) in zip(model.parameters(), loaded.parameters()):
         assert na == nb
         assert b.dtype == np.float32, nb
-        assert np.array_equal(a, b)
+        assert a.tobytes() == b.tobytes()
+
+
+def test_float32_checkpoint_tables_take_half_the_bytes(tmp_path):
+    ds = ingest([(0, 0, 0), (0, 1, 1), (1, 0, 2)])
+    wide = init_model(ModelSpec(d_inter=4, d_intra=6), ds, seed=3)
+    narrow = as_float32(wide)
+    save_model(tmp_path / "f8", wide)
+    save_model(tmp_path / "f4", narrow)
+    for name in ("inter.bin", "intra_0.bin", "intra_1.bin"):
+        size8, size4 = ((tmp_path / run / name).stat().st_size for run in ("f8", "f4"))
+        n = (size8 - 20) // (9 + 8 * (4 if name == "inter.bin" else 6))
+        assert size4 - 20 - 9 * n == (size8 - 20 - 9 * n) // 2, name  # vectors at half the bytes
+    loaded = load_model(tmp_path / "f4")
+    for (_, a), (_, b) in zip(narrow.parameters(), loaded.parameters()):
+        assert b.dtype == np.float32 and a.tobytes() == b.tobytes()

@@ -1,4 +1,5 @@
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -244,6 +245,25 @@ def test_table_serialization_roundtrip(tmp_path):
     loaded = load_table(path)
     assert nodes_of(loaded.keys) == nodes
     assert np.array_equal(loaded.matrix, table.matrix)
+
+
+def test_table_versions_store_float64_and_float32(tmp_path):
+    rng = np.random.default_rng(13)
+    wide = EmbeddingTable(keys(U(0), U(7), I(2)), rng.normal(size=(3, 4)))
+    narrow = EmbeddingTable(wide.keys, wide.matrix.astype(np.float32))
+    for name, table, version, width in (("f8.bin", wide, 1, 8), ("f4.bin", narrow, 2, 4)):
+        save_table(tmp_path / name, table)
+        raw = (tmp_path / name).read_bytes()
+        assert struct.unpack("<III", raw[4:16]) == (version, 4, 3)
+        assert len(raw) == 20 + 3 * (1 + 8 + 4 * width)
+        loaded = load_table(tmp_path / name)
+        assert loaded.matrix.dtype == table.matrix.dtype
+        assert np.array_equal(loaded.keys, table.keys)
+        assert loaded.matrix.tobytes() == table.matrix.tobytes()
+    raw = (tmp_path / "f4.bin").read_bytes()
+    (tmp_path / "v3.bin").write_bytes(raw[:4] + struct.pack("<I", 3) + raw[8:])
+    with pytest.raises(ValueError, match="v3.bin: unsupported table version 3"):
+        load_table(tmp_path / "v3.bin")
 
 
 @pytest.mark.parametrize(

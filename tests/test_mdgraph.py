@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import edda.mdgraph
 
 from edda.mdgraph import (
     MAX_ID,
@@ -236,6 +239,42 @@ def test_load_interactions_keeps_valid_rows_or_names_the_first_bad_line(tmp_path
     got = load_interactions(path)
     assert got.dtype == np.int64 and got.shape == (len(got), 3)
     assert got.tolist() == [list(rec) for kind, rec in labels if kind == "row"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(interaction_files(), interaction_files(bad=True)))
+def test_canonical_reader_agrees_with_the_line_loop(tmp_path_factory, case):
+    text, labels = case
+    path = tmp_path_factory.mktemp("loader") / "inter.tsv"
+    path.write_text(text, encoding="utf-8")
+    fast = edda.mdgraph._canonical_rows(path.read_bytes())
+    try:
+        slow = edda.mdgraph._rows_by_lines(path)
+    except IngestError:
+        assert fast is None
+        return
+    # every line a bare row of ids below 10**18: the canonical form
+    plain = bool(labels) and all(
+        kind == "row" and line.count("\t") == 2
+        for line, (kind, _) in zip(text.split("\n"), labels)
+    ) and all(len(field) <= 18 for field in text.split())
+    assert fast is not None or not plain
+    if fast is not None:
+        assert fast.dtype == np.int64 and np.array_equal(fast, slow)
+
+
+def test_canonical_reader_reads_what_write_interactions_writes(tmp_path):
+    path = tmp_path / "inter.tsv"
+    records = [(0, 10**17 + 3, 5), (1, 0, 999_999_999_999_999_999), (0, 7, 0)]
+    write_interactions(path, records)
+    got = edda.mdgraph._canonical_rows(path.read_bytes())
+    assert got.tolist() == sorted(map(list, records))
+    for text in ("0\t1\t2", "", "0\t1\t2\n3\t4\t5\n"):  # no final newline, empty file
+        path.write_text(text, encoding="utf-8")
+        want = edda.mdgraph._rows_by_lines(path).tolist()
+        assert edda.mdgraph._canonical_rows(text.encode()).tolist() == want
+    for text in ("0\t1\t2\t3\n", "0\t1\n", "0\t\t2\n", "\n", f"0\t1\t{10**18}\n", "0 \t1\t2\n"):
+        assert edda.mdgraph._canonical_rows(text.encode()) is None
 
 
 @settings(max_examples=200, deadline=None)

@@ -26,7 +26,7 @@ from edda.trainer import (
     loss_and_gradients,
     train,
 )
-from edda.walker import SimilarPair, SimilarPairSet
+from edda.walker import SimilarPair
 
 from oracles import (
     as_float32,
@@ -36,6 +36,7 @@ from oracles import (
     negative_triplets_by_scalar_draws,
     nodes_of,
     oracle_total_loss,
+    pair_set_of,
     random_bipartite_records,
     row,
     zeroed,
@@ -67,14 +68,14 @@ def _instance(seed=0, overlap=True):
     trip_rng = np.random.default_rng(seed + 2)
     triplets = sample_triplets(ds, {0: 6, 1: 5}, trip_rng)
     pairs = [
-        SimilarPairSet(
+        pair_set_of(
             (0, 1),
             (
                 SimilarPair(U(0), U(5), 0.9),
                 SimilarPair(I(0), I(6), 0.8),
             ),
         ),
-        SimilarPairSet((1, 0), (SimilarPair(U(5), U(0), 0.9),)),
+        pair_set_of((1, 0), (SimilarPair(U(5), U(0), 0.9),)),
     ]
     return ds, model, triplets, pairs
 
@@ -132,7 +133,7 @@ def test_alignment_loss_values():
     model.proj[1][:] = np.eye(2)
     model.intra[0].matrix[_row(model.intra[0], U(0))] = [1.0, 0.0]
     model.intra[1].matrix[_row(model.intra[1], U(1))] = [0.0, 2.0]
-    pairs = [SimilarPairSet((0, 1), (SimilarPair(U(0), U(1), 1.0),))]
+    pairs = [pair_set_of((0, 1), (SimilarPair(U(0), U(1), 1.0),))]
     # projected difference (1, -2): squared norm 5
     assert alignment_loss(model, ds, pairs) == pytest.approx(5.0)
 
@@ -143,7 +144,7 @@ def test_alignment_loss_values():
 def test_alignment_loss_missing_node():
     ds = ingest([(0, 0, 0), (1, 1, 1)])
     model = init_model(ModelSpec(d_inter=2, d_intra=2), ds, seed=0)
-    pairs = [SimilarPairSet((0, 1), (SimilarPair(U(9), U(1), 1.0),))]
+    pairs = [pair_set_of((0, 1), (SimilarPair(U(9), U(1), 1.0),))]
     with pytest.raises(KeyError, match="missing"):
         alignment_loss(model, ds, pairs)
 
@@ -151,7 +152,7 @@ def test_alignment_loss_missing_node():
 def test_alignment_pairs_within_one_domain_are_refused():
     ds = ingest([(0, 0, 0), (0, 1, 1), (1, 1, 1)])
     model = init_model(ModelSpec(d_inter=2, d_intra=2), ds, seed=0)
-    pairs = [SimilarPairSet((0, 0), (SimilarPair(U(0), U(1), 1.0),))]
+    pairs = [pair_set_of((0, 0), (SimilarPair(U(0), U(1), 1.0),))]
     with pytest.raises(ValueError, match=r"pair domains must differ, got 0 twice"):
         alignment_loss(model, ds, pairs)
     with pytest.raises(ValueError, match="pair domains must differ"):
@@ -503,7 +504,7 @@ def test_train_loss_decreases_on_separable_toy():
 def test_train_large_beta_pulls_pair_together():
     sp = _toy_split()
     model = init_model(ModelSpec(d_inter=4, d_intra=4), sp.full, seed=4)
-    pair = SimilarPairSet((0, 1), (SimilarPair(U(4), U(5), 1.0),))
+    pair = pair_set_of((0, 1), (SimilarPair(U(4), U(5), 1.0),))
 
     def pair_distance(m):
         return float(
@@ -596,7 +597,7 @@ def test_train_subsamples_pairs_past_the_threshold_and_reruns_identically(monkey
     # 6 x 4 user pairs and 8 x 4 item pairs: 56 pairs, over 10 batches of 2
     pairs = [SimilarPair(U(a), U(b), 1.0) for a in range(6) for b in range(4, 8)]
     pairs += [SimilarPair(I(a), I(b), 1.0) for a in range(8) for b in range(6, 10)]
-    pair_set = SimilarPairSet((0, 1), tuple(pairs))
+    pair_set = pair_set_of((0, 1), tuple(pairs))
     cfg = TrainConfig(beta=1.0, batch_size=2, epochs=2, seed=9, learning_rate=0.01)
     samples = []
 

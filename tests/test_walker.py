@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -5,9 +6,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from edda import walker
 from edda.mdgraph import NodeId, NodeKind, anchors, ingest
 from edda.walker import (
-    SimilarPairSet,
     WalkConfig,
     load_pairs,
     mine_pairs,
@@ -18,9 +19,12 @@ from edda.walker import (
 from oracles import (
     cosine,
     keys,
+    mined_pairs_by_sources,
     nodes_of,
+    pair_set_of,
     pair_texts,
     random_bipartite_records,
+    top_k_by_rows,
     walk_endpoints,
     walk_stop_counts,
     walk_stop_distribution,
@@ -117,7 +121,7 @@ def test_similarity_scale_invariance():
 def test_mine_pairs_no_anchors_is_empty():
     ds = ingest([(0, 0, 0), (1, 1, 1)])
     got = mine_pairs(ds, 0, 1, 1, _tables(ds, WalkConfig(rng_seed=0)))
-    assert got == SimilarPairSet((0, 1), ())
+    assert got == pair_set_of((0, 1), ())
 
 
 def test_mine_pairs_identical_profile_is_top_one():
@@ -298,21 +302,79 @@ def test_mining_order_does_not_matter(case):
     assert shared == alone
 
 
+def _assert_oracle_endpoints(graph, cfg):
+    table = run_walks(graph, cfg)
+    assert table.shape == (graph.n_nodes, cfg.num_walks)
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0, 0] = 0
+    pairs = graph.user_item_pairs().tolist()
+    for row, node in enumerate(nodes_of(graph.keys)):
+        assert nodes_of(graph.keys[table[row]]) == walk_endpoints(pairs, node, cfg)
+
+
+@settings(max_examples=40, deadline=None)
+@given(mining_cases(), st.integers(1, 6), st.one_of(st.integers(0, 99), st.integers(2**32 - 2, 2**70)))
+@example(ANCHOR_EDGE_CASES, walker.WALK_BLOCK, 5)
+def test_run_walks_rows_are_the_oracle_endpoints(case, block, rng_seed):
+    # node blocks of 1-6 nodes straddle these graphs' 2-10 nodes, and seeds
+    # above 2**32 take two or three entropy words
+    records, cfg, _ = case
+    cfg = replace(cfg, rng_seed=rng_seed)
+    ds = ingest(records)
+    saved, walker.WALK_BLOCK = walker.WALK_BLOCK, block
+    try:
+        for graph in ds.domains:
+            _assert_oracle_endpoints(graph, cfg)
+    finally:
+        walker.WALK_BLOCK = saved
+
+
+@pytest.mark.parametrize("rng_seed", [1, 7, 2**40 + 3])
+def test_run_walks_on_a_graph_of_several_node_blocks(rng_seed):
+    records = random_bipartite_records(np.random.default_rng(rng_seed % 97), 0, 100, 70, 500)
+    graph = ingest(records).graph(0)
+    assert graph.n_nodes > 2 * walker.WALK_BLOCK and graph.n_nodes % walker.WALK_BLOCK
+    _assert_oracle_endpoints(graph, WalkConfig(walk_length=3, num_walks=5, rng_seed=rng_seed))
+
+
 @settings(max_examples=40, deadline=None)
 @given(mining_cases())
 @example(ANCHOR_EDGE_CASES)
-def test_run_walks_rows_are_the_oracle_endpoints(case):
-    records, cfg, _ = case
+def test_mine_pairs_equals_the_per_source_lexsort(case):
+    records, cfg, k = case
     ds = ingest(records)
-    for graph in ds.domains:
-        table = run_walks(graph, cfg)
-        assert table.shape == (graph.n_nodes, cfg.num_walks)
-        assert not table.flags.writeable
-        with pytest.raises(ValueError):
-            table[0, 0] = 0
-        pairs = graph.user_item_pairs().tolist()
-        for row, node in enumerate(nodes_of(graph.keys)):
-            assert nodes_of(graph.keys[table[row]]) == walk_endpoints(pairs, node, cfg)
+    stops = _tables(ds, cfg)
+    flat = lambda s: list(zip(*(a.tolist() for a in (s.kinds, s.sources, s.targets, s.similarities))))
+    for d in range(ds.num_domains):
+        for d_prime in range(d + 1, ds.num_domains):
+            profiles = {}  # shared by both directions, as `edda align` shares it
+            for a, b in ((d, d_prime), (d_prime, d)):
+                want = mined_pairs_by_sources(ds, a, b, k, stops)
+                assert flat(mine_pairs(ds, a, b, k, stops, profiles)) == want
+                assert flat(mine_pairs(ds, a, b, k, stops)) == want
+            assert len(profiles) == (2 if len(anchors(ds, d, d_prime)) else 0)
+
+
+def test_mine_pairs_counts_again_for_another_table():
+    ds = ingest([(0, 0, 0), (0, 1, 0), (0, 1, 1), (1, 0, 5), (1, 1, 5), (1, 1, 6)])
+    profiles = {}
+    mine_pairs(ds, 0, 1, 1, _tables(ds, WalkConfig(walk_length=2, num_walks=30, rng_seed=1)), profiles)
+    other = _tables(ds, WalkConfig(walk_length=2, num_walks=30, rng_seed=2))
+    assert mine_pairs(ds, 1, 0, 1, other, profiles) == mine_pairs(ds, 1, 0, 1, other)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 6), st.integers(1, 8), st.data())
+def test_top_k_equals_a_lexsort_per_row(n_rows, n_cols, k, data):
+    # few distinct values, so rows hold exact ties; row 0 is all zero, and k
+    # may exceed the number of columns
+    values = st.sampled_from([0.0, 0.25, 0.5, 1.0])
+    sims = np.array(data.draw(st.lists(values, min_size=n_rows * n_cols, max_size=n_rows * n_cols)))
+    sims = sims.reshape(n_rows, n_cols)
+    sims[0] = 0.0
+    rows, cols, best = walker._top_k(sims, k)
+    assert list(zip(rows.tolist(), cols.tolist(), best.tolist())) == top_k_by_rows(sims, k)
 
 
 PAIR_LINE = "0\t1\tuser\t3\t4\t0.5"
@@ -364,6 +426,30 @@ def test_load_pairs_returns_valid_pairs_or_raises_value_error(tmp_path_factory, 
             assert p.source.kind == p.target.kind
             assert 0 <= min(p.source.id, p.target.id) <= max(p.source.id, p.target.id) <= 2**62 - 1
             assert 0.0 < p.similarity <= 1.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(pair_texts(), mining_cases()))
+def test_canonical_pair_reader_agrees_with_the_line_loop(tmp_path_factory, case):
+    if isinstance(case, str):
+        text = case
+    else:  # a file as `edda align` writes it
+        records, cfg, k = case
+        ds = ingest(records)
+        stops = _tables(ds, cfg)
+        path = tmp_path_factory.mktemp("pairs") / "pairs.tsv"
+        write_pairs(path, [mine_pairs(ds, 0, 1, k, stops), mine_pairs(ds, 1, 0, k, stops)])
+        text = path.read_text(encoding="utf-8")
+        assert walker._parse_canonical(text) is not None
+    fast = walker._parse_canonical(text)
+    try:
+        slow = walker._parse_lines("pairs.tsv", text)
+    except ValueError:
+        assert fast is None
+        return
+    if fast is not None:
+        assert fast[0].dtype == np.int64 and np.array_equal(fast[0], slow[0])
+        assert fast[1].tobytes() == slow[1].tobytes()
 
 
 def test_write_pairs_failing_midway_keeps_the_earlier_file(tmp_path, monkeypatch, fail_writes):
