@@ -197,10 +197,9 @@ def cmd_align(args) -> int:
     stops = [run_walks(graph, cfg.walk_config()) for graph in split_data.train.domains]
     for d in range(dataset.num_domains):
         for d_prime in range(d + 1, dataset.num_domains):
-            profiles: dict = {}  # both directions read each graph's anchor counts
             pair_sets = [
-                mine_pairs(split_data.train, d, d_prime, cfg.k, stops, profiles),
-                mine_pairs(split_data.train, d_prime, d, cfg.k, stops, profiles),
+                mine_pairs(split_data.train, d, d_prime, cfg.k, stops),
+                mine_pairs(split_data.train, d_prime, d, cfg.k, stops),
             ]
             path = out / f"pairs_{d}_{d_prime}.tsv"
             write_pairs(path, pair_sets)

@@ -241,7 +241,8 @@ def _canonical_rows(raw: bytes) -> np.ndarray | None:
         raw += b"\n"
     text = np.frombuffer(raw, dtype=np.uint8)
     seps = np.flatnonzero(text < ord("0"))
-    lengths = np.diff(seps, prepend=-1) - 1  # digits before each separator
+    lengths = np.diff(seps, prepend=-1)
+    lengths -= 1  # digits before each separator
     if not (
         (text <= ord("9")).all()
         and len(seps) % 3 == 0
@@ -250,11 +251,19 @@ def _canonical_rows(raw: bytes) -> np.ndarray | None:
         and lengths.max(initial=0) <= 18
     ):
         return None
-    digits = text.astype(np.int64) - ord("0")
+    # one digit a field at a time, widened into a reused buffer: the loop
+    # holds three int64 words a field next to the file's bytes
+    lengths = lengths.astype(np.uint8)
+    short = np.empty(len(seps), dtype=bool)
+    term = np.empty(len(seps), dtype=np.int64)
     values = np.zeros(len(seps), dtype=np.int64)
     for j in range(1, lengths.max(initial=0) + 1):  # the j-th digit from each field's end
-        # a field shorter than j masks its index, which may wrap to the file's end
-        values += np.where(lengths >= j, digits[seps - j], 0) * 10 ** (j - 1)
+        seps -= 1  # a field shorter than j masks its index, which may wrap to the file's end
+        np.less(lengths, j, out=short)
+        digits = text[seps] - ord("0")
+        digits[short] = 0
+        np.multiply(digits, 10 ** (j - 1), out=term, dtype=np.int64)
+        values += term
     return values.reshape(-1, 3)
 
 

@@ -18,10 +18,9 @@ id)))`, but no generator is seeded per node: `seeding.pcg64_states` replays
 the seeding for every node of a graph at once, and `run_walks` loads each
 state into one shared `PCG64` and fills the node's `(walk_length,
 num_walks)` draws. The steps then run on arrays, `WALK_BLOCK` nodes at a
-time. Mining is array code too: stop counts are one `bincount`, each
-graph's anchor profile serves both directions of a pair, and top-k is a
-row-wise `argmax` (k = 1) or a partition plus one lexsort of the
-candidates. A `SimilarPairSet` holds its pairs as arrays; `write_pairs`
+time. Mining is array code too: stop counts are one `bincount`, and
+top-k is a row-wise `argmax` (k = 1) or a partition plus one lexsort of
+the candidates. A `SimilarPairSet` holds its pairs as arrays; `write_pairs`
 formats them in one pass and `load_pairs` reads a canonical file with numpy.
 """
 
@@ -194,7 +193,6 @@ def mine_pairs(
     d_prime: int,
     k: int,
     stops: Sequence[np.ndarray],
-    profiles: dict | None = None,
 ) -> SimilarPairSet:
     """Top-k similar nodes in `d_prime` for every node of `d`, from the
     `run_walks` tables of the dataset's graphs (`stops[d]` walks graph d).
@@ -207,11 +205,6 @@ def mine_pairs(
     product, so their floating-point cosines can differ in the last bit and
     such ties are decided by rounding. Exact brute force over all candidates.
     A table whose shape does not match its graph raises ValueError.
-
-    `profiles`, a dict the two directions of a pair share, keeps each
-    graph's normalised anchor counts by domain, so the second direction
-    reads them instead of counting again; an entry is reused only for the
-    same table object and the same anchors.
     """
     if d == d_prime:
         raise ValueError("pair mining requires two distinct domains")
@@ -227,16 +220,10 @@ def mine_pairs(
     if len(anchor_keys) == 0:
         return SimilarPairSet((d, d_prime), empty, empty, empty, np.empty(0))
 
-    profiles = {} if profiles is None else profiles
-    mats = []
-    for domain, graph, table in ((d, src_graph, src_stops), (d_prime, dst_graph, dst_stops)):
-        entry = profiles.get(domain)
-        if entry is None or entry[0] is not table or not np.array_equal(entry[1], anchor_keys):
-            counts = _stop_counts(table, _anchor_positions(graph, anchor_keys), len(anchor_keys))
-            entry = profiles[domain] = (table, anchor_keys, _normalized_rows(counts))
-            del counts  # a graph's counts are as large as its profile
-        mats.append(entry[2])
-    src_mat, dst_mat = mats
+    src_mat, dst_mat = (
+        _normalized_rows(_stop_counts(table, _anchor_positions(graph, anchor_keys), len(anchor_keys)))
+        for graph, table in ((src_graph, src_stops), (dst_graph, dst_stops))
+    )
     n_src_users, n_dst_users = src_graph.n_users, dst_graph.n_users
     parts = []
     # local order puts users before items, so each kind is one block of rows

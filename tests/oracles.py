@@ -775,7 +775,7 @@ _ID_TEXT = st.one_of(
 def pair_texts(draw):
     """Pair-export files: lines of 6 tab-separated fields, each mostly valid
     but with ids and domains of every range, odd kinds and similarities, plus
-    lines of other widths, comments and blank lines."""
+    lines of other widths, comments and blank lines; some end in a newline."""
     six = st.tuples(
         _ID_TEXT,
         _ID_TEXT,
@@ -789,4 +789,4 @@ def pair_texts(draw):
         st.lists(_ID_TEXT, max_size=8).map("\t".join),
         st.sampled_from(["", "# comment"]),
     )
-    return "\n".join(draw(st.lists(line, max_size=6)))
+    return "\n".join(draw(st.lists(line, max_size=6))) + draw(st.sampled_from(["", "\n"]))
