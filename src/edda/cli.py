@@ -270,6 +270,12 @@ def cmd_train(args) -> int:
         pair_sets = []
     elif _refused("train", _pair_mismatches(pair_paths, cfg, Path(args.data)), args.force):
         return 2
+    elif not pair_sets:
+        print(
+            f"warning: variant {cfg.variant} aligns pairs, but no pair was loaded;"
+            " it trains without the alignment term",
+            file=sys.stderr,
+        )
 
     model = init_model(cfg.model_spec(), dataset, seed=cfg.seed)
     out = Path(args.out)
@@ -282,10 +288,10 @@ def cmd_train(args) -> int:
                 save_model(out / f"checkpoint_epoch_{log.epoch}", current)
         callbacks.append(checkpoint_cb)
 
+    val_cases = evalkit.build_all_cases(split_data, "validation", cfg.eval_seed)
     try:
         model, logs = train(
-            model, split_data, pair_sets, cfg.train_config(),
-            callbacks=callbacks, eval_seed=cfg.eval_seed,
+            model, split_data, pair_sets, cfg.train_config(), val_cases, callbacks=callbacks
         )
     except TrainingDiverged as err:
         print(f"training diverged: {err}", file=sys.stderr)
@@ -300,8 +306,7 @@ def cmd_train(args) -> int:
         )
     with atomic_write(out / "train.log") as handle:
         handle.write("\n".join(log_lines) + ("\n" if log_lines else ""))
-    val_rows = evalkit.evaluate_all(model, split_data, which="validation", eval_seed=cfg.eval_seed)
-    evalkit.write_report(out / "val_report.tsv", val_rows)
+    evalkit.write_report(out / "val_report.tsv", evalkit.evaluate_all(model, split_data, val_cases))
 
     inputs = {"data": Path(args.data)}
     for idx, p in enumerate(pair_paths):
@@ -336,7 +341,8 @@ def cmd_eval(args) -> int:
     if mismatch:
         print(f"error: checkpoint does not match the data: {mismatch}", file=sys.stderr)
         return 2
-    rows = evalkit.evaluate_all(model, split_data, which="test", eval_seed=cfg.eval_seed)
+    test_cases = evalkit.build_all_cases(split_data, "test", cfg.eval_seed)
+    rows = evalkit.evaluate_all(model, split_data, test_cases)
     report = evalkit.format_report(rows)
     sys.stdout.write(report)
 
@@ -362,11 +368,8 @@ def cmd_eval(args) -> int:
 
 
 def _overrides(args) -> dict:
-    names = (
-        "seed", "eval_seed", "variant", "beta", "k",
-        "walk_length", "num_walks", "epochs",
-    )
-    return {name: getattr(args, name, None) for name in names}
+    """The RunConfig fields set by command-line flags; a flag's dest is its field name."""
+    return {f.name: getattr(args, f.name, None) for f in fields(RunConfig)}
 
 
 def build_parser() -> _Parser:

@@ -71,7 +71,6 @@ class EDModel:
         self.inter = inter
         self.intra = intra
         self.proj = proj
-        self._maps = None
 
     @property
     def num_domains(self) -> int:
@@ -112,33 +111,6 @@ class EDModel:
         """
         return Encoding(self, dataset, masks)
 
-    def _row_maps(self, dataset: MultiDomainDataset) -> "_RowMaps":
-        """Graph-local to table row maps, cached per (dataset, tables)."""
-        key = (dataset, self.inter, *(self.intra or ()))  # compared by identity
-        if self._maps is None or self._maps[0] != key:
-            self._maps = (key, _RowMaps(self, dataset))
-        return self._maps[1]
-
-
-class _RowMaps:
-    """Per domain graph: table row of each local node, and the rows no graph covers."""
-
-    def __init__(self, model: EDModel, dataset: MultiDomainDataset):
-        graphs = dataset.domains
-        self.inter_rows: list[np.ndarray] = []
-        self.inter_uncovered = None
-        if model.inter is not None:
-            self.inter_rows = [model.inter.rows(graph.keys) for graph in graphs]
-            self.inter_uncovered = np.flatnonzero(~np.isin(model.inter.keys, dataset.keys))
-        self.intra_rows: list[np.ndarray] = []
-        self.intra_uncovered: list[np.ndarray] = []
-        if model.intra is not None:
-            self.intra_rows = [model.intra[d].rows(graph.keys) for d, graph in enumerate(graphs)]
-            self.intra_uncovered = [
-                np.flatnonzero(~np.isin(model.intra[d].keys, graph.keys))
-                for d, graph in enumerate(graphs)
-            ]
-
 
 class Encoding:
     """Encoded table rows of one model on one dataset's graphs.
@@ -148,8 +120,10 @@ class Encoding:
     row of `model.intra[d]`, propagated on domain d's graph and built on first
     use. Rows without an edge in the dataset keep the alpha^L-scaled residual
     of their raw row; the MF encoder is the identity. `inter_rows[d]` and
-    `intra_rows[d]` map domain d's local node order to table rows. `dtype` is
-    the parameters' common dtype.
+    `intra_rows[d]` map domain d's local node order to table rows; they and
+    the uncovered rows are built here from the model's tables and the
+    dataset's graphs as they are now, so nothing outlives the encoding.
+    `dtype` is the parameters' common dtype.
     """
 
     def __init__(self, model: EDModel, dataset: MultiDomainDataset, masks=None):
@@ -157,16 +131,23 @@ class Encoding:
         self.model = model
         self.dataset = dataset
         self.masks = masks
-        self._maps = model._row_maps(dataset)
-        self.inter_rows = self._maps.inter_rows
-        self.intra_rows = self._maps.intra_rows
         self._mf = spec.encoder == ENCODER_MF
         self._residual = spec.grec.alpha ** spec.grec.num_layers
         self._ops: dict[int, object] = {}
         self._intra: dict[int, np.ndarray] = {}
         self.dtype = np.result_type(*(arr for _, arr in model.parameters()))
+        graphs = dataset.domains
+        self.intra_rows: list[np.ndarray] = []
+        if model.intra is not None:
+            self.intra_rows = [model.intra[d].rows(graph.keys) for d, graph in enumerate(graphs)]
+            self._intra_uncovered = [
+                _uncovered(len(table.keys), [rows]) for table, rows in zip(model.intra, self.intra_rows)
+            ]
+        self.inter_rows: list[np.ndarray] = []
         self.inter = None
         if model.inter is not None:
+            self.inter_rows = [model.inter.rows(graph.keys) for graph in graphs]
+            self._inter_uncovered = _uncovered(len(model.inter.keys), self.inter_rows)
             x = model.inter.matrix
             self.inter = self._inter_map(x, np.zeros_like(x))
 
@@ -192,10 +173,10 @@ class Encoding:
         return out
 
     def _inter_map(self, x, out):
-        return self._map(enumerate(self.inter_rows), self._maps.inter_uncovered, x, out)
+        return self._map(enumerate(self.inter_rows), self._inter_uncovered, x, out)
 
     def _intra_map(self, d, x, out):
-        return self._map([(d, self.intra_rows[d])], self._maps.intra_uncovered[d], x, out)
+        return self._map([(d, self.intra_rows[d])], self._intra_uncovered[d], x, out)
 
     def intra(self, d: int) -> np.ndarray:
         """Encoded per-domain rows of domain d, in `model.intra[d]` row order."""
@@ -234,6 +215,14 @@ class Encoding:
             self._inter_map(d_inter, out["inter"])
         for d, grad in d_intra.items():
             self._intra_map(d, grad, out[f"intra[{d}]"])
+
+
+def _uncovered(n_rows: int, covered: list[np.ndarray]) -> np.ndarray:
+    """Ascending indices below `n_rows` that no array in `covered` holds."""
+    mask = np.ones(n_rows, dtype=bool)
+    for rows in covered:
+        mask[rows] = False
+    return np.flatnonzero(mask)
 
 
 def init_model(spec: ModelSpec, dataset: MultiDomainDataset, seed: int) -> EDModel:

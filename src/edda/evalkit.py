@@ -19,18 +19,19 @@ candidates (score ties break toward the smaller item id, so a tied lower-id
 negative counts as a miss).
 
 Splits and cases are integer arrays. A domain's cases form one `CaseSet`
-(users, positives and row-sorted negatives, as raw ids), and
-`build_all_cases` builds each split's case sets once per (which, eval_seed):
-per-epoch validation and the validation report of a training run share one
-build. Scoring reads the case sets through the model's `Encoding` with
-integer node keys, `SCORE_CHUNK` cases at a time, and computes AUC by one
-search of per-user sorted score keys and Recall@1 in one comparison.
+(users, positives and row-sorted negatives, as raw ids). `build_all_cases`
+builds a split's case sets and stores nothing: the caller keeps them, so a
+training run builds its validation cases once and hands them to both the
+per-epoch validation and the validation report. Scoring reads the case sets
+through the model's `Encoding` with integer node keys, `SCORE_CHUNK` cases at
+a time, and computes AUC by one search of per-user sorted score keys and
+Recall@1 in one comparison.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -51,18 +52,14 @@ SCORE_CHUNK = 1024  # cases per scoring block
 class SplitDataset:
     """Train/validation/test partition of a dataset's interactions.
 
-    The held-out arrays are read-only; `build_all_cases` memoises case sets
-    per held-out array object in `cases`.
+    The held-out arrays are read-only; their case sets are built from them by
+    `build_all_cases` and kept by the caller.
     """
 
     full: MultiDomainDataset
     train: MultiDomainDataset
     validation: list[np.ndarray]  # per domain, (n, 2) raw (user_id, item_id)
     test: list[np.ndarray]
-    seed: int
-    cases: dict[tuple[str, int], tuple[list[np.ndarray], list[CaseSet]]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
 
 
 @dataclass(frozen=True)
@@ -138,18 +135,10 @@ def split(
         train=MultiDomainDataset(train_graphs),
         validation=val_parts,
         test=test_parts,
-        seed=seed,
     )
 
 
 # -- evaluation cases ---------------------------------------------------------
-
-
-def _held_out(split_data: SplitDataset, which: str) -> list[np.ndarray]:
-    """Every domain's held-out rows of the `which` split: "validation" or "test"."""
-    if which not in ("validation", "test"):
-        raise ValueError(f"which must be 'validation' or 'test', got {which!r}")
-    return split_data.validation if which == "validation" else split_data.test
 
 
 def build_cases(
@@ -167,8 +156,10 @@ def build_cases(
     and each row is sorted. `tests/oracles.eval_cases` is the per-case
     reference the tests pin it to.
     """
+    if which not in ("validation", "test"):
+        raise ValueError(f"which must be 'validation' or 'test', got {which!r}")
     graph = split_data.full.graph(d)
-    held_out = np.asarray(_held_out(split_data, which)[d], dtype=np.int64).reshape(-1, 2)
+    held_out = np.asarray(getattr(split_data, which)[d], dtype=np.int64).reshape(-1, 2)
     if not np.isin(held_out[:, 0], graph.user_ids).all():
         raise ValueError(f"domain {d}: held-out rows name users outside the domain")
     u_locs = np.searchsorted(graph.user_ids, held_out[:, 0])
@@ -253,17 +244,9 @@ def _choice_ranks(entropy: Sequence, pops: np.ndarray) -> np.ndarray:
 def build_all_cases(
     split_data: SplitDataset, which: str = "test", eval_seed: int = 0
 ) -> list[CaseSet]:
-    """Every domain's case set, built once per (held-out arrays, eval_seed)."""
-    held_out = _held_out(split_data, which)
-    key = (which, eval_seed)
-    cached = split_data.cases.get(key)
-    if cached is None or any(a is not b for a, b in zip(cached[0], held_out)):
-        cases = [
-            build_cases(split_data, d, which, eval_seed)
-            for d in range(split_data.full.num_domains)
-        ]
-        cached = split_data.cases[key] = (list(held_out), cases)
-    return cached[1]
+    """Every domain's case set of the `which` split, in domain order."""
+    num_domains = split_data.full.num_domains
+    return [build_cases(split_data, d, which, eval_seed) for d in range(num_domains)]
 
 
 def _case_scores(enc: Encoding, cases: CaseSet):
@@ -348,13 +331,10 @@ def _mean(rows: Sequence[tuple[int, float, float, int]]) -> tuple[float, float, 
 
 
 def evaluate_all(
-    model: EDModel,
-    split_data: SplitDataset,
-    which: str = "test",
-    eval_seed: int = 0,
+    model: EDModel, split_data: SplitDataset, cases_per_domain: Sequence[CaseSet]
 ) -> list[tuple[int, float, float, int]]:
-    """(domain, AUC, Recall@1, num_cases) per domain, one propagation pass."""
-    return _rows(model.propagated(split_data.train), build_all_cases(split_data, which, eval_seed))
+    """(domain, AUC, Recall@1, num_cases) per prebuilt case set, one propagation pass."""
+    return _rows(model.propagated(split_data.train), cases_per_domain)
 
 
 def evaluate_cases_mean(

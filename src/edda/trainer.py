@@ -338,16 +338,17 @@ def train(
     split,
     pair_sets: Sequence[SimilarPairSet],
     cfg: TrainConfig,
+    val_cases: Sequence[evalkit.CaseSet],
     callbacks: Sequence[Callable[[EpochLog, EDModel], None]] = (),
-    eval_seed: int = 0,
 ) -> tuple[EDModel, list[EpochLog]]:
     """Optimize the model on a split dataset; returns the model and epoch logs.
 
     One epoch uses every training interaction as a positive once, in
     per-domain batches interleaved round-robin. Fresh edge-dropout masks are
-    drawn for every domain on every batch. When `cfg.patience` is set, stops
-    after that many epochs without a validation-AUC improvement and restores
-    the best parameters seen.
+    drawn for every domain on every batch. After each epoch the model is
+    scored on `val_cases`, the validation case sets (`evalkit.build_all_cases`).
+    When `cfg.patience` is set, stops after that many epochs without a
+    validation-AUC improvement and restores the best parameters seen.
     """
     rng = np.random.default_rng(cfg.seed)
     train_ds = split.train
@@ -357,7 +358,6 @@ def train(
     grads = {name: np.empty_like(arr) for name, arr in model.parameters()}  # reused per batch
 
     samplers = [_NegativeSampler(graph) for graph in train_ds.domains]
-    val_cases = evalkit.build_all_cases(split, which="validation", eval_seed=eval_seed)
     has_val = any(cases for cases in val_cases)
     logs: list[EpochLog] = []
     best_auc = -np.inf

@@ -26,6 +26,7 @@ formats them in one pass and `load_pairs` reads a canonical file with numpy.
 
 from __future__ import annotations
 
+import io
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -266,6 +267,10 @@ def write_pairs(path: str | Path, pair_sets: Sequence[SimilarPairSet]) -> None:
 
 
 _PAIR_KINDS = {"user": NodeKind.USER, "item": NodeKind.ITEM}
+_PAIR_ROW = np.dtype([
+    ("d", "<i8"), ("d_prime", "<i8"), ("kind", "U4"), ("source", "<i8"), ("target", "<i8"),
+    ("sim", "<f8"),
+])
 # what `write_pairs` writes: a file of only such lines is read in one numpy pass
 _CANONICAL_PAIRS = re.compile(
     r"(?:[0-9]+\t[0-9]+\t(?:user|item)\t[0-9]+\t[0-9]+\t(?:1|0\.[0-9]+|[1-9](?:\.[0-9]+)?e-[0-9]+)\n)*"
@@ -304,15 +309,15 @@ def _parse_canonical(text: str) -> tuple[np.ndarray, np.ndarray] | None:
     file, or one with a value the line loop refuses."""
     if not _CANONICAL_PAIRS.fullmatch(text):
         return None
-    fields = text.replace("\n", "\t").split("\t")[:-1]
-    columns = [fields[j::6] for j in range(6)]  # lists of str: numpy's str-array casts are slower
+    if not text:
+        return np.empty((0, 5), dtype=np.int64), np.empty(0)
     try:
-        d, d_prime, source, target = (np.array(columns[j], dtype=np.int64) for j in (0, 1, 3, 4))
-    except OverflowError:  # an id above int64
+        rows = np.loadtxt(io.StringIO(text), dtype=_PAIR_ROW, delimiter="\t", comments=None, ndmin=1)
+    except (ValueError, OverflowError):  # an id above the int64 range
         return None
-    kinds = np.array([name == "item" for name in columns[2]], dtype=np.int64)
-    ints = np.column_stack([d, d_prime, kinds, source, target])
-    sims = np.array(columns[5], dtype=np.float64)
+    kinds = (rows["kind"] == "item").astype(np.int64)
+    ints = np.column_stack([rows["d"], rows["d_prime"], kinds, rows["source"], rows["target"]])
+    sims = rows["sim"]
     valid = (ints[:, 0] != ints[:, 1]) & (ints <= MAX_ID).all(axis=1) & (sims > 0.0) & (sims <= 1.0)
     return (ints, sims) if valid.all() else None
 

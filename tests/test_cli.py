@@ -1,14 +1,17 @@
+import argparse
 import contextlib
 import filecmp
 import hashlib
 import io
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from edda.cli import main
+from edda import evalkit
+from edda.cli import RunConfig, build_parser, main
 from edda.edmodel import init_model, load_model
 from edda.mdgraph import ingest_file, write_interactions
 
@@ -597,6 +600,55 @@ def test_train_with_checked_pairs_writes_the_same_bytes(workspace, capsys):
     assert runs["checked"][0] == runs["forced"][0] == runs["bare"][0]
     assert runs["checked"][1] == runs["forced"][1] == ""
     assert runs["bare"][1].count("warning: no align manifest") == 1
+
+
+@pytest.mark.parametrize(
+    "variant, pairs", [("edda", None), ("edda", "empty"), ("ed-mf", None)]
+)
+def test_aligned_variant_without_pairs_warns_and_trains(workspace, capsys, variant, pairs):
+    data = workspace / "data" / "interactions.tsv"
+    argv = ["train", str(data), "--out", str(workspace / "run"), "--variant", variant]
+    if pairs:
+        (workspace / pairs).mkdir()  # a directory without pairs_*.tsv
+        argv += ["--pairs", str(workspace / pairs)]
+    capsys.readouterr()
+    assert main([*argv, "--config", str(workspace / "run.cfg")]) == 0
+    assert capsys.readouterr().err == (
+        f"warning: variant {variant} aligns pairs, but no pair was loaded;"
+        " it trains without the alignment term\n"
+    )
+    assert (workspace / "run" / "checkpoint" / "model.manifest").exists()
+
+
+def test_train_and_eval_build_each_domains_cases_once(workspace, monkeypatch):
+    data = workspace / "data" / "interactions.tsv"
+    config = workspace / "run.cfg"
+    built = []
+    original = evalkit.build_cases
+
+    def counted(split_data, d, which="test", eval_seed=0):
+        built.append((which, d))
+        return original(split_data, d, which, eval_seed)
+
+    monkeypatch.setattr(evalkit, "build_cases", counted)
+    run = workspace / "run"
+    assert "epochs = 3" in CONFIG_TEXT  # validation scores three epochs and the report
+    assert main(["train", str(data), "--out", str(run), "--config", str(config)]) == 0
+    assert built == [("validation", 0), ("validation", 1)]
+    built.clear()
+    assert main(["eval", str(data), str(run), "--config", str(config)]) == 0
+    assert built == [("test", 0), ("test", 1)]
+
+
+def test_every_run_option_names_a_run_config_field():
+    not_run_config = {"config", "data", "run", "out", "pairs", "force", "help"}
+    subparsers = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    names = {f.name for f in fields(RunConfig)}
+    for command in ("align", "train", "eval"):
+        dests = {a.dest for a in subparsers.choices[command]._actions} - not_run_config
+        assert dests and dests <= names, (command, dests - names)
 
 
 def test_train_rejects_malformed_pair_file(workspace, capsys):

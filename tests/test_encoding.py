@@ -189,3 +189,22 @@ def test_two_encodings_of_one_model_are_equal():
     assert np.array_equal(first.inter, second.inter)
     for d in range(ds.num_domains):
         assert np.array_equal(first.intra(d), second.intra(d))
+
+
+@pytest.mark.parametrize("use_intra", [False, True])
+def test_an_encoding_after_a_graph_is_replaced_equals_a_fresh_models(use_intra):
+    # domain 0 = users 0-3 x items 0-3, domain 1 = users 4-7 x items 4-7
+    records = [
+        (d, u + 4 * d, i + 4 * d) for d in (0, 1) for u in range(4) for i in range(4) if (u + i) % 3
+    ]
+    ds = ingest(records)
+    model = init_model(ModelSpec(d_inter=3, d_intra=2, use_intra=use_intra), ds, seed=1)
+    model.propagated(ds)
+    pairs = ds.graph(1 if not use_intra else 0).user_item_pairs()
+    # the shared table alone: domain 0 moves onto domain 1's nodes, as many as
+    # before; with per-domain tables: domain 0 keeps a subset of its nodes
+    ds.domains[0] = DomainGraph(0, pairs[::2] if not use_intra else pairs[pairs[:, 0] != 0])
+    got, want = model.propagated(ds), model.copy().propagated(ds)
+    assert np.array_equal(got.inter, want.inter)
+    for d in range(ds.num_domains if use_intra else 0):
+        assert np.array_equal(got.intra(d), want.intra(d))

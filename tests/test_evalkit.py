@@ -10,6 +10,7 @@ from edda.edmodel import EDModel, ModelSpec, init_model
 from edda.encoders import EmbeddingTable
 from edda.evalkit import (
     auc_from_scores,
+    build_all_cases,
     build_cases,
     domain_size,
     evaluate_all,
@@ -104,16 +105,16 @@ def test_auc_and_recall_extremes():
     test_items = {int(i) for _, i in sp.test[0]}
 
     best = _mf_model_with_item_scores(ds, lambda i: 1.0 if i in test_items else -1.0)
-    assert evaluate_all(best, sp)[0][1:3] == (1.0, 1.0)
+    assert evaluate_all(best, sp, build_all_cases(sp))[0][1:3] == (1.0, 1.0)
 
     worst = _mf_model_with_item_scores(ds, lambda i: -1.0 if i in test_items else 1.0)
-    assert evaluate_all(worst, sp)[0][1:3] == (0.0, 0.0)
+    assert evaluate_all(worst, sp, build_all_cases(sp))[0][1:3] == (0.0, 0.0)
 
 
 def test_auc_all_ties_is_half():
     ds, sp = _eval_fixture()
     zero = zeroed(init_model(ModelSpec(d_inter=2, d_intra=2), ds, seed=0))
-    assert evaluate_all(zero, sp)[0][1] == 0.5
+    assert evaluate_all(zero, sp, build_all_cases(sp))[0][1] == 0.5
 
 
 def test_tied_top_score_with_lower_id_negative_is_a_miss():
@@ -130,7 +131,7 @@ def test_tied_top_score_with_lower_id_negative_is_a_miss():
     zero = zeroed(init_model(ModelSpec(d_inter=2, d_intra=2), ds, seed=0))
     cases = build_cases(sp, 0, "test")
     assert len(cases) and np.all(cases.positives < cases.negatives.min(axis=1))
-    assert evaluate_all(zero, sp)[0][2] == 1.0
+    assert evaluate_all(zero, sp, build_all_cases(sp))[0][2] == 1.0
 
 
 def test_auc_matches_pairwise_oracle_with_one_inversion():
@@ -355,7 +356,7 @@ def test_report_format():
 def test_evaluate_all_row_count():
     ds, sp = _eval_fixture()
     model = init_model(ModelSpec(d_inter=2, d_intra=2), ds, seed=1)
-    rows = evaluate_all(model, sp)
+    rows = evaluate_all(model, sp, build_all_cases(sp))
     assert len(rows) == ds.num_domains
     text = format_report(rows)
     assert len(text.strip().split("\n")) == ds.num_domains + 2
@@ -363,11 +364,9 @@ def test_evaluate_all_row_count():
 
 def test_an_unknown_split_name_raises_instead_of_evaluating_the_test_split():
     ds, sp = _eval_fixture()
-    model = init_model(ModelSpec(d_inter=2, d_intra=2), ds, seed=1)
     for evaluate in (
         lambda: build_cases(sp, 0, which="valid"),
         lambda: evalkit.build_all_cases(sp, which="valid"),
-        lambda: evaluate_all(model, sp, which="valid"),
     ):
         with pytest.raises(ValueError, match="'valid'"):
             evaluate()
@@ -471,28 +470,6 @@ def test_array_metrics_equal_list_oracles(seed, n_cases, dtype):
     assert recall_at_1_from_scores(pos, neg, pos_ids, neg_ids) == recall_at_1_from_scored_cases(
         scored_recall
     )
-
-
-def test_build_all_cases_builds_once_per_held_out_arrays(monkeypatch):
-    ds, sp = _eval_fixture()
-    calls = []
-    original = evalkit.build_cases
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(evalkit, "build_cases", counted)
-    first = evalkit.build_all_cases(sp, "test", 3)
-    model = init_model(ModelSpec(d_inter=2, d_intra=2), ds, seed=1)
-    evaluate_all(model, sp, "test", eval_seed=3)
-    assert evalkit.build_all_cases(sp, "test", 3) is first
-    assert len(calls) == ds.num_domains
-    evalkit.build_all_cases(sp, "test", 4)  # another eval seed
-    evalkit.build_all_cases(sp, "validation", 3)
-    assert len(calls) == 3 * ds.num_domains
-    sp.test[0] = sp.test[0][:1]  # new held-out arrays are built again
-    assert len(evalkit.build_all_cases(sp, "test", 3)[0]) == 1
-    assert len(calls) == 4 * ds.num_domains
 
 
 @pytest.mark.parametrize("dtype", ["float64", "float32"])

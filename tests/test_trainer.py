@@ -46,6 +46,10 @@ U = lambda i: NodeId(NodeKind.USER, i)
 I = lambda i: NodeId(NodeKind.ITEM, i)
 
 
+def _val_cases(sp):
+    return evalkit.build_all_cases(sp, "validation")
+
+
 def sample_triplets(ds, counts, rng):
     """Per domain d, triplets for `counts[d]` training edges drawn uniformly
     with replacement, as the (3, n) local index rows `loss_and_gradients` takes."""
@@ -155,8 +159,9 @@ def test_alignment_pairs_within_one_domain_are_refused():
     pairs = [pair_set_of((0, 0), (SimilarPair(U(0), U(1), 1.0),))]
     with pytest.raises(ValueError, match=r"pair domains must differ, got 0 twice"):
         alignment_loss(model, ds, pairs)
+    sp = split(ds, seed=0)
     with pytest.raises(ValueError, match="pair domains must differ"):
-        train(model, split(ds, seed=0), pairs, TrainConfig(epochs=1))
+        train(model, sp, pairs, TrainConfig(epochs=1), _val_cases(sp))
 
 
 def test_total_loss_decomposition():
@@ -481,7 +486,7 @@ def test_train_zero_epochs_keeps_model():
     sp = _toy_split()
     model = init_model(ModelSpec(d_inter=4, d_intra=4), sp.full, seed=1)
     before = {name: arr.copy() for name, arr in model.parameters()}
-    trained, logs = train(model, sp, [], TrainConfig(epochs=0))
+    trained, logs = train(model, sp, [], TrainConfig(epochs=0), _val_cases(sp))
     assert logs == []
     for name, arr in trained.parameters():
         assert np.array_equal(arr, before[name])
@@ -496,7 +501,7 @@ def test_train_loss_decreases_on_separable_toy():
         beta=0.0, reg_lambda=1e-4, learning_rate=0.02, epochs=50,
         edge_dropout=0.0, seed=3,
     )
-    _, logs = train(model, sp, [], cfg)
+    _, logs = train(model, sp, [], cfg, _val_cases(sp))
     drops = sum(b.bpr < a.bpr for a, b in zip(logs, logs[1:]))
     assert drops / (len(logs) - 1) >= 0.9
 
@@ -518,7 +523,7 @@ def test_train_large_beta_pulls_pair_together():
         beta=1e3, reg_lambda=0.0, learning_rate=0.02, epochs=60,
         edge_dropout=0.0, seed=5,
     )
-    trained, _ = train(model, sp, [pair], cfg)
+    trained, _ = train(model, sp, [pair], cfg, _val_cases(sp))
     assert pair_distance(trained) <= before / 10.0
 
 
@@ -528,7 +533,7 @@ def test_train_determinism():
     for _ in range(2):
         model = init_model(ModelSpec(d_inter=4, d_intra=4), sp.full, seed=6)
         cfg = TrainConfig(epochs=5, seed=7, edge_dropout=0.3, learning_rate=0.01)
-        trained, logs = train(model, sp, [], cfg)
+        trained, logs = train(model, sp, [], cfg, _val_cases(sp))
         results.append(
             ({n: a.copy() for n, a in trained.parameters()}, [l.bpr for l in logs])
         )
@@ -542,7 +547,7 @@ def test_train_aborts_on_divergence():
     model = init_model(ModelSpec(d_inter=4, d_intra=4), sp.full, seed=8)
     model.inter.matrix[:] = 1e200  # scores overflow to inf
     with pytest.raises(TrainingDiverged, match=r"in epoch 1, domain 0: bpr \S+, align \S+, total"):
-        train(model, sp, [], TrainConfig(epochs=1, edge_dropout=0.0))
+        train(model, sp, [], TrainConfig(epochs=1, edge_dropout=0.0), _val_cases(sp))
 
 
 @settings(max_examples=100, deadline=None)
@@ -610,7 +615,7 @@ def test_train_subsamples_pairs_past_the_threshold_and_reruns_identically(monkey
     results = []
     for _ in range(2):
         model = init_model(ModelSpec(d_inter=4, d_intra=4), sp.full, seed=10)
-        trained, logs = train(model, sp, [pair_set], cfg)
+        trained, logs = train(model, sp, [pair_set], cfg, _val_cases(sp))
         results.append(({n: a.copy() for n, a in trained.parameters()}, logs))
     assert samples and set(samples) == {(2, 56 / 2)}
     assert [(l.bpr, l.align) for l in results[0][1]] == [(l.bpr, l.align) for l in results[1][1]]
@@ -637,12 +642,12 @@ def test_early_stopping_stops_after_patience_epochs_and_restores_best(
         evalkit, "evaluate_cases_mean", lambda model, split_data, cases: (next(scripted), 0.0, 1)
     )
     sp = split(ingest(random_bipartite_records(np.random.default_rng(0), 0, 8, 30, 60)), seed=0)
-    assert any(evalkit.build_all_cases(sp, which="validation"))
+    assert any(_val_cases(sp))
     snapshots = []
     model = init_model(ModelSpec(d_inter=4, d_intra=4), sp.full, seed=1)
     cfg = TrainConfig(epochs=6, patience=patience, learning_rate=0.01, edge_dropout=0.0)
     trained, logs = train(
-        model, sp, [], cfg,
+        model, sp, [], cfg, _val_cases(sp),
         callbacks=[lambda log, m: snapshots.append({n: a.copy() for n, a in m.parameters()})],
     )
     assert [log.epoch for log in logs] == list(range(1, epochs_run + 1))
