@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import io
 import re
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -312,13 +313,18 @@ def _parse_canonical(text: str) -> tuple[np.ndarray, np.ndarray] | None:
     if not text:
         return np.empty((0, 5), dtype=np.int64), np.empty(0)
     try:
-        rows = np.loadtxt(io.StringIO(text), dtype=_PAIR_ROW, delimiter="\t", comments=None, ndmin=1)
-    except (ValueError, OverflowError):  # an id above the int64 range
+        with warnings.catch_warnings():
+            # numpy 1.23-1.26 read an id above int64 as a float, warn, and cast
+            # it to a wrong int64; as an error the warning refuses the file
+            warnings.simplefilter("error", DeprecationWarning)
+            rows = np.loadtxt(io.StringIO(text), dtype=_PAIR_ROW, delimiter="\t", comments=None, ndmin=1)
+    except (ValueError, OverflowError, DeprecationWarning):  # an id above the int64 range
         return None
     kinds = (rows["kind"] == "item").astype(np.int64)
     ints = np.column_stack([rows["d"], rows["d_prime"], kinds, rows["source"], rows["target"]])
     sims = rows["sim"]
-    valid = (ints[:, 0] != ints[:, 1]) & (ints <= MAX_ID).all(axis=1) & (sims > 0.0) & (sims <= 1.0)
+    in_range = ((ints >= 0) & (ints <= MAX_ID)).all(axis=1)  # also a cast id, if numpy did not warn
+    valid = (ints[:, 0] != ints[:, 1]) & in_range & (sims > 0.0) & (sims <= 1.0)
     return (ints, sims) if valid.all() else None
 
 

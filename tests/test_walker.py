@@ -1,5 +1,7 @@
 from dataclasses import replace
 from fractions import Fraction
+import io
+import warnings
 
 import numpy as np
 import pytest
@@ -420,6 +422,36 @@ def test_canonical_pair_reader_leaves_refused_values_to_the_line_loop(tmp_path, 
     path.write_text(text, encoding="utf-8")
     with pytest.raises(ValueError, match=f"pairs.tsv line 2: .*{message}"):
         load_pairs(path)
+
+
+@pytest.mark.parametrize("warns", [True, False])
+@pytest.mark.parametrize(
+    "bad", [f"0\t1\titem\t3\t{10**20 - 1}\t0.5", f"0\t{10**20 - 1}\tuser\t3\t4\t0.5"]
+)
+def test_canonical_pair_reader_refuses_an_id_numpy_casts_via_a_float(monkeypatch, bad, warns):
+    # numpy 1.23-1.26's loadtxt reads an int64 field that overflows as a
+    # float, warns once, and casts it (to INT64_MIN on x86-64); newer numpy
+    # raises instead. Replay the old behaviour on whatever numpy is installed.
+    real_loadtxt = np.loadtxt
+    int64 = np.iinfo(np.int64)
+
+    def old_loadtxt(fname, dtype, **kwargs):
+        rows = [line.split("\t") for line in fname.read().splitlines()]
+        if warns and any(int(row[c]) > int64.max for row in rows for c in (0, 1, 3, 4)):
+            warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.", DeprecationWarning)
+        cast = [
+            [str(int64.min) if c in (0, 1, 3, 4) and int(f) > int64.max else f for c, f in enumerate(row)]
+            for row in rows
+        ]
+        return real_loadtxt(io.StringIO("".join("\t".join(row) + "\n" for row in cast)), dtype=dtype, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", old_loadtxt)
+    with warnings.catch_warnings(record=True) as shown:
+        warnings.simplefilter("always")
+        assert walker._parse_canonical(f"{PAIR_LINE}\n{bad}\n") is None
+        ints, _ = walker._parse_canonical(f"{PAIR_LINE}\n")
+    assert shown == []
+    assert ints.tolist() == [[0, 1, 0, 3, 4]]
 
 
 @settings(max_examples=200, deadline=None)
