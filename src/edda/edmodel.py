@@ -123,7 +123,8 @@ class Encoding:
     `intra_rows[d]` map domain d's local node order to table rows; they and
     the uncovered rows are built here from the model's tables and the
     dataset's graphs as they are now, so nothing outlives the encoding.
-    `dtype` is the parameters' common dtype.
+    `represent` gathers from one `[inter | intra(d)]` matrix per domain, also
+    built on first use. `dtype` is the parameters' common dtype.
     """
 
     def __init__(self, model: EDModel, dataset: MultiDomainDataset, masks=None):
@@ -135,6 +136,7 @@ class Encoding:
         self._residual = spec.grec.alpha ** spec.grec.num_layers
         self._ops: dict[int, object] = {}
         self._intra: dict[int, np.ndarray] = {}
+        self._joined_rows: dict[int, np.ndarray] = {}
         self.dtype = np.result_type(*(arr for _, arr in model.parameters()))
         graphs = dataset.domains
         self.intra_rows: list[np.ndarray] = []
@@ -189,19 +191,28 @@ class Encoding:
         """Domain-d representations of the nodes with the given keys, inter part first.
 
         The result has shape `keys.shape + (width,)`, where width sums the
-        dimensions of the enabled parts.
+        dimensions of the enabled parts: one key search and one gather from
+        one matrix. With per-domain tables, a key outside domain d's table
+        raises KeyError naming the domain.
         """
         model = self.model
-        parts = []
-        if model.inter is not None:
-            parts.append(self.inter[model.inter.rows(keys)])
-        if model.intra is not None:
-            try:
-                rows = model.intra[d].rows(keys)
-            except KeyError as err:
-                raise KeyError(f"node does not belong to domain {d}: {err}") from None
-            parts.append(self.intra(d)[rows])
-        return np.concatenate(parts, axis=-1)
+        if model.intra is None:
+            return self.inter[model.inter.rows(keys)]
+        try:
+            rows = model.intra[d].rows(keys)
+        except KeyError as err:
+            raise KeyError(f"node does not belong to domain {d}: {err}") from None
+        return self._joined(d)[rows]
+
+    def _joined(self, d: int) -> np.ndarray:
+        """Domain d's `[inter | intra(d)]` rows in `model.intra[d]` row order,
+        built on first use; `intra(d)` itself without a shared table."""
+        if self.inter is None:
+            return self.intra(d)
+        if d not in self._joined_rows:
+            shared = self.inter[self.model.inter.rows(self.model.intra[d].keys)]
+            self._joined_rows[d] = np.concatenate([shared, self.intra(d)], axis=1)
+        return self._joined_rows[d]
 
     def transpose(
         self,
@@ -236,10 +247,9 @@ def init_model(spec: ModelSpec, dataset: MultiDomainDataset, seed: int) -> EDMod
     inter = None
     if spec.use_inter:
         s = 1.0 / np.sqrt(spec.d_inter)
-        inter = EmbeddingTable(
-            dataset.keys,
-            rng.uniform(-s, s, size=(len(dataset.keys), spec.d_inter)).astype(dtype),
-        )
+        keys = dataset.keys
+        matrix = rng.uniform(-s, s, size=(len(keys), spec.d_inter)).astype(dtype)
+        inter = EmbeddingTable(keys, matrix)
     intra = None
     proj = None
     if spec.use_intra:

@@ -253,8 +253,9 @@ def _case_scores(enc: Encoding, cases: CaseSet):
     """Positive scores (n,) and negative scores (n, 10) for one domain's cases.
 
     Cases are scored SCORE_CHUNK at a time, which bounds the (chunk, 10,
-    width) block of negative representations; each score depends on its
-    own case only, so chunking leaves every bit unchanged.
+    width) block of negative representations, and a block is freed before
+    the next is gathered; each score depends on its own case only, so
+    chunking leaves every bit unchanged.
     """
     d = cases.domain
     pos, neg = [], []
@@ -262,9 +263,9 @@ def _case_scores(enc: Encoding, cases: CaseSet):
         rows = slice(lo, lo + SCORE_CHUNK)
         z_user = enc.represent(d, node_keys(NodeKind.USER, cases.users[rows]))
         z_pos = enc.represent(d, node_keys(NodeKind.ITEM, cases.positives[rows]))
-        z_neg = enc.represent(d, node_keys(NodeKind.ITEM, cases.negatives[rows]))
         pos.append(np.sum(z_user * z_pos, axis=1))
-        neg.append(np.einsum("nd,nkd->nk", z_user, z_neg))
+        neg_keys = node_keys(NodeKind.ITEM, cases.negatives[rows])
+        neg.append(np.einsum("nd,nkd->nk", z_user, enc.represent(d, neg_keys)))
     return np.concatenate(pos), np.concatenate(neg)
 
 

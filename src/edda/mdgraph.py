@@ -148,7 +148,11 @@ class MultiDomainDataset:
             if graph.domain != want:
                 raise IngestError(f"domain ids must be dense from 0, got {graph.domain}")
         self.domains = list(domains)
-        self.keys = np.unique(np.concatenate([graph.keys for graph in self.domains]))
+
+    @property
+    def keys(self) -> np.ndarray:
+        """Sorted union of the current graphs' node keys."""
+        return np.unique(np.concatenate([graph.keys for graph in self.domains]))
 
     @property
     def num_domains(self) -> int:

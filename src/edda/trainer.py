@@ -152,30 +152,49 @@ def _prepare_pairs(model: EDModel, pair_sets: Iterable[SimilarPairSet]):
     return prepared
 
 
-def _bpr_part(enc: Encoding, grouped: dict[int, np.ndarray]):
+def _bpr_blocks(model: EDModel, n_triplets: int) -> dict[str, np.ndarray]:
+    """Gather buffers for `_bpr_part`, room for `n_triplets` (user, positive,
+    negative) row triples: "inter" for the shared table, "intra" for the
+    per-domain tables, which share one buffer."""
+    tables = {"inter": model.inter, "intra": model.intra[0] if model.intra else None}
+    return {
+        name: np.empty((3 * n_triplets, table.dim), table.matrix.dtype)
+        for name, table in tables.items()
+        if table is not None
+    }
+
+
+def _bpr_part(enc: Encoding, grouped: dict[int, np.ndarray], blocks: dict[str, np.ndarray]):
     """Ranking loss and its gradients w.r.t. `enc.inter` (None without a
     shared table) and each `enc.intra(d)`.
 
     Each table's rows are gathered once per domain as a [user; positive;
-    negative] block; the blocks are freed when this returns.
+    negative] block into `blocks` (`_bpr_blocks`): the shared table's blocks
+    follow one another, because they are scattered together at the end, and
+    each domain's own block reuses the start of "intra". The row indices are
+    valid by construction, so `np.take` runs with mode="clip", which writes
+    straight into the buffer (mode="raise" gathers into a copy first).
     """
     l_bpr = 0.0
     d_g_rows: list[np.ndarray] = []
     d_g_values: list[np.ndarray] = []
     d_q: dict[int, np.ndarray] = {}
+    g_end = 0
     for d, triplet_locs in grouped.items():
+        locs = triplet_locs.reshape(-1)
         x = np.zeros(triplet_locs.shape[1], dtype=enc.dtype)
         if enc.inter is not None:
-            g_rows = enc.inter_rows[d][triplet_locs.reshape(-1)]
-            g_block = enc.inter[g_rows]
-            gu, gp, gn = np.split(g_block, 3)
-            x += np.sum(gu * (gp - gn), axis=1)
+            g_rows = enc.inter_rows[d][locs]
+            g_block = blocks["inter"][g_end : g_end + len(locs)]
+            g_end += len(locs)
+            np.take(enc.inter, g_rows, axis=0, out=g_block, mode="clip")
+            x += _bpr_scores(g_block)
         if enc.model.intra is not None:
             q = enc.intra(d)
-            q_rows = enc.intra_rows[d][triplet_locs.reshape(-1)]
-            q_block = q[q_rows]
-            qu, qp, qn = np.split(q_block, 3)
-            x += np.sum(qu * (qp - qn), axis=1)
+            q_rows = enc.intra_rows[d][locs]
+            q_block = blocks["intra"][: len(locs)]
+            np.take(q, q_rows, axis=0, out=q_block, mode="clip")
+            x += _bpr_scores(q_block)
         l_bpr += float(np.sum(np.logaddexp(0.0, -x)))
         dl_dx = -expit(-x)[:, None]  # negative
         if enc.inter is not None:
@@ -194,12 +213,14 @@ def _objective(
     cfg: TrainConfig,
     align_scale: float,
     grads: dict[str, np.ndarray],
+    blocks: dict[str, np.ndarray],
 ):
     """(total, L_rank, L_align) for one batch; its exact gradients by
     parameter name are written into `grads`, one array shaped like each
-    parameter, which is zeroed first."""
+    parameter, which is zeroed first. `blocks` are the gather buffers of
+    `_bpr_part`, with room for every triplet of `grouped`."""
     model = enc.model
-    l_bpr, d_g, d_q = _bpr_part(enc, grouped)
+    l_bpr, d_g, d_q = _bpr_part(enc, grouped, blocks)
 
     # alignment loss on raw per-domain embeddings and projections
     l_align = 0.0
@@ -227,17 +248,28 @@ def _objective(
     return total, l_bpr, l_align
 
 
+def _bpr_scores(block: np.ndarray) -> np.ndarray:
+    """Per-triplet e_u . (e_p - e_n) of a gathered [e_u; e_p; e_n] block.
+
+    In place: the e_n rows are left holding e_p - e_n, which
+    `_bpr_row_gradients` reads, and the e_p rows their products with e_u.
+    """
+    e_u, e_p, e_n = np.split(block, 3)
+    np.subtract(e_p, e_n, out=e_n)
+    return np.sum(np.multiply(e_u, e_n, out=e_p), axis=1)
+
+
 def _bpr_row_gradients(dl_dx: np.ndarray, block: np.ndarray) -> np.ndarray:
-    """Overwrite a gathered [e_u; e_p; e_n] block with the BPR loss gradient
-    w.r.t. each of its rows: dl_dx * (e_p - e_n), dl_dx * e_u, -dl_dx * e_u.
+    """Overwrite a block that `_bpr_scores` has read with the BPR loss
+    gradient w.r.t. each row of [e_u; e_p; e_n]: dl_dx * (e_p - e_n),
+    dl_dx * e_u, -dl_dx * e_u (negation is exact, so the last is -(dl_dx * e_u)).
 
     In place, so a batch holds no second copy of its gathered rows.
     """
-    e_u, e_p, e_n = np.split(block, 3)
-    diff = e_p - e_n
-    np.multiply(-dl_dx, e_u, out=e_n)
+    e_u, e_p, diff = np.split(block, 3)
     np.multiply(dl_dx, e_u, out=e_p)
     np.multiply(dl_dx, diff, out=e_u)
+    np.negative(e_p, out=diff)
     return block
 
 
@@ -246,17 +278,20 @@ def _scatter_add(n_rows: int, rows: list[np.ndarray], values: list[np.ndarray]) 
 
     One CSR product: each output row adds its contributions in list order,
     then in array order, which makes the result bit-equal to `np.add.at`
-    calls into zeros in that order.
+    calls into zeros in that order. That order is one sort of the unique
+    keys `(row << 32) | position`, so every row must lie below 2**31 and
+    there must be fewer than 2**32 contributions; ValueError otherwise.
     """
     if len(rows) > 1:
         rows, values = np.concatenate(rows), np.concatenate(values)
     else:
         rows, values = rows[0], values[0]
-    order = np.argsort(rows, kind="stable")
+    n = len(rows)
+    if n >= 2**32 or (n and rows.max() >= 2**31):
+        raise ValueError("scatter needs rows below 2**31 and fewer than 2**32 contributions")
+    order = np.sort((rows.astype(np.int64) << 32) | np.arange(n)) & 0xFFFFFFFF
     indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n_rows))])
-    scatter = sp.csr_matrix(
-        (np.ones(len(rows), dtype=values.dtype), order, indptr), shape=(n_rows, len(rows))
-    )
+    scatter = sp.csr_matrix((np.ones(n, dtype=values.dtype), order, indptr), shape=(n_rows, n))
     return scatter @ values
 
 
@@ -277,7 +312,9 @@ def loss_and_gradients(
     """
     enc = model.propagated(dataset, masks)
     grads = {name: np.empty_like(arr) for name, arr in model.parameters()}
-    total, *_ = _objective(enc, triplets, _prepare_pairs(model, pair_sets), cfg, align_scale, grads)
+    blocks = _bpr_blocks(model, sum(t.shape[1] for t in triplets.values()))
+    pairs = _prepare_pairs(model, pair_sets)
+    total, *_ = _objective(enc, triplets, pairs, cfg, align_scale, grads, blocks)
     return total, grads
 
 
@@ -301,7 +338,12 @@ class AdamState:
 def adam_step(
     model: EDModel, grads: dict[str, np.ndarray], state: AdamState, cfg: TrainConfig
 ) -> None:
-    """Standard bias-corrected Adam update, applied in place."""
+    """Standard bias-corrected Adam update, applied in place.
+
+    The textbook expression (`tests/oracles.adam_reference`) as in-place
+    ufuncs, in its own operation order, so every bit is the same; each
+    parameter's only temporary holds the update's numerator and denominator.
+    """
     state.t += 1
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     correct1 = 1.0 - b1 ** state.t
@@ -312,11 +354,16 @@ def adam_step(
             raise ValueError(f"gradient shape mismatch for {name}")
         m = state.m[name]
         v = state.v[name]
+        num, den = np.empty((2, *param.shape), param.dtype)
         m *= b1
-        m += (1.0 - b1) * g
+        m += np.multiply(g, 1.0 - b1, out=num)
         v *= b2
-        v += (1.0 - b2) * (g * g)
-        param -= cfg.learning_rate * (m / correct1) / (np.sqrt(v / correct2) + ADAM_EPS)
+        np.multiply(g, g, out=num)
+        v += np.multiply(num, 1.0 - b2, out=num)
+        np.sqrt(np.divide(v, correct2, out=den), out=den)
+        den += ADAM_EPS
+        np.multiply(np.divide(m, correct1, out=num), cfg.learning_rate, out=num)
+        param -= np.divide(num, den, out=num)
 
 
 # -- training loop ------------------------------------------------------------
@@ -356,6 +403,7 @@ def train(
     n_pairs = sum(len(idx_u) for _, _, idx_u, _ in prepared_pairs)
     state = AdamState.for_model(model)
     grads = {name: np.empty_like(arr) for name, arr in model.parameters()}  # reused per batch
+    largest_batch = min(cfg.batch_size, max(graph.n_edges for graph in train_ds.domains))
 
     samplers = [_NegativeSampler(graph) for graph in train_ds.domains]
     has_val = any(cases for cases in val_cases)
@@ -366,6 +414,7 @@ def train(
 
     for epoch in range(1, cfg.epochs + 1):
         epoch_bpr = epoch_align = epoch_total = 0.0
+        blocks = _bpr_blocks(model, largest_batch)  # reused per batch, freed for validation
         for d, batch in _epoch_batches(train_ds.domains, cfg.batch_size, rng):
             triplets = samplers[d].triplets(batch, rng)
             if triplets.shape[1] == 0:
@@ -383,7 +432,7 @@ def train(
                 )
             total, l_bpr, l_align = _objective(
                 model.propagated(train_ds, masks), {d: triplets}, batch_pairs, cfg, align_scale,
-                grads,
+                grads, blocks,
             )
             if not np.isfinite(total):
                 raise TrainingDiverged(
@@ -395,6 +444,7 @@ def train(
             epoch_align += l_align
             epoch_total += total
 
+        del blocks
         val_auc = val_recall = float("nan")
         if has_val:
             val_auc, val_recall, _ = evalkit.evaluate_cases_mean(model, split, val_cases)

@@ -91,6 +91,16 @@ def as_float32(model):
     )
 
 
+def adam_reference(param, grad, m, v, t, lr, b1=0.9, b2=0.999, eps=1e-8):
+    """Textbook bias-corrected Adam step number `t` (from 1), on new arrays:
+    returns the updated (param, m, v)."""
+    m = b1 * m + (1 - b1) * grad
+    v = b2 * v + (1 - b2) * np.square(grad)
+    m_hat = m / (1 - b1**t)
+    v_hat = v / (1 - b2**t)
+    return param - lr * m_hat / (np.sqrt(v_hat) + eps), m, v
+
+
 def epoch_batches_by_lists(domains, batch_size, rng):
     """One epoch's (domain, edge indices) batches by list slicing: every
     domain's permutation cut into a list of batches, then the lists

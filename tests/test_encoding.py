@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edda.edmodel import ModelSpec, init_model
+from edda.edmodel import ModelSpec, init_model, variant_spec
 from edda.encoders import GRecConfig
-from edda.mdgraph import DomainGraph, ingest
+from edda.mdgraph import DomainGraph, NodeId, NodeKind, ingest
 from edda.trainer import (
     AdamState,
     TrainConfig,
@@ -22,6 +22,7 @@ from oracles import (
     as_float32,
     dense_propagate,
     edge_lists,
+    keys,
     nodes_of,
     random_bipartite_records,
     row,
@@ -119,6 +120,42 @@ def test_transpose_is_the_adjoint(instance):
     )
     assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-12)
     assert all(np.all(back[f"proj[{d}]"] == 0.0) for d in y_intra)
+
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+@pytest.mark.parametrize("variant", ["edda", "wo-da", "inter", "intra", "ed-mf"])
+def test_represent_is_the_concatenation_of_the_encoded_parts(variant, dtype):
+    rng = np.random.default_rng(6)
+    records = random_bipartite_records(rng, 0, 6, 7, 20)
+    records += random_bipartite_records(rng, 1, 6, 7, 18, user_base=4, item_base=5)
+    ds = ingest(records)
+    spec = variant_spec(ModelSpec(d_inter=3, d_intra=2, dtype=dtype), variant)
+    model = init_model(spec, ds, seed=2)
+    masks = {d: edge_dropout(g, 0.3, rng) for d, g in enumerate(ds.domains)}
+    enc = model.propagated(ds, masks)
+    width = spec.d_inter * spec.use_inter + spec.d_intra * spec.use_intra
+    for d, graph in enumerate(ds.domains):
+        queries = (rng.permutation(graph.keys), rng.choice(graph.keys, size=(5, 3)), graph.keys[:0])
+        for query in queries:
+            parts = []
+            if model.inter is not None:
+                parts.append(enc.inter[model.inter.rows(query)])
+            if model.intra is not None:
+                parts.append(enc.intra(d)[model.intra[d].rows(query)])
+            want = np.concatenate(parts, axis=-1)
+            got = enc.represent(d, query)
+            assert got.shape == query.shape + (width,) and got.dtype == np.dtype(dtype)
+            assert got.tobytes() == want.tobytes()
+    # user 9 is only in domain 1, user 1000 in no domain
+    outside, unknown = keys(NodeId(NodeKind.USER, 9)), keys(NodeId(NodeKind.USER, 1000))
+    assert outside[0] in ds.graph(1).keys and outside[0] not in ds.graph(0).keys
+    if model.intra is not None:
+        with pytest.raises(KeyError, match="does not belong to domain 0"):
+            enc.represent(0, outside)
+    else:
+        assert enc.represent(0, outside).tobytes() == enc.inter[model.inter.rows(outside)].tobytes()
+    with pytest.raises(KeyError, match="missing from embedding table"):
+        enc.represent(0, unknown)
 
 
 def test_float32_model_stays_float32():

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import edda.mdgraph
 
+from edda.edmodel import ModelSpec, init_model
 from edda.mdgraph import (
     MAX_ID,
     DomainGraph,
@@ -112,6 +113,21 @@ def test_dataset_keys_are_the_sorted_union_of_graph_keys():
     assert np.array_equal(
         ds.keys, keys(U(0), U(1), U(5), I(3), I(4), I(9))
     )
+
+
+def test_dataset_keys_follow_a_replaced_graph():
+    # domain 0 = users 0-3 x items 0-3, domain 1 = users 4-7 x items 4-7
+    records = [
+        (d, u + 4 * d, i + 4 * d) for d in (0, 1) for u in range(4) for i in range(4) if (u + i) % 3
+    ]
+    ds = ingest(records)
+    assert len(ds.keys) == 16
+    ds.domains[0] = DomainGraph(0, ds.graph(1).user_item_pairs()[::2])
+    union = np.union1d(ds.graph(0).keys, ds.graph(1).keys)
+    assert len(union) == 8
+    assert np.array_equal(ds.keys, union)
+    model = init_model(ModelSpec(d_inter=3, d_intra=2), ds, seed=1)
+    assert np.array_equal(model.inter.keys, union)
 
 
 def test_degree_sums_equal_edge_count():

@@ -3,7 +3,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from edda import trainer
@@ -18,6 +18,7 @@ from edda.trainer import (
     TrainingDiverged,
     _NegativeSampler,
     _bpr_row_gradients,
+    _bpr_scores,
     _epoch_batches,
     _scatter_add,
     _subsample_pairs,
@@ -29,6 +30,7 @@ from edda.trainer import (
 from edda.walker import SimilarPair
 
 from oracles import (
+    adam_reference,
     as_float32,
     epoch_batches_by_lists,
     finite_difference_gradient,
@@ -445,6 +447,34 @@ def test_adam_first_step_magnitude():
         assert np.allclose(step, -sign * cfg.learning_rate, rtol=1e-4)
 
 
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+def test_adam_step_equals_the_textbook_expression_bit_for_bit(dtype):
+    ds = ingest(random_bipartite_records(np.random.default_rng(3), 0, 12, 9, 60))
+    ds = ingest(np.concatenate([ds.records(), [(1, 0, 2), (1, 5, 7), (1, 30, 2)]]))
+    model = init_model(ModelSpec(d_inter=5, d_intra=3, dtype=dtype), ds, seed=4)
+    cfg = TrainConfig(learning_rate=0.01)
+    state = AdamState.for_model(model)
+    zeros = np.zeros_like
+    want = {name: (arr.copy(), zeros(arr), zeros(arr)) for name, arr in model.parameters()}
+    rng = np.random.default_rng(5)
+    for step in range(1, 6):
+        # step 3 is all zeros; on the others proj[1] gets a zero gradient
+        grads = {
+            name: (rng.normal(size=arr.shape) * (step != 3 and name != "proj[1]")).astype(dtype)
+            for name, arr in model.parameters()
+        }
+        adam_step(model, grads, state, cfg)
+        for name, arr in model.parameters():
+            param, m, v = want[name]
+            want[name] = adam_reference(param, grads[name], m, v, step, cfg.learning_rate)
+            param, m, v = want[name]
+            assert arr.dtype == param.dtype == np.dtype(dtype), name
+            assert arr.tobytes() == param.tobytes(), (step, name)
+            assert state.m[name].tobytes() == m.tobytes(), (step, name)
+            assert state.v[name].tobytes() == v.tobytes(), (step, name)
+    assert state.t == 5
+
+
 def test_adam_determinism():
     ds, model, triplets, pairs = _instance(seed=31)
     cfg = TrainConfig(beta=0.03, reg_lambda=1e-4, edge_dropout=0.0)
@@ -670,11 +700,50 @@ def test_scatter_add_is_bit_equal_to_sequential_add_at(dtype):
     assert got.tobytes() == want.tobytes()
 
 
+@st.composite
+def _scatter_inputs(draw):
+    """(n_rows, row lists) for `_scatter_add`: up to 70,000 rows, indices
+    drawn from a small pool so rows repeat, members possibly empty."""
+    n_rows = draw(st.integers(1, 70_000))
+    pool = draw(st.lists(st.integers(0, n_rows - 1), min_size=1, max_size=6))
+    members = st.lists(st.sampled_from(pool), max_size=40)
+    rows = draw(st.lists(members, min_size=1, max_size=4))
+    return n_rows, [np.array(r, dtype=np.int64) for r in rows]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_scatter_inputs(), st.sampled_from([np.float64, np.float32]), st.integers(1, 3))
+@example((70_000, [np.array([69_999, 3, 65_536, 69_999]), np.array([], np.int64)]), np.float32, 2)
+def test_scatter_add_equals_sequential_add_at_for_any_rows(inputs, dtype, dim):
+    n_rows, rows = inputs
+    rng = np.random.default_rng(len(rows) + n_rows)
+    scales = [10.0 ** rng.integers(-4, 5, size=(len(r), 1)) for r in rows]
+    values = [(rng.normal(size=(len(r), dim)) * s).astype(dtype) for r, s in zip(rows, scales)]
+    want = np.zeros((n_rows, dim), dtype=dtype)
+    for r, v in zip(rows, values):
+        np.add.at(want, r, v)
+    got = _scatter_add(n_rows, rows, values)
+    assert got.dtype == dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def test_scatter_add_refuses_what_its_packed_keys_cannot_hold():
+    with pytest.raises(ValueError, match="below 2\\*\\*31"):
+        _scatter_add(1, [np.array([0, 2**31])], [np.zeros((2, 1))])
+    # 2**32 contributions, without the memory: zero-stride views
+    rows = np.broadcast_to(np.int64(0), (2**32,))
+    values = np.broadcast_to(np.zeros((1, 1)), (2**32, 1))
+    with pytest.raises(ValueError, match="fewer than 2\\*\\*32"):
+        _scatter_add(1, [rows], [values])
+
+
 def test_bpr_row_gradients_are_the_explicit_products_bit_for_bit():
     rng = np.random.default_rng(12)
     e_u, e_p, e_n = rng.normal(size=(3, 50, 6))
     dl_dx = -rng.random((50, 1))
     block = np.concatenate([e_u, e_p, e_n])
+    scores = _bpr_scores(block)
+    assert scores.tobytes() == np.sum(e_u * (e_p - e_n), axis=1).tobytes()
     got = _bpr_row_gradients(dl_dx, block)
     want = np.concatenate([dl_dx * (e_p - e_n), dl_dx * e_u, -dl_dx * e_u])
     assert got is block
