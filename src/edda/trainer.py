@@ -217,15 +217,17 @@ def _objective(
 ):
     """(total, L_rank, L_align) for one batch; its exact gradients by
     parameter name are written into `grads`, one array shaped like each
-    parameter, which is zeroed first. `blocks` are the gather buffers of
-    `_bpr_part`, with room for every triplet of `grouped`."""
+    parameter, whose old contents are ignored. `blocks` are the gather
+    buffers of `_bpr_part`, with room for every triplet of `grouped`."""
     model = enc.model
     l_bpr, d_g, d_q = _bpr_part(enc, grouped, blocks)
 
     # alignment loss on raw per-domain embeddings and projections
     l_align = 0.0
-    for buffer in grads.values():
-        buffer.fill(0)
+    aligned = {f"intra[{end}]" for d, d_prime, *_ in prepared_pairs for end in (d, d_prime)}
+    for name, buffer in grads.items():
+        if name not in aligned:  # np.copyto below overwrites the aligned domains' buffers
+            buffer.fill(0)
     coeff = 2.0 * cfg.beta * align_scale
     align_rows: dict[int, list[np.ndarray]] = {}
     align_values: dict[int, list[np.ndarray]] = {}

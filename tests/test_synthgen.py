@@ -340,6 +340,14 @@ def _count_sigmoids(monkeypatch):
     return calls
 
 
+def _calibrate_counted(z, target):
+    """`_calibrate_intercept(z, target)` and the sigmoid sums it took."""
+    with pytest.MonkeyPatch.context() as mp, np.errstate(over="ignore"):
+        calls = _count_sigmoids(mp)
+        got = synthgen._calibrate_intercept(z, target, np.empty_like(z))
+    return got, len(calls)
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     st.integers(0, 2**32 - 1),
@@ -352,19 +360,83 @@ def test_calibration_stops_at_the_fixed_point_with_the_200_step_value(seed, n, s
     z = scale * np.random.default_rng(seed).normal(size=(n, 3))
     target = share * z.size
     want, fixed_step = calibrate_intercept_200(z, target)
-    with pytest.MonkeyPatch.context() as mp:
-        calls = _count_sigmoids(mp)
-        got = synthgen._calibrate_intercept(z, target, np.empty_like(z))
+    got, sums = _calibrate_counted(z, target)
     assert got.hex() == want.hex()
-    assert len(calls) == (fixed_step or 200)
+    assert sums <= (fixed_step or 200) + synthgen._HINT_SUMS
 
 
-def test_calibration_on_a_benchmark_sized_domain_takes_at_most_60_sums(monkeypatch):
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_u=st.integers(1, 40),
+    n_i=st.integers(1, 40),
+    scale=st.floats(0.0, 100.0),
+    constant=st.booleans(),
+    target=st.one_of(
+        st.floats(0.0, 1.0, exclude_min=True), st.sampled_from(["cover", "every cell"])
+    ),
+)
+@example(seed=0, n_u=6, n_i=4, scale=0.0, constant=False, target=0.5)  # root exactly 0
+@example(seed=1, n_u=5, n_i=7, scale=3.0, constant=True, target=0.3)
+@example(seed=2, n_u=30, n_i=20, scale=100.0, constant=False, target=0.1)  # z + b leaves [-60, 60]
+@example(seed=3, n_u=30, n_i=20, scale=300.0, constant=False, target=0.4)  # exp overflows
+@example(seed=4, n_u=9, n_i=5, scale=4.0, constant=False, target="cover")
+@example(seed=5, n_u=9, n_i=5, scale=4.0, constant=False, target="every cell")
+@example(seed=6, n_u=1, n_i=1, scale=4.0, constant=False, target=0.7)
+@example(seed=7, n_u=1, n_i=1, scale=4.0, constant=False, target="every cell")
+@example(seed=8, n_u=8, n_i=8, scale=1e17, constant=False, target=0.5)  # nothing certified
+def test_calibration_is_bit_equal_to_the_200_step_bisection(
+    seed, n_u, n_i, scale, constant, target
+):
+    z = np.random.default_rng(seed).normal(size=(n_u, n_i))
+    if constant:
+        z[:] = z[0, 0]
+    z *= scale
+    target = {"cover": max(n_u, n_i), "every cell": n_u * n_i}.get(target, target * z.size)
+    with np.errstate(over="ignore"):
+        want, fixed_step = calibrate_intercept_200(z, target)
+    got, sums = _calibrate_counted(z, target)
+    assert got.hex() == want.hex()
+    assert sums <= (fixed_step or 200) + synthgen._HINT_SUMS
+
+
+# (num_domains, users, items, interactions, overlap) of the benchmark workloads
+BENCHMARK_SHAPES = [(3, 300, 150, 3000, 0.25), (2, 600, 300, 22500, 0.05), (3, 1000, 500, 4700, 0.1)]
+
+
+class _FirstDomain(Exception):
+    pass
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("shape", BENCHMARK_SHAPES, ids=["align_heavy", "train_dense", "train_sparse"])
+def test_calibration_of_a_benchmark_domain_is_bit_equal_to_the_200_step_bisection(
+    monkeypatch, shape, seed
+):
+    num_domains, users, items, budget, overlap = shape
+    seen = []
+
+    def first_domain(z, target, out):
+        seen.append((z.copy(), target))
+        raise _FirstDomain
+
+    monkeypatch.setattr(synthgen, "_calibrate_intercept", first_domain)
+    with pytest.raises(_FirstDomain):
+        generate(SynthSpec(num_domains, users, items, budget, overlap, seed=seed))
+    monkeypatch.undo()
+    (z, target), = seen
+    want, fixed_step = calibrate_intercept_200(z, target)
+    got, sums = _calibrate_counted(z, target)
+    assert got.hex() == want.hex()
+    assert sums <= 24 < fixed_step
+
+
+def test_calibration_on_a_benchmark_sized_domain_takes_at_most_25_sums(monkeypatch):
     spec = _spec(users_per_domain=300, items_per_domain=150, interactions_per_domain=3000)
     calls = _count_sigmoids(monkeypatch)
     generate(spec)
-    # one more per domain gives the propensities the fill draws against
-    assert len(calls) <= 61 * spec.num_domains
+    # one of the 25 gives the propensities the fill draws against
+    assert len(calls) <= 25 * spec.num_domains
 
 
 def test_fill_gives_exact_ties_at_the_cut_to_the_lowest_flat_index():
