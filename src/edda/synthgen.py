@@ -271,9 +271,11 @@ def _calibrate_intercept(z: np.ndarray, target: float, out: np.ndarray) -> float
 
 
 def _sigmoid(z: np.ndarray, b: float, out: np.ndarray) -> np.ndarray:
-    """1 / (1 + exp(-(z + b))) written into `out`, one ufunc at a time."""
-    np.add(z, b, out=out)
-    np.negative(out, out=out)
+    """1 / (1 + exp(-(z + b))) written into `out`, one ufunc at a time.
+
+    -(z + b) is computed in one pass as -b - z, which has the same bits
+    because round-to-nearest is sign-symmetric."""
+    np.subtract(-b, z, out=out)
     np.exp(out, out=out)
     np.add(1.0, out, out=out)
     return np.divide(1.0, out, out=out)
@@ -330,12 +332,16 @@ def generate(spec: SynthSpec) -> tuple[MultiDomainDataset, dict[str, np.ndarray]
         latents[f"specific_user_ids_{d}"], latents[f"specific_user_{d}"] = u_ids, p_spec
         item_latents[f"specific_item_ids_{d}"], item_latents[f"specific_item_{d}"] = i_ids, q_spec
 
-        shared_aff = shared_user[u_ids] @ shared_item[i_ids].T / np.sqrt(spec.shared_dim)
-        spec_aff = p_spec @ q_spec.T / np.sqrt(spec.specific_dim)
-        z = spec.affinity_gain * (
-            spec.shared_weight * shared_aff + (1.0 - spec.shared_weight) * spec_aff
-        )
-        margin = np.empty_like(z)
+        # z = gain (w shared + (1 - w) specific), built in place; `margin`
+        # then serves as the sigmoid's scratch space
+        z = shared_user[u_ids] @ shared_item[i_ids].T
+        z /= np.sqrt(spec.shared_dim)
+        margin = p_spec @ q_spec.T
+        margin /= np.sqrt(spec.specific_dim)
+        z *= spec.shared_weight
+        margin *= 1.0 - spec.shared_weight
+        z += margin
+        z *= spec.affinity_gain
         b = _calibrate_intercept(z, budget, margin)
         intercepts[d] = b
         _sigmoid(z, b, margin)

@@ -30,6 +30,7 @@ import io
 import re
 import warnings
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
@@ -256,15 +257,16 @@ def write_pairs(path: str | Path, pair_sets: Sequence[SimilarPairSet]) -> None:
     with atomic_write(path) as handle:
         for pair_set in pair_sets:
             d, d_prime = pair_set.domain_pair
-            lines = map(
-                f"{d}\t{d_prime}\t{{}}\t{{}}\t{{}}\t{{:.12g}}\n".format,
+            fields = zip(
                 map(_KIND_NAMES.__getitem__, pair_set.kinds.tolist()),
                 pair_set.sources.tolist(),
                 pair_set.targets.tolist(),
                 pair_set.similarities.tolist(),
             )
-            for line in lines:
-                handle.write(line)
+            values = tuple(chain.from_iterable(fields))
+            # one `%` call a pair set; "%.12g" % x is format(x, ".12g")
+            line = f"{d}\t{d_prime}\t%s\t%d\t%d\t%.12g\n"
+            handle.write((line * (len(values) // 4)) % values)
 
 
 _PAIR_KINDS = {"user": NodeKind.USER, "item": NodeKind.ITEM}

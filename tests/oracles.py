@@ -153,6 +153,20 @@ def edge_lists():
     return st.lists(st.tuples(ids, ids), min_size=1, max_size=40)
 
 
+def interaction_text_by_rows(records):
+    """What `write_interactions` writes for `records`: the (d, u, i) triples
+    sorted as Python tuples, one f-string line each."""
+    return "".join(f"{d}\t{u}\t{i}\n" for d, u, i in sorted(map(tuple, records)))
+
+
+# int64 values of every range: small ids, the id bounds and the int64 bounds
+INT64S = st.one_of(
+    st.integers(-3, 12),
+    st.sampled_from([0, 2**62 - 1, -(2**63), 2**63 - 1]),
+    st.integers(-(2**63), 2**63 - 1),
+)
+
+
 def bipartite_order(pairs):
     """Node order used by the dense oracles: users sorted by id, then items."""
     users = sorted({u for u, _ in pairs})

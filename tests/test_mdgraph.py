@@ -1,6 +1,8 @@
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import edda.mdgraph
@@ -18,14 +20,17 @@ from edda.mdgraph import (
     load_interactions,
     node_keys,
     read_key_values,
+    sorted_unique,
     split_keys,
     write_interactions,
 )
 
 from oracles import (
+    INT64S,
     domain_graph_by_unique_rows,
     edge_lists,
     interaction_files,
+    interaction_text_by_rows,
     key_value_texts,
     keys,
 )
@@ -130,6 +135,28 @@ def test_dataset_keys_follow_a_replaced_graph():
     assert np.array_equal(model.inter.keys, union)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(
+    st.lists(INT64S, max_size=40),
+    st.builds(lambda v, n: [v] * n, INT64S, st.integers(0, 5)),  # constant, maybe empty
+))
+def test_sorted_unique_equals_np_unique(values):
+    arr = np.array(values, dtype=np.int64)
+    for shaped in (arr, arr.reshape(-1, 1)):
+        got = sorted_unique(shaped)
+        want = np.unique(shaped)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert np.array_equal(arr, np.array(values, dtype=np.int64))  # input left as it was
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(edge_lists(), min_size=1, max_size=3))
+def test_dataset_keys_equal_np_unique_of_the_graph_keys(domains):
+    ds = ingest([(d, u, i) for d, edges in enumerate(domains) for u, i in edges])
+    want = np.unique(np.concatenate([graph.keys for graph in ds.domains]))
+    assert ds.keys.dtype == want.dtype and np.array_equal(ds.keys, want)
+
+
 def test_degree_sums_equal_edge_count():
     rng = np.random.default_rng(0)
     records = [(0, int(rng.integers(5)), int(rng.integers(7))) for _ in range(40)]
@@ -222,6 +249,24 @@ def test_write_interactions_sorts_tuples_and_arrays_alike(tmp_path):
     text = (tmp_path / "a.tsv").read_text()
     assert text == "0\t2\t3\n0\t2\t9\n0\t5\t1\n1\t0\t2\n1\t0\t2\n"
     assert (tmp_path / "b.tsv").read_text() == text
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(INT64S, INT64S, INT64S), max_size=30), st.integers(1, 4))
+@example(records=[], block=1)
+@example(records=[(1, MAX_ID, 0), (0, -1, 2**63 - 1), (0, -(2**63), 5), (1, MAX_ID, 0)], block=3)
+def test_write_interactions_writes_the_sorted_f_string_lines(tmp_path_factory, records, block):
+    """Unsorted, sorted and duplicate rows, any int64, one row to many blocks."""
+    path = tmp_path_factory.mktemp("writer") / "inter.tsv"
+    for rows in (records, sorted(records), records + records):
+        want = interaction_text_by_rows(rows)
+        arr = np.array(rows, dtype=np.int64).reshape(-1, 3)
+        # sorted rows take the fast path, the others the lexsort
+        assert edda.mdgraph._rows_sorted(arr) == (rows == sorted(rows))
+        for size in (block, edda.mdgraph.WRITE_BLOCK):
+            with mock.patch.object(edda.mdgraph, "WRITE_BLOCK", size):
+                write_interactions(path, arr)
+            assert path.read_text(encoding="utf-8") == want
 
 
 def test_write_interactions_failing_midway_keeps_the_earlier_file(tmp_path, monkeypatch, fail_writes):

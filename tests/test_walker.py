@@ -506,7 +506,7 @@ def test_write_pairs_failing_midway_keeps_the_earlier_file(tmp_path, monkeypatch
     path = tmp_path / "pairs_0_1.tsv"
     path.write_text("earlier contents\n", encoding="utf-8")
 
-    fail_writes(3)
+    fail_writes(2)  # one write a pair set: the second set's write fails
     with pytest.raises(OSError, match="no space"):
         write_pairs(path, sets)
     assert path.read_text(encoding="utf-8") == "earlier contents\n"
