@@ -46,20 +46,21 @@ class RunConfig:
     seed: int = 0
     eval_seed: int = 0
     variant: str = "edda"
-    d_inter: int = 64
-    d_intra: int = 64
-    num_layers: int = 2
-    alpha: float = 0.1
-    beta: float = 0.03
-    reg_lambda: float = 1e-4
-    learning_rate: float = 0.001
-    batch_size: int = 8092
-    edge_dropout: float = 0.3
+    d_inter: int = ModelSpec.d_inter
+    d_intra: int = ModelSpec.d_intra
+    num_layers: int = GRecConfig.num_layers
+    alpha: float = GRecConfig.alpha
+    beta: float = TrainConfig.beta
+    reg_lambda: float = TrainConfig.reg_lambda
+    learning_rate: float = TrainConfig.learning_rate
+    batch_size: int = TrainConfig.batch_size
+    edge_dropout: float = TrainConfig.edge_dropout
+    # a command-line run trains longer than the library default and stops early
     epochs: int = 200
     patience: int = 20  # negative: disabled
     k: int = 1
-    walk_length: int = 4
-    num_walks: int = 500
+    walk_length: int = WalkConfig.walk_length
+    num_walks: int = WalkConfig.num_walks
     checkpoint_every: int = 0  # 0: only the final checkpoint
 
     def model_spec(self) -> ModelSpec:
@@ -89,20 +90,29 @@ class RunConfig:
 
 
 def resolve_config(config_path: str | None, overrides: dict) -> RunConfig:
+    """The checked run settings: a bad one stops a command before it does any work."""
     cfg = RunConfig()
     if config_path:
         types = {f.name: type(getattr(cfg, f.name)) for f in fields(RunConfig)}
         file_values = read_key_values(config_path)
         unknown = set(file_values) - set(types)
         if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        cfg = replace(cfg, **{k: types[k](v) for k, v in file_values.items()})
+            raise ValueError(f"{config_path}: unknown config keys: {sorted(unknown)}")
+        for key, value in file_values.items():
+            try:
+                cfg = replace(cfg, **{key: types[key](value)})
+            except ValueError as err:
+                raise ValueError(f"{config_path}: {key}: {err}") from None
     cfg = replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
     if cfg.variant not in VARIANTS:
         raise ValueError(f"unknown variant {cfg.variant!r}; choose from {VARIANTS}")
     for key in ("seed", "eval_seed"):
         if getattr(cfg, key) < 0:
             raise ValueError(f"{key} must be non-negative, got {getattr(cfg, key)}")
+    if cfg.k < 1:
+        raise ValueError(f"k must be at least 1, got {cfg.k}")
+    for build in (cfg.model_spec, cfg.train_config, cfg.walk_config):
+        build()  # each config class checks its own fields
     return cfg
 
 
@@ -175,12 +185,12 @@ def cmd_synth(args) -> int:
     spec = synthgen.load_spec(args.spec)
     if args.seed is not None:
         spec = replace(spec, seed=args.seed)
-    dataset, latents = synthgen.generate(spec)
+    records, latents = synthgen.generate(spec)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    synthgen.write_dataset(out, spec, dataset, latents)
+    synthgen.write_dataset(out, spec, records, latents)
     _write_manifest(out / "manifest.txt", "synth", None, {"spec": Path(args.spec)}, {"seed": spec.seed})
-    print(f"wrote {dataset.num_domains} domains to {out / 'interactions.tsv'}")
+    print(f"wrote {spec.num_domains} domains to {out / 'interactions.tsv'}")
     return 0
 
 

@@ -48,7 +48,7 @@ class ModelSpec:
         if self.encoder not in (ENCODER_GREC, ENCODER_MF):
             raise ValueError(f"unknown encoder kind {self.encoder!r}")
         if self.d_inter <= 0 or self.d_intra <= 0:
-            raise ValueError("embedding dimensions must be positive")
+            raise ValueError("embedding dimensions d_inter and d_intra must be positive")
         if not (self.use_inter or self.use_intra):
             raise ValueError("at least one of inter/intra parts must be enabled")
 

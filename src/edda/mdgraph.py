@@ -351,32 +351,22 @@ WRITE_BLOCK = 1 << 16  # rows a `write_interactions` format call takes
 def write_interactions(
     path: str | Path, records: Sequence[tuple[int, int, int]] | np.ndarray
 ) -> None:
-    """Write records as tab-separated lines in sorted order (deterministic bytes).
+    """Write records as tab-separated lines, one a record, in the order given.
 
     `records` holds (domain, user, item) triples: a sequence of tuples or an
     (n, 3) integer array. Each line is `d<TAB>u<TAB>i`, each id as `str`
-    writes it; lines are sorted by domain, then user, then item. Rows already
-    in that order (as `MultiDomainDataset.records` returns them) are not
-    sorted again. Lines are formatted `WRITE_BLOCK` rows at a time, one `%`
-    call a block, so the Python ints and strings alive at once are bounded by
-    the block, not the file. The file is written atomically.
+    writes it. Nothing is sorted or deduplicated: `synthgen.generate` and
+    `MultiDomainDataset.records` return their rows sorted by domain, then
+    user, then item, which is the order their files keep. Lines are formatted
+    `WRITE_BLOCK` rows at a time, one `%` call a block, so the Python ints and
+    strings alive at once are bounded by the block, not the file. The file is
+    written atomically.
     """
     rows = np.asarray(records, dtype=np.int64).reshape(-1, 3)
-    if not _rows_sorted(rows):
-        rows = rows[np.lexsort(rows.T[::-1])]
     with atomic_write(path) as handle:
         for start in range(0, len(rows), WRITE_BLOCK):
             block = rows[start : start + WRITE_BLOCK]
             handle.write(("%d\t%d\t%d\n" * len(block)) % tuple(block.ravel().tolist()))
-
-
-def _rows_sorted(rows: np.ndarray) -> bool:
-    """Whether each (n, 3) row is lexicographically <= the next one."""
-    prev, nxt = rows[:-1], rows[1:]
-    ordered = prev[:, 2] <= nxt[:, 2]
-    for c in (1, 0):
-        ordered = (prev[:, c] < nxt[:, c]) | ((prev[:, c] == nxt[:, c]) & ordered)
-    return bool(ordered.all())
 
 
 def ingest_file(path: str | Path) -> MultiDomainDataset:

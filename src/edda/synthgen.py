@@ -34,9 +34,10 @@ only the counts (a pair's overlap against the smaller domain, the shared
 blocks against each domain, the budget against n_u * n_i and against
 max(n_u, n_i)) runs in `__post_init__`, before any id or latent exists.
 `generate` checks only the coverage minimum, which depends on the latents.
-It returns the dataset and the latents as one dict keyed by their
-`latents.npz` names (shared, then `intercepts`, then every `specific_user*`,
-then every `specific_item*`), which `write_dataset` saves as it is.
+It returns the sorted (domain, user, item) records as an (n, 3) int64 array
+and the latents as one dict keyed by their `latents.npz` names (shared, then
+`intercepts`, then every `specific_user*`, then every `specific_item*`);
+`write_dataset` writes both as they are.
 
 `anchor_specific_boost` scales the per-domain latents of overlapping
 entities: entities present in several domains are both more active and more
@@ -53,14 +54,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .mdgraph import (
-    MAX_ID,
-    DomainGraph,
-    MultiDomainDataset,
-    atomic_write,
-    read_key_values,
-    write_interactions,
-)
+from .mdgraph import MAX_ID, atomic_write, read_key_values, write_interactions
 from .mdgraph import ingest  # noqa: F401  (perfbench/tests expect synthgen.ingest to be traced)
 
 
@@ -299,9 +293,10 @@ def _fill_budget(margin: np.ndarray, chosen: np.ndarray, k: int) -> None:
     flat[np.flatnonzero(key == kth)[: k - len(below)]] = True
 
 
-def generate(spec: SynthSpec) -> tuple[MultiDomainDataset, dict[str, np.ndarray]]:
-    """The dataset and its latents by `latents.npz` name; byte-deterministic
-    under seed. Only the coverage minimum is checked here."""
+def generate(spec: SynthSpec) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """The (n, 3) int64 (domain, user, item) records, sorted and distinct,
+    and the latents by `latents.npz` name; byte-deterministic under seed.
+    Only the coverage minimum is checked here."""
     rng = np.random.default_rng(spec.seed)
     shared_users, shared_items = _shared_blocks(spec)
     domain_users, n_users = _allocate_ids(spec.users(), shared_users)
@@ -320,7 +315,7 @@ def generate(spec: SynthSpec) -> tuple[MultiDomainDataset, dict[str, np.ndarray]
         "intercepts": intercepts,
     }
     item_latents = {}  # npz member order: every user block before any item block
-    graphs = []
+    records = []
     for d, budget in enumerate(spec.interactions()):
         u_ids, i_ids = domain_users[d], domain_items[d]
         n_u, n_i = len(u_ids), len(i_ids)
@@ -356,9 +351,9 @@ def generate(spec: SynthSpec) -> tuple[MultiDomainDataset, dict[str, np.ndarray]
             raise SynthError(f"domain {d}: budget below the coverage minimum {forced}")
         _fill_budget(margin, chosen, budget - forced)
 
-        rows, cols = np.nonzero(chosen)  # row-major, so (user, item) order
-        graphs.append(DomainGraph(d, np.column_stack([u_ids[rows], i_ids[cols]])))
-    return MultiDomainDataset(graphs), {**latents, **item_latents}
+        rows, cols = np.nonzero(chosen)  # row-major over ascending ids, so (user, item) order
+        records.append(np.column_stack([np.full(len(rows), d), u_ids[rows], i_ids[cols]]))
+    return np.concatenate(records), {**latents, **item_latents}
 
 
 # -- spec files and output bundles -------------------------------------------
@@ -407,16 +402,17 @@ def spec_manifest(spec: SynthSpec) -> str:
 def write_dataset(
     directory: str | Path,
     spec: SynthSpec,
-    dataset: MultiDomainDataset,
+    records: np.ndarray,
     latents: dict[str, np.ndarray],
 ) -> None:
-    """interactions.tsv plus a spec manifest and `latents` as latents.npz.
+    """`records` as interactions.tsv, in the order given, plus a spec
+    manifest and `latents` as latents.npz.
 
     Each file is written atomically.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    write_interactions(directory / "interactions.tsv", dataset.records())
+    write_interactions(directory / "interactions.tsv", records)
     with atomic_write(directory / "synth.manifest") as handle:
         handle.write(spec_manifest(spec))
     with atomic_write(directory / "latents.npz", "wb") as handle:

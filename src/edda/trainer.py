@@ -53,9 +53,9 @@ class TrainConfig:
     patience: int | None = None  # early stop on validation AUC when set
 
     def __post_init__(self):
-        if self.beta < 0 or self.reg_lambda < 0:
-            raise ValueError("beta and reg_lambda must be non-negative")
-        if self.learning_rate <= 0 or self.batch_size < 1 or self.epochs < 0:
+        if not (0 <= self.beta < np.inf and 0 <= self.reg_lambda < np.inf):
+            raise ValueError("beta and reg_lambda must be non-negative and finite")
+        if not 0 < self.learning_rate < np.inf or self.batch_size < 1 or self.epochs < 0:
             raise ValueError("invalid learning_rate/batch_size/epochs")
         if not 0.0 <= self.edge_dropout < 1.0:
             raise ValueError("edge_dropout must lie in [0, 1)")

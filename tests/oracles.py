@@ -154,9 +154,9 @@ def edge_lists():
 
 
 def interaction_text_by_rows(records):
-    """What `write_interactions` writes for `records`: the (d, u, i) triples
-    sorted as Python tuples, one f-string line each."""
-    return "".join(f"{d}\t{u}\t{i}\n" for d, u, i in sorted(map(tuple, records)))
+    """What `write_interactions` writes for `records`: one f-string line per
+    (d, u, i) triple, in the order given."""
+    return "".join(f"{d}\t{u}\t{i}\n" for d, u, i in records)
 
 
 # int64 values of every range: small ids, the id bounds and the int64 bounds

@@ -533,6 +533,45 @@ def test_negative_eval_seed_exits_2_naming_the_key(workspace, capsys):
     assert not (workspace / "r").exists()
 
 
+@pytest.mark.parametrize(
+    "command, setting, message",
+    [
+        ("train", "epochs = abc", "{config}: epochs: invalid literal for int()"),
+        ("align", "batch_size = 1.5", "{config}: batch_size: invalid literal for int()"),
+        ("eval", "alpha = half", "{config}: alpha: could not convert string to float"),
+        ("align", "no_such_key = 1", "{config}: unknown config keys: ['no_such_key']"),
+        ("align", "k = 0", "k must be at least 1, got 0"),
+        ("align", "walk_length = 0", "walk_length must be at least 1"),
+        ("align", "num_walks = 0", "num_walks must be at least 1"),
+        ("train", "learning_rate = 0", "invalid learning_rate"),
+        ("train", "learning_rate = nan", "invalid learning_rate"),
+        ("train", "beta = inf", "beta and reg_lambda must be non-negative and finite"),
+        ("train", "edge_dropout = 1", "edge_dropout must lie in [0, 1)"),
+        ("train", "num_layers = -1", "num_layers must be non-negative"),
+        ("train", "d_inter = 0", "embedding dimensions d_inter and d_intra must be positive"),
+        ("train", "variant = wo-alignment", "unknown variant 'wo-alignment'"),
+        ("eval", "k = 0", "k must be at least 1, got 0"),
+    ],
+)
+def test_a_bad_run_setting_exits_2_naming_its_key_before_any_work(
+    workspace, capsys, monkeypatch, command, setting, message
+):
+    def no_read(path):
+        raise AssertionError(f"{path} read before the settings were checked")
+
+    monkeypatch.setattr("edda.cli.ingest_file", no_read)
+    config = workspace / "bad.cfg"
+    config.write_text(CONFIG_TEXT + setting + "\n")
+    data = str(workspace / "data" / "interactions.tsv")
+    out = workspace / "out"
+    run = [str(workspace / "no_run")] if command == "eval" else []
+    argv = [command, data, *run, "--out", str(out), "--config", str(config)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message.format(config=config)}") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_train_refuses_pairs_mined_on_another_split(workspace, capsys):
     data = workspace / "data" / "interactions.tsv"
     config = workspace / "run.cfg"

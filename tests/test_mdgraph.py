@@ -242,12 +242,12 @@ def test_file_malformed_line_number(tmp_path):
         ingest_file(path)
 
 
-def test_write_interactions_sorts_tuples_and_arrays_alike(tmp_path):
+def test_write_interactions_writes_tuples_and_arrays_alike_in_the_given_order(tmp_path):
     records = [(1, 0, 2), (0, 5, 1), (0, 2, 9), (0, 2, 3), (1, 0, 2)]
     write_interactions(tmp_path / "a.tsv", records)
     write_interactions(tmp_path / "b.tsv", np.array(records))
     text = (tmp_path / "a.tsv").read_text()
-    assert text == "0\t2\t3\n0\t2\t9\n0\t5\t1\n1\t0\t2\n1\t0\t2\n"
+    assert text == "1\t0\t2\n0\t5\t1\n0\t2\t9\n0\t2\t3\n1\t0\t2\n"
     assert (tmp_path / "b.tsv").read_text() == text
 
 
@@ -255,14 +255,12 @@ def test_write_interactions_sorts_tuples_and_arrays_alike(tmp_path):
 @given(st.lists(st.tuples(INT64S, INT64S, INT64S), max_size=30), st.integers(1, 4))
 @example(records=[], block=1)
 @example(records=[(1, MAX_ID, 0), (0, -1, 2**63 - 1), (0, -(2**63), 5), (1, MAX_ID, 0)], block=3)
-def test_write_interactions_writes_the_sorted_f_string_lines(tmp_path_factory, records, block):
+def test_write_interactions_writes_the_f_string_lines_in_order(tmp_path_factory, records, block):
     """Unsorted, sorted and duplicate rows, any int64, one row to many blocks."""
     path = tmp_path_factory.mktemp("writer") / "inter.tsv"
     for rows in (records, sorted(records), records + records):
         want = interaction_text_by_rows(rows)
         arr = np.array(rows, dtype=np.int64).reshape(-1, 3)
-        # sorted rows take the fast path, the others the lexsort
-        assert edda.mdgraph._rows_sorted(arr) == (rows == sorted(rows))
         for size in (block, edda.mdgraph.WRITE_BLOCK):
             with mock.patch.object(edda.mdgraph, "WRITE_BLOCK", size):
                 write_interactions(path, arr)
@@ -329,7 +327,7 @@ def test_canonical_reader_reads_what_write_interactions_writes(tmp_path):
     records = [(0, 10**17 + 3, 5), (1, 0, 999_999_999_999_999_999), (0, 7, 0)]
     write_interactions(path, records)
     got = edda.mdgraph._canonical_rows(path.read_bytes())
-    assert got.tolist() == sorted(map(list, records))
+    assert got.tolist() == [list(rec) for rec in records]
     for text in ("0\t1\t2", "", "0\t1\t2\n3\t4\t5\n"):  # no final newline, empty file
         path.write_text(text, encoding="utf-8")
         want = edda.mdgraph._rows_by_lines(path).tolist()

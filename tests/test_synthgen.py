@@ -7,7 +7,7 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from edda import synthgen
-from edda.mdgraph import anchors, split_keys
+from edda.mdgraph import anchors, ingest, split_keys
 from edda.synthgen import (
     SynthError,
     SynthSpec,
@@ -44,13 +44,13 @@ def _spec(**overrides):
 
 def test_interaction_counts_match_spec_exactly():
     spec = _spec(interactions_per_domain=(150, 200))
-    ds, _ = generate(spec)
+    ds = ingest(generate(spec)[0])
     assert ds.graph(0).n_edges == 150
     assert ds.graph(1).n_edges == 200
 
 
 def test_every_entity_is_covered():
-    ds, _ = generate(_spec())
+    ds = ingest(generate(_spec())[0])
     for d, graph in enumerate(ds.domains):
         assert graph.n_users == 20
         assert graph.n_items == 30
@@ -66,7 +66,7 @@ def _pooled_overlap(ds, d, d_prime):
 
 def test_realized_overlap_matches_request_within_rounding():
     for f in (0.05, 0.1, 0.3):
-        ds, _ = generate(_spec(overlap_fraction=f, interactions_per_domain=200))
+        ds = ingest(generate(_spec(overlap_fraction=f, interactions_per_domain=200))[0])
         realized = _pooled_overlap(ds, 0, 1)
         total = 2 * (20 + 30)
         assert abs(realized - f) <= 2.0 / (total * (1 - f))
@@ -80,7 +80,7 @@ def test_three_domains_pairwise_overlap():
         interactions_per_domain=(150, 150, 60),
         overlap_fraction=0.08,
     )
-    ds, _ = generate(spec)
+    ds = ingest(generate(spec)[0])
     for d, d_prime in [(0, 1), (0, 2), (1, 2)]:
         assert len(anchors(ds, d, d_prime)) > 0
         assert abs(_pooled_overlap(ds, d, d_prime) - 0.08) < 0.03
@@ -95,15 +95,15 @@ def test_determinism_bytewise(tmp_path):
 
 
 def test_different_seeds_differ():
-    ds1, _ = generate(_spec(seed=1))
-    ds2, _ = generate(_spec(seed=2))
-    assert not np.array_equal(ds1.records(), ds2.records())
+    records1, _ = generate(_spec(seed=1))
+    records2, _ = generate(_spec(seed=2))
+    assert not np.array_equal(records1, records2)
 
 
 def test_shared_latents_are_reused_across_domains():
     spec = _spec(overlap_fraction=0.2)
-    ds, latents = generate(spec)
-    kinds, ids = split_keys(anchors(ds, 0, 1))
+    records, latents = generate(spec)
+    kinds, ids = split_keys(anchors(ingest(records), 0, 1))
     shared_users = ids[kinds == 0]
     assert len(shared_users)
     # one global shared table indexed by id: rows for shared users exist once
@@ -114,8 +114,8 @@ def test_shared_latents_are_reused_across_domains():
 
 def test_extreme_shared_weights_generate(tmp_path):
     for w in (0.0, 1.0):
-        ds, _ = generate(_spec(shared_weight=w))
-        assert ds.num_domains == 2
+        records, _ = generate(_spec(shared_weight=w))
+        assert ingest(records).num_domains == 2
 
 
 def test_infeasible_specs_error():
@@ -239,8 +239,10 @@ def test_generate_equals_the_exhaustive_reference(case):
     event(f"feasible, {mode}")
     if mode == "forced":
         assert tuple(forced) == kwargs["interactions_per_domain"]
-    ds, got = generate(SynthSpec(**kwargs))
-    assert ds.records().tolist() == [list(rec) for rec in records]
+    got_records, got = generate(SynthSpec(**kwargs))
+    assert got_records.dtype == np.int64
+    # sorted and distinct: `write_interactions` writes them in this order
+    assert got_records.tolist() == [list(rec) for rec in records]
     assert [b.hex() for b in got["intercepts"]] == [b.hex() for b in intercepts]
     assert list(got) == _latent_names(kwargs["num_domains"])
     assert got.keys() == latents.keys()
