@@ -106,7 +106,7 @@ def resolve_config(config_path: str | None, overrides: dict) -> RunConfig:
     cfg = replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
     if cfg.variant not in VARIANTS:
         raise ValueError(f"unknown variant {cfg.variant!r}; choose from {VARIANTS}")
-    for key in ("seed", "eval_seed"):
+    for key in ("seed", "eval_seed", "checkpoint_every"):
         if getattr(cfg, key) < 0:
             raise ValueError(f"{key} must be non-negative, got {getattr(cfg, key)}")
     if cfg.k < 1:
@@ -270,22 +270,19 @@ def cmd_train(args) -> int:
     cfg = resolve_config(args.config, _overrides(args))
     dataset = ingest_file(args.data)
     split_data = evalkit.split(dataset, seed=cfg.seed)
-    pair_sets = []
-    pair_paths: list[Path] = []
-    if args.pairs:
-        pair_sets, pair_paths = _load_pair_sets(args.pairs)
-    if cfg.variant not in ALIGNED_VARIANTS:
-        if pair_sets:
-            print(f"variant {cfg.variant}: alignment pairs ignored", file=sys.stderr)
-        pair_sets = []
-    elif _refused("train", _pair_mismatches(pair_paths, cfg, Path(args.data)), args.force):
-        return 2
-    elif not pair_sets:
-        print(
-            f"warning: variant {cfg.variant} aligns pairs, but no pair was loaded;"
-            " it trains without the alignment term",
-            file=sys.stderr,
-        )
+    pair_sets, pair_paths = [], []
+    if cfg.variant in ALIGNED_VARIANTS:
+        pair_sets, pair_paths = _load_pair_sets(args.pairs or [])
+        if _refused("train", _pair_mismatches(pair_paths, cfg, Path(args.data)), args.force):
+            return 2
+        if not pair_sets:
+            print(
+                f"warning: variant {cfg.variant} aligns pairs, but no pair was loaded;"
+                " it trains without the alignment term",
+                file=sys.stderr,
+            )
+    elif args.pairs:  # neither read nor recorded
+        print(f"variant {cfg.variant}: alignment pairs ignored", file=sys.stderr)
 
     model = init_model(cfg.model_spec(), dataset, seed=cfg.seed)
     out = Path(args.out)

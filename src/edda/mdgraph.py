@@ -251,7 +251,9 @@ def load_interactions(path: str | Path) -> np.ndarray:
 def _canonical_rows(raw: bytes) -> np.ndarray | None:
     """The (n, 3) int64 rows of a canonical file: only digits, tabs and
     newlines, exactly three fields a line and 1 to 18 digits a field (so
-    every id is below MAX_ID); None for any other file."""
+    every id is below MAX_ID); None for any other file. A checked file is
+    read by `np.fromstring`, whose whitespace separator matches tabs and
+    newlines alike."""
     if raw and not raw.endswith(b"\n"):
         raw += b"\n"
     text = np.frombuffer(raw, dtype=np.uint8)
@@ -266,20 +268,7 @@ def _canonical_rows(raw: bytes) -> np.ndarray | None:
         and lengths.max(initial=0) <= 18
     ):
         return None
-    # one digit a field at a time, widened into a reused buffer: the loop
-    # holds three int64 words a field next to the file's bytes
-    lengths = lengths.astype(np.uint8)
-    short = np.empty(len(seps), dtype=bool)
-    term = np.empty(len(seps), dtype=np.int64)
-    values = np.zeros(len(seps), dtype=np.int64)
-    for j in range(1, lengths.max(initial=0) + 1):  # the j-th digit from each field's end
-        seps -= 1  # a field shorter than j masks its index, which may wrap to the file's end
-        np.less(lengths, j, out=short)
-        digits = text[seps] - ord("0")
-        digits[short] = 0
-        np.multiply(digits, 10 ** (j - 1), out=term, dtype=np.int64)
-        values += term
-    return values.reshape(-1, 3)
+    return np.fromstring(raw, dtype=np.int64, sep=" ").reshape(-1, 3)
 
 
 def _rows_by_lines(path: str | Path) -> np.ndarray:

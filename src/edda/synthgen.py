@@ -101,6 +101,8 @@ class SynthSpec:
             raise SynthError("affinity_gain must be finite")
         if not 0.0 < self.anchor_specific_boost < math.inf:
             raise SynthError("anchor_specific_boost must be positive and finite")
+        if self.seed < 0:
+            raise SynthError(f"seed must be non-negative, got {self.seed}")
         users, items, budgets = self.users(), self.items(), self.interactions()
         for name, counts in (
             ("users_per_domain", users),

@@ -19,16 +19,15 @@ the seeding for every node of a graph at once, and `run_walks` loads each
 state into one shared `PCG64` and fills the node's `(walk_length,
 num_walks)` draws. The steps then run on arrays, `WALK_BLOCK` nodes at a
 time. Mining is array code too: stop counts are one `bincount`, and
-top-k is a row-wise `argmax` (k = 1) or a partition plus one lexsort of
-the candidates. A `SimilarPairSet` holds its pairs as arrays; `write_pairs`
-formats them in one pass and `load_pairs` reads a canonical file with numpy.
+top-k is k rounds of a row-wise `argmax`. A `SimilarPairSet` holds its pairs
+as arrays; `write_pairs` formats them in one pass and `load_pairs` reads a
+canonical file with `np.loadtxt`.
 """
 
 from __future__ import annotations
 
 import io
 import re
-import warnings
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
@@ -171,23 +170,23 @@ def _normalized_rows(counts: np.ndarray) -> np.ndarray:
 
 def _top_k(sims: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(row, column, similarity) of each row's k best positive entries under
-    the order (-similarity, column), rows ascending, best first in a row."""
+    the order (-similarity, column), rows ascending, best first in a row.
+
+    Each round takes every row's `argmax`, the first maximum and so the
+    smallest column among ties, and overwrites it in `sims` with -1, below
+    every clipped similarity; the caller's `sims` is spent.
+    """
     n_rows, n_cols = sims.shape
-    if k == 1:  # argmax takes the first maximum: the smallest column
-        rows, cols = np.arange(n_rows), np.argmax(sims, axis=1)
-    else:
-        candidate = sims > 0.0
-        if k < n_cols:  # only entries at or above the row's k-th largest can rank
-            kth = np.partition(sims, n_cols - k, axis=1)[:, n_cols - k]
-            candidate &= sims >= kth[:, None]
-        rows, cols = np.nonzero(candidate)
-        order = np.lexsort((cols, -sims[rows, cols], rows))
-        rows, cols = rows[order], cols[order]
-        rank = np.arange(len(rows)) - np.searchsorted(rows, rows)  # place within the row
-        rows, cols = rows[rank < k], cols[rank < k]
-    best = sims[rows, cols]
+    rows, rounds = np.arange(n_rows), min(k, n_cols)
+    cols = np.empty((n_rows, rounds), dtype=np.int64)
+    best = np.empty((n_rows, rounds))
+    for r in range(rounds):
+        col = np.argmax(sims, axis=1)
+        cols[:, r], best[:, r] = col, sims[rows, col]
+        sims[rows, col] = -1.0
+    cols, best = cols.ravel(), best.ravel()
     keep = best > 0.0
-    return rows[keep], cols[keep], best[keep]
+    return np.repeat(rows, rounds)[keep], cols[keep], best[keep]
 
 
 def mine_pairs(
@@ -274,9 +273,11 @@ _PAIR_ROW = np.dtype([
     ("d", "<i8"), ("d_prime", "<i8"), ("kind", "U4"), ("source", "<i8"), ("target", "<i8"),
     ("sim", "<f8"),
 ])
-# what `write_pairs` writes: a file of only such lines is read in one numpy pass
+# what `write_pairs` writes, each integer at most 18 digits (below MAX_ID, so
+# no field overflows int64): a file of only such lines is read in one numpy pass
 _CANONICAL_PAIRS = re.compile(
-    r"(?:[0-9]+\t[0-9]+\t(?:user|item)\t[0-9]+\t[0-9]+\t(?:1|0\.[0-9]+|[1-9](?:\.[0-9]+)?e-[0-9]+)\n)*"
+    r"(?:[0-9]{1,18}\t[0-9]{1,18}\t(?:user|item)\t[0-9]{1,18}\t[0-9]{1,18}"
+    r"\t(?:1|0\.[0-9]+|[1-9](?:\.[0-9]+)?e-[0-9]+)\n)*"
 )
 
 
@@ -314,19 +315,11 @@ def _parse_canonical(text: str) -> tuple[np.ndarray, np.ndarray] | None:
         return None
     if not text:
         return np.empty((0, 5), dtype=np.int64), np.empty(0)
-    try:
-        with warnings.catch_warnings():
-            # numpy 1.23-1.26 read an id above int64 as a float, warn, and cast
-            # it to a wrong int64; as an error the warning refuses the file
-            warnings.simplefilter("error", DeprecationWarning)
-            rows = np.loadtxt(io.StringIO(text), dtype=_PAIR_ROW, delimiter="\t", comments=None, ndmin=1)
-    except (ValueError, OverflowError, DeprecationWarning):  # an id above the int64 range
-        return None
+    rows = np.loadtxt(io.StringIO(text), dtype=_PAIR_ROW, delimiter="\t", comments=None, ndmin=1)
     kinds = (rows["kind"] == "item").astype(np.int64)
     ints = np.column_stack([rows["d"], rows["d_prime"], kinds, rows["source"], rows["target"]])
     sims = rows["sim"]
-    in_range = ((ints >= 0) & (ints <= MAX_ID)).all(axis=1)  # also a cast id, if numpy did not warn
-    valid = (ints[:, 0] != ints[:, 1]) & in_range & (sims > 0.0) & (sims <= 1.0)
+    valid = (ints[:, 0] != ints[:, 1]) & (sims > 0.0) & (sims <= 1.0)
     return (ints, sims) if valid.all() else None
 
 
@@ -351,8 +344,9 @@ def load_pairs(path: str | Path) -> list[SimilarPairSet]:
     in (d, d') order; each keeps its pairs in file order.
 
     A malformed line raises ValueError naming the file and the line number.
-    A file of only the lines `write_pairs` writes is parsed in one numpy
-    pass; any other goes through the line loop, which names the first bad line.
+    A file of only the lines `write_pairs` writes, each integer at most 18
+    digits long, is parsed in one `np.loadtxt` pass; any other goes through
+    the line loop, which names the first bad line.
     """
     with open(path, "r", encoding="utf-8") as handle:
         text = handle.read()

@@ -85,29 +85,33 @@ def test_synth_infeasible_spec_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "line, replacement, message",
+    "line, replacement, flags, message",
     [
-        ("seed = 3", "seed = 3\naffinity_gain = nan", "affinity_gain must be finite"),
-        ("users_per_domain = 12,10", "users_per_domain = 0", "users_per_domain must be at least 1"),
+        ("seed = 3", "seed = 3\naffinity_gain = nan", [], "{spec}: affinity_gain must be finite"),
+        ("users_per_domain = 12,10", "users_per_domain = 0", [], "{spec}: users_per_domain must be at least 1"),
         (
             "num_domains = 2",
             "num_domains = 99999999999999999999",
-            "num_domains must lie in [1, 256]",
+            [],
+            "{spec}: num_domains must lie in [1, 256]",
         ),
         (
             "items_per_domain = 16,12",
             f"items_per_domain = {2**62}",
-            "items_per_domain must be at most 4611686018427387903",
+            [],
+            "{spec}: items_per_domain must be at most 4611686018427387903",
         ),
-        ("seed = 3", "seed = 3.5", "seed: invalid literal for int()"),
-        ("users_per_domain = 12,10", "users_per_domain = 12,x", "users_per_domain: invalid literal"),
+        ("seed = 3", "seed = 3.5", [], "{spec}: seed: invalid literal for int()"),
+        ("users_per_domain = 12,10", "users_per_domain = 12,x", [], "{spec}: users_per_domain: invalid literal"),
+        ("seed = 3", "seed = -1", [], "{spec}: seed must be non-negative, got -1"),
+        ("seed = 3", "seed = 3", ["--seed", "-4"], "seed must be non-negative, got -4"),
     ],
 )
-def test_synth_degenerate_spec_exits_2_and_writes_nothing(tmp_path, capsys, line, replacement, message):
+def test_synth_degenerate_spec_exits_2_and_writes_nothing(tmp_path, capsys, line, replacement, flags, message):
     bad = tmp_path / "bad.cfg"
     bad.write_text(SPEC_TEXT.replace(line, replacement))
-    assert main(["synth", str(bad), "--out", str(tmp_path / "out")]) == 2
-    assert f"error: {bad}: {message}" in capsys.readouterr().err
+    assert main(["synth", str(bad), "--out", str(tmp_path / "out"), *flags]) == 2
+    assert f"error: {message.format(spec=bad)}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -551,6 +555,7 @@ def test_negative_eval_seed_exits_2_naming_the_key(workspace, capsys):
         ("train", "d_inter = 0", "embedding dimensions d_inter and d_intra must be positive"),
         ("train", "variant = wo-alignment", "unknown variant 'wo-alignment'"),
         ("eval", "k = 0", "k must be at least 1, got 0"),
+        ("train", "checkpoint_every = -3", "checkpoint_every must be non-negative, got -3"),
     ],
 )
 def test_a_bad_run_setting_exits_2_naming_its_key_before_any_work(
@@ -606,7 +611,9 @@ def test_unaligned_variant_ignores_pairs_without_checking_them(workspace, capsys
     assert main(["align", str(data), "--out", str(pairs), "--config", str(config), "--seed", "1"]) == 0
     bare.mkdir()
     (bare / "pairs_0_1.tsv").write_bytes((pairs / "pairs_0_1.tsv").read_bytes())
-    for name in ("pairs_s1", "bare"):
+    malformed = workspace / "bad.tsv"
+    malformed.write_text("0\t1\tuser\t3\n")
+    for name in ("pairs_s1", "bare", "bad.tsv"):
         capsys.readouterr()
         assert main([
             "train", str(data), "--pairs", str(workspace / name), "--config", str(config),
@@ -615,6 +622,8 @@ def test_unaligned_variant_ignores_pairs_without_checking_them(workspace, capsys
         err = capsys.readouterr().err
         assert "variant wo-da: alignment pairs ignored" in err
         assert "refusing" not in err and "warning" not in err
+        manifest = (workspace / f"run_{name}" / "manifest.txt").read_text()
+        assert "input.data = " in manifest and "input.pairs" not in manifest
 
 
 def test_train_with_checked_pairs_writes_the_same_bytes(workspace, capsys):

@@ -328,7 +328,8 @@ def test_canonical_reader_reads_what_write_interactions_writes(tmp_path):
     write_interactions(path, records)
     got = edda.mdgraph._canonical_rows(path.read_bytes())
     assert got.tolist() == [list(rec) for rec in records]
-    for text in ("0\t1\t2", "", "0\t1\t2\n3\t4\t5\n"):  # no final newline, empty file
+    # no final newline, empty file, leading zeros, an 18-digit id
+    for text in ("0\t1\t2", "", "0\t1\t2\n3\t4\t5\n", "007\t0\t10\n", f"1\t{10**18 - 1}\t{10**17}\n"):
         path.write_text(text, encoding="utf-8")
         want = edda.mdgraph._rows_by_lines(path).tolist()
         assert edda.mdgraph._canonical_rows(text.encode()).tolist() == want

@@ -355,6 +355,35 @@ def test_mine_pairs_equals_the_per_source_lexsort(case):
                 assert flat(mine_pairs(ds, d, d_prime, k, stops)) == want
 
 
+@settings(max_examples=40, deadline=None)
+@given(mining_cases(), st.integers(0, 2**32 - 1))
+@example(ANCHOR_EDGE_CASES, 0)
+def test_mining_commutes_with_increasing_relabelling(case, map_seed):
+    # one strictly increasing map of user ids and another of item ids, in
+    # every domain, keep each graph's local order and the anchors, so the same
+    # walk tables mine the same pairs, with the ids mapped
+    records, cfg, k = case
+    rng = np.random.default_rng(map_seed)
+    maps = []
+    for column in (1, 2):  # user ids, then item ids
+        old = np.unique([rec[column] for rec in records])
+        new = np.cumsum(rng.integers(1, 2**56, size=len(old)))  # stays below MAX_ID
+        maps.append(dict(zip(old.tolist(), new.tolist())))
+    user_map, item_map = maps
+    ds = ingest(records)
+    relabelled = ingest([(d, user_map[u], item_map[i]) for d, u, i in records])
+    stops = _tables(ds, cfg)
+    mapped = lambda kinds, ids: [maps[kind][x] for kind, x in zip(kinds.tolist(), ids.tolist())]
+    n = ds.num_domains
+    for d, d_prime in [(a, b) for a in range(n) for b in range(n) if a != b]:
+        want = mine_pairs(ds, d, d_prime, k, stops)
+        got = mine_pairs(relabelled, d, d_prime, k, stops)
+        assert got.kinds.tolist() == want.kinds.tolist()
+        assert got.similarities.tobytes() == want.similarities.tobytes()
+        assert got.sources.tolist() == mapped(want.kinds, want.sources)
+        assert got.targets.tolist() == mapped(want.kinds, want.targets)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 6), st.integers(1, 6), st.integers(1, 8), st.data())
 def test_top_k_equals_a_lexsort_per_row(n_rows, n_cols, k, data):
@@ -364,7 +393,7 @@ def test_top_k_equals_a_lexsort_per_row(n_rows, n_cols, k, data):
     sims = np.array(data.draw(st.lists(values, min_size=n_rows * n_cols, max_size=n_rows * n_cols)))
     sims = sims.reshape(n_rows, n_cols)
     sims[0] = 0.0
-    rows, cols, best = walker._top_k(sims, k)
+    rows, cols, best = walker._top_k(sims.copy(), k)
     assert list(zip(rows.tolist(), cols.tolist(), best.tolist())) == top_k_by_rows(sims, k)
 
 
@@ -413,10 +442,12 @@ def test_load_pairs_rejects_malformed_lines(tmp_path, bad, message):
     ],
 )
 def test_canonical_pair_reader_leaves_refused_values_to_the_line_loop(tmp_path, bad, message):
-    # a newline-terminated file of export-shaped lines, so only the numpy
-    # reader's value checks stand between the line and the arrays
+    # a newline-terminated file of export-shaped lines: the pattern refuses an
+    # id of 19 or more digits, and only the numpy reader's value checks stand
+    # between any other line and the arrays
     text = f"{PAIR_LINE}\n{bad}\n"
-    assert walker._CANONICAL_PAIRS.fullmatch(text)
+    long_id = any(len(field) > 18 for field in bad.split("\t"))
+    assert bool(walker._CANONICAL_PAIRS.fullmatch(text)) is not long_id
     assert walker._parse_canonical(text) is None
     path = tmp_path / "pairs.tsv"
     path.write_text(text, encoding="utf-8")
