@@ -6,7 +6,8 @@ writes `eval_manifest.txt`, so a run directory keeps the `manifest.txt` its
 training wrote. Reruns with identical inputs and configuration produce
 byte-identical artifacts.
 
-Exit codes: 0 success, 1 usage error, 2 data/config error.
+Exit codes: 0 success, 1 usage error, 2 data/config error or an unusable
+path (missing, a directory where a file is wanted, or the reverse).
 """
 
 from __future__ import annotations
@@ -20,13 +21,12 @@ from pathlib import Path
 import numpy as np
 
 from . import evalkit, synthgen
-from .edmodel import EDModel, ModelSpec, init_model, load_model, save_model, variant_spec
+from .edmodel import VARIANTS, EDModel, ModelSpec, init_model, load_model, save_model, variant_spec
 from .encoders import GRecConfig
-from .mdgraph import IngestError, MultiDomainDataset, atomic_write, ingest_file, read_key_values
+from .mdgraph import MultiDomainDataset, atomic_write, ingest_file, read_key_values
 from .trainer import TrainConfig, TrainingDiverged, train
 from .walker import WalkConfig, load_pairs, mine_pairs, run_walks, write_pairs
 
-VARIANTS = ("edda", "wo-da", "inter", "intra", "ed-mf")
 ALIGNED_VARIANTS = ("edda", "ed-mf")  # the rest drop the alignment term
 
 
@@ -72,16 +72,9 @@ class RunConfig:
         return variant_spec(base, self.variant)
 
     def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            beta=self.beta,
-            reg_lambda=self.reg_lambda,
-            learning_rate=self.learning_rate,
-            batch_size=self.batch_size,
-            edge_dropout=self.edge_dropout,
-            epochs=self.epochs,
-            seed=self.seed,
-            patience=self.patience if self.patience >= 0 else None,
-        )
+        settings = {f.name: getattr(self, f.name) for f in fields(TrainConfig)}
+        settings["patience"] = self.patience if self.patience >= 0 else None
+        return TrainConfig(**settings)
 
     def walk_config(self) -> WalkConfig:
         return WalkConfig(
@@ -104,8 +97,6 @@ def resolve_config(config_path: str | None, overrides: dict) -> RunConfig:
             except ValueError as err:
                 raise ValueError(f"{config_path}: {key}: {err}") from None
     cfg = replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
-    if cfg.variant not in VARIANTS:
-        raise ValueError(f"unknown variant {cfg.variant!r}; choose from {VARIANTS}")
     for key in ("seed", "eval_seed", "checkpoint_every"):
         if getattr(cfg, key) < 0:
             raise ValueError(f"{key} must be non-negative, got {getattr(cfg, key)}")
@@ -350,8 +341,7 @@ def cmd_eval(args) -> int:
         return 2
     test_cases = evalkit.build_all_cases(split_data, "test", cfg.eval_seed)
     rows = evalkit.evaluate_all(model, split_data, test_cases)
-    report = evalkit.format_report(rows)
-    sys.stdout.write(report)
+    sys.stdout.write(evalkit.format_report(rows))
 
     stats_lines = ["domain\tdomain_size\tout_of_domain_interaction"]
     for d in range(split_data.train.num_domains):
@@ -360,8 +350,7 @@ def cmd_eval(args) -> int:
         stats_lines.append(f"{d}\t{ds_frac:.6f}\t{oi:.6f}")
     out = Path(args.out) if args.out else run_dir
     out.mkdir(parents=True, exist_ok=True)
-    with atomic_write(out / "eval_report.tsv") as handle:
-        handle.write(report)
+    evalkit.write_report(out / "eval_report.tsv", rows)
     with atomic_write(out / "domain_stats.tsv") as handle:
         handle.write("\n".join(stats_lines) + "\n")
     _write_manifest(
@@ -407,7 +396,7 @@ def build_parser() -> _Parser:
     p_train.add_argument("--pairs", nargs="*", help="pair files or directories")
     p_train.add_argument("--out", required=True)
     common(p_train)
-    p_train.add_argument("--variant", choices=VARIANTS)
+    p_train.add_argument("--variant", choices=tuple(VARIANTS))
     p_train.add_argument("--beta", type=float)
     p_train.add_argument("--epochs", type=int)
     p_train.add_argument("--eval-seed", dest="eval_seed", type=int)
@@ -434,7 +423,10 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     try:
         return args.func(args)
-    except (IngestError, synthgen.SynthError, ValueError, KeyError, FileNotFoundError) as err:
+    # ValueError covers IngestError and SynthError; a failing write propagates
+    except (
+        ValueError, KeyError, FileNotFoundError, IsADirectoryError, NotADirectoryError, FileExistsError
+    ) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -155,7 +155,7 @@ class Encoding:
 
     def _operator(self, d: int):
         """Domain d's normalized adjacency under its mask; None for the identity."""
-        if self._mf or self.model.spec.grec.is_identity:
+        if self.model.spec.grec.is_identity:
             return None
         if d not in self._ops:
             mask = self.masks.get(d) if self.masks is not None else None
@@ -345,28 +345,36 @@ def load_model(directory: str | Path) -> EDModel:
         loaded = load_table(directory / manifest[name])
         return EmbeddingTable(loaded.keys, loaded.matrix.astype(spec.dtype, copy=False))
 
+    def projection(d: int) -> np.ndarray:
+        path = directory / manifest[f"proj_file[{d}]"]
+        try:
+            return np.load(path)
+        except (ValueError, EOFError) as err:  # EOFError: an empty file
+            raise ValueError(f"{path}: {err}") from None
+
     inter = table("inter_file") if use_inter else None
     intra = None
     proj = None
     if use_intra:
         n = int(manifest["num_domains"])
         intra = [table(f"intra_file[{d}]") for d in range(n)]
-        proj = [np.load(directory / manifest[f"proj_file[{d}]"]) for d in range(n)]
+        proj = [projection(d) for d in range(n)]
     return EDModel(spec, inter, intra, proj)
 
 
-def variant_spec(base: ModelSpec, variant: str) -> ModelSpec:
-    """Model spec for a named ablation variant.
+# each ablation variant's spec from the base spec; single-part variants double
+# their embedding size so parameter counts stay comparable to the two-part model
+VARIANTS = {
+    "edda": lambda base: base,
+    "wo-da": lambda base: base,
+    "inter": lambda base: replace(base, use_intra=False, d_inter=2 * base.d_inter),
+    "intra": lambda base: replace(base, use_inter=False, d_intra=2 * base.d_intra),
+    "ed-mf": lambda base: replace(base, encoder=ENCODER_MF),
+}
 
-    Single-part variants double their embedding size so parameter counts stay
-    comparable to the two-part model.
-    """
-    if variant in ("edda", "wo-da"):
-        return base
-    if variant == "inter":
-        return replace(base, use_intra=False, d_inter=2 * base.d_inter)
-    if variant == "intra":
-        return replace(base, use_inter=False, d_intra=2 * base.d_intra)
-    if variant == "ed-mf":
-        return replace(base, encoder=ENCODER_MF)
-    raise ValueError(f"unknown variant {variant!r}")
+
+def variant_spec(base: ModelSpec, variant: str) -> ModelSpec:
+    """Model spec for a named ablation variant (`VARIANTS`)."""
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}; choose from {tuple(VARIANTS)}")
+    return VARIANTS[variant](base)

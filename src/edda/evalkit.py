@@ -177,11 +177,9 @@ def build_cases(
     # user u's r-th eligible item follows its positives p_0 < p_1 < ... with
     # p_i - i <= r; the keys u * span + p_i - i ascend along the users' CSR
     # rows, so one search counts those positives for every case
-    n_users, span = graph.n_users, graph.n_items + 1
-    indptr = graph.adj_indptr[: n_users + 1]
-    edge_user = np.repeat(np.arange(n_users), graph.user_degree)
-    rank_in_row = np.arange(indptr[-1]) - indptr[edge_user]
-    keys = edge_user * span + graph.adj_indices[: indptr[-1]] - n_users - rank_in_row
+    span, indptr = graph.n_items + 1, graph.adj_indptr
+    rank_in_row = np.arange(graph.n_edges) - indptr[graph.edge_user]
+    keys = graph.edge_user * span + graph.edge_item - rank_in_row
     below = np.searchsorted(keys, u_locs[:, None] * span + ranks, side="right")
     items = graph.item_ids[ranks + below - indptr[u_locs, None]]
     return CaseSet(d, users, positives, np.sort(items, axis=1))

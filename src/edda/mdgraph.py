@@ -59,12 +59,6 @@ def sorted_unique(values: np.ndarray) -> np.ndarray:
 class IngestError(ValueError):
     """Raised for malformed or inconsistent interaction records."""
 
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-
 
 class DomainGraph:
     """Immutable bipartite graph of one domain.
@@ -207,10 +201,10 @@ def ingest(records: Iterable[tuple[int, int, int]] | np.ndarray) -> MultiDomainD
             try:
                 d, u, i = (int(x) for x in rec)
             except (TypeError, ValueError):
-                raise IngestError(f"malformed record {rec!r}", line=k) from None
+                raise IngestError(f"line {k}: malformed record {rec!r}") from None
             if min(d, u, i) < 0 or max(d, u, i) > MAX_ID:
                 problem = "negative id" if min(d, u, i) < 0 else f"id above {MAX_ID}"
-                raise IngestError(f"{problem} in record {(d, u, i)!r}", line=k)
+                raise IngestError(f"line {k}: {problem} in record {(d, u, i)!r}")
         raise IngestError("records must be (domain, user_id, item_id) integer triples")
     domains, counts = np.unique(rows[:, 0], return_counts=True)
     missing = np.flatnonzero(domains != np.arange(len(domains)))
@@ -238,9 +232,9 @@ def load_interactions(path: str | Path) -> np.ndarray:
       reads it (surrounding whitespace allowed), at least 0 and at most
       MAX_ID = 2^62 - 1.
 
-    The first line that breaks a rule raises IngestError naming its 1-based
-    line number in the file. Rows keep file order. A canonical file, as
-    `write_interactions` writes it, is parsed in one numpy pass
+    The first line that breaks a rule raises IngestError naming the file and
+    the line's 1-based number in it. Rows keep file order. A canonical file,
+    as `write_interactions` writes it, is parsed in one numpy pass
     (`_canonical_rows`); any other goes through the line loop.
     """
     with open(path, "rb") as handle:
@@ -274,26 +268,33 @@ def _canonical_rows(raw: bytes) -> np.ndarray | None:
 def _rows_by_lines(path: str | Path) -> np.ndarray:
     """`load_interactions` one line at a time, for any file."""
     flat: list[int] = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            fields = line.split("\t", 3)
-            try:
-                d, u, i = int(fields[0]), int(fields[1]), int(fields[2])
-            except (IndexError, ValueError):
-                stripped = line.strip()
-                if not stripped or stripped.startswith("#"):
-                    continue
-                fields = line.rstrip("\n").split("\t")
-                if len(fields) < 3:
-                    message = f"expected at least 3 tab-separated fields, got {len(fields)}"
-                else:
-                    message = f"non-integer field in {fields[:3]!r}"
-                raise IngestError(message, line=line_no) from None
-            if not (0 <= d <= MAX_ID and 0 <= u <= MAX_ID and 0 <= i <= MAX_ID):
-                problem = "negative id" if min(d, u, i) < 0 else f"id above {MAX_ID}"
-                raise IngestError(f"{problem} in record {(d, u, i)!r}", line=line_no)
-            flat += (d, u, i)
+    for line_no, line in enumerate(read_text(path).split("\n"), start=1):
+        fields = line.split("\t", 3)
+        try:
+            d, u, i = int(fields[0]), int(fields[1]), int(fields[2])
+        except (IndexError, ValueError):
+            stripped = line.strip()
+            if not stripped or stripped.startswith("#"):
+                continue
+            fields = line.split("\t")
+            if len(fields) < 3:
+                message = f"expected at least 3 tab-separated fields, got {len(fields)}"
+            else:
+                message = f"non-integer field in {fields[:3]!r}"
+            raise IngestError(f"{path} line {line_no}: {message}") from None
+        if not (0 <= d <= MAX_ID and 0 <= u <= MAX_ID and 0 <= i <= MAX_ID):
+            problem = "negative id" if min(d, u, i) < 0 else f"id above {MAX_ID}"
+            raise IngestError(f"{path} line {line_no}: {problem} in record {(d, u, i)!r}")
+        flat += (d, u, i)
     return np.array(flat, dtype=np.int64).reshape(-1, 3)
+
+
+def read_text(path: str | Path) -> str:
+    """A UTF-8 file's text as `open` reads it; other bytes raise ValueError naming `path`."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise ValueError(f"{path}: {err}") from None
 
 
 def read_key_values(path: str | Path, error: type[Exception] = ValueError) -> dict[str, str]:
@@ -302,7 +303,7 @@ def read_key_values(path: str | Path, error: type[Exception] = ValueError) -> di
     A line without `=` raises `error` naming the file and the line number.
     """
     values: dict[str, str] = {}
-    for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for line_no, line in enumerate(read_text(path).splitlines(), 1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue

@@ -94,10 +94,7 @@ class _NegativeSampler:
 
     def __init__(self, graph: DomainGraph):
         self.graph = graph
-        indptr, indices = graph.adj_indptr, graph.adj_indices - graph.n_users
-        self.positives = [
-            set(indices[indptr[u] : indptr[u + 1]].tolist()) for u in range(graph.n_users)
-        ]
+        self.positives = set((graph.edge_user * graph.n_items + graph.edge_item).tolist())
         self.eligible = graph.user_degree < graph.n_items
         self.warned: set[int] = set()
 
@@ -118,10 +115,10 @@ class _NegativeSampler:
                     int(graph.user_ids[u_loc]),
                 )
         edges, users = edges[eligible], users[eligible]
-        negs, open_users = [], users.tolist()
-        while len(negs) < len(open_users):
-            for n_loc in rng.integers(graph.n_items, size=len(open_users) - len(negs)).tolist():
-                if n_loc not in self.positives[open_users[len(negs)]]:
+        negs, open_keys = [], (users * graph.n_items).tolist()
+        while len(negs) < len(open_keys):
+            for n_loc in rng.integers(graph.n_items, size=len(open_keys) - len(negs)).tolist():
+                if open_keys[len(negs)] + n_loc not in self.positives:
                     negs.append(n_loc)
         n_u = graph.n_users
         return np.stack([users, graph.edge_item[edges] + n_u, np.array(negs, dtype=np.int64) + n_u])
@@ -304,7 +301,6 @@ def loss_and_gradients(
     pair_sets: Sequence[SimilarPairSet],
     cfg: TrainConfig,
     masks: dict[int, np.ndarray] | None = None,
-    align_scale: float = 1.0,
 ) -> tuple[float, dict[str, np.ndarray]]:
     """L_rank + beta * L_align + lambda * ||params||^2 for the given batch, and
     its exact gradient for every parameter array, by name.
@@ -316,7 +312,7 @@ def loss_and_gradients(
     grads = {name: np.empty_like(arr) for name, arr in model.parameters()}
     blocks = _bpr_blocks(model, sum(t.shape[1] for t in triplets.values()))
     pairs = _prepare_pairs(model, pair_sets)
-    total, *_ = _objective(enc, triplets, pairs, cfg, align_scale, grads, blocks)
+    total, *_ = _objective(enc, triplets, pairs, cfg, 1.0, grads, blocks)
     return total, grads
 
 

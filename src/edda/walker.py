@@ -43,6 +43,7 @@ from .mdgraph import (
     NodeKind,
     anchors,
     atomic_write,
+    read_text,
     split_keys,
 )
 from .seeding import pcg64_states
@@ -343,13 +344,13 @@ def load_pairs(path: str | Path) -> list[SimilarPairSet]:
     """Read a pair export back into one SimilarPairSet per ordered domain pair,
     in (d, d') order; each keeps its pairs in file order.
 
-    A malformed line raises ValueError naming the file and the line number.
-    A file of only the lines `write_pairs` writes, each integer at most 18
-    digits long, is parsed in one `np.loadtxt` pass; any other goes through
-    the line loop, which names the first bad line.
+    A malformed line raises ValueError naming the file and the line number,
+    a file that is not UTF-8 one naming the file. A file of only the lines
+    `write_pairs` writes, each integer at most 18 digits long, is parsed in
+    one `np.loadtxt` pass; any other goes through the line loop, which names
+    the first bad line.
     """
-    with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
+    text = read_text(path)
     parsed = _parse_canonical(text)
     ints, sims = parsed if parsed is not None else _parse_lines(path, text)
     order = np.lexsort((ints[:, 1], ints[:, 0]))  # stable: file order within a domain pair

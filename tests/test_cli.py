@@ -402,7 +402,7 @@ def test_negative_id_is_reported_on_its_file_line(tmp_path, capsys):
     bad = tmp_path / "f.tsv"
     bad.write_text("# header\n0\t0\t0\n\n0\t-1\t2\n")
     assert main(["align", str(bad), "--out", str(tmp_path / "o")]) == 2
-    assert capsys.readouterr().err == "error: line 4: negative id in record (0, -1, 2)\n"
+    assert capsys.readouterr().err == f"error: {bad} line 4: negative id in record (0, -1, 2)\n"
 
 
 @pytest.mark.parametrize("big", [2**62, 2**63 - 1, 10**20])
@@ -413,7 +413,7 @@ def test_interaction_id_no_node_key_holds_exits_2_naming_the_line(workspace, cap
         capsys.readouterr()
         assert main([command, str(data), "--out", str(workspace / command)]) == 2
         assert capsys.readouterr().err == (
-            f"error: line 3: id above 4611686018427387903 in record (1, 0, {big})\n"
+            f"error: {data} line 3: id above 4611686018427387903 in record (1, 0, {big})\n"
         )
 
 
@@ -482,6 +482,51 @@ def test_table_record_no_node_key_holds_exits_2_naming_the_file(workspace, capsy
     )
 
 
+def _damaged_checkpoint(w: Path, name: str, edit) -> tuple[Path, list[str]]:
+    """A trained run whose checkpoint file `name` is rewritten by `edit`, and
+    the eval argv that reads it."""
+    data, run, config = w / "data" / "interactions.tsv", w / "run", w / "run.cfg"
+    assert main(["train", str(data), "--out", str(run), "--config", str(config)]) == 0
+    path = run / "checkpoint" / name
+    path.write_bytes(edit(path.read_bytes()))
+    return path, ["eval", str(data), str(run), "--config", str(config)]
+
+
+def _non_utf8(path: Path, argv: list[str]) -> tuple[Path, list[str]]:
+    path.write_bytes(b"\xff\x00\t1\t2\n")
+    return path, argv
+
+
+# each case: the path its error must name, and the argv
+UNUSABLE_INPUTS = {
+    "data is a directory": lambda w: (w / "data", ["train", str(w / "data"), "--out", str(w / "r")]),
+    "out below a file": lambda w: (
+        w / "spec.cfg", ["align", str(w / "data" / "interactions.tsv"), "--out", str(w / "spec.cfg" / "sub")]
+    ),
+    "out is a file": lambda w: (w / "spec.cfg", ["synth", str(w / "spec.cfg"), "--out", str(w / "spec.cfg")]),
+    "table header cut short": lambda w: _damaged_checkpoint(w, "inter.bin", lambda raw: raw[:19]),
+    "table records cut short": lambda w: _damaged_checkpoint(w, "intra_0.bin", lambda raw: raw[:-1]),
+    "table with a trailing byte": lambda w: _damaged_checkpoint(w, "inter.bin", lambda raw: raw + b"\0"),
+    "empty projection": lambda w: _damaged_checkpoint(w, "proj_1.npy", lambda raw: b""),
+    "non-UTF-8 interaction file": lambda w: _non_utf8(
+        w / "bad.tsv", ["align", str(w / "bad.tsv"), "--out", str(w / "p")]
+    ),
+    "non-UTF-8 pair file": lambda w: _non_utf8(w / "pairs_0_1.tsv", [
+        "train", str(w / "data" / "interactions.tsv"), "--pairs", str(w / "pairs_0_1.tsv"),
+        "--out", str(w / "r"), "--config", str(w / "run.cfg"), "--force",
+    ]),
+}
+
+
+@pytest.mark.parametrize("case", UNUSABLE_INPUTS)
+def test_an_unusable_path_or_file_exits_2_naming_it(workspace, capsys, case):
+    path, argv = UNUSABLE_INPUTS[case](workspace)
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(path) in err, err
+
+
 def test_checkpoint_every_writes_epoch_checkpoints(workspace):
     data = workspace / "data" / "interactions.tsv"
     config = workspace / "every.cfg"
@@ -508,7 +553,7 @@ def test_align_on_a_malformed_file_exits_2_naming_the_line(tmp_path_factory, cas
         assert main(["align", str(work / "inter.tsv"), "--out", str(work / "out")]) == 2
     first_bad = [kind for kind, _ in labels].index("bad") + 1
     err = stderr.getvalue()
-    assert err.startswith(f"error: line {first_bad}: ") and err.count("\n") == 1
+    assert err.startswith(f"error: {work / 'inter.tsv'} line {first_bad}: ") and err.count("\n") == 1
     assert "Traceback" not in err
 
 

@@ -1,3 +1,4 @@
+import re
 from unittest import mock
 
 import numpy as np
@@ -213,11 +214,12 @@ def test_id_above_max_id_rejected(big):
 
 def test_negative_id_in_file_names_its_physical_line(tmp_path):
     path = tmp_path / "inter.tsv"
+    where = re.escape(str(path))
     path.write_text("# header\n0\t0\t0\n\n0\t-1\t2\n0\tx\t2\n")
-    with pytest.raises(IngestError, match=r"^line 4: negative id in record \(0, -1, 2\)$"):
+    with pytest.raises(IngestError, match=rf"^{where} line 4: negative id in record \(0, -1, 2\)$"):
         load_interactions(path)
     path.write_text(f"0\t{MAX_ID}\t0\n\n0\t0\t{10**20}\n")
-    with pytest.raises(IngestError, match=rf"^line 3: id above {MAX_ID} in record \(0, 0, {10**20}\)$"):
+    with pytest.raises(IngestError, match=rf"^{where} line 3: id above {MAX_ID} in record \(0, 0, {10**20}\)$"):
         load_interactions(path)
 
 
@@ -292,7 +294,7 @@ def test_load_interactions_keeps_valid_rows_or_names_the_first_bad_line(tmp_path
     path.write_text(text, encoding="utf-8")
     bad = [k for k, (kind, _) in enumerate(labels, start=1) if kind == "bad"]
     if bad:
-        with pytest.raises(IngestError, match=f"^line {bad[0]}: "):
+        with pytest.raises(IngestError, match=f"^{re.escape(str(path))} line {bad[0]}: "):
             load_interactions(path)
         return
     got = load_interactions(path)
