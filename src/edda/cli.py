@@ -288,7 +288,7 @@ def cmd_train(args) -> int:
 
     val_cases = evalkit.build_all_cases(split_data, "validation", cfg.eval_seed)
     try:
-        model, logs = train(
+        model, logs, val_rows = train(
             model, split_data, pair_sets, cfg.train_config(), val_cases, callbacks=callbacks
         )
     except TrainingDiverged as err:
@@ -304,7 +304,9 @@ def cmd_train(args) -> int:
         )
     with atomic_write(out / "train.log") as handle:
         handle.write("\n".join(log_lines) + ("\n" if log_lines else ""))
-    evalkit.write_report(out / "val_report.tsv", evalkit.evaluate_all(model, split_data, val_cases))
+    if not val_rows:  # no epoch validated: no epochs, or no validation case
+        val_rows = evalkit.evaluate_all(model, split_data, val_cases)
+    evalkit.write_report(out / "val_report.tsv", val_rows)
 
     inputs = {"data": Path(args.data)}
     for idx, p in enumerate(pair_paths):

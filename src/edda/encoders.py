@@ -123,8 +123,8 @@ def save_table(path: str | Path, table: EmbeddingTable) -> None:
 
 def load_table(path: str | Path) -> EmbeddingTable:
     """Inverse of `save_table`; the matrix comes back in the stored float type.
-    A file that is not a table, is not as long as its header says, or whose
-    records no ascending node keys can hold, raises ValueError naming `path`."""
+    A file that is not a table, whose dim no record holds, that is not as long as its
+    header says, or whose records no ascending node keys hold, raises ValueError naming `path`."""
     with open(path, "rb") as handle:
         raw = handle.read()
     if len(raw) < 20 or raw[:4] != TABLE_MAGIC:
@@ -133,9 +133,12 @@ def load_table(path: str | Path) -> EmbeddingTable:
     if version not in TABLE_FLOATS:
         raise ValueError(f"{path}: unsupported table version {version}")
     float_type = TABLE_FLOATS[version]
+    record_size = 9 + dim * float_type.itemsize
+    if record_size >= 2**31:  # numpy's bound on one record
+        raise ValueError(f"{path}: dim {dim} makes a record of 2**31 bytes or more")
+    if len(raw) != 20 + count * record_size:
+        raise ValueError(f"{path}: {len(raw)} bytes, its header says {20 + count * record_size}")
     record = np.dtype([("kind", "u1"), ("id", "<u8"), ("vec", float_type, (dim,))])
-    if len(raw) != 20 + count * record.itemsize:
-        raise ValueError(f"{path}: {len(raw)} bytes, its header says {20 + count * record.itemsize}")
     data = np.frombuffer(raw[20:], dtype=record, count=count)
     if np.any(data["kind"] > NodeKind.ITEM) or np.any(data["id"] > MAX_ID):
         raise ValueError(f"{path}: record with kind above 1 or id above {MAX_ID}")

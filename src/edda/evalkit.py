@@ -45,7 +45,7 @@ from .seeding import pcg64_states, pcg64_step
 logger = logging.getLogger(__name__)
 
 NUM_EVAL_NEGATIVES = 10
-SCORE_CHUNK = 1024  # cases per scoring block
+SCORE_CHUNK = 256  # cases per scoring block
 
 
 @dataclass
@@ -338,9 +338,11 @@ def evaluate_all(
 
 def evaluate_cases_mean(
     model: EDModel, split_data: SplitDataset, cases_per_domain: Sequence[CaseSet]
-) -> tuple[float, float, int]:
-    """Unweighted domain-mean AUC/Recall@1 over prebuilt cases."""
-    return _mean(_rows(model.propagated(split_data.train), cases_per_domain))
+) -> tuple[float, float, list[tuple[int, float, float, int]]]:
+    """Unweighted domain-mean AUC/Recall@1 over prebuilt cases, and the
+    per-domain rows they average (`evaluate_all`'s)."""
+    rows = _rows(model.propagated(split_data.train), cases_per_domain)
+    return (*_mean(rows)[:2], rows)
 
 
 # -- domain analysis ----------------------------------------------------------

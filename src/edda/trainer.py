@@ -13,7 +13,10 @@ alignment and regularization terms, and hands the representation-level
 gradients to `Encoding.transpose`, the exact backward pass through the
 linear, symmetric propagation. Per-domain embedding tables receive gradients
 only from their own domain's triplets (and from alignment pairs touching
-them); the shared table receives gradients from every domain.
+them); the shared table receives gradients from every domain. The ranking
+part of a step holds one (batch, dim) buffer per table; its item rows'
+gradients are one CSR product over the encoded table, exact because scipy's
+`csr_matvecs` does not fuse y += a * x into one rounding (`_bpr_part`).
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 # alignment pairs are subsampled to one batch size once they outnumber it this many times
 ALIGN_SUBSAMPLE_FACTOR = 10
+BPR_CHUNK = 2048  # triplets scored together; bounds the two chunk buffers
 
 
 @dataclass(frozen=True)
@@ -149,58 +153,91 @@ def _prepare_pairs(model: EDModel, pair_sets: Iterable[SimilarPairSet]):
     return prepared
 
 
-def _bpr_blocks(model: EDModel, n_triplets: int) -> dict[str, np.ndarray]:
-    """Gather buffers for `_bpr_part`, room for `n_triplets` (user, positive,
+def _bpr_blocks(model: EDModel, n_triplets: int) -> dict[str, tuple[np.ndarray, ...]]:
+    """Buffers for `_bpr_part`, room for `n_triplets` (user, positive,
     negative) row triples: "inter" for the shared table, "intra" for the
-    per-domain tables, which share one buffer."""
+    per-domain tables, which share theirs. Each is a (n_triplets, dim) value
+    buffer and two (BPR_CHUNK, dim) chunk buffers carved from one allocation."""
     tables = {"inter": model.inter, "intra": model.intra[0] if model.intra else None}
-    return {
-        name: np.empty((3 * n_triplets, table.dim), table.matrix.dtype)
-        for name, table in tables.items()
-        if table is not None
+    n, chunk = n_triplets, min(BPR_CHUNK, n_triplets)
+    flat = {
+        name: np.empty((n + 2 * chunk, table.dim), table.matrix.dtype)
+        for name, table in tables.items() if table is not None
     }
+    return {name: (f[:n], f[n : n + chunk], f[n + chunk :]) for name, f in flat.items()}
 
 
-def _bpr_part(enc: Encoding, grouped: dict[int, np.ndarray], blocks: dict[str, np.ndarray]):
+def _bpr_part(enc: Encoding, grouped: dict[int, np.ndarray], blocks: dict[str, tuple]):
     """Ranking loss and its gradients w.r.t. `enc.inter` (None without a
     shared table) and each `enc.intra(d)`.
 
-    Each table's rows are gathered once per domain as a [user; positive;
-    negative] block into `blocks` (`_bpr_blocks`): the shared table's blocks
-    follow one another, because they are scattered together at the end, and
-    each domain's own block reuses the start of "intra". The row indices are
-    valid by construction, so `np.take` runs with mode="clip", which writes
-    straight into the buffer (mode="raise" gathers into a copy first).
+    Memory: one (batch, dim) value buffer per table (`_bpr_blocks`), left
+    holding e_p - e_n by `_add_scores`, then scaled in place to the user rows'
+    gradients dl_dx * (e_p - e_n); the shared table's holds the domains one
+    after another, each domain's own table reuses "intra". The item rows'
+    terms +-dl_dx * e_u are never written: `_bpr_gradient` sums them from the
+    encoded table, bit-equal to the explicit products since (-a) * x = -(a * x)
+    and scipy's `csr_matvecs` rounds a * x before adding it (no fused
+    multiply-add, as in its x86-64 wheels).
     """
     l_bpr = 0.0
-    d_g_rows: list[np.ndarray] = []
-    d_g_values: list[np.ndarray] = []
+    g_rows, g_dl_dx = [], []  # the shared table's, per domain
     d_q: dict[int, np.ndarray] = {}
     g_end = 0
     for d, triplet_locs in grouped.items():
-        locs = triplet_locs.reshape(-1)
-        x = np.zeros(triplet_locs.shape[1], dtype=enc.dtype)
+        n = triplet_locs.shape[1]
+        x = np.zeros(n, dtype=enc.dtype)
         if enc.inter is not None:
-            g_rows = enc.inter_rows[d][locs]
-            g_block = blocks["inter"][g_end : g_end + len(locs)]
-            g_end += len(locs)
-            np.take(enc.inter, g_rows, axis=0, out=g_block, mode="clip")
-            x += _bpr_scores(g_block)
+            g_rows.append(enc.inter_rows[d][triplet_locs])
+            g_values = blocks["inter"][0][g_end : g_end + n]
+            g_end += n
+            _add_scores(x, enc.inter, g_rows[-1], g_values, blocks["inter"][1:])
         if enc.model.intra is not None:
             q = enc.intra(d)
-            q_rows = enc.intra_rows[d][locs]
-            q_block = blocks["intra"][: len(locs)]
-            np.take(q, q_rows, axis=0, out=q_block, mode="clip")
-            x += _bpr_scores(q_block)
+            q_rows = enc.intra_rows[d][triplet_locs]
+            q_values = blocks["intra"][0][:n]
+            _add_scores(x, q, q_rows, q_values, blocks["intra"][1:])
         l_bpr += float(np.sum(np.logaddexp(0.0, -x)))
-        dl_dx = -expit(-x)[:, None]  # negative
+        dl_dx = -expit(-x)  # negative
         if enc.inter is not None:
-            d_g_rows.append(g_rows)
-            d_g_values.append(_bpr_row_gradients(dl_dx, g_block))
+            g_values *= dl_dx[:, None]
+            g_dl_dx.append(dl_dx)
         if enc.model.intra is not None:
-            d_q[d] = _scatter_add(len(q), [q_rows], [_bpr_row_gradients(dl_dx, q_block)])
-    d_g = _scatter_add(len(enc.inter), d_g_rows, d_g_values) if d_g_rows else None
+            q_values *= dl_dx[:, None]
+            d_q[d] = _bpr_gradient(q, [q_rows], [dl_dx], q_values)
+    d_g = _bpr_gradient(enc.inter, g_rows, g_dl_dx, blocks["inter"][0][:g_end]) if g_rows else None
     return l_bpr, d_g, d_q
+
+
+def _add_scores(x, table, rows, values, chunks) -> None:
+    """x += e_u . (e_p - e_n) for the (3, n) user, positive and negative
+    `table` rows `rows`, BPR_CHUNK triplets at a time through the two `chunks`;
+    `values` is left holding e_p - e_n. Each score is its own row's, so
+    chunking changes no bit. The rows are valid, so `np.take` runs with
+    mode="clip", which writes straight into `out` (mode="raise" copies)."""
+    negatives, products = chunks
+    for lo in range(0, len(x), BPR_CHUNK):
+        hi = min(lo + BPR_CHUNK, len(x))
+        diff, m = values[lo:hi], hi - lo
+        np.take(table, rows[1, lo:hi], axis=0, out=diff, mode="clip")
+        diff -= np.take(table, rows[2, lo:hi], axis=0, out=negatives[:m], mode="clip")
+        e_u = np.take(table, rows[0, lo:hi], axis=0, out=products[:m], mode="clip")
+        x[lo:hi] += np.sum(np.multiply(e_u, diff, out=e_u), axis=1)
+
+
+def _bpr_gradient(table, rows, dl_dx, user_values) -> np.ndarray:
+    """BPR gradient w.r.t. `table`'s rows, from each domain's (3, n) user,
+    positive and negative rows and its dl_dx, and the users' gradient rows.
+    User and item rows are disjoint, so each row sums its terms in
+    `_scatter_add`'s order: row, then users, positives, negatives (domains in
+    list order); an item's term is +-dl_dx times its user's row of `table`."""
+    n_rows = len(table)
+    grad = _scatter_add(n_rows, [r[0] for r in rows], [user_values])
+    order, indptr = _row_order(n_rows, np.concatenate([r[1:] for r in rows], axis=None))
+    weights = np.concatenate([w for g in dl_dx for w in (g, -g)])[order]
+    users = np.concatenate([r[[0, 0]] for r in rows], axis=None)[order]
+    grad += sp.csr_matrix((weights, users, indptr), shape=(n_rows, n_rows)) @ table
+    return grad
 
 
 def _objective(
@@ -210,12 +247,12 @@ def _objective(
     cfg: TrainConfig,
     align_scale: float,
     grads: dict[str, np.ndarray],
-    blocks: dict[str, np.ndarray],
+    blocks: dict[str, tuple],
 ):
     """(total, L_rank, L_align) for one batch; its exact gradients by
     parameter name are written into `grads`, one array shaped like each
-    parameter, whose old contents are ignored. `blocks` are the gather
-    buffers of `_bpr_part`, with room for every triplet of `grouped`."""
+    parameter, whose old contents are ignored. `blocks` are the buffers of
+    `_bpr_part`, with room for every triplet of `grouped`."""
     model = enc.model
     l_bpr, d_g, d_q = _bpr_part(enc, grouped, blocks)
 
@@ -247,51 +284,31 @@ def _objective(
     return total, l_bpr, l_align
 
 
-def _bpr_scores(block: np.ndarray) -> np.ndarray:
-    """Per-triplet e_u . (e_p - e_n) of a gathered [e_u; e_p; e_n] block.
-
-    In place: the e_n rows are left holding e_p - e_n, which
-    `_bpr_row_gradients` reads, and the e_p rows their products with e_u.
-    """
-    e_u, e_p, e_n = np.split(block, 3)
-    np.subtract(e_p, e_n, out=e_n)
-    return np.sum(np.multiply(e_u, e_n, out=e_p), axis=1)
-
-
-def _bpr_row_gradients(dl_dx: np.ndarray, block: np.ndarray) -> np.ndarray:
-    """Overwrite a block that `_bpr_scores` has read with the BPR loss
-    gradient w.r.t. each row of [e_u; e_p; e_n]: dl_dx * (e_p - e_n),
-    dl_dx * e_u, -dl_dx * e_u (negation is exact, so the last is -(dl_dx * e_u)).
-
-    In place, so a batch holds no second copy of its gathered rows.
-    """
-    e_u, e_p, diff = np.split(block, 3)
-    np.multiply(dl_dx, e_u, out=e_p)
-    np.multiply(dl_dx, diff, out=e_u)
-    np.negative(e_p, out=diff)
-    return block
-
-
 def _scatter_add(n_rows: int, rows: list[np.ndarray], values: list[np.ndarray]) -> np.ndarray:
     """(n_rows, dim) sums of the `values` rows at their `rows` indices.
 
     One CSR product: each output row adds its contributions in list order,
-    then in array order, which makes the result bit-equal to `np.add.at`
-    calls into zeros in that order. That order is one sort of the unique
-    keys `(row << 32) | position`, so every row must lie below 2**31 and
-    there must be fewer than 2**32 contributions; ValueError otherwise.
+    then in array order (`_row_order`), which makes the result bit-equal to
+    `np.add.at` calls into zeros in that order.
     """
-    if len(rows) > 1:
-        rows, values = np.concatenate(rows), np.concatenate(values)
-    else:
-        rows, values = rows[0], values[0]
+    rows = np.concatenate(rows) if len(rows) > 1 else rows[0]
+    values = np.concatenate(values) if len(values) > 1 else values[0]
+    order, indptr = _row_order(n_rows, rows)
+    ones = np.ones(len(order), dtype=values.dtype)
+    return sp.csr_matrix((ones, order, indptr), shape=(n_rows, len(order))) @ values
+
+
+def _row_order(n_rows: int, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The positions of `rows` sorted by row, then position, and the CSR
+    `indptr` of rows [0, n_rows) over them. The order is one sort of the keys
+    `(row << 32) | position`, so every row must lie below 2**31 and there must
+    be fewer than 2**32 positions; ValueError otherwise."""
     n = len(rows)
     if n >= 2**32 or (n and rows.max() >= 2**31):
         raise ValueError("scatter needs rows below 2**31 and fewer than 2**32 contributions")
     order = np.sort((rows.astype(np.int64) << 32) | np.arange(n)) & 0xFFFFFFFF
     indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n_rows))])
-    scatter = sp.csr_matrix((np.ones(n, dtype=values.dtype), order, indptr), shape=(n_rows, n))
-    return scatter @ values
+    return order, indptr
 
 
 def loss_and_gradients(
@@ -385,8 +402,10 @@ def train(
     cfg: TrainConfig,
     val_cases: Sequence[evalkit.CaseSet],
     callbacks: Sequence[Callable[[EpochLog, EDModel], None]] = (),
-) -> tuple[EDModel, list[EpochLog]]:
-    """Optimize the model on a split dataset; returns the model and epoch logs.
+) -> tuple[EDModel, list[EpochLog], list[tuple[int, float, float, int]]]:
+    """Optimize the model on a split dataset; returns the model, the epoch
+    logs and the per-domain validation rows (`evalkit.evaluate_all`'s) of the
+    parameters it returns, empty when no epoch was validated.
 
     One epoch uses every training interaction as a positive once, in
     per-domain batches interleaved round-robin. Fresh edge-dropout masks are
@@ -409,6 +428,7 @@ def train(
     best_auc = -np.inf
     best_model: EDModel | None = None
     best_epoch = 0
+    val_rows = best_rows = []
 
     for epoch in range(1, cfg.epochs + 1):
         epoch_bpr = epoch_align = epoch_total = 0.0
@@ -445,14 +465,14 @@ def train(
         del blocks
         val_auc = val_recall = float("nan")
         if has_val:
-            val_auc, val_recall, _ = evalkit.evaluate_cases_mean(model, split, val_cases)
+            val_auc, val_recall, val_rows = evalkit.evaluate_cases_mean(model, split, val_cases)
         log = EpochLog(epoch, epoch_bpr, epoch_align, epoch_total, val_auc, val_recall)
         logs.append(log)
         for cb in callbacks:
             cb(log, model)
         if cfg.patience is not None and has_val:
             if val_auc > best_auc:
-                best_auc, best_epoch = val_auc, epoch
+                best_auc, best_epoch, best_rows = val_auc, epoch, val_rows
                 best_model = model.copy()
             elif epoch - best_epoch >= cfg.patience:
                 break
@@ -460,7 +480,8 @@ def train(
     if best_model is not None:
         for (_, dst), (_, src) in zip(model.parameters(), best_model.parameters()):
             np.copyto(dst, src)
-    return model, logs
+        val_rows = best_rows
+    return model, logs, val_rows
 
 
 def _subsample_pairs(prepared_pairs, n_pairs: int, sample_size: int, rng):

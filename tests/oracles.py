@@ -8,6 +8,7 @@ from dataclasses import replace
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.special import expit
 from hypothesis import strategies as st
 
 from edda.edmodel import EDModel
@@ -403,6 +404,63 @@ def oracle_total_loss(model, dataset, triplets, pair_sets, cfg, masks=None):
         for value in arr.reshape(-1):
             reg += float(value) ** 2
     return l_bpr + cfg.beta * l_align + cfg.reg_lambda * reg
+
+
+def bpr_scores(block):
+    """Per-triplet e_u . (e_p - e_n) of a gathered [e_u; e_p; e_n] block.
+
+    In place: the e_n rows are left holding e_p - e_n, which
+    `bpr_row_gradients` reads, and the e_p rows their products with e_u.
+    """
+    e_u, e_p, e_n = np.split(block, 3)
+    np.subtract(e_p, e_n, out=e_n)
+    return np.sum(np.multiply(e_u, e_n, out=e_p), axis=1)
+
+
+def bpr_row_gradients(dl_dx, block):
+    """Overwrite a block that `bpr_scores` has read with the BPR loss
+    gradient w.r.t. each row of [e_u; e_p; e_n]: dl_dx * (e_p - e_n),
+    dl_dx * e_u, -dl_dx * e_u (negation is exact, so the last is -(dl_dx * e_u))."""
+    e_u, e_p, diff = np.split(block, 3)
+    np.multiply(dl_dx, e_u, out=e_p)
+    np.multiply(dl_dx, diff, out=e_u)
+    np.negative(e_p, out=diff)
+    return block
+
+
+def bpr_part_by_rows(enc, grouped, blocks=None):
+    """`trainer._bpr_part` with every gradient row written out: per domain,
+    each table's [e_u; e_p; e_n] rows are gathered into one block, scored
+    and turned into their gradient rows (`bpr_scores`, `bpr_row_gradients`),
+    and the rows are summed by `np.add.at` into zeros in position order
+    (users, positives, negatives; domains in `grouped` order). `blocks` is
+    ignored."""
+    l_bpr = 0.0
+    g_rows, g_values, d_q = [], [], {}
+    for d, triplet_locs in grouped.items():
+        locs = triplet_locs.reshape(-1)
+        x = np.zeros(triplet_locs.shape[1], dtype=enc.dtype)
+        if enc.inter is not None:
+            g_rows.append(enc.inter_rows[d][locs])
+            g_block = enc.inter[g_rows[-1]]
+            x += bpr_scores(g_block)
+        if enc.model.intra is not None:
+            q = enc.intra(d)
+            q_rows = enc.intra_rows[d][locs]
+            q_block = q[q_rows]
+            x += bpr_scores(q_block)
+        l_bpr += float(np.sum(np.logaddexp(0.0, -x)))
+        dl_dx = -expit(-x)[:, None]
+        if enc.inter is not None:
+            g_values.append(bpr_row_gradients(dl_dx, g_block))
+        if enc.model.intra is not None:
+            d_q[d] = np.zeros_like(q)
+            np.add.at(d_q[d], q_rows, bpr_row_gradients(dl_dx, q_block))
+    d_g = None
+    if g_rows:
+        d_g = np.zeros_like(enc.inter)
+        np.add.at(d_g, np.concatenate(g_rows), np.concatenate(g_values))
+    return l_bpr, d_g, d_q
 
 
 def finite_difference_gradient(loss_fn, array, flat_index, h=1e-5):

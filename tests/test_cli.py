@@ -3,6 +3,7 @@ import contextlib
 import filecmp
 import hashlib
 import io
+import struct
 from dataclasses import fields
 from pathlib import Path
 
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 
 from edda import evalkit
-from edda.cli import RunConfig, build_parser, main
+from edda.cli import RunConfig, build_parser, main, resolve_config
 from edda.edmodel import init_model, load_model
 from edda.mdgraph import ingest_file, write_interactions
 
@@ -508,6 +509,9 @@ UNUSABLE_INPUTS = {
     "table records cut short": lambda w: _damaged_checkpoint(w, "intra_0.bin", lambda raw: raw[:-1]),
     "table with a trailing byte": lambda w: _damaged_checkpoint(w, "inter.bin", lambda raw: raw + b"\0"),
     "empty projection": lambda w: _damaged_checkpoint(w, "proj_1.npy", lambda raw: b""),
+    "table dim no record holds": lambda w: _damaged_checkpoint(
+        w, "inter.bin", lambda raw: b"EDDA" + struct.pack("<IIQ", 1, 2**32 - 1, 0)
+    ),
     "non-UTF-8 interaction file": lambda w: _non_utf8(
         w / "bad.tsv", ["align", str(w / "bad.tsv"), "--out", str(w / "p")]
     ),
@@ -725,12 +729,29 @@ def test_train_and_eval_build_each_domains_cases_once(workspace, monkeypatch):
 
     monkeypatch.setattr(evalkit, "build_cases", counted)
     run = workspace / "run"
-    assert "epochs = 3" in CONFIG_TEXT  # validation scores three epochs and the report
+    assert "epochs = 3" in CONFIG_TEXT  # validation scores three epochs; the report reuses the last
     assert main(["train", str(data), "--out", str(run), "--config", str(config)]) == 0
     assert built == [("validation", 0), ("validation", 1)]
     built.clear()
     assert main(["eval", str(data), str(run), "--config", str(config)]) == 0
     assert built == [("test", 0), ("test", 1)]
+
+
+@pytest.mark.parametrize("epochs", [3, 0])
+def test_val_report_scores_the_saved_checkpoint_once(workspace, monkeypatch, epochs):
+    data = workspace / "data" / "interactions.tsv"
+    config = workspace / "run.cfg"
+    config.write_text(CONFIG_TEXT.replace("epochs = 3", f"epochs = {epochs}"))
+    original, calls = evalkit.evaluate_all, []
+    monkeypatch.setattr(evalkit, "evaluate_all", lambda *args: calls.append(args) or original(*args))
+    run = workspace / "run"
+    assert main(["train", str(data), "--out", str(run), "--config", str(config)]) == 0
+    assert len(calls) == (epochs == 0)  # the last validation is reused when there is one
+    cfg = resolve_config(str(config), {})
+    split_data = evalkit.split(ingest_file(data), seed=cfg.seed)
+    cases = evalkit.build_all_cases(split_data, "validation", cfg.eval_seed)
+    rows = original(load_model(run / "checkpoint"), split_data, cases)
+    assert (run / "val_report.tsv").read_text() == evalkit.format_report(rows)
 
 
 def test_every_run_option_names_a_run_config_field():

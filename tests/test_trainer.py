@@ -1,5 +1,7 @@
 import logging
+import tracemalloc
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,18 +9,19 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from edda import trainer
-from edda.edmodel import EDModel, ModelSpec, init_model
+from edda.edmodel import EDModel, ModelSpec, init_model, variant_spec
 from edda import evalkit
 from edda.encoders import GRecConfig
 from edda.evalkit import split
 from edda.mdgraph import NodeId, NodeKind, ingest
 from edda.trainer import (
+    BPR_CHUNK,
     AdamState,
     TrainConfig,
     TrainingDiverged,
     _NegativeSampler,
-    _bpr_row_gradients,
-    _bpr_scores,
+    _bpr_blocks,
+    _bpr_part,
     _epoch_batches,
     _scatter_add,
     _subsample_pairs,
@@ -32,6 +35,9 @@ from edda.walker import SimilarPair
 from oracles import (
     adam_reference,
     as_float32,
+    bpr_part_by_rows,
+    bpr_row_gradients,
+    bpr_scores,
     epoch_batches_by_lists,
     finite_difference_gradient,
     keys,
@@ -516,7 +522,7 @@ def test_train_zero_epochs_keeps_model():
     sp = _toy_split()
     model = init_model(ModelSpec(d_inter=4, d_intra=4), sp.full, seed=1)
     before = {name: arr.copy() for name, arr in model.parameters()}
-    trained, logs = train(model, sp, [], TrainConfig(epochs=0), _val_cases(sp))
+    trained, logs, _ = train(model, sp, [], TrainConfig(epochs=0), _val_cases(sp))
     assert logs == []
     for name, arr in trained.parameters():
         assert np.array_equal(arr, before[name])
@@ -531,7 +537,7 @@ def test_train_loss_decreases_on_separable_toy():
         beta=0.0, reg_lambda=1e-4, learning_rate=0.02, epochs=50,
         edge_dropout=0.0, seed=3,
     )
-    _, logs = train(model, sp, [], cfg, _val_cases(sp))
+    _, logs, _ = train(model, sp, [], cfg, _val_cases(sp))
     drops = sum(b.bpr < a.bpr for a, b in zip(logs, logs[1:]))
     assert drops / (len(logs) - 1) >= 0.9
 
@@ -553,7 +559,7 @@ def test_train_large_beta_pulls_pair_together():
         beta=1e3, reg_lambda=0.0, learning_rate=0.02, epochs=60,
         edge_dropout=0.0, seed=5,
     )
-    trained, _ = train(model, sp, [pair], cfg, _val_cases(sp))
+    trained, _, _ = train(model, sp, [pair], cfg, _val_cases(sp))
     assert pair_distance(trained) <= before / 10.0
 
 
@@ -563,7 +569,7 @@ def test_train_determinism():
     for _ in range(2):
         model = init_model(ModelSpec(d_inter=4, d_intra=4), sp.full, seed=6)
         cfg = TrainConfig(epochs=5, seed=7, edge_dropout=0.3, learning_rate=0.01)
-        trained, logs = train(model, sp, [], cfg, _val_cases(sp))
+        trained, logs, _ = train(model, sp, [], cfg, _val_cases(sp))
         results.append(
             ({n: a.copy() for n, a in trained.parameters()}, [l.bpr for l in logs])
         )
@@ -645,7 +651,7 @@ def test_train_subsamples_pairs_past_the_threshold_and_reruns_identically(monkey
     results = []
     for _ in range(2):
         model = init_model(ModelSpec(d_inter=4, d_intra=4), sp.full, seed=10)
-        trained, logs = train(model, sp, [pair_set], cfg, _val_cases(sp))
+        trained, logs, _ = train(model, sp, [pair_set], cfg, _val_cases(sp))
         results.append(({n: a.copy() for n, a in trained.parameters()}, logs))
     assert samples and set(samples) == {(2, 56 / 2)}
     assert [(l.bpr, l.align) for l in results[0][1]] == [(l.bpr, l.align) for l in results[1][1]]
@@ -669,14 +675,14 @@ def test_early_stopping_stops_after_patience_epochs_and_restores_best(
     # validation AUC peaks at epoch 2; later epochs do not improve on it
     scripted = iter([0.5, 0.7, 0.6, 0.65, 0.6, 0.6])
     monkeypatch.setattr(
-        evalkit, "evaluate_cases_mean", lambda model, split_data, cases: (next(scripted), 0.0, 1)
+        evalkit, "evaluate_cases_mean", lambda model, split_data, cases: (next(scripted), 0.0, [])
     )
     sp = split(ingest(random_bipartite_records(np.random.default_rng(0), 0, 8, 30, 60)), seed=0)
     assert any(_val_cases(sp))
     snapshots = []
     model = init_model(ModelSpec(d_inter=4, d_intra=4), sp.full, seed=1)
     cfg = TrainConfig(epochs=6, patience=patience, learning_rate=0.01, edge_dropout=0.0)
-    trained, logs = train(
+    trained, logs, _ = train(
         model, sp, [], cfg, _val_cases(sp),
         callbacks=[lambda log, m: snapshots.append({n: a.copy() for n, a in m.parameters()})],
     )
@@ -742,9 +748,110 @@ def test_bpr_row_gradients_are_the_explicit_products_bit_for_bit():
     e_u, e_p, e_n = rng.normal(size=(3, 50, 6))
     dl_dx = -rng.random((50, 1))
     block = np.concatenate([e_u, e_p, e_n])
-    scores = _bpr_scores(block)
+    scores = bpr_scores(block)
     assert scores.tobytes() == np.sum(e_u * (e_p - e_n), axis=1).tobytes()
-    got = _bpr_row_gradients(dl_dx, block)
+    got = bpr_row_gradients(dl_dx, block)
     want = np.concatenate([dl_dx * (e_p - e_n), dl_dx * e_u, -dl_dx * e_u])
     assert got is block
     assert got.tobytes() == want.tobytes()
+
+
+def _three_domain_dataset():
+    """Three overlapping domains: neighbouring domains share users and items,
+    so the shared table has rows that several domains' triplets touch."""
+    rng = np.random.default_rng(31)
+    records = []
+    for d in range(3):
+        records += random_bipartite_records(rng, d, 30, 20, 200, user_base=20 * d, item_base=12 * d)
+    return ingest(records)
+
+
+BATCH_SIZES = (1, BPR_CHUNK - 1, BPR_CHUNK, BPR_CHUNK + 1, 2 * BPR_CHUNK + 3)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from(["edda", "inter", "intra"]),
+    st.sampled_from([np.float64, np.float32]),
+    st.permutations([0, 1, 2]),
+    st.lists(st.sampled_from(BATCH_SIZES), min_size=1, max_size=3),
+    st.integers(0, 2**16),
+)
+@example("edda", np.float32, [2, 0, 1], [2 * BPR_CHUNK + 3, BPR_CHUNK, BPR_CHUNK + 1], 0)
+@example("inter", np.float64, [1, 2, 0], [BPR_CHUNK - 1, 1, 2 * BPR_CHUNK + 3], 1)
+def test_loss_and_gradients_equal_the_explicit_rows_oracle_bit_for_bit(
+    variant, dtype, domain_order, sizes, seed
+):
+    ds = _three_domain_dataset()
+    model = init_model(variant_spec(ModelSpec(d_inter=3, d_intra=2), variant), ds, seed=seed)
+    if dtype == np.float32:
+        model = as_float32(model)
+    rng = np.random.default_rng(seed)
+    # 1-3 domains in `grouped`, in any order, each with its own batch size
+    triplets = sample_triplets(ds, dict(zip(domain_order, sizes)), rng)
+    masks = {d: edge_dropout(g, 0.3, rng) for d, g in enumerate(ds.domains)}
+    cfg = TrainConfig(beta=0.0, reg_lambda=1e-4)
+    total, grads = loss_and_gradients(model, ds, triplets, [], cfg, masks)
+    with mock.patch.object(trainer, "_bpr_part", bpr_part_by_rows):
+        want_total, want = loss_and_gradients(model, ds, triplets, [], cfg, masks)
+    assert np.float64(total).tobytes() == np.float64(want_total).tobytes()
+    assert grads.keys() == want.keys()
+    for name, grad in grads.items():
+        assert grad.dtype == dtype and grad.tobytes() == want[name].tobytes(), name
+
+
+def test_bpr_part_allocates_less_than_one_batch_block_at_the_train_dense_shape():
+    # perfbench's train_dense shape: 2 domains of 600 users x 300 items and
+    # 22,500 interactions, d = 64, the default batch of 8,092
+    rng = np.random.default_rng(0)
+    records = random_bipartite_records(rng, 0, 600, 300, 22_500)
+    records += random_bipartite_records(rng, 1, 600, 300, 22_500, user_base=570, item_base=285)
+    ds = ingest(records)
+    model = init_model(ModelSpec(d_inter=64, d_intra=64), ds, seed=1)
+    batch = TrainConfig().batch_size
+    block_bytes = batch * 64 * 8
+    edges = rng.permutation(ds.graph(0).n_edges)[:batch]
+    triplets = {0: _NegativeSampler(ds.graph(0)).triplets(edges, rng)}
+    blocks = _bpr_blocks(model, batch)
+    assert all(buffers[0].base.nbytes < 2 * block_bytes for buffers in blocks.values())
+    enc = model.propagated(ds)
+    enc.intra(0)  # the encoding's own table, built on first use
+    tracemalloc.start()
+    try:
+        l_bpr, d_g, d_q = _bpr_part(enc, triplets, blocks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < block_bytes
+    want = bpr_part_by_rows(enc, triplets)
+    assert l_bpr == want[0] and d_g.tobytes() == want[1].tobytes()
+    assert d_q[0].tobytes() == want[2][0].tobytes()
+
+
+@pytest.mark.parametrize("epochs, patience, restores", [(3, None, False), (4, 1, True), (0, None, False)])
+def test_train_returns_the_validation_rows_of_the_parameters_it_returns(
+    monkeypatch, epochs, patience, restores
+):
+    sp = split(ingest(random_bipartite_records(np.random.default_rng(3), 0, 8, 30, 60)), seed=0)
+    cases = _val_cases(sp)
+    real = evalkit.evaluate_cases_mean
+    scripted = iter([0.5, 0.7, 0.6, 0.6])  # under patience 1: epoch 2 is restored after epoch 3
+    seen = []
+
+    def evaluated(model, split_data, case_sets):
+        _, recall, rows = real(model, split_data, case_sets)
+        seen.append(rows)
+        return next(scripted), recall, rows
+
+    monkeypatch.setattr(evalkit, "evaluate_cases_mean", evaluated)
+    model = init_model(ModelSpec(d_inter=4, d_intra=4), sp.full, seed=1)
+    cfg = TrainConfig(epochs=epochs, patience=patience, learning_rate=0.01, edge_dropout=0.0)
+    trained, logs, val_rows = train(model, sp, [], cfg, cases)
+    assert len(logs) == (3 if restores else epochs)
+    if epochs == 0:
+        assert val_rows == [] and seen == []
+        return
+    assert val_rows == evalkit.evaluate_all(trained, sp, cases)
+    assert val_rows == seen[1 if restores else -1]
+    if restores:  # the rows of the last epoch run would be wrong
+        assert seen[1] != seen[-1]
