@@ -328,25 +328,32 @@ def _write_checkpoint(directory: Path, model: EDModel) -> None:
 def load_model(directory: str | Path) -> EDModel:
     """Inverse of `save_model`; tables come back in the saved dtype."""
     directory = Path(directory)
-    manifest = read_key_values(directory / "model.manifest")
-    use_inter = bool(int(manifest["use_inter"]))
-    use_intra = bool(int(manifest["use_intra"]))
+    manifest_path = directory / "model.manifest"
+    values = read_key_values(manifest_path)
+
+    def manifest(key: str) -> str:
+        if key not in values:
+            raise ValueError(f"{manifest_path}: missing key {key}")
+        return values[key]
+
+    use_inter = bool(int(manifest("use_inter")))
+    use_intra = bool(int(manifest("use_intra")))
     spec = ModelSpec(
-        d_inter=int(manifest["d_inter"]),
-        d_intra=int(manifest["d_intra"]),
-        encoder=manifest["encoder"],
-        grec=GRecConfig(int(manifest["num_layers"]), float(manifest["alpha"])),
+        d_inter=int(manifest("d_inter")),
+        d_intra=int(manifest("d_intra")),
+        encoder=manifest("encoder"),
+        grec=GRecConfig(int(manifest("num_layers")), float(manifest("alpha"))),
         use_inter=use_inter,
         use_intra=use_intra,
-        dtype=manifest.get("dtype", "float64"),
+        dtype=values.get("dtype", "float64"),
     )
 
     def table(name: str) -> EmbeddingTable:
-        loaded = load_table(directory / manifest[name])
+        loaded = load_table(directory / manifest(name))
         return EmbeddingTable(loaded.keys, loaded.matrix.astype(spec.dtype, copy=False))
 
     def projection(d: int) -> np.ndarray:
-        path = directory / manifest[f"proj_file[{d}]"]
+        path = directory / manifest(f"proj_file[{d}]")
         try:
             return np.load(path)
         except (ValueError, EOFError) as err:  # EOFError: an empty file
@@ -356,7 +363,7 @@ def load_model(directory: str | Path) -> EDModel:
     intra = None
     proj = None
     if use_intra:
-        n = int(manifest["num_domains"])
+        n = int(manifest("num_domains"))
         intra = [table(f"intra_file[{d}]") for d in range(n)]
         proj = [projection(d) for d in range(n)]
     return EDModel(spec, inter, intra, proj)

@@ -166,16 +166,6 @@ class MultiDomainDataset:
     def graph(self, d: int) -> DomainGraph:
         return self.domains[d]
 
-    def records(self) -> np.ndarray:
-        """(n, 3) int64 array of every (domain, user_id, item_id) record,
-        sorted by domain, then user, then item."""
-        return np.concatenate(
-            [
-                np.column_stack([np.full(graph.n_edges, d), graph.user_item_pairs()])
-                for d, graph in enumerate(self.domains)
-            ]
-        )
-
 
 def ingest(records: Iterable[tuple[int, int, int]] | np.ndarray) -> MultiDomainDataset:
     """Build a dataset from (domain, user_id, item_id) records: an (n, 3)
@@ -345,12 +335,11 @@ def write_interactions(
 
     `records` holds (domain, user, item) triples: a sequence of tuples or an
     (n, 3) integer array. Each line is `d<TAB>u<TAB>i`, each id as `str`
-    writes it. Nothing is sorted or deduplicated: `synthgen.generate` and
-    `MultiDomainDataset.records` return their rows sorted by domain, then
-    user, then item, which is the order their files keep. Lines are formatted
-    `WRITE_BLOCK` rows at a time, one `%` call a block, so the Python ints and
-    strings alive at once are bounded by the block, not the file. The file is
-    written atomically.
+    writes it. Nothing is sorted or deduplicated: `synthgen.generate` returns
+    its rows sorted by domain, then user, then item, which is the order its
+    files keep. Lines are formatted `WRITE_BLOCK` rows at a time, one `%` call
+    a block, so the Python ints and strings alive at once are bounded by the
+    block, not the file. The file is written atomically.
     """
     rows = np.asarray(records, dtype=np.int64).reshape(-1, 3)
     with atomic_write(path) as handle:

@@ -13,10 +13,11 @@ alignment and regularization terms, and hands the representation-level
 gradients to `Encoding.transpose`, the exact backward pass through the
 linear, symmetric propagation. Per-domain embedding tables receive gradients
 only from their own domain's triplets (and from alignment pairs touching
-them); the shared table receives gradients from every domain. The ranking
-part of a step holds one (batch, dim) buffer per table; its item rows'
-gradients are one CSR product over the encoded table, exact because scipy's
-`csr_matvecs` does not fuse y += a * x into one rounding (`_bpr_part`).
+them); the shared table receives gradients from every domain. A training
+step's ranking part is one domain's (`_bpr_part`) and holds one (batch, dim)
+buffer per table; its item rows' gradients are one CSR product over the
+encoded table, exact because scipy's `csr_matvecs` does not fuse y += a * x
+into one rounding. A step's gradient buffers are zero-filled once.
 """
 
 from __future__ import annotations
@@ -167,46 +168,35 @@ def _bpr_blocks(model: EDModel, n_triplets: int) -> dict[str, tuple[np.ndarray, 
     return {name: (f[:n], f[n : n + chunk], f[n + chunk :]) for name, f in flat.items()}
 
 
-def _bpr_part(enc: Encoding, grouped: dict[int, np.ndarray], blocks: dict[str, tuple]):
-    """Ranking loss and its gradients w.r.t. `enc.inter` (None without a
-    shared table) and each `enc.intra(d)`.
+def _bpr_part(enc: Encoding, d: int, triplet_locs: np.ndarray, blocks: dict[str, tuple]):
+    """Domain d's ranking loss over its (3, n) graph-local `triplet_locs`,
+    and its gradients w.r.t. `enc.inter` and `enc.intra(d)`: (loss, d_inter,
+    d_intra), None for a table the model lacks.
 
     Memory: one (batch, dim) value buffer per table (`_bpr_blocks`), left
     holding e_p - e_n by `_add_scores`, then scaled in place to the user rows'
-    gradients dl_dx * (e_p - e_n); the shared table's holds the domains one
-    after another, each domain's own table reuses "intra". The item rows'
-    terms +-dl_dx * e_u are never written: `_bpr_gradient` sums them from the
-    encoded table, bit-equal to the explicit products since (-a) * x = -(a * x)
-    and scipy's `csr_matvecs` rounds a * x before adding it (no fused
-    multiply-add, as in its x86-64 wheels).
+    gradients dl_dx * (e_p - e_n). The item rows' terms +-dl_dx * e_u are
+    never written: `_bpr_gradient` sums them from the encoded table, bit-equal
+    to the explicit products since (-a) * x = -(a * x) and scipy's
+    `csr_matvecs` rounds a * x before adding it (no fused multiply-add, as in
+    its x86-64 wheels).
     """
-    l_bpr = 0.0
-    g_rows, g_dl_dx = [], []  # the shared table's, per domain
-    d_q: dict[int, np.ndarray] = {}
-    g_end = 0
-    for d, triplet_locs in grouped.items():
-        n = triplet_locs.shape[1]
-        x = np.zeros(n, dtype=enc.dtype)
-        if enc.inter is not None:
-            g_rows.append(enc.inter_rows[d][triplet_locs])
-            g_values = blocks["inter"][0][g_end : g_end + n]
-            g_end += n
-            _add_scores(x, enc.inter, g_rows[-1], g_values, blocks["inter"][1:])
-        if enc.model.intra is not None:
-            q = enc.intra(d)
-            q_rows = enc.intra_rows[d][triplet_locs]
-            q_values = blocks["intra"][0][:n]
-            _add_scores(x, q, q_rows, q_values, blocks["intra"][1:])
-        l_bpr += float(np.sum(np.logaddexp(0.0, -x)))
-        dl_dx = -expit(-x)  # negative
-        if enc.inter is not None:
-            g_values *= dl_dx[:, None]
-            g_dl_dx.append(dl_dx)
-        if enc.model.intra is not None:
-            q_values *= dl_dx[:, None]
-            d_q[d] = _bpr_gradient(q, [q_rows], [dl_dx], q_values)
-    d_g = _bpr_gradient(enc.inter, g_rows, g_dl_dx, blocks["inter"][0][:g_end]) if g_rows else None
-    return l_bpr, d_g, d_q
+    tables = {}
+    if enc.inter is not None:
+        tables["inter"] = enc.inter, enc.inter_rows[d][triplet_locs]
+    if enc.model.intra is not None:
+        tables["intra"] = enc.intra(d), enc.intra_rows[d][triplet_locs]
+    n = triplet_locs.shape[1]
+    x = np.zeros(n, dtype=enc.dtype)
+    for name, (table, rows) in tables.items():
+        _add_scores(x, table, rows, blocks[name][0][:n], blocks[name][1:])
+    dl_dx = -expit(-x)  # negative
+    grads = {}
+    for name, (table, rows) in tables.items():
+        values = blocks[name][0][:n]
+        values *= dl_dx[:, None]
+        grads[name] = _bpr_gradient(table, rows, dl_dx, values)
+    return float(np.sum(np.logaddexp(0.0, -x))), grads.get("inter"), grads.get("intra")
 
 
 def _add_scores(x, table, rows, values, chunks) -> None:
@@ -226,16 +216,16 @@ def _add_scores(x, table, rows, values, chunks) -> None:
 
 
 def _bpr_gradient(table, rows, dl_dx, user_values) -> np.ndarray:
-    """BPR gradient w.r.t. `table`'s rows, from each domain's (3, n) user,
-    positive and negative rows and its dl_dx, and the users' gradient rows.
-    User and item rows are disjoint, so each row sums its terms in
-    `_scatter_add`'s order: row, then users, positives, negatives (domains in
-    list order); an item's term is +-dl_dx times its user's row of `table`."""
+    """BPR gradient w.r.t. `table`'s rows, from the (3, n) user, positive and
+    negative rows, their dl_dx and the users' gradient rows. User and item
+    rows are disjoint, so each row sums its terms in `_scatter_add`'s order:
+    row, then users, positives, negatives; an item's term is +-dl_dx times its
+    user's row of `table`."""
     n_rows = len(table)
-    grad = _scatter_add(n_rows, [r[0] for r in rows], [user_values])
-    order, indptr = _row_order(n_rows, np.concatenate([r[1:] for r in rows], axis=None))
-    weights = np.concatenate([w for g in dl_dx for w in (g, -g)])[order]
-    users = np.concatenate([r[[0, 0]] for r in rows], axis=None)[order]
+    grad = _scatter_add(n_rows, [rows[0]], [user_values])
+    order, indptr = _row_order(n_rows, rows[1:].ravel())
+    weights = np.concatenate([dl_dx, -dl_dx])[order]
+    users = rows[[0, 0]].ravel()[order]
     grad += sp.csr_matrix((weights, users, indptr), shape=(n_rows, n_rows)) @ table
     return grad
 
@@ -251,17 +241,16 @@ def _objective(
 ):
     """(total, L_rank, L_align) for one batch; its exact gradients by
     parameter name are written into `grads`, one array shaped like each
-    parameter, whose old contents are ignored. `blocks` are the buffers of
-    `_bpr_part`, with room for every triplet of `grouped`."""
+    parameter: each is zero-filled once, then the alignment, ranking and L2
+    terms are added. The ranking part is taken one domain at a time
+    (`_bpr_part`, then `Encoding.transpose`); a training step holds one.
+    `blocks` are `_bpr_part`'s buffers, with room for each domain's triplets."""
     model = enc.model
-    l_bpr, d_g, d_q = _bpr_part(enc, grouped, blocks)
+    for buffer in grads.values():
+        buffer.fill(0)
 
     # alignment loss on raw per-domain embeddings and projections
     l_align = 0.0
-    aligned = {f"intra[{end}]" for d, d_prime, *_ in prepared_pairs for end in (d, d_prime)}
-    for name, buffer in grads.items():
-        if name not in aligned:  # np.copyto below overwrites the aligned domains' buffers
-            buffer.fill(0)
     coeff = 2.0 * cfg.beta * align_scale
     align_rows: dict[int, list[np.ndarray]] = {}
     align_values: dict[int, list[np.ndarray]] = {}
@@ -275,10 +264,14 @@ def _objective(
             align_values.setdefault(end, []).append(c * diff @ model.proj[end].T)
             grads[f"proj[{end}]"] += c * e.T @ diff
     for d, rows in align_rows.items():
-        np.copyto(grads[f"intra[{d}]"], _scatter_add(len(model.intra[d]), rows, align_values[d]))
+        grads[f"intra[{d}]"] += _scatter_add(len(model.intra[d]), rows, align_values[d])
 
+    l_bpr = 0.0
+    for d, triplet_locs in grouped.items():
+        loss, d_g, d_q = _bpr_part(enc, d, triplet_locs, blocks)
+        l_bpr += loss
+        enc.transpose(d_g, {} if d_q is None else {d: d_q}, grads)
     total = l_bpr + cfg.beta * align_scale * l_align + cfg.reg_lambda * model.squared_norm()
-    enc.transpose(d_g, d_q, grads)
     for name, arr in model.parameters():
         grads[name] += (2.0 * cfg.reg_lambda) * arr
     return total, l_bpr, l_align
@@ -327,7 +320,7 @@ def loss_and_gradients(
     """
     enc = model.propagated(dataset, masks)
     grads = {name: np.empty_like(arr) for name, arr in model.parameters()}
-    blocks = _bpr_blocks(model, sum(t.shape[1] for t in triplets.values()))
+    blocks = _bpr_blocks(model, max((t.shape[1] for t in triplets.values()), default=0))
     pairs = _prepare_pairs(model, pair_sets)
     total, *_ = _objective(enc, triplets, pairs, cfg, 1.0, grads, blocks)
     return total, grads

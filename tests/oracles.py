@@ -428,39 +428,28 @@ def bpr_row_gradients(dl_dx, block):
     return block
 
 
-def bpr_part_by_rows(enc, grouped, blocks=None):
-    """`trainer._bpr_part` with every gradient row written out: per domain,
-    each table's [e_u; e_p; e_n] rows are gathered into one block, scored
-    and turned into their gradient rows (`bpr_scores`, `bpr_row_gradients`),
-    and the rows are summed by `np.add.at` into zeros in position order
-    (users, positives, negatives; domains in `grouped` order). `blocks` is
-    ignored."""
-    l_bpr = 0.0
-    g_rows, g_values, d_q = [], [], {}
-    for d, triplet_locs in grouped.items():
-        locs = triplet_locs.reshape(-1)
-        x = np.zeros(triplet_locs.shape[1], dtype=enc.dtype)
-        if enc.inter is not None:
-            g_rows.append(enc.inter_rows[d][locs])
-            g_block = enc.inter[g_rows[-1]]
-            x += bpr_scores(g_block)
-        if enc.model.intra is not None:
-            q = enc.intra(d)
-            q_rows = enc.intra_rows[d][locs]
-            q_block = q[q_rows]
-            x += bpr_scores(q_block)
-        l_bpr += float(np.sum(np.logaddexp(0.0, -x)))
-        dl_dx = -expit(-x)[:, None]
-        if enc.inter is not None:
-            g_values.append(bpr_row_gradients(dl_dx, g_block))
-        if enc.model.intra is not None:
-            d_q[d] = np.zeros_like(q)
-            np.add.at(d_q[d], q_rows, bpr_row_gradients(dl_dx, q_block))
-    d_g = None
-    if g_rows:
-        d_g = np.zeros_like(enc.inter)
-        np.add.at(d_g, np.concatenate(g_rows), np.concatenate(g_values))
-    return l_bpr, d_g, d_q
+def bpr_part_by_rows(enc, d, triplet_locs, blocks=None):
+    """`trainer._bpr_part` with every gradient row written out: each table's
+    [e_u; e_p; e_n] rows are gathered into one block, scored and turned into
+    their gradient rows (`bpr_scores`, `bpr_row_gradients`), and the rows are
+    summed by `np.add.at` into zeros in position order (users, positives,
+    negatives). `blocks` is ignored."""
+    locs = triplet_locs.reshape(-1)
+    tables = {}
+    if enc.inter is not None:
+        tables["inter"] = enc.inter, enc.inter_rows[d][locs]
+    if enc.model.intra is not None:
+        tables["intra"] = enc.intra(d), enc.intra_rows[d][locs]
+    x = np.zeros(triplet_locs.shape[1], dtype=enc.dtype)
+    gathered = {name: table[rows] for name, (table, rows) in tables.items()}
+    for block in gathered.values():
+        x += bpr_scores(block)
+    dl_dx = -expit(-x)[:, None]
+    grads = {}
+    for name, (table, rows) in tables.items():
+        grads[name] = np.zeros_like(table)
+        np.add.at(grads[name], rows, bpr_row_gradients(dl_dx, gathered[name]))
+    return float(np.sum(np.logaddexp(0.0, -x))), grads.get("inter"), grads.get("intra")
 
 
 def finite_difference_gradient(loss_fn, array, flat_index, h=1e-5):
@@ -473,6 +462,17 @@ def finite_difference_gradient(loss_fn, array, flat_index, h=1e-5):
     down = loss_fn()
     flat[flat_index] = saved
     return (up - down) / (2.0 * h)
+
+
+def dataset_records(dataset):
+    """(n, 3) int64 array of every (domain, user_id, item_id) record of
+    `dataset`, sorted by domain, then user, then item."""
+    rows = sorted(
+        (d, int(u), int(i))
+        for d, graph in enumerate(dataset.domains)
+        for u, i in graph.user_item_pairs()
+    )
+    return np.array(rows, dtype=np.int64).reshape(-1, 3)
 
 
 def random_bipartite_records(rng, domain, n_users, n_items, n_edges, user_base=0, item_base=0):

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from edda import evalkit
 from edda.cli import RunConfig, build_parser, main, resolve_config
 from edda.edmodel import init_model, load_model
-from edda.mdgraph import ingest_file, write_interactions
+from edda.mdgraph import ingest_file, load_interactions, write_interactions
 
 from oracles import interaction_files
 
@@ -512,6 +512,12 @@ UNUSABLE_INPUTS = {
     "table dim no record holds": lambda w: _damaged_checkpoint(
         w, "inter.bin", lambda raw: b"EDDA" + struct.pack("<IIQ", 1, 2**32 - 1, 0)
     ),
+    "checkpoint manifest missing a key": lambda w: _damaged_checkpoint(
+        w, "model.manifest", lambda raw: raw.replace(b"use_inter = 1\n", b"")
+    ),
+    "checkpoint manifest with more domains than files": lambda w: _damaged_checkpoint(
+        w, "model.manifest", lambda raw: raw.replace(b"num_domains = 2\n", b"num_domains = 3\n")
+    ),
     "non-UTF-8 interaction file": lambda w: _non_utf8(
         w / "bad.tsv", ["align", str(w / "bad.tsv"), "--out", str(w / "p")]
     ),
@@ -642,7 +648,7 @@ def test_train_refuses_pairs_mined_on_another_split(workspace, capsys):
 
     # a different data file under the same seed is refused too
     other = workspace / "other.tsv"
-    records = ingest_file(data).records()
+    records = load_interactions(data)
     write_interactions(other, records[records[:, 1] != 0])
     capsys.readouterr()
     assert main([

@@ -24,6 +24,7 @@ from edda.mdgraph import NodeId, NodeKind, ingest
 from oracles import (
     auc_by_user_blocks,
     auc_from_scored_cases,
+    dataset_records,
     eval_cases,
     nodes_of,
     pairwise_auc,
@@ -47,7 +48,7 @@ def test_split_ten_interactions_is_7_1_2():
 
 def test_split_single_interaction_goes_to_train():
     sp = split(ingest([(0, 0, 0), (0, 1, 1), (0, 1, 2)]), seed=0)
-    assert [0, 0, 0] in sp.train.records().tolist()
+    assert [0, 0, 0] in dataset_records(sp.train).tolist()
 
 
 def test_split_partitions_each_domain():
@@ -57,7 +58,7 @@ def test_split_partitions_each_domain():
     ds = ingest(records)
     sp = split(ds, seed=1)
     for d, graph in enumerate(ds.domains):
-        train_pairs = {(u, i) for dd, u, i in sp.train.records().tolist() if dd == d}
+        train_pairs = {(u, i) for dd, u, i in dataset_records(sp.train).tolist() if dd == d}
         val_pairs = {tuple(row) for row in sp.validation[d]}
         test_pairs = {tuple(row) for row in sp.test[d]}
         full_pairs = {(int(u), int(i)) for u, i in graph.user_item_pairs()}
@@ -73,10 +74,10 @@ def test_split_determinism():
     records = [(0, u, i) for u in range(5) for i in range(6)]
     ds = ingest(records)
     a, b = split(ds, seed=3), split(ds, seed=3)
-    assert np.array_equal(a.train.records(), b.train.records())
+    assert np.array_equal(dataset_records(a.train), dataset_records(b.train))
     assert all(np.array_equal(x, y) for x, y in zip(a.validation, b.validation))
     c = split(ds, seed=4)
-    assert not np.array_equal(a.train.records(), c.train.records())
+    assert not np.array_equal(dataset_records(a.train), dataset_records(c.train))
 
 
 def _eval_fixture():
@@ -409,7 +410,7 @@ def test_split_equals_reference_split(case):
     ds, seed = case
     sp = split(ds, seed=seed)
     train, validation, test = split_records(ds, seed=seed)
-    assert sp.train.records().tolist() == [list(rec) for rec in sorted(train)]
+    assert dataset_records(sp.train).tolist() == [list(rec) for rec in sorted(train)]
     reference = ingest(train)
     for d in range(ds.num_domains):
         got, want = _graph_arrays(sp.train.graph(d)), _graph_arrays(reference.graph(d))

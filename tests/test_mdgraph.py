@@ -28,6 +28,7 @@ from edda.mdgraph import (
 
 from oracles import (
     INT64S,
+    dataset_records,
     domain_graph_by_unique_rows,
     edge_lists,
     interaction_files,
@@ -231,10 +232,10 @@ def test_file_roundtrip_with_comments(tmp_path):
     assert ds.graph(0).n_edges == 2
 
     out = tmp_path / "copy.tsv"
-    write_interactions(out, ds.records())
+    write_interactions(out, dataset_records(ds))
     loaded = load_interactions(out)
     assert loaded.dtype == np.int64
-    assert loaded.tolist() == ds.records().tolist() == [[0, 0, 0], [0, 1, 2], [1, 1, 2]]
+    assert loaded.tolist() == dataset_records(ds).tolist() == [[0, 0, 0], [0, 1, 2], [1, 1, 2]]
 
 
 def test_file_malformed_line_number(tmp_path):

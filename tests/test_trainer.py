@@ -38,6 +38,7 @@ from oracles import (
     bpr_part_by_rows,
     bpr_row_gradients,
     bpr_scores,
+    dataset_records,
     epoch_batches_by_lists,
     finite_difference_gradient,
     keys,
@@ -456,7 +457,7 @@ def test_adam_first_step_magnitude():
 @pytest.mark.parametrize("dtype", ["float64", "float32"])
 def test_adam_step_equals_the_textbook_expression_bit_for_bit(dtype):
     ds = ingest(random_bipartite_records(np.random.default_rng(3), 0, 12, 9, 60))
-    ds = ingest(np.concatenate([ds.records(), [(1, 0, 2), (1, 5, 7), (1, 30, 2)]]))
+    ds = ingest(np.concatenate([dataset_records(ds), [(1, 0, 2), (1, 5, 7), (1, 30, 2)]]))
     model = init_model(ModelSpec(d_inter=5, d_intra=3, dtype=dtype), ds, seed=4)
     cfg = TrainConfig(learning_rate=0.01)
     state = AdamState.for_model(model)
@@ -800,6 +801,30 @@ def test_loss_and_gradients_equal_the_explicit_rows_oracle_bit_for_bit(
         assert grad.dtype == dtype and grad.tobytes() == want[name].tobytes(), name
 
 
+@pytest.mark.parametrize("domain", [0, 1])
+@pytest.mark.parametrize("variant", ["edda", "ed-mf", "wo-da", "inter", "intra"])
+def test_objective_ignores_what_its_buffers_held(variant, domain):
+    # the pairs run (0, 1) and (1, 0): either domain's batch meets both ends aligned
+    ds, model, triplets, pairs = _instance()
+    model = init_model(variant_spec(model.spec, variant), ds, seed=1)
+    prepared = trainer._prepare_pairs(model, pairs if variant in ("edda", "ed-mf") else [])
+    assert bool(prepared) == (variant in ("edda", "ed-mf"))
+    masks = {d: edge_dropout(g, 0.3, np.random.default_rng(domain)) for d, g in enumerate(ds.domains)}
+    cfg = TrainConfig(beta=0.5)
+    results = []
+    for fill in (0.0, np.nan):
+        grads = {name: np.full_like(arr, fill) for name, arr in model.parameters()}
+        blocks = _bpr_blocks(model, triplets[domain].shape[1])
+        for buffers in blocks.values():
+            buffers[0].base.fill(fill)
+        losses = trainer._objective(
+            model.propagated(ds, masks), {domain: triplets[domain]}, prepared, cfg, 1.0, grads, blocks
+        )
+        assert all(np.isfinite(grad).all() for grad in grads.values())
+        results.append((np.array(losses).tobytes(), {name: g.tobytes() for name, g in grads.items()}))
+    assert results[0] == results[1]
+
+
 def test_bpr_part_allocates_less_than_one_batch_block_at_the_train_dense_shape():
     # perfbench's train_dense shape: 2 domains of 600 users x 300 items and
     # 22,500 interactions, d = 64, the default batch of 8,092
@@ -811,21 +836,21 @@ def test_bpr_part_allocates_less_than_one_batch_block_at_the_train_dense_shape()
     batch = TrainConfig().batch_size
     block_bytes = batch * 64 * 8
     edges = rng.permutation(ds.graph(0).n_edges)[:batch]
-    triplets = {0: _NegativeSampler(ds.graph(0)).triplets(edges, rng)}
+    triplets = _NegativeSampler(ds.graph(0)).triplets(edges, rng)
     blocks = _bpr_blocks(model, batch)
     assert all(buffers[0].base.nbytes < 2 * block_bytes for buffers in blocks.values())
     enc = model.propagated(ds)
     enc.intra(0)  # the encoding's own table, built on first use
     tracemalloc.start()
     try:
-        l_bpr, d_g, d_q = _bpr_part(enc, triplets, blocks)
+        l_bpr, d_g, d_q = _bpr_part(enc, 0, triplets, blocks)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < block_bytes
-    want = bpr_part_by_rows(enc, triplets)
+    want = bpr_part_by_rows(enc, 0, triplets)
     assert l_bpr == want[0] and d_g.tobytes() == want[1].tobytes()
-    assert d_q[0].tobytes() == want[2][0].tobytes()
+    assert d_q.tobytes() == want[2].tobytes()
 
 
 @pytest.mark.parametrize("epochs, patience, restores", [(3, None, False), (4, 1, True), (0, None, False)])
