@@ -51,6 +51,8 @@ class ModelSpec:
             raise ValueError("embedding dimensions d_inter and d_intra must be positive")
         if not (self.use_inter or self.use_intra):
             raise ValueError("at least one of inter/intra parts must be enabled")
+        if self.dtype not in ("float32", "float64"):
+            raise ValueError(f"dtype must be float32 or float64, got {self.dtype!r}")
 
 
 class EDModel:
@@ -329,24 +331,29 @@ def load_model(directory: str | Path) -> EDModel:
     """Inverse of `save_model`; tables come back in the saved dtype."""
     directory = Path(directory)
     manifest_path = directory / "model.manifest"
-    values = read_key_values(manifest_path)
+    values = {"dtype": "float64", **read_key_values(manifest_path)}  # no dtype line: float64 tables
 
-    def manifest(key: str) -> str:
+    def manifest(key: str, convert=str):
         if key not in values:
             raise ValueError(f"{manifest_path}: missing key {key}")
-        return values[key]
+        try:
+            return convert(values[key])
+        except ValueError as err:
+            raise ValueError(f"{manifest_path}: {key}: {err}") from None
 
-    use_inter = bool(int(manifest("use_inter")))
-    use_intra = bool(int(manifest("use_intra")))
-    spec = ModelSpec(
-        d_inter=int(manifest("d_inter")),
-        d_intra=int(manifest("d_intra")),
+    fields = dict(
+        d_inter=manifest("d_inter", int),
+        d_intra=manifest("d_intra", int),
         encoder=manifest("encoder"),
-        grec=GRecConfig(int(manifest("num_layers")), float(manifest("alpha"))),
-        use_inter=use_inter,
-        use_intra=use_intra,
-        dtype=values.get("dtype", "float64"),
+        use_inter=bool(manifest("use_inter", int)),
+        use_intra=bool(manifest("use_intra", int)),
+        dtype=manifest("dtype"),
     )
+    layers = manifest("num_layers", int), manifest("alpha", float)
+    try:  # values of the right type that the model refuses
+        spec = ModelSpec(grec=GRecConfig(*layers), **fields)
+    except ValueError as err:
+        raise ValueError(f"{manifest_path}: {err}") from None
 
     def table(name: str) -> EmbeddingTable:
         loaded = load_table(directory / manifest(name))
@@ -359,11 +366,11 @@ def load_model(directory: str | Path) -> EDModel:
         except (ValueError, EOFError) as err:  # EOFError: an empty file
             raise ValueError(f"{path}: {err}") from None
 
-    inter = table("inter_file") if use_inter else None
+    inter = table("inter_file") if spec.use_inter else None
     intra = None
     proj = None
-    if use_intra:
-        n = int(manifest("num_domains"))
+    if spec.use_intra:
+        n = manifest("num_domains", int)
         intra = [table(f"intra_file[{d}]") for d in range(n)]
         proj = [projection(d) for d in range(n)]
     return EDModel(spec, inter, intra, proj)

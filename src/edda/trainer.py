@@ -14,10 +14,13 @@ gradients to `Encoding.transpose`, the exact backward pass through the
 linear, symmetric propagation. Per-domain embedding tables receive gradients
 only from their own domain's triplets (and from alignment pairs touching
 them); the shared table receives gradients from every domain. A training
-step's ranking part is one domain's (`_bpr_part`) and holds one (batch, dim)
-buffer per table; its item rows' gradients are one CSR product over the
-encoded table, exact because scipy's `csr_matvecs` does not fuse y += a * x
-into one rounding. A step's gradient buffers are zero-filled once.
+step's ranking part is one domain's (`_bpr_part`). It holds one (batch, dim)
+value buffer, which the shared and the per-domain table take in turn, plus
+chunk rows, and one table-sized array per table, that table's gradient: its
+item rows are one CSR product over the encoded table, exact because scipy's
+`csr_matvecs` does not fuse y += a * x into one rounding, and its user rows
+one CSR product over the batch's distinct users. A step's gradient buffers
+are zero-filled once.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from scipy.special import expit
 
 from . import evalkit
 from .edmodel import EDModel, Encoding
-from .mdgraph import DomainGraph, MultiDomainDataset, node_keys
+from .mdgraph import DomainGraph, MultiDomainDataset, node_keys, sorted_unique
 from .walker import SimilarPairSet
 
 logger = logging.getLogger(__name__)
@@ -43,7 +46,7 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 # alignment pairs are subsampled to one batch size once they outnumber it this many times
 ALIGN_SUBSAMPLE_FACTOR = 10
-BPR_CHUNK = 2048  # triplets scored together; bounds the two chunk buffers
+BPR_CHUNK = 512  # triplets scored together; bounds the two chunk buffers
 
 
 @dataclass(frozen=True)
@@ -154,32 +157,33 @@ def _prepare_pairs(model: EDModel, pair_sets: Iterable[SimilarPairSet]):
     return prepared
 
 
-def _bpr_blocks(model: EDModel, n_triplets: int) -> dict[str, tuple[np.ndarray, ...]]:
+def _bpr_blocks(model: EDModel, n_triplets: int) -> tuple[np.ndarray, np.ndarray]:
     """Buffers for `_bpr_part`, room for `n_triplets` (user, positive,
-    negative) row triples: "inter" for the shared table, "intra" for the
-    per-domain tables, which share theirs. Each is a (n_triplets, dim) value
-    buffer and two (BPR_CHUNK, dim) chunk buffers carved from one allocation."""
-    tables = {"inter": model.inter, "intra": model.intra[0] if model.intra else None}
-    n, chunk = n_triplets, min(BPR_CHUNK, n_triplets)
-    flat = {
-        name: np.empty((n + 2 * chunk, table.dim), table.matrix.dtype)
-        for name, table in tables.items() if table is not None
-    }
-    return {name: (f[:n], f[n : n + chunk], f[n + chunk :]) for name, f in flat.items()}
+    negative) row triples: a value buffer of n_triplets rows and a chunk
+    buffer of 2 * BPR_CHUNK rows, flat and as wide as the widest parameter
+    (the wider table), which the shared and the per-domain table take in turn."""
+    params = [arr for _, arr in model.parameters()]
+    width, dtype = max(arr.shape[1] for arr in params), np.result_type(*params)
+    chunk_rows = 2 * min(BPR_CHUNK, n_triplets)
+    return np.empty(n_triplets * width, dtype), np.empty(chunk_rows * width, dtype)
 
 
-def _bpr_part(enc: Encoding, d: int, triplet_locs: np.ndarray, blocks: dict[str, tuple]):
+def _bpr_part(enc: Encoding, d: int, triplet_locs: np.ndarray, blocks: tuple[np.ndarray, ...]):
     """Domain d's ranking loss over its (3, n) graph-local `triplet_locs`,
     and its gradients w.r.t. `enc.inter` and `enc.intra(d)`: (loss, d_inter,
     d_intra), None for a table the model lacks.
 
-    Memory: one (batch, dim) value buffer per table (`_bpr_blocks`), left
-    holding e_p - e_n by `_add_scores`, then scaled in place to the user rows'
-    gradients dl_dx * (e_p - e_n). The item rows' terms +-dl_dx * e_u are
-    never written: `_bpr_gradient` sums them from the encoded table, bit-equal
-    to the explicit products since (-a) * x = -(a * x) and scipy's
-    `csr_matvecs` rounds a * x before adding it (no fused multiply-add, as in
-    its x86-64 wheels).
+    Memory: the (batch, dim) value buffer and the chunk rows of `blocks`
+    (`_bpr_blocks`), which the tables take in turn, and one table-sized array
+    per table, its gradient. The first table's scoring leaves e_p - e_n in
+    the value buffer; the second scores through the chunks only and, once the
+    first table's gradient is done, forms its e_p - e_n there again by the
+    same operations, so with the same bits. Each is scaled in place to the
+    user rows' gradients dl_dx * (e_p - e_n). The item rows' terms
+    +-dl_dx * e_u are never written: `_bpr_gradient` sums them from the
+    encoded table, bit-equal to the explicit products since (-a) * x =
+    -(a * x) and scipy's `csr_matvecs` rounds a * x before adding it (no fused
+    multiply-add, as in its x86-64 wheels).
     """
     tables = {}
     if enc.inter is not None:
@@ -187,46 +191,80 @@ def _bpr_part(enc: Encoding, d: int, triplet_locs: np.ndarray, blocks: dict[str,
     if enc.model.intra is not None:
         tables["intra"] = enc.intra(d), enc.intra_rows[d][triplet_locs]
     n = triplet_locs.shape[1]
+
+    def carved(table):  # `table`'s views of the value buffer and the two chunks
+        values, chunks = blocks
+        dim, m = table.shape[1], min(BPR_CHUNK, n)
+        return values[: n * dim].reshape(n, dim), chunks[: 2 * m * dim].reshape(2, m, dim)
+
     x = np.zeros(n, dtype=enc.dtype)
-    for name, (table, rows) in tables.items():
-        _add_scores(x, table, rows, blocks[name][0][:n], blocks[name][1:])
+    for i, (table, rows) in enumerate(tables.values()):
+        values, chunks = carved(table)
+        _add_scores(x, table, rows, None if i else values, chunks)
     dl_dx = -expit(-x)  # negative
+    orders = _triplet_orders(triplet_locs, dl_dx, enc.dataset.graph(d).n_nodes)
     grads = {}
-    for name, (table, rows) in tables.items():
-        values = blocks[name][0][:n]
+    for i, (name, (table, rows)) in enumerate(tables.items()):
+        values, (_, scratch) = carved(table)
+        if i:  # the value buffer is free again: this table's e_p - e_n
+            for lo in range(0, n, BPR_CHUNK):
+                _diffs(table, rows[:, lo : lo + BPR_CHUNK], values[lo : lo + BPR_CHUNK], scratch)
         values *= dl_dx[:, None]
-        grads[name] = _bpr_gradient(table, rows, dl_dx, values)
+        grads[name] = _bpr_gradient(table, rows, orders, values)
     return float(np.sum(np.logaddexp(0.0, -x))), grads.get("inter"), grads.get("intra")
+
+
+def _diffs(table, rows, out, scratch) -> np.ndarray:
+    """out = e_p - e_n for the (3, m) user, positive and negative `table`
+    rows `rows`, through `scratch`. The rows are valid, so `np.take` runs with
+    mode="clip", which writes straight into `out` (mode="raise" copies)."""
+    np.take(table, rows[1], axis=0, out=out, mode="clip")
+    out -= np.take(table, rows[2], axis=0, out=scratch[: len(out)], mode="clip")
+    return out
 
 
 def _add_scores(x, table, rows, values, chunks) -> None:
     """x += e_u . (e_p - e_n) for the (3, n) user, positive and negative
-    `table` rows `rows`, BPR_CHUNK triplets at a time through the two `chunks`;
-    `values` is left holding e_p - e_n. Each score is its own row's, so
-    chunking changes no bit. The rows are valid, so `np.take` runs with
-    mode="clip", which writes straight into `out` (mode="raise" copies)."""
-    negatives, products = chunks
+    `table` rows `rows`, BPR_CHUNK triplets at a time through the two
+    `chunks`; `values`, unless None, is left holding e_p - e_n. Each score is
+    its own row's, so chunking changes no bit."""
+    held, scratch = chunks
     for lo in range(0, len(x), BPR_CHUNK):
         hi = min(lo + BPR_CHUNK, len(x))
-        diff, m = values[lo:hi], hi - lo
-        np.take(table, rows[1, lo:hi], axis=0, out=diff, mode="clip")
-        diff -= np.take(table, rows[2, lo:hi], axis=0, out=negatives[:m], mode="clip")
-        e_u = np.take(table, rows[0, lo:hi], axis=0, out=products[:m], mode="clip")
+        out = held[: hi - lo] if values is None else values[lo:hi]
+        diff = _diffs(table, rows[:, lo:hi], out, scratch)
+        e_u = np.take(table, rows[0, lo:hi], axis=0, out=scratch[: hi - lo], mode="clip")
         x[lo:hi] += np.sum(np.multiply(e_u, diff, out=e_u), axis=1)
 
 
-def _bpr_gradient(table, rows, dl_dx, user_values) -> np.ndarray:
+def _triplet_orders(triplet_locs, dl_dx, n_nodes: int):
+    """The orders `_bpr_gradient` sums in, from the graph-local rows of a
+    graph with `n_nodes` nodes: the triplets by user and the CSR `indptr` of
+    the distinct users over them, then the item terms (positives, then
+    negatives) by item and their weights +-dl_dx. `inter_rows[d]` and
+    `intra_rows[d]` ascend with the local index, so they serve both tables."""
+    user_order, user_ptr = _row_order(n_nodes, triplet_locs[0])
+    item_order, _ = _row_order(n_nodes, triplet_locs[1:].ravel())
+    weights = np.concatenate([dl_dx, -dl_dx])[item_order]
+    return user_order, sorted_unique(user_ptr), item_order, weights
+
+
+def _bpr_gradient(table, rows, orders, user_values) -> np.ndarray:
     """BPR gradient w.r.t. `table`'s rows, from the (3, n) user, positive and
-    negative rows, their dl_dx and the users' gradient rows. User and item
-    rows are disjoint, so each row sums its terms in `_scatter_add`'s order:
-    row, then users, positives, negatives; an item's term is +-dl_dx times its
-    user's row of `table`."""
+    negative rows, `_triplet_orders`' orders and the users' gradient rows. An
+    item's terms are +-dl_dx times its users' rows of `table`: one CSR
+    product over the table, the gradient's only table-sized array. User and
+    item rows are disjoint and a CSR product never yields -0.0, so the users'
+    sums, one CSR product over the distinct users, are assigned into rows
+    the item product left zero. Each row sums its terms in `_row_order`'s
+    order: by row, then by position."""
+    user_order, user_ptr, item_order, weights = orders
     n_rows = len(table)
-    grad = _scatter_add(n_rows, [rows[0]], [user_values])
-    order, indptr = _row_order(n_rows, rows[1:].ravel())
-    weights = np.concatenate([dl_dx, -dl_dx])[order]
-    users = rows[[0, 0]].ravel()[order]
-    grad += sp.csr_matrix((weights, users, indptr), shape=(n_rows, n_rows)) @ table
+    item_users, item_ptr = rows[[0, 0]].ravel()[item_order], _indptr(n_rows, rows[1:].ravel())
+    grad = sp.csr_matrix((weights, item_users, item_ptr), shape=(n_rows, n_rows)) @ table
+    ones = np.ones(len(user_order), dtype=user_values.dtype)
+    users = sp.csr_matrix((ones, user_order, user_ptr), shape=(len(user_ptr) - 1, len(ones)))
+    grad[rows[0, user_order[user_ptr[:-1]]]] = users @ user_values
     return grad
 
 
@@ -237,7 +275,7 @@ def _objective(
     cfg: TrainConfig,
     align_scale: float,
     grads: dict[str, np.ndarray],
-    blocks: dict[str, tuple],
+    blocks: tuple[np.ndarray, np.ndarray],
 ):
     """(total, L_rank, L_align) for one batch; its exact gradients by
     parameter name are written into `grads`, one array shaped like each
@@ -300,8 +338,12 @@ def _row_order(n_rows: int, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if n >= 2**32 or (n and rows.max() >= 2**31):
         raise ValueError("scatter needs rows below 2**31 and fewer than 2**32 contributions")
     order = np.sort((rows.astype(np.int64) << 32) | np.arange(n)) & 0xFFFFFFFF
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n_rows))])
-    return order, indptr
+    return order, _indptr(n_rows, rows)
+
+
+def _indptr(n_rows: int, rows: np.ndarray) -> np.ndarray:
+    """The CSR `indptr` of rows [0, n_rows) over the row indices `rows`."""
+    return np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n_rows))])
 
 
 def loss_and_gradients(

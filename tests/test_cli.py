@@ -518,6 +518,18 @@ UNUSABLE_INPUTS = {
     "checkpoint manifest with more domains than files": lambda w: _damaged_checkpoint(
         w, "model.manifest", lambda raw: raw.replace(b"num_domains = 2\n", b"num_domains = 3\n")
     ),
+    "checkpoint manifest flag not an integer": lambda w: _damaged_checkpoint(
+        w, "model.manifest", lambda raw: raw.replace(b"use_inter = 1\n", b"use_inter = yes\n")
+    ),
+    "checkpoint manifest alpha not a number": lambda w: _damaged_checkpoint(
+        w, "model.manifest", lambda raw: raw.replace(b"alpha = 0.1\n", b"alpha = x\n")
+    ),
+    "checkpoint manifest domain count not an integer": lambda w: _damaged_checkpoint(
+        w, "model.manifest", lambda raw: raw.replace(b"num_domains = 2\n", b"num_domains = three\n")
+    ),
+    "checkpoint manifest with an unknown dtype": lambda w: _damaged_checkpoint(
+        w, "model.manifest", lambda raw: raw.replace(b"dtype = float64\n", b"dtype = bogus\n")
+    ),
     "non-UTF-8 interaction file": lambda w: _non_utf8(
         w / "bad.tsv", ["align", str(w / "bad.tsv"), "--out", str(w / "p")]
     ),

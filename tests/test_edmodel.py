@@ -250,6 +250,12 @@ def test_variant_specs():
         variant_spec(base, "bogus")
 
 
+@pytest.mark.parametrize("dtype", ["float16", "int64", "bogus"])
+def test_spec_refuses_a_dtype_other_than_float32_or_float64(dtype):
+    with pytest.raises(ValueError, match=f"dtype must be float32 or float64, got '{dtype}'"):
+        ModelSpec(dtype=dtype)
+
+
 def test_cold_node_gets_residual_representation():
     full = ingest([(0, 0, 0), (0, 1, 1), (0, 2, 1)])
     train = ingest([(0, 0, 0), (0, 1, 1)])  # user 2 has no training edges

@@ -815,8 +815,8 @@ def test_objective_ignores_what_its_buffers_held(variant, domain):
     for fill in (0.0, np.nan):
         grads = {name: np.full_like(arr, fill) for name, arr in model.parameters()}
         blocks = _bpr_blocks(model, triplets[domain].shape[1])
-        for buffers in blocks.values():
-            buffers[0].base.fill(fill)
+        for buffer in blocks:
+            buffer.fill(fill)
         losses = trainer._objective(
             model.propagated(ds, masks), {domain: triplets[domain]}, prepared, cfg, 1.0, grads, blocks
         )
@@ -838,7 +838,8 @@ def test_bpr_part_allocates_less_than_one_batch_block_at_the_train_dense_shape()
     edges = rng.permutation(ds.graph(0).n_edges)[:batch]
     triplets = _NegativeSampler(ds.graph(0)).triplets(edges, rng)
     blocks = _bpr_blocks(model, batch)
-    assert all(buffers[0].base.nbytes < 2 * block_bytes for buffers in blocks.values())
+    # both tables share one value block; the chunk rows are all they add
+    assert sum(buffer.nbytes for buffer in blocks) <= block_bytes + 2 * BPR_CHUNK * 64 * 8
     enc = model.propagated(ds)
     enc.intra(0)  # the encoding's own table, built on first use
     tracemalloc.start()
@@ -847,10 +848,43 @@ def test_bpr_part_allocates_less_than_one_batch_block_at_the_train_dense_shape()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < block_bytes
+    # the two gradients are its only table-sized arrays; the rest is a fraction of one block
+    assert peak < d_g.nbytes + d_q.nbytes + 0.4 * block_bytes
     want = bpr_part_by_rows(enc, 0, triplets)
     assert l_bpr == want[0] and d_g.tobytes() == want[1].tobytes()
     assert d_q.tobytes() == want[2].tobytes()
+
+
+@pytest.mark.parametrize("dims", [(5, 3), (3, 5)])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("users", ["one", "distinct"])
+def test_bpr_part_sums_one_shared_user_or_only_distinct_users_bit_for_bit(users, dtype, dims):
+    # domain 0 has more users than one chunk holds; domain 1 overlaps it, so
+    # the shared table has rows that domain 0's batch does not touch
+    rng = np.random.default_rng(7)
+    records = random_bipartite_records(rng, 0, BPR_CHUNK + 40, 30, 4 * BPR_CHUNK)
+    records += random_bipartite_records(rng, 1, 60, 30, 400, user_base=BPR_CHUNK, item_base=20)
+    ds = ingest(records)
+    model = init_model(ModelSpec(d_inter=dims[0], d_intra=dims[1]), ds, seed=2)
+    if dtype == np.float32:
+        model = as_float32(model)
+    graph = ds.graph(0)
+    if users == "one":  # one user's edges, repeated over three chunks
+        edges = np.resize(np.flatnonzero(graph.edge_user == graph.edge_user[0]), 2 * BPR_CHUNK + 3)
+    else:  # each user's first edge
+        edges = np.unique(graph.edge_user, return_index=True)[1]
+    triplets = _NegativeSampler(graph).triplets(edges, rng)
+    n_users = len(np.unique(triplets[0]))
+    assert (n_users == 1) if users == "one" else (n_users == triplets.shape[1] > BPR_CHUNK)
+    enc = model.propagated(ds, {d: edge_dropout(g, 0.3, rng) for d, g in enumerate(ds.domains)})
+    blocks = _bpr_blocks(model, triplets.shape[1])
+    for buffer in blocks:
+        buffer.fill(np.nan)
+    got = _bpr_part(enc, 0, triplets, blocks)
+    want = bpr_part_by_rows(enc, 0, triplets)
+    assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
+    for grad, expected in zip(got[1:], want[1:]):
+        assert grad.dtype == dtype and grad.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("epochs, patience, restores", [(3, None, False), (4, 1, True), (0, None, False)])
