@@ -125,8 +125,11 @@ class Encoding:
     `intra_rows[d]` map domain d's local node order to table rows; they and
     the uncovered rows are built here from the model's tables and the
     dataset's graphs as they are now, so nothing outlives the encoding.
-    `represent` gathers from one `[inter | intra(d)]` matrix per domain, also
-    built on first use. `dtype` is the parameters' common dtype.
+    `represent` gathers from domain d's `[inter | intra(d)]` matrix, also
+    built on first use. The encoding keeps one domain's built arrays at a
+    time: asking for another domain's frees them, so callers that score
+    domain by domain hold one domain's matrix, not all of them. `dtype` is
+    the parameters' common dtype.
     """
 
     def __init__(self, model: EDModel, dataset: MultiDomainDataset, masks=None):
@@ -137,8 +140,8 @@ class Encoding:
         self._mf = spec.encoder == ENCODER_MF
         self._residual = spec.grec.alpha ** spec.grec.num_layers
         self._ops: dict[int, object] = {}
-        self._intra: dict[int, np.ndarray] = {}
-        self._joined_rows: dict[int, np.ndarray] = {}
+        self._domain = -1
+        self._built: dict[str, np.ndarray] = {}  # domain `_domain`'s "intra" and "joined" rows
         self.dtype = np.result_type(*(arr for _, arr in model.parameters()))
         graphs = dataset.domains
         self.intra_rows: list[np.ndarray] = []
@@ -171,8 +174,8 @@ class Encoding:
             out += x
             return out
         grec = self.model.spec.grec
-        for d, rows in blocks:
-            out[rows] += grec_propagate(self._operator(d), x[rows], grec)
+        for d, rows in blocks:  # the gathered copy is propagated in place
+            out[rows] += grec_propagate(self._operator(d), np.take(x, rows, axis=0), grec)
         out[uncovered] += self._residual * x[uncovered]
         return out
 
@@ -182,12 +185,20 @@ class Encoding:
     def _intra_map(self, d, x, out):
         return self._map([(d, self.intra_rows[d])], self._intra_uncovered[d], x, out)
 
+    def _held(self, d: int) -> dict[str, np.ndarray]:
+        """The arrays built for domain d; those of any other domain are freed."""
+        if d != self._domain:
+            self._built.clear()
+            self._domain = d
+        return self._built
+
     def intra(self, d: int) -> np.ndarray:
         """Encoded per-domain rows of domain d, in `model.intra[d]` row order."""
-        if d not in self._intra:
+        built = self._held(d)
+        if "intra" not in built:
             x = self.model.intra[d].matrix
-            self._intra[d] = self._intra_map(d, x, np.zeros_like(x))
-        return self._intra[d]
+            built["intra"] = self._intra_map(d, x, np.zeros_like(x))
+        return built["intra"]
 
     def represent(self, d: int, keys: np.ndarray) -> np.ndarray:
         """Domain-d representations of the nodes with the given keys, inter part first.
@@ -211,10 +222,11 @@ class Encoding:
         built on first use; `intra(d)` itself without a shared table."""
         if self.inter is None:
             return self.intra(d)
-        if d not in self._joined_rows:
+        built = self._held(d)
+        if "joined" not in built:
             shared = self.inter[self.model.inter.rows(self.model.intra[d].keys)]
-            self._joined_rows[d] = np.concatenate([shared, self.intra(d)], axis=1)
-        return self._joined_rows[d]
+            built["joined"] = np.concatenate([shared, self.intra(d)], axis=1)
+        return built["joined"]
 
     def transpose(
         self,

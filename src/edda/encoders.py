@@ -86,17 +86,22 @@ class GRecConfig:
 
 
 def grec_propagate(op: sp.spmatrix | None, x: np.ndarray, cfg: GRecConfig) -> np.ndarray:
-    """Layer-L embeddings of graph-local rows `x`; `x` is not mutated.
+    """Layer-L embeddings of graph-local rows `x`, computed in place: `x` is
+    overwritten with them and returned, so pass a copy to keep the input.
 
     `op` is the graph's `sym_norm_adjacency` (already masked by edge
     dropout), or None for the identity. The operator is symmetric, so the
     same call maps upstream gradients back through the propagation. The
-    result keeps the dtype of `x`.
+    result keeps the dtype of `x`. A layer rounds as `alpha * x + (1 - alpha)
+    * (op @ x)` does, bit for bit, but allocates only the product `op @ x`.
     """
     if op is None or cfg.is_identity:
         return x  # exact fixpoints, bypass the operator to keep them bitwise
     for _ in range(cfg.num_layers):
-        x = (cfg.alpha * x + (1.0 - cfg.alpha) * (op @ x)).astype(x.dtype, copy=False)
+        y = op @ x
+        y *= 1.0 - cfg.alpha
+        x *= cfg.alpha
+        x += y  # for float32 rows: added in float64 (op's type), rounded once into x
     return x
 
 

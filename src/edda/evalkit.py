@@ -23,9 +23,10 @@ Splits and cases are integer arrays. A domain's cases form one `CaseSet`
 builds a split's case sets and stores nothing: the caller keeps them, so a
 training run builds its validation cases once and hands them to both the
 per-epoch validation and the validation report. Scoring reads the case sets
-through the model's `Encoding` with integer node keys, `SCORE_CHUNK` cases at
-a time, and computes AUC by one search of per-user sorted score keys and
-Recall@1 in one comparison.
+through the model's `Encoding` with integer node keys, one domain after the
+other (the encoding holds one domain's `[inter | intra(d)]` matrix at a
+time) and `SCORE_CHUNK` cases at a time, and computes AUC by one search of
+per-user sorted score keys and Recall@1 in one comparison.
 """
 
 from __future__ import annotations

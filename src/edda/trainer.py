@@ -20,7 +20,11 @@ chunk rows, and one table-sized array per table, that table's gradient: its
 item rows are one CSR product over the encoded table, exact because scipy's
 `csr_matvecs` does not fuse y += a * x into one rounding, and its user rows
 one CSR product over the batch's distinct users. A step's gradient buffers
-are zero-filled once.
+are zero-filled once. The alignment part (`_align_part`) returns, freeing
+its gathered rows and values, before the ranking part starts. A step still
+allocates and frees table-sized arrays (the encoding, the gradient products,
+Adam's temporary); `edda train` holds the heap (`cli._hold_heap`), so the
+next step reuses that memory rather than faulting it in again.
 """
 
 from __future__ import annotations
@@ -286,10 +290,24 @@ def _objective(
     model = enc.model
     for buffer in grads.values():
         buffer.fill(0)
+    l_align = _align_part(model, prepared_pairs, 2.0 * cfg.beta * align_scale, grads)
+    l_bpr = 0.0
+    for d, triplet_locs in grouped.items():
+        loss, d_g, d_q = _bpr_part(enc, d, triplet_locs, blocks)
+        l_bpr += loss
+        enc.transpose(d_g, {} if d_q is None else {d: d_q}, grads)
+    total = l_bpr + cfg.beta * align_scale * l_align + cfg.reg_lambda * model.squared_norm()
+    for name, arr in model.parameters():
+        grads[name] += (2.0 * cfg.reg_lambda) * arr
+    return total, l_bpr, l_align
 
-    # alignment loss on raw per-domain embeddings and projections
+
+def _align_part(model: EDModel, prepared_pairs, coeff: float, grads: dict[str, np.ndarray]) -> float:
+    """L_align on the raw per-domain embeddings and projections of the
+    pairs; `coeff` / 2 times its gradient is added into `grads`. The gathered
+    rows, differences and scattered values are freed on return, before the
+    ranking part runs."""
     l_align = 0.0
-    coeff = 2.0 * cfg.beta * align_scale
     align_rows: dict[int, list[np.ndarray]] = {}
     align_values: dict[int, list[np.ndarray]] = {}
     for d, d_prime, idx_u, idx_v in prepared_pairs:
@@ -303,16 +321,7 @@ def _objective(
             grads[f"proj[{end}]"] += c * e.T @ diff
     for d, rows in align_rows.items():
         grads[f"intra[{d}]"] += _scatter_add(len(model.intra[d]), rows, align_values[d])
-
-    l_bpr = 0.0
-    for d, triplet_locs in grouped.items():
-        loss, d_g, d_q = _bpr_part(enc, d, triplet_locs, blocks)
-        l_bpr += loss
-        enc.transpose(d_g, {} if d_q is None else {d: d_q}, grads)
-    total = l_bpr + cfg.beta * align_scale * l_align + cfg.reg_lambda * model.squared_norm()
-    for name, arr in model.parameters():
-        grads[name] += (2.0 * cfg.reg_lambda) * arr
-    return total, l_bpr, l_align
+    return l_align
 
 
 def _scatter_add(n_rows: int, rows: list[np.ndarray], values: list[np.ndarray]) -> np.ndarray:

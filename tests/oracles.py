@@ -207,6 +207,16 @@ def dense_propagate(pairs, rows, alpha, num_layers, kept_pairs=None):
     return {n: out[k] for k, n in enumerate(nodes)}
 
 
+def grec_propagate_by_expression(op, x, cfg):
+    """`encoders.grec_propagate` as one expression per layer, each building a
+    new array, so `x` is left as it is; the identity cases return a copy."""
+    if op is None or cfg.is_identity:
+        return x.copy()
+    for _ in range(cfg.num_layers):
+        x = (cfg.alpha * x + (1.0 - cfg.alpha) * (op @ x)).astype(x.dtype)
+    return x
+
+
 def walk_stop_distribution(pairs, source, steps):
     """Exact distribution of the final node of a `steps`-step uniform walk.
 

@@ -3,6 +3,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edda.edmodel import EDModel, ModelSpec
 from edda.encoders import (
@@ -14,7 +16,14 @@ from edda.encoders import (
 )
 from edda.mdgraph import MAX_ID, NodeId, NodeKind, ingest
 
-from oracles import dense_propagate, keys, nodes_of, random_bipartite_records, row
+from oracles import (
+    dense_propagate,
+    grec_propagate_by_expression,
+    keys,
+    nodes_of,
+    random_bipartite_records,
+    row,
+)
 
 U = lambda i: NodeId(NodeKind.USER, i)
 I = lambda i: NodeId(NodeKind.ITEM, i)
@@ -75,6 +84,29 @@ def test_matches_dense_operator_oracle(seed):
     )
     for node in nodes_of(got.keys):
         assert row(got, node) == pytest.approx(want[node], rel=1e-12, abs=1e-12)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([np.float64, np.float32]),
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    st.integers(0, 3),
+    st.sampled_from([None, 0.0, 0.3, 0.9]),
+)
+def test_in_place_layers_equal_the_expression_bit_for_bit(seed, dtype, alpha, layers, dropout):
+    rng = np.random.default_rng(seed)
+    n_users, n_items = (int(n) for n in rng.integers(1, 12, size=2))
+    n_edges = int(rng.integers(1, n_users * n_items + 1))
+    graph = ingest(random_bipartite_records(rng, 0, n_users, n_items, n_edges)).graph(0)
+    mask = None if dropout is None else rng.random(graph.n_edges) >= dropout
+    op = graph.sym_norm_adjacency(mask)
+    x = rng.normal(size=(graph.n_nodes, int(rng.integers(1, 6)))).astype(dtype)
+    cfg = GRecConfig(num_layers=layers, alpha=alpha)
+    want = grec_propagate_by_expression(op, x, cfg)
+    got = grec_propagate(op, x, cfg)
+    assert got is x  # the layers ran in place
+    assert got.dtype == dtype and got.tobytes() == want.tobytes()
 
 
 def test_linearity():

@@ -122,6 +122,26 @@ def test_transpose_is_the_adjoint(instance):
     assert all(np.all(back[f"proj[{d}]"] == 0.0) for d in y_intra)
 
 
+@settings(max_examples=40, deadline=None)
+@given(instances(), st.booleans())
+def test_encoding_and_transpose_leave_the_tables_and_gradients_unchanged(instance, single):
+    # the layers run in place on gathered copies, never on a caller's array
+    model, train, masks, rng = instance
+    if single:
+        model = as_float32(model)
+    tables = {name: arr.tobytes() for name, arr in model.parameters()}
+    enc = model.propagated(train, masks)
+    for d in range(model.num_domains):
+        enc.represent(d, model.intra[d].keys)
+    y_inter = rng.normal(size=enc.inter.shape).astype(enc.dtype)
+    y_intra = {d: rng.normal(size=t.matrix.shape).astype(enc.dtype) for d, t in enumerate(model.intra)}
+    given_bytes = [y_inter.tobytes(), *(y.tobytes() for y in y_intra.values())]
+    back = {name: np.zeros_like(arr) for name, arr in model.parameters()}
+    enc.transpose(y_inter, y_intra, back)
+    assert [y_inter.tobytes(), *(y.tobytes() for y in y_intra.values())] == given_bytes
+    assert {name: arr.tobytes() for name, arr in model.parameters()} == tables
+
+
 @pytest.mark.parametrize("dtype", ["float64", "float32"])
 @pytest.mark.parametrize("variant", ["edda", "wo-da", "inter", "intra", "ed-mf"])
 def test_represent_is_the_concatenation_of_the_encoded_parts(variant, dtype):

@@ -1,4 +1,5 @@
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -361,6 +362,33 @@ def test_evaluate_all_row_count():
     assert len(rows) == ds.num_domains
     text = format_report(rows)
     assert len(text.strip().split("\n")) == ds.num_domains + 2
+
+
+def test_evaluation_holds_one_domains_joined_matrix_at_a_time():
+    # 3 domains of 1,500 users x 750 items, d = 64 + 64: a domain's
+    # [inter | intra(d)] matrix is 2.1 MiB, one block of negatives 2.5 MiB
+    rng = np.random.default_rng(0)
+    records = []
+    for d in range(3):
+        records += random_bipartite_records(rng, d, 1500, 750, 5000, 1500 * d, 750 * d)
+    ds = ingest(records)
+    sp = split(ds, seed=0)
+    cases = build_all_cases(sp, "test")
+    model = init_model(ModelSpec(d_inter=64, d_intra=64), ds, seed=1)
+    tracemalloc.start()
+    try:
+        rows = evaluate_all(model, sp, cases)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [n for *_, n in rows] == [len(c) for c in cases]
+    row_bytes = 128 * 8
+    joined = max(len(table) for table in model.intra) * row_bytes
+    negatives = evalkit.SCORE_CHUNK * evalkit.NUM_EVAL_NEGATIVES * row_bytes
+    # the inter encoding, one block of negatives, one domain's intra encoding
+    # and joined matrix, and as much again as the joined matrix for building
+    # it; a second domain's joined matrix and intra encoding exceed this
+    assert peak < model.inter.matrix.nbytes + negatives + joined // 2 + 2 * joined
 
 
 def test_an_unknown_split_name_raises_instead_of_evaluating_the_test_split():

@@ -30,7 +30,7 @@ from edda.trainer import (
     loss_and_gradients,
     train,
 )
-from edda.walker import SimilarPair
+from edda.walker import SimilarPair, SimilarPairSet
 
 from oracles import (
     adam_reference,
@@ -825,13 +825,18 @@ def test_objective_ignores_what_its_buffers_held(variant, domain):
     assert results[0] == results[1]
 
 
-def test_bpr_part_allocates_less_than_one_batch_block_at_the_train_dense_shape():
-    # perfbench's train_dense shape: 2 domains of 600 users x 300 items and
-    # 22,500 interactions, d = 64, the default batch of 8,092
-    rng = np.random.default_rng(0)
+def _train_dense_dataset(rng):
+    """perfbench's train_dense shape: 2 domains of 600 users x 300 items and
+    22,500 interactions, overlapping in 30 users and 15 items."""
     records = random_bipartite_records(rng, 0, 600, 300, 22_500)
     records += random_bipartite_records(rng, 1, 600, 300, 22_500, user_base=570, item_base=285)
-    ds = ingest(records)
+    return ingest(records)
+
+
+def test_bpr_part_allocates_less_than_one_batch_block_at_the_train_dense_shape():
+    # perfbench's train_dense shape, d = 64, the default batch of 8,092
+    rng = np.random.default_rng(0)
+    ds = _train_dense_dataset(rng)
     model = init_model(ModelSpec(d_inter=64, d_intra=64), ds, seed=1)
     batch = TrainConfig().batch_size
     block_bytes = batch * 64 * 8
@@ -853,6 +858,51 @@ def test_bpr_part_allocates_less_than_one_batch_block_at_the_train_dense_shape()
     want = bpr_part_by_rows(enc, 0, triplets)
     assert l_bpr == want[0] and d_g.tobytes() == want[1].tobytes()
     assert d_q.tobytes() == want[2].tobytes()
+
+
+def test_objective_frees_the_alignment_part_before_the_ranking_part(monkeypatch):
+    # the train_dense shape with one pair per node in each direction, as k = 1
+    # mines them; a (pairs, d) block of gathered rows or values is 0.44 MiB
+    rng = np.random.default_rng(0)
+    ds = _train_dense_dataset(rng)
+    model = init_model(ModelSpec(d_inter=64, d_intra=64), ds, seed=1)
+
+    def pair_set(d, d_prime):
+        src, dst = ds.graph(d), ds.graph(d_prime)
+        kinds = np.repeat([int(NodeKind.USER), int(NodeKind.ITEM)], [src.n_users, src.n_items])
+        sources = np.concatenate([src.user_ids, src.item_ids])
+        targets = np.concatenate([rng.choice(dst.user_ids, src.n_users), rng.choice(dst.item_ids, src.n_items)])
+        return SimilarPairSet((d, d_prime), kinds, sources, targets, np.ones(len(kinds)))
+
+    prepared = trainer._prepare_pairs(model, [pair_set(0, 1), pair_set(1, 0)])
+    pair_block = max(len(idx_u) for _, _, idx_u, _ in prepared) * 64 * 8
+    batch = TrainConfig().batch_size
+    triplets = _NegativeSampler(ds.graph(0)).triplets(rng.permutation(ds.graph(0).n_edges)[:batch], rng)
+    grads = {name: np.empty_like(arr) for name, arr in model.parameters()}
+    blocks = _bpr_blocks(model, batch)
+    enc = model.propagated(ds)
+    enc.intra(0)  # the encoding's own table, built on first use
+    held = []
+
+    def recording(*args):  # what `_objective` holds as its ranking part starts
+        held.append(tracemalloc.get_traced_memory()[0])
+        tracemalloc.reset_peak()
+        return _bpr_part(*args)
+
+    monkeypatch.setattr(trainer, "_bpr_part", recording)
+
+    def ranking_peak(pairs):  # from the ranking part's start to the step's end
+        tracemalloc.start()
+        try:
+            trainer._objective(enc, {0: triplets}, pairs, TrainConfig(), 1.0, grads, blocks)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    without_pairs, with_pairs = ranking_peak([]), ranking_peak(prepared)
+    # kept alive, the alignment's rows, differences and values are 7 blocks
+    assert held[1] < pair_block
+    assert with_pairs < without_pairs + pair_block
 
 
 @pytest.mark.parametrize("dims", [(5, 3), (3, 5)])
