@@ -218,7 +218,8 @@ def cmd_align(args) -> int:
     written = []
     if dataset.num_domains < 2:
         print("single-domain dataset: no domain pairs to align", file=sys.stderr)
-    stops = [run_walks(graph, cfg.walk_config()) for graph in split_data.train.domains]
+    else:
+        stops = [run_walks(graph, cfg.walk_config()) for graph in split_data.train.domains]
     for d in range(dataset.num_domains):
         for d_prime in range(d + 1, dataset.num_domains):
             pair_sets = [

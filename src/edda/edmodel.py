@@ -174,8 +174,9 @@ class Encoding:
             out += x
             return out
         grec = self.model.spec.grec
-        for d, rows in blocks:  # the gathered copy is propagated in place
-            out[rows] += grec_propagate(self._operator(d), np.take(x, rows, axis=0), grec)
+        for d, rows in blocks:  # propagated before out[rows] is copied: two row blocks, not three
+            y = grec_propagate(self._operator(d), np.take(x, rows, axis=0), grec)
+            out[rows] += y
         out[uncovered] += self._residual * x[uncovered]
         return out
 
@@ -229,17 +230,16 @@ class Encoding:
         return built["joined"]
 
     def transpose(
-        self,
-        d_inter: np.ndarray | None,
-        d_intra: dict[int, np.ndarray],
-        out: dict[str, np.ndarray],
+        self, d: int, d_inter: np.ndarray | None, d_intra: np.ndarray | None, out: dict
     ) -> None:
         """Add the adjoint of the encoding, applied to gradients w.r.t. `inter`
-        and `intra(d)`, into the table-level gradients `out`, by parameter name."""
+        and `intra(d)` (None for either to skip it), into the table-level
+        gradients `out`, by parameter name. The shared table's adjoint runs
+        on every domain's graph, domain d's table's on its own graph."""
         if d_inter is not None:
             self._inter_map(d_inter, out["inter"])
-        for d, grad in d_intra.items():
-            self._intra_map(d, grad, out[f"intra[{d}]"])
+        if d_intra is not None:
+            self._intra_map(d, d_intra, out[f"intra[{d}]"])
 
 
 def _uncovered(n_rows: int, covered: list[np.ndarray]) -> np.ndarray:

@@ -14,17 +14,19 @@ gradients to `Encoding.transpose`, the exact backward pass through the
 linear, symmetric propagation. Per-domain embedding tables receive gradients
 only from their own domain's triplets (and from alignment pairs touching
 them); the shared table receives gradients from every domain. A training
-step's ranking part is one domain's (`_bpr_part`). It holds one (batch, dim)
-value buffer, which the shared and the per-domain table take in turn, plus
-chunk rows, and one table-sized array per table, that table's gradient: its
-item rows are one CSR product over the encoded table, exact because scipy's
-`csr_matvecs` does not fuse y += a * x into one rounding, and its user rows
-one CSR product over the batch's distinct users. A step's gradient buffers
-are zero-filled once. The alignment part (`_align_part`) returns, freeing
-its gathered rows and values, before the ranking part starts. A step still
-allocates and frees table-sized arrays (the encoding, the gradient products,
-Adam's temporary); `edda train` holds the heap (`cli._hold_heap`), so the
-next step reuses that memory rather than faulting it in again.
+step is one domain's batch, end to end (`_objective`), and every array it
+uses is allocated where it is used and freed when that part returns: the
+alignment part (`_align_part`) frees its gathered rows and values before the
+ranking part (`_bpr_part`) starts, which allocates one (batch, dim) value
+buffer, taken in turn by the shared and the per-domain table, plus chunk
+rows, and one table-sized gradient per table: its item rows are one CSR
+product over the encoded table, exact because scipy's `csr_matvecs` does
+not fuse y += a * x into one rounding, and its user rows one CSR product
+over the batch's distinct users. Those two gradients are freed once
+`Encoding.transpose` has added them into the step's zeroed parameter
+gradients, which `train` drops after the Adam update. `edda train` holds the
+heap (`cli._hold_heap`), so the next step reuses the memory a step frees
+rather than faulting it in again.
 """
 
 from __future__ import annotations
@@ -161,44 +163,35 @@ def _prepare_pairs(model: EDModel, pair_sets: Iterable[SimilarPairSet]):
     return prepared
 
 
-def _bpr_blocks(model: EDModel, n_triplets: int) -> tuple[np.ndarray, np.ndarray]:
-    """Buffers for `_bpr_part`, room for `n_triplets` (user, positive,
-    negative) row triples: a value buffer of n_triplets rows and a chunk
-    buffer of 2 * BPR_CHUNK rows, flat and as wide as the widest parameter
-    (the wider table), which the shared and the per-domain table take in turn."""
-    params = [arr for _, arr in model.parameters()]
-    width, dtype = max(arr.shape[1] for arr in params), np.result_type(*params)
-    chunk_rows = 2 * min(BPR_CHUNK, n_triplets)
-    return np.empty(n_triplets * width, dtype), np.empty(chunk_rows * width, dtype)
-
-
-def _bpr_part(enc: Encoding, d: int, triplet_locs: np.ndarray, blocks: tuple[np.ndarray, ...]):
+def _bpr_part(enc: Encoding, d: int, triplet_locs: np.ndarray):
     """Domain d's ranking loss over its (3, n) graph-local `triplet_locs`,
     and its gradients w.r.t. `enc.inter` and `enc.intra(d)`: (loss, d_inter,
     d_intra), None for a table the model lacks.
 
-    Memory: the (batch, dim) value buffer and the chunk rows of `blocks`
-    (`_bpr_blocks`), which the tables take in turn, and one table-sized array
-    per table, its gradient. The first table's scoring leaves e_p - e_n in
-    the value buffer; the second scores through the chunks only and, once the
-    first table's gradient is done, forms its e_p - e_n there again by the
-    same operations, so with the same bits. Each is scaled in place to the
-    user rows' gradients dl_dx * (e_p - e_n). The item rows' terms
-    +-dl_dx * e_u are never written: `_bpr_gradient` sums them from the
-    encoded table, bit-equal to the explicit products since (-a) * x =
-    -(a * x) and scipy's `csr_matvecs` rounds a * x before adding it (no fused
-    multiply-add, as in its x86-64 wheels).
+    Memory: a value buffer of n rows and two chunk buffers of up to BPR_CHUNK
+    rows, allocated here as wide as the wider table and taken by the tables
+    in turn, and one table-sized array per table, its gradient. The first
+    table's scoring leaves e_p - e_n in the value buffer; the second scores
+    through the chunks only and, once the first table's gradient is done,
+    forms its e_p - e_n there again by the same operations, so with the same
+    bits. Each is scaled in place to the user rows' gradients dl_dx * (e_p -
+    e_n). The item rows' terms +-dl_dx * e_u are never written:
+    `_bpr_gradient` sums them from the encoded table, bit-equal to the
+    explicit products since (-a) * x = -(a * x) and scipy's `csr_matvecs`
+    rounds a * x before adding it (no fused multiply-add, as in its x86-64
+    wheels).
     """
     tables = {}
     if enc.inter is not None:
         tables["inter"] = enc.inter, enc.inter_rows[d][triplet_locs]
     if enc.model.intra is not None:
         tables["intra"] = enc.intra(d), enc.intra_rows[d][triplet_locs]
-    n = triplet_locs.shape[1]
+    n, m = triplet_locs.shape[1], min(BPR_CHUNK, triplet_locs.shape[1])
+    width = max(table.shape[1] for table, _ in tables.values())
+    buffers = np.empty(n * width, enc.dtype), np.empty(2 * m * width, enc.dtype)
 
     def carved(table):  # `table`'s views of the value buffer and the two chunks
-        values, chunks = blocks
-        dim, m = table.shape[1], min(BPR_CHUNK, n)
+        (values, chunks), dim = buffers, table.shape[1]
         return values[: n * dim].reshape(n, dim), chunks[: 2 * m * dim].reshape(2, m, dim)
 
     x = np.zeros(n, dtype=enc.dtype)
@@ -272,34 +265,23 @@ def _bpr_gradient(table, rows, orders, user_values) -> np.ndarray:
     return grad
 
 
-def _objective(
-    enc: Encoding,
-    grouped: dict[int, np.ndarray],
-    prepared_pairs,
-    cfg: TrainConfig,
-    align_scale: float,
-    grads: dict[str, np.ndarray],
-    blocks: tuple[np.ndarray, np.ndarray],
-):
-    """(total, L_rank, L_align) for one batch; its exact gradients by
-    parameter name are written into `grads`, one array shaped like each
-    parameter: each is zero-filled once, then the alignment, ranking and L2
-    terms are added. The ranking part is taken one domain at a time
-    (`_bpr_part`, then `Encoding.transpose`); a training step holds one.
-    `blocks` are `_bpr_part`'s buffers, with room for each domain's triplets."""
+def _objective(enc: Encoding, d: int, triplet_locs, prepared_pairs, cfg: TrainConfig, align_scale):
+    """(total, L_rank, L_align, grads) for one batch of domain d's (3, n)
+    graph-local `triplet_locs`: `grads` holds the exact gradients by
+    parameter name, one array shaped like each parameter, allocated zeroed
+    here; the alignment, ranking (`_bpr_part`, then `Encoding.transpose`) and
+    L2 terms are added into it in that order. The ranking part's two
+    gradients are freed before the L2 term's temporaries are made."""
     model = enc.model
-    for buffer in grads.values():
-        buffer.fill(0)
+    grads = {name: np.zeros_like(arr) for name, arr in model.parameters()}
     l_align = _align_part(model, prepared_pairs, 2.0 * cfg.beta * align_scale, grads)
-    l_bpr = 0.0
-    for d, triplet_locs in grouped.items():
-        loss, d_g, d_q = _bpr_part(enc, d, triplet_locs, blocks)
-        l_bpr += loss
-        enc.transpose(d_g, {} if d_q is None else {d: d_q}, grads)
+    l_bpr, d_g, d_q = _bpr_part(enc, d, triplet_locs)
+    enc.transpose(d, d_g, d_q, grads)
+    del d_g, d_q
     total = l_bpr + cfg.beta * align_scale * l_align + cfg.reg_lambda * model.squared_norm()
     for name, arr in model.parameters():
         grads[name] += (2.0 * cfg.reg_lambda) * arr
-    return total, l_bpr, l_align
+    return total, l_bpr, l_align, grads
 
 
 def _align_part(model: EDModel, prepared_pairs, coeff: float, grads: dict[str, np.ndarray]) -> float:
@@ -358,22 +340,22 @@ def _indptr(n_rows: int, rows: np.ndarray) -> np.ndarray:
 def loss_and_gradients(
     model: EDModel,
     dataset: MultiDomainDataset,
-    triplets: dict[int, np.ndarray],
+    d: int,
+    triplet_locs: np.ndarray,
     pair_sets: Sequence[SimilarPairSet],
     cfg: TrainConfig,
     masks: dict[int, np.ndarray] | None = None,
 ) -> tuple[float, dict[str, np.ndarray]]:
-    """L_rank + beta * L_align + lambda * ||params||^2 for the given batch, and
-    its exact gradient for every parameter array, by name.
+    """L_rank + beta * L_align + lambda * ||params||^2 for one batch of
+    domain d, and its exact gradient for every parameter array, by name.
 
-    `triplets` maps a domain to its (3, n) graph-local (user, positive,
-    negative) index rows, as `_NegativeSampler.triplets` builds them.
+    `triplet_locs` are domain d's (3, n) graph-local (user, positive,
+    negative) index rows, as `_NegativeSampler.triplets` builds them; with
+    n = 0 the loss is the alignment and regularization terms alone.
     """
     enc = model.propagated(dataset, masks)
-    grads = {name: np.empty_like(arr) for name, arr in model.parameters()}
-    blocks = _bpr_blocks(model, max((t.shape[1] for t in triplets.values()), default=0))
     pairs = _prepare_pairs(model, pair_sets)
-    total, *_ = _objective(enc, triplets, pairs, cfg, 1.0, grads, blocks)
+    total, *_, grads = _objective(enc, d, triplet_locs, pairs, cfg, 1.0)
     return total, grads
 
 
@@ -463,8 +445,6 @@ def train(
     prepared_pairs = _prepare_pairs(model, pair_sets)
     n_pairs = sum(len(idx_u) for _, _, idx_u, _ in prepared_pairs)
     state = AdamState.for_model(model)
-    grads = {name: np.empty_like(arr) for name, arr in model.parameters()}  # reused per batch
-    largest_batch = min(cfg.batch_size, max(graph.n_edges for graph in train_ds.domains))
 
     samplers = [_NegativeSampler(graph) for graph in train_ds.domains]
     has_val = any(cases for cases in val_cases)
@@ -476,7 +456,6 @@ def train(
 
     for epoch in range(1, cfg.epochs + 1):
         epoch_bpr = epoch_align = epoch_total = 0.0
-        blocks = _bpr_blocks(model, largest_batch)  # reused per batch, freed for validation
         for d, batch in _epoch_batches(train_ds.domains, cfg.batch_size, rng):
             triplets = samplers[d].triplets(batch, rng)
             if triplets.shape[1] == 0:
@@ -492,9 +471,8 @@ def train(
                 batch_pairs, align_scale = _subsample_pairs(
                     prepared_pairs, n_pairs, cfg.batch_size, rng
                 )
-            total, l_bpr, l_align = _objective(
-                model.propagated(train_ds, masks), {d: triplets}, batch_pairs, cfg, align_scale,
-                grads, blocks,
+            total, l_bpr, l_align, grads = _objective(
+                model.propagated(train_ds, masks), d, triplets, batch_pairs, cfg, align_scale
             )
             if not np.isfinite(total):
                 raise TrainingDiverged(
@@ -502,11 +480,11 @@ def train(
                     f" bpr {l_bpr}, align {l_align}, total {total}"
                 )
             adam_step(model, grads, state, cfg)
+            del grads  # freed before the next step allocates its own
             epoch_bpr += l_bpr
             epoch_align += l_align
             epoch_total += total
 
-        del blocks
         val_auc = val_recall = float("nan")
         if has_val:
             val_auc, val_recall, val_rows = evalkit.evaluate_cases_mean(model, split, val_cases)

@@ -438,12 +438,12 @@ def bpr_row_gradients(dl_dx, block):
     return block
 
 
-def bpr_part_by_rows(enc, d, triplet_locs, blocks=None):
+def bpr_part_by_rows(enc, d, triplet_locs):
     """`trainer._bpr_part` with every gradient row written out: each table's
     [e_u; e_p; e_n] rows are gathered into one block, scored and turned into
     their gradient rows (`bpr_scores`, `bpr_row_gradients`), and the rows are
     summed by `np.add.at` into zeros in position order (users, positives,
-    negatives). `blocks` is ignored."""
+    negatives)."""
     locs = triplet_locs.reshape(-1)
     tables = {}
     if enc.inter is not None:

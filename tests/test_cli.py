@@ -18,7 +18,7 @@ import edda
 from edda import evalkit
 from edda.cli import RunConfig, build_parser, main, resolve_config
 from edda.edmodel import init_model, load_model
-from edda.mdgraph import ingest_file, load_interactions, write_interactions
+from edda.mdgraph import ingest_file, load_interactions, read_key_values, write_interactions
 
 from oracles import interaction_files
 
@@ -417,12 +417,16 @@ def test_eval_refuses_a_checkpoint_trained_on_other_data(
     assert not (workspace / "eval_other" / "eval_report.tsv").exists()
 
 
-def test_align_single_domain_writes_no_pairs(tmp_path, capsys):
+def test_align_single_domain_writes_no_pairs(tmp_path, capsys, monkeypatch):
     data = tmp_path / "one.tsv"
     write_interactions(data, [(0, u, i) for u in range(4) for i in range(4)])
+    walked = []
+    monkeypatch.setattr("edda.cli.run_walks", lambda *args: walked.append(args))
     assert main(["align", str(data), "--out", str(tmp_path / "pairs")]) == 0
     assert list((tmp_path / "pairs").glob("pairs_*.tsv")) == []
-    assert "single-domain" in capsys.readouterr().err
+    assert read_key_values(tmp_path / "pairs" / "manifest.txt")["pair_files"] == ""
+    assert "single-domain dataset: no domain pairs to align" in capsys.readouterr().err
+    assert walked == []  # no domain pair, so no graph is walked
 
 
 def test_usage_error_exit_code():

@@ -1,5 +1,7 @@
 """The single encode path: `EDModel.propagated` against dense oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -113,7 +115,8 @@ def test_transpose_is_the_adjoint(instance):
     y_inter = rng.normal(size=enc.inter.shape)
     y_intra = {d: rng.normal(size=t.matrix.shape) for d, t in enumerate(model.intra)}
     back = {name: np.zeros_like(arr) for name, arr in model.parameters()}
-    enc.transpose(y_inter, y_intra, back)
+    for d, y in y_intra.items():  # one domain per call, the shared gradient with domain 0's
+        enc.transpose(d, None if d else y_inter, y, back)
     lhs = np.sum(enc.inter * y_inter) + sum(np.sum(enc.intra(d) * y) for d, y in y_intra.items())
     rhs = np.sum(model.inter.matrix * back["inter"]) + sum(
         np.sum(t.matrix * back[f"intra[{d}]"]) for d, t in enumerate(model.intra)
@@ -137,9 +140,31 @@ def test_encoding_and_transpose_leave_the_tables_and_gradients_unchanged(instanc
     y_intra = {d: rng.normal(size=t.matrix.shape).astype(enc.dtype) for d, t in enumerate(model.intra)}
     given_bytes = [y_inter.tobytes(), *(y.tobytes() for y in y_intra.values())]
     back = {name: np.zeros_like(arr) for name, arr in model.parameters()}
-    enc.transpose(y_inter, y_intra, back)
+    for d, y in y_intra.items():
+        enc.transpose(d, None if d else y_inter, y, back)
     assert [y_inter.tobytes(), *(y.tobytes() for y in y_intra.values())] == given_bytes
     assert {name: arr.tobytes() for name, arr in model.parameters()} == tables
+
+
+def test_transpose_holds_two_row_blocks_at_a_time():
+    # one domain, per-domain table only, one layer: the layer runs on a
+    # gathered copy of the rows (one block) and makes its product (a second);
+    # copying out[rows] before the layer ran would hold a third
+    rng = np.random.default_rng(0)
+    ds = ingest(random_bipartite_records(rng, 0, 1500, 500, 20_000))
+    spec = ModelSpec(d_intra=64, use_inter=False, grec=GRecConfig(num_layers=1, alpha=0.1))
+    model = init_model(spec, ds, seed=1)
+    enc = model.propagated(ds)
+    enc.intra(0)  # builds the domain's operator
+    y = rng.normal(size=model.intra[0].matrix.shape)
+    out = {"intra[0]": np.zeros_like(y)}
+    tracemalloc.start()
+    try:
+        enc.transpose(0, None, y, out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * y.nbytes
 
 
 @pytest.mark.parametrize("dtype", ["float64", "float32"])
@@ -191,10 +216,11 @@ def test_float32_model_stays_float32():
 
     triplets = _triplets(ds, {0: 6, 1: 5}, rng)
     cfg = TrainConfig()
-    grads = loss_and_gradients(model, ds, triplets, [], cfg, masks=masks)[1]
-    assert {g.dtype for g in grads.values()} == {np.dtype(np.float32)}
     state = AdamState.for_model(model)
-    adam_step(model, grads, state, cfg)
+    for d, rows in triplets.items():
+        grads = loss_and_gradients(model, ds, d, rows, [], cfg, masks=masks)[1]
+        assert {g.dtype for g in grads.values()} == {np.dtype(np.float32)}
+        adam_step(model, grads, state, cfg)
     assert {arr.dtype for _, arr in model.parameters()} == {np.dtype(np.float32)}
     assert {m.dtype for m in [*state.m.values(), *state.v.values()]} == {np.dtype(np.float32)}
 
@@ -213,13 +239,14 @@ def test_float32_gradients_match_float64(encoder):
     pairs = [mine_pairs(ds, 0, 1, 2, stops), mine_pairs(ds, 1, 0, 2, stops)]
     assert all(p.pairs for p in pairs)
     cfg = TrainConfig(beta=0.5, reg_lambda=1e-3)
-    want = loss_and_gradients(model, ds, triplets, pairs, cfg, masks=masks)[1]
-    got = loss_and_gradients(as_float32(model), ds, triplets, pairs, cfg, masks=masks)[1]
-    assert got.keys() == want.keys()
-    for name, g in got.items():
-        assert g.dtype == np.float32, name
-        scale = np.abs(want[name]).max()
-        np.testing.assert_allclose(g, want[name], rtol=0, atol=1e-6 * scale, err_msg=name)
+    for d, rows in triplets.items():
+        want = loss_and_gradients(model, ds, d, rows, pairs, cfg, masks=masks)[1]
+        got = loss_and_gradients(as_float32(model), ds, d, rows, pairs, cfg, masks=masks)[1]
+        assert got.keys() == want.keys()
+        for name, g in got.items():
+            assert g.dtype == np.float32, name
+            scale = np.abs(want[name]).max()
+            np.testing.assert_allclose(g, want[name], rtol=0, atol=1e-6 * scale, err_msg=f"{d} {name}")
 
 
 @settings(max_examples=150, deadline=None)
