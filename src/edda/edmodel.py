@@ -221,7 +221,7 @@ class Encoding:
     def _joined(self, d: int) -> np.ndarray:
         """Domain d's `[inter | intra(d)]` rows in `model.intra[d]` row order,
         built on first use; `intra(d)` itself without a shared table."""
-        if self.inter is None:
+        if self.model.inter is None:
             return self.intra(d)
         built = self._held(d)
         if "joined" not in built:
@@ -229,17 +229,31 @@ class Encoding:
             built["joined"] = np.concatenate([shared, self.intra(d)], axis=1)
         return built["joined"]
 
+    def free_rows(self) -> None:
+        """Free the encoded rows, `inter` and a domain's built arrays: the
+        encoding can then only `transpose`, which reads operators and row maps."""
+        self.inter = None
+        self._built.clear()
+
     def transpose(
         self, d: int, d_inter: np.ndarray | None, d_intra: np.ndarray | None, out: dict
     ) -> None:
         """Add the adjoint of the encoding, applied to gradients w.r.t. `inter`
         and `intra(d)` (None for either to skip it), into the table-level
-        gradients `out`, by parameter name. The shared table's adjoint runs
-        on every domain's graph, domain d's table's on its own graph."""
+        gradients `out`, by parameter name; a gradient `out` lacks is made
+        zeroed first. The shared table's adjoint runs on every domain's
+        graph, domain d's table's on its own graph."""
         if d_inter is not None:
-            self._inter_map(d_inter, out["inter"])
+            self._inter_map(d_inter, zeroed_grad(out, "inter", d_inter))
         if d_intra is not None:
-            self._intra_map(d, d_intra, out[f"intra[{d}]"])
+            self._intra_map(d, d_intra, zeroed_grad(out, f"intra[{d}]", d_intra))
+
+
+def zeroed_grad(grads: dict[str, np.ndarray], name: str, like: np.ndarray) -> np.ndarray:
+    """`grads[name]`, first made as zeros shaped like `like` if it is absent."""
+    if name not in grads:
+        grads[name] = np.zeros_like(like)
+    return grads[name]
 
 
 def _uncovered(n_rows: int, covered: list[np.ndarray]) -> np.ndarray:

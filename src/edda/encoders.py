@@ -93,7 +93,8 @@ def grec_propagate(op: sp.spmatrix | None, x: np.ndarray, cfg: GRecConfig) -> np
     dropout), or None for the identity. The operator is symmetric, so the
     same call maps upstream gradients back through the propagation. The
     result keeps the dtype of `x`. A layer rounds as `alpha * x + (1 - alpha)
-    * (op @ x)` does, bit for bit, but allocates only the product `op @ x`.
+    * (op @ x)` does, bit for bit, but allocates only the product `op @ x`,
+    which is freed before the next layer's: two row blocks are alive at most.
     """
     if op is None or cfg.is_identity:
         return x  # exact fixpoints, bypass the operator to keep them bitwise
@@ -102,6 +103,7 @@ def grec_propagate(op: sp.spmatrix | None, x: np.ndarray, cfg: GRecConfig) -> np
         y *= 1.0 - cfg.alpha
         x *= cfg.alpha
         x += y  # for float32 rows: added in float64 (op's type), rounded once into x
+        del y
     return x
 
 

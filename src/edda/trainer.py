@@ -1,11 +1,11 @@
 """Pairwise-ranking training with an alignment regularizer.
 
-The objective is
+A training step takes one domain's batch and minimizes
 
     L = L_rank + beta * L_align + lambda * ||params||^2
 
-where L_rank sums -ln sigmoid(s(u,i+) - s(u,i-)) over sampled triplets of all
-domains, and L_align sums squared distances between projected per-domain
+where L_rank sums -ln sigmoid(s(u,i+) - s(u,i-)) over the batch's sampled
+triplets, and L_align sums squared distances between projected per-domain
 embeddings of mined cross-domain pairs. Every batch encodes the tables once
 through `EDModel.propagated` (with that batch's edge-dropout masks);
 `loss_and_gradients` then scores triplets on the encoding, computes the
@@ -13,18 +13,15 @@ alignment and regularization terms, and hands the representation-level
 gradients to `Encoding.transpose`, the exact backward pass through the
 linear, symmetric propagation. Per-domain embedding tables receive gradients
 only from their own domain's triplets (and from alignment pairs touching
-them); the shared table receives gradients from every domain. A training
-step is one domain's batch, end to end (`_objective`), and every array it
-uses is allocated where it is used and freed when that part returns: the
-alignment part (`_align_part`) frees its gathered rows and values before the
-ranking part (`_bpr_part`) starts, which allocates one (batch, dim) value
-buffer, taken in turn by the shared and the per-domain table, plus chunk
-rows, and one table-sized gradient per table: its item rows are one CSR
-product over the encoded table, exact because scipy's `csr_matvecs` does
-not fuse y += a * x into one rounding, and its user rows one CSR product
-over the batch's distinct users. Those two gradients are freed once
-`Encoding.transpose` has added them into the step's zeroed parameter
-gradients, which `train` drops after the Adam update. `edda train` holds the
+them); the shared table receives gradients from every domain.
+
+A step frees every array after its last reader, and none grows with the
+batch but per-triplet scalars and indices. `_objective` makes a gradient
+when a term first writes it. The alignment part frees its rows before the
+ranking part (`_bpr_part`) runs, which scores and sums the batch through two
+chunk buffers and makes one table-sized gradient per table. The encoded rows
+are freed once scored, those gradients once transposed. `adam_step` updates
+blocks of ADAM_BLOCK elements through one scratch. `edda train` holds the
 heap (`cli._hold_heap`), so the next step reuses the memory a step frees
 rather than faulting it in again.
 """
@@ -40,7 +37,7 @@ import scipy.sparse as sp
 from scipy.special import expit
 
 from . import evalkit
-from .edmodel import EDModel, Encoding
+from .edmodel import EDModel, Encoding, zeroed_grad
 from .mdgraph import DomainGraph, MultiDomainDataset, node_keys, sorted_unique
 from .walker import SimilarPairSet
 
@@ -53,6 +50,7 @@ ADAM_EPS = 1e-8
 # alignment pairs are subsampled to one batch size once they outnumber it this many times
 ALIGN_SUBSAMPLE_FACTOR = 10
 BPR_CHUNK = 512  # triplets scored together; bounds the two chunk buffers
+ADAM_BLOCK = 32768  # elements `adam_step` updates together; bounds its scratch
 
 
 @dataclass(frozen=True)
@@ -73,6 +71,8 @@ class TrainConfig:
             raise ValueError("invalid learning_rate/batch_size/epochs")
         if not 0.0 <= self.edge_dropout < 1.0:
             raise ValueError("edge_dropout must lie in [0, 1)")
+        if self.patience is not None and self.patience < 0:
+            raise ValueError(f"patience must be None or non-negative, got {self.patience}")
 
 
 class TrainingDiverged(RuntimeError):
@@ -168,46 +168,27 @@ def _bpr_part(enc: Encoding, d: int, triplet_locs: np.ndarray):
     and its gradients w.r.t. `enc.inter` and `enc.intra(d)`: (loss, d_inter,
     d_intra), None for a table the model lacks.
 
-    Memory: a value buffer of n rows and two chunk buffers of up to BPR_CHUNK
-    rows, allocated here as wide as the wider table and taken by the tables
-    in turn, and one table-sized array per table, its gradient. The first
-    table's scoring leaves e_p - e_n in the value buffer; the second scores
-    through the chunks only and, once the first table's gradient is done,
-    forms its e_p - e_n there again by the same operations, so with the same
-    bits. Each is scaled in place to the user rows' gradients dl_dx * (e_p -
-    e_n). The item rows' terms +-dl_dx * e_u are never written:
-    `_bpr_gradient` sums them from the encoded table, bit-equal to the
-    explicit products since (-a) * x = -(a * x) and scipy's `csr_matvecs`
-    rounds a * x before adding it (no fused multiply-add, as in its x86-64
-    wheels).
+    Memory: two chunk buffers of BPR_CHUNK + 1 rows, as wide as the wider
+    table and taken by the tables in turn, and one table-sized gradient per
+    table; beyond those, only per-triplet scalars and indices. Scoring keeps
+    no row: `_bpr_gradient` forms each chunk's e_p - e_n again by the same
+    operations, so with the same bits.
     """
     tables = {}
-    if enc.inter is not None:
+    if enc.model.inter is not None:
         tables["inter"] = enc.inter, enc.inter_rows[d][triplet_locs]
     if enc.model.intra is not None:
         tables["intra"] = enc.intra(d), enc.intra_rows[d][triplet_locs]
-    n, m = triplet_locs.shape[1], min(BPR_CHUNK, triplet_locs.shape[1])
+    m = min(BPR_CHUNK, triplet_locs.shape[1]) + 1  # a chunk and `_bpr_gradient`'s leading row
     width = max(table.shape[1] for table, _ in tables.values())
-    buffers = np.empty(n * width, enc.dtype), np.empty(2 * m * width, enc.dtype)
-
-    def carved(table):  # `table`'s views of the value buffer and the two chunks
-        (values, chunks), dim = buffers, table.shape[1]
-        return values[: n * dim].reshape(n, dim), chunks[: 2 * m * dim].reshape(2, m, dim)
-
-    x = np.zeros(n, dtype=enc.dtype)
-    for i, (table, rows) in enumerate(tables.values()):
-        values, chunks = carved(table)
-        _add_scores(x, table, rows, None if i else values, chunks)
+    buffer = np.empty(2 * m * width, enc.dtype)
+    chunks = {name: buffer[: 2 * m * t.shape[1]].reshape(2, m, -1) for name, (t, _) in tables.items()}
+    x = np.zeros(triplet_locs.shape[1], dtype=enc.dtype)
+    for name, (table, rows) in tables.items():
+        _add_scores(x, table, rows, chunks[name])
     dl_dx = -expit(-x)  # negative
     orders = _triplet_orders(triplet_locs, dl_dx, enc.dataset.graph(d).n_nodes)
-    grads = {}
-    for i, (name, (table, rows)) in enumerate(tables.items()):
-        values, (_, scratch) = carved(table)
-        if i:  # the value buffer is free again: this table's e_p - e_n
-            for lo in range(0, n, BPR_CHUNK):
-                _diffs(table, rows[:, lo : lo + BPR_CHUNK], values[lo : lo + BPR_CHUNK], scratch)
-        values *= dl_dx[:, None]
-        grads[name] = _bpr_gradient(table, rows, orders, values)
+    grads = {name: _bpr_gradient(table, rows, orders, chunks[name]) for name, (table, rows) in tables.items()}
     return float(np.sum(np.logaddexp(0.0, -x))), grads.get("inter"), grads.get("intra")
 
 
@@ -220,75 +201,107 @@ def _diffs(table, rows, out, scratch) -> np.ndarray:
     return out
 
 
-def _add_scores(x, table, rows, values, chunks) -> None:
+def _add_scores(x, table, rows, chunks) -> None:
     """x += e_u . (e_p - e_n) for the (3, n) user, positive and negative
     `table` rows `rows`, BPR_CHUNK triplets at a time through the two
-    `chunks`; `values`, unless None, is left holding e_p - e_n. Each score is
-    its own row's, so chunking changes no bit."""
+    `chunks`. Each score is its own row's, so chunking changes no bit."""
     held, scratch = chunks
     for lo in range(0, len(x), BPR_CHUNK):
         hi = min(lo + BPR_CHUNK, len(x))
-        out = held[: hi - lo] if values is None else values[lo:hi]
-        diff = _diffs(table, rows[:, lo:hi], out, scratch)
+        diff = _diffs(table, rows[:, lo:hi], held[: hi - lo], scratch)
         e_u = np.take(table, rows[0, lo:hi], axis=0, out=scratch[: hi - lo], mode="clip")
         x[lo:hi] += np.sum(np.multiply(e_u, diff, out=e_u), axis=1)
 
 
 def _triplet_orders(triplet_locs, dl_dx, n_nodes: int):
     """The orders `_bpr_gradient` sums in, from the graph-local rows of a
-    graph with `n_nodes` nodes: the triplets by user and the CSR `indptr` of
-    the distinct users over them, then the item terms (positives, then
-    negatives) by item and their weights +-dl_dx. `inter_rows[d]` and
+    graph with `n_nodes` nodes: the triplets by user, the CSR `indptr` of
+    the distinct users over them and, per BPR_CHUNK of them, (lo, hi, first,
+    last, csr): their positions [lo, hi), the users [first, last) they hold
+    and the matrix that adds a leading row, weighted 1, and their rows,
+    weighted dl_dx, into those users' rows; then the item terms (positives,
+    then negatives) by item and their weights +-dl_dx. `inter_rows[d]` and
     `intra_rows[d]` ascend with the local index, so they serve both tables."""
     user_order, user_ptr = _row_order(n_nodes, triplet_locs[0])
+    user_ptr, user_weights, user_chunks = sorted_unique(user_ptr), dl_dx[user_order], []
+    for lo in range(0, len(user_order), BPR_CHUNK):
+        hi = min(lo + BPR_CHUNK, len(user_order))
+        first, last = np.searchsorted(user_ptr, lo, side="right") - 1, np.searchsorted(user_ptr, hi)
+        indptr = np.clip(user_ptr[first : last + 1], lo, hi) - lo + 1
+        indptr[0] = 0
+        weights = np.insert(user_weights[lo:hi], 0, 1)
+        csr = sp.csr_matrix((weights, np.arange(hi - lo + 1), indptr), shape=(last - first, hi - lo + 1))
+        user_chunks.append((lo, hi, first, last, csr))
     item_order, _ = _row_order(n_nodes, triplet_locs[1:].ravel())
-    weights = np.concatenate([dl_dx, -dl_dx])[item_order]
-    return user_order, sorted_unique(user_ptr), item_order, weights
+    item_weights = np.concatenate([dl_dx, -dl_dx])[item_order]
+    return user_order, user_ptr, user_chunks, item_order, item_weights
 
 
-def _bpr_gradient(table, rows, orders, user_values) -> np.ndarray:
+def _bpr_gradient(table, rows, orders, chunks) -> np.ndarray:
     """BPR gradient w.r.t. `table`'s rows, from the (3, n) user, positive and
-    negative rows, `_triplet_orders`' orders and the users' gradient rows. An
-    item's terms are +-dl_dx times its users' rows of `table`: one CSR
-    product over the table, the gradient's only table-sized array. User and
-    item rows are disjoint and a CSR product never yields -0.0, so the users'
-    sums, one CSR product over the distinct users, are assigned into rows
-    the item product left zero. Each row sums its terms in `_row_order`'s
-    order: by row, then by position."""
-    user_order, user_ptr, item_order, weights = orders
-    n_rows = len(table)
+    negative rows and `_triplet_orders`' orders, through the two `chunks`.
+
+    Each row sums its terms in `_row_order`'s order, by row, then by
+    position, and a CSR product rounds a * x before adding it (scipy's
+    `csr_matvecs` fuses no multiply-add, as in its x86-64 wheels). An item's
+    terms are +-dl_dx times its users' rows of `table`: one CSR product over
+    the table, the gradient's only table-sized array, exact as (-a) * x =
+    -(a * x). A user's terms dl_dx * (e_p - e_n) are summed BPR_CHUNK at a
+    time in user order: one CSR product adds a chunk's differences into its
+    users' rows after a leading row, weighted 1, that holds the sum so far
+    of the user the chunk starts inside. User and item rows are disjoint, so
+    that row is the item product's zero at a user's start, and a CSR product
+    never yields -0.0, so 0 + 1 * s = s carries a sum past a chunk's end.
+    """
+    user_order, user_ptr, user_chunks, item_order, item_weights = orders
+    n_rows, (held, scratch) = len(table), chunks
     item_users, item_ptr = rows[[0, 0]].ravel()[item_order], _indptr(n_rows, rows[1:].ravel())
-    grad = sp.csr_matrix((weights, item_users, item_ptr), shape=(n_rows, n_rows)) @ table
-    ones = np.ones(len(user_order), dtype=user_values.dtype)
-    users = sp.csr_matrix((ones, user_order, user_ptr), shape=(len(user_ptr) - 1, len(ones)))
-    grad[rows[0, user_order[user_ptr[:-1]]]] = users @ user_values
+    grad = sp.csr_matrix((item_weights, item_users, item_ptr), shape=(n_rows, n_rows)) @ table
+    users = rows[0, user_order[user_ptr[:-1]]]  # each distinct user's table row
+    for lo, hi, first, last, csr in user_chunks:
+        held[0] = grad[users[first]]
+        _diffs(table, rows[:, user_order[lo:hi]], held[1 : hi - lo + 1], scratch)
+        grad[users[first:last]] = csr @ held[: hi - lo + 1]
     return grad
 
 
 def _objective(enc: Encoding, d: int, triplet_locs, prepared_pairs, cfg: TrainConfig, align_scale):
     """(total, L_rank, L_align, grads) for one batch of domain d's (3, n)
     graph-local `triplet_locs`: `grads` holds the exact gradients by
-    parameter name, one array shaped like each parameter, allocated zeroed
-    here; the alignment, ranking (`_bpr_part`, then `Encoding.transpose`) and
-    L2 terms are added into it in that order. The ranking part's two
-    gradients are freed before the L2 term's temporaries are made."""
+    parameter name, one array shaped like each parameter.
+
+    The squared norm is taken first, while the step holds least. A gradient
+    is made zeroed when a term first writes it: the alignment term the pair
+    domains' `intra`/`proj`, then the ranking term (`_bpr_part`, then
+    `Encoding.transpose`) `inter` and `intra[d]`. The encoded rows are freed
+    once scored, `_bpr_part`'s gradients once transposed. Last, (2 lambda)
+    theta is added into each written gradient and is each other one, plus
+    0.0, which turns -0.0 into +0.0 as a sum into zeros does.
+    """
     model = enc.model
-    grads = {name: np.zeros_like(arr) for name, arr in model.parameters()}
+    squared_norm = model.squared_norm()
+    grads: dict[str, np.ndarray] = {}
     l_align = _align_part(model, prepared_pairs, 2.0 * cfg.beta * align_scale, grads)
     l_bpr, d_g, d_q = _bpr_part(enc, d, triplet_locs)
+    enc.free_rows()
     enc.transpose(d, d_g, d_q, grads)
     del d_g, d_q
-    total = l_bpr + cfg.beta * align_scale * l_align + cfg.reg_lambda * model.squared_norm()
+    total = l_bpr + cfg.beta * align_scale * l_align + cfg.reg_lambda * squared_norm
     for name, arr in model.parameters():
-        grads[name] += (2.0 * cfg.reg_lambda) * arr
+        if name in grads:
+            grads[name] += (2.0 * cfg.reg_lambda) * arr
+        else:
+            grads[name] = np.multiply(arr, 2.0 * cfg.reg_lambda)
+            grads[name] += 0.0
     return total, l_bpr, l_align, grads
 
 
 def _align_part(model: EDModel, prepared_pairs, coeff: float, grads: dict[str, np.ndarray]) -> float:
     """L_align on the raw per-domain embeddings and projections of the
-    pairs; `coeff` / 2 times its gradient is added into `grads`. The gathered
-    rows, differences and scattered values are freed on return, before the
-    ranking part runs."""
+    pairs; `coeff` / 2 times its gradient is added into `grads`, whose
+    missing entries are made zeroed first. The gathered rows, differences
+    and scattered values are freed on return, before the ranking part
+    runs."""
     l_align = 0.0
     align_rows: dict[int, list[np.ndarray]] = {}
     align_values: dict[int, list[np.ndarray]] = {}
@@ -300,9 +313,11 @@ def _align_part(model: EDModel, prepared_pairs, coeff: float, grads: dict[str, n
         for end, idx, e, c in ((d, idx_u, e_u, coeff), (d_prime, idx_v, e_v, -coeff)):
             align_rows.setdefault(end, []).append(idx)
             align_values.setdefault(end, []).append(c * diff @ model.proj[end].T)
-            grads[f"proj[{end}]"] += c * e.T @ diff
+            grad = zeroed_grad(grads, f"proj[{end}]", model.proj[end])
+            grad += c * e.T @ diff
     for d, rows in align_rows.items():
-        grads[f"intra[{d}]"] += _scatter_add(len(model.intra[d]), rows, align_values[d])
+        grad = zeroed_grad(grads, f"intra[{d}]", model.intra[d].matrix)
+        grad += _scatter_add(len(grad), rows, align_values[d])
     return l_align
 
 
@@ -382,29 +397,36 @@ def adam_step(
     """Standard bias-corrected Adam update, applied in place.
 
     The textbook expression (`tests/oracles.adam_reference`) as in-place
-    ufuncs, in its own operation order, so every bit is the same; each
-    parameter's only temporary holds the update's numerator and denominator.
+    ufuncs, in its own operation order, so every bit is the same. They run
+    over blocks of whole rows of about ADAM_BLOCK elements, which stay in
+    cache from one pass to the next; the only temporary is one scratch of
+    two blocks, the update's numerator and denominator.
     """
     state.t += 1
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     correct1 = 1.0 - b1 ** state.t
     correct2 = 1.0 - b2 ** state.t
+    scratch = np.empty(0)
     for name, param in model.parameters():
-        g = grads[name]
-        if g.shape != param.shape:
+        if grads[name].shape != param.shape:
             raise ValueError(f"gradient shape mismatch for {name}")
-        m = state.m[name]
-        v = state.v[name]
-        num, den = np.empty((2, *param.shape), param.dtype)
-        m *= b1
-        m += np.multiply(g, 1.0 - b1, out=num)
-        v *= b2
-        np.multiply(g, g, out=num)
-        v += np.multiply(num, 1.0 - b2, out=num)
-        np.sqrt(np.divide(v, correct2, out=den), out=den)
-        den += ADAM_EPS
-        np.multiply(np.divide(m, correct1, out=num), cfg.learning_rate, out=num)
-        param -= np.divide(num, den, out=num)
+        row = param[:1].size or 1  # elements per row
+        step = max(1, min(len(param), ADAM_BLOCK // row))  # rows per block
+        if scratch.dtype != param.dtype or scratch.size < 2 * step * row:
+            scratch = np.empty(2 * step * row, param.dtype)
+        for lo in range(0, len(param), step):
+            arrays = param, grads[name], state.m[name], state.v[name]
+            p, g, m, v = (arr[lo : lo + step] for arr in arrays)
+            num, den = scratch[: 2 * p.size].reshape(2, *p.shape)
+            m *= b1
+            m += np.multiply(g, 1.0 - b1, out=num)
+            v *= b2
+            np.multiply(g, g, out=num)
+            v += np.multiply(num, 1.0 - b2, out=num)
+            np.sqrt(np.divide(v, correct2, out=den), out=den)
+            den += ADAM_EPS
+            np.multiply(np.divide(m, correct1, out=num), cfg.learning_rate, out=num)
+            p -= np.divide(num, den, out=num)
 
 
 # -- training loop ------------------------------------------------------------

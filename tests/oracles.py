@@ -462,6 +462,34 @@ def bpr_part_by_rows(enc, d, triplet_locs):
     return float(np.sum(np.logaddexp(0.0, -x))), grads.get("inter"), grads.get("intra")
 
 
+def objective_by_zero_fill(enc, d, triplet_locs, prepared_pairs, cfg, align_scale):
+    """`trainer._objective` with every gradient zero-filled up front: the
+    alignment term is added in (pair set by pair set, its rows by `np.add.at`
+    in pair order), then the ranking term (`bpr_part_by_rows`, carried back
+    by `Encoding.transpose`), then the L2 term into every gradient, last.
+    Returns (total, L_rank, L_align, grads)."""
+    model = enc.model
+    grads = {name: np.zeros_like(arr) for name, arr in model.parameters()}
+    coeff = 2.0 * cfg.beta * align_scale
+    l_align, scattered = 0.0, {}
+    for dd, d_prime, idx_u, idx_v in prepared_pairs:
+        e_u, e_v = model.intra[dd].matrix[idx_u], model.intra[d_prime].matrix[idx_v]
+        diff = e_u @ model.proj[dd] - e_v @ model.proj[d_prime]
+        l_align += float(np.sum(diff * diff))
+        for end, idx, e, c in ((dd, idx_u, e_u, coeff), (d_prime, idx_v, e_v, -coeff)):
+            rows = scattered.setdefault(end, np.zeros_like(model.intra[end].matrix))
+            np.add.at(rows, idx, c * diff @ model.proj[end].T)
+            grads[f"proj[{end}]"] += c * e.T @ diff
+    for end, rows in scattered.items():
+        grads[f"intra[{end}]"] += rows
+    l_bpr, d_inter, d_intra = bpr_part_by_rows(enc, d, triplet_locs)
+    enc.transpose(d, d_inter, d_intra, grads)
+    total = l_bpr + cfg.beta * align_scale * l_align + cfg.reg_lambda * model.squared_norm()
+    for name, arr in model.parameters():
+        grads[name] += (2.0 * cfg.reg_lambda) * arr
+    return total, l_bpr, l_align, grads
+
+
 def finite_difference_gradient(loss_fn, array, flat_index, h=1e-5):
     """Central difference of `loss_fn()` w.r.t. one scalar of `array`, in place."""
     flat = array.reshape(-1)

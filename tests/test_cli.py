@@ -825,6 +825,12 @@ def test_every_run_option_names_a_run_config_field():
         assert dests and dests <= names, (command, dests - names)
 
 
+@pytest.mark.parametrize("patience, want", [(-1, None), (-7, None), (0, 0), (5, 5)])
+def test_a_run_configs_negative_patience_turns_early_stopping_off(patience, want):
+    # the library's TrainConfig refuses a negative patience; a run config maps it to None
+    assert RunConfig(patience=patience).train_config().patience == want
+
+
 def test_train_rejects_malformed_pair_file(workspace, capsys):
     data = workspace / "data" / "interactions.tsv"
     bad = workspace / "bad.tsv"

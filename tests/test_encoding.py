@@ -147,24 +147,26 @@ def test_encoding_and_transpose_leave_the_tables_and_gradients_unchanged(instanc
 
 
 def test_transpose_holds_two_row_blocks_at_a_time():
-    # one domain, per-domain table only, one layer: the layer runs on a
-    # gathered copy of the rows (one block) and makes its product (a second);
-    # copying out[rows] before the layer ran would hold a third
+    # one domain, per-domain table only: a layer runs on a gathered copy of
+    # the rows (one block) and makes its product (a second); copying
+    # out[rows] before the layers ran, or keeping a layer's product while
+    # the next is made, would hold a third
     rng = np.random.default_rng(0)
     ds = ingest(random_bipartite_records(rng, 0, 1500, 500, 20_000))
-    spec = ModelSpec(d_intra=64, use_inter=False, grec=GRecConfig(num_layers=1, alpha=0.1))
-    model = init_model(spec, ds, seed=1)
-    enc = model.propagated(ds)
-    enc.intra(0)  # builds the domain's operator
-    y = rng.normal(size=model.intra[0].matrix.shape)
-    out = {"intra[0]": np.zeros_like(y)}
-    tracemalloc.start()
-    try:
-        enc.transpose(0, None, y, out)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2.5 * y.nbytes
+    for num_layers in (1, 2):
+        spec = ModelSpec(d_intra=64, use_inter=False, grec=GRecConfig(num_layers=num_layers, alpha=0.1))
+        model = init_model(spec, ds, seed=1)
+        enc = model.propagated(ds)
+        enc.intra(0)  # builds the domain's operator
+        y = rng.normal(size=model.intra[0].matrix.shape)
+        out = {"intra[0]": np.zeros_like(y)}
+        tracemalloc.start()
+        try:
+            enc.transpose(0, None, y, out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * y.nbytes, num_layers
 
 
 @pytest.mark.parametrize("dtype", ["float64", "float32"])

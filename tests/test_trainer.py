@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from edda import trainer
-from edda.edmodel import EDModel, ModelSpec, init_model, variant_spec
+from edda.edmodel import VARIANTS, EDModel, ModelSpec, init_model, variant_spec
 from edda import evalkit
 from edda.encoders import GRecConfig
 from edda.evalkit import split
@@ -43,6 +43,7 @@ from oracles import (
     keys,
     negative_triplets_by_scalar_draws,
     nodes_of,
+    objective_by_zero_fill,
     oracle_total_loss,
     pair_set_of,
     random_bipartite_records,
@@ -457,31 +458,35 @@ def test_adam_first_step_magnitude():
 
 
 @pytest.mark.parametrize("dtype", ["float64", "float32"])
-def test_adam_step_equals_the_textbook_expression_bit_for_bit(dtype):
-    ds = ingest(random_bipartite_records(np.random.default_rng(3), 0, 12, 9, 60))
-    ds = ingest(np.concatenate([dataset_records(ds), [(1, 0, 2), (1, 5, 7), (1, 30, 2)]]))
-    model = init_model(ModelSpec(d_inter=5, d_intra=3, dtype=dtype), ds, seed=4)
-    cfg = TrainConfig(learning_rate=0.01)
-    state = AdamState.for_model(model)
-    zeros = np.zeros_like
-    want = {name: (arr.copy(), zeros(arr), zeros(arr)) for name, arr in model.parameters()}
-    rng = np.random.default_rng(5)
-    for step in range(1, 6):
-        # step 3 is all zeros; on the others proj[1] gets a zero gradient
-        grads = {
-            name: (rng.normal(size=arr.shape) * (step != 3 and name != "proj[1]")).astype(dtype)
-            for name, arr in model.parameters()
-        }
-        adam_step(model, grads, state, cfg)
-        for name, arr in model.parameters():
-            param, m, v = want[name]
-            want[name] = adam_reference(param, grads[name], m, v, step, cfg.learning_rate)
-            param, m, v = want[name]
-            assert arr.dtype == param.dtype == np.dtype(dtype), name
-            assert arr.tobytes() == param.tobytes(), (step, name)
-            assert state.m[name].tobytes() == m.tobytes(), (step, name)
-            assert state.v[name].tobytes() == v.tobytes(), (step, name)
-    assert state.t == 5
+def test_adam_step_equals_the_textbook_expression_bit_for_bit(dtype, monkeypatch):
+    # blocks of 16 elements split every table into several, the last one
+    # short; 4 elements are less than a row, so a block is one row
+    for block in (trainer.ADAM_BLOCK, 16, 4):
+        monkeypatch.setattr(trainer, "ADAM_BLOCK", block)
+        ds = ingest(random_bipartite_records(np.random.default_rng(3), 0, 12, 9, 60))
+        ds = ingest(np.concatenate([dataset_records(ds), [(1, 0, 2), (1, 5, 7), (1, 30, 2)]]))
+        model = init_model(ModelSpec(d_inter=5, d_intra=3, dtype=dtype), ds, seed=4)
+        cfg = TrainConfig(learning_rate=0.01)
+        state = AdamState.for_model(model)
+        zeros = np.zeros_like
+        want = {name: (arr.copy(), zeros(arr), zeros(arr)) for name, arr in model.parameters()}
+        rng = np.random.default_rng(5)
+        for step in range(1, 6):
+            # step 3 is all zeros; on the others proj[1] gets a zero gradient
+            grads = {
+                name: (rng.normal(size=arr.shape) * (step != 3 and name != "proj[1]")).astype(dtype)
+                for name, arr in model.parameters()
+            }
+            adam_step(model, grads, state, cfg)
+            for name, arr in model.parameters():
+                param, m, v = want[name]
+                want[name] = adam_reference(param, grads[name], m, v, step, cfg.learning_rate)
+                param, m, v = want[name]
+                assert arr.dtype == param.dtype == np.dtype(dtype), name
+                assert arr.tobytes() == param.tobytes(), (step, name)
+                assert state.m[name].tobytes() == m.tobytes(), (step, name)
+                assert state.v[name].tobytes() == v.tobytes(), (step, name)
+        assert state.t == 5
 
 
 def test_adam_determinism():
@@ -669,6 +674,10 @@ def test_train_config_validation():
         TrainConfig(beta=-0.1)
     with pytest.raises(ValueError):
         TrainConfig(learning_rate=0.0)
+    # a negative patience would stop at the first epoch without a gain
+    with pytest.raises(ValueError, match="patience must be None or non-negative, got -1"):
+        TrainConfig(patience=-1)
+    assert TrainConfig(patience=0).patience == 0
 
 
 @pytest.mark.parametrize("patience, epochs_run", [(1, 3), (2, 4)])
@@ -801,6 +810,57 @@ def test_loss_and_gradients_equal_the_explicit_rows_oracle_bit_for_bit(variant, 
             assert grad.dtype == dtype and grad.tobytes() == want[name].tobytes(), (d, name)
 
 
+def _random_pair_set(ds, rng, d, d_prime, n=9):
+    """n alignment pairs from domain d to domain d_prime, users and items
+    drawn uniformly with repeats."""
+    src, dst = ds.graph(d), ds.graph(d_prime)
+    kinds = rng.integers(2, size=n)
+    users = kinds == int(NodeKind.USER)
+    sources = np.where(users, rng.choice(src.user_ids, n), rng.choice(src.item_ids, n))
+    targets = np.where(users, rng.choice(dst.user_ids, n), rng.choice(dst.item_ids, n))
+    return SimilarPairSet((d, d_prime), kinds, sources, targets, np.ones(n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(sorted(VARIANTS)),
+    st.sampled_from([np.float64, np.float32]),
+    st.booleans(),
+    st.sampled_from([0, 1, BPR_CHUNK + 1]),
+    st.sampled_from([0.0, 1e-4]),
+    st.integers(0, 2**16),
+)
+@example("wo-da", np.float32, False, BPR_CHUNK + 1, 1e-4, 0)
+@example("edda", np.float64, True, 0, 0.0, 1)
+def test_objective_equals_the_zero_filled_oracle_bit_for_bit(variant, dtype, pairs, n, reg_lambda, seed):
+    # gradients made when a term first writes them, and the L2 term alone
+    # for the others, give the bits of zero-filled gradients with L2 added
+    # last; a fifth of the parameters are +0.0 and a fifth -0.0
+    ds = _three_domain_dataset()
+    model = init_model(variant_spec(ModelSpec(d_inter=3, d_intra=2), variant), ds, seed=seed)
+    if dtype == np.float32:
+        model = as_float32(model)
+    rng = np.random.default_rng(seed)
+    for _, arr in model.parameters():
+        flat = arr.reshape(-1)
+        flat[rng.random(flat.size) < 0.2] = 0.0
+        flat[rng.random(flat.size) < 0.25] = -0.0
+    d = int(rng.integers(3))
+    triplets = sample_triplets(ds, {d: n}, rng)[d]
+    pair_sets = []
+    if pairs and model.intra is not None:
+        pair_sets = [_random_pair_set(ds, rng, a, b) for a, b in ((0, 1), (2, 0), (1, 0))]
+    prepared = trainer._prepare_pairs(model, pair_sets)
+    masks = {dd: edge_dropout(g, 0.3, rng) for dd, g in enumerate(ds.domains)}
+    cfg, align_scale = TrainConfig(beta=0.5, reg_lambda=reg_lambda), float(rng.integers(1, 4))
+    got = trainer._objective(model.propagated(ds, masks), d, triplets, prepared, cfg, align_scale)
+    want = objective_by_zero_fill(model.propagated(ds, masks), d, triplets, prepared, cfg, align_scale)
+    assert np.array(got[:3]).tobytes() == np.array(want[:3]).tobytes()
+    assert got[3].keys() == want[3].keys()
+    for name, grad in want[3].items():
+        assert got[3][name].dtype == grad.dtype and got[3][name].tobytes() == grad.tobytes(), name
+
+
 def _empty_filled_with(fill):
     """A patch of `np.empty`, which `_bpr_part` allocates its buffers with,
     under which every float array it returns holds `fill`."""
@@ -871,6 +931,53 @@ def test_bpr_part_allocates_less_than_one_batch_block_at_the_train_dense_shape()
     assert d_q.tobytes() == want[2].tobytes()
 
 
+def test_bpr_part_holds_no_batch_block_at_the_train_dense_shape():
+    # perfbench's train_dense shape, d = 64, the default batch of 8,092
+    rng = np.random.default_rng(0)
+    ds = _train_dense_dataset(rng)
+    model = init_model(ModelSpec(d_inter=64, d_intra=64), ds, seed=1)
+    batch = TrainConfig().batch_size
+    triplets = _NegativeSampler(ds.graph(0)).triplets(rng.permutation(ds.graph(0).n_edges)[:batch], rng)
+    enc = model.propagated(ds)
+    enc.intra(0)  # the encoding's own table, built on first use
+    tracemalloc.start()
+    try:
+        _, d_g, d_q = _bpr_part(enc, 0, triplets)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # beside its two gradients: the chunk rows, and per-triplet scalars and
+    # indices; a (batch, dim) block of values would be one more block
+    assert peak < d_g.nbytes + d_q.nbytes + 0.5 * batch * 64 * 8
+
+
+def test_a_wo_da_step_peaks_under_two_parameter_sets():
+    # perfbench's train_sparse shape: three domains of 1,000 users x 500
+    # items, wo-da, d = 64, one domain's whole training batch of 3,300
+    rng = np.random.default_rng(0)
+    records = []
+    for d in range(3):
+        records += random_bipartite_records(rng, d, 1000, 500, 3300, user_base=900 * d, item_base=450 * d)
+    ds = ingest(records)
+    model = init_model(variant_spec(ModelSpec(d_inter=64, d_intra=64), "wo-da"), ds, seed=1)
+    state, cfg = AdamState.for_model(model), TrainConfig()
+    triplets = _NegativeSampler(ds.graph(0)).triplets(rng.permutation(ds.graph(0).n_edges), rng)
+    masks = {d: edge_dropout(g, cfg.edge_dropout, rng) for d, g in enumerate(ds.domains)}
+    tracemalloc.start()
+    try:  # one step of `train`: encode, objective, Adam
+        *_, grads = trainer._objective(model.propagated(ds, masks), 0, triplets, [], cfg, 1.0)
+        adam_step(model, grads, state, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the step's gradients are one parameter set; before they are all made,
+    # the encoded rows and the ranking part's gradients of the shared and
+    # domain 0's table are 0.64 of one. Zero-filled gradients held through
+    # the ranking part, a (batch, dim) block and Adam's whole-table
+    # temporaries take it past three
+    assert peak < 2 * sum(arr.nbytes for _, arr in model.parameters())
+
+
 def test_objective_frees_the_alignment_part_before_the_ranking_part(monkeypatch):
     # the train_dense shape with one pair per node in each direction, as k = 1
     # mines them; a (pairs, d) block of gathered rows or values is 0.44 MiB
@@ -890,8 +997,6 @@ def test_objective_frees_the_alignment_part_before_the_ranking_part(monkeypatch)
     batch = TrainConfig().batch_size
     triplets = _NegativeSampler(ds.graph(0)).triplets(rng.permutation(ds.graph(0).n_edges)[:batch], rng)
     grad_bytes = sum(arr.nbytes for _, arr in model.parameters())
-    enc = model.propagated(ds)
-    enc.intra(0)  # the encoding's own table, built on first use
     held = []
 
     def recording(*args):  # what `_objective` holds as its ranking part starts
@@ -902,6 +1007,8 @@ def test_objective_frees_the_alignment_part_before_the_ranking_part(monkeypatch)
     monkeypatch.setattr(trainer, "_bpr_part", recording)
 
     def ranking_peak(pairs):  # from the ranking part's start to the step's end
+        enc = model.propagated(ds)  # a step frees its encoding's rows
+        enc.intra(0)  # the encoding's own table, built on first use
         tracemalloc.start()
         try:
             trainer._objective(enc, 0, triplets, pairs, TrainConfig(), 1.0)
@@ -913,7 +1020,10 @@ def test_objective_frees_the_alignment_part_before_the_ranking_part(monkeypatch)
     # beside the step's gradients: kept alive, the alignment's rows,
     # differences and values are 7 blocks
     assert held[1] < grad_bytes + pair_block
-    assert with_pairs < without_pairs + pair_block
+    # the alignment term makes every gradient but the shared table's, which
+    # a step without pairs makes only for its L2 term, after its peak
+    align_grads = grad_bytes - model.inter.matrix.nbytes
+    assert with_pairs < without_pairs + align_grads + pair_block
 
 
 def test_objective_frees_the_ranking_gradients_before_the_l2_term(monkeypatch):
@@ -974,10 +1084,13 @@ def test_train_holds_the_same_memory_as_every_step_starts(monkeypatch):
 
 @pytest.mark.parametrize("dims", [(5, 3), (3, 5)])
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-@pytest.mark.parametrize("users", ["one", "distinct"])
+@pytest.mark.parametrize("users", ["one", "distinct", "runs", "few"])
 def test_bpr_part_sums_one_shared_user_or_only_distinct_users_bit_for_bit(users, dtype, dims):
     # domain 0 has more users than one chunk holds; domain 1 overlaps it, so
-    # the shared table has rows that domain 0's batch does not touch
+    # the shared table has rows that domain 0's batch does not touch. A
+    # user's sum is carried over the end of a chunk: "one" and "runs" each
+    # have a user with more triplets than a chunk, and in "runs" other
+    # users' triplets also straddle chunk ends
     rng = np.random.default_rng(7)
     records = random_bipartite_records(rng, 0, BPR_CHUNK + 40, 30, 4 * BPR_CHUNK)
     records += random_bipartite_records(rng, 1, 60, 30, 400, user_base=BPR_CHUNK, item_base=20)
@@ -986,13 +1099,25 @@ def test_bpr_part_sums_one_shared_user_or_only_distinct_users_bit_for_bit(users,
     if dtype == np.float32:
         model = as_float32(model)
     graph = ds.graph(0)
+    first = np.flatnonzero(graph.edge_user == graph.edge_user[0])  # the first user's edges
+    firsts = np.unique(graph.edge_user, return_index=True)[1]  # each user's first edge
     if users == "one":  # one user's edges, repeated over three chunks
-        edges = np.resize(np.flatnonzero(graph.edge_user == graph.edge_user[0]), 2 * BPR_CHUNK + 3)
-    else:  # each user's first edge
-        edges = np.unique(graph.edge_user, return_index=True)[1]
+        edges = np.resize(first, 2 * BPR_CHUNK + 3)
+    elif users == "distinct":
+        edges = firsts
+    elif users == "runs":  # every edge, then the first user's over one more chunk
+        edges = np.concatenate([rng.permutation(graph.n_edges), np.resize(first, BPR_CHUNK + 5)])
+    else:  # fewer triplets than a chunk, the first user's thrice
+        edges = np.array([first[0], *firsts[1:3], first[0], firsts[3], first[0]])
     triplets = _NegativeSampler(graph).triplets(edges, rng)
-    n_users = len(np.unique(triplets[0]))
-    assert (n_users == 1) if users == "one" else (n_users == triplets.shape[1] > BPR_CHUNK)
+    n, n_users = triplets.shape[1], len(np.unique(triplets[0]))
+    longest = np.bincount(triplets[0]).max()
+    assert {
+        "one": n_users == 1 and n > 2 * BPR_CHUNK,
+        "distinct": n_users == n > BPR_CHUNK,
+        "runs": 1 < n_users and longest > BPR_CHUNK,
+        "few": n < BPR_CHUNK and longest == 3,
+    }[users]
     enc = model.propagated(ds, {d: edge_dropout(g, 0.3, rng) for d, g in enumerate(ds.domains)})
     with _empty_filled_with(np.nan):
         got = _bpr_part(enc, 0, triplets)
