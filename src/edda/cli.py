@@ -118,7 +118,11 @@ def resolve_config(config_path: str | None, overrides: dict) -> RunConfig:
 
 
 def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    digest, block = hashlib.sha256(), bytearray(1 << 20)  # read in 1 MiB blocks into one buffer
+    with open(path, "rb") as handle:
+        while n := handle.readinto(block):
+            digest.update(memoryview(block)[:n])
+    return digest.hexdigest()
 
 
 def _config_lines(cfg: RunConfig) -> list[str]:

@@ -42,7 +42,7 @@ class ModelSpec:
     grec: GRecConfig = field(default_factory=GRecConfig)
     use_inter: bool = True
     use_intra: bool = True
-    dtype: str = "float64"  # "float32" allowed for production runs
+    dtype: str = "float64"  # float32 is for library use: no run config key sets it yet
 
     def __post_init__(self):
         if self.encoder not in (ENCODER_GREC, ENCODER_MF):
@@ -141,7 +141,7 @@ class Encoding:
         self._residual = spec.grec.alpha ** spec.grec.num_layers
         self._ops: dict[int, object] = {}
         self._domain = -1
-        self._built: dict[str, np.ndarray] = {}  # domain `_domain`'s "intra" and "joined" rows
+        self._built: dict | None = {}  # domain `_domain`'s "intra" and "joined" rows; None once freed
         self.dtype = np.result_type(*(arr for _, arr in model.parameters()))
         graphs = dataset.domains
         self.intra_rows: list[np.ndarray] = []
@@ -188,6 +188,8 @@ class Encoding:
 
     def _held(self, d: int) -> dict[str, np.ndarray]:
         """The arrays built for domain d; those of any other domain are freed."""
+        if self._built is None:
+            raise RuntimeError("the encoded rows were freed by free_rows(); encode the model again")
         if d != self._domain:
             self._built.clear()
             self._domain = d
@@ -211,6 +213,7 @@ class Encoding:
         """
         model = self.model
         if model.intra is None:
+            self._held(d)  # refuses a freed encoding
             return self.inter[model.inter.rows(keys)]
         try:
             rows = model.intra[d].rows(keys)
@@ -231,9 +234,8 @@ class Encoding:
 
     def free_rows(self) -> None:
         """Free the encoded rows, `inter` and a domain's built arrays: the
-        encoding can then only `transpose`, which reads operators and row maps."""
-        self.inter = None
-        self._built.clear()
+        encoding can then only `transpose`, and scoring raises RuntimeError."""
+        self.inter = self._built = None
 
     def transpose(
         self, d: int, d_inter: np.ndarray | None, d_intra: np.ndarray | None, out: dict

@@ -17,24 +17,25 @@ them); the shared table receives gradients from every domain.
 
 A step frees every array after its last reader, and none grows with the
 batch but per-triplet scalars and indices. `_objective` makes a gradient
-when a term first writes it. The alignment part frees its rows before the
-ranking part (`_bpr_part`) runs, which scores and sums the batch through two
-chunk buffers and makes one table-sized gradient per table. The encoded rows
-are freed once scored, those gradients once transposed. `adam_step` updates
-blocks of ADAM_BLOCK elements through one scratch. `edda train` holds the
-heap (`cli._hold_heap`), so the next step reuses the memory a step frees
-rather than faulting it in again.
+when a term first writes it. The alignment part frees its one value buffer
+per end domain before the ranking part (`_bpr_part`) runs, which scores and
+sums the batch through two chunk buffers and makes one table-sized gradient
+per table. The encoded rows are freed once scored, those gradients once
+transposed. `adam_step` updates blocks of ADAM_BLOCK elements through one
+scratch. `edda train` holds the heap (`cli._hold_heap`), so the next step
+reuses the memory a step frees. Float64 BPR weights take libm's `exp`
+through `math` (`_bpr_weight`), so a float64 run never imports scipy.special.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.special import expit
 
 from . import evalkit
 from .edmodel import EDModel, Encoding, zeroed_grad
@@ -172,7 +173,7 @@ def _bpr_part(enc: Encoding, d: int, triplet_locs: np.ndarray):
     table and taken by the tables in turn, and one table-sized gradient per
     table; beyond those, only per-triplet scalars and indices. Scoring keeps
     no row: `_bpr_gradient` forms each chunk's e_p - e_n again by the same
-    operations, so with the same bits.
+    operations, so with the same bits. The weights dl/dx are `_bpr_weight`'s.
     """
     tables = {}
     if enc.model.inter is not None:
@@ -186,10 +187,23 @@ def _bpr_part(enc: Encoding, d: int, triplet_locs: np.ndarray):
     x = np.zeros(triplet_locs.shape[1], dtype=enc.dtype)
     for name, (table, rows) in tables.items():
         _add_scores(x, table, rows, chunks[name])
-    dl_dx = -expit(-x)  # negative
+    dl_dx = _bpr_weight(x)  # negative
     orders = _triplet_orders(triplet_locs, dl_dx, enc.dataset.graph(d).n_nodes)
     grads = {name: _bpr_gradient(table, rows, orders, chunks[name]) for name, (table, rows) in tables.items()}
     return float(np.sum(np.logaddexp(0.0, -x))), grads.get("inter"), grads.get("intra")
+
+
+def _bpr_weight(x: np.ndarray) -> np.ndarray:
+    """dl/dx = -expit(-x) = -(1 / (1 + exp(x))), with scipy's bits. Its expit
+    takes libm's exp, which `math.exp` calls for float64 (numpy's exp is its
+    own); past 709.782712893384 exp overflows to inf, where `math.exp` would
+    raise. Python has no expf, and float32 through the double exp rounds
+    differently, so float32 takes scipy's expit, imported only then."""
+    if x.dtype != np.float64:
+        from scipy.special import expit
+        return -expit(-x)
+    e = np.fromiter(map(math.exp, np.where(x > 709.782712893384, np.inf, x).tolist()), np.float64, len(x))
+    return -(1.0 / (1.0 + e))
 
 
 def _diffs(table, rows, out, scratch) -> np.ndarray:
@@ -299,38 +313,40 @@ def _objective(enc: Encoding, d: int, triplet_locs, prepared_pairs, cfg: TrainCo
 def _align_part(model: EDModel, prepared_pairs, coeff: float, grads: dict[str, np.ndarray]) -> float:
     """L_align on the raw per-domain embeddings and projections of the
     pairs; `coeff` / 2 times its gradient is added into `grads`, whose
-    missing entries are made zeroed first. The gathered rows, differences
-    and scattered values are freed on return, before the ranking part
-    runs."""
+    missing entries are made zeroed first. The scattered values go, in pair
+    order, into one buffer per end domain, each freed once it is summed."""
     l_align = 0.0
-    align_rows: dict[int, list[np.ndarray]] = {}
-    align_values: dict[int, list[np.ndarray]] = {}
+    ends: dict[int, list[np.ndarray]] = {}  # each end domain's rows, in pair order
+    for d, d_prime, idx_u, idx_v in prepared_pairs:
+        ends.setdefault(d, []).append(idx_u)
+        ends.setdefault(d_prime, []).append(idx_v)
+    values = {end: np.empty((sum(map(len, rows)), len(model.proj[end])), model.proj[end].dtype)
+              for end, rows in ends.items()}
+    filled = dict.fromkeys(ends, 0)  # rows of each buffer written so far
     for d, d_prime, idx_u, idx_v in prepared_pairs:
         e_u = model.intra[d].matrix[idx_u]
         e_v = model.intra[d_prime].matrix[idx_v]
-        diff = e_u @ model.proj[d] - e_v @ model.proj[d_prime]
+        diff = e_u @ model.proj[d]
+        diff -= e_v @ model.proj[d_prime]
         l_align += float(np.sum(diff * diff))
         for end, idx, e, c in ((d, idx_u, e_u, coeff), (d_prime, idx_v, e_v, -coeff)):
-            align_rows.setdefault(end, []).append(idx)
-            align_values.setdefault(end, []).append(c * diff @ model.proj[end].T)
+            lo, filled[end] = filled[end], filled[end] + len(idx)
+            np.matmul(c * diff, model.proj[end].T, out=values[end][lo : filled[end]])
             grad = zeroed_grad(grads, f"proj[{end}]", model.proj[end])
             grad += c * e.T @ diff
-    for d, rows in align_rows.items():
-        grad = zeroed_grad(grads, f"intra[{d}]", model.intra[d].matrix)
-        grad += _scatter_add(len(grad), rows, align_values[d])
+    for end, rows in ends.items():
+        grad = zeroed_grad(grads, f"intra[{end}]", model.intra[end].matrix)
+        grad += _scatter_add(len(grad), rows, values.pop(end))
     return l_align
 
 
-def _scatter_add(n_rows: int, rows: list[np.ndarray], values: list[np.ndarray]) -> np.ndarray:
-    """(n_rows, dim) sums of the `values` rows at their `rows` indices.
-
-    One CSR product: each output row adds its contributions in list order,
-    then in array order (`_row_order`), which makes the result bit-equal to
-    `np.add.at` calls into zeros in that order.
+def _scatter_add(n_rows: int, rows: list[np.ndarray], values: np.ndarray) -> np.ndarray:
+    """(n_rows, dim) sums of the `values` rows at the indices the `rows`
+    arrays hold in turn. One CSR product: each output row adds its
+    contributions in list order, then in array order (`_row_order`), which
+    makes the result bit-equal to `np.add.at` calls into zeros in that order.
     """
-    rows = np.concatenate(rows) if len(rows) > 1 else rows[0]
-    values = np.concatenate(values) if len(values) > 1 else values[0]
-    order, indptr = _row_order(n_rows, rows)
+    order, indptr = _row_order(n_rows, np.concatenate(rows) if len(rows) > 1 else rows[0])
     ones = np.ones(len(order), dtype=values.dtype)
     return sp.csr_matrix((ones, order, indptr), shape=(n_rows, len(order))) @ values
 

@@ -7,6 +7,7 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 
 import edda
 from edda import evalkit
-from edda.cli import RunConfig, build_parser, main, resolve_config
+from edda.cli import RunConfig, _sha256, build_parser, main, resolve_config
 from edda.edmodel import init_model, load_model
 from edda.mdgraph import ingest_file, load_interactions, read_key_values, write_interactions
 
@@ -878,3 +879,46 @@ def test_interrupted_output_write_keeps_the_earlier_file(
     monkeypatch.undo()
     assert main(argv[command]) == 0
     assert target.read_bytes() == written
+
+
+def test_sha256_reads_a_file_in_blocks(tmp_path):
+    # more than eight 1 MiB blocks, the last one short
+    path = tmp_path / "interactions.tsv"
+    path.write_bytes(np.random.default_rng(0).bytes(8 * 2**20 + 12345))
+    tracemalloc.start()
+    try:
+        digest = _sha256(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+    assert peak < path.stat().st_size / 4
+
+
+NO_SCIPY_SPECIAL_SCRIPT = """
+import sys
+from edda.cli import main
+spec, config, root = sys.argv[1:]
+data, pairs = f"{root}/data/interactions.tsv", f"{root}/pairs"
+assert main(["synth", spec, "--out", f"{root}/data"]) == 0
+assert main(["align", data, "--out", pairs, "--config", config]) == 0
+for variant, extra in (("wo-da", []), ("edda", ["--pairs", pairs])):
+    assert main(["train", data, "--out", f"{root}/{variant}", "--config", config, "--variant", variant, *extra]) == 0
+print(sorted(name for name in sys.modules if name.startswith("scipy.special")))
+"""
+
+
+def test_a_float64_run_never_imports_scipy_special(tmp_path):
+    # its BPR weights take libm's exp through `math`; only float32 needs expit
+    spec, config = tmp_path / "spec.cfg", tmp_path / "run.cfg"
+    spec.write_text(SPEC_TEXT)
+    config.write_text(CONFIG_TEXT)
+    env = {**os.environ, "PYTHONPATH": str(Path(edda.__file__).parents[1]), "OPENBLAS_NUM_THREADS": "1"}
+    out = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_SPECIAL_SCRIPT, str(spec), str(config), str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "[]"
+    assert "input.pairs" in (tmp_path / "edda" / "manifest.txt").read_text()  # edda trained on mined pairs
+    assert read_key_values(tmp_path / "edda" / "checkpoint" / "model.manifest")["dtype"] == "float64"

@@ -294,3 +294,30 @@ def test_an_encoding_after_a_graph_is_replaced_equals_a_fresh_models(use_intra):
     assert np.array_equal(got.inter, want.inter)
     for d in range(ds.num_domains if use_intra else 0):
         assert np.array_equal(got.intra(d), want.intra(d))
+
+
+@pytest.mark.parametrize("variant", ["edda", "inter", "intra"])
+@pytest.mark.parametrize("n_domains", [1, 3])
+def test_a_freed_encoding_refuses_to_score_and_still_transposes(n_domains, variant):
+    rng = np.random.default_rng(n_domains)
+    records = []
+    for d in range(n_domains):
+        records += random_bipartite_records(rng, d, 8, 6, 20, user_base=6 * d, item_base=4 * d)
+    ds = ingest(records)
+    model = init_model(variant_spec(ModelSpec(d_inter=3, d_intra=2), variant), ds, seed=0)
+    d, node_keys = n_domains - 1, ds.graph(n_domains - 1).keys
+    d_inter = rng.normal(size=model.inter.matrix.shape) if model.inter is not None else None
+    d_intra = rng.normal(size=model.intra[d].matrix.shape) if model.intra is not None else None
+    want = {}
+    model.propagated(ds).transpose(d, d_inter, d_intra, want)
+
+    enc = model.propagated(ds)
+    enc.represent(d, node_keys)
+    enc.free_rows()
+    for score in (enc.represent, lambda d, _: enc.intra(d), lambda d, _: enc._joined(d)):
+        with pytest.raises(RuntimeError, match="free_rows"):
+            score(d, node_keys)
+    got = {}
+    enc.transpose(d, d_inter, d_intra, got)
+    assert got.keys() == want.keys()
+    assert all(got[name].tobytes() == want[name].tobytes() for name in want)

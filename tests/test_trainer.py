@@ -1,4 +1,5 @@
 import logging
+import math
 import tracemalloc
 from types import SimpleNamespace
 from unittest import mock
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import expit
 
 from edda import trainer
 from edda.edmodel import VARIANTS, EDModel, ModelSpec, init_model, variant_spec
@@ -713,7 +715,7 @@ def test_scatter_add_is_bit_equal_to_sequential_add_at(dtype):
     want = np.zeros((n_rows, dim), dtype=dtype)
     for r, v in zip(rows, values):
         np.add.at(want, r, v)
-    got = _scatter_add(n_rows, rows, values)
+    got = _scatter_add(n_rows, rows, np.concatenate(values))
     assert got.dtype == dtype
     assert got.tobytes() == want.tobytes()
 
@@ -740,7 +742,7 @@ def test_scatter_add_equals_sequential_add_at_for_any_rows(inputs, dtype, dim):
     want = np.zeros((n_rows, dim), dtype=dtype)
     for r, v in zip(rows, values):
         np.add.at(want, r, v)
-    got = _scatter_add(n_rows, rows, values)
+    got = _scatter_add(n_rows, rows, np.concatenate(values))
     assert got.dtype == dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
 
@@ -1154,3 +1156,75 @@ def test_train_returns_the_validation_rows_of_the_parameters_it_returns(
     assert val_rows == seen[1 if restores else -1]
     if restores:  # the rows of the last epoch run would be wrong
         assert seen[1] != seen[-1]
+
+
+
+EXP_OVERFLOW = 709.782712893384  # the largest double whose exp is finite
+
+
+def _gaps_at_exps_edges():
+    """Score gaps at the edges of exp: signed zeros and infinities, NaN of
+    either sign, the 40 doubles on each side of the overflow point, gaps
+    whose weight is subnormal (exp(x) above 2**1022) and huge gaps."""
+    above, below = [EXP_OVERFLOW], [EXP_OVERFLOW]
+    for _ in range(40):
+        above.append(np.nextafter(above[-1], np.inf))
+        below.append(np.nextafter(below[-1], -np.inf))
+    edges = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 745.2, -745.2, 1e308, -1e308]
+    return np.array(edges + above + below[1:] + list(np.linspace(708.3, 709.8, 301)))
+
+
+def test_float64_bpr_weight_is_scipys_expit_at_exps_edges():
+    x = _gaps_at_exps_edges()
+    assert math.isfinite(math.exp(EXP_OVERFLOW))
+    with pytest.raises(OverflowError):
+        math.exp(np.nextafter(EXP_OVERFLOW, np.inf))
+    want = -expit(-x)
+    # the cases are there: weights -0.0 past the overflow point, subnormal below it
+    assert np.signbit(want[x > EXP_OVERFLOW]).all() and not want[x > EXP_OVERFLOW].any()
+    subnormal = (want != 0) & (np.abs(want) < np.finfo(np.float64).tiny)
+    assert subnormal.sum() > 100 and np.isnan(want).sum() == 2
+    assert trainer._bpr_weight(x).tobytes() == want.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(width=64), max_size=64), st.lists(st.floats(width=32), max_size=16))
+def test_bpr_weight_is_scipys_expit_bit_for_bit(doubles, singles):
+    # float64 through libm's exp via `math`; float32 through scipy's expit itself
+    for x in (np.array(doubles, dtype=np.float64), np.array(singles, dtype=np.float32)):
+        got = trainer._bpr_weight(x)
+        assert got.dtype == x.dtype and got.tobytes() == (-expit(-x)).tobytes()
+
+
+def test_align_part_writes_one_value_buffer_per_end_domain():
+    # perfbench's align_heavy shape: three domains of 300 users x 150 items,
+    # d = 64, one pair per node for every ordered domain pair (k = 1), so
+    # each domain is an end of four pair sets
+    rng = np.random.default_rng(0)
+    records = []
+    for d in range(3):
+        records += random_bipartite_records(rng, d, 300, 150, 3000, user_base=225 * d, item_base=112 * d)
+    ds = ingest(records)
+    model = init_model(ModelSpec(d_inter=64, d_intra=64), ds, seed=1)
+
+    def pair_set(d, d_prime):
+        src, dst = ds.graph(d), ds.graph(d_prime)
+        kinds = np.repeat([int(NodeKind.USER), int(NodeKind.ITEM)], [src.n_users, src.n_items])
+        sources = np.concatenate([src.user_ids, src.item_ids])
+        targets = np.concatenate([rng.choice(dst.user_ids, src.n_users), rng.choice(dst.item_ids, src.n_items)])
+        return SimilarPairSet((d, d_prime), kinds, sources, targets, np.ones(len(kinds)))
+
+    prepared = trainer._prepare_pairs(model, [pair_set(a, b) for a in range(3) for b in range(3) if a != b])
+    values = sum(2 * len(idx_u) for _, _, idx_u, _ in prepared) * 64 * 8  # one row per pair end
+    pair_block = max(len(idx_u) for _, _, idx_u, _ in prepared) * 64 * 8
+    grads = {}
+    tracemalloc.start()
+    try:
+        trainer._align_part(model, prepared, 0.06, grads)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # beside the gradients and the value buffers: a pair's gathered rows,
+    # its difference and one temporary. Value blocks kept per pair end and
+    # then concatenated per end domain put four more blocks on top
+    assert peak < sum(g.nbytes for g in grads.values()) + values + 4 * pair_block
