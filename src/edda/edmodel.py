@@ -151,12 +151,12 @@ class Encoding:
                 _uncovered(len(table.keys), [rows]) for table, rows in zip(model.intra, self.intra_rows)
             ]
         self.inter_rows: list[np.ndarray] = []
-        self.inter = None
+        self._inter = None
         if model.inter is not None:
             self.inter_rows = [model.inter.rows(graph.keys) for graph in graphs]
             self._inter_uncovered = _uncovered(len(model.inter.keys), self.inter_rows)
             x = model.inter.matrix
-            self.inter = self._inter_map(x, np.zeros_like(x))
+            self._inter = self._inter_map(x, np.zeros_like(x))
 
     def _operator(self, d: int):
         """Domain d's normalized adjacency under its mask; None for the identity."""
@@ -186,10 +186,20 @@ class Encoding:
     def _intra_map(self, d, x, out):
         return self._map([(d, self.intra_rows[d])], self._intra_uncovered[d], x, out)
 
-    def _held(self, d: int) -> dict[str, np.ndarray]:
-        """The arrays built for domain d; those of any other domain are freed."""
+    def _live(self) -> None:
+        """Refuse an encoding whose rows `free_rows` freed."""
         if self._built is None:
             raise RuntimeError("the encoded rows were freed by free_rows(); encode the model again")
+
+    @property
+    def inter(self) -> np.ndarray | None:
+        """Encoded shared rows, in `model.inter` row order; None without a shared table."""
+        self._live()
+        return self._inter
+
+    def _held(self, d: int) -> dict[str, np.ndarray]:
+        """The arrays built for domain d; those of any other domain are freed."""
+        self._live()
         if d != self._domain:
             self._built.clear()
             self._domain = d
@@ -213,7 +223,6 @@ class Encoding:
         """
         model = self.model
         if model.intra is None:
-            self._held(d)  # refuses a freed encoding
             return self.inter[model.inter.rows(keys)]
         try:
             rows = model.intra[d].rows(keys)
@@ -235,7 +244,7 @@ class Encoding:
     def free_rows(self) -> None:
         """Free the encoded rows, `inter` and a domain's built arrays: the
         encoding can then only `transpose`, and scoring raises RuntimeError."""
-        self.inter = self._built = None
+        self._inter = self._built = None
 
     def transpose(
         self, d: int, d_inter: np.ndarray | None, d_intra: np.ndarray | None, out: dict

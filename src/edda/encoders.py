@@ -11,7 +11,8 @@ backward pass. `grec_propagate` is the only implementation of the layer loop;
 `EDModel.propagated` applies it per domain to the shared and per-domain
 tables. A table's rows are in ascending node-key order (`mdgraph.node_keys`),
 which for one graph is its local node order; rows are found by key with one
-`searchsorted`, never by per-node lookups.
+`searchsorted`, never by per-node lookups. The operator is a
+`mdgraph.CsrMatrix`, whose `@` runs scipy's `csr_matvecs` kernel.
 """
 
 from __future__ import annotations
@@ -21,9 +22,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sp
 
-from .mdgraph import MAX_ID, NodeId, NodeKind, atomic_write, node_keys, split_keys
+from .mdgraph import MAX_ID, CsrMatrix, NodeId, NodeKind, atomic_write, node_keys, split_keys
 
 TABLE_MAGIC = b"EDDA"
 # format version -> stored float type; float64 tables keep version 1's bytes
@@ -85,7 +85,7 @@ class GRecConfig:
         return self.num_layers == 0 or self.alpha == 1.0
 
 
-def grec_propagate(op: sp.spmatrix | None, x: np.ndarray, cfg: GRecConfig) -> np.ndarray:
+def grec_propagate(op: CsrMatrix | None, x: np.ndarray, cfg: GRecConfig) -> np.ndarray:
     """Layer-L embeddings of graph-local rows `x`, computed in place: `x` is
     overwritten with them and returned, so pass a copy to keep the input.
 

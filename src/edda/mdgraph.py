@@ -8,18 +8,21 @@ Inside `edda` a node is one int64 key, `(kind << 62) | id` with MAX_ID =
 2^62 - 1 (`node_keys`, `split_keys`). Users (kind 0) sort before items
 (kind 1) and ids ascend within each kind, so ascending key order is a graph's
 local node order, and graph, dataset and anchor key arrays are sorted.
+`CsrMatrix` is the package's one sparse type; it multiplies through scipy's
+`csr_matvecs` kernel, loaded by file path, and never imports `scipy.sparse`.
 """
 
 from __future__ import annotations
 
 import enum
+import importlib.machinery
+import importlib.util
 import os
 from contextlib import contextmanager
 from pathlib import Path
 from typing import IO, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 
 MAX_ID = 2**62 - 1
@@ -54,6 +57,63 @@ def sorted_unique(values: np.ndarray) -> np.ndarray:
     first = np.ones(len(values), dtype=bool)
     np.not_equal(values[1:], values[:-1], out=first[1:])
     return values[first]
+
+
+def _load_csr_matvecs():
+    """scipy's `csr_matvecs(n_row, n_col, n_vecs, indptr, indices, data, x,
+    out)`, which adds a CSR matrix times the row-major (n_col, n_vecs) `x`
+    into `out`, from its `_sparsetools` extension, loaded as
+    `edda._sparsetools` from the directory `find_spec` names without running
+    scipy's `__init__`. ImportError names the path searched."""
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is None or not scipy.submodule_search_locations:
+        raise ImportError("edda needs scipy's _sparsetools extension, and scipy is not installed")
+    base = os.path.join(scipy.submodule_search_locations[0], "sparse", "_sparsetools")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        if os.path.isfile(base + suffix):
+            loader = importlib.machinery.ExtensionFileLoader("edda._sparsetools", base + suffix)
+            module = importlib.util.module_from_spec(importlib.util.spec_from_loader(loader.name, loader))
+            loader.exec_module(module)
+            return module.csr_matvecs
+    raise ImportError(f"scipy's _sparsetools extension not found: searched {base} + {importlib.machinery.EXTENSION_SUFFIXES}")
+
+
+_csr_matvecs = _load_csr_matvecs()
+
+
+class CsrMatrix:
+    """A compressed-sparse-row matrix of `shape` (n_rows, n_cols): row r holds
+    `data[indptr[r]:indptr[r + 1]]` at columns `indices[indptr[r]:indptr[r + 1]]`.
+
+    Its one operation is `@` with a dense 2-D array: the zeroed result, in
+    the dtype `data` and the array promote to, gets each row's products added
+    in entry order by scipy's `csr_matvecs`, as a scipy CSR matrix's `@`
+    computes it, bit for bit. Indices and indptr are held as int64, so the
+    kernel runs on one index type. The shapes are checked before any C code
+    runs (ValueError); the entries of `indices` are trusted to lie in
+    [0, n_cols), as scipy's constructor trusts them.
+    """
+
+    def __init__(self, data: np.ndarray, indices: np.ndarray, indptr: np.ndarray, shape: tuple[int, int]):
+        self.data = np.asarray(data)
+        self.indices = np.asarray(indices, dtype=np.int64)
+        self.indptr = np.asarray(indptr, dtype=np.int64)
+        n_rows, n_cols = shape
+        self.shape = (int(n_rows), int(n_cols))
+        if self.data.ndim != 1 or self.indices.shape != self.data.shape:
+            raise ValueError(f"data {self.data.shape} and indices {self.indices.shape} must be one equal length")
+        if self.indptr.shape != (n_rows + 1,):
+            raise ValueError(f"indptr has shape {self.indptr.shape}, {n_rows} rows need {n_rows + 1} entries")
+        if self.indptr[0] != 0 or self.indptr[-1] != len(self.data):
+            raise ValueError(f"indptr must run from 0 to the {len(self.data)} entries")
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        n_rows, n_cols = self.shape
+        if x.ndim != 2 or x.shape[0] != n_cols:
+            raise ValueError(f"cannot multiply a {self.shape} CSR matrix by an array of shape {x.shape}")
+        out = np.zeros((n_rows, x.shape[1]), dtype=np.result_type(self.data, x))
+        _csr_matvecs(n_rows, n_cols, x.shape[1], self.indptr, self.indices, self.data, x.ravel(), out.ravel())
+        return out
 
 
 class IngestError(ValueError):
@@ -124,7 +184,7 @@ class DomainGraph:
             [self.user_ids[self.edge_user], self.item_ids[self.edge_item]]
         )
 
-    def sym_norm_adjacency(self, mask: np.ndarray | None = None) -> sp.csr_matrix:
+    def sym_norm_adjacency(self, mask: np.ndarray | None = None) -> CsrMatrix:
         """Symmetric degree-normalized adjacency D^{-1/2} A D^{-1/2}.
 
         Degrees are always the full-graph degrees; `mask` (boolean, one entry
@@ -135,12 +195,12 @@ class DomainGraph:
         """
         shape = (self.n_nodes, self.n_nodes)
         if mask is None:
-            return sp.csr_matrix((self._entry_weight, self.adj_indices, self.adj_indptr), shape)
+            return CsrMatrix(self._entry_weight, self.adj_indices, self.adj_indptr, shape)
         if mask.shape != (self.n_edges,):
             raise ValueError("edge mask must have one entry per edge")
         keep = mask[self._entry_edge]
         indptr = np.concatenate([[0], np.cumsum(keep)])[self.adj_indptr]
-        return sp.csr_matrix((self._entry_weight[keep], self.adj_indices[keep], indptr), shape)
+        return CsrMatrix(self._entry_weight[keep], self.adj_indices[keep], indptr, shape)
 
 
 class MultiDomainDataset:

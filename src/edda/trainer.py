@@ -25,6 +25,9 @@ transposed. `adam_step` updates blocks of ADAM_BLOCK elements through one
 scratch. `edda train` holds the heap (`cli._hold_heap`), so the next step
 reuses the memory a step frees. Float64 BPR weights take libm's `exp`
 through `math` (`_bpr_weight`), so a float64 run never imports scipy.special.
+Every sparse sum (the BPR gradients, `_scatter_add`) is one product of a
+`mdgraph.CsrMatrix`, through scipy's `csr_matvecs` kernel, so no run imports
+scipy.sparse.
 """
 
 from __future__ import annotations
@@ -35,11 +38,10 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import evalkit
 from .edmodel import EDModel, Encoding, zeroed_grad
-from .mdgraph import DomainGraph, MultiDomainDataset, node_keys, sorted_unique
+from .mdgraph import CsrMatrix, DomainGraph, MultiDomainDataset, node_keys, sorted_unique
 from .walker import SimilarPairSet
 
 logger = logging.getLogger(__name__)
@@ -244,7 +246,7 @@ def _triplet_orders(triplet_locs, dl_dx, n_nodes: int):
         indptr = np.clip(user_ptr[first : last + 1], lo, hi) - lo + 1
         indptr[0] = 0
         weights = np.insert(user_weights[lo:hi], 0, 1)
-        csr = sp.csr_matrix((weights, np.arange(hi - lo + 1), indptr), shape=(last - first, hi - lo + 1))
+        csr = CsrMatrix(weights, np.arange(hi - lo + 1), indptr, (last - first, hi - lo + 1))
         user_chunks.append((lo, hi, first, last, csr))
     item_order, _ = _row_order(n_nodes, triplet_locs[1:].ravel())
     item_weights = np.concatenate([dl_dx, -dl_dx])[item_order]
@@ -256,9 +258,9 @@ def _bpr_gradient(table, rows, orders, chunks) -> np.ndarray:
     negative rows and `_triplet_orders`' orders, through the two `chunks`.
 
     Each row sums its terms in `_row_order`'s order, by row, then by
-    position, and a CSR product rounds a * x before adding it (scipy's
-    `csr_matvecs` fuses no multiply-add, as in its x86-64 wheels). An item's
-    terms are +-dl_dx times its users' rows of `table`: one CSR product over
+    position, and a `CsrMatrix` product rounds a * x before adding it
+    (scipy's `csr_matvecs` fuses no multiply-add, as in its x86-64 wheels).
+    An item's terms are +-dl_dx times its users' rows of `table`: one CSR product over
     the table, the gradient's only table-sized array, exact as (-a) * x =
     -(a * x). A user's terms dl_dx * (e_p - e_n) are summed BPR_CHUNK at a
     time in user order: one CSR product adds a chunk's differences into its
@@ -270,7 +272,7 @@ def _bpr_gradient(table, rows, orders, chunks) -> np.ndarray:
     user_order, user_ptr, user_chunks, item_order, item_weights = orders
     n_rows, (held, scratch) = len(table), chunks
     item_users, item_ptr = rows[[0, 0]].ravel()[item_order], _indptr(n_rows, rows[1:].ravel())
-    grad = sp.csr_matrix((item_weights, item_users, item_ptr), shape=(n_rows, n_rows)) @ table
+    grad = CsrMatrix(item_weights, item_users, item_ptr, (n_rows, n_rows)) @ table
     users = rows[0, user_order[user_ptr[:-1]]]  # each distinct user's table row
     for lo, hi, first, last, csr in user_chunks:
         held[0] = grad[users[first]]
@@ -348,7 +350,7 @@ def _scatter_add(n_rows: int, rows: list[np.ndarray], values: np.ndarray) -> np.
     """
     order, indptr = _row_order(n_rows, np.concatenate(rows) if len(rows) > 1 else rows[0])
     ones = np.ones(len(order), dtype=values.dtype)
-    return sp.csr_matrix((ones, order, indptr), shape=(n_rows, len(order))) @ values
+    return CsrMatrix(ones, order, indptr, (n_rows, len(order))) @ values
 
 
 def _row_order(n_rows: int, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -895,7 +895,7 @@ def test_sha256_reads_a_file_in_blocks(tmp_path):
     assert peak < path.stat().st_size / 4
 
 
-NO_SCIPY_SPECIAL_SCRIPT = """
+NO_SCIPY_SUBPACKAGE_SCRIPT = """
 import sys
 from edda.cli import main
 spec, config, root = sys.argv[1:]
@@ -904,18 +904,20 @@ assert main(["synth", spec, "--out", f"{root}/data"]) == 0
 assert main(["align", data, "--out", pairs, "--config", config]) == 0
 for variant, extra in (("wo-da", []), ("edda", ["--pairs", pairs])):
     assert main(["train", data, "--out", f"{root}/{variant}", "--config", config, "--variant", variant, *extra]) == 0
-print(sorted(name for name in sys.modules if name.startswith("scipy.special")))
+assert main(["eval", data, f"{root}/edda", "--config", config]) == 0
+print(sorted(name for name in sys.modules if name.startswith(("scipy.sparse", "scipy.special"))))
 """
 
 
-def test_a_float64_run_never_imports_scipy_special(tmp_path):
-    # its BPR weights take libm's exp through `math`; only float32 needs expit
+def test_a_float64_run_never_imports_scipy_sparse_or_special(tmp_path):
+    # its CSR products call scipy's kernel through `mdgraph.CsrMatrix`, and its
+    # BPR weights take libm's exp through `math`; only float32 needs expit
     spec, config = tmp_path / "spec.cfg", tmp_path / "run.cfg"
     spec.write_text(SPEC_TEXT)
     config.write_text(CONFIG_TEXT)
     env = {**os.environ, "PYTHONPATH": str(Path(edda.__file__).parents[1]), "OPENBLAS_NUM_THREADS": "1"}
     out = subprocess.run(
-        [sys.executable, "-c", NO_SCIPY_SPECIAL_SCRIPT, str(spec), str(config), str(tmp_path)],
+        [sys.executable, "-c", NO_SCIPY_SUBPACKAGE_SCRIPT, str(spec), str(config), str(tmp_path)],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert out.returncode == 0, out.stderr

@@ -11,6 +11,7 @@ import edda.mdgraph
 from edda.edmodel import ModelSpec, init_model
 from edda.mdgraph import (
     MAX_ID,
+    CsrMatrix,
     DomainGraph,
     IngestError,
     NodeId,
@@ -181,10 +182,58 @@ def test_relabeling_preserves_structure():
 def test_sym_norm_adjacency_values():
     # u0-i0, u0-i1, u1-i1: check one entry against 1/sqrt(|N_u||N_i|)
     g = ingest([(0, 0, 0), (0, 0, 1), (0, 1, 1)]).graph(0)
-    a = g.sym_norm_adjacency().toarray()
+    op = g.sym_norm_adjacency()
+    a = np.zeros(op.shape)
+    rows = np.repeat(np.arange(op.shape[0]), np.diff(op.indptr))
+    a[rows, op.indices] = op.data
     u0, i1 = np.searchsorted(g.keys, keys(U(0), I(1)))
     assert a[u0, i1] == pytest.approx(1 / np.sqrt(2 * 2))
     assert np.allclose(a, a.T)
+
+
+FLOATS = st.sampled_from([np.float64, np.float32])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    row_lengths=st.lists(st.integers(0, 4), max_size=8),
+    n_cols=st.integers(1, 6),
+    n_vecs=st.sampled_from([1, 2, 5, 64]),
+    data_dtype=FLOATS,
+    x_dtype=FLOATS,
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(row_lengths=[], n_cols=3, n_vecs=64, data_dtype=np.float64, x_dtype=np.float32, seed=0)
+@example(row_lengths=[0, 3, 0, 0, 2], n_cols=4, n_vecs=1, data_dtype=np.float64, x_dtype=np.float32, seed=1)
+@example(row_lengths=[2, 0, 4], n_cols=5, n_vecs=64, data_dtype=np.float64, x_dtype=np.float64, seed=2)
+def test_csr_product_equals_scipys_bit_for_bit(row_lengths, n_cols, n_vecs, data_dtype, x_dtype, seed):
+    # edda loaded the kernel at import; scipy.sparse comes in only now, beside it
+    import scipy.sparse as sp
+
+    rng = np.random.default_rng(seed)
+    indptr = np.concatenate([[0], np.cumsum(row_lengths, dtype=np.int64)])
+    indices = rng.integers(n_cols, size=indptr[-1])  # unsorted, repeats allowed
+    data = rng.normal(size=indptr[-1]).astype(data_dtype)
+    x = rng.normal(size=(n_cols, n_vecs)).astype(x_dtype)
+    shape = (len(row_lengths), n_cols)
+    got = CsrMatrix(data, indices, indptr, shape) @ x
+    want = sp.csr_matrix((data, indices, indptr), shape) @ x
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def test_csr_matrix_refuses_mismatched_shapes():
+    data, indices, indptr = np.ones(3), np.array([0, 2, 1]), np.array([0, 2, 3])
+    op = CsrMatrix(data, indices, indptr, (2, 3))
+    for x in (np.ones((2, 4)), np.ones((4, 4)), np.ones(3)):
+        with pytest.raises(ValueError, match="cannot multiply"):
+            op @ x
+    with pytest.raises(ValueError, match="one equal length"):
+        CsrMatrix(data[:2], indices, indptr, (2, 3))
+    with pytest.raises(ValueError, match="3 rows need 4 entries"):
+        CsrMatrix(data, indices, indptr, (3, 3))
+    with pytest.raises(ValueError, match="from 0 to the 3 entries"):
+        CsrMatrix(data, indices, np.array([0, 2, 4]), (2, 3))
 
 
 def test_empty_domain_rejected():

@@ -1228,3 +1228,19 @@ def test_align_part_writes_one_value_buffer_per_end_domain():
     # its difference and one temporary. Value blocks kept per pair end and
     # then concatenated per end domain put four more blocks on top
     assert peak < sum(g.nbytes for g in grads.values()) + values + 4 * pair_block
+
+
+@pytest.mark.parametrize("variant", ["edda", "inter", "intra"])
+def test_bpr_part_refuses_a_freed_encoding(variant):
+    # the shared rows are read through `Encoding.inter`, which refuses a
+    # freed encoding as the scoring methods do
+    rng = np.random.default_rng(4)
+    ds = ingest(random_bipartite_records(rng, 0, 8, 6, 20))
+    model = init_model(variant_spec(ModelSpec(d_inter=3, d_intra=2), variant), ds, seed=0)
+    triplets = _NegativeSampler(ds.graph(0)).triplets(np.arange(ds.graph(0).n_edges), rng)
+    enc = model.propagated(ds)
+    enc.free_rows()
+    with pytest.raises(RuntimeError, match="free_rows"):
+        _bpr_part(enc, 0, triplets)
+    with pytest.raises(RuntimeError, match="free_rows"):
+        enc.inter
