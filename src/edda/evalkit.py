@@ -175,6 +175,7 @@ def build_cases(
         )
     users, positives, u_locs = held_out[keep, 0], held_out[keep, 1], u_locs[keep]
     ranks = _choice_ranks([eval_seed, d, users, positives], pops[keep])
+    ranks.sort(axis=1)  # rank -> item ascends, so each row's items come out sorted
     # user u's r-th eligible item follows its positives p_0 < p_1 < ... with
     # p_i - i <= r; the keys u * span + p_i - i ascend along the users' CSR
     # rows, so one search counts those positives for every case
@@ -182,8 +183,7 @@ def build_cases(
     rank_in_row = np.arange(graph.n_edges) - indptr[graph.edge_user]
     keys = graph.edge_user * span + graph.edge_item - rank_in_row
     below = np.searchsorted(keys, u_locs[:, None] * span + ranks, side="right")
-    items = graph.item_ids[ranks + below - indptr[u_locs, None]]
-    return CaseSet(d, users, positives, np.sort(items, axis=1))
+    return CaseSet(d, users, positives, graph.item_ids[ranks + below - indptr[u_locs, None]])
 
 
 # -- frozen negatives: numpy's draw, replayed on arrays -------------------------

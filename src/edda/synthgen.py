@@ -16,14 +16,16 @@ The bisection runs at most 200 steps but stops at its fixed point, the first
 step whose branch would leave `(lo, hi)` unchanged. `mid` is then `lo` or
 `hi`, so every later step would compute the same sigmoid sum on the same
 state and take the same branch: the intercept is bit-equal to the full 200
-steps. The sigmoid sum is computed only at steps whose branch is in doubt:
-a capped Newton hint and two sums beside it certify a point below and a
-point above the root, each clearing the target by a relative margin of
+steps. The sigmoid sum is computed only at steps whose branch is in doubt, and
+never twice at one intercept: a capped Newton hint, begun on a 1/16 sample
+of the grid, and two sums beside it certify a point below and a point above
+the root, each clearing the target by a relative margin of
 8u (max|z| + 60 + ceil(log2 n) + 32), u = 2**-53, which bounds the sum's
 rounding error; a step whose mid lies beyond one of them takes its branch
-without a sum (`_calibrate_intercept` gives the derivation). That is about
-18 sums per domain at the benchmark sizes, where the plain bisection took
-about 57.
+without a sum (`_calibrate_intercept` gives the derivation). At the
+benchmark sizes that is 13-14 full-grid sums per domain on 1000 x 500
+grids, 15-16 on 300 x 150 and 16-17 on 600 x 300, plus 3-4 sample sums,
+where the plain bisection took about 57.
 
 The budget fill takes the unchosen cells of largest margin (propensity minus
 a uniform draw); an exact tie at the cut goes to the lowest row-major cell
@@ -189,22 +191,30 @@ def _allocate_ids(counts: Sequence[int], shared: dict) -> tuple[list[np.ndarray]
     return [np.concatenate(domain_blocks) for domain_blocks in blocks], next_id
 
 
-_HINT_SUMS = 16  # sums `_calibrate_intercept` may spend before its bisection
+_HINT_SUMS = 16  # full-grid sums `_calibrate_intercept` may spend before its bisection
+_SAMPLE_STRIDE = 16  # the hint's sample: every 16th entry of z
+_SAMPLE_SUMS = 6  # sums the hint may spend on the sample, each about 1/16 of a full-grid one
 
 
 def _calibrate_intercept(z: np.ndarray, target: float, out: np.ndarray) -> float:
     """Bisection on b so that sum(sigmoid(z + b)) equals the target count.
 
     Returns what 200 bisection steps on [-60, 60] return, bit for bit, but
-    sums only at steps whose branch is in doubt. `out` is scratch space
-    shaped like `z`. First, safeguarded Newton steps on log S(b), with
-    S' = S - sigma.sigma, find a hint; nothing relies on it. Two more sums at
-    the hint +- w certify a point: a sum s at x in [-60, 60] makes x `below`
-    if s (1 + m) + slack < target, `above` if s (1 - m) - slack >= target.
-    The bisection then runs as it always has, with its fixed-point stop (the
-    first step whose branch would leave (lo, hi) unchanged) and its 200-step
-    cap, but a mid <= below takes the low branch and a mid >= above the high
-    one without a sum.
+    sums only at steps whose branch is in doubt, and never twice at one b:
+    `evaluate` returns the sum it took before. `out` is C-contiguous scratch
+    space shaped like `z`. First, safeguarded Newton steps on log S, with
+    S' = S - sigma.sigma, find a hint; nothing relies on it. They start on
+    a sample, every 16th entry of z with the target scaled by its share, and
+    stop there once a step is under 0.1 (at most `_SAMPLE_SUMS` sums; grids of
+    under 1024 entries skip the sample). From that point they go on over the
+    full grid; only full-grid sums set their bracket or certify a point. Each
+    Newton point lies strictly inside the bracket of the points before it,
+    so none repeats. Two more sums at the hint +- w certify a point: a sum s
+    at x in [-60, 60] makes x `below` if s (1 + m) + slack < target, `above`
+    if s (1 - m) - slack >= target. The bisection then runs as it always has,
+    with its fixed-point stop (the first step whose branch would leave
+    (lo, hi) unchanged) and its 200-step cap, but a mid <= below takes the
+    low branch and a mid >= above the high one without a sum.
 
     Why that is exact: the computed sum s(x) and the real sum S(x) satisfy
     |s(x) - S(x)| <= eps S(x) + delta, eps = 2u (max|z| + 60 + ceil(log2 n) + 32),
@@ -225,29 +235,46 @@ def _calibrate_intercept(z: np.ndarray, target: float, out: np.ndarray) -> float
     m = 4.0 * eps if eps < 0.25 else math.inf
     slack = n * 1e-300
     below, above = -math.inf, math.inf
+    taken: dict[float, float] = {}  # b: the full-grid sum at b
 
     def evaluate(b: float) -> float:
         nonlocal below, above
-        s = float(np.sum(_sigmoid(z, b, out)))
-        if s * (1.0 + m) + slack < target:
-            below = max(below, b)
-        elif s * (1.0 - m) - slack >= target:
-            above = min(above, b)
-        return s
+        if b not in taken:
+            s = taken[b] = float(np.sum(_sigmoid(z, b, out)))
+            if s * (1.0 + m) + slack < target:
+                below = max(below, b)
+            elif s * (1.0 - m) - slack >= target:
+                above = min(above, b)
+        return taken[b]
 
-    b, lo, hi, band = 0.0, -60.0, 60.0, math.inf
-    for _ in range(_HINT_SUMS - 2):
-        s = evaluate(b)
-        lo, hi = (b, hi) if s < target else (lo, b)
-        flat = out.reshape(-1)
-        slope = s - float(np.dot(flat, flat))  # S'(b) = sum of sigma (1 - sigma)
-        step = math.nan
-        if min(s, slope, target) > 0.0:  # band: how far b moves S by m S
-            band, step = m * s / slope, math.log(target / s) * s / slope
-        if step * step <= band:  # the next step, about step**2, would lie inside it
-            b += step
-            break
-        b = b + step if lo < b + step < hi else 0.5 * (lo + hi)
+    def newton(total, sigma: np.ndarray, goal: float, b: float, sums: int, tol: float):
+        """At most `sums` Newton steps from b; `total(b)` leaves the sigmoids
+        in `sigma`. Returns the next point and its band (how far b moves S by m S)."""
+        lo, hi, band = -60.0, 60.0, math.inf
+        for _ in range(sums):
+            s = total(b)
+            lo, hi = (b, hi) if s < goal else (lo, b)
+            slope = s - float(np.dot(sigma, sigma))  # S'(b) = sum of sigma (1 - sigma)
+            step = math.nan
+            if min(s, slope, goal) > 0.0:
+                band, step = m * s / slope, math.log(goal / s) * s / slope
+            if step * step <= max(band, tol):  # the next step, about step**2, would lie inside it
+                return b + step, band
+            b = b + step if lo < b + step < hi else 0.5 * (lo + hi)
+            if not lo < b < hi:  # lo and hi are adjacent
+                break
+        return b, band
+
+    b, k = 0.0, n // _SAMPLE_STRIDE
+    if k >= 64:
+        sigma, sample = out.reshape(-1)[:k], out.reshape(-1)[k : 2 * k]
+        np.copyto(sample, z.reshape(-1)[::_SAMPLE_STRIDE][:k])
+
+        def sample_sum(x: float) -> float:
+            return float(np.sum(_sigmoid(sample, x, sigma)))
+
+        b, _ = newton(sample_sum, sigma, target * k / n, b, _SAMPLE_SUMS, 1e-2)
+    b, band = newton(evaluate, out.reshape(-1), target, b, _HINT_SUMS - 2, 0.0)
     w = max(1.25 * band, 4.0 * math.ulp(b))
     evaluate(max(b - w, -60.0))
     evaluate(min(b + w, 60.0))
@@ -353,7 +380,9 @@ def generate(spec: SynthSpec) -> tuple[np.ndarray, dict[str, np.ndarray]]:
             raise SynthError(f"domain {d}: budget below the coverage minimum {forced}")
         _fill_budget(margin, chosen, budget - forced)
 
-        rows, cols = np.nonzero(chosen)  # row-major over ascending ids, so (user, item) order
+        # row-major over ascending ids, so (user, item) order; one flat scan is
+        # cheaper than the 2-D `np.nonzero`
+        rows, cols = np.divmod(np.flatnonzero(chosen), n_i)
         records.append(np.column_stack([np.full(len(rows), d), u_ids[rows], i_ids[cols]]))
     return np.concatenate(records), {**latents, **item_latents}
 
