@@ -109,6 +109,8 @@ def split(
     call, users in id order and domains in order; the first `_quota` shares
     of the shuffled row go to train, validation and test.
     """
+    if len(ratios) != 3:
+        raise ValueError(f"ratios must have three shares (train, validation, test), got {tuple(ratios)}")
     if any(r < 0 for r in ratios) or ratios[0] <= 0:
         raise ValueError("ratios must be positive with a non-zero train share")
     rng = np.random.default_rng(seed)

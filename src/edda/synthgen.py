@@ -17,14 +17,14 @@ step whose branch would leave `(lo, hi)` unchanged. `mid` is then `lo` or
 `hi`, so every later step would compute the same sigmoid sum on the same
 state and take the same branch: the intercept is bit-equal to the full 200
 steps. The sigmoid sum is computed only at steps whose branch is in doubt, and
-never twice at one intercept: a capped Newton hint, begun on a 1/16 sample
+never twice at one intercept: a capped Newton hint, begun on a 1/17 sample
 of the grid, and two sums beside it certify a point below and a point above
 the root, each clearing the target by a relative margin of
 8u (max|z| + 60 + ceil(log2 n) + 32), u = 2**-53, which bounds the sum's
 rounding error; a step whose mid lies beyond one of them takes its branch
 without a sum (`_calibrate_intercept` gives the derivation). At the
 benchmark sizes that is 13-14 full-grid sums per domain on 1000 x 500
-grids, 15-16 on 300 x 150 and 16-17 on 600 x 300, plus 3-4 sample sums,
+grids, 15-16 on 300 x 150 and 16-17 on 600 x 300, plus 3-5 sample sums,
 where the plain bisection took about 57.
 
 The budget fill takes the unchosen cells of largest margin (propensity minus
@@ -192,8 +192,8 @@ def _allocate_ids(counts: Sequence[int], shared: dict) -> tuple[list[np.ndarray]
 
 
 _HINT_SUMS = 16  # full-grid sums `_calibrate_intercept` may spend before its bisection
-_SAMPLE_STRIDE = 16  # the hint's sample: every 16th entry of z
-_SAMPLE_SUMS = 6  # sums the hint may spend on the sample, each about 1/16 of a full-grid one
+_SAMPLE_STRIDE = 17  # the hint's sample: every 17th entry of z, a prime, so it meets every column unless 17 divides the width
+_SAMPLE_SUMS = 6  # sums the hint may spend on the sample, each about 1/17 of a full-grid one
 
 
 def _calibrate_intercept(z: np.ndarray, target: float, out: np.ndarray) -> float:
@@ -204,7 +204,7 @@ def _calibrate_intercept(z: np.ndarray, target: float, out: np.ndarray) -> float
     `evaluate` returns the sum it took before. `out` is C-contiguous scratch
     space shaped like `z`. First, safeguarded Newton steps on log S, with
     S' = S - sigma.sigma, find a hint; nothing relies on it. They start on
-    a sample, every 16th entry of z with the target scaled by its share, and
+    a sample, every 17th entry of z with the target scaled by its share, and
     stop there once a step is under 0.1 (at most `_SAMPLE_SUMS` sums; grids of
     under 1024 entries skip the sample). From that point they go on over the
     full grid; only full-grid sums set their bracket or certify a point. Each

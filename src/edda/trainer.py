@@ -6,8 +6,11 @@ A training step takes one domain's batch and minimizes
 
 where L_rank sums -ln sigmoid(s(u,i+) - s(u,i-)) over the batch's sampled
 triplets, and L_align sums squared distances between projected per-domain
-embeddings of mined cross-domain pairs. Every batch encodes the tables once
-through `EDModel.propagated` (with that batch's edge-dropout masks);
+embeddings of mined cross-domain pairs. The pairs are fixed for a run, so
+L_align is a fixed quadratic form <Y, L Y> of the projected rows Y, whose
+pair Laplacian L is built once (`_prepare_pairs`); every step takes every
+pair, with no subsample. Every batch encodes the tables once through
+`EDModel.propagated` (with that batch's edge-dropout masks);
 `loss_and_gradients` then scores triplets on the encoding, computes the
 alignment and regularization terms, and hands the representation-level
 gradients to `Encoding.transpose`, the exact backward pass through the
@@ -17,17 +20,17 @@ them); the shared table receives gradients from every domain.
 
 A step frees every array after its last reader, and none grows with the
 batch but per-triplet scalars and indices. `_objective` makes a gradient
-when a term first writes it. The alignment part frees its one value buffer
-per end domain before the ranking part (`_bpr_part`) runs, which scores and
-sums the batch through two chunk buffers and makes one table-sized gradient
-per table. The encoded rows are freed once scored, those gradients once
-transposed. `adam_step` updates blocks of ADAM_BLOCK elements through one
-scratch. `edda train` holds the heap (`cli._hold_heap`), so the next step
-reuses the memory a step frees. Float64 BPR weights take libm's `exp`
-through `math` (`_bpr_weight`), so a float64 run never imports scipy.special.
-Every sparse sum (the BPR gradients, `_scatter_add`) is one product of a
-`mdgraph.CsrMatrix`, through scipy's `csr_matvecs` kernel, so no run imports
-scipy.sparse.
+when a term first writes it. The alignment part frees Y and L Y, two
+stacked-table blocks, before the ranking part (`_bpr_part`) runs, which
+scores and sums the batch through two chunk buffers and makes one
+table-sized gradient per table. The encoded rows are freed once scored,
+those gradients once transposed. `adam_step` updates blocks of ADAM_BLOCK
+elements through one scratch. `edda train` holds the heap
+(`cli._hold_heap`), so the next step reuses the memory a step frees.
+Float64 BPR weights take libm's `exp` through `math` (`_bpr_weight`), so a
+float64 run never imports scipy.special. Every sparse sum (the BPR
+gradients, L Y) is one product of a `mdgraph.CsrMatrix`, through scipy's
+`csr_matvecs` kernel, so no run imports scipy.sparse.
 """
 
 from __future__ import annotations
@@ -50,8 +53,6 @@ logger = logging.getLogger(__name__)
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-# alignment pairs are subsampled to one batch size once they outnumber it this many times
-ALIGN_SUBSAMPLE_FACTOR = 10
 BPR_CHUNK = 512  # triplets scored together; bounds the two chunk buffers
 ADAM_BLOCK = 32768  # elements `adam_step` updates together; bounds its scratch
 
@@ -144,26 +145,41 @@ class _NegativeSampler:
 # -- loss and exact gradients -------------------------------------------------
 
 
-def _prepare_pairs(model: EDModel, pair_sets: Iterable[SimilarPairSet]):
-    """Model-table row indices for every alignment pair, per ordered domain pair."""
-    prepared = []
+def _prepare_pairs(model: EDModel, pair_sets: Iterable[SimilarPairSet]) -> CsrMatrix | None:
+    """The pair Laplacian L = M^T M of the alignment pairs, None without a pair.
+
+    The per-domain `intra` tables are stacked at row offsets, and M holds one
+    row per pair: +1 at its source's stacked row, -1 at its target's. The
+    pairs are fixed for a run, so L is built once, and each step's alignment
+    term is <Y, L Y> on the projected rows (`_align_part`): no pair is
+    gathered again, and none is left out. The (row, col) keys of M^T M are
+    coalesced by one sort: a row's pair count on the diagonal, minus the
+    pairs joining two rows off it. Its data has the parameters' dtype.
+    """
+    offsets = np.cumsum([0, *map(len, model.intra or [])])
+    sources, targets = [], []
     for pair_set in pair_sets:
         if not len(pair_set):
             continue
         if model.intra is None:
             raise ValueError("alignment pairs require per-domain embedding tables")
         d, d_prime = pair_set.domain_pair
-        if d == d_prime:
-            raise ValueError(f"pair domains must differ, got {d} twice")
         if min(d, d_prime) < 0 or max(d, d_prime) >= model.num_domains:
             raise ValueError(f"pair domains {(d, d_prime)} outside [0, {model.num_domains})")
         try:
-            idx_u = model.intra[d].rows(node_keys(pair_set.kinds, pair_set.sources))
-            idx_v = model.intra[d_prime].rows(node_keys(pair_set.kinds, pair_set.targets))
+            sources.append(offsets[d] + model.intra[d].rows(node_keys(pair_set.kinds, pair_set.sources)))
+            targets.append(offsets[d_prime] + model.intra[d_prime].rows(node_keys(pair_set.kinds, pair_set.targets)))
         except KeyError as err:
             raise KeyError(f"alignment pair node missing from domain table: {err}") from None
-        prepared.append((d, d_prime, idx_u, idx_v))
-    return prepared
+    if not sources:
+        return None
+    n, u, v = offsets[-1], np.concatenate(sources), np.concatenate(targets)
+    keys = np.sort(np.concatenate([u * n + u, v * n + v, u * n + v, v * n + u]))
+    first = np.flatnonzero(np.diff(keys, prepend=-1))
+    rows, cols = np.divmod(keys[first], n)
+    counts = np.diff(first, append=len(keys))
+    data = np.where(rows == cols, counts, -counts).astype(model.intra[0].matrix.dtype)
+    return CsrMatrix(data, cols, _indptr(n, rows), (n, n))
 
 
 def _bpr_part(enc: Encoding, d: int, triplet_locs: np.ndarray):
@@ -281,10 +297,11 @@ def _bpr_gradient(table, rows, orders, chunks) -> np.ndarray:
     return grad
 
 
-def _objective(enc: Encoding, d: int, triplet_locs, prepared_pairs, cfg: TrainConfig, align_scale):
+def _objective(enc: Encoding, d: int, triplet_locs, laplacian: CsrMatrix | None, cfg: TrainConfig):
     """(total, L_rank, L_align, grads) for one batch of domain d's (3, n)
-    graph-local `triplet_locs`: `grads` holds the exact gradients by
-    parameter name, one array shaped like each parameter.
+    graph-local `triplet_locs` and the run's pair Laplacian (`_prepare_pairs`,
+    None without pairs): `grads` holds the exact gradients by parameter
+    name, one array shaped like each parameter.
 
     The squared norm is taken first, while the step holds least. A gradient
     is made zeroed when a term first writes it: the alignment term the pair
@@ -297,12 +314,12 @@ def _objective(enc: Encoding, d: int, triplet_locs, prepared_pairs, cfg: TrainCo
     model = enc.model
     squared_norm = model.squared_norm()
     grads: dict[str, np.ndarray] = {}
-    l_align = _align_part(model, prepared_pairs, 2.0 * cfg.beta * align_scale, grads)
+    l_align = 0.0 if laplacian is None else _align_part(model, laplacian, 2.0 * cfg.beta, grads)
     l_bpr, d_g, d_q = _bpr_part(enc, d, triplet_locs)
     enc.free_rows()
     enc.transpose(d, d_g, d_q, grads)
     del d_g, d_q
-    total = l_bpr + cfg.beta * align_scale * l_align + cfg.reg_lambda * squared_norm
+    total = l_bpr + cfg.beta * l_align + cfg.reg_lambda * squared_norm
     for name, arr in model.parameters():
         if name in grads:
             grads[name] += (2.0 * cfg.reg_lambda) * arr
@@ -312,45 +329,30 @@ def _objective(enc: Encoding, d: int, triplet_locs, prepared_pairs, cfg: TrainCo
     return total, l_bpr, l_align, grads
 
 
-def _align_part(model: EDModel, prepared_pairs, coeff: float, grads: dict[str, np.ndarray]) -> float:
-    """L_align on the raw per-domain embeddings and projections of the
-    pairs; `coeff` / 2 times its gradient is added into `grads`, whose
-    missing entries are made zeroed first. The scattered values go, in pair
-    order, into one buffer per end domain, each freed once it is summed."""
-    l_align = 0.0
-    ends: dict[int, list[np.ndarray]] = {}  # each end domain's rows, in pair order
-    for d, d_prime, idx_u, idx_v in prepared_pairs:
-        ends.setdefault(d, []).append(idx_u)
-        ends.setdefault(d_prime, []).append(idx_v)
-    values = {end: np.empty((sum(map(len, rows)), len(model.proj[end])), model.proj[end].dtype)
-              for end, rows in ends.items()}
-    filled = dict.fromkeys(ends, 0)  # rows of each buffer written so far
-    for d, d_prime, idx_u, idx_v in prepared_pairs:
-        e_u = model.intra[d].matrix[idx_u]
-        e_v = model.intra[d_prime].matrix[idx_v]
-        diff = e_u @ model.proj[d]
-        diff -= e_v @ model.proj[d_prime]
-        l_align += float(np.sum(diff * diff))
-        for end, idx, e, c in ((d, idx_u, e_u, coeff), (d_prime, idx_v, e_v, -coeff)):
-            lo, filled[end] = filled[end], filled[end] + len(idx)
-            np.matmul(c * diff, model.proj[end].T, out=values[end][lo : filled[end]])
-            grad = zeroed_grad(grads, f"proj[{end}]", model.proj[end])
-            grad += c * e.T @ diff
-    for end, rows in ends.items():
-        grad = zeroed_grad(grads, f"intra[{end}]", model.intra[end].matrix)
-        grad += _scatter_add(len(grad), rows, values.pop(end))
+def _align_part(model: EDModel, laplacian: CsrMatrix, coeff: float, grads: dict[str, np.ndarray]) -> float:
+    """L_align = <Y, L Y> for the pair Laplacian L and the stacked projected
+    rows Y = [E_d P_d]_d, the sum over pairs of |e_u P_d - e_v P_d'|^2.
+    `coeff` / 2 times its gradient, coeff (L Y)_d P_d^T for `intra[d]` and
+    coeff E_d^T (L Y)_d for `proj[d]`, is added into `grads` for every domain
+    that is a pair end, whose missing entries are made zeroed first. Beside the
+    gradients it holds Y and L Y, two stacked-table blocks, and one domain's
+    product; its cost does not grow with the pair count."""
+    offsets = np.cumsum([0, *map(len, model.intra)])
+    blocks = [(d, slice(lo, hi)) for d, (lo, hi) in enumerate(zip(offsets[:-1], offsets[1:]))
+              if laplacian.indptr[hi] > laplacian.indptr[lo]]  # the pair ends
+    y = np.zeros((offsets[-1], model.proj[0].shape[1]), laplacian.data.dtype)
+    for d, rows in blocks:
+        np.matmul(model.intra[d].matrix, model.proj[d], out=y[rows])
+    ly = laplacian @ y
+    l_align = float(np.sum(np.multiply(y, ly, out=y)))
+    del y
+    ly *= coeff
+    for d, rows in blocks:
+        grad = zeroed_grad(grads, f"intra[{d}]", model.intra[d].matrix)
+        grad += ly[rows] @ model.proj[d].T
+        grad = zeroed_grad(grads, f"proj[{d}]", model.proj[d])
+        grad += model.intra[d].matrix.T @ ly[rows]
     return l_align
-
-
-def _scatter_add(n_rows: int, rows: list[np.ndarray], values: np.ndarray) -> np.ndarray:
-    """(n_rows, dim) sums of the `values` rows at the indices the `rows`
-    arrays hold in turn. One CSR product: each output row adds its
-    contributions in list order, then in array order (`_row_order`), which
-    makes the result bit-equal to `np.add.at` calls into zeros in that order.
-    """
-    order, indptr = _row_order(n_rows, np.concatenate(rows) if len(rows) > 1 else rows[0])
-    ones = np.ones(len(order), dtype=values.dtype)
-    return CsrMatrix(ones, order, indptr, (n_rows, len(order))) @ values
 
 
 def _row_order(n_rows: int, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -387,8 +389,7 @@ def loss_and_gradients(
     n = 0 the loss is the alignment and regularization terms alone.
     """
     enc = model.propagated(dataset, masks)
-    pairs = _prepare_pairs(model, pair_sets)
-    total, *_, grads = _objective(enc, d, triplet_locs, pairs, cfg, 1.0)
+    total, *_, grads = _objective(enc, d, triplet_locs, _prepare_pairs(model, pair_sets), cfg)
     return total, grads
 
 
@@ -482,8 +483,7 @@ def train(
     """
     rng = np.random.default_rng(cfg.seed)
     train_ds = split.train
-    prepared_pairs = _prepare_pairs(model, pair_sets)
-    n_pairs = sum(len(idx_u) for _, _, idx_u, _ in prepared_pairs)
+    laplacian = _prepare_pairs(model, pair_sets)
     state = AdamState.for_model(model)
 
     samplers = [_NegativeSampler(graph) for graph in train_ds.domains]
@@ -506,13 +506,8 @@ def train(
                     dd: edge_dropout(g, cfg.edge_dropout, rng)
                     for dd, g in enumerate(train_ds.domains)
                 }
-            batch_pairs, align_scale = prepared_pairs, 1.0
-            if n_pairs > ALIGN_SUBSAMPLE_FACTOR * cfg.batch_size:
-                batch_pairs, align_scale = _subsample_pairs(
-                    prepared_pairs, n_pairs, cfg.batch_size, rng
-                )
             total, l_bpr, l_align, grads = _objective(
-                model.propagated(train_ds, masks), d, triplets, batch_pairs, cfg, align_scale
+                model.propagated(train_ds, masks), d, triplets, laplacian, cfg
             )
             if not np.isfinite(total):
                 raise TrainingDiverged(
@@ -545,15 +540,3 @@ def train(
         val_rows = best_rows
     return model, logs, val_rows
 
-
-def _subsample_pairs(prepared_pairs, n_pairs: int, sample_size: int, rng):
-    """Uniform subsample of alignment pairs, rescaled to an unbiased estimate."""
-    chosen = np.sort(rng.choice(n_pairs, size=sample_size, replace=False))
-    out = []
-    offset = 0
-    for d, d_prime, idx_u, idx_v in prepared_pairs:
-        local = chosen[(chosen >= offset) & (chosen < offset + len(idx_u))] - offset
-        if len(local):
-            out.append((d, d_prime, idx_u[local], idx_v[local]))
-        offset += len(idx_u)
-    return out, n_pairs / sample_size

@@ -86,6 +86,15 @@ class SimilarPairSet:
     targets: np.ndarray  # int64 ids
     similarities: np.ndarray  # float64, in (0, 1]
 
+    def __post_init__(self):
+        """ValueError unless the four arrays have one length and the two
+        domains differ: pairs match sources with targets by position."""
+        lengths = [len(self.kinds), len(self.sources), len(self.targets), len(self.similarities)]
+        if len(set(lengths)) > 1:
+            raise ValueError(f"kinds, sources, targets and similarities must have one length, got {lengths}")
+        if self.domain_pair[0] == self.domain_pair[1]:
+            raise ValueError(f"pair domains must differ, got {self.domain_pair[0]} twice")
+
     @property
     def pairs(self) -> tuple[SimilarPair, ...]:
         """The pairs as records, in array order."""

@@ -462,29 +462,55 @@ def bpr_part_by_rows(enc, d, triplet_locs):
     return float(np.sum(np.logaddexp(0.0, -x))), grads.get("inter"), grads.get("intra")
 
 
-def objective_by_zero_fill(enc, d, triplet_locs, prepared_pairs, cfg, align_scale):
+def align_part_by_pairs(model, pair_sets, coeff):
+    """`trainer._align_part` summed pair by pair, as it was before the pair
+    Laplacian: each pair set's rows gathered and projected, their
+    differences squared into the loss, and `coeff` / 2 times the gradient
+    added into zeros, the row terms by `np.add.at` in pair order. Returns
+    (L_align, grads), with `intra` and `proj` gradients for every end domain."""
+    l_align, grads = 0.0, {}
+    for pair_set in pair_sets:
+        d, d_prime = pair_set.domain_pair
+        idx = [
+            np.searchsorted(model.intra[end].keys, (pair_set.kinds << 62) | ids)
+            for end, ids in ((d, pair_set.sources), (d_prime, pair_set.targets))
+        ]
+        e_u, e_v = model.intra[d].matrix[idx[0]], model.intra[d_prime].matrix[idx[1]]
+        diff = e_u @ model.proj[d] - e_v @ model.proj[d_prime]
+        l_align += float(np.sum(diff * diff))
+        for end, rows, e, c in ((d, idx[0], e_u, coeff), (d_prime, idx[1], e_v, -coeff)):
+            table = grads.setdefault(f"intra[{end}]", np.zeros_like(model.intra[end].matrix))
+            np.add.at(table, rows, c * diff @ model.proj[end].T)
+            grads.setdefault(f"proj[{end}]", np.zeros_like(model.proj[end]))
+            grads[f"proj[{end}]"] += c * e.T @ diff
+    return l_align, grads
+
+
+def objective_by_zero_fill(enc, d, triplet_locs, laplacian, cfg):
     """`trainer._objective` with every gradient zero-filled up front: the
-    alignment term is added in (pair set by pair set, its rows by `np.add.at`
-    in pair order), then the ranking term (`bpr_part_by_rows`, carried back
-    by `Encoding.transpose`), then the L2 term into every gradient, last.
-    Returns (total, L_rank, L_align, grads)."""
+    alignment term is added in from the same pair Laplacian L (None without
+    pairs), as <Y, L Y> over the pair ends' projected rows Y, each end's
+    terms into its `intra` and `proj`; then the ranking term
+    (`bpr_part_by_rows`, carried back by `Encoding.transpose`), then the L2
+    term into every gradient, last. Returns (total, L_rank, L_align, grads)."""
     model = enc.model
     grads = {name: np.zeros_like(arr) for name, arr in model.parameters()}
-    coeff = 2.0 * cfg.beta * align_scale
-    l_align, scattered = 0.0, {}
-    for dd, d_prime, idx_u, idx_v in prepared_pairs:
-        e_u, e_v = model.intra[dd].matrix[idx_u], model.intra[d_prime].matrix[idx_v]
-        diff = e_u @ model.proj[dd] - e_v @ model.proj[d_prime]
-        l_align += float(np.sum(diff * diff))
-        for end, idx, e, c in ((dd, idx_u, e_u, coeff), (d_prime, idx_v, e_v, -coeff)):
-            rows = scattered.setdefault(end, np.zeros_like(model.intra[end].matrix))
-            np.add.at(rows, idx, c * diff @ model.proj[end].T)
-            grads[f"proj[{end}]"] += c * e.T @ diff
-    for end, rows in scattered.items():
-        grads[f"intra[{end}]"] += rows
+    l_align = 0.0
+    if laplacian is not None:
+        bounds = np.cumsum([0, *(len(table) for table in model.intra)])
+        ends = [e for e in range(len(model.intra)) if laplacian.indptr[bounds[e + 1]] > laplacian.indptr[bounds[e]]]
+        y = np.zeros((bounds[-1], model.proj[0].shape[1]), dtype=model.proj[0].dtype)
+        for e in ends:
+            y[bounds[e] : bounds[e + 1]] = model.intra[e].matrix @ model.proj[e]
+        ly = laplacian @ y
+        l_align = float(np.sum(y * ly))
+        for e in ends:
+            part = (2.0 * cfg.beta) * ly[bounds[e] : bounds[e + 1]]
+            grads[f"intra[{e}]"] += part @ model.proj[e].T
+            grads[f"proj[{e}]"] += model.intra[e].matrix.T @ part
     l_bpr, d_inter, d_intra = bpr_part_by_rows(enc, d, triplet_locs)
     enc.transpose(d, d_inter, d_intra, grads)
-    total = l_bpr + cfg.beta * align_scale * l_align + cfg.reg_lambda * model.squared_norm()
+    total = l_bpr + cfg.beta * l_align + cfg.reg_lambda * model.squared_norm()
     for name, arr in model.parameters():
         grads[name] += (2.0 * cfg.reg_lambda) * arr
     return total, l_bpr, l_align, grads

@@ -164,16 +164,16 @@ def test_train_rerun_is_byte_identical(workspace):
 
 # sha256 of what `edda train` writes for the workspace's dataset, its mined
 # pairs and CONFIG_TEXT (edge dropout 0.3, three epochs of batch 64). Any
-# change to the negative, dropout or pair-subsample random streams, or to the
-# arithmetic of a step, changes them: such a change must say why.
+# change to the negative or dropout random streams, or to the arithmetic of a
+# step, changes them: such a change must say why.
 TRAIN_SHA256 = {
     "train.log": "9c3024c0d65a5ae1c12597b6e0f5ea81fe089cfeae89d756114b034c6e3ed79e",
     "checkpoint/inter.bin": "5a600a384ca2c3edd0b2407341abdd7d10c64d467313247b3793b27bb5fe1c85",
-    "checkpoint/intra_0.bin": "2d39d794128182da943135bbb5b5d661939b711ec47ac07bf50f1fe0eec0963a",
-    "checkpoint/intra_1.bin": "0cd5d70057b6e1b5830f5dcafa0e311ded5a935d6519467a87659ed4422dd531",
+    "checkpoint/intra_0.bin": "37ada553b4ab4240e7e808c46d151054125a224855bb7b7715013b04093df9de",
+    "checkpoint/intra_1.bin": "9d2488758b17d80f490049bd207a15cf2264830dce6fc493c2c3685652cc1f4f",
     "checkpoint/model.manifest": "b7ba1b83803592e7c7e49f06a28cfc1e38a32494b7df4fc77c6e700ee698dd9f",
-    "checkpoint/proj_0.npy": "fb4437e48268df46dd088d6a84d497df6ea2fc9d4bec77c5482cf7f3281957b5",
-    "checkpoint/proj_1.npy": "5cc4749656984cb5af1b840f37def6b27b3d1e8add672a3d62a364974ab612d4",
+    "checkpoint/proj_0.npy": "66a2a816e7e066e7fffbf31bbdfff9cf14bdd1e425bbc74f509e33c72aae0d43",
+    "checkpoint/proj_1.npy": "632031ed31458a7f363817357c072edcf863fd70ddc02051e6014f8e1ccc6bc8",
 }
 
 

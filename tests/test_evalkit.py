@@ -47,6 +47,13 @@ def test_split_ten_interactions_is_7_1_2():
     assert len(sp.test[0]) == 2
 
 
+@pytest.mark.parametrize("ratios", [(7, 3), (7, 1, 1, 1), ()])
+def test_split_refuses_ratios_without_three_shares(ratios):
+    # (7, 3) once failed inside the quota, and (7, 1, 1, 1) split as (7, 1, 2)
+    with pytest.raises(ValueError, match=r"ratios must have three shares \(train, validation, test\)"):
+        split(ingest([(0, 0, i) for i in range(30)]), ratios=ratios)
+
+
 def test_split_single_interaction_goes_to_train():
     sp = split(ingest([(0, 0, 0), (0, 1, 1), (0, 1, 2)]), seed=0)
     assert [0, 0, 0] in dataset_records(sp.train).tolist()

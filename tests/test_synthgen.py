@@ -477,6 +477,25 @@ def test_calibration_on_a_benchmark_sized_domain_takes_at_most_16_full_grid_sums
     assert len(sizes) - sizes.count(300 * 150) <= synthgen._SAMPLE_SUMS * spec.num_domains
 
 
+def test_the_hint_sample_meets_every_column_of_a_64_by_64_grid(monkeypatch):
+    # a stride that shares a factor with the width samples only some columns
+    # (every 16th entry of a 64-wide grid sees four); each entry here holds
+    # its column / 64
+    z = np.tile(np.arange(64.0) / 64.0, (64, 1))
+    samples = []
+    real = synthgen._sigmoid
+
+    def recorded(x, b, out):
+        if x.size != z.size:
+            samples.append(x.copy())
+        return real(x, b, out)
+
+    monkeypatch.setattr(synthgen, "_sigmoid", recorded)
+    synthgen._calibrate_intercept(z, 0.3 * z.size, np.empty_like(z))
+    assert samples
+    assert set(np.rint(samples[0] * 64).astype(int).tolist()) == set(range(64))
+
+
 def test_fill_gives_exact_ties_at_the_cut_to_the_lowest_flat_index():
     margin = np.array(
         [

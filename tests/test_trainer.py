@@ -24,8 +24,7 @@ from edda.trainer import (
     _NegativeSampler,
     _bpr_part,
     _epoch_batches,
-    _scatter_add,
-    _subsample_pairs,
+    _row_order,
     adam_step,
     edge_dropout,
     loss_and_gradients,
@@ -35,6 +34,7 @@ from edda.walker import SimilarPair, SimilarPairSet
 
 from oracles import (
     adam_reference,
+    align_part_by_pairs,
     as_float32,
     bpr_part_by_rows,
     bpr_row_gradients,
@@ -166,14 +166,12 @@ def test_alignment_loss_missing_node():
 
 
 def test_alignment_pairs_within_one_domain_are_refused():
-    ds = ingest([(0, 0, 0), (0, 1, 1), (1, 1, 1)])
-    model = init_model(ModelSpec(d_inter=2, d_intra=2), ds, seed=0)
-    pairs = [pair_set_of((0, 0), (SimilarPair(U(0), U(1), 1.0),))]
+    # refused where the pair set is built, so no loss or run ever sees one
     with pytest.raises(ValueError, match=r"pair domains must differ, got 0 twice"):
-        alignment_loss(model, ds, pairs)
-    sp = split(ds, seed=0)
-    with pytest.raises(ValueError, match="pair domains must differ"):
-        train(model, sp, pairs, TrainConfig(epochs=1), _val_cases(sp))
+        pair_set_of((0, 0), (SimilarPair(U(0), U(1), 1.0),))
+    empty = np.zeros(0, dtype=np.int64)
+    with pytest.raises(ValueError, match=r"pair domains must differ, got 2 twice"):
+        SimilarPairSet((2, 2), empty, empty, empty, np.zeros(0))
 
 
 def test_total_loss_decomposition():
@@ -617,58 +615,6 @@ def test_epoch_batches_equal_the_list_slicing_round_robin(n_edges, batch_size, s
     assert rng.random() == ref_rng.random()
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.lists(st.integers(1, 30), min_size=1, max_size=4), st.data())
-def test_subsample_pairs_draws_the_sample_size_in_pair_order(sizes, data):
-    n_pairs = sum(sizes)
-    sample_size = data.draw(st.integers(1, n_pairs))
-    seed = data.draw(st.integers(0, 2**32 - 1))
-    # group g holds pairs (u, u + 1000) with ascending u, unique over groups
-    starts = np.cumsum([0, *sizes])
-    prepared = [
-        (g, g + 1, np.arange(lo, hi), np.arange(lo, hi) + 1000)
-        for g, (lo, hi) in enumerate(zip(starts[:-1], starts[1:]))
-    ]
-    out, scale = _subsample_pairs(prepared, n_pairs, sample_size, np.random.default_rng(seed))
-    assert scale == n_pairs / sample_size
-    assert sum(len(idx_u) for _, _, idx_u, _ in out) == sample_size
-    groups = [g for g, _, _, _ in out]
-    assert groups == sorted(set(groups))
-    for g, g_next, idx_u, idx_v in out:
-        lo, hi = starts[g], starts[g + 1]
-        assert g_next == g + 1 and len(idx_u)
-        assert np.all((lo <= idx_u) & (idx_u < hi)) and np.all(np.diff(idx_u) > 0)
-        assert np.array_equal(idx_v, idx_u + 1000)
-    again, _ = _subsample_pairs(prepared, n_pairs, sample_size, np.random.default_rng(seed))
-    assert all(np.array_equal(a[2], b[2]) for a, b in zip(out, again))
-
-
-def test_train_subsamples_pairs_past_the_threshold_and_reruns_identically(monkeypatch):
-    sp = _toy_split()
-    # 6 x 4 user pairs and 8 x 4 item pairs: 56 pairs, over 10 batches of 2
-    pairs = [SimilarPair(U(a), U(b), 1.0) for a in range(6) for b in range(4, 8)]
-    pairs += [SimilarPair(I(a), I(b), 1.0) for a in range(8) for b in range(6, 10)]
-    pair_set = pair_set_of((0, 1), tuple(pairs))
-    cfg = TrainConfig(beta=1.0, batch_size=2, epochs=2, seed=9, learning_rate=0.01)
-    samples = []
-
-    def recorded(prepared, n_pairs, sample_size, rng):
-        out, scale = _subsample_pairs(prepared, n_pairs, sample_size, rng)
-        samples.append((sum(len(idx_u) for _, _, idx_u, _ in out), scale))
-        return out, scale
-
-    monkeypatch.setattr(trainer, "_subsample_pairs", recorded)
-    results = []
-    for _ in range(2):
-        model = init_model(ModelSpec(d_inter=4, d_intra=4), sp.full, seed=10)
-        trained, logs, _ = train(model, sp, [pair_set], cfg, _val_cases(sp))
-        results.append(({n: a.copy() for n, a in trained.parameters()}, logs))
-    assert samples and set(samples) == {(2, 56 / 2)}
-    assert [(l.bpr, l.align) for l in results[0][1]] == [(l.bpr, l.align) for l in results[1][1]]
-    for name, arr in results[0][0].items():
-        assert np.array_equal(arr, results[1][0][name]), name
-
-
 def test_train_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(edge_dropout=1.0)
@@ -706,55 +652,12 @@ def test_early_stopping_stops_after_patience_epochs_and_restores_best(
         assert np.array_equal(arr, snapshots[1][name]), name
 
 
-@pytest.mark.parametrize("dtype", [np.float64, np.float32])
-def test_scatter_add_is_bit_equal_to_sequential_add_at(dtype):
-    rng = np.random.default_rng(11)
-    n_rows, dim = 40, 5
-    rows = [rng.integers(0, n_rows, size=m) for m in (300, 0, 120, 300)]
-    values = [rng.normal(size=(len(r), dim)).astype(dtype) for r in rows]
-    want = np.zeros((n_rows, dim), dtype=dtype)
-    for r, v in zip(rows, values):
-        np.add.at(want, r, v)
-    got = _scatter_add(n_rows, rows, np.concatenate(values))
-    assert got.dtype == dtype
-    assert got.tobytes() == want.tobytes()
-
-
-@st.composite
-def _scatter_inputs(draw):
-    """(n_rows, row lists) for `_scatter_add`: up to 70,000 rows, indices
-    drawn from a small pool so rows repeat, members possibly empty."""
-    n_rows = draw(st.integers(1, 70_000))
-    pool = draw(st.lists(st.integers(0, n_rows - 1), min_size=1, max_size=6))
-    members = st.lists(st.sampled_from(pool), max_size=40)
-    rows = draw(st.lists(members, min_size=1, max_size=4))
-    return n_rows, [np.array(r, dtype=np.int64) for r in rows]
-
-
-@settings(max_examples=60, deadline=None)
-@given(_scatter_inputs(), st.sampled_from([np.float64, np.float32]), st.integers(1, 3))
-@example((70_000, [np.array([69_999, 3, 65_536, 69_999]), np.array([], np.int64)]), np.float32, 2)
-def test_scatter_add_equals_sequential_add_at_for_any_rows(inputs, dtype, dim):
-    n_rows, rows = inputs
-    rng = np.random.default_rng(len(rows) + n_rows)
-    scales = [10.0 ** rng.integers(-4, 5, size=(len(r), 1)) for r in rows]
-    values = [(rng.normal(size=(len(r), dim)) * s).astype(dtype) for r, s in zip(rows, scales)]
-    want = np.zeros((n_rows, dim), dtype=dtype)
-    for r, v in zip(rows, values):
-        np.add.at(want, r, v)
-    got = _scatter_add(n_rows, rows, np.concatenate(values))
-    assert got.dtype == dtype and got.shape == want.shape
-    assert got.tobytes() == want.tobytes()
-
-
-def test_scatter_add_refuses_what_its_packed_keys_cannot_hold():
+def test_row_order_refuses_what_its_packed_keys_cannot_hold():
     with pytest.raises(ValueError, match="below 2\\*\\*31"):
-        _scatter_add(1, [np.array([0, 2**31])], [np.zeros((2, 1))])
-    # 2**32 contributions, without the memory: zero-stride views
-    rows = np.broadcast_to(np.int64(0), (2**32,))
-    values = np.broadcast_to(np.zeros((1, 1)), (2**32, 1))
+        _row_order(1, np.array([0, 2**31]))
+    # 2**32 contributions, without the memory: a zero-stride view
     with pytest.raises(ValueError, match="fewer than 2\\*\\*32"):
-        _scatter_add(1, [rows], [values])
+        _row_order(1, np.broadcast_to(np.int64(0), (2**32,)))
 
 
 def test_bpr_row_gradients_are_the_explicit_products_bit_for_bit():
@@ -823,6 +726,75 @@ def _random_pair_set(ds, rng, d, d_prime, n=9):
     return SimilarPairSet((d, d_prime), kinds, sources, targets, np.ones(n))
 
 
+def _top_k_pair_set(ds, rng, d, d_prime, n, k):
+    """n sources of domain d drawn with repeats, each paired with k targets
+    of domain d_prime drawn with repeats, in source order as top-k mining
+    lists them."""
+    src, dst = ds.graph(d), ds.graph(d_prime)
+    users = rng.integers(2, size=n) == int(NodeKind.USER)
+    sources = np.where(users, rng.choice(src.user_ids, n), rng.choice(src.item_ids, n))
+    users = np.repeat(users, k)
+    targets = np.where(users, rng.choice(dst.user_ids, n * k), rng.choice(dst.item_ids, n * k))
+    kinds = np.where(users, int(NodeKind.USER), int(NodeKind.ITEM))
+    return SimilarPairSet((d, d_prime), kinds, np.repeat(sources, k), targets, np.ones(n * k))
+
+
+def _stacked_row(model, d, kind, node_id):
+    """The row of node (kind, node_id) of domain d's table in the stacked
+    `intra` tables, found by scanning the keys."""
+    (hit,) = np.flatnonzero(model.intra[d].keys == (kind << 62) | node_id)
+    return sum(len(table) for table in model.intra[:d]) + hit
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_pair_laplacian_is_the_signed_incidence_gram_matrix(dtype):
+    ds = _three_domain_dataset()
+    model = init_model(ModelSpec(d_inter=3, d_intra=2), ds, seed=0)
+    if dtype == np.float32:
+        model = as_float32(model)
+    rng = np.random.default_rng(5)
+    pair_sets = [_top_k_pair_set(ds, rng, a, b, 12, 2) for a, b in ((0, 1), (1, 0), (2, 1))]
+    n = sum(len(table) for table in model.intra)
+    incidence = np.zeros((sum(map(len, pair_sets)), n))
+    pairs = [(ps.domain_pair, *p) for ps in pair_sets for p in zip(ps.kinds, ps.sources, ps.targets)]
+    for p, ((d, d_prime), kind, source, target) in enumerate(pairs):
+        incidence[p, _stacked_row(model, d, kind, source)] += 1.0
+        incidence[p, _stacked_row(model, d_prime, kind, target)] -= 1.0
+    want = incidence.T @ incidence
+    laplacian = trainer._prepare_pairs(model, pair_sets)
+    assert laplacian.shape == (n, n) and laplacian.data.dtype == dtype
+    # one entry per nonzero of M^T M, by row, columns ascending
+    rows = np.repeat(np.arange(n), np.diff(laplacian.indptr))
+    assert np.array_equal(rows * n + laplacian.indices, np.flatnonzero(want))
+    assert np.array_equal(laplacian.data, want[rows, laplacian.indices])
+    assert trainer._prepare_pairs(model, []) is None
+    assert trainer._prepare_pairs(model, [_top_k_pair_set(ds, rng, 0, 1, 0, 1)]) is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.sampled_from([(0, 1), (1, 0), (2, 0), (1, 2)]), min_size=1, max_size=5),
+    st.integers(1, 2),
+    st.integers(1, 12),
+    st.floats(0.01, 4.0),
+    st.integers(0, 2**16),
+)
+@example([(0, 1), (1, 0)], 2, 12, 0.06, 0)
+def test_align_part_equals_the_per_pair_sum(domain_pairs, k, n, coeff, seed):
+    # repeated rows, both directions of a domain pair and k targets per source
+    ds = _three_domain_dataset()
+    model = init_model(ModelSpec(d_inter=3, d_intra=4), ds, seed=seed)
+    rng = np.random.default_rng(seed)
+    pair_sets = [_top_k_pair_set(ds, rng, d, d_prime, n, k) for d, d_prime in domain_pairs]
+    grads = {}
+    got = trainer._align_part(model, trainer._prepare_pairs(model, pair_sets), coeff, grads)
+    want, want_grads = align_part_by_pairs(model, pair_sets, coeff)
+    assert got == pytest.approx(want, rel=1e-12)
+    assert grads.keys() == want_grads.keys()
+    for name, grad in want_grads.items():
+        assert np.abs(grads[name] - grad).max() <= 1e-12 * np.abs(grad).max(), name
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.sampled_from(sorted(VARIANTS)),
@@ -852,11 +824,11 @@ def test_objective_equals_the_zero_filled_oracle_bit_for_bit(variant, dtype, pai
     pair_sets = []
     if pairs and model.intra is not None:
         pair_sets = [_random_pair_set(ds, rng, a, b) for a, b in ((0, 1), (2, 0), (1, 0))]
-    prepared = trainer._prepare_pairs(model, pair_sets)
+    laplacian = trainer._prepare_pairs(model, pair_sets)
     masks = {dd: edge_dropout(g, 0.3, rng) for dd, g in enumerate(ds.domains)}
-    cfg, align_scale = TrainConfig(beta=0.5, reg_lambda=reg_lambda), float(rng.integers(1, 4))
-    got = trainer._objective(model.propagated(ds, masks), d, triplets, prepared, cfg, align_scale)
-    want = objective_by_zero_fill(model.propagated(ds, masks), d, triplets, prepared, cfg, align_scale)
+    cfg = TrainConfig(beta=0.5 * float(rng.integers(1, 4)), reg_lambda=reg_lambda)
+    got = trainer._objective(model.propagated(ds, masks), d, triplets, laplacian, cfg)
+    want = objective_by_zero_fill(model.propagated(ds, masks), d, triplets, laplacian, cfg)
     assert np.array(got[:3]).tobytes() == np.array(want[:3]).tobytes()
     assert got[3].keys() == want[3].keys()
     for name, grad in want[3].items():
@@ -883,15 +855,15 @@ def test_objective_ignores_what_its_buffers_held(variant, domain):
     # the pairs run (0, 1) and (1, 0): either domain's batch meets both ends aligned
     ds, model, triplets, pairs = _instance()
     model = init_model(variant_spec(model.spec, variant), ds, seed=1)
-    prepared = trainer._prepare_pairs(model, pairs if variant in ("edda", "ed-mf") else [])
-    assert bool(prepared) == (variant in ("edda", "ed-mf"))
+    laplacian = trainer._prepare_pairs(model, pairs if variant in ("edda", "ed-mf") else [])
+    assert (laplacian is not None) == (variant in ("edda", "ed-mf"))
     masks = {d: edge_dropout(g, 0.3, np.random.default_rng(domain)) for d, g in enumerate(ds.domains)}
     cfg = TrainConfig(beta=0.5)
     results = []
     for fill in (0.0, np.nan):
         with _empty_filled_with(fill) as empty:
             *losses, grads = trainer._objective(
-                model.propagated(ds, masks), domain, triplets[domain], prepared, cfg, 1.0
+                model.propagated(ds, masks), domain, triplets[domain], laplacian, cfg
             )
         assert empty.called
         assert all(np.isfinite(grad).all() for grad in grads.values())
@@ -967,7 +939,7 @@ def test_a_wo_da_step_peaks_under_two_parameter_sets():
     masks = {d: edge_dropout(g, cfg.edge_dropout, rng) for d, g in enumerate(ds.domains)}
     tracemalloc.start()
     try:  # one step of `train`: encode, objective, Adam
-        *_, grads = trainer._objective(model.propagated(ds, masks), 0, triplets, [], cfg, 1.0)
+        *_, grads = trainer._objective(model.propagated(ds, masks), 0, triplets, None, cfg)
         adam_step(model, grads, state, cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -982,7 +954,7 @@ def test_a_wo_da_step_peaks_under_two_parameter_sets():
 
 def test_objective_frees_the_alignment_part_before_the_ranking_part(monkeypatch):
     # the train_dense shape with one pair per node in each direction, as k = 1
-    # mines them; a (pairs, d) block of gathered rows or values is 0.44 MiB
+    # mines them; Y or L Y, a block of every domain's rows, is 0.88 MiB
     rng = np.random.default_rng(0)
     ds = _train_dense_dataset(rng)
     model = init_model(ModelSpec(d_inter=64, d_intra=64), ds, seed=1)
@@ -994,8 +966,8 @@ def test_objective_frees_the_alignment_part_before_the_ranking_part(monkeypatch)
         targets = np.concatenate([rng.choice(dst.user_ids, src.n_users), rng.choice(dst.item_ids, src.n_items)])
         return SimilarPairSet((d, d_prime), kinds, sources, targets, np.ones(len(kinds)))
 
-    prepared = trainer._prepare_pairs(model, [pair_set(0, 1), pair_set(1, 0)])
-    pair_block = max(len(idx_u) for _, _, idx_u, _ in prepared) * 64 * 8
+    laplacian = trainer._prepare_pairs(model, [pair_set(0, 1), pair_set(1, 0)])
+    half_block = sum(len(table) for table in model.intra) * 64 * 8 / 2
     batch = TrainConfig().batch_size
     triplets = _NegativeSampler(ds.graph(0)).triplets(rng.permutation(ds.graph(0).n_edges)[:batch], rng)
     grad_bytes = sum(arr.nbytes for _, arr in model.parameters())
@@ -1008,24 +980,23 @@ def test_objective_frees_the_alignment_part_before_the_ranking_part(monkeypatch)
 
     monkeypatch.setattr(trainer, "_bpr_part", recording)
 
-    def ranking_peak(pairs):  # from the ranking part's start to the step's end
+    def ranking_peak(laplacian):  # from the ranking part's start to the step's end
         enc = model.propagated(ds)  # a step frees its encoding's rows
         enc.intra(0)  # the encoding's own table, built on first use
         tracemalloc.start()
         try:
-            trainer._objective(enc, 0, triplets, pairs, TrainConfig(), 1.0)
+            trainer._objective(enc, 0, triplets, laplacian, TrainConfig())
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
-    without_pairs, with_pairs = ranking_peak([]), ranking_peak(prepared)
-    # beside the step's gradients: kept alive, the alignment's rows,
-    # differences and values are 7 blocks
-    assert held[1] < grad_bytes + pair_block
+    without_pairs, with_pairs = ranking_peak(None), ranking_peak(laplacian)
+    # beside the step's gradients: kept alive, Y and L Y are two blocks
+    assert held[1] < grad_bytes + half_block
     # the alignment term makes every gradient but the shared table's, which
     # a step without pairs makes only for its L2 term, after its peak
     align_grads = grad_bytes - model.inter.matrix.nbytes
-    assert with_pairs < without_pairs + align_grads + pair_block
+    assert with_pairs < without_pairs + align_grads + half_block
 
 
 def test_objective_frees_the_ranking_gradients_before_the_l2_term(monkeypatch):
@@ -1049,7 +1020,7 @@ def test_objective_frees_the_ranking_gradients_before_the_l2_term(monkeypatch):
     monkeypatch.setattr(enc, "transpose", recording)
     tracemalloc.start()
     try:
-        trainer._objective(enc, 0, triplets, [], TrainConfig(), 1.0)
+        trainer._objective(enc, 0, triplets, None, TrainConfig())
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1196,7 +1167,7 @@ def test_bpr_weight_is_scipys_expit_bit_for_bit(doubles, singles):
         assert got.dtype == x.dtype and got.tobytes() == (-expit(-x)).tobytes()
 
 
-def test_align_part_writes_one_value_buffer_per_end_domain():
+def test_align_part_peaks_under_its_gradients_and_two_stacked_blocks():
     # perfbench's align_heavy shape: three domains of 300 users x 150 items,
     # d = 64, one pair per node for every ordered domain pair (k = 1), so
     # each domain is an end of four pair sets
@@ -1214,20 +1185,21 @@ def test_align_part_writes_one_value_buffer_per_end_domain():
         targets = np.concatenate([rng.choice(dst.user_ids, src.n_users), rng.choice(dst.item_ids, src.n_items)])
         return SimilarPairSet((d, d_prime), kinds, sources, targets, np.ones(len(kinds)))
 
-    prepared = trainer._prepare_pairs(model, [pair_set(a, b) for a in range(3) for b in range(3) if a != b])
-    values = sum(2 * len(idx_u) for _, _, idx_u, _ in prepared) * 64 * 8  # one row per pair end
-    pair_block = max(len(idx_u) for _, _, idx_u, _ in prepared) * 64 * 8
+    pair_sets = [pair_set(a, b) for a in range(3) for b in range(3) if a != b]
+    laplacian = trainer._prepare_pairs(model, pair_sets)
+    stacked = sum(len(table) for table in model.intra) * 64 * 8  # Y or L Y
     grads = {}
     tracemalloc.start()
     try:
-        trainer._align_part(model, prepared, 0.06, grads)
+        trainer._align_part(model, laplacian, 0.06, grads)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # beside the gradients and the value buffers: a pair's gathered rows,
-    # its difference and one temporary. Value blocks kept per pair end and
-    # then concatenated per end domain put four more blocks on top
-    assert peak < sum(g.nbytes for g in grads.values()) + values + 4 * pair_block
+    # Y and L Y are two blocks, and Y is freed before the first gradient is
+    # made; then beside the gradients: L Y and one domain's product. A value
+    # row per pair end, as a per-pair sum scatters them, would alone be four
+    assert sum(2 * len(ps) for ps in pair_sets) * 64 * 8 == 4 * stacked
+    assert peak < sum(g.nbytes for g in grads.values()) + 2 * stacked
 
 
 @pytest.mark.parametrize("variant", ["edda", "inter", "intra"])

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from edda import walker
 from edda.mdgraph import NodeId, NodeKind, anchors, ingest
 from edda.walker import (
+    SimilarPairSet,
     WalkConfig,
     load_pairs,
     mine_pairs,
@@ -547,3 +548,15 @@ def test_write_pairs_failing_midway_keeps_the_earlier_file(tmp_path, monkeypatch
     write_pairs(path, sets)
     assert [p.name for p in tmp_path.iterdir()] == ["pairs_0_1.tsv"]
     assert sum(len(s.pairs) for s in load_pairs(path)) == sum(len(s.pairs) for s in sets)
+
+
+@pytest.mark.parametrize("short", ["kinds", "sources", "targets", "similarities"])
+def test_a_pair_set_of_unequal_arrays_is_refused(short):
+    # pairs match sources with targets by position, so a short array would
+    # silently pair the wrong nodes
+    arrays = {name: np.zeros(3, dtype=np.int64) for name in ("kinds", "sources", "targets")}
+    arrays["similarities"] = np.ones(3)
+    arrays[short] = arrays[short][:2]
+    lengths = [2 if name == short else 3 for name in ("kinds", "sources", "targets", "similarities")]
+    with pytest.raises(ValueError, match=rf"must have one length, got \{lengths}"):
+        SimilarPairSet((0, 1), **arrays)
